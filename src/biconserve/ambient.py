@@ -68,10 +68,6 @@ def inner(u: AmbientVector, v: AmbientVector) -> float:
     return float(np.dot(u.signature.weights * u.components, v.components))
 
 
-def inner_arrays(u: np.ndarray, v: np.ndarray, weights: np.ndarray) -> float:
-    return float(np.dot(weights * u, v))
-
-
 def causal_character(v: AmbientVector, tau_null: float = TAU_NULL):
     """Classify v by the sign of <v, v> against a relative tolerance.
 

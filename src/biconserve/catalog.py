@@ -414,12 +414,6 @@ def build(spec: FamilySpec) -> ImmersionChart:
     return chart
 
 
-def build_entry(key: str, params: dict | None = None, profiles: dict | None = None,
-                domain: tuple | None = None) -> ImmersionChart:
-    family, _, case = key.partition(".")
-    return build(FamilySpec(family, case, params or {}, profiles or {}, domain))
-
-
 def build_remark42(n: int, a, profiles: dict | None = None,
                    domain: tuple | None = None) -> ImmersionChart:
     """Extension chart with n parameters in (n+1)-space, offsets 2*a_i.

@@ -41,10 +41,6 @@ class DegenerateNormal(BiconserveError):
         super().__init__(f"normal direction is lightlike/degenerate at {self.point}")
 
 
-class CMCDetected(BiconserveError):
-    """Mean curvature is constant on the sampled set; the tangency condition is vacuous."""
-
-
 class ConstraintError(BiconserveError):
     def __init__(self, condition, detail=""):
         self.condition = condition

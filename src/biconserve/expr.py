@@ -1,9 +1,14 @@
-"""Closed expression trees over chart parameters, with jet evaluation.
+"""Closed expression trees over chart parameters: jet and array evaluation.
 
 Supported operations: + - * /, power with a real literal exponent, sin, cos,
 sinh, cosh, exp, sqrt, negation, and calls to named profile functions that
 supply their own derivative ladders.  Trees are frozen dataclasses so charts
 stay immutable and picklable for worker pools.
+
+Two evaluators walk the same trees with the same domain guards: jet_eval
+gives Taylor coefficients at one point (the forward route), eval_values gives
+plain values at an array of points, one numpy operation per node.  The
+difference quotients of fd_partial, the oracle's route, use only the latter.
 
 Text syntax (used by the CLI):
 
@@ -200,6 +205,102 @@ def eval_value(expr: Expr, point, profile_bank=None) -> float:
     return jet_eval(expr, point, 0, profile_bank).value
 
 
+_UFUNC = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "sinh": np.sinh,
+    "cosh": np.cosh,
+    "exp": np.exp,
+}
+
+
+def _guard(bad: np.ndarray, vals: np.ndarray, what: str):
+    if np.any(bad):
+        raise DomainError(f"{what} {float(vals[np.argmax(bad)]):.3e}")
+
+
+def _reciprocal(den: np.ndarray) -> np.ndarray:
+    _guard(np.abs(den) <= _jetops.TAU_DIV, den, "division by near-zero value")
+    return 1.0 / den
+
+
+def _powr_values(u: np.ndarray, p: float) -> np.ndarray:
+    """Value part of ``jets.powr``: the same exponent split, products and guards."""
+    if p == round(p) and abs(p) <= 16:
+        k = abs(int(round(p)))
+        result, base = np.ones_like(u), u
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base if k > 1 else base
+            k >>= 1
+        return _reciprocal(result) if p < 0 else result
+    _guard(u <= _jetops.TAU_POW, u, "fractional power of non-positive base")
+    return np.power(u, p)
+
+
+def _eval_arrays(node: Expr, points: np.ndarray, bank, memo: dict) -> np.ndarray:
+    # mirrors _eval: the same evaluation order and the same error wrapping
+    key = id(node)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    if isinstance(node, Const):
+        out = np.full(len(points), node.value)
+    elif isinstance(node, Var):
+        out = points[:, node.index]
+    elif isinstance(node, Add):
+        out = _eval_arrays(node.a, points, bank, memo) + _eval_arrays(node.b, points, bank, memo)
+    elif isinstance(node, Sub):
+        out = _eval_arrays(node.a, points, bank, memo) - _eval_arrays(node.b, points, bank, memo)
+    elif isinstance(node, Mul):
+        out = _eval_arrays(node.a, points, bank, memo) * _eval_arrays(node.b, points, bank, memo)
+    elif isinstance(node, Div):
+        den = _eval_arrays(node.b, points, bank, memo)
+        try:
+            out = _eval_arrays(node.a, points, bank, memo) * _reciprocal(den)
+        except DomainError as e:
+            raise DomainError(f"{e} in {node_repr(node)}") from None
+    elif isinstance(node, Neg):
+        out = -_eval_arrays(node.a, points, bank, memo)
+    elif isinstance(node, Pow):
+        try:
+            out = _powr_values(_eval_arrays(node.a, points, bank, memo), node.exponent)
+        except DomainError as e:
+            raise DomainError(f"{e} in {node_repr(node)}") from None
+    elif isinstance(node, Call):
+        try:
+            u = _eval_arrays(node.a, points, bank, memo)
+            out = _powr_values(u, 0.5) if node.fn == "sqrt" else _UFUNC[node.fn](u)
+        except DomainError as e:
+            raise DomainError(f"{e} in {node_repr(node)}") from None
+    elif isinstance(node, ProfileCall):
+        if bank is None or node.name not in bank:
+            raise ContractViolation(f"unknown profile function '{node.name}'")
+        u = _eval_arrays(node.a, points, bank, memo)
+        out = np.asarray(bank[node.name].values(u), dtype=float)
+    else:
+        raise ContractViolation(f"unknown node type {type(node)!r}")
+    memo[key] = out
+    return out
+
+
+def eval_values(expr: Expr, points, profile_bank=None) -> np.ndarray:
+    """Values of ``expr`` at each row of ``points`` (P, n), in one tree walk.
+
+    No jets: every node is one numpy operation over the P points.  The value
+    arithmetic and the domain guards are those of ``eval_value`` (a division
+    by ``|den| <= TAU_DIV``, or a fractional power or square root of a base
+    ``<= TAU_POW``, raises ``DomainError`` naming the node), so each entry
+    agrees with ``eval_value`` at that point to rounding.  Profile calls use
+    the entries' array method ``values``.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise ContractViolation(f"points must be a (P, n) array, got shape {points.shape}")
+    return np.array(_eval_arrays(expr, points, profile_bank, {}))
+
+
 # Central differences, nested one axis at a time; each level is O(h^2)
 # accurate.  Orders three and four add one Richardson pass over the whole
 # stencil: a single step cannot keep both the truncation term (wants small h)
@@ -208,8 +309,41 @@ def eval_value(expr: Expr, point, profile_bank=None) -> float:
 FD_STEPS = {0: 0.0, 1: 1e-4, 2: 1e-4, 3: 6e-3, 4: 2e-2}
 
 
-def fd_partial(expr: Expr, point, alpha, h: float | None = None, profile_bank=None) -> float:
-    """Finite-difference estimate of the partial derivative d^alpha expr."""
+def _stencil_leaves(pts: np.ndarray, remaining, step: float, out: list):
+    """Append the leaf points of the nested stencil, in evaluation order."""
+    for axis, cnt in enumerate(remaining):
+        if cnt > 0:
+            dec = list(remaining)
+            dec[axis] -= 1
+            up = pts.copy()
+            up[:, axis] += step
+            dn = pts.copy()
+            dn[:, axis] -= step
+            _stencil_leaves(up, tuple(dec), step, out)
+            _stencil_leaves(dn, tuple(dec), step, out)
+            return
+    out.append(pts)
+
+
+def _stencil_combine(leaf_values, remaining, step: float):
+    """Fold leaf values (an iterator, same order as the leaves) into the quotient."""
+    for axis, cnt in enumerate(remaining):
+        if cnt > 0:
+            dec = list(remaining)
+            dec[axis] -= 1
+            up = _stencil_combine(leaf_values, tuple(dec), step)
+            dn = _stencil_combine(leaf_values, tuple(dec), step)
+            return (up - dn) / (2.0 * step)
+    return next(leaf_values)
+
+
+def fd_partial(expr: Expr, point, alpha, h: float | None = None, profile_bank=None):
+    """Finite-difference estimate of the partial derivative d^alpha expr.
+
+    ``point`` is one point (n,), giving a float, or B base points (B, n),
+    giving a (B,) array.  Every leaf of every stencil is evaluated in a single
+    ``eval_values`` call, so no jet arithmetic is involved.
+    """
     alpha = tuple(int(a) for a in alpha)
     total = sum(alpha)
     if total > 4:
@@ -219,24 +353,20 @@ def fd_partial(expr: Expr, point, alpha, h: float | None = None, profile_bank=No
     if total > 0 and h <= 0:
         raise ContractViolation("step must be positive")
     point = np.asarray(point, dtype=float)
-
-    def stencil(pt, remaining, step):
-        for axis, cnt in enumerate(remaining):
-            if cnt > 0:
-                dec = list(remaining)
-                dec[axis] -= 1
-                up = pt.copy()
-                up[axis] += step
-                dn = pt.copy()
-                dn[axis] -= step
-                return (stencil(up, tuple(dec), step) - stencil(dn, tuple(dec), step)) / (2.0 * step)
-        return eval_value(expr, pt, profile_bank)
-
+    pts = np.atleast_2d(point)
+    steps = (h,) if total <= 2 else (h, h / 2.0)
+    leaves: list = []
+    for step in steps:
+        _stencil_leaves(pts, alpha, step, leaves)
+    values = eval_values(expr, np.concatenate(leaves), profile_bank)
+    it = iter(values.reshape(len(leaves), len(pts)))
+    coarse = _stencil_combine(it, alpha, h)
     if total <= 2:
-        return stencil(point, alpha, h)
-    coarse = stencil(point, alpha, h)
-    fine = stencil(point, alpha, h / 2.0)
-    return (4.0 * fine - coarse) / 3.0
+        out = coarse
+    else:
+        fine = _stencil_combine(it, alpha, h / 2.0)
+        out = (4.0 * fine - coarse) / 3.0
+    return float(out[0]) if point.ndim == 1 else out
 
 
 def node_repr(node: Expr) -> str:

@@ -3,8 +3,9 @@
 The whole pipeline runs in jet arithmetic: chart components are expanded to
 order-3 jets, so the induced metric, normal, shape operator and mean
 curvature come out as jets themselves and the gradient of H is read off a
-first-order jet instead of being re-differenced.  A value-only finite
-difference route (packet_fd) provides the independent oracle.
+first-order jet instead of being re-differenced.  The independent oracle,
+packet_fd, uses no jets: nested central differences of chart values
+computed by array evaluation (expr.eval_values).
 
 All residual norms are Euclidean in the ambient coordinates: an error vector
 with vanishing indefinite self-product must not masquerade as zero.
@@ -16,10 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ambient import AmbientVector, Signature
+from .ambient import AmbientVector, Signature, metric_cross
 from .errors import (ContractViolation, DegenerateFrameError, DegenerateMetric,
                      DegenerateNormal, UnexpectedIndex)
-from .expr import eval_value, fd_partial, jet_eval
+from .expr import eval_value, eval_values, fd_partial, jet_eval
 from .jets import Jet
 from .jets.jet import sqrt as jet_sqrt
 
@@ -193,9 +194,10 @@ def _metric_checks(chart: ImmersionChart, p, G0: np.ndarray):
     return index
 
 
-def _orient_sign(chart, p, w_val, prev_normal, flip):
-    if chart.orientation_ref is not None:
-        ref = np.array([eval_value(e, p, chart.profile_bank) for e in chart.orientation_ref])
+def _orient_sign(w_val, ref, prev_normal, flip):
+    """Sign of the normal: along the chart's reference normal ``ref`` when it
+    has one, else along ``prev_normal``, else a positive last component."""
+    if ref is not None:
         sgn = 1.0 if float(np.dot(w_val, ref)) >= 0.0 else -1.0
     elif prev_normal is not None:
         sgn = 1.0 if float(np.dot(w_val, np.asarray(prev_normal))) >= 0.0 else -1.0
@@ -251,7 +253,10 @@ def packet(chart: ImmersionChart, p, prev_normal=None, flip_normal: bool = False
         nn = nn + eps[a] * (w[a] * w[a])
     if nn.value <= TAU_NORMAL * w_euclid2:
         raise DegenerateNormal(p)
-    sgn = _orient_sign(chart, p, w_val, prev_normal, flip_normal)
+    ref = None
+    if chart.orientation_ref is not None:
+        ref = np.array([eval_value(e, p, bank) for e in chart.orientation_ref])
+    sgn = _orient_sign(w_val, ref, prev_normal, flip_normal)
     inv_norm = jet_sqrt(nn).reciprocal() * sgn
     N_jets = [wj * inv_norm for wj in w]
     N_val = np.array([nj.value for nj in N_jets])
@@ -581,79 +586,94 @@ class FdPacket:
     H: float
     gradH: np.ndarray
     gradH_ambient: np.ndarray
+    dx: np.ndarray  # (n, m) difference quotients d_i x
 
 
-def _fd_core(chart: ImmersionChart, p, align_normal=None):
+def _fd_partials(chart: ImmersionChart, base: np.ndarray):
+    """d_i x (B, n, m) and d_i d_j x (B, n, n, m) at every base point (B, n).
+
+    One ``fd_partial`` call per component and derivative covers all base
+    points at once.
+    """
     n = chart.nparams
     m = chart.signature.dim
-    eps = chart.signature.weights
     bank = chart.profile_bank
-    dx = np.empty((n, m))
-    ddx = np.empty((n, n, m))
+    dx = np.empty((len(base), n, m))
+    ddx = np.empty((len(base), n, n, m))
     for a, comp in enumerate(chart.components):
         for i in range(n):
             alpha = [0] * n
             alpha[i] = 1
-            dx[i, a] = fd_partial(comp, p, alpha, profile_bank=bank)
+            dx[:, i, a] = fd_partial(comp, base, alpha, profile_bank=bank)
         for i in range(n):
             for j in range(i, n):
                 alpha = [0] * n
                 alpha[i] += 1
                 alpha[j] += 1
-                val = fd_partial(comp, p, alpha, profile_bank=bank)
-                ddx[i, j, a] = val
-                ddx[j, i, a] = val
-    G0 = np.einsum("ia,a,ja->ij", dx, eps, dx)
-    from .ambient import metric_cross
+                val = fd_partial(comp, base, alpha, profile_bank=bank)
+                ddx[:, i, j, a] = val
+                ddx[:, j, i, a] = val
+    return dx, ddx
 
+
+def _fd_frame(chart: ImmersionChart, p, dx, ddx, ref, align_normal=None):
+    """G, N, B, S and H at one point from its difference quotients."""
+    n = chart.nparams
+    eps = chart.signature.weights
+    G0 = np.einsum("ia,a,ja->ij", dx, eps, dx)
     w = metric_cross([dx[i] for i in range(n)], chart.signature).components
     nn = float(np.dot(eps * w, w))
     if nn <= TAU_NORMAL * float(np.dot(w, w)):
         raise DegenerateNormal(p)
-    N0 = w / np.sqrt(nn) * _orient_sign(chart, p, w, align_normal, False)
+    N0 = w / np.sqrt(nn) * _orient_sign(w, ref, align_normal, False)
     B0 = np.einsum("ija,a,a->ij", ddx, eps, N0)
     S0 = np.linalg.solve(G0, B0)
     H0 = float(np.trace(S0)) / n
-    return dx, G0, N0, B0, S0, H0
+    return G0, N0, B0, S0, H0
 
 
 def packet_fd(chart: ImmersionChart, p, h_grad: float = 5e-4) -> FdPacket:
     """Curvature bundle from central differences only (independent oracle).
 
-    grad H is the centered difference of the scalar H field, itself built
-    from difference quotients, so no jet arithmetic enters anywhere.
+    The chart's first and second partials are nested central differences of
+    its values, at p and at p +- h_grad along each axis.  grad H is the
+    centered difference of the scalar H field built from them.  Every value
+    comes from ``eval_values`` (array arithmetic, the profiles' array
+    ``values``), so no jet arithmetic enters anywhere; all nine base points
+    share each stencil evaluation.
     """
     p = np.asarray(p, dtype=float)
     n = chart.nparams
-    dx, G0, N0, B0, S0, H0 = _fd_core(chart, p)
-    dH = np.empty(n)
+    base = [p]
     for i in range(n):
         up = p.copy()
         up[i] += h_grad
         dn = p.copy()
         dn[i] -= h_grad
-        Hp = _fd_core(chart, up, align_normal=N0)[5]
-        Hm = _fd_core(chart, dn, align_normal=N0)[5]
-        dH[i] = (Hp - Hm) / (2.0 * h_grad)
+        base += [up, dn]
+    base = np.array(base)
+    dx, ddx = _fd_partials(chart, base)
+    refs = [None] * len(base)
+    if chart.orientation_ref is not None:
+        refs = np.stack([eval_values(e, base, chart.profile_bank)
+                         for e in chart.orientation_ref], axis=1)
+    G0, N0, B0, S0, H0 = _fd_frame(chart, p, dx[0], ddx[0], refs[0])
+    H = [_fd_frame(chart, base[k], dx[k], ddx[k], refs[k], align_normal=N0)[4]
+         for k in range(1, len(base))]
+    dH = np.array([(H[2 * i] - H[2 * i + 1]) / (2.0 * h_grad) for i in range(n)])
     G_inv = np.linalg.inv(G0)
     gradH = G_inv @ dH
-    return FdPacket(tuple(p), G0, G_inv, N0, B0, S0, H0, gradH, gradH @ dx)
+    return FdPacket(tuple(p), G0, G_inv, N0, B0, S0, H0, gradH, gradH @ dx[0], dx[0])
 
 
 def biconservative_residual_fd(chart: ImmersionChart, p, pk: FdPacket | None = None) -> float:
+    """biconservative_residual on the oracle route, pushed forward by ``pk.dx``."""
     if pk is None:
         pk = packet_fd(chart, p)
     scale = 1.0 + abs(pk.H)
     if float(np.linalg.norm(pk.gradH_ambient)) <= TAU_CMC * scale:
         return 0.0
     n = len(pk.G)
-    m = pk.N.shape[0]
-    dx = np.empty((n, m))
-    for a, comp in enumerate(chart.components):
-        for i in range(n):
-            alpha = [0] * n
-            alpha[i] = 1
-            dx[i, a] = fd_partial(comp, p, alpha, profile_bank=chart.profile_bank)
     v = pk.S @ pk.gradH + (n / 2.0) * pk.H * pk.gradH
-    v_amb = v @ dx
+    v_amb = v @ pk.dx
     return float(np.linalg.norm(v_amb) / max(1.0, np.linalg.norm(pk.gradH_ambient)))

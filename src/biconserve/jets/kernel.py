@@ -2,9 +2,8 @@
 
 The compiled extension is preferred; the numpy fallback is functionally
 identical (same triple tables, same summation order up to float association
-inside bincount).  Set BICONSERVE_PURE=1 to force the fallback, e.g. for the
-benchmark in benchmarks/bench_jets.py or to rule the extension out when
-debugging.
+inside bincount).  Set BICONSERVE_PURE=1 to force the fallback, e.g. to
+rule the extension out when debugging.
 """
 
 import os

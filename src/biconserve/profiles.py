@@ -1,8 +1,10 @@
 """Profile functions of the arc parameter s, with derivatives to order 4.
 
 A profile bank maps names (phi, psi, phi1, phi2) to entries exposing
-``derivs(x, k) -> [f(x), f'(x), ..., f^(k)(x)]``.  Three entry kinds cover
-everything the chart catalog needs:
+``derivs(x, k) -> [f(x), f'(x), ..., f^(k)(x)]`` at one point, for the jet
+route, and ``values(x) -> f(x)`` on an array of points, for the array route
+(``expr.eval_values``).  Three entry kinds cover everything the chart
+catalog needs:
 
  * ExprProfile       -- a closed-form expression in s,
  * QuadratureProfile -- f' given in closed form, f recovered by quadrature,
@@ -11,7 +13,9 @@ everything the chart catalog needs:
 
 Values of quadrature-backed entries are interpolated barycentrically on
 Chebyshev nodes; derivative ladders always come from the analytic closed
-forms, never from the interpolant.
+forms, never from the interpolant.  ``values`` evaluates each distinct
+argument once: the stencils of one difference quotient share a handful of
+s values.
 """
 
 from __future__ import annotations
@@ -22,8 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation, DomainError
-from .expr import Call, Const, Expr, Mul, Pow, Var, jet_eval, parse
-from .jets import JetSpace
+from .expr import Call, Const, Expr, Mul, Pow, Var, eval_values, jet_eval, parse
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 DEFAULT_NODES = 129
@@ -39,6 +42,12 @@ def _deriv_ladder(dexpr: Expr, x: float, k: int, bank=None):
     return [j.partial((m,)) for m in range(k)]
 
 
+def _on_unique(fn, x) -> np.ndarray:
+    """fn evaluated once per distinct entry of x, spread back over x."""
+    uniq, inverse = np.unique(np.asarray(x, dtype=float), return_inverse=True)
+    return fn(uniq)[inverse]
+
+
 @dataclass(frozen=True)
 class ExprProfile:
     expr: Expr
@@ -48,6 +57,9 @@ class ExprProfile:
             raise ContractViolation("profile derivative order exceeded (max 4)")
         j = jet_eval(self.expr, (x,), min(k, 4))
         return [j.partial((m,)) for m in range(k + 1)]
+
+    def values(self, x) -> np.ndarray:
+        return _on_unique(lambda u: eval_values(self.expr, u[:, None]), x)
 
 
 def _cheb_nodes(lo: float, hi: float, n: int) -> np.ndarray:
@@ -69,7 +81,31 @@ def _bary_eval(nodes: np.ndarray, weights: np.ndarray, values: np.ndarray, x: fl
     if abs(d[hit]) < 1e-14 * (1.0 + abs(x)):
         return float(values[hit])
     q = weights / d
-    return float(np.dot(q, values) / np.sum(q))
+    return float(np.sum(q * values) / np.sum(q))
+
+
+def _bary_eval_array(nodes: np.ndarray, weights: np.ndarray, values: np.ndarray,
+                     x: np.ndarray) -> np.ndarray:
+    """``_bary_eval`` at each entry of x: the same exact-node hit and, row by
+    row, the same sums, so each entry equals the scalar result bitwise."""
+    d = x[:, None] - nodes
+    ad = np.abs(d)
+    exact = np.min(ad, axis=1) < 1e-14 * (1.0 + np.abs(x))
+    if np.any(exact):
+        hit = np.argmin(ad[exact], axis=1)
+        d[exact, hit] = 1.0  # keeps those rows finite; overwritten below
+    q = weights / d
+    out = np.sum(q * values, axis=1) / np.sum(q, axis=1)
+    if np.any(exact):
+        out[exact] = values[hit]
+    return out
+
+
+def _check_range(x: np.ndarray, lo: float, hi: float, what: str):
+    bad = ~((lo - 1e-12 <= x) & (x <= hi + 1e-12))
+    if np.any(bad):
+        x0 = float(x[np.argmax(bad)])
+        raise DomainError(f"{what} {x0:.6g} outside [{lo:.6g}, {hi:.6g}]")
 
 
 def gl_integrate(fn, lo: float, hi: float, panels: int) -> float:
@@ -107,7 +143,10 @@ class QuadratureProfile:
               n_nodes: int = DEFAULT_NODES):
         nodes = _cheb_nodes(lo, hi, n_nodes)
         order = np.argsort(nodes)
-        fn = np.vectorize(lambda x: jet_eval(dexpr, (x,), 0).value)
+
+        def fn(x):
+            return eval_values(dexpr, x[:, None])
+
         sorted_nodes = nodes[order]
         cumulative = np.empty_like(sorted_nodes)
         anchor = s0
@@ -132,6 +171,13 @@ class QuadratureProfile:
         if not (self.lo - 1e-12 <= x <= self.hi + 1e-12):
             raise DomainError(f"profile argument {x:.6g} outside [{self.lo:.6g}, {self.hi:.6g}]")
         return _bary_eval(self.nodes, self.bary_w, self.node_values, x)
+
+    def _interpolate(self, x: np.ndarray) -> np.ndarray:
+        _check_range(x, self.lo, self.hi, "profile argument")
+        return _bary_eval_array(self.nodes, self.bary_w, self.node_values, x)
+
+    def values(self, x) -> np.ndarray:
+        return _on_unique(self._interpolate, x)
 
     def derivs(self, x: float, k: int):
         if k > 4:
@@ -212,8 +258,7 @@ class PsiSolution:
             prev_w = w_hi
         psi_vals = np.empty_like(cumulative)
         psi_vals[order] = cumulative
-        space = JetSpace.get(1)
-        dpsi = np.array([jet_eval(dexpr, (x,), 0).value for x in nodes])
+        dpsi = eval_values(dexpr, nodes[:, None])
         ddpsi = np.array([jet_eval(dexpr, (x,), 1).partial((1,)) for x in nodes])
         return cls(a, b, c, offsets, nodes, psi_vals, dpsi, ddpsi,
                    n_nodes, _bary_weights(n_nodes), dexpr)
@@ -223,6 +268,13 @@ class PsiSolution:
         if not (lo - 1e-12 <= x <= hi + 1e-12):
             raise DomainError(f"psi argument {x:.6g} outside [{lo:.6g}, {hi:.6g}]")
         return _bary_eval(self.s_grid, self.bary_w, self.psi_values, x)
+
+    def _interpolate(self, x: np.ndarray) -> np.ndarray:
+        _check_range(x, self.s_grid.min(), self.s_grid.max(), "psi argument")
+        return _bary_eval_array(self.s_grid, self.bary_w, self.psi_values, x)
+
+    def values(self, x) -> np.ndarray:
+        return _on_unique(self._interpolate, x)
 
     def derivs(self, x: float, k: int):
         if k > 4:
@@ -334,12 +386,23 @@ def constraint_residual(kind: str, phi, psi, s: float) -> float:
 
 @dataclass(frozen=True)
 class DerivativeProfile:
-    """View of another profile entry shifted by one derivative order."""
+    """View of another profile entry shifted by one derivative order.
+
+    ``values`` evaluates the base's closed-form derivative ``dexpr`` (a
+    QuadratureProfile or PsiSolution) on the whole array.  Only a base
+    without one, an ExprProfile, falls back to its per-point ``derivs``.
+    """
 
     base: object
 
     def derivs(self, x: float, k: int):
         return self.base.derivs(x, k + 1)[1:]
+
+    def values(self, x) -> np.ndarray:
+        dexpr = getattr(self.base, "dexpr", None)
+        if dexpr is not None:
+            return _on_unique(lambda u: eval_values(dexpr, u[:, None]), x)
+        return _on_unique(lambda u: np.array([self.base.derivs(xi, 1)[1] for xi in u]), x)
 
 
 def check_derivative_consistency(entry, lo: float, hi: float, n: int = 25,

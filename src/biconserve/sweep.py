@@ -100,9 +100,7 @@ def _eval_point(chart: ImmersionChart, p, checks, oracle: str) -> PointRow:
                 row.values["biconservative"] = biconservative_residual_fd(chart, p, fpk)
             if "principal_direction" in checks and not row.cmc:
                 row.values["principal_direction"] = _pdc_values(
-                    fpk.S, fpk.H, fpk.gradH, fpk.gradH_ambient,
-                    np.array([[pk._dx[i][a].value for a in range(chart.signature.dim)]
-                              for i in range(chart.nparams)]))
+                    fpk.S, fpk.H, fpk.gradH, fpk.gradH_ambient, fpk.dx)
         else:
             if "biconservative" in checks:
                 row.values["biconservative"] = biconservative_residual(chart, p, pk)

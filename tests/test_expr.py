@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 
-from biconserve.errors import ContractViolation
+from biconserve.errors import ContractViolation, DomainError
 from biconserve.expr import (Call, Const, Mul, Pow, ProfileCall, Var, eval_value,
-                             node_repr, parse)
+                             eval_values, fd_partial, node_repr, parse)
 
 
 def test_parse_basic_precedence():
@@ -73,3 +74,83 @@ def test_constants_fold_to_nodes():
     e = parse("3.5e-2 + .5")
     assert isinstance(e.a, Const)
     assert eval_value(e, (0, 0, 0, 0)) == pytest.approx(0.535)
+
+
+# -- array evaluation ----------------------------------------------------
+
+
+def _catalog_charts():
+    from biconserve.catalog import FamilySpec, all_keys, build, build_remark42
+
+    for key in all_keys():
+        if key == "rem42":
+            yield key, build_remark42(4, (1.0, 2.0, 3.0))
+        else:
+            family, _, case = key.partition(".")
+            profiles = {"solve_psi": True, "c": 1.0} if key == "ex41" else {}
+            yield key, build(FamilySpec(family, case, profiles=profiles))
+
+
+def test_eval_values_matches_eval_value_on_every_catalog_component():
+    from biconserve.sweep import random_points
+
+    for key, chart in _catalog_charts():
+        pts = random_points(chart.domain, 12, seed=7)
+        exprs = chart.components + (chart.orientation_ref or ())
+        for e in exprs:
+            got = eval_values(e, pts, chart.profile_bank)
+            ref = np.array([eval_value(e, p, chart.profile_bank) for p in pts])
+            assert got.shape == (len(pts),)
+            assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), (key, node_repr(e))
+
+
+@pytest.mark.parametrize("text, point", [
+    ("1/(s - 2)", (2.0, 0.0, 0.0, 0.0)),
+    ("t/(s - 2)^3", (2.0 + 1e-5, 1.0, 0.0, 0.0)),
+    ("s^(-2)", (0.0, 0.0, 0.0, 0.0)),
+    ("(s - 1)^1.5", (0.5, 0.0, 0.0, 0.0)),
+    ("sqrt(u)", (0.0, 0.0, -1.0, 0.0)),
+    ("cos(sqrt(s - 1)) + 2", (1.0, 0.0, 0.0, 0.0)),
+    ("exp(1/(s - t))", (0.3, 0.3, 0.0, 0.0)),
+])
+def test_eval_values_domain_guards_match_eval_value(text, point):
+    e = parse(text)
+    with pytest.raises(DomainError) as jet_err:
+        eval_value(e, point)
+    with pytest.raises(DomainError) as arr_err:
+        eval_values(e, np.array([point]))
+    assert str(arr_err.value) == str(jet_err.value)
+    # one bad row among good ones is enough
+    good = np.array([(3.0, 0.5, 1.0, 0.2), point, (4.0, 0.1, 2.0, 0.3)])
+    with pytest.raises(DomainError):
+        eval_values(e, good)
+
+
+def test_eval_values_integer_powers_take_any_base():
+    e = parse("s^3 + (t - 1)^(-2)")
+    pts = np.array([(-1.5, 0.0, 0.0, 0.0), (2.0, 3.0, 0.0, 0.0)])
+    ref = [eval_value(e, p) for p in pts]
+    assert eval_values(e, pts).tolist() == pytest.approx(ref, rel=1e-15)
+
+
+def test_eval_values_contract():
+    with pytest.raises(ContractViolation):
+        eval_values(parse("s"), (1.0, 2.0))
+    with pytest.raises(ContractViolation):
+        eval_values(parse("phi(s)"), np.ones((2, 4)), {})
+
+
+def test_fd_partial_on_base_arrays_is_bitwise_the_single_point_route():
+    from biconserve.sweep import random_points
+
+    rng = np.random.default_rng(5)
+    for key, chart in _catalog_charts():
+        n = chart.nparams
+        base = random_points(chart.domain, 9, seed=3)
+        comp = chart.components[int(rng.integers(len(chart.components)))]
+        for order in range(5):
+            alpha = tuple(rng.multinomial(order, [1.0 / n] * n))
+            batch = fd_partial(comp, base, alpha, profile_bank=chart.profile_bank)
+            single = [fd_partial(comp, p, alpha, profile_bank=chart.profile_bank) for p in base]
+            assert isinstance(single[0], float)
+            assert np.array_equal(batch, np.array(single)), (key, alpha)

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from biconserve.catalog import FamilySpec, build
-from biconserve.errors import DegenerateMetric, UnexpectedIndex
+from biconserve.errors import (ContractViolation, DegenerateFrameError, DegenerateMetric,
+                               DegenerateNormal, DomainError, UnexpectedIndex)
 from biconserve.expr import parse
 from biconserve.immersion import (ImmersionChart, beltrami_residual,
-                                  biconservative_residual, gauss_codazzi_residual,
+                                  biconservative_residual, biconservative_residual_fd,
+                                  gauss_codazzi_residual,
                                   packet, packet_fd, principal_direction_check,
                                   submanifold_packet)
 
@@ -151,6 +153,35 @@ def test_fd_packet_agreement(ex41):
     assert np.max(np.abs(pk.B - fpk.B)) < 1e-6
     assert fpk.H == pytest.approx(pk.H, abs=1e-8)
     assert np.max(np.abs(pk.gradH - fpk.gradH)) < 1e-4
+
+
+def test_fd_packet_carries_its_own_tangents(ex41):
+    p = (1.0, 0.3, -0.2, 0.4)
+    pk = packet(ex41, p)
+    fpk = packet_fd(ex41, p)
+    dx_jet = np.array([[pk._dx[i][a].value for a in range(5)] for i in range(4)])
+    assert fpk.dx.shape == (4, 5)
+    assert np.max(np.abs(fpk.dx - dx_jet)) < 1e-7
+    assert np.allclose(fpk.gradH_ambient, fpk.gradH @ fpk.dx, rtol=0, atol=1e-15)
+    r_fd = biconservative_residual_fd(ex41, p, fpk)
+    assert r_fd == biconservative_residual_fd(ex41, p)
+    assert r_fd < 1e-4
+
+
+@pytest.mark.parametrize("exprs, p, error", [
+    (("s", "t", "u", "t + u", "0"), (0.1, 0.2, 0.3, 0.4), DegenerateFrameError),
+    (("s", "t", "u", "v", "s"), (0.1, 0.2, 0.3, 0.4), DegenerateNormal),
+    (("sqrt(s - 0.5)", "t", "u", "v", "s^2"), (0.50001, 0.2, 0.3, 0.4), DomainError),
+    (("phi(s)", "t", "u", "v", "s^2"), (0.1, 0.2, 0.3, 0.4), ContractViolation),
+])
+def test_fd_packet_error_types(exprs, p, error):
+    with pytest.raises(error):
+        packet_fd(chart_from(exprs), p)
+
+
+def test_fd_packet_profile_range_error(ex41):
+    with pytest.raises(DomainError, match="psi argument"):
+        packet_fd(ex41, (ex41.domain[0][1] + 0.2, 0.1, 0.1, 0.1))
 
 
 def test_gradH_causal_flag(ex41):

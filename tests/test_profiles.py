@@ -158,3 +158,28 @@ def test_derivative_profile_shifts_ladder(psi_12):
     base = psi_12.derivs(1.2, 3)
     shifted = dpsi.derivs(1.2, 2)
     assert shifted == base[1:]
+
+
+def test_array_values_match_pointwise_derivs(psi_12):
+    phi, _ = make_profile_pair("diffP", "0.3*s + 0.1", (0.4, 1.6))
+    expr_entry = ExprProfile(parse("s^2 + sin(s)", ("s",)))
+    entries = [psi_12, phi, expr_entry, DerivativeProfile(psi_12),
+               DerivativeProfile(phi), DerivativeProfile(expr_entry)]
+    x = np.concatenate([np.linspace(0.55, 1.55, 23),
+                        [1.0, 1.0, psi_12.s_grid[60], phi.nodes[70]]])  # repeats, exact nodes
+    for entry in entries:
+        got = entry.values(x)
+        ref = np.array([entry.derivs(xi, 0)[0] for xi in x])
+        assert got.shape == x.shape
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), type(entry).__name__
+    # an exact node returns the stored node value
+    assert psi_12.values(psi_12.s_grid[60:61])[0] == psi_12.psi_values[60]
+    assert phi.values(phi.nodes[70:71])[0] == phi.node_values[70]
+
+
+def test_array_values_domain_guard(psi_12):
+    phi, _ = make_profile_pair("sum1", "s", (0.0, 1.0))
+    with pytest.raises(DomainError, match="psi argument 2.5"):
+        psi_12.values(np.array([1.0, 2.5]))
+    with pytest.raises(DomainError, match="profile argument -0.5"):
+        phi.values(np.array([0.5, -0.5]))
