@@ -13,9 +13,10 @@ catalog needs:
 
 Values of quadrature-backed entries are interpolated barycentrically on
 Chebyshev nodes; derivative ladders always come from the analytic closed
-forms, never from the interpolant.  ``values`` evaluates each distinct
-argument once: the stencils of one difference quotient share a handful of
-s values.
+forms, never from the interpolant.  ``values`` of an interpolated entry
+interpolates each distinct argument once: the stencils of one difference
+quotient share a handful of s values.  Scalar ``value`` is the same
+interpolation on a one-entry array.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class ExprProfile:
         return [j.partial((m,)) for m in range(k + 1)]
 
     def values(self, x) -> np.ndarray:
-        return _on_unique(lambda u: eval_values(self.expr, u[:, None]), x)
+        return eval_values(self.expr, np.asarray(x, dtype=float)[:, None])
 
 
 def _cheb_nodes(lo: float, hi: float, n: int) -> np.ndarray:
@@ -75,29 +76,19 @@ def _bary_weights(n: int) -> np.ndarray:
     return w
 
 
-def _bary_eval(nodes: np.ndarray, weights: np.ndarray, values: np.ndarray, x: float) -> float:
-    d = x - nodes
-    hit = np.argmin(np.abs(d))
-    if abs(d[hit]) < 1e-14 * (1.0 + abs(x)):
-        return float(values[hit])
-    q = weights / d
-    return float(np.sum(q * values) / np.sum(q))
-
-
-def _bary_eval_array(nodes: np.ndarray, weights: np.ndarray, values: np.ndarray,
-                     x: np.ndarray) -> np.ndarray:
-    """``_bary_eval`` at each entry of x: the same exact-node hit and, row by
-    row, the same sums, so each entry equals the scalar result bitwise."""
+def _bary_eval(nodes: np.ndarray, weights: np.ndarray, values: np.ndarray,
+               x: np.ndarray) -> np.ndarray:
+    """Barycentric interpolant at each entry of x; an entry within 1e-14
+    (relative) of a node takes that node's value exactly."""
     d = x[:, None] - nodes
     ad = np.abs(d)
-    exact = np.min(ad, axis=1) < 1e-14 * (1.0 + np.abs(x))
-    if np.any(exact):
-        hit = np.argmin(ad[exact], axis=1)
-        d[exact, hit] = 1.0  # keeps those rows finite; overwritten below
+    hit = np.argmin(ad, axis=1)
+    rows = np.arange(len(x))
+    exact = ad[rows, hit] < 1e-14 * (1.0 + np.abs(x))
+    d[rows[exact], hit[exact]] = 1.0  # keeps those rows finite; overwritten below
     q = weights / d
     out = np.sum(q * values, axis=1) / np.sum(q, axis=1)
-    if np.any(exact):
-        out[exact] = values[hit]
+    out[exact] = values[hit[exact]]
     return out
 
 
@@ -167,14 +158,15 @@ class QuadratureProfile:
         values[order] = cumulative
         return cls(dexpr, s0, f0, lo, hi, nodes, values, _bary_weights(n_nodes))
 
-    def value(self, x: float) -> float:
-        if not (self.lo - 1e-12 <= x <= self.hi + 1e-12):
-            raise DomainError(f"profile argument {x:.6g} outside [{self.lo:.6g}, {self.hi:.6g}]")
-        return _bary_eval(self.nodes, self.bary_w, self.node_values, x)
+    def check_range(self, x: np.ndarray):
+        _check_range(x, self.lo, self.hi, "profile argument")
 
     def _interpolate(self, x: np.ndarray) -> np.ndarray:
-        _check_range(x, self.lo, self.hi, "profile argument")
-        return _bary_eval_array(self.nodes, self.bary_w, self.node_values, x)
+        self.check_range(x)
+        return _bary_eval(self.nodes, self.bary_w, self.node_values, x)
+
+    def value(self, x: float) -> float:
+        return float(self._interpolate(np.array([float(x)]))[0])
 
     def values(self, x) -> np.ndarray:
         return _on_unique(self._interpolate, x)
@@ -263,15 +255,15 @@ class PsiSolution:
         return cls(a, b, c, offsets, nodes, psi_vals, dpsi, ddpsi,
                    n_nodes, _bary_weights(n_nodes), dexpr)
 
-    def value(self, x: float) -> float:
-        lo, hi = self.s_grid.min(), self.s_grid.max()
-        if not (lo - 1e-12 <= x <= hi + 1e-12):
-            raise DomainError(f"psi argument {x:.6g} outside [{lo:.6g}, {hi:.6g}]")
-        return _bary_eval(self.s_grid, self.bary_w, self.psi_values, x)
+    def check_range(self, x: np.ndarray):
+        _check_range(x, self.s_grid.min(), self.s_grid.max(), "psi argument")
 
     def _interpolate(self, x: np.ndarray) -> np.ndarray:
-        _check_range(x, self.s_grid.min(), self.s_grid.max(), "psi argument")
-        return _bary_eval_array(self.s_grid, self.bary_w, self.psi_values, x)
+        self.check_range(x)
+        return _bary_eval(self.s_grid, self.bary_w, self.psi_values, x)
+
+    def value(self, x: float) -> float:
+        return float(self._interpolate(np.array([float(x)]))[0])
 
     def values(self, x) -> np.ndarray:
         return _on_unique(self._interpolate, x)
@@ -401,7 +393,9 @@ class DerivativeProfile:
     def values(self, x) -> np.ndarray:
         dexpr = getattr(self.base, "dexpr", None)
         if dexpr is not None:
-            return _on_unique(lambda u: eval_values(dexpr, u[:, None]), x)
+            x = np.asarray(x, dtype=float)
+            self.base.check_range(x)  # the range guard of the base's derivs
+            return eval_values(dexpr, x[:, None])
         return _on_unique(lambda u: np.array([self.base.derivs(xi, 1)[1] for xi in u]), x)
 
 

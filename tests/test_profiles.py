@@ -183,3 +183,9 @@ def test_array_values_domain_guard(psi_12):
         psi_12.values(np.array([1.0, 2.5]))
     with pytest.raises(DomainError, match="profile argument -0.5"):
         phi.values(np.array([0.5, -0.5]))
+    # a derivative view keeps its base's range guard on both routes
+    for base, what in ((psi_12, "psi argument"), (phi, "profile argument")):
+        with pytest.raises(DomainError, match=f"{what} 2.5"):
+            DerivativeProfile(base).values(np.array([0.8, 2.5]))
+        with pytest.raises(DomainError, match=f"{what} 2.5"):
+            DerivativeProfile(base).derivs(2.5, 0)
