@@ -40,12 +40,14 @@ E5_2 = Signature(5, 2)
 
 @dataclass(frozen=True)
 class AmbientVector:
+    """Components (dim,), or (P, dim) for one vector per point of a block."""
+
     components: np.ndarray
     signature: Signature = E5_2
 
     def __post_init__(self):
         comp = np.asarray(self.components, dtype=float)
-        if comp.shape != (self.signature.dim,):
+        if comp.ndim not in (1, 2) or comp.shape[-1] != self.signature.dim:
             raise ContractViolation(
                 f"component count {comp.shape} does not match dim {self.signature.dim}"
             )

@@ -6,9 +6,13 @@ supply their own derivative ladders.  Trees are frozen dataclasses so charts
 stay immutable and picklable for worker pools.
 
 Two evaluators walk the same trees with the same domain guards: jet_eval
-gives Taylor coefficients at one point (the forward route), eval_values gives
-plain values at an array of points, one numpy operation per node.  The
-difference quotients of fd_partial, the oracle's route, use only the latter.
+gives Taylor coefficients (the forward route), eval_values gives plain values
+(the array route).  Both take one point (n,) or a block of points (P, n) and
+do one numpy operation per node for the whole block.  The difference quotients
+of fd_partial, the oracle's route, use only the array route.  In both, an
+overflow raises DomainError naming the node: a non-finite value of a function
+call or a power (or, on the jet route, of any derivative ladder) names that
+node, a non-finite result of the plain arithmetic names the whole tree.
 
 Text syntax (used by the CLI):
 
@@ -32,6 +36,7 @@ import numpy as np
 from .errors import ContractViolation, DomainError
 from .jets import Jet, JetSpace
 from .jets import jet as _jetops
+from .jets.jet import check_finite, guard
 
 
 class Expr:
@@ -142,13 +147,25 @@ _UNARY = {
 }
 
 
+def _named(node: Expr, err: DomainError) -> DomainError:
+    return DomainError(f"{err} in {node_repr(node)}")
+
+
+def _check_node(node: Expr, vals):
+    try:
+        check_finite(vals)
+    except DomainError as e:
+        raise _named(node, e) from None
+
+
 def _eval(node: Expr, vars_: list[Jet], bank, memo: dict) -> Jet:
     key = id(node)
     hit = memo.get(key)
     if hit is not None:
         return hit
     if isinstance(node, Const):
-        out = node.value  # scalars mix freely with jets
+        v = vars_[0]
+        out = Jet.constant(v.space, v.order, np.full(v.c.shape[1:], node.value))
     elif isinstance(node, Var):
         out = vars_[node.index]
     elif isinstance(node, Add):
@@ -162,46 +179,57 @@ def _eval(node: Expr, vars_: list[Jet], bank, memo: dict) -> Jet:
         try:
             out = _eval(node.a, vars_, bank, memo) / den
         except DomainError as e:
-            raise DomainError(f"{e} in {node_repr(node)}") from None
+            raise _named(node, e) from None
     elif isinstance(node, Neg):
         out = -_eval(node.a, vars_, bank, memo)
     elif isinstance(node, Pow):
         try:
             out = _jetops.powr(_eval(node.a, vars_, bank, memo), node.exponent)
+            check_finite(out.c[0])
         except DomainError as e:
-            raise DomainError(f"{e} in {node_repr(node)}") from None
+            raise _named(node, e) from None
     elif isinstance(node, Call):
         try:
             out = _UNARY[node.fn](_eval(node.a, vars_, bank, memo))
         except DomainError as e:
-            raise DomainError(f"{e} in {node_repr(node)}") from None
+            raise _named(node, e) from None
     elif isinstance(node, ProfileCall):
         if bank is None or node.name not in bank:
             raise ContractViolation(f"unknown profile function '{node.name}'")
         u = _eval(node.a, vars_, bank, memo)
-        if isinstance(u, (int, float)):
-            u = Jet.constant(vars_[0].space, vars_[0].order, float(u))
         dvals = bank[node.name].derivs(u.value, u.order)
-        out = u.compose(np.asarray(dvals, dtype=float))
+        try:
+            out = u.compose(dvals)
+        except DomainError as e:
+            raise _named(node, e) from None
     else:
         raise ContractViolation(f"unknown node type {type(node)!r}")
-    if isinstance(out, (int, float)):
-        out = Jet.constant(vars_[0].space, vars_[0].order, float(out))
     memo[key] = out
     return out
 
 
 def jet_eval(expr: Expr, point, order: int, profile_bank=None) -> Jet:
-    """Taylor coefficients of ``expr`` at ``point`` up to total ``order``."""
+    """Taylor coefficients of ``expr`` up to total ``order``.
+
+    ``point`` is one point (n,), giving a jet with (ncoef,) coefficients, or
+    a block (P, n), giving (ncoef, P) coefficients: the tree is walked once
+    for the block, and each point gets the arithmetic it would get alone.  A
+    domain guard that fails at any point of a block raises for the block.
+    """
     point = np.asarray(point, dtype=float)
-    space = JetSpace.get(len(point))
+    if point.ndim not in (1, 2):
+        raise ContractViolation(f"points must be (n,) or (P, n), got shape {point.shape}")
+    space = JetSpace.get(point.shape[-1])
     if not (0 <= order <= space.max_order):
         raise ContractViolation(f"order {order} outside supported range")
-    vars_ = [Jet.variable(space, order, i, point[i]) for i in range(len(point))]
-    return _eval(expr, vars_, profile_bank, {})
+    vars_ = [Jet.variable(space, order, i, point[..., i]) for i in range(space.nvars)]
+    out = _eval(expr, vars_, profile_bank, {})
+    _check_node(expr, out.c[0])
+    return out
 
 
-def eval_value(expr: Expr, point, profile_bank=None) -> float:
+def eval_value(expr: Expr, point, profile_bank=None):
+    """Value by the jet route: a float at one point, a (P,) array for a block."""
     return jet_eval(expr, point, 0, profile_bank).value
 
 
@@ -214,13 +242,8 @@ _UFUNC = {
 }
 
 
-def _guard(bad: np.ndarray, vals: np.ndarray, what: str):
-    if np.any(bad):
-        raise DomainError(f"{what} {float(vals[np.argmax(bad)]):.3e}")
-
-
 def _reciprocal(den: np.ndarray) -> np.ndarray:
-    _guard(np.abs(den) <= _jetops.TAU_DIV, den, "division by near-zero value")
+    guard(np.abs(den) <= _jetops.TAU_DIV, den, "division by near-zero value")
     return 1.0 / den
 
 
@@ -235,7 +258,7 @@ def _powr_values(u: np.ndarray, p: float) -> np.ndarray:
             base = base * base if k > 1 else base
             k >>= 1
         return _reciprocal(result) if p < 0 else result
-    _guard(u <= _jetops.TAU_POW, u, "fractional power of non-positive base")
+    guard(u <= _jetops.TAU_POW, u, "fractional power of non-positive base")
     return np.power(u, p)
 
 
@@ -260,20 +283,22 @@ def _eval_arrays(node: Expr, points: np.ndarray, bank, memo: dict) -> np.ndarray
         try:
             out = _eval_arrays(node.a, points, bank, memo) * _reciprocal(den)
         except DomainError as e:
-            raise DomainError(f"{e} in {node_repr(node)}") from None
+            raise _named(node, e) from None
     elif isinstance(node, Neg):
         out = -_eval_arrays(node.a, points, bank, memo)
     elif isinstance(node, Pow):
         try:
             out = _powr_values(_eval_arrays(node.a, points, bank, memo), node.exponent)
+            check_finite(out)
         except DomainError as e:
-            raise DomainError(f"{e} in {node_repr(node)}") from None
+            raise _named(node, e) from None
     elif isinstance(node, Call):
         try:
             u = _eval_arrays(node.a, points, bank, memo)
             out = _powr_values(u, 0.5) if node.fn == "sqrt" else _UFUNC[node.fn](u)
+            check_finite(out)
         except DomainError as e:
-            raise DomainError(f"{e} in {node_repr(node)}") from None
+            raise _named(node, e) from None
     elif isinstance(node, ProfileCall):
         if bank is None or node.name not in bank:
             raise ContractViolation(f"unknown profile function '{node.name}'")
@@ -292,13 +317,15 @@ def eval_values(expr: Expr, points, profile_bank=None) -> np.ndarray:
     arithmetic and the domain guards are those of ``eval_value`` (a division
     by ``|den| <= TAU_DIV``, or a fractional power or square root of a base
     ``<= TAU_POW``, raises ``DomainError`` naming the node), so each entry
-    agrees with ``eval_value`` at that point to rounding.  Profile calls use
-    the entries' array method ``values``.
+    agrees with ``eval_value`` at that point to rounding, and so do the
+    overflow checks.  Profile calls use the entries' array method ``values``.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ContractViolation(f"points must be a (P, n) array, got shape {points.shape}")
-    return np.array(_eval_arrays(expr, points, profile_bank, {}))
+    out = np.array(_eval_arrays(expr, points, profile_bank, {}))
+    _check_node(expr, out)
+    return out
 
 
 # Central differences, nested one axis at a time; each level is O(h^2)

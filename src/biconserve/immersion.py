@@ -3,9 +3,11 @@
 The whole pipeline runs in jet arithmetic: chart components are expanded to
 order-3 jets, so the induced metric, normal, shape operator and mean
 curvature come out as jets themselves and the gradient of H is read off a
-first-order jet instead of being re-differenced.  The independent oracle,
-packet_fd, uses no jets: nested central differences of chart values
-computed by array evaluation (expr.eval_values).
+first-order jet instead of being re-differenced.  ``packet`` evaluates one
+point or a block of points at once: the jets carry a trailing point axis,
+and the packet's arrays and the residual operations a leading one.  The
+independent oracle, packet_fd, uses no jets: nested central differences of
+chart values computed by array evaluation (expr.eval_values).
 
 All residual norms are Euclidean in the ambient coordinates: an error vector
 with vanishing indefinite self-product must not masquerade as zero.
@@ -30,6 +32,13 @@ TAU_NORMAL = 1e-10
 
 def tau_deg(gmax: float) -> float:
     return 1e-10 * (1.0 + gmax)
+
+
+def _cmc(g_amb, H):
+    """The CMC decision, per point: |grad H| <= TAU_CMC (1 + |H|), with the
+    ambient Euclidean norm of grad H."""
+    out = np.linalg.norm(g_amb, axis=-1) <= TAU_CMC * (1.0 + np.abs(H))
+    return bool(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -66,39 +75,41 @@ class ImmersionChart:
 
 @dataclass
 class CurvaturePacket:
+    """Curvature data at one point, or at each point of a block.
+
+    Built from one point (n,), the arrays have the shapes noted below and H
+    is a float.  Built from a block (P, n), every array gains a leading
+    point axis, H is (P,), ``point`` is the (P, n) block and N and
+    gradH_ambient hold (P, m) components.
+    """
+
     point: tuple
-    G: np.ndarray
+    G: np.ndarray            # (n, n)
     G_inv: np.ndarray
-    N: AmbientVector
-    B: np.ndarray
-    S: np.ndarray
+    N: AmbientVector         # (m,)
+    B: np.ndarray            # (n, n)
+    S: np.ndarray            # (n, n)
     H: float
-    gradH: np.ndarray
+    gradH: np.ndarray        # (n,)
     gradH_ambient: AmbientVector
-    christoffel: np.ndarray
-    # jets kept for the residual operations
-    _dx: list = field(repr=False, default=None)
-    _ddx: list = field(repr=False, default=None)
-    _N_jets: list = field(repr=False, default=None)
-    _B_jets: list = field(repr=False, default=None)
-    _G_jets: list = field(repr=False, default=None)
-    _Gamma_jets: list = field(repr=False, default=None)
-    _H_jet: Jet = field(repr=False, default=None)
+    christoffel: np.ndarray  # (n, n, n): Gamma^k_ij at [k, i, j]
+    dx: np.ndarray           # (n, m): d_i x
+    ddx: np.ndarray          # (n, n, m): d_i d_j x
+    dB: np.ndarray           # (n, n, n): d_l B_ij at [i, j, l]
+    dGamma: np.ndarray       # (n, n, n, n): d_l Gamma^k_ij at [k, i, j, l]
     _weights: np.ndarray = field(repr=False, default=None)
 
     @property
-    def is_cmc_point(self) -> bool:
-        scale = 1.0 + abs(self.H)
-        return float(np.linalg.norm(self.gradH_ambient.components)) <= TAU_CMC * scale
+    def is_cmc_point(self):
+        return _cmc(self.gradH_ambient.components, self.H)
 
     @property
-    def gradH_lightlike(self) -> bool:
+    def gradH_lightlike(self):
         """Nonzero grad H with vanishing self-product (the excluded case)."""
-        if self.is_cmc_point:
-            return False
         g = self.gradH_ambient.components
-        q = float(np.dot(self._weights * g, g))
-        return abs(q) <= 1e-9 * float(np.dot(g, g))
+        q = np.sum(self._weights * g * g, axis=-1)
+        out = ~np.asarray(self.is_cmc_point) & (np.abs(q) <= 1e-9 * np.sum(g * g, axis=-1))
+        return bool(out) if out.ndim == 0 else out
 
 
 @dataclass
@@ -122,27 +133,42 @@ class SubmanifoldPacket:
 
 
 def _jet_solve(A, B):
-    """Solve A X = B by Gauss-Jordan over the jet ring, pivoting on values."""
+    """Solve A X = B by Gauss-Jordan over the jet ring.
+
+    Each point of a block pivots on the largest |value| in its own column,
+    so it takes the row exchanges it would take alone.
+    """
     n = len(A)
-    A = [row[:] for row in A]
-    B = [row[:] for row in B]
+    rows = [list(a) + list(b) for a, b in zip(A, B)]
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(A[r][col].value))
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-            B[col], B[piv] = B[piv], B[col]
-        inv = A[col][col].reciprocal()
-        A[col] = [a * inv for a in A[col]]
-        B[col] = [b * inv for b in B[col]]
+        mag = np.abs([rows[r][col].c[0] for r in range(col, n)])
+        piv = np.argmax(mag, axis=0)  # per point, offset from col
+        if piv.any():
+            rows[col:] = _exchange_first(rows[col:], piv)
+        inv = rows[col][col].reciprocal()
+        rows[col] = [a * inv for a in rows[col]]
         for r in range(n):
-            if r == col:
+            f = rows[r][col]
+            if r == col or not f.c.any():
                 continue
-            f = A[r][col]
-            if abs(f.value) == 0.0 and not f.c.any():
-                continue
-            A[r] = [a - f * ac for a, ac in zip(A[r], A[col])]
-            B[r] = [b - f * bc for b, bc in zip(B[r], B[col])]
-    return B
+            rows[r] = [a - f * ac for a, ac in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def _exchange_first(rows, piv):
+    """Rows of jets with row 0 and row piv exchanged (at each point k of a
+    block, row 0 and row piv[k])."""
+    nrow = len(rows)
+    perm = np.broadcast_to(np.arange(nrow).reshape((nrow,) + (1,) * piv.ndim),
+                           (nrow,) + piv.shape).copy()
+    perm[0] = piv
+    np.put_along_axis(perm, piv[None], 0, axis=0)
+    out = [[] for _ in rows]
+    for col in zip(*rows):
+        taken = np.take_along_axis(np.stack([j.c for j in col]), perm[:, None], axis=0)
+        for r, j in enumerate(col):
+            out[r].append(Jet(j.space, j.order, taken[r]))
+    return out
 
 
 def _jet_cross(tangents, weights):
@@ -180,48 +206,86 @@ def _jet_cross(tangents, weights):
 # -- packet construction -------------------------------------------------
 
 
-def _metric_checks(chart: ImmersionChart, p, G0: np.ndarray):
-    gmax = float(np.max(np.abs(G0)))
-    det = float(np.linalg.det(G0))
-    if abs(det) <= tau_deg(gmax) ** chart.nparams or abs(det) <= 1e-300:
-        raise DegenerateMetric(p, det)
+def _first(bad) -> int | None:
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) if len(hits) else None
+
+
+def _metric_checks(chart: ImmersionChart, p: np.ndarray, G0: np.ndarray):
+    """Raise for the first point of ``p``, (n,) or (P, n), whose induced
+    metric, (n, n) or (P, n, n), is degenerate or has the wrong index."""
+    pts = np.atleast_2d(p)
+    G0 = G0.reshape(len(pts), chart.nparams, chart.nparams)
+    gmax = np.max(np.abs(G0), axis=(1, 2))
+    det = np.linalg.det(G0)
     eig = np.linalg.eigvalsh(G0)
-    if np.min(np.abs(eig)) <= tau_deg(gmax):
-        raise DegenerateMetric(p, det)
-    index = int(np.sum(eig < 0))
-    if index != chart.expected_index:
-        raise UnexpectedIndex(index, chart.expected_index, p)
-    return index
+    tau = tau_deg(gmax)
+    degenerate = ((np.abs(det) <= tau ** chart.nparams) | (np.abs(det) <= 1e-300)
+                  | (np.min(np.abs(eig), axis=1) <= tau))
+    index = np.sum(eig < 0, axis=1)
+    k = _first(degenerate | (index != chart.expected_index))
+    if k is None:
+        return
+    if degenerate[k]:
+        raise DegenerateMetric(pts[k], float(det[k]))
+    raise UnexpectedIndex(int(index[k]), chart.expected_index, pts[k])
 
 
 def _orient_sign(w_val, ref, prev_normal, flip):
-    """Sign of the normal: along the chart's reference normal ``ref`` when it
-    has one, else along ``prev_normal``, else a positive last component."""
+    """Sign of the normal for each row of ``w_val`` (..., m): along the
+    chart's reference normal ``ref`` when it has one, else along
+    ``prev_normal``, else a positive last component."""
+    if ref is None:
+        ref = prev_normal
     if ref is not None:
-        sgn = 1.0 if float(np.dot(w_val, ref)) >= 0.0 else -1.0
-    elif prev_normal is not None:
-        sgn = 1.0 if float(np.dot(w_val, np.asarray(prev_normal))) >= 0.0 else -1.0
+        sgn = np.where(np.sum(w_val * ref, axis=-1) >= 0.0, 1.0, -1.0)
     else:
-        scale = float(np.max(np.abs(w_val)))
-        sgn = 1.0
-        for comp in w_val[::-1]:
-            if abs(comp) > 1e-9 * scale:
-                sgn = 1.0 if comp > 0 else -1.0
-                break
+        mag = np.abs(w_val)
+        big = mag > 1e-9 * np.max(mag, axis=-1, keepdims=True)
+        last = w_val.shape[-1] - 1 - np.argmax(big[..., ::-1], axis=-1)
+        comp = np.take_along_axis(w_val, last[..., None], axis=-1)[..., 0]
+        sgn = np.where(big.any(axis=-1) & (comp < 0), -1.0, 1.0)
     return -sgn if flip else sgn
 
 
-def packet(chart: ImmersionChart, p, prev_normal=None, flip_normal: bool = False) -> CurvaturePacket:
-    """Full curvature bundle at an interior point of a hypersurface chart."""
-    if chart.codim != 1:
-        raise ContractViolation("packet requires a codimension-1 chart")
-    p = np.asarray(p, dtype=float)
+def _point_first(jets, part=lambda j: j.c[0]):
+    """``part`` of every jet in a nested list, stacked; for block jets the
+    point axis comes first.  Values (P, ...) by default."""
+    shape, x, flat = [], jets, jets
+    while isinstance(x, list):
+        shape.append(len(x))
+        x = x[0]
+    for _ in shape[1:]:
+        flat = [j for row in flat for j in row]
+    arr = np.array([part(j) for j in flat])
+    arr = arr.reshape(shape + list(arr.shape[1:]))
+    if flat[0].c.ndim == 1:
+        return arr
+    return np.ascontiguousarray(np.moveaxis(arr, -1, 0))
+
+
+def _gradient(j: Jet) -> np.ndarray:
+    return j.c[1 : 1 + j.space.nvars]
+
+
+def _mv(A, x):
+    """A x at each point: (P, n, k) by (P, k)."""
+    return np.matmul(A, x[..., None])[..., 0]
+
+
+def _push(v, dx):
+    """v^i d_i x at each point: (P, n) by (P, n, m)."""
+    return np.matmul(v[..., None, :], dx)[..., 0, :]
+
+
+def _frame_jets(chart: ImmersionChart, p: np.ndarray):
+    """Jets of d_i x (order 2), d_i d_j x (order 1) and the induced metric
+    G_ij (order 2) at p, with the values of G; raises where G fails the
+    metric checks."""
     n = chart.nparams
     m = chart.signature.dim
     eps = chart.signature.weights
-    bank = chart.profile_bank
-
-    xj = [jet_eval(c, p, 3, bank) for c in chart.components]
+    xj = [jet_eval(c, p, 3, chart.profile_bank) for c in chart.components]
     dx = [[xj[a].deriv(i) for a in range(m)] for i in range(n)]
 
     G = [[None] * n for _ in range(n)]
@@ -232,7 +296,7 @@ def packet(chart: ImmersionChart, p, prev_normal=None, flip_normal: bool = False
                 acc = acc + eps[a] * (dx[i][a] * dx[j][a])
             G[i][j] = acc
             G[j][i] = acc
-    G0 = np.array([[G[i][j].value for j in range(n)] for i in range(n)])
+    G0 = _point_first(G)
     _metric_checks(chart, p, G0)
 
     ddx = [[None] * n for _ in range(n)]
@@ -241,118 +305,13 @@ def packet(chart: ImmersionChart, p, prev_normal=None, flip_normal: bool = False
             d = [dx[i][a].deriv(j) for a in range(m)]
             ddx[i][j] = d
             ddx[j][i] = d
-
-    dx1 = [[dx[i][a].truncate(1) for a in range(m)] for i in range(n)]
-    w = _jet_cross(dx1, eps)
-    w_val = np.array([wj.value for wj in w])
-    w_euclid2 = float(np.dot(w_val, w_val))
-    if w_euclid2 <= 1e-300:
-        raise DegenerateFrameError(f"tangent frame rank deficient at {tuple(p)}")
-    nn = eps[0] * (w[0] * w[0])
-    for a in range(1, m):
-        nn = nn + eps[a] * (w[a] * w[a])
-    if nn.value <= TAU_NORMAL * w_euclid2:
-        raise DegenerateNormal(p)
-    ref = None
-    if chart.orientation_ref is not None:
-        ref = np.array([eval_value(e, p, bank) for e in chart.orientation_ref])
-    sgn = _orient_sign(w_val, ref, prev_normal, flip_normal)
-    inv_norm = jet_sqrt(nn).reciprocal() * sgn
-    N_jets = [wj * inv_norm for wj in w]
-    N_val = np.array([nj.value for nj in N_jets])
-
-    B = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            acc = eps[0] * (ddx[i][j][0] * N_jets[0])
-            for a in range(1, m):
-                acc = acc + eps[a] * (ddx[i][j][a] * N_jets[a])
-            B[i][j] = acc
-            B[j][i] = acc
-    G1 = [[G[i][j].truncate(1) for j in range(n)] for i in range(n)]
-    S = _jet_solve(G1, [[B[i][j] for j in range(n)] for i in range(n)])
-
-    H_jet = S[0][0]
-    for i in range(1, n):
-        H_jet = H_jet + S[i][i]
-    H_jet = H_jet * (1.0 / n)
-
-    # Christoffel symbols Gamma^k_ij from first metric derivatives
-    dG = [[[G[i][j].deriv(l) for l in range(n)] for j in range(n)] for i in range(n)]
-    rhs_cols = []
-    sym_pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    for i, j in sym_pairs:
-        rhs_cols.append([
-            (dG[j][l][i] + dG[i][l][j] - dG[i][j][l]) * 0.5 for l in range(n)
-        ])
-    sol = _jet_solve(G1, [[rhs_cols[col][l] for col in range(len(sym_pairs))] for l in range(n)])
-    Gamma_jets = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for col, (i, j) in enumerate(sym_pairs):
-        for k in range(n):
-            Gamma_jets[k][i][j] = sol[k][col]
-            Gamma_jets[k][j][i] = sol[k][col]
-    Gamma0 = np.array(
-        [[[Gamma_jets[k][i][j].value for j in range(n)] for i in range(n)] for k in range(n)]
-    )
-
-    G_inv = np.linalg.inv(G0)
-    dH = H_jet.gradient()
-    gradH = G_inv @ dH
-    dx_val = np.array([[dx[i][a].value for a in range(m)] for i in range(n)])
-    gradH_amb = gradH @ dx_val
-
-    S0 = np.array([[S[i][j].value for j in range(n)] for i in range(n)])
-    B0 = np.array([[B[i][j].value for j in range(n)] for i in range(n)])
-    return CurvaturePacket(
-        point=tuple(p),
-        G=G0,
-        G_inv=G_inv,
-        N=AmbientVector(N_val, chart.signature),
-        B=B0,
-        S=S0,
-        H=H_jet.value,
-        gradH=gradH,
-        gradH_ambient=AmbientVector(gradH_amb, chart.signature),
-        christoffel=Gamma0,
-        _dx=dx,
-        _ddx=ddx,
-        _N_jets=N_jets,
-        _B_jets=B,
-        _G_jets=G,
-        _Gamma_jets=Gamma_jets,
-        _H_jet=H_jet,
-        _weights=eps,
-    )
+    return dx, ddx, G, G0
 
 
-def submanifold_packet(chart: ImmersionChart, p) -> SubmanifoldPacket:
-    """First/second fundamental form bundle for charts of any codimension."""
-    p = np.asarray(p, dtype=float)
-    n = chart.nparams
-    m = chart.signature.dim
-    eps = chart.signature.weights
-    bank = chart.profile_bank
-
-    xj = [jet_eval(c, p, 3, bank) for c in chart.components]
-    dx = [[xj[a].deriv(i) for a in range(m)] for i in range(n)]
-    G = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            acc = eps[0] * (dx[i][0] * dx[j][0])
-            for a in range(1, m):
-                acc = acc + eps[a] * (dx[i][a] * dx[j][a])
-            G[i][j] = acc
-            G[j][i] = acc
-    G0 = np.array([[G[i][j].value for j in range(n)] for i in range(n)])
-    _metric_checks(chart, p, G0)
-
-    ddx = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            d = [dx[i][a].deriv(j) for a in range(m)]
-            ddx[i][j] = d
-            ddx[j][i] = d
-
+def _christoffel_jets(G):
+    """Order-1 jets of the Christoffel symbols Gamma^k_ij, from first
+    derivatives of the order-2 metric jets, as [k][i][j]."""
+    n = len(G)
     G1 = [[G[i][j].truncate(1) for j in range(n)] for i in range(n)]
     dG = [[[G[i][j].deriv(l) for l in range(n)] for j in range(n)] for i in range(n)]
     sym_pairs = [(i, j) for i in range(n) for j in range(i, n)]
@@ -366,6 +325,97 @@ def submanifold_packet(chart: ImmersionChart, p) -> SubmanifoldPacket:
         for k in range(n):
             Gamma_jets[k][i][j] = sol[k][col]
             Gamma_jets[k][j][i] = sol[k][col]
+    return Gamma_jets
+
+
+def packet(chart: ImmersionChart, p, prev_normal=None, flip_normal: bool = False) -> CurvaturePacket:
+    """Full curvature bundle at interior points of a hypersurface chart.
+
+    ``p`` is one point (n,) or a block of points (P, n); ``prev_normal`` is
+    then (m,) or (P, m).  A block is evaluated as a point axis of every jet,
+    so the jet arithmetic runs once for the whole block, and each point gets
+    the arithmetic it would get alone.  A one-point call runs the same code
+    with no point axis and returns floats and unbatched arrays.  A block
+    raises as soon as any of its points fails a check; ``sweep`` bisects a
+    failing block to give every point its own error.
+    """
+    if chart.codim != 1:
+        raise ContractViolation("packet requires a codimension-1 chart")
+    p = np.asarray(p, dtype=float)
+    pts = np.atleast_2d(p)  # for error messages
+    n = chart.nparams
+    m = chart.signature.dim
+    eps = chart.signature.weights
+    dx, ddx, G, G0 = _frame_jets(chart, p)
+
+    dx1 = [[dx[i][a].truncate(1) for a in range(m)] for i in range(n)]
+    w = _jet_cross(dx1, eps)
+    w_val = _point_first(w)
+    w_euclid2 = np.sum(w_val * w_val, axis=-1)
+    k = _first(w_euclid2 <= 1e-300)
+    if k is not None:
+        raise DegenerateFrameError(f"tangent frame rank deficient at {tuple(pts[k])}")
+    nn = eps[0] * (w[0] * w[0])
+    for a in range(1, m):
+        nn = nn + eps[a] * (w[a] * w[a])
+    k = _first(nn.c[0] <= TAU_NORMAL * w_euclid2)
+    if k is not None:
+        raise DegenerateNormal(pts[k])
+    ref = None
+    if chart.orientation_ref is not None:
+        ref = np.stack([eval_value(e, p, chart.profile_bank) for e in chart.orientation_ref],
+                       axis=-1)
+    inv_norm = jet_sqrt(nn).reciprocal() * _orient_sign(w_val, ref, prev_normal, flip_normal)
+    N_jets = [wj * inv_norm for wj in w]
+
+    B = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            acc = eps[0] * (ddx[i][j][0] * N_jets[0])
+            for a in range(1, m):
+                acc = acc + eps[a] * (ddx[i][j][a] * N_jets[a])
+            B[i][j] = acc
+            B[j][i] = acc
+    G1 = [[G[i][j].truncate(1) for j in range(n)] for i in range(n)]
+    S = _jet_solve(G1, B)
+
+    H_jet = S[0][0]
+    for i in range(1, n):
+        H_jet = H_jet + S[i][i]
+    H_jet = H_jet * (1.0 / n)
+    Gamma_jets = _christoffel_jets(G)
+
+    G_inv = np.linalg.inv(G0)
+    gradH = _mv(G_inv, _point_first([H_jet], _gradient)[..., 0, :])
+    dx0 = _point_first(dx)
+    one = p.ndim == 1
+    return CurvaturePacket(
+        point=tuple(p) if one else p,
+        G=G0,
+        G_inv=G_inv,
+        N=AmbientVector(_point_first(N_jets), chart.signature),
+        B=_point_first(B),
+        S=_point_first(S),
+        H=float(H_jet.c[0]) if one else H_jet.c[0].copy(),
+        gradH=gradH,
+        gradH_ambient=AmbientVector(_push(gradH, dx0), chart.signature),
+        christoffel=_point_first(Gamma_jets),
+        dx=dx0,
+        ddx=_point_first(ddx),
+        dB=_point_first(B, _gradient),
+        dGamma=_point_first(Gamma_jets, _gradient),
+        _weights=eps,
+    )
+
+
+def submanifold_packet(chart: ImmersionChart, p) -> SubmanifoldPacket:
+    """First/second fundamental form bundle for charts of any codimension."""
+    p = np.asarray(p, dtype=float)
+    n = chart.nparams
+    m = chart.signature.dim
+    eps = chart.signature.weights
+    dx, ddx, G, G0 = _frame_jets(chart, p)
+    Gamma_jets = _christoffel_jets(G)
     Gamma0 = np.array(
         [[[Gamma_jets[k][i][j].value for j in range(n)] for i in range(n)] for k in range(n)]
     )
@@ -403,16 +453,23 @@ def submanifold_packet(chart: ImmersionChart, p) -> SubmanifoldPacket:
 
 
 # -- residual operations --------------------------------------------------
+#
+# Each takes a packet of one point (returning floats) or of a block
+# (returning one value per point); both run the same arithmetic over a
+# leading point axis.
 
 
-def _pushforward(pk: CurvaturePacket, comps: np.ndarray) -> np.ndarray:
-    n = len(pk.G)
-    m = len(pk._weights)
-    dx_val = np.array([[pk._dx[i][a].value for a in range(m)] for i in range(n)])
-    return comps @ dx_val
+def _point_axis(pk, *arrays):
+    """(one, arrays with a leading point axis) for a one-point or block packet."""
+    one = np.ndim(pk.H) == 0
+    return one, [np.asarray(a)[None] if one else a for a in arrays]
 
 
-def biconservative_residual(chart: ImmersionChart, p, pk: CurvaturePacket | None = None) -> float:
+def _result(one: bool, r):
+    return float(r[0]) if one else r
+
+
+def biconservative_residual(chart: ImmersionChart, p, pk: CurvaturePacket | None = None):
     """Scale-free tangency defect of the shape operator on grad H.
 
     Zero exactly when grad H vanishes (constant mean curvature, where the
@@ -420,39 +477,58 @@ def biconservative_residual(chart: ImmersionChart, p, pk: CurvaturePacket | None
     """
     if pk is None:
         pk = packet(chart, p)
-    if pk.is_cmc_point:
-        return 0.0
-    g_amb = pk.gradH_ambient.components
+    one, (S, H, gradH, dx, g_amb, cmc) = _point_axis(
+        pk, pk.S, pk.H, pk.gradH, pk.dx, pk.gradH_ambient.components, pk.is_cmc_point)
     # eigenvalue factor -(n/2) H; the displayed -2 H for four parameters
-    n = len(pk.G)
-    v = pk.S @ pk.gradH + (n / 2.0) * pk.H * pk.gradH
-    v_amb = _pushforward(pk, v)
-    return float(np.linalg.norm(v_amb) / max(1.0, np.linalg.norm(g_amb)))
+    n = S.shape[-1]
+    v = _mv(S, gradH) + (n / 2.0) * H[:, None] * gradH
+    r = np.linalg.norm(_push(v, dx), axis=-1) / np.maximum(1.0, np.linalg.norm(g_amb, axis=-1))
+    return _result(one, np.where(cmc, 0.0, r))
 
 
-def principal_direction_check(chart: ImmersionChart, p, pk: CurvaturePacket | None = None):
+def _principal_direction(S, H, gradH, dx) -> np.ndarray:
+    """The principal-direction residual at each point of (P, ...) arrays.
+
+    Meaningless where grad H vanishes; the caller masks its CMC points.
+    """
+    n = S.shape[-1]
+    g = _push(gradH, dx)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ng = np.linalg.norm(g, axis=-1)
+        sg = _push(_mv(S, gradH), dx)
+        res_eigen = np.linalg.norm(sg + (n / 2.0) * H[:, None] * g, axis=-1) / ng
+        k1_measured = np.sum(sg * g, axis=-1) / (ng * ng)
+    res_sum = np.abs((np.trace(S, axis1=-2, axis2=-1) - k1_measured) - (3.0 * n / 2.0) * H)
+    return np.maximum(res_eigen, res_sum)
+
+
+def principal_direction_check(chart: ImmersionChart, p, pk=None):
     """Residuals of the eigen-direction identities satisfied by grad H.
 
     Checks both displayed consequences of the tangency condition: grad H is
     an eigenvector with eigenvalue -(n/2) H, and the remaining eigenvalues
-    sum to (3n/2) H.  Returns None at constant-mean-curvature points.
+    sum to (3n/2) H.  Returns None at a constant-mean-curvature point; a
+    block packet gives NaN at its CMC points.  ``pk`` may also be an
+    FdPacket: both oracles share this arithmetic.
     """
     if pk is None:
         pk = packet(chart, p)
-    if pk.is_cmc_point:
-        return None
-    n = len(pk.G)
-    g_amb = pk.gradH_ambient.components
-    ng = float(np.linalg.norm(g_amb))
-    sg = _pushforward(pk, pk.S @ pk.gradH)
-    res_eigen = float(np.linalg.norm(sg + (n / 2.0) * pk.H * g_amb) / ng)
-    k1_measured = float(np.dot(sg, g_amb) / (ng * ng))
-    trS = float(np.trace(pk.S))
-    res_sum = abs((trS - k1_measured) - (3.0 * n / 2.0) * pk.H)
-    return max(res_eigen, res_sum)
+    one, (S, H, gradH, dx, cmc) = _point_axis(pk, pk.S, pk.H, pk.gradH, pk.dx, pk.is_cmc_point)
+    r = np.where(cmc, np.nan, _principal_direction(S, H, gradH, dx))
+    if one:
+        return None if cmc[0] else float(r[0])
+    return r
 
 
-def beltrami_residual(chart: ImmersionChart, p, pk=None) -> float:
+def unit_normal_residual(chart: ImmersionChart, p, pk: CurvaturePacket | None = None):
+    """| <N, N> - 1 | under the indefinite product."""
+    if pk is None:
+        pk = packet(chart, p)
+    one, (N,) = _point_axis(pk, pk.N.components)
+    return _result(one, np.abs(np.sum(pk._weights * N * N, axis=-1) - 1.0))
+
+
+def beltrami_residual(chart: ImmersionChart, p, pk=None):
     """Defect of the trace identity: rough Laplacian of x vs n H N.
 
     The operator here is the analyst's Laplace-Beltrami, for which the
@@ -462,16 +538,14 @@ def beltrami_residual(chart: ImmersionChart, p, pk=None) -> float:
     if chart.codim == 1:
         if pk is None:
             pk = packet(chart, p)
-        n = len(pk.G)
-        m = len(pk._weights)
-        ddx_val = np.array(
-            [[[pk._ddx[i][j][a].value for a in range(m)] for j in range(n)] for i in range(n)]
+        one, (G_inv, ddx, Gamma, dx, H, N) = _point_axis(
+            pk, pk.G_inv, pk.ddx, pk.christoffel, pk.dx, pk.H, pk.N.components)
+        n = G_inv.shape[-1]
+        lap = np.einsum("zij,zija->za", G_inv, ddx) - np.einsum(
+            "zij,zkij,zka->za", G_inv, Gamma, dx
         )
-        dx_val = np.array([[pk._dx[i][a].value for a in range(m)] for i in range(n)])
-        lap = np.einsum("ij,ija->a", pk.G_inv, ddx_val) - np.einsum(
-            "ij,kij,ka->a", pk.G_inv, pk.christoffel, dx_val
-        )
-        return float(np.linalg.norm(lap - n * pk.H * pk.N.components))
+        return _result(one, np.linalg.norm(lap - n * H[:, None] * N, axis=-1))
+
     spk = pk if isinstance(pk, SubmanifoldPacket) else submanifold_packet(chart, p)
     n = len(spk.G)
     m = len(spk._weights)
@@ -500,34 +574,28 @@ def gauss_codazzi_residual(chart: ImmersionChart, p, pk=None):
     if chart.codim == 1:
         if pk is None:
             pk = packet(chart, p)
-        n = len(pk.G)
-        m = len(pk._weights)
-        dGamma = np.array(
-            [[[pk._Gamma_jets[k][i][j].gradient() for j in range(n)] for i in range(n)] for k in range(n)]
-        )  # dGamma[k][i][j][l] = d_l Gamma^k_ij
-        Gamma0 = pk.christoffel
+        one, (G, B0, Gamma0, dGamma, dB) = _point_axis(
+            pk, pk.G, pk.B, pk.christoffel, pk.dGamma, pk.dB)
         # R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_ip Gamma^p_jk - Gamma^l_jp Gamma^p_ik
         Rup = (
-            np.einsum("ljki->lijk", dGamma)
-            - np.einsum("likj->lijk", dGamma)
-            + np.einsum("lip,pjk->lijk", Gamma0, Gamma0)
-            - np.einsum("ljp,pik->lijk", Gamma0, Gamma0)
+            np.einsum("zljki->zlijk", dGamma)
+            - np.einsum("zlikj->zlijk", dGamma)
+            + np.einsum("zlip,zpjk->zlijk", Gamma0, Gamma0)
+            - np.einsum("zljp,zpik->zlijk", Gamma0, Gamma0)
         )
-        Rdown = np.einsum("lm,mijk->ijkl", pk.G, Rup)
-        B0 = pk.B
-        gauss_rhs = np.einsum("jk,il->ijkl", B0, B0) - np.einsum("ik,jl->ijkl", B0, B0)
-        scale = (1.0 + float(np.max(np.abs(B0)))) ** 2
-        r_gauss = float(np.max(np.abs(Rdown - gauss_rhs))) / scale
+        Rdown = np.einsum("zlm,zmijk->zijkl", G, Rup)
+        gauss_rhs = np.einsum("zjk,zil->zijkl", B0, B0) - np.einsum("zik,zjl->zijkl", B0, B0)
+        scale = (1.0 + np.max(np.abs(B0), axis=(1, 2))) ** 2
+        r_gauss = np.max(np.abs(Rdown - gauss_rhs), axis=(1, 2, 3, 4)) / scale
 
-        dB = np.array([[pk._B_jets[i][j].gradient() for j in range(n)] for i in range(n)])
         # nabla_i B_jk = d_i B_jk - Gamma^m_ij B_mk - Gamma^m_ik B_jm
         covB = (
-            np.einsum("jki->ijk", dB)
-            - np.einsum("mij,mk->ijk", Gamma0, B0)
-            - np.einsum("mik,jm->ijk", Gamma0, B0)
+            np.einsum("zjki->zijk", dB)
+            - np.einsum("zmij,zmk->zijk", Gamma0, B0)
+            - np.einsum("zmik,zjm->zijk", Gamma0, B0)
         )
-        r_codazzi = float(np.max(np.abs(covB - np.einsum("ijk->jik", covB)))) / scale
-        return r_gauss, r_codazzi
+        r_codazzi = np.max(np.abs(covB - np.einsum("zijk->zjik", covB)), axis=(1, 2, 3)) / scale
+        return _result(one, r_gauss), _result(one, r_codazzi)
 
     spk = pk if isinstance(pk, SubmanifoldPacket) else submanifold_packet(chart, p)
     n = len(spk.G)
@@ -587,6 +655,11 @@ class FdPacket:
     gradH: np.ndarray
     gradH_ambient: np.ndarray
     dx: np.ndarray  # (n, m) difference quotients d_i x
+
+    @property
+    def is_cmc_point(self) -> bool:
+        """The oracle's own CMC decision, by the rule of CurvaturePacket."""
+        return _cmc(self.gradH_ambient, self.H)
 
 
 def _fd_partials(chart: ImmersionChart, base: np.ndarray):
@@ -670,8 +743,7 @@ def biconservative_residual_fd(chart: ImmersionChart, p, pk: FdPacket | None = N
     """biconservative_residual on the oracle route, pushed forward by ``pk.dx``."""
     if pk is None:
         pk = packet_fd(chart, p)
-    scale = 1.0 + abs(pk.H)
-    if float(np.linalg.norm(pk.gradH_ambient)) <= TAU_CMC * scale:
+    if pk.is_cmc_point:
         return 0.0
     n = len(pk.G)
     v = pk.S @ pk.gradH + (n / 2.0) * pk.H * pk.gradH

@@ -1,9 +1,17 @@
 """Truncated Taylor arithmetic: the forward differentiation engine.
 
-Every Jet is immutable once built.  Binary operations truncate to the lower
-of the two operand orders; unary analytic functions are applied by Horner
-composition of the univariate derivative ladder with the nilpotent part of
-the argument, so one multiplication table drives everything.
+Every Jet is immutable once built.  Its coefficients are ``(ncoef,)`` at one
+point, or ``(ncoef, P)`` for a block of P points: a trailing point axis that
+every operation carries along, so one Python-level operation serves the whole
+block (vector forward mode).  Each point of a block gets exactly the
+arithmetic it would get alone.  A domain guard raises for the block when any
+of its points fails, reporting the first failing point's value; callers that
+need per-point errors retry smaller blocks.
+
+Binary operations truncate to the lower of the two operand orders; unary
+analytic functions are applied by Horner composition of the univariate
+derivative ladder with the nilpotent part of the argument, so one
+multiplication table drives everything.
 """
 
 from __future__ import annotations
@@ -22,11 +30,23 @@ TAU_POW = 1e-12
 _FACT = [math.factorial(m) for m in range(MAX_ORDER + 1)]
 
 
+def guard(bad: np.ndarray, vals, what: str):
+    """Raise DomainError naming the first flagged entry of ``vals``."""
+    if bad.any():
+        first = np.ravel(vals)[np.argmax(np.ravel(bad))]
+        raise DomainError(f"{what} {float(first):.3e}")
+
+
+def check_finite(vals):
+    ok = np.isfinite(vals)
+    if not ok.all():
+        guard(~ok, vals, "non-finite value")
+
+
 def _mul_arrays(space: JetSpace, a: np.ndarray, b: np.ndarray, r: int) -> np.ndarray:
     n = space.ncoef[r]
-    t = space.mul_tables[r]
-    out = np.zeros(n)
-    kernel.mul_into(out, a[:n], b[:n], t.i, t.j, t.k)
+    out = np.empty((n,) + a.shape[1:])
+    kernel.mul_into(out, a[:n], b[:n], space.mul_tables[r])
     return out
 
 
@@ -41,15 +61,16 @@ class Jet:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def constant(cls, space: JetSpace, order: int, value: float) -> "Jet":
-        c = np.zeros(space.ncoef[order])
+    def constant(cls, space: JetSpace, order: int, value) -> "Jet":
+        """Constant jet; ``value`` is a float or one value per point (P,)."""
+        value = np.asarray(value, dtype=float)
+        c = np.zeros((space.ncoef[order],) + value.shape)
         c[0] = value
         return cls(space, order, c)
 
     @classmethod
-    def variable(cls, space: JetSpace, order: int, axis: int, value: float) -> "Jet":
-        c = np.zeros(space.ncoef[order])
-        c[0] = value
+    def variable(cls, space: JetSpace, order: int, axis: int, value) -> "Jet":
+        c = cls.constant(space, order, value).c
         if order >= 1:
             c[1 + axis] = 1.0
         return cls(space, order, c)
@@ -57,18 +78,21 @@ class Jet:
     # -- accessors ----------------------------------------------------
 
     @property
-    def value(self) -> float:
-        return float(self.c[0])
+    def value(self):
+        """The value: a float at one point, a (P,) array for a block."""
+        return self.c[0] if self.c.ndim > 1 else float(self.c[0])
 
-    def partial(self, alpha) -> float:
+    def partial(self, alpha):
         """Partial derivative d^alpha f (not the Taylor coefficient)."""
         alpha = tuple(alpha)
         if sum(alpha) > self.order:
             raise ContractViolation(f"partial {alpha} exceeds jet order {self.order}")
         p = self.space.position[alpha]
-        return float(self.c[p] * self.space.factorial[p])
+        d = self.c[p] * self.space.factorial[p]
+        return d if self.c.ndim > 1 else float(d)
 
     def gradient(self) -> np.ndarray:
+        """First partials, (nvars,) or (nvars, P)."""
         if self.order < 1:
             raise ContractViolation("gradient needs order >= 1")
         return self.c[1 : 1 + self.space.nvars].copy()
@@ -84,10 +108,8 @@ class Jet:
             raise ContractViolation("cannot differentiate an order-0 jet")
         r = self.order - 1
         n = self.space.ncoef[r]
-        dst, src, fac = self.space.deriv_tables[axis]
-        out = np.zeros(n)
-        out[dst[:n]] = fac[:n] * self.c[src[:n]]
-        return Jet(self.space, r, out)
+        src, fac = self.space.deriv_tables[axis]
+        return Jet(self.space, r, self.c[src[:n]] * (fac[:n, None] if self.c.ndim > 1 else fac[:n]))
 
     # -- ring operations ----------------------------------------------
 
@@ -129,6 +151,7 @@ class Jet:
         return Jet(self.space, self.order, c)
 
     def __mul__(self, other):
+        """Jet product, or scaling by a number or by one number per point."""
         o = self._coerce(other)
         if o is None:
             return Jet(self.space, self.order, self.c * other)
@@ -147,24 +170,26 @@ class Jet:
         return self.reciprocal() * other
 
     def reciprocal(self) -> "Jet":
-        u0 = self.value
-        if abs(u0) <= TAU_DIV:
-            raise DomainError(f"division by near-zero value {u0:.3e}")
-        dvals = np.empty(self.order + 1)
-        dvals[0] = 1.0 / u0
+        u0 = self.c[0]
+        guard(np.abs(u0) <= TAU_DIV, u0, "division by near-zero value")
+        dvals = [1.0 / u0]
         for m in range(1, self.order + 1):
-            dvals[m] = -m * dvals[m - 1] / u0
+            dvals.append(-m * dvals[m - 1] / u0)
         return self.compose(dvals)
 
     # -- analytic functions -------------------------------------------
 
     def compose(self, dvals) -> "Jet":
-        """Apply a univariate analytic f given f^(m)(value) for m = 0..order."""
+        """Apply a univariate analytic f given f^(m)(value) for m = 0..order.
+
+        A non-finite ladder entry raises DomainError.
+        """
+        check_finite(dvals)
         r = self.order
         space = self.space
         w = self.c.copy()
         w[0] = 0.0
-        out = np.zeros(space.ncoef[r])
+        out = np.zeros_like(w)
         out[0] = dvals[r] / _FACT[r]
         for m in range(r - 1, -1, -1):
             out = _mul_arrays(space, out, w, r)
@@ -172,29 +197,30 @@ class Jet:
         return Jet(space, r, out)
 
 
-def _ladder(fn_cycle, u0: float, order: int):
-    return [fn_cycle[m % len(fn_cycle)](u0) for m in range(order + 1)]
+def _ladder(cycle, order: int):
+    return [cycle[m % len(cycle)] for m in range(order + 1)]
 
 
 def sin(u: Jet) -> Jet:
-    return u.compose(_ladder([math.sin, math.cos, lambda x: -math.sin(x), lambda x: -math.cos(x)], u.value, u.order))
+    s, c = np.sin(u.c[0]), np.cos(u.c[0])
+    return u.compose(_ladder([s, c, -s, -c], u.order))
 
 
 def cos(u: Jet) -> Jet:
-    return u.compose(_ladder([math.cos, lambda x: -math.sin(x), lambda x: -math.cos(x), math.sin], u.value, u.order))
+    s, c = np.sin(u.c[0]), np.cos(u.c[0])
+    return u.compose(_ladder([c, -s, -c, s], u.order))
 
 
 def sinh(u: Jet) -> Jet:
-    return u.compose(_ladder([math.sinh, math.cosh], u.value, u.order))
+    return u.compose(_ladder([np.sinh(u.c[0]), np.cosh(u.c[0])], u.order))
 
 
 def cosh(u: Jet) -> Jet:
-    return u.compose(_ladder([math.cosh, math.sinh], u.value, u.order))
+    return u.compose(_ladder([np.cosh(u.c[0]), np.sinh(u.c[0])], u.order))
 
 
 def exp(u: Jet) -> Jet:
-    e0 = math.exp(u.value)
-    return u.compose([e0] * (u.order + 1))
+    return u.compose(_ladder([np.exp(u.c[0])], u.order))
 
 
 def sqrt(u: Jet) -> Jet:
@@ -209,20 +235,18 @@ def powr(u: Jet, p: float) -> Jet:
     """
     if p == round(p) and abs(p) <= 16:
         return _ipow(u, int(round(p)))
-    u0 = u.value
-    if u0 <= TAU_POW:
-        raise DomainError(f"fractional power of non-positive base {u0:.3e}")
-    dvals = np.empty(u.order + 1)
-    dvals[0] = u0 ** p
+    u0 = u.c[0]
+    guard(u0 <= TAU_POW, u0, "fractional power of non-positive base")
+    dvals = [np.power(u0, p)]
     for m in range(1, u.order + 1):
-        dvals[m] = dvals[m - 1] * (p - (m - 1)) / u0
+        dvals.append(dvals[m - 1] * (p - (m - 1)) / u0)
     return u.compose(dvals)
 
 
 def _ipow(u: Jet, k: int) -> Jet:
     if k < 0:
         return _ipow(u, -k).reciprocal()
-    result = Jet.constant(u.space, u.order, 1.0)
+    result = Jet.constant(u.space, u.order, np.ones_like(u.c[0]))
     base = u
     while k:
         if k & 1:

@@ -1,24 +1,21 @@
-"""Select the jet multiplication backend at import time.
+"""The truncated product of two jets: one numpy pass, any number of points.
 
-The compiled extension is preferred; the numpy fallback is functionally
-identical (same triple tables, same summation order up to float association
-inside bincount).  Set BICONSERVE_PURE=1 to force the fallback, e.g. to
-rule the extension out when debugging.
+Coefficients are ``(ncoef,)`` at one point or ``(ncoef, P)`` at a block of P
+points.  The product gathers the operand coefficients named by the sorted
+triple table, multiplies them and sums each output coefficient's terms with
+``np.add.reduceat``.  Every column (point) is summed in the same order, so a
+point's product does not depend on the block it is evaluated in.
 """
 
-import os
+import numpy as np
 
-if os.environ.get("BICONSERVE_PURE"):
-    from . import _jetcore_py as _impl
-else:
-    try:
-        from . import _jetcore as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _jetcore_py as _impl
 
-mul_into = _impl.mul_into
-BACKEND = _impl.BACKEND
+def mul_into(out, a, b, table):
+    """out[k] = sum of a[i] * b[j] over the triples (i, j, k) of ``table``."""
+    np.add.reduceat(a.take(table.i, axis=0) * b.take(table.j, axis=0), table.starts,
+                    axis=0, out=out)
 
 
 def backend_name() -> str:
-    return BACKEND
+    """Name of the product implementation, for run reports."""
+    return "numpy"

@@ -34,9 +34,12 @@ def _multi_indices(nvars: int, max_order: int):
 
 @dataclass(frozen=True)
 class _MulTable:
+    """Triples (i, j, k) with out[k] += a[i] * b[j], sorted by k (stably, so
+    each k sums its terms in increasing i); ``starts`` is where each k begins."""
+
     i: np.ndarray
     j: np.ndarray
-    k: np.ndarray
+    starts: np.ndarray
 
 
 class JetSpace:
@@ -57,27 +60,18 @@ class JetSpace:
             [math.prod(math.factorial(x) for x in a) for a in self.indices]
         )
         self.mul_tables = [self._build_mul_table(r) for r in range(max_order + 1)]
-        # Derivative along axis a: out[pos(beta)] = (beta_a + 1) * in[pos(beta + e_a)],
-        # entries sorted by destination so order-r prefixes stay aligned.
+        # Derivative along axis a: out[p] = (alpha_a + 1) * in[pos(alpha + e_a)]
+        # for every alpha of degree < max_order, i.e. every position of an
+        # order-(max_order - 1) jet in layout order, so order-r prefixes align.
         self.deriv_tables = []
         for axis in range(nvars):
-            dst, src, fac = [], [], []
-            for p, alpha in enumerate(self.indices):
-                if sum(alpha) >= max_order:
-                    continue
+            src, fac = [], []
+            for alpha in self.indices[: self.ncoef[max_order - 1]]:
                 up = list(alpha)
                 up[axis] += 1
-                dst.append(p)
                 src.append(self.position[tuple(up)])
                 fac.append(float(up[axis]))
-            order = np.argsort(np.asarray(dst, dtype=np.int64), kind="stable")
-            self.deriv_tables.append(
-                (
-                    np.asarray(dst, dtype=np.int64)[order],
-                    np.asarray(src, dtype=np.int64)[order],
-                    np.asarray(fac)[order],
-                )
-            )
+            self.deriv_tables.append((np.asarray(src, dtype=np.intp), np.asarray(fac)))
 
     def _build_mul_table(self, r: int) -> _MulTable:
         ti, tj, tk = [], [], []
@@ -93,11 +87,12 @@ class JetSpace:
                 ti.append(i)
                 tj.append(j)
                 tk.append(self.position[alpha])
-        return _MulTable(
-            np.asarray(ti, dtype=np.int32),
-            np.asarray(tj, dtype=np.int32),
-            np.asarray(tk, dtype=np.int32),
-        )
+        order = np.argsort(np.asarray(tk), kind="stable")
+        tk = np.asarray(tk)[order]
+        # every k <= r occurs (as 0 + k), so the groups are exactly 0..ncoef-1
+        starts = np.searchsorted(tk, np.arange(n))
+        return _MulTable(np.asarray(ti, dtype=np.intp)[order],
+                         np.asarray(tj, dtype=np.intp)[order], starts)
 
     @classmethod
     def get(cls, nvars: int) -> "JetSpace":

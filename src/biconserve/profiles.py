@@ -1,9 +1,11 @@
 """Profile functions of the arc parameter s, with derivatives to order 4.
 
 A profile bank maps names (phi, psi, phi1, phi2) to entries exposing
-``derivs(x, k) -> [f(x), f'(x), ..., f^(k)(x)]`` at one point, for the jet
-route, and ``values(x) -> f(x)`` on an array of points, for the array route
-(``expr.eval_values``).  Three entry kinds cover everything the chart
+``derivs(x, k) -> [f(x), f'(x), ..., f^(k)(x)]``, for the jet route, and
+``values(x) -> f(x)`` on an array of points, for the array route
+(``expr.eval_values``).  ``derivs`` takes one argument (a list of floats
+back) or an array of arguments, one per point of a jet block (a list of
+arrays back).  Three entry kinds cover everything the chart
 catalog needs:
 
  * ExprProfile       -- a closed-form expression in s,
@@ -35,11 +37,16 @@ DEFAULT_NODES = 129
 S = Var(0, "s")  # the single profile variable
 
 
-def _deriv_ladder(dexpr: Expr, x: float, k: int, bank=None):
+def _jet_at(expr: Expr, x, k: int):
+    """Jet of a one-variable expression at x: a float or an array of arguments."""
+    return jet_eval(expr, np.asarray(x, dtype=float)[..., None], k)
+
+
+def _deriv_ladder(dexpr: Expr, x, k: int):
     """[g(x), g'(x), ..., g^(k-1)(x)] for the derivative expression g."""
     if k <= 0:
         return []
-    j = jet_eval(dexpr, (x,), k - 1, bank)
+    j = _jet_at(dexpr, x, k - 1)
     return [j.partial((m,)) for m in range(k)]
 
 
@@ -53,10 +60,10 @@ def _on_unique(fn, x) -> np.ndarray:
 class ExprProfile:
     expr: Expr
 
-    def derivs(self, x: float, k: int):
+    def derivs(self, x, k: int):
         if k > 4:
             raise ContractViolation("profile derivative order exceeded (max 4)")
-        j = jet_eval(self.expr, (x,), min(k, 4))
+        j = _jet_at(self.expr, x, k)
         return [j.partial((m,)) for m in range(k + 1)]
 
     def values(self, x) -> np.ndarray:
@@ -99,25 +106,52 @@ def _check_range(x: np.ndarray, lo: float, hi: float, what: str):
         raise DomainError(f"{what} {x0:.6g} outside [{lo:.6g}, {hi:.6g}]")
 
 
-def gl_integrate(fn, lo: float, hi: float, panels: int) -> float:
-    """Composite 16-point Gauss-Legendre quadrature of a scalar callable."""
-    if lo == hi:
-        return 0.0
-    edges = np.linspace(lo, hi, panels + 1)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid = (a + b) / 2.0
-        half = (b - a) / 2.0
-        total += half * float(np.dot(GL_WEIGHTS, fn(mid + half * GL_NODES)))
-    return total
+def gl_integrals(fn, intervals) -> list:
+    """Composite 16-point Gauss-Legendre quadrature of a callable on arrays
+    over each (lo, hi, panels) of ``intervals``; one call of ``fn`` takes
+    the nodes of all of them."""
+    grids = []
+    for lo, hi, panels in intervals:
+        edges = np.linspace(lo, hi, panels + 1)
+        mid = (edges[:-1] + edges[1:]) / 2.0
+        half = (edges[1:] - edges[:-1]) / 2.0
+        grids.append((mid[:, None] + half[:, None] * GL_NODES, half))
+    vals = fn(np.concatenate([x.ravel() for x, _ in grids]))
+    out, pos = [], 0
+    for (lo, hi, _), (x, half) in zip(intervals, grids):
+        total = 0.0
+        if lo != hi:
+            for h, v in zip(half, vals[pos:pos + x.size].reshape(x.shape)):
+                total += h * float(np.dot(GL_WEIGHTS, v))
+        out.append(total)
+        pos += x.size
+    return out
 
 
 def _panels_for(length: float, floor: int = 1) -> int:
     return max(floor, int(math.ceil(abs(length) / 0.05)))
 
 
+class _Interpolated:
+    """value/values of an entry interpolated on Chebyshev nodes
+    (``_interpolate``) whose derivative is the closed form ``dexpr``."""
+
+    def value(self, x: float) -> float:
+        return float(self._interpolate(np.array([float(x)]))[0])
+
+    def values(self, x) -> np.ndarray:
+        return _on_unique(self._interpolate, x)
+
+    def _derivs(self, x, k: int):
+        if k > 4:
+            raise ContractViolation("profile derivative order exceeded (max 4)")
+        x = np.asarray(x, dtype=float)
+        head = self.value(x) if x.ndim == 0 else self._interpolate(x)
+        return [head] + _deriv_ladder(self.dexpr, x, k)
+
+
 @dataclass(frozen=True)
-class QuadratureProfile:
+class QuadratureProfile(_Interpolated):
     """Antiderivative of a closed-form expression, anchored at (s0, f0)."""
 
     dexpr: Expr
@@ -134,26 +168,26 @@ class QuadratureProfile:
               n_nodes: int = DEFAULT_NODES):
         nodes = _cheb_nodes(lo, hi, n_nodes)
         order = np.argsort(nodes)
-
-        def fn(x):
-            return eval_values(dexpr, x[:, None])
-
         sorted_nodes = nodes[order]
-        cumulative = np.empty_like(sorted_nodes)
-        anchor = s0
-        acc = f0
         # integrate outward from the anchor through successive gaps
         start = int(np.searchsorted(sorted_nodes, s0))
-        right_acc, prev = f0, s0
-        for i in range(start, len(sorted_nodes)):
-            right_acc += gl_integrate(fn, prev, sorted_nodes[i], _panels_for(sorted_nodes[i] - prev))
-            cumulative[i] = right_acc
-            prev = sorted_nodes[i]
-        left_acc, prev = f0, s0
-        for i in range(start - 1, -1, -1):
-            left_acc += gl_integrate(fn, prev, sorted_nodes[i], _panels_for(sorted_nodes[i] - prev))
-            cumulative[i] = left_acc
-            prev = sorted_nodes[i]
+        chains = (range(start, len(sorted_nodes)), range(start - 1, -1, -1))
+        gaps = []  # (node, previous node of its chain or the anchor)
+        for chain in chains:
+            prev = s0
+            for i in chain:
+                gaps.append((i, prev))
+                prev = sorted_nodes[i]
+        parts = gl_integrals(lambda x: eval_values(dexpr, x[:, None]),
+                             [(a, sorted_nodes[i], _panels_for(sorted_nodes[i] - a))
+                              for i, a in gaps])
+        part = dict(zip((i for i, _ in gaps), parts))
+        cumulative = np.empty_like(sorted_nodes)
+        for chain in chains:
+            acc = f0
+            for i in chain:
+                acc += part[i]
+                cumulative[i] = acc
         values = np.empty_like(cumulative)
         values[order] = cumulative
         return cls(dexpr, s0, f0, lo, hi, nodes, values, _bary_weights(n_nodes))
@@ -165,16 +199,8 @@ class QuadratureProfile:
         self.check_range(x)
         return _bary_eval(self.nodes, self.bary_w, self.node_values, x)
 
-    def value(self, x: float) -> float:
-        return float(self._interpolate(np.array([float(x)]))[0])
-
-    def values(self, x) -> np.ndarray:
-        return _on_unique(self._interpolate, x)
-
-    def derivs(self, x: float, k: int):
-        if k > 4:
-            raise ContractViolation("profile derivative order exceeded (max 4)")
-        return [self.value(x)] + _deriv_ladder(self.dexpr, x, k)
+    def derivs(self, x, k: int):  # each entry class has its own (perfbench traces them)
+        return self._derivs(x, k)
 
 
 def _offset_product(offsets) -> Expr:
@@ -186,7 +212,7 @@ def _offset_product(offsets) -> Expr:
 
 
 @dataclass(frozen=True)
-class PsiSolution:
+class PsiSolution(_Interpolated):
     """psi(s) = s/2 + c * integral_0^s (prod_i (xi + o_i))^(2/3) dxi.
 
     The integrand's 2/3 power is evaluated as cbrt(x)^2 so the cube-root
@@ -239,19 +265,19 @@ class PsiSolution:
         nodes = _cheb_nodes(lo, hi, n_nodes)
         order = np.argsort(nodes)
         sorted_nodes = nodes[order]
+        w = np.cbrt(sorted_nodes)
+        w_lo = np.concatenate(([0.0], w[:-1]))
+        parts = gl_integrals(integrand_w, [(a, b, _panels_for(4 * (b - a), 8 if i == 0 else 1))
+                                           for i, (a, b) in enumerate(zip(w_lo, w))])
         cumulative = np.empty_like(sorted_nodes)
-        prev_w, acc = 0.0, 0.0
-        for i, sn in enumerate(sorted_nodes):
-            w_hi = np.cbrt(sn)
-            floor = 8 if i == 0 else 1
-            acc += gl_integrate(integrand_w, prev_w, w_hi,
-                                _panels_for(4 * (w_hi - prev_w), floor))
+        acc = 0.0
+        for i, (sn, part) in enumerate(zip(sorted_nodes, parts)):
+            acc += part
             cumulative[i] = sn / 2.0 + c * acc
-            prev_w = w_hi
         psi_vals = np.empty_like(cumulative)
         psi_vals[order] = cumulative
         dpsi = eval_values(dexpr, nodes[:, None])
-        ddpsi = np.array([jet_eval(dexpr, (x,), 1).partial((1,)) for x in nodes])
+        ddpsi = _jet_at(dexpr, nodes, 1).partial((1,))
         return cls(a, b, c, offsets, nodes, psi_vals, dpsi, ddpsi,
                    n_nodes, _bary_weights(n_nodes), dexpr)
 
@@ -262,16 +288,8 @@ class PsiSolution:
         self.check_range(x)
         return _bary_eval(self.s_grid, self.bary_w, self.psi_values, x)
 
-    def value(self, x: float) -> float:
-        return float(self._interpolate(np.array([float(x)]))[0])
-
-    def values(self, x) -> np.ndarray:
-        return _on_unique(self._interpolate, x)
-
-    def derivs(self, x: float, k: int):
-        if k > 4:
-            raise ContractViolation("profile derivative order exceeded (max 4)")
-        return [self.value(x)] + _deriv_ladder(self.dexpr, x, k)
+    def derivs(self, x, k: int):
+        return self._derivs(x, k)
 
 
 def solve_psi(a: float, b: float, c: float, s_range=(0.5, 2.0),
@@ -381,22 +399,22 @@ class DerivativeProfile:
     """View of another profile entry shifted by one derivative order.
 
     ``values`` evaluates the base's closed-form derivative ``dexpr`` (a
-    QuadratureProfile or PsiSolution) on the whole array.  Only a base
-    without one, an ExprProfile, falls back to its per-point ``derivs``.
+    QuadratureProfile or PsiSolution) on the whole array.  A base without
+    one, an ExprProfile, is differentiated by one block jet at order 1.
     """
 
     base: object
 
-    def derivs(self, x: float, k: int):
+    def derivs(self, x, k: int):
         return self.base.derivs(x, k + 1)[1:]
 
     def values(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
         dexpr = getattr(self.base, "dexpr", None)
-        if dexpr is not None:
-            x = np.asarray(x, dtype=float)
-            self.base.check_range(x)  # the range guard of the base's derivs
-            return eval_values(dexpr, x[:, None])
-        return _on_unique(lambda u: np.array([self.base.derivs(xi, 1)[1] for xi in u]), x)
+        if dexpr is None:
+            return self.base.derivs(x, 1)[1]
+        self.base.check_range(x)  # the range guard of the base's derivs
+        return eval_values(dexpr, x[:, None])
 
 
 def check_derivative_consistency(entry, lo: float, hi: float, n: int = 25,

@@ -1,10 +1,18 @@
 """Grid sweeps: evaluate verification checks over a parameter grid.
 
-Rows are produced in lexicographic grid order (last axis fastest).  Worker
-pools split the grid into contiguous chunks and results are merged back by
-chunk index, so output is deterministic for a fixed request regardless of
-worker count.  Normals are oriented per point (reference field when the
-chart carries one), never by cross-point state, for the same reason.
+Rows are produced in lexicographic grid order (last axis fastest).  A
+hypersurface grid is evaluated in blocks of at most BLOCK points: one
+``packet`` call and one pass of each residual per block, the points being
+an axis of the arrays.  Only the spectral classification, and the
+finite-difference oracle when selected, still run point by point.  A block
+that raises a BiconserveError is bisected down to single points, so every
+point gets its own error and message and the others keep their results.
+
+Worker pools split the grid into contiguous chunks and results are merged
+back by chunk index.  Each point gets the same arithmetic in any block, so
+output is deterministic for a fixed request regardless of worker count.
+Normals are oriented per point (reference field when the chart carries
+one), never by cross-point state, for the same reason.
 """
 
 from __future__ import annotations
@@ -17,8 +25,13 @@ import numpy as np
 from .errors import BiconserveError
 from .immersion import (ImmersionChart, beltrami_residual, biconservative_residual,
                         biconservative_residual_fd, gauss_codazzi_residual, packet,
-                        packet_fd, principal_direction_check, submanifold_packet)
+                        packet_fd, principal_direction_check, submanifold_packet,
+                        unit_normal_residual)
 from .spectral import eigen_structure
+
+# Points per packet block.  It bounds the memory of a block's jets (order-3
+# chart jets are 35 coefficients per point); larger blocks gain little.
+BLOCK = 128
 
 HYPERSURFACE_CHECKS = ("biconservative", "beltrami", "gauss", "codazzi",
                        "unit_normal", "principal_direction", "structure")
@@ -68,75 +81,120 @@ class PointRow:
     spectrum: object = None
 
 
-def _eval_point(chart: ImmersionChart, p, checks, oracle: str) -> PointRow:
-    row = PointRow(point=tuple(float(x) for x in p))
-    try:
-        if chart.codim != 1:
-            spk = submanifold_packet(chart, p)
-            if "beltrami" in checks:
-                row.values["beltrami"] = beltrami_residual(chart, p, spk)
-            if "gauss" in checks or "codazzi" in checks:
-                g, c = gauss_codazzi_residual(chart, p, spk)
-                row.values["gauss"] = g
-                row.values["codazzi"] = c
-            return row
+def _error(exc: BiconserveError) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
-        pk = packet(chart, p)
-        row.H = pk.H
-        row.cmc = pk.is_cmc_point
-        if "unit_normal" in checks:
-            nn = float(np.dot(chart.signature.weights * pk.N.components,
-                              pk.N.components))
-            row.values["unit_normal"] = abs(nn - 1.0)
+
+def _point(p) -> tuple:
+    return tuple(float(x) for x in p)
+
+
+def _lowdim_row(chart: ImmersionChart, p, checks) -> PointRow:
+    row = PointRow(point=_point(p))
+    try:
+        spk = submanifold_packet(chart, p)
         if "beltrami" in checks:
-            row.values["beltrami"] = beltrami_residual(chart, p, pk)
+            row.values["beltrami"] = beltrami_residual(chart, p, spk)
         if "gauss" in checks or "codazzi" in checks:
-            g, c = gauss_codazzi_residual(chart, p, pk)
+            g, c = gauss_codazzi_residual(chart, p, spk)
             row.values["gauss"] = g
             row.values["codazzi"] = c
-        if oracle == "fd" and ("biconservative" in checks or "principal_direction" in checks):
-            fpk = packet_fd(chart, p)
-            if "biconservative" in checks:
-                row.values["biconservative"] = biconservative_residual_fd(chart, p, fpk)
-            if "principal_direction" in checks and not row.cmc:
-                row.values["principal_direction"] = _pdc_values(
-                    fpk.S, fpk.H, fpk.gradH, fpk.gradH_ambient, fpk.dx)
-        else:
-            if "biconservative" in checks:
-                row.values["biconservative"] = biconservative_residual(chart, p, pk)
-            if "principal_direction" in checks:
-                pdc = principal_direction_check(chart, p, pk)
-                if pdc is not None:
-                    row.values["principal_direction"] = pdc
-        if "structure" in checks or "curvatures" in checks:
-            if chart.nparams == 4:
-                spec = eigen_structure(pk.S, pk.G)
-                row.label = spec.case_label
-                row.pattern = spec.pattern
-                row.spectrum = spec
-                vals = []
-                for v, alg, _ in sorted(spec.real_eigenvalues):
-                    vals.extend([v] * alg)
-                row.curvatures = tuple(vals) if len(vals) == 4 else None
-            else:
-                eig = np.linalg.eigvals(pk.S)
-                if np.max(np.abs(eig.imag)) < 1e-9 * (1 + np.max(np.abs(eig))):
-                    row.curvatures = tuple(sorted(eig.real.tolist()))
     except BiconserveError as exc:
-        row.error = f"{type(exc).__name__}: {exc}"
+        row.error = _error(exc)
     return row
 
 
+def _block_rows(chart: ImmersionChart, pts: np.ndarray, checks, oracle: str) -> list:
+    """Rows of one block of points (P, n); a failing block is bisected."""
+    try:
+        pk = packet(chart, pts)
+    except BiconserveError as exc:
+        if len(pts) == 1:
+            return [PointRow(point=_point(pts[0]), error=_error(exc))]
+        half = len(pts) // 2
+        return (_block_rows(chart, pts[:half], checks, oracle)
+                + _block_rows(chart, pts[half:], checks, oracle))
+
+    fd = oracle == "fd" and ("biconservative" in checks or "principal_direction" in checks)
+    block = {}
+    if "unit_normal" in checks:
+        block["unit_normal"] = unit_normal_residual(chart, pts, pk)
+    if "beltrami" in checks:
+        block["beltrami"] = beltrami_residual(chart, pts, pk)
+    if "gauss" in checks or "codazzi" in checks:
+        block["gauss"], block["codazzi"] = gauss_codazzi_residual(chart, pts, pk)
+    if not fd and "biconservative" in checks:
+        block["biconservative"] = biconservative_residual(chart, pts, pk)
+    if not fd and "principal_direction" in checks:
+        block["principal_direction"] = principal_direction_check(chart, pts, pk)
+    cmc = pk.is_cmc_point
+
+    rows = []
+    for k, p in enumerate(pts):
+        row = PointRow(point=_point(p), H=float(pk.H[k]), cmc=bool(cmc[k]))
+        row.values = {name: float(v[k]) for name, v in block.items()
+                      if not (name == "principal_direction" and row.cmc)}
+        try:
+            if fd:
+                _fd_values(chart, p, checks, row)
+            if "structure" in checks or "curvatures" in checks:
+                _spectral_values(chart, pk.S[k], pk.G[k], row)
+        except BiconserveError as exc:
+            row.error = _error(exc)
+        rows.append(row)
+    return rows
+
+
+def _fd_values(chart: ImmersionChart, p, checks, row: PointRow):
+    """The oracle's tangency checks at one point, with its own CMC decision."""
+    fpk = packet_fd(chart, p)
+    row.cmc = fpk.is_cmc_point
+    if "biconservative" in checks:
+        row.values["biconservative"] = biconservative_residual_fd(chart, p, fpk)
+    if "principal_direction" in checks and not row.cmc:
+        row.values["principal_direction"] = principal_direction_check(chart, p, fpk)
+
+
+def _spectral_values(chart: ImmersionChart, S: np.ndarray, G: np.ndarray, row: PointRow):
+    if chart.nparams == 4:
+        spec = eigen_structure(S, G)
+        row.label = spec.case_label
+        row.pattern = spec.pattern
+        row.spectrum = spec
+        vals = []
+        for v, alg, _ in sorted(spec.real_eigenvalues):
+            vals.extend([v] * alg)
+        row.curvatures = tuple(vals) if len(vals) == 4 else None
+    else:
+        eig = np.linalg.eigvals(S)
+        if np.max(np.abs(eig.imag)) < 1e-9 * (1 + np.max(np.abs(eig))):
+            row.curvatures = tuple(sorted(eig.real.tolist()))
+
+
+def _rows(chart: ImmersionChart, points: np.ndarray, checks, oracle: str) -> list:
+    if chart.codim != 1:
+        return [_lowdim_row(chart, p, checks) for p in points]
+    rows = []
+    for start in range(0, len(points), BLOCK):
+        rows.extend(_block_rows(chart, points[start:start + BLOCK], checks, oracle))
+    return rows
+
+
 def _chunk_worker(args):
-    chart, pts, checks, oracle = args
-    return [_eval_point(chart, p, checks, oracle) for p in pts]
+    return _rows(*args)
 
 
 def sweep(chart: ImmersionChart, points: np.ndarray, checks, oracle: str = "jets",
           jobs: int = 1):
+    """One PointRow per point of ``points`` (P, n), in order.
+
+    Hypersurface points are evaluated in blocks of at most BLOCK points (see
+    the module docstring); ``jobs`` > 1 splits the points over a process pool.
+    """
     checks = tuple(checks)
+    points = np.asarray(points, dtype=float)
     if jobs <= 1 or len(points) < 2 * jobs:
-        return [_eval_point(chart, p, checks, oracle) for p in points]
+        return _rows(chart, points, checks, oracle)
     chunks = np.array_split(points, jobs * 4)
     rows = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -144,16 +202,6 @@ def sweep(chart: ImmersionChart, points: np.ndarray, checks, oracle: str = "jets
                              [(chart, c, checks, oracle) for c in chunks if len(c)]):
             rows.extend(part)
     return rows
-
-
-def _pdc_values(S, H, gradH, gradH_amb, dx_val):
-    n = len(S)
-    ng = float(np.linalg.norm(gradH_amb))
-    sg = (S @ gradH) @ dx_val
-    res_eigen = float(np.linalg.norm(sg + (n / 2.0) * H * gradH_amb) / ng)
-    k1m = float(np.dot(sg, gradH_amb) / (ng * ng))
-    res_sum = abs((float(np.trace(S)) - k1m) - (3.0 * n / 2.0) * H)
-    return max(res_eigen, res_sum)
 
 
 @dataclass

@@ -6,6 +6,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from biconserve.cli import VerifyRequest, main, run_verify
 
 
@@ -242,3 +244,41 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "intcurve.G" in proc.stdout
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_verify_overflow_point_is_an_error_entry():
+    code, text = run(["verify", "exp(s); t; u; v; 0", "--domain", "s=-1:1000",
+                      "--grid", "s=-1:1000:2,t=-0.5:0.5:2,u=-0.5:0.5:2,v=-0.5:0.5:2",
+                      "--emit-report"])
+    assert code == 2
+    report = json.loads(text[text.index("{"):])
+    errors = [c for c in report["checks"] if c["name"] == "errors"]
+    assert errors and errors[0]["count"] == 8
+    assert errors[0]["argmax_point"][0] == 1000.0
+    beltrami = [c for c in report["checks"] if c["name"] == "beltrami"][0]
+    assert beltrami["count"] == 8 and beltrami["status"] == "pass"
+
+
+def test_fd_oracle_cmc_decision_is_its_own(monkeypatch):
+    import numpy as np
+
+    from biconserve.immersion import CurvaturePacket
+
+    req = dict(target="ex41", parameters={"a": 1.0, "b": 2.0},
+               profiles={"solve_psi": True, "c": 1.0},
+               grid=[[0.8, 1.2, 2], [-0.3, 0.3, 2], [-0.3, 0.3, 2], [-0.3, 0.3, 2]])
+
+    def verdict(oracle):
+        report, code = run_verify(VerifyRequest(oracle=oracle, **req))
+        return code, [(c["name"], c["status"], c["max"]) for c in report["checks"]]
+
+    before = {o: verdict(o) for o in ("fd", "jets")}
+    jet_rule = CurvaturePacket.is_cmc_point
+    monkeypatch.setattr(CurvaturePacket, "is_cmc_point",
+                        property(lambda pk: np.logical_not(jet_rule.fget(pk))))
+    assert verdict("fd") == before["fd"]
+    assert before["fd"][0] == 0
+    # the patch does reach the jet route: every point there now looks CMC
+    code, checks = verdict("jets")
+    assert ("biconservative", "vacuous", 0.0) in checks and checks != before["jets"][1]

@@ -154,3 +154,20 @@ def test_fd_partial_on_base_arrays_is_bitwise_the_single_point_route():
             single = [fd_partial(comp, p, alpha, profile_bank=chart.profile_bank) for p in base]
             assert isinstance(single[0], float)
             assert np.array_equal(batch, np.array(single)), (key, alpha)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("text, message", [
+    ("exp(s)", "non-finite value inf in exp(s)"),
+    ("2*sinh(s)", "non-finite value inf in sinh(s)"),
+    ("exp(s/2)*exp(s/2)", "non-finite value inf in (exp((s/2))*exp((s/2)))"),
+    ("s^300", "non-finite value inf in s^300"),
+])
+def test_overflow_raises_domain_error_on_both_routes(text, message):
+    e = parse(text)
+    point = (1000.0, 0.0, 0.0, 0.0)
+    with pytest.raises(DomainError) as jet_err:
+        eval_value(e, point)
+    with pytest.raises(DomainError) as arr_err:
+        eval_values(e, np.array([(1.0, 0.0, 0.0, 0.0), point]))
+    assert str(jet_err.value) == str(arr_err.value) == message

@@ -78,7 +78,8 @@ def test_packet_invariants_over_catalog_charts(ex41):
             nn = float(np.dot(w * pk.N.components, pk.N.components))
             assert abs(nn - 1.0) < 1e-9
             m = chart.signature.dim
-            dx = np.array([[pk._dx[i][a].value for a in range(m)] for i in range(4)])
+            dx = pk.dx
+            assert dx.shape == (4, m)
             scale = 1.0 + np.max(np.abs(dx))
             for i in range(4):
                 assert abs(np.dot(w * pk.N.components, dx[i])) < 1e-9 * scale
@@ -159,7 +160,7 @@ def test_fd_packet_carries_its_own_tangents(ex41):
     p = (1.0, 0.3, -0.2, 0.4)
     pk = packet(ex41, p)
     fpk = packet_fd(ex41, p)
-    dx_jet = np.array([[pk._dx[i][a].value for a in range(5)] for i in range(4)])
+    dx_jet = pk.dx
     assert fpk.dx.shape == (4, 5)
     assert np.max(np.abs(fpk.dx - dx_jet)) < 1e-7
     assert np.allclose(fpk.gradH_ambient, fpk.gradH @ fpk.dx, rtol=0, atol=1e-15)

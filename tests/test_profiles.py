@@ -189,3 +189,11 @@ def test_array_values_domain_guard(psi_12):
             DerivativeProfile(base).values(np.array([0.8, 2.5]))
         with pytest.raises(DomainError, match=f"{what} 2.5"):
             DerivativeProfile(base).derivs(2.5, 0)
+
+
+def test_derivative_of_an_expression_profile_is_one_block_jet():
+    entry = DerivativeProfile(ExprProfile(parse("s^3*exp(-s) + sin(2*s)", ("s",))))
+    x = np.array([0.3, 0.7, 0.7, 1.1, 1.9, -0.4])
+    got = entry.values(x)
+    assert got.tolist() == [entry.derivs(xi, 0)[0] for xi in x]
+    assert entry.derivs(x, 1)[1].tolist() == [entry.derivs(xi, 1)[1] for xi in x]
