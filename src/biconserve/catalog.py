@@ -17,18 +17,20 @@ form is used, since the stated congruence targets force it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ambient import Signature
-from .errors import ConstraintError, ContractViolation, DomainError
+from .errors import ConstraintError, ContractViolation, DomainError, UnexpectedIndex
 from .expr import parse, var_names_for
 from .immersion import (ImmersionChart, beltrami_residual, gauss_codazzi_residual,
                         packet, submanifold_packet)
 from .profiles import (DerivativeProfile, ExprProfile, constraint_residual,
                        make_profile_pair, solve_psi, solve_psi_offsets)
-from .spectral import eigen_structure
+from .spectral import CLUSTER_TOL
+from .sweep import grid_points, interior_grid, sweep
 
 E5_2 = Signature(5, 2)
 
@@ -309,6 +311,16 @@ def list_entries(family: str | None = None):
     return rows
 
 
+def var_names(kind: str, nparams: int) -> tuple:
+    """Parameter names of a chart: (t, u) on an integral surface, (v,) on an
+    integral curve, else ``expr.var_names_for``."""
+    if kind == "surface":
+        return ("t", "u")
+    if kind == "curve":
+        return ("v",)
+    return var_names_for(nparams)
+
+
 def _profile_bank(entry: CatalogEntry, spec: FamilySpec, domain):
     """Build the profile bank for an entry, honoring explicit overrides."""
     req = dict(spec.profiles)
@@ -395,12 +407,7 @@ def build(spec: FamilySpec) -> ImmersionChart:
                     f"s range [{s_lo:g}, {s_hi:g}] touches the singular value s={root:g}"
                 )
     fmt = {k: repr(float(v)) for k, v in params.items() if not isinstance(v, (tuple, list))}
-    if entry.kind == "surface":
-        names = ("t", "u")
-    elif entry.kind == "curve":
-        names = ("v",)
-    else:
-        names = var_names_for(len(domain))
+    names = var_names(entry.kind, len(domain))
     comps = tuple(parse(c.format(**fmt), names) for c in entry.components)
     orient = None
     if entry.orientation:
@@ -492,15 +499,6 @@ class StructureReport:
     notes: list
 
 
-def grid_interior(domain, nodes_per_axis: int, inset: float = 0.06):
-    axes = []
-    for lo, hi in domain:
-        pad = inset * (hi - lo)
-        axes.append(np.linspace(lo + pad, hi - pad, nodes_per_axis))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
 def _zero_cluster(reals, tol_abs):
     for lam, alg, geo in reals:
         if abs(lam) <= tol_abs:
@@ -529,9 +527,54 @@ def pattern_matches(tag: str, spec) -> tuple:
     return True, ""
 
 
+def _all_distinct(curvatures) -> bool:
+    """Present and pairwise more than CLUSTER_TOL (1 + max|k|) apart."""
+    k = np.sort(curvatures or ())
+    return k.size > 0 and bool(np.all(np.diff(k) > CLUSTER_TOL * (1.0 + np.max(np.abs(k)))))
+
+
+def structure_verdict(entry: CatalogEntry | None, rows) -> tuple:
+    """(ok, spectral, notes): the family-structure verdict on sweep rows.
+
+    ``spectral`` is the report block: point counts per case label and per
+    pattern, and the curvature range.  A point error fails the verdict; with
+    no expected pattern (inline charts) nothing else is checked.  Rows of
+    4-parameter charts are matched by ``pattern_matches``; other rows carry
+    no spectral classification, and ``all-distinct`` reads their curvatures.
+    """
+    tag = entry.structure[0] if entry and entry.structure else ""
+    notes = [f"{r.error} (at {tuple(round(x, 3) for x in r.point)})" for r in rows if r.error]
+    ok = not notes
+    good = [r for r in rows if not r.error]
+    for r in good if tag else ():
+        if r.label == "unresolved":
+            row_ok, note = False, f"unresolved spectrum at {tuple(round(x, 3) for x in r.point)}"
+        elif r.spectrum is not None:
+            row_ok, note = pattern_matches(tag, r.spectrum)
+        else:
+            row_ok, note = tag == "all-distinct" and _all_distinct(r.curvatures), ""
+        if note:
+            notes.append(note)
+        ok = ok and row_ok
+    curv = [r.curvatures for r in rows if r.curvatures]
+    spectral = {
+        "labels": Counter(r.label for r in good),
+        "patterns": Counter(r.pattern for r in good),
+        "curvature_min": min(min(c) for c in curv) if curv else None,
+        "curvature_max": max(max(c) for c in curv) if curv else None,
+    }
+    return ok, spectral, notes
+
+
 def verify_structure(spec_or_key, nodes_per_axis: int = 5,
                      chart: ImmersionChart | None = None) -> StructureReport:
-    """Sample the domain and check the family's expected operator pattern."""
+    """Sample the domain interior and check the family's expected pattern.
+
+    A hypersurface is judged by ``structure_verdict`` on ``sweep`` rows, as
+    ``biconserve verify`` judges the same grid.  A point error fails
+    ``family_ok`` and is listed in ``notes``; a wrong metric index is such
+    an error and also fails ``index_ok``.
+    """
     if isinstance(spec_or_key, FamilySpec):
         spec = spec_or_key
     else:
@@ -542,55 +585,30 @@ def verify_structure(spec_or_key, nodes_per_axis: int = 5,
         raise ContractViolation(f"unknown catalog key {spec.key!r}")
     if chart is None:
         chart = build(spec)
-    points = grid_interior(chart.domain, nodes_per_axis)
-    notes = []
+    grid = interior_grid(chart.domain, nodes_per_axis)
+    points = grid_points([(lo, hi) for lo, hi, _ in grid], nodes_per_axis)
+    if entry.kind != "hypersurface":
+        return _verify_lowdim(spec.key, entry, chart, points)
 
-    if entry.kind == "hypersurface":
-        return _verify_hypersurface(spec.key, entry, chart, points, notes)
-    return _verify_lowdim(spec.key, entry, chart, points, notes)
-
-
-def _verify_hypersurface(key, entry, chart, points, notes):
-    patterns, labels = set(), set()
-    family_ok = index_ok = True
-    bel = gau = cod = 0.0
-    kmin, kmax = np.inf, -np.inf
-    prev_normal = None
-    for p in points:
-        pk = packet(chart, p, prev_normal=prev_normal)
-        prev_normal = pk.N.components
-        bel = max(bel, beltrami_residual(chart, p, pk))
-        g, c = gauss_codazzi_residual(chart, p, pk)
-        gau, cod = max(gau, g), max(cod, c)
-        eig = np.linalg.eigvalsh((pk.G @ pk.S + (pk.G @ pk.S).T) / 2.0)
-        index_ok = index_ok and int(np.sum(np.linalg.eigvalsh(pk.G) < 0)) == chart.expected_index
-        spec = eigen_structure(pk.S, pk.G)
-        labels.add(spec.case_label)
-        patterns.add(spec.pattern)
-        if spec.case_label == "unresolved":
-            family_ok = False
-            notes.append(f"unresolved spectrum at {tuple(round(x, 3) for x in p)}")
-            continue
-        vals = spec.eigenvalues
-        if vals.size:
-            kmin = min(kmin, float(vals.min()))
-            kmax = max(kmax, float(vals.max()))
-        tag = entry.structure[0] if entry.structure else ""
-        ok, note = pattern_matches(tag, spec)
-        if note:
-            notes.append(note)
-        family_ok = family_ok and ok
+    rows = sweep(chart, points, ("beltrami", "gauss", "codazzi", "structure"))
+    ok, spectral, notes = structure_verdict(entry, rows)
+    worst = {name: max((r.values[name] for r in rows if name in r.values), default=0.0)
+             for name in ("beltrami", "gauss", "codazzi")}
+    kmin, kmax = spectral["curvature_min"], spectral["curvature_max"]
     return StructureReport(
-        key=key, n_points=len(points), patterns=sorted(patterns),
-        case_labels=sorted(labels), family_ok=family_ok, index_ok=index_ok,
-        beltrami_max=bel, gauss_max=gau, codazzi_max=cod,
-        curvature_min=float(kmin) if np.isfinite(kmin) else 0.0,
-        curvature_max=float(kmax) if np.isfinite(kmax) else 0.0, notes=notes,
+        key=spec.key, n_points=len(points), patterns=sorted(spectral["patterns"]),
+        case_labels=sorted(spectral["labels"]), family_ok=ok,
+        index_ok=not any(r.error.startswith(f"{UnexpectedIndex.__name__}:") for r in rows),
+        beltrami_max=worst["beltrami"], gauss_max=worst["gauss"], codazzi_max=worst["codazzi"],
+        curvature_min=0.0 if kmin is None else kmin,
+        curvature_max=0.0 if kmax is None else kmax, notes=notes,
     )
 
 
-def _verify_lowdim(key, entry, chart, points, notes):
-    family_ok = index_ok = True
+def _verify_lowdim(key, entry, chart, points):
+    """Residual maxima and family predicates; a wrong index raises."""
+    family_ok = True
+    notes = []
     bel = gau = cod = 0.0
     eps = chart.signature.weights
     for p in points:
@@ -598,7 +616,6 @@ def _verify_lowdim(key, entry, chart, points, notes):
         bel = max(bel, beltrami_residual(chart, p, spk))
         g, c = gauss_codazzi_residual(chart, p, spk)
         gau, cod = max(gau, g), max(cod, c)
-        index_ok = index_ok and int(np.sum(np.linalg.eigvalsh(spk.G) < 0)) == chart.expected_index
         tag = entry.structure[0] if entry.structure else ""
         if tag == "plane":
             family_ok = family_ok and float(np.max(np.abs(spk.h))) < 1e-9
@@ -637,7 +654,7 @@ def _verify_lowdim(key, entry, chart, points, notes):
                 notes.append(f"speed {speed:+.6f} != {expected:+g} at {tuple(p)}")
     return StructureReport(
         key=key, n_points=len(points), patterns=[], case_labels=[],
-        family_ok=family_ok, index_ok=index_ok, beltrami_max=bel,
+        family_ok=family_ok, index_ok=True, beltrami_max=bel,
         gauss_max=gau, codazzi_max=cod, curvature_min=0.0, curvature_max=0.0,
         notes=notes,
     )

@@ -24,15 +24,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .catalog import CATALOG, FamilySpec, build, list_entries, pattern_matches
-from .errors import BiconserveError
-from .expr import parse as parse_expr
+from .catalog import CATALOG, FamilySpec, build, list_entries, structure_verdict, var_names
+from .errors import BiconserveError, ContractViolation
+from .expr import parse as parse_expr, var_names_for
 from .immersion import ImmersionChart, packet
 from .profiles import ExprProfile
 from .ambient import Signature
 from .spectral import CLUSTER_TOL, eigen_structure
 from .sweep import (DEFAULT_TOLERANCES, HYPERSURFACE_CHECKS, LOWDIM_CHECKS,
-                    CheckSummary, grid_points, random_points, summarize, sweep)
+                    CheckSummary, grid_points, interior_grid, random_points, summarize,
+                    sweep)
 
 SCHEMA = 1
 
@@ -58,25 +59,23 @@ class VerifyRequest:
 
 
 def _target_var_names(target: str, parameters: dict):
+    """The parameter names the target's chart is built with."""
     if _is_inline(target):
-        n = max(len([e for e in target.split(";") if e.strip()]) - 1, 1)
-        return ("s", "t", "u", "v")[:n]
-    key = target
-    entry = CATALOG.get(key)
+        return var_names_for(max(len(_inline_exprs(target)) - 1, 1))
+    entry = CATALOG.get(target)
     if entry is None:
-        return ("s", "t", "u", "v")
-    if entry.kind == "surface":
-        return ("t", "u")
-    if entry.kind == "curve":
-        return ("v",)
-    if key == "rem42":
-        n = int(parameters.get("n", entry.params["n"]))
-        return ("s",) + tuple(f"t{i}" for i in range(1, n))
-    return ("s", "t", "u", "v")
+        return var_names_for(4)
+    if target == "rem42":
+        return var_names_for(int(parameters.get("n", entry.params["n"])))
+    return var_names(entry.kind, len(entry.domain))
 
 
 def _is_inline(target: str) -> bool:
     return ";" in target
+
+
+def _inline_exprs(target: str) -> list:
+    return [e.strip() for e in target.split(";") if e.strip()]
 
 
 def _resolve_specs(req: VerifyRequest):
@@ -101,8 +100,7 @@ def _resolve_specs(req: VerifyRequest):
         if req.domain:
             base = [[lo, hi, 5] for lo, hi in req.domain]
         elif entry and entry.domain:
-            base = [[lo + 0.06 * (hi - lo), hi - 0.06 * (hi - lo), 5]
-                    for lo, hi in entry.domain]
+            base = interior_grid(entry.domain)
         else:
             base = [[-0.8, 0.8, 5] for _ in names]
         while len(base) < len(names):
@@ -117,8 +115,8 @@ def _build_target(req: VerifyRequest):
     """Returns (chart, entry_or_None)."""
     _resolve_specs(req)
     if _is_inline(req.target):
-        exprs = [e.strip() for e in req.target.split(";") if e.strip()]
-        names = ("s", "t", "u", "v")[: max(len(exprs) - 1, 1)]
+        exprs = _inline_exprs(req.target)
+        names = _target_var_names(req.target, req.parameters)
         bank = {}
         for pname in ("phi", "psi", "phi1", "phi2"):
             if pname in req.profiles:
@@ -141,16 +139,8 @@ def _build_target(req: VerifyRequest):
     return build(spec), entry
 
 
-def _default_grid(chart: ImmersionChart, nodes: int = 5):
-    out = []
-    for lo, hi in chart.domain:
-        pad = 0.06 * (hi - lo)
-        out.append([lo + pad, hi - pad, nodes])
-    return out
-
-
 def _resolve_points(req: VerifyRequest, chart: ImmersionChart):
-    grid = req.grid or _default_grid(chart)
+    grid = req.grid or interior_grid(chart.domain)
     if len(grid) != chart.nparams:
         raise BiconserveError(
             f"grid has {len(grid)} axes, chart has {chart.nparams} parameters")
@@ -197,41 +187,11 @@ def run_verify(req: VerifyRequest):
     summaries = summarize(rows, checks, tol, asserted)
 
     spectral = {}
-    structure_status = None
     if "structure" in checks and chart.codim == 1:
-        labels = {}
-        patterns = {}
-        fam_ok = True
-        for r in rows:
-            if r.error:
-                fam_ok = False
-                continue
-            labels[r.label] = labels.get(r.label, 0) + 1
-            patterns[r.pattern] = patterns.get(r.pattern, 0) + 1
-        tag = entry.structure[0] if entry and entry.structure else ""
-        if tag:
-            for r in rows:
-                if r.error:
-                    continue
-                if r.spectrum is None:
-                    ok = r.label not in ("", "unresolved")
-                else:
-                    ok, _ = pattern_matches(tag, r.spectrum)
-                if not ok:
-                    fam_ok = False
-                    break
-        curv = [r.curvatures for r in rows if r.curvatures]
-        spectral = {
-            "labels": labels,
-            "patterns": patterns,
-            "curvature_min": min(min(c) for c in curv) if curv else None,
-            "curvature_max": max(max(c) for c in curv) if curv else None,
-        }
-        structure_status = "pass" if fam_ok else "fail"
-        if "structure" not in asserted:
-            structure_status = "not_asserted" if fam_ok else "fail"
-        summaries.append(CheckSummary("structure", 0.0 if fam_ok else 1.0, 0.0,
-                                      None, len(rows), None, structure_status))
+        ok, spectral, _ = structure_verdict(entry, rows)
+        status = ("pass" if "structure" in asserted else "not_asserted") if ok else "fail"
+        summaries.append(CheckSummary("structure", 0.0 if ok else 1.0, 0.0,
+                                      None, len(rows), None, status))
 
     errored = any(s.status == "error" for s in summaries)
     failed = any(s.status == "fail" and s.name in asserted | {"structure"}
@@ -335,20 +295,23 @@ def cmd_list(args, out=None) -> int:
 
 
 def _parse_axis_spec(text: str, names):
-    """'s=0.6:1.4:5,t=-0.5:0.5:5,...' or positional 'lo:hi:n,...'."""
+    """'s=0.6:1.4:5,t=-0.5:0.5:5,...' or positional 'lo:hi:n,...' as
+    {axis index: (lo, hi, n or None)}; ContractViolation names a bad axis."""
     out = {}
-    for i, part in enumerate(x for x in text.split(",") if x.strip()):
-        part = part.strip()
-        if "=" in part:
-            name, _, spec = part.partition("=")
-            idx = names.index(name.strip())
-        else:
-            idx, spec = i, part
+    for i, part in enumerate(x.strip() for x in text.split(",") if x.strip()):
+        name, _, spec = part.rpartition("=")
+        name = name.strip() or (names[i] if i < len(names) else part)
+        if name not in names:
+            raise ContractViolation(f"unknown axis {name!r}; the axes are {', '.join(names)}")
         bits = spec.split(":")
-        if len(bits) == 2:
-            out[idx] = (float(bits[0]), float(bits[1]), None)
-        else:
-            out[idx] = (float(bits[0]), float(bits[1]), int(bits[2]))
+        try:
+            if len(bits) not in (2, 3):
+                raise ValueError(spec)
+            out[names.index(name)] = (float(bits[0]), float(bits[1]),
+                                      int(bits[2]) if len(bits) == 3 else None)
+        except ValueError:
+            raise ContractViolation(
+                f"axis {name!r}: expected lo:hi or lo:hi:n, got {spec!r}") from None
     return out
 
 
@@ -489,8 +452,7 @@ def cmd_sample(args, out=None) -> int:
     except BiconserveError as exc:
         out.write(f"error: {exc}\n")
         return 2
-    names = ["s", "t", "u", "v"][: chart.nparams] if chart.nparams <= 4 else \
-        ["s"] + [f"t{i}" for i in range(1, chart.nparams)]
+    names = list(_target_var_names(req.target, req.parameters))
     kcols = [f"k{i+1}" for i in range(chart.nparams)] if chart.codim == 1 else []
     all_cols = names + (["H"] if chart.codim == 1 else []) + kcols + \
         ["biconservative", "beltrami", "gauss", "codazzi"]

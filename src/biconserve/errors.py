@@ -1,6 +1,11 @@
 """Exception types shared across the package."""
 
 
+def plain_point(point) -> tuple:
+    """A point as a tuple of Python floats, so messages print (354.0, ...)."""
+    return tuple(float(x) for x in point)
+
+
 class BiconserveError(Exception):
     """Base class for all package errors."""
 
@@ -19,7 +24,7 @@ class DegenerateFrameError(BiconserveError):
 
 class DegenerateMetric(BiconserveError):
     def __init__(self, point, det):
-        self.point = tuple(point)
+        self.point = plain_point(point)
         self.det = det
         super().__init__(f"induced metric degenerate at {self.point} (det={det:.3e})")
 
@@ -28,7 +33,7 @@ class UnexpectedIndex(BiconserveError):
     def __init__(self, found, expected, point=None):
         self.found = found
         self.expected = expected
-        self.point = None if point is None else tuple(point)
+        self.point = None if point is None else plain_point(point)
         super().__init__(
             f"induced metric has index {found}, expected {expected}"
             + ("" if point is None else f" at {self.point}")
@@ -37,7 +42,7 @@ class UnexpectedIndex(BiconserveError):
 
 class DegenerateNormal(BiconserveError):
     def __init__(self, point):
-        self.point = tuple(point)
+        self.point = plain_point(point)
         super().__init__(f"normal direction is lightlike/degenerate at {self.point}")
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .ambient import AmbientVector, Signature, metric_cross
 from .errors import (ContractViolation, DegenerateFrameError, DegenerateMetric,
-                     DegenerateNormal, UnexpectedIndex)
+                     DegenerateNormal, DomainError, UnexpectedIndex, plain_point)
 from .expr import eval_value, eval_values, fd_partial, jet_eval
 from .jets import Jet
 from .jets.jet import sqrt as jet_sqrt
@@ -213,14 +213,21 @@ def _first(bad) -> int | None:
 
 def _metric_checks(chart: ImmersionChart, p: np.ndarray, G0: np.ndarray):
     """Raise for the first point of ``p``, (n,) or (P, n), whose induced
-    metric, (n, n) or (P, n, n), is degenerate or has the wrong index."""
+    metric, (n, n) or (P, n, n), overflows, is degenerate or has the wrong
+    index."""
     pts = np.atleast_2d(p)
     G0 = G0.reshape(len(pts), chart.nparams, chart.nparams)
     gmax = np.max(np.abs(G0), axis=(1, 2))
-    det = np.linalg.det(G0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = np.linalg.det(G0)
+        tau = tau_deg(gmax)
+        det_floor = tau ** chart.nparams
+    k = _first(~(np.isfinite(gmax) & np.isfinite(det) & np.isfinite(det_floor)))
+    if k is not None:
+        raise DomainError(f"induced metric overflows at {plain_point(pts[k])} "
+                          f"(max|G|={gmax[k]:.3e}, det={det[k]:.3e})")
     eig = np.linalg.eigvalsh(G0)
-    tau = tau_deg(gmax)
-    degenerate = ((np.abs(det) <= tau ** chart.nparams) | (np.abs(det) <= 1e-300)
+    degenerate = ((np.abs(det) <= det_floor) | (np.abs(det) <= 1e-300)
                   | (np.min(np.abs(eig), axis=1) <= tau))
     index = np.sum(eig < 0, axis=1)
     k = _first(degenerate | (index != chart.expected_index))
@@ -231,12 +238,10 @@ def _metric_checks(chart: ImmersionChart, p: np.ndarray, G0: np.ndarray):
     raise UnexpectedIndex(int(index[k]), chart.expected_index, pts[k])
 
 
-def _orient_sign(w_val, ref, prev_normal, flip):
+def _orient_sign(w_val, ref, flip):
     """Sign of the normal for each row of ``w_val`` (..., m): along the
-    chart's reference normal ``ref`` when it has one, else along
-    ``prev_normal``, else a positive last component."""
-    if ref is None:
-        ref = prev_normal
+    reference ``ref`` (..., m) when given, else with its last nonzero
+    component positive; reversed by ``flip``."""
     if ref is not None:
         sgn = np.where(np.sum(w_val * ref, axis=-1) >= 0.0, 1.0, -1.0)
     else:
@@ -328,16 +333,18 @@ def _christoffel_jets(G):
     return Gamma_jets
 
 
-def packet(chart: ImmersionChart, p, prev_normal=None, flip_normal: bool = False) -> CurvaturePacket:
+def packet(chart: ImmersionChart, p, flip_normal: bool = False) -> CurvaturePacket:
     """Full curvature bundle at interior points of a hypersurface chart.
 
-    ``p`` is one point (n,) or a block of points (P, n); ``prev_normal`` is
-    then (m,) or (P, m).  A block is evaluated as a point axis of every jet,
-    so the jet arithmetic runs once for the whole block, and each point gets
-    the arithmetic it would get alone.  A one-point call runs the same code
-    with no point axis and returns floats and unbatched arrays.  A block
-    raises as soon as any of its points fails a check; ``sweep`` bisects a
-    failing block to give every point its own error.
+    ``p`` is one point (n,) or a block of points (P, n).  The normal is
+    oriented at each point by that point alone: along the chart's reference
+    normal field when it has one, else with its last nonzero component
+    positive; ``flip_normal`` reverses it.  A block is evaluated as a point
+    axis of every jet, so the jet arithmetic runs once for the whole block,
+    and each point gets the arithmetic it would get alone.  A one-point call
+    runs the same code with no point axis and returns floats and unbatched
+    arrays.  A block raises as soon as any of its points fails a check;
+    ``sweep`` bisects a failing block to give every point its own error.
     """
     if chart.codim != 1:
         raise ContractViolation("packet requires a codimension-1 chart")
@@ -354,7 +361,7 @@ def packet(chart: ImmersionChart, p, prev_normal=None, flip_normal: bool = False
     w_euclid2 = np.sum(w_val * w_val, axis=-1)
     k = _first(w_euclid2 <= 1e-300)
     if k is not None:
-        raise DegenerateFrameError(f"tangent frame rank deficient at {tuple(pts[k])}")
+        raise DegenerateFrameError(f"tangent frame rank deficient at {plain_point(pts[k])}")
     nn = eps[0] * (w[0] * w[0])
     for a in range(1, m):
         nn = nn + eps[a] * (w[a] * w[a])
@@ -365,7 +372,7 @@ def packet(chart: ImmersionChart, p, prev_normal=None, flip_normal: bool = False
     if chart.orientation_ref is not None:
         ref = np.stack([eval_value(e, p, chart.profile_bank) for e in chart.orientation_ref],
                        axis=-1)
-    inv_norm = jet_sqrt(nn).reciprocal() * _orient_sign(w_val, ref, prev_normal, flip_normal)
+    inv_norm = jet_sqrt(nn).reciprocal() * _orient_sign(w_val, ref, flip_normal)
     N_jets = [wj * inv_norm for wj in w]
 
     B = [[None] * n for _ in range(n)]
@@ -689,8 +696,9 @@ def _fd_partials(chart: ImmersionChart, base: np.ndarray):
     return dx, ddx
 
 
-def _fd_frame(chart: ImmersionChart, p, dx, ddx, ref, align_normal=None):
-    """G, N, B, S and H at one point from its difference quotients."""
+def _fd_frame(chart: ImmersionChart, p, dx, ddx, ref):
+    """G, N, B, S and H at one point from its difference quotients, the
+    normal oriented along ``ref`` (see ``_orient_sign``)."""
     n = chart.nparams
     eps = chart.signature.weights
     G0 = np.einsum("ia,a,ja->ij", dx, eps, dx)
@@ -698,7 +706,7 @@ def _fd_frame(chart: ImmersionChart, p, dx, ddx, ref, align_normal=None):
     nn = float(np.dot(eps * w, w))
     if nn <= TAU_NORMAL * float(np.dot(w, w)):
         raise DegenerateNormal(p)
-    N0 = w / np.sqrt(nn) * _orient_sign(w, ref, align_normal, False)
+    N0 = w / np.sqrt(nn) * _orient_sign(w, ref, False)
     B0 = np.einsum("ija,a,a->ij", ddx, eps, N0)
     S0 = np.linalg.solve(G0, B0)
     H0 = float(np.trace(S0)) / n
@@ -726,12 +734,14 @@ def packet_fd(chart: ImmersionChart, p, h_grad: float = 5e-4) -> FdPacket:
         base += [up, dn]
     base = np.array(base)
     dx, ddx = _fd_partials(chart, base)
-    refs = [None] * len(base)
+    # the reference normal field when the chart has one; the H stencil
+    # points otherwise follow the normal at p
+    ref = None
     if chart.orientation_ref is not None:
-        refs = np.stack([eval_values(e, base, chart.profile_bank)
-                         for e in chart.orientation_ref], axis=1)
-    G0, N0, B0, S0, H0 = _fd_frame(chart, p, dx[0], ddx[0], refs[0])
-    H = [_fd_frame(chart, base[k], dx[k], ddx[k], refs[k], align_normal=N0)[4]
+        ref = np.stack([eval_values(e, base, chart.profile_bank)
+                        for e in chart.orientation_ref], axis=1)
+    G0, N0, B0, S0, H0 = _fd_frame(chart, p, dx[0], ddx[0], None if ref is None else ref[0])
+    H = [_fd_frame(chart, base[k], dx[k], ddx[k], N0 if ref is None else ref[k])[4]
          for k in range(1, len(base))]
     dH = np.array([(H[2 * i] - H[2 * i + 1]) / (2.0 * h_grad) for i in range(n)])
     G_inv = np.linalg.inv(G0)

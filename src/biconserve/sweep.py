@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BiconserveError
+from .errors import BiconserveError, plain_point
 from .immersion import (ImmersionChart, beltrami_residual, biconservative_residual,
                         biconservative_residual_fd, gauss_codazzi_residual, packet,
                         packet_fd, principal_direction_check, submanifold_packet,
@@ -46,6 +46,12 @@ DEFAULT_TOLERANCES = {
     "unit_normal": 1e-9,
     "principal_direction": 1e-6,
 }
+
+
+def interior_grid(domain, nodes: int = 5) -> list:
+    """[lo, hi, nodes] per axis of ``domain``, inset by 6 % of the span on
+    each side: the default grid of ``verify`` and ``verify_structure``."""
+    return [[lo + 0.06 * (hi - lo), hi - 0.06 * (hi - lo), nodes] for lo, hi in domain]
 
 
 def grid_axes(domain, nodes):
@@ -85,12 +91,8 @@ def _error(exc: BiconserveError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _point(p) -> tuple:
-    return tuple(float(x) for x in p)
-
-
 def _lowdim_row(chart: ImmersionChart, p, checks) -> PointRow:
-    row = PointRow(point=_point(p))
+    row = PointRow(point=plain_point(p))
     try:
         spk = submanifold_packet(chart, p)
         if "beltrami" in checks:
@@ -110,7 +112,7 @@ def _block_rows(chart: ImmersionChart, pts: np.ndarray, checks, oracle: str) -> 
         pk = packet(chart, pts)
     except BiconserveError as exc:
         if len(pts) == 1:
-            return [PointRow(point=_point(pts[0]), error=_error(exc))]
+            return [PointRow(point=plain_point(pts[0]), error=_error(exc))]
         half = len(pts) // 2
         return (_block_rows(chart, pts[:half], checks, oracle)
                 + _block_rows(chart, pts[half:], checks, oracle))
@@ -131,7 +133,7 @@ def _block_rows(chart: ImmersionChart, pts: np.ndarray, checks, oracle: str) -> 
 
     rows = []
     for k, p in enumerate(pts):
-        row = PointRow(point=_point(p), H=float(pk.H[k]), cmc=bool(cmc[k]))
+        row = PointRow(point=plain_point(p), H=float(pk.H[k]), cmc=bool(cmc[k]))
         row.values = {name: float(v[k]) for name, v in block.items()
                       if not (name == "principal_direction" and row.cmc)}
         try:

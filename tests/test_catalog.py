@@ -1,17 +1,20 @@
 """Catalog construction, side conditions, structural verification, and the
 frozen transcription audit against tests/data/golden_charts.json."""
 
+import dataclasses
 import json
 import pathlib
 
 import numpy as np
 import pytest
 
-from biconserve.catalog import (FamilySpec, all_keys, build, build_remark42,
+from biconserve.catalog import (CATALOG, FamilySpec, all_keys, build, build_remark42,
                                 list_entries, verify_structure)
+from biconserve.cli import VerifyRequest, run_verify
 from biconserve.errors import ConstraintError, ContractViolation, DomainError
 from biconserve.immersion import packet, principal_direction_check
 from biconserve.spectral import CLUSTER_TOL, eigen_structure
+from biconserve.sweep import interior_grid
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "data" / "golden_charts.json").read_text()
@@ -230,3 +233,42 @@ def test_catalog_charts_accept_any_admissible_profile():
                                                     "phi0": 1.5, "psi0": 0.4}))
     rep = verify_structure("thm3.i", nodes_per_axis=2, chart=chart)
     assert rep.family_ok and rep.index_ok
+
+
+@pytest.mark.parametrize("key", [k for k in all_keys() if CATALOG[k].kind == "hypersurface"])
+def test_structure_verdict_is_the_verify_verdict(key):
+    # verify_structure and `biconserve verify` judge the same grid alike
+    rep = verify_structure(key, nodes_per_axis=2)
+    family, _, case = key.partition(".")
+    grid = interior_grid(build(FamilySpec(family, case)).domain, 2)
+    report, _ = run_verify(VerifyRequest(target=key, grid=grid))
+    status = {c["name"]: c["status"] for c in report["checks"]}["structure"]
+    assert (status != "fail") == rep.family_ok
+    spectral = report["spectral"]
+    assert sorted(spectral["patterns"]) == rep.patterns
+    assert sorted(spectral["labels"]) == rep.case_labels
+    assert (spectral["curvature_min"], spectral["curvature_max"]) == \
+        (rep.curvature_min, rep.curvature_max)
+
+
+def test_structure_point_errors_fail_the_report():
+    chart = build(FamilySpec("thm1", "i"))
+    rep = verify_structure("thm1.i", nodes_per_axis=2,
+                           chart=dataclasses.replace(chart, expected_index=1))
+    assert not rep.family_ok and not rep.index_ok
+    assert len(rep.notes) == 16 and all("UnexpectedIndex" in n for n in rep.notes)
+    # beyond the profile's range: a domain error, the index is fine
+    wide = dataclasses.replace(chart, domain=((0.1, 3.0),) + chart.domain[1:])
+    rep = verify_structure("thm1.i", nodes_per_axis=2, chart=wide)
+    assert not rep.family_ok and rep.index_ok
+    assert len(rep.notes) == 8 and all("DomainError" in n for n in rep.notes)
+
+
+@pytest.mark.parametrize("offsets, distinct", [((1.0, 2.0, 3.0, 4.0), True),
+                                                ((1.0, 1.0, 3.0, 4.0), False)])
+def test_remark42_five_parameters_structure(offsets, distinct):
+    # no 4x4 classification above four parameters: the curvatures decide
+    spec = FamilySpec("rem42", parameters={"n": 5, "a": offsets})
+    rep = verify_structure(spec, nodes_per_axis=2)
+    assert rep.family_ok is distinct and rep.index_ok
+    assert rep.beltrami_max < 1e-7 and rep.gauss_max < 1e-6 and rep.codazzi_max < 1e-6

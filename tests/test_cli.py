@@ -282,3 +282,62 @@ def test_fd_oracle_cmc_decision_is_its_own(monkeypatch):
     # the patch does reach the jet route: every point there now looks CMC
     code, checks = verdict("jets")
     assert ("biconservative", "vacuous", 0.0) in checks and checks != before["jets"][1]
+
+
+@pytest.mark.parametrize("offsets, code, status", [("1,2,3,4", 0, "pass"),
+                                                   ("1,1,3,4", 1, "fail")])
+def test_rem42_five_parameter_structure(offsets, code, status):
+    # equal offsets give a double curvature; distinct ones a clean chart
+    got, text = run(["verify", "rem42", "--n", "5", "--offsets", offsets, "--emit-report"])
+    assert got == code
+    report = json.loads(text[text.index("{"):])
+    checks = {c["name"]: c["status"] for c in report["checks"]}
+    assert checks.pop("structure") == status
+    assert set(checks.values()) == {"pass"}
+
+
+def test_rem42_axis_names_are_the_chart_names():
+    grid = "s=0.7:1.3:2,t=-0.4:0.4:2,u=-0.4:0.4:2,v=-0.4:0.4:2"
+    code, _ = run(["verify", "rem42", "--grid", grid])
+    assert code == 0
+    code, text = run(["sample", "rem42", "--grid", grid])
+    assert code == 0
+    lines = text.strip().split("\n")
+    assert lines[0].split(",")[:5] == ["s", "t", "u", "v", "H"]
+    assert len(lines) == 1 + 16
+    code, text = run(["sample", "rem42", "--n", "5", "--offsets", "1,2,3,4", "--grid",
+                      "s=0.7:1.3:2,t1=-0.4:0.4:2,t2=-0.4:0.4:2,t3=-0.4:0.4:2,t4=-0.4:0.4:2",
+                      "--columns", "s,t4,k5"])
+    assert code == 0
+    assert text.split("\n")[0] == "s,t4,k5"
+    code, text = run(["sample", "intsurf.ii", "--grid", "t=0.4:1.1:2,u=-0.5:0.5:2"])
+    assert code == 0
+    assert text.split("\n")[0].split(",")[:2] == ["t", "u"]
+
+
+@pytest.mark.parametrize("option, spec, axis", [
+    ("--grid", "q=0.7:1.3:2", "q"),
+    ("--grid", "s=abc:1:2", "s"),
+    ("--grid", "s=1", "s"),
+    ("--grid", "s=0.7:1.3:x", "s"),
+    ("--grid", "s=0.7:1.3:2:9", "s"),
+    ("--domain", "q=0.5:2", "q"),
+    ("--grid", "0.7:1.3:2,0:1:2,0:1:2,0:1:2,0:1:2", "0:1:2"),
+])
+def test_malformed_axis_spec_is_a_usage_error(option, spec, axis):
+    code, text = run(["verify", "ex41", option, spec])
+    assert code == 2
+    assert text.startswith("error [ex41]: ")
+    assert repr(axis) in text
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_verify_metric_overflow_is_a_domain_error():
+    code, text = run(["verify", "exp(s); t; u; v; 0", "--domain", "s=350:500",
+                      "--grid", "s=354:499.5:2,t=-0.5:0.5:2,u=-0.5:0.5:2,v=-0.5:0.5:2",
+                      "--emit-report", "--per-point"])
+    assert code == 2
+    report = json.loads(text[text.index("{"):])
+    assert len(report["rows"]) == 16
+    for row in report["rows"]:
+        assert row["error"].startswith("DomainError: induced metric overflows at (")

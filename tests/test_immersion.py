@@ -13,6 +13,7 @@ from biconserve.immersion import (ImmersionChart, beltrami_residual,
                                   gauss_codazzi_residual,
                                   packet, packet_fd, principal_direction_check,
                                   submanifold_packet)
+from biconserve.sweep import HYPERSURFACE_CHECKS, sweep
 
 
 def chart_from(exprs, domain=((-1, 1),) * 4, **kw):
@@ -211,6 +212,31 @@ def test_unexpected_index_detected():
                        expected_index=2)
     with pytest.raises(UnexpectedIndex):
         packet(chart, (0.1, 0.2, 0.3, 0.4))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_metric_overflow_is_a_domain_error():
+    # finite chart values whose metric products overflow: at s = 354 only
+    # the degeneracy floor tau^4 does, further out G itself
+    chart = chart_from(("exp(s)", "t", "u", "v", "0"), domain=((-1, 500),) + ((-1, 1),) * 3)
+    pts = np.array([[354.0, 0, 0, 0], [400.0, 0, 0, 0], [499.5, 0, 0, 0], [1.0, 0, 0, 0]])
+    rows = sweep(chart, pts, HYPERSURFACE_CHECKS)
+    for r in rows[:3]:
+        assert r.error.startswith(f"DomainError: induced metric overflows at {r.point} ")
+    assert "(354.0, 0.0, 0.0, 0.0)" in rows[0].error
+    assert not rows[3].error
+    with pytest.raises(DomainError, match="overflows"):
+        packet(chart, pts[0])
+
+
+def test_error_messages_print_plain_floats():
+    p = np.array([354.0, 0.0, 0.0, 0.0])
+    for exc in (DegenerateMetric(p, 3.0e307), UnexpectedIndex(1, 2, p), DegenerateNormal(p)):
+        assert "(354.0, 0.0, 0.0, 0.0)" in str(exc)
+        assert exc.point == (354.0, 0.0, 0.0, 0.0)
+    chart = chart_from(("s", "t", "u", "t + u", "0"))
+    with pytest.raises(DegenerateMetric, match=r"at \(0\.1, 0\.2, 0\.3, 0\.4\)"):
+        packet(chart, np.array([0.1, 0.2, 0.3, 0.4]))
 
 
 def test_surface_packet_mean_curvature():
