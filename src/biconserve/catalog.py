@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ambient import Signature
-from .errors import ConstraintError, ContractViolation, DomainError, UnexpectedIndex
+from .errors import (ConstraintError, ContractViolation, DomainError, UnexpectedIndex,
+                     plain_point)
 from .expr import parse, var_names_for
 from .immersion import (ImmersionChart, beltrami_residual, gauss_codazzi_residual,
                         packet, submanifold_packet)
@@ -533,22 +534,28 @@ def _all_distinct(curvatures) -> bool:
     return k.size > 0 and bool(np.all(np.diff(k) > CLUSTER_TOL * (1.0 + np.max(np.abs(k)))))
 
 
+def _at(point) -> tuple:
+    """A point for a note: plain floats rounded to 3 places."""
+    return tuple(round(x, 3) for x in plain_point(point))
+
+
 def structure_verdict(entry: CatalogEntry | None, rows) -> tuple:
     """(ok, spectral, notes): the family-structure verdict on sweep rows.
 
     ``spectral`` is the report block: point counts per case label and per
     pattern, and the curvature range.  A point error fails the verdict; with
     no expected pattern (inline charts) nothing else is checked.  Rows of
-    4-parameter charts are matched by ``pattern_matches``; other rows carry
-    no spectral classification, and ``all-distinct`` reads their curvatures.
+    4-parameter charts are classified and matched by ``pattern_matches``;
+    other rows have no label or pattern to count, and ``all-distinct``
+    reads their curvatures.
     """
     tag = entry.structure[0] if entry and entry.structure else ""
-    notes = [f"{r.error} (at {tuple(round(x, 3) for x in r.point)})" for r in rows if r.error]
+    notes = [f"{r.error} (at {_at(r.point)})" for r in rows if r.error]
     ok = not notes
     good = [r for r in rows if not r.error]
     for r in good if tag else ():
         if r.label == "unresolved":
-            row_ok, note = False, f"unresolved spectrum at {tuple(round(x, 3) for x in r.point)}"
+            row_ok, note = False, f"unresolved spectrum at {_at(r.point)}"
         elif r.spectrum is not None:
             row_ok, note = pattern_matches(tag, r.spectrum)
         else:
@@ -557,9 +564,10 @@ def structure_verdict(entry: CatalogEntry | None, rows) -> tuple:
             notes.append(note)
         ok = ok and row_ok
     curv = [r.curvatures for r in rows if r.curvatures]
+    classified = [r for r in good if r.spectrum is not None]
     spectral = {
-        "labels": Counter(r.label for r in good),
-        "patterns": Counter(r.pattern for r in good),
+        "labels": Counter(r.label for r in classified),
+        "patterns": Counter(r.pattern for r in classified),
         "curvature_min": min(min(c) for c in curv) if curv else None,
         "curvature_max": max(max(c) for c in curv) if curv else None,
     }
@@ -605,58 +613,57 @@ def verify_structure(spec_or_key, nodes_per_axis: int = 5,
     )
 
 
-def _verify_lowdim(key, entry, chart, points):
-    """Residual maxima and family predicates; a wrong index raises."""
-    family_ok = True
-    notes = []
-    bel = gau = cod = 0.0
+def _family_ok(entry: CatalogEntry, chart: ImmersionChart, spk, points) -> bool:
+    """Whether the surface or curve family's predicate holds at every point
+    of ``points`` (P, n), whose submanifold packet is ``spk``."""
+    tag = entry.structure[0] if entry.structure else ""
     eps = chart.signature.weights
-    for p in points:
-        spk = submanifold_packet(chart, p)
-        bel = max(bel, beltrami_residual(chart, p, spk))
-        g, c = gauss_codazzi_residual(chart, p, spk)
-        gau, cod = max(gau, g), max(cod, c)
-        tag = entry.structure[0] if entry.structure else ""
-        if tag == "plane":
-            family_ok = family_ok and float(np.max(np.abs(spk.h))) < 1e-9
-        elif tag == "quadric":
-            sign = entry.structure[1]
-            r = entry.params.get("r", 1.0)
-            y = chart.value(p)
-            val = float(np.dot(eps * y, y))
-            family_ok = family_ok and abs(val - sign * r * r) < 1e-8 * (1 + r * r)
-            if len(entry.structure) > 2 and entry.structure[2] == "umbilic":
-                Hv = spk.mean_curvature
-                dev = spk.h - np.einsum("ij,a->ija", spk.G, Hv)
-                family_ok = family_ok and float(np.max(np.abs(dev))) < 1e-8
-        elif tag == "parabolic":
-            ht = spk.h[0, 0]
-            family_ok = family_ok and float(np.dot(eps * ht, ht)) < 1e-9 \
-                and float(np.max(np.abs(spk.h[0, 1]))) < 1e-9
-        elif tag == "line":
-            family_ok = family_ok and float(np.max(np.abs(spk.h))) < 1e-10
-        elif tag == "accel":
-            sign = entry.structure[1]
-            R = entry.params["R"]
-            acc = spk.h[0, 0]
-            val = float(np.dot(eps * acc, acc))
-            family_ok = family_ok and abs(val - sign * R * R) < 1e-8 * (1 + R * R)
-        elif tag == "lightlike-accel":
-            acc = spk.h[0, 0]
-            family_ok = family_ok and abs(float(np.dot(eps * acc, acc))) < 1e-9 \
-                and float(np.linalg.norm(acc)) > 1e-6
-        # unit-speed claims for the curves
-        if entry.kind == "curve":
-            speed = float(spk.G[0, 0])
-            expected = -1.0 if entry.expected_index == 1 else 1.0
-            if abs(speed - expected) > 1e-9:
-                family_ok = False
-                notes.append(f"speed {speed:+.6f} != {expected:+g} at {tuple(p)}")
+    h = spk.h
+    acc = h[:, 0, 0]
+    acc2 = np.sum(eps * acc * acc, axis=-1)
+    if tag == "plane":
+        return bool(np.max(np.abs(h)) < 1e-9)
+    if tag == "line":
+        return bool(np.max(np.abs(h)) < 1e-10)
+    if tag == "quadric":
+        r = entry.params.get("r", 1.0)
+        y = chart.value(points)
+        ok = np.all(np.abs(np.sum(eps * y * y, axis=-1) - entry.structure[1] * r * r)
+                    < 1e-8 * (1 + r * r))
+        if entry.structure[2:] == ("umbilic",):
+            dev = h - np.einsum("zij,za->zija", spk.G, spk.mean_curvature)
+            ok = ok and np.max(np.abs(dev)) < 1e-8
+        return bool(ok)
+    if tag == "parabolic":
+        return bool(np.all(acc2 < 1e-9) and np.max(np.abs(h[:, 0, 1])) < 1e-9)
+    if tag == "accel":
+        R = entry.params["R"]
+        return bool(np.all(np.abs(acc2 - entry.structure[1] * R * R) < 1e-8 * (1 + R * R)))
+    if tag == "lightlike-accel":
+        return bool(np.all((np.abs(acc2) < 1e-9) & (np.linalg.norm(acc, axis=-1) > 1e-6)))
+    return True
+
+
+def _verify_lowdim(key, entry, chart, points):
+    """Residual maxima and family predicates on one block of every point;
+    a point whose metric fails a check (a wrong index among them) raises."""
+    spk = submanifold_packet(chart, points)
+    gauss, codazzi = gauss_codazzi_residual(chart, points, spk)
+    family_ok = _family_ok(entry, chart, spk, points)
+    notes = []
+    if entry.kind == "curve":  # unit-speed claims
+        speed = spk.G[:, 0, 0]
+        expected = -1.0 if entry.expected_index == 1 else 1.0
+        bad = np.flatnonzero(np.abs(speed - expected) > 1e-9)
+        family_ok = family_ok and not len(bad)
+        notes = [f"speed {speed[k]:+.6f} != {expected:+g} at {_at(points[k])}"
+                 for k in bad]
     return StructureReport(
         key=key, n_points=len(points), patterns=[], case_labels=[],
-        family_ok=family_ok, index_ok=True, beltrami_max=bel,
-        gauss_max=gau, codazzi_max=cod, curvature_min=0.0, curvature_max=0.0,
-        notes=notes,
+        family_ok=family_ok, index_ok=True,
+        beltrami_max=float(np.max(beltrami_residual(chart, points, spk))),
+        gauss_max=float(np.max(gauss)), codazzi_max=float(np.max(codazzi)),
+        curvature_min=0.0, curvature_max=0.0, notes=notes,
     )
 
 

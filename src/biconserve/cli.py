@@ -78,42 +78,50 @@ def _inline_exprs(target: str) -> list:
     return [e.strip() for e in target.split(";") if e.strip()]
 
 
-def _resolve_specs(req: VerifyRequest):
-    """Turn textual axis specs into numeric domain/grid lists."""
-    if not (req.domain_spec or req.grid_spec):
+def _resolve_domain_spec(req: VerifyRequest):
+    """Turn a textual domain spec into numeric [lo, hi] per axis."""
+    if not req.domain_spec:
         return
     names = list(_target_var_names(req.target, req.parameters))
     entry = CATALOG.get(req.target)
-    if req.domain_spec:
-        if entry and entry.domain:
-            base = [list(d) for d in entry.domain]
-        else:
-            base = [list(d) for d in (req.domain or [[-0.8, 0.8]] * len(names))]
-        while len(base) < len(names):
-            base.append([-0.8, 0.8])
-        for idx, (lo, hi, _) in _parse_axis_spec(req.domain_spec, names).items():
-            base[idx] = [lo, hi]
-        req.domain = base
-        req.domain_spec = None
-    if req.grid_spec:
-        spec = _parse_axis_spec(req.grid_spec, names)
-        if req.domain:
-            base = [[lo, hi, 5] for lo, hi in req.domain]
-        elif entry and entry.domain:
-            base = interior_grid(entry.domain)
-        else:
-            base = [[-0.8, 0.8, 5] for _ in names]
-        while len(base) < len(names):
-            base.append([-0.8, 0.8, 5])
-        for idx, (lo, hi, n) in spec.items():
-            base[idx] = [lo, hi, n if n else 5]
-        req.grid = base
-        req.grid_spec = None
+    if entry and entry.domain:
+        base = [list(d) for d in entry.domain]
+    else:
+        base = [list(d) for d in (req.domain or [[-0.8, 0.8]] * len(names))]
+    while len(base) < len(names):
+        base.append([-0.8, 0.8])
+    for idx, (lo, hi, _) in _parse_axis_spec(req.domain_spec, names).items():
+        base[idx] = [lo, hi]
+    req.domain = base
+    req.domain_spec = None
+
+
+def _resolve_grid_spec(req: VerifyRequest, chart: ImmersionChart, entry):
+    """Turn a textual grid spec into numeric [lo, hi, n] per axis.  Axes the
+    spec leaves out get the interior grid of a catalog chart's domain, or 5
+    nodes spanning an explicit or inline domain."""
+    if not req.grid_spec:
+        return
+    spec = _parse_axis_spec(req.grid_spec, list(_target_var_names(req.target, req.parameters)))
+    if entry and not req.domain:
+        base = interior_grid(chart.domain)
+    else:
+        base = [[lo, hi, 5] for lo, hi in (req.domain or chart.domain)]
+    for idx, (lo, hi, n) in spec.items():
+        base[idx] = [lo, hi, n if n else 5]
+    req.grid = base
+    req.grid_spec = None
 
 
 def _build_target(req: VerifyRequest):
-    """Returns (chart, entry_or_None)."""
-    _resolve_specs(req)
+    """Returns (chart, entry_or_None), with the request's axis specs resolved."""
+    _resolve_domain_spec(req)
+    chart, entry = _build_chart(req)
+    _resolve_grid_spec(req, chart, entry)
+    return chart, entry
+
+
+def _build_chart(req: VerifyRequest):
     if _is_inline(req.target):
         exprs = _inline_exprs(req.target)
         names = _target_var_names(req.target, req.parameters)

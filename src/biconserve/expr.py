@@ -158,45 +158,41 @@ def _check_node(node: Expr, vals):
         raise _named(node, e) from None
 
 
-def _eval(node: Expr, vars_: list[Jet], bank, memo: dict) -> Jet:
-    key = id(node)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
+def _eval(node: Expr, vars_: list[Jet], bank) -> Jet:
     if isinstance(node, Const):
         v = vars_[0]
         out = Jet.constant(v.space, v.order, np.full(v.c.shape[1:], node.value))
     elif isinstance(node, Var):
         out = vars_[node.index]
     elif isinstance(node, Add):
-        out = _eval(node.a, vars_, bank, memo) + _eval(node.b, vars_, bank, memo)
+        out = _eval(node.a, vars_, bank) + _eval(node.b, vars_, bank)
     elif isinstance(node, Sub):
-        out = _eval(node.a, vars_, bank, memo) - _eval(node.b, vars_, bank, memo)
+        out = _eval(node.a, vars_, bank) - _eval(node.b, vars_, bank)
     elif isinstance(node, Mul):
-        out = _eval(node.a, vars_, bank, memo) * _eval(node.b, vars_, bank, memo)
+        out = _eval(node.a, vars_, bank) * _eval(node.b, vars_, bank)
     elif isinstance(node, Div):
-        den = _eval(node.b, vars_, bank, memo)
+        den = _eval(node.b, vars_, bank)
         try:
-            out = _eval(node.a, vars_, bank, memo) / den
+            out = _eval(node.a, vars_, bank) / den
         except DomainError as e:
             raise _named(node, e) from None
     elif isinstance(node, Neg):
-        out = -_eval(node.a, vars_, bank, memo)
+        out = -_eval(node.a, vars_, bank)
     elif isinstance(node, Pow):
         try:
-            out = _jetops.powr(_eval(node.a, vars_, bank, memo), node.exponent)
+            out = _jetops.powr(_eval(node.a, vars_, bank), node.exponent)
             check_finite(out.c[0])
         except DomainError as e:
             raise _named(node, e) from None
     elif isinstance(node, Call):
         try:
-            out = _UNARY[node.fn](_eval(node.a, vars_, bank, memo))
+            out = _UNARY[node.fn](_eval(node.a, vars_, bank))
         except DomainError as e:
             raise _named(node, e) from None
     elif isinstance(node, ProfileCall):
         if bank is None or node.name not in bank:
             raise ContractViolation(f"unknown profile function '{node.name}'")
-        u = _eval(node.a, vars_, bank, memo)
+        u = _eval(node.a, vars_, bank)
         dvals = bank[node.name].derivs(u.value, u.order)
         try:
             out = u.compose(dvals)
@@ -204,7 +200,6 @@ def _eval(node: Expr, vars_: list[Jet], bank, memo: dict) -> Jet:
             raise _named(node, e) from None
     else:
         raise ContractViolation(f"unknown node type {type(node)!r}")
-    memo[key] = out
     return out
 
 
@@ -223,7 +218,7 @@ def jet_eval(expr: Expr, point, order: int, profile_bank=None) -> Jet:
     if not (0 <= order <= space.max_order):
         raise ContractViolation(f"order {order} outside supported range")
     vars_ = [Jet.variable(space, order, i, point[..., i]) for i in range(space.nvars)]
-    out = _eval(expr, vars_, profile_bank, {})
+    out = _eval(expr, vars_, profile_bank)
     _check_node(expr, out.c[0])
     return out
 
@@ -262,39 +257,35 @@ def _powr_values(u: np.ndarray, p: float) -> np.ndarray:
     return np.power(u, p)
 
 
-def _eval_arrays(node: Expr, points: np.ndarray, bank, memo: dict) -> np.ndarray:
+def _eval_arrays(node: Expr, points: np.ndarray, bank) -> np.ndarray:
     # mirrors _eval: the same evaluation order and the same error wrapping
-    key = id(node)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
     if isinstance(node, Const):
         out = np.full(len(points), node.value)
     elif isinstance(node, Var):
         out = points[:, node.index]
     elif isinstance(node, Add):
-        out = _eval_arrays(node.a, points, bank, memo) + _eval_arrays(node.b, points, bank, memo)
+        out = _eval_arrays(node.a, points, bank) + _eval_arrays(node.b, points, bank)
     elif isinstance(node, Sub):
-        out = _eval_arrays(node.a, points, bank, memo) - _eval_arrays(node.b, points, bank, memo)
+        out = _eval_arrays(node.a, points, bank) - _eval_arrays(node.b, points, bank)
     elif isinstance(node, Mul):
-        out = _eval_arrays(node.a, points, bank, memo) * _eval_arrays(node.b, points, bank, memo)
+        out = _eval_arrays(node.a, points, bank) * _eval_arrays(node.b, points, bank)
     elif isinstance(node, Div):
-        den = _eval_arrays(node.b, points, bank, memo)
+        den = _eval_arrays(node.b, points, bank)
         try:
-            out = _eval_arrays(node.a, points, bank, memo) * _reciprocal(den)
+            out = _eval_arrays(node.a, points, bank) * _reciprocal(den)
         except DomainError as e:
             raise _named(node, e) from None
     elif isinstance(node, Neg):
-        out = -_eval_arrays(node.a, points, bank, memo)
+        out = -_eval_arrays(node.a, points, bank)
     elif isinstance(node, Pow):
         try:
-            out = _powr_values(_eval_arrays(node.a, points, bank, memo), node.exponent)
+            out = _powr_values(_eval_arrays(node.a, points, bank), node.exponent)
             check_finite(out)
         except DomainError as e:
             raise _named(node, e) from None
     elif isinstance(node, Call):
         try:
-            u = _eval_arrays(node.a, points, bank, memo)
+            u = _eval_arrays(node.a, points, bank)
             out = _powr_values(u, 0.5) if node.fn == "sqrt" else _UFUNC[node.fn](u)
             check_finite(out)
         except DomainError as e:
@@ -302,11 +293,10 @@ def _eval_arrays(node: Expr, points: np.ndarray, bank, memo: dict) -> np.ndarray
     elif isinstance(node, ProfileCall):
         if bank is None or node.name not in bank:
             raise ContractViolation(f"unknown profile function '{node.name}'")
-        u = _eval_arrays(node.a, points, bank, memo)
+        u = _eval_arrays(node.a, points, bank)
         out = np.asarray(bank[node.name].values(u), dtype=float)
     else:
         raise ContractViolation(f"unknown node type {type(node)!r}")
-    memo[key] = out
     return out
 
 
@@ -323,7 +313,7 @@ def eval_values(expr: Expr, points, profile_bank=None) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ContractViolation(f"points must be a (P, n) array, got shape {points.shape}")
-    out = np.array(_eval_arrays(expr, points, profile_bank, {}))
+    out = np.array(_eval_arrays(expr, points, profile_bank))
     _check_node(expr, out)
     return out
 

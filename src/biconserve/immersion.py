@@ -3,11 +3,14 @@
 The whole pipeline runs in jet arithmetic: chart components are expanded to
 order-3 jets, so the induced metric, normal, shape operator and mean
 curvature come out as jets themselves and the gradient of H is read off a
-first-order jet instead of being re-differenced.  ``packet`` evaluates one
-point or a block of points at once: the jets carry a trailing point axis,
-and the packet's arrays and the residual operations a leading one.  The
-independent oracle, packet_fd, uses no jets: nested central differences of
-chart values computed by array evaluation (expr.eval_values).
+first-order jet instead of being re-differenced.  ``packet`` (codimension
+1) and ``submanifold_packet`` (any codimension) evaluate one point or a
+block of points at once: the jets carry a trailing point axis, and the
+packets' value arrays and the residual operations a leading one.  Each
+identity residual has one body for both packets; only the terms that
+belong to the codimension differ.  The independent oracle, packet_fd, uses
+no jets: nested central differences of chart values computed by array
+evaluation (expr.eval_values).
 
 All residual norms are Euclidean in the ambient coordinates: an error vector
 with vanishing indefinite self-product must not masquerade as zero.
@@ -70,7 +73,9 @@ class ImmersionChart:
         )
 
     def value(self, p) -> np.ndarray:
-        return np.array([eval_value(c, p, self.profile_bank) for c in self.components])
+        """x(p): (m,) at one point (n,), (P, m) for a block (P, n)."""
+        return np.stack([eval_value(c, p, self.profile_bank) for c in self.components],
+                        axis=-1)
 
 
 @dataclass
@@ -114,18 +119,24 @@ class CurvaturePacket:
 
 @dataclass
 class SubmanifoldPacket:
-    """Reduced first/second fundamental form bundle for codimension > 1."""
+    """First and second fundamental forms of a chart of any codimension, at
+    one point or at each point of a block.
+
+    Built from one point (n,), the arrays have the shapes noted below;
+    built from a block (P, n), every array gains a leading point axis and
+    ``point`` is the (P, n) block.
+    """
 
     point: tuple
-    G: np.ndarray
+    G: np.ndarray               # (n, n)
     G_inv: np.ndarray
-    christoffel: np.ndarray
-    h: np.ndarray           # (n, n, m) normal-part second fundamental form
-    mean_curvature: np.ndarray  # ambient vector, (1/n) G^{ij} h_ij
-    _dx: list = field(repr=False, default=None)
-    _ddx: list = field(repr=False, default=None)
-    _h_jets: list = field(repr=False, default=None)
-    _Gamma_jets: list = field(repr=False, default=None)
+    christoffel: np.ndarray     # (n, n, n): Gamma^k_ij at [k, i, j]
+    dx: np.ndarray              # (n, m): d_i x
+    ddx: np.ndarray             # (n, n, m): d_i d_j x
+    dGamma: np.ndarray          # (n, n, n, n): d_l Gamma^k_ij at [k, i, j, l]
+    h: np.ndarray               # (n, n, m) normal-part second fundamental form
+    dh: np.ndarray              # (n, n, m, n): d_l h_ij^a at [i, j, a, l]
+    mean_curvature: np.ndarray  # (m,) ambient vector, (1/n) G^{ij} h_ij
     _weights: np.ndarray = field(repr=False, default=None)
 
 
@@ -416,18 +427,21 @@ def packet(chart: ImmersionChart, p, flip_normal: bool = False) -> CurvaturePack
 
 
 def submanifold_packet(chart: ImmersionChart, p) -> SubmanifoldPacket:
-    """First/second fundamental form bundle for charts of any codimension."""
+    """First and second fundamental forms of a chart of any codimension.
+
+    ``p`` is one point (n,) or a block of points (P, n), evaluated as
+    ``packet`` evaluates them: one jet pass for the whole block, each point
+    getting the arithmetic it would get alone, unbatched arrays from a
+    one-point call, and a block raising as soon as any of its points fails
+    a metric check.  The normal part of the second derivatives is
+    h_ij = d_i d_j x - Gamma^k_ij d_k x.
+    """
     p = np.asarray(p, dtype=float)
     n = chart.nparams
     m = chart.signature.dim
-    eps = chart.signature.weights
     dx, ddx, G, G0 = _frame_jets(chart, p)
     Gamma_jets = _christoffel_jets(G)
-    Gamma0 = np.array(
-        [[[Gamma_jets[k][i][j].value for j in range(n)] for i in range(n)] for k in range(n)]
-    )
 
-    # normal part of the second derivatives: h_ij = dd_ij x - Gamma^k_ij d_k x
     h_jets = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -439,23 +453,20 @@ def submanifold_packet(chart: ImmersionChart, p) -> SubmanifoldPacket:
                 vec.append(acc)
             h_jets[i][j] = vec
             h_jets[j][i] = vec
-    h0 = np.array(
-        [[[h_jets[i][j][a].value for a in range(m)] for j in range(n)] for i in range(n)]
-    )
+    h0 = _point_first(h_jets)
     G_inv = np.linalg.inv(G0)
-    Hvec = np.einsum("ij,ija->a", G_inv, h0) / n
     return SubmanifoldPacket(
-        point=tuple(p),
+        point=tuple(p) if p.ndim == 1 else p,
         G=G0,
         G_inv=G_inv,
-        christoffel=Gamma0,
+        christoffel=_point_first(Gamma_jets),
+        dx=_point_first(dx),
+        ddx=_point_first(ddx),
+        dGamma=_point_first(Gamma_jets, _gradient),
         h=h0,
-        mean_curvature=Hvec,
-        _dx=dx,
-        _ddx=ddx,
-        _h_jets=h_jets,
-        _Gamma_jets=Gamma_jets,
-        _weights=eps,
+        dh=_point_first(h_jets, _gradient),
+        mean_curvature=np.einsum("...ij,...ija->...a", G_inv, h0) / n,
+        _weights=chart.signature.weights,
     )
 
 
@@ -468,7 +479,7 @@ def submanifold_packet(chart: ImmersionChart, p) -> SubmanifoldPacket:
 
 def _point_axis(pk, *arrays):
     """(one, arrays with a leading point axis) for a one-point or block packet."""
-    one = np.ndim(pk.H) == 0
+    one = np.ndim(pk.G) == 2
     return one, [np.asarray(a)[None] if one else a for a in arrays]
 
 
@@ -535,116 +546,94 @@ def unit_normal_residual(chart: ImmersionChart, p, pk: CurvaturePacket | None = 
     return _result(one, np.abs(np.sum(pk._weights * N * N, axis=-1) - 1.0))
 
 
+def _any_packet(chart: ImmersionChart, p, pk):
+    """``pk``, or the packet of ``p`` for the chart's codimension."""
+    if pk is not None:
+        return pk
+    return packet(chart, p) if chart.codim == 1 else submanifold_packet(chart, p)
+
+
 def beltrami_residual(chart: ImmersionChart, p, pk=None):
-    """Defect of the trace identity: rough Laplacian of x vs n H N.
+    """Defect of the trace identity: Laplacian of x vs n times the mean
+    curvature vector.
 
     The operator here is the analyst's Laplace-Beltrami, for which the
     position vector satisfies lap x = n H N on a hypersurface (the sign
-    convention is fixed once here and tested once).
+    convention is fixed once here and tested once).  ``pk`` is a
+    ``CurvaturePacket`` for a hypersurface and a ``SubmanifoldPacket``
+    otherwise, of one point or of a block.  lap x is computed once; only
+    the vector it is compared with depends on the codimension: n H N, or
+    for codimension > 1 the metric-orthogonal projection of the second
+    derivatives, an independent route to n times the mean curvature vector.
     """
+    pk = _any_packet(chart, p, pk)
+    one, (G_inv, ddx, Gamma, dx) = _point_axis(pk, pk.G_inv, pk.ddx, pk.christoffel, pk.dx)
+    n = G_inv.shape[-1]
+    lap = np.einsum("zij,zija->za", G_inv, ddx) - np.einsum(
+        "zij,zkij,zka->za", G_inv, Gamma, dx
+    )
     if chart.codim == 1:
-        if pk is None:
-            pk = packet(chart, p)
-        one, (G_inv, ddx, Gamma, dx, H, N) = _point_axis(
-            pk, pk.G_inv, pk.ddx, pk.christoffel, pk.dx, pk.H, pk.N.components)
-        n = G_inv.shape[-1]
-        lap = np.einsum("zij,zija->za", G_inv, ddx) - np.einsum(
-            "zij,zkij,zka->za", G_inv, Gamma, dx
-        )
-        return _result(one, np.linalg.norm(lap - n * H[:, None] * N, axis=-1))
-
-    spk = pk if isinstance(pk, SubmanifoldPacket) else submanifold_packet(chart, p)
-    n = len(spk.G)
-    m = len(spk._weights)
-    ddx_val = np.array(
-        [[[spk._ddx[i][j][a].value for a in range(m)] for j in range(n)] for i in range(n)]
-    )
-    dx_val = np.array([[spk._dx[i][a].value for a in range(m)] for i in range(n)])
-    lap = np.einsum("ij,ija->a", spk.G_inv, ddx_val) - np.einsum(
-        "ij,kij,ka->a", spk.G_inv, spk.christoffel, dx_val
-    )
-    # independent route to n * Hvec: metric-orthogonal projection of dd x
-    w = spk._weights
-    inner = np.einsum("ijc,c,lc->ijl", ddx_val, w, dx_val)
-    tangential = np.einsum("kl,ijl,kb->ijb", spk.G_inv, inner, dx_val)
-    Hvec = np.einsum("ij,ijb->b", spk.G_inv, ddx_val - tangential) / n
-    return float(np.linalg.norm(lap - n * Hvec))
-
-
-def _normal_project(xi, G_inv, dx_val, weights):
-    inner = dx_val @ (weights * xi)
-    return xi - (G_inv @ inner) @ dx_val
+        _, (H, N) = _point_axis(pk, pk.H, pk.N.components)
+        target = n * H[:, None] * N
+    else:
+        inner = np.einsum("zijc,c,zlc->zijl", ddx, pk._weights, dx)
+        tangential = np.einsum("zkl,zijl,zkb->zijb", G_inv, inner, dx)
+        Hvec = np.einsum("zij,zijb->zb", G_inv, ddx - tangential) / n
+        target = n * Hvec
+    return _result(one, np.linalg.norm(lap - target, axis=-1))
 
 
 def gauss_codazzi_residual(chart: ImmersionChart, p, pk=None):
-    """Max-norm defects of the two flat-space integrability identities."""
+    """Max-norm defects of the two flat-space integrability identities.
+
+    ``pk`` is as for ``beltrami_residual``.  The curvature tensor is
+    computed once from the Christoffel symbols; the Gauss right-hand side,
+    the scale and the Codazzi tensor are those of the codimension: the
+    shape operator's B for a hypersurface, the normal-valued h otherwise,
+    whose Codazzi defect is projected onto the normal space.  Every term
+    of a curve's identities cancels exactly, so a curve gives (0.0, 0.0).
+    """
+    pk = _any_packet(chart, p, pk)
+    one, (G, Gamma0, dGamma) = _point_axis(pk, pk.G, pk.christoffel, pk.dGamma)
+    # R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_ip Gamma^p_jk - Gamma^l_jp Gamma^p_ik
+    Rup = (
+        np.einsum("zljki->zlijk", dGamma)
+        - np.einsum("zlikj->zlijk", dGamma)
+        + np.einsum("zlip,zpjk->zlijk", Gamma0, Gamma0)
+        - np.einsum("zljp,zpik->zlijk", Gamma0, Gamma0)
+    )
+    Rdown = np.einsum("zlm,zmijk->zijkl", G, Rup)
+
     if chart.codim == 1:
-        if pk is None:
-            pk = packet(chart, p)
-        one, (G, B0, Gamma0, dGamma, dB) = _point_axis(
-            pk, pk.G, pk.B, pk.christoffel, pk.dGamma, pk.dB)
-        # R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_ip Gamma^p_jk - Gamma^l_jp Gamma^p_ik
-        Rup = (
-            np.einsum("zljki->zlijk", dGamma)
-            - np.einsum("zlikj->zlijk", dGamma)
-            + np.einsum("zlip,zpjk->zlijk", Gamma0, Gamma0)
-            - np.einsum("zljp,zpik->zlijk", Gamma0, Gamma0)
-        )
-        Rdown = np.einsum("zlm,zmijk->zijkl", G, Rup)
+        _, (B0, dB) = _point_axis(pk, pk.B, pk.dB)
         gauss_rhs = np.einsum("zjk,zil->zijkl", B0, B0) - np.einsum("zik,zjl->zijkl", B0, B0)
         scale = (1.0 + np.max(np.abs(B0), axis=(1, 2))) ** 2
-        r_gauss = np.max(np.abs(Rdown - gauss_rhs), axis=(1, 2, 3, 4)) / scale
-
         # nabla_i B_jk = d_i B_jk - Gamma^m_ij B_mk - Gamma^m_ik B_jm
         covB = (
             np.einsum("zjki->zijk", dB)
             - np.einsum("zmij,zmk->zijk", Gamma0, B0)
             - np.einsum("zmik,zjm->zijk", Gamma0, B0)
         )
-        r_codazzi = np.max(np.abs(covB - np.einsum("zijk->zjik", covB)), axis=(1, 2, 3)) / scale
-        return _result(one, r_gauss), _result(one, r_codazzi)
-
-    spk = pk if isinstance(pk, SubmanifoldPacket) else submanifold_packet(chart, p)
-    n = len(spk.G)
-    m = len(spk._weights)
-    if n < 2:
-        return 0.0, 0.0
-    dGamma = np.array(
-        [[[spk._Gamma_jets[k][i][j].gradient() for j in range(n)] for i in range(n)] for k in range(n)]
-    )
-    Gamma0 = spk.christoffel
-    Rup = (
-        np.einsum("ljki->lijk", dGamma)
-        - np.einsum("likj->lijk", dGamma)
-        + np.einsum("lip,pjk->lijk", Gamma0, Gamma0)
-        - np.einsum("ljp,pik->lijk", Gamma0, Gamma0)
-    )
-    Rdown = np.einsum("lm,mijk->ijkl", spk.G, Rup)
-    w = spk._weights
-    h0 = spk.h
-    hh = np.einsum("ija,a,kla->ijkl", h0, w, h0)  # <h_ij, h_kl>
-    gauss_rhs = np.einsum("jkil->ijkl", hh) - np.einsum("ikjl->ijkl", hh)
-    hmax = max(float(np.max(np.linalg.norm(h0, axis=2))), 0.0)
-    scale = (1.0 + hmax) ** 2
-    r_gauss = float(np.max(np.abs(Rdown - gauss_rhs))) / scale
-
-    dx_val = np.array([[spk._dx[i][a].value for a in range(m)] for i in range(n)])
-    dh = np.array(
-        [[[spk._h_jets[i][j][a].gradient() for a in range(m)] for j in range(n)] for i in range(n)]
-    )  # dh[j][k][a][i] = d_i h_jk^a
-    Dh = (
-        np.einsum("jkai->ijka", dh)
-        - np.einsum("mij,mka->ijka", Gamma0, h0)
-        - np.einsum("mik,jma->ijka", Gamma0, h0)
-    )
-    r_codazzi = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                diff = Dh[i, j, k] - Dh[j, i, k]
-                perp = _normal_project(diff, spk.G_inv, dx_val, w)
-                r_codazzi = max(r_codazzi, float(np.linalg.norm(perp)))
-    return r_gauss, r_codazzi / scale
+        r_codazzi = np.max(np.abs(covB - np.einsum("zijk->zjik", covB)), axis=(1, 2, 3))
+    else:
+        _, (G_inv, dx, h0, dh) = _point_axis(pk, pk.G_inv, pk.dx, pk.h, pk.dh)
+        w = pk._weights
+        hh = np.einsum("zija,a,zkla->zijkl", h0, w, h0)  # <h_ij, h_kl>
+        gauss_rhs = np.einsum("zjkil->zijkl", hh) - np.einsum("zikjl->zijkl", hh)
+        scale = (1.0 + np.max(np.linalg.norm(h0, axis=-1), axis=(1, 2))) ** 2
+        # nabla_i h_jk = d_i h_jk - Gamma^m_ij h_mk - Gamma^m_ik h_jm; the normal
+        # part of its skew part in (i, j) must vanish
+        Dh = (
+            np.einsum("zjkai->zijka", dh)
+            - np.einsum("zmij,zmka->zijka", Gamma0, h0)
+            - np.einsum("zmik,zjma->zijka", Gamma0, h0)
+        )
+        diff = Dh - np.einsum("zijka->zjika", Dh)
+        inner = np.einsum("zla,a,zijka->zijkl", dx, w, diff)
+        perp = diff - np.einsum("zml,zijkl,zmb->zijkb", G_inv, inner, dx)
+        r_codazzi = np.max(np.linalg.norm(perp, axis=-1), axis=(1, 2, 3))
+    r_gauss = np.max(np.abs(Rdown - gauss_rhs), axis=(1, 2, 3, 4)) / scale
+    return _result(one, r_gauss), _result(one, r_codazzi / scale)
 
 
 # -- finite-difference oracle route ---------------------------------------

@@ -58,18 +58,26 @@ def characteristic_quartic(S: np.ndarray) -> np.ndarray:
 
 
 def _quartic_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Companion-matrix eigenvalues polished by two Newton steps."""
+    """Companion-matrix eigenvalues polished by two Newton steps.
+
+    A step is kept only where it lowers |p|: near a multiple root p' is
+    rounding noise, and an unguarded step can throw the root far off.
+    """
     c = np.asarray(coeffs, dtype=float)
     comp = np.zeros((4, 4))
     comp[1:, :3] = np.eye(3)
     comp[:, 3] = -c[1:][::-1]
     roots = np.linalg.eigvals(comp.T)
     dcoef = np.polyder(c)
+    pv = np.polyval(c, roots)
     for _ in range(2):
-        pv = np.polyval(c, roots)
         dv = np.polyval(dcoef, roots)
         safe = np.abs(dv) > 1e-300
-        roots = np.where(safe, roots - pv / np.where(safe, dv, 1.0), roots)
+        step = np.where(safe, roots - pv / np.where(safe, dv, 1.0), roots)
+        pstep = np.polyval(c, step)
+        better = np.abs(pstep) < np.abs(pv)
+        roots = np.where(better, step, roots)
+        pv = np.where(better, pstep, pv)
     return roots
 
 

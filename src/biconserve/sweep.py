@@ -1,9 +1,11 @@
 """Grid sweeps: evaluate verification checks over a parameter grid.
 
-Rows are produced in lexicographic grid order (last axis fastest).  A
-hypersurface grid is evaluated in blocks of at most BLOCK points: one
-``packet`` call and one pass of each residual per block, the points being
-an axis of the arrays.  Only the spectral classification, and the
+Rows are produced in lexicographic grid order (last axis fastest).  Every
+grid is evaluated in blocks of at most BLOCK points: one packet call
+(``packet`` for a hypersurface, ``submanifold_packet`` for a chart of
+higher codimension, which answers only LOWDIM_CHECKS and whose rows carry
+no H) and one pass of each residual per block, the points being an axis
+of the arrays.  Only the spectral classification, and the
 finite-difference oracle when selected, still run point by point.  A block
 that raises a BiconserveError is bisected down to single points, so every
 point gets its own error and message and the others keep their results.
@@ -91,25 +93,11 @@ def _error(exc: BiconserveError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _lowdim_row(chart: ImmersionChart, p, checks) -> PointRow:
-    row = PointRow(point=plain_point(p))
-    try:
-        spk = submanifold_packet(chart, p)
-        if "beltrami" in checks:
-            row.values["beltrami"] = beltrami_residual(chart, p, spk)
-        if "gauss" in checks or "codazzi" in checks:
-            g, c = gauss_codazzi_residual(chart, p, spk)
-            row.values["gauss"] = g
-            row.values["codazzi"] = c
-    except BiconserveError as exc:
-        row.error = _error(exc)
-    return row
-
-
 def _block_rows(chart: ImmersionChart, pts: np.ndarray, checks, oracle: str) -> list:
     """Rows of one block of points (P, n); a failing block is bisected."""
+    hyper = chart.codim == 1
     try:
-        pk = packet(chart, pts)
+        pk = packet(chart, pts) if hyper else submanifold_packet(chart, pts)
     except BiconserveError as exc:
         if len(pts) == 1:
             return [PointRow(point=plain_point(pts[0]), error=_error(exc))]
@@ -129,11 +117,13 @@ def _block_rows(chart: ImmersionChart, pts: np.ndarray, checks, oracle: str) -> 
         block["biconservative"] = biconservative_residual(chart, pts, pk)
     if not fd and "principal_direction" in checks:
         block["principal_direction"] = principal_direction_check(chart, pts, pk)
-    cmc = pk.is_cmc_point
+    cmc = pk.is_cmc_point if hyper else None
 
     rows = []
     for k, p in enumerate(pts):
-        row = PointRow(point=plain_point(p), H=float(pk.H[k]), cmc=bool(cmc[k]))
+        row = PointRow(point=plain_point(p))
+        if hyper:
+            row.H, row.cmc = float(pk.H[k]), bool(cmc[k])
         row.values = {name: float(v[k]) for name, v in block.items()
                       if not (name == "principal_direction" and row.cmc)}
         try:
@@ -175,7 +165,7 @@ def _spectral_values(chart: ImmersionChart, S: np.ndarray, G: np.ndarray, row: P
 
 def _rows(chart: ImmersionChart, points: np.ndarray, checks, oracle: str) -> list:
     if chart.codim != 1:
-        return [_lowdim_row(chart, p, checks) for p in points]
+        checks = tuple(c for c in checks if c in LOWDIM_CHECKS)
     rows = []
     for start in range(0, len(points), BLOCK):
         rows.extend(_block_rows(chart, points[start:start + BLOCK], checks, oracle))
@@ -190,8 +180,8 @@ def sweep(chart: ImmersionChart, points: np.ndarray, checks, oracle: str = "jets
           jobs: int = 1):
     """One PointRow per point of ``points`` (P, n), in order.
 
-    Hypersurface points are evaluated in blocks of at most BLOCK points (see
-    the module docstring); ``jobs`` > 1 splits the points over a process pool.
+    Points are evaluated in blocks of at most BLOCK points (see the module
+    docstring); ``jobs`` > 1 splits the points over a process pool.
     """
     checks = tuple(checks)
     points = np.asarray(points, dtype=float)

@@ -1,6 +1,7 @@
 """Block evaluation: a grid evaluated in blocks of points gives the rows,
-values and errors of the one-point route, for every catalog hypersurface,
-for failing points inside a block, for any block size and worker count."""
+values and errors of the one-point route, for every catalog chart of any
+codimension, for failing points inside a block, for any block size and
+worker count."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from biconserve.errors import BiconserveError
 from biconserve.expr import jet_eval, parse
 from biconserve.immersion import (ImmersionChart, beltrami_residual, biconservative_residual,
                                   gauss_codazzi_residual, packet, principal_direction_check,
-                                  unit_normal_residual)
+                                  submanifold_packet, unit_normal_residual)
 from biconserve.profiles import solve_psi
 from biconserve.sweep import BLOCK, HYPERSURFACE_CHECKS, grid_points, random_points, sweep
 
@@ -33,6 +34,8 @@ def _charts():
 
 
 CHARTS = _charts()
+LOWDIM = [(key, build(FamilySpec(*key.split(".")))) for key in all_keys()
+          if CATALOG[key].kind != "hypersurface"]
 
 
 def _rel_close(a, b, rel=1e-13):
@@ -56,7 +59,7 @@ def one_point_rows(chart, pts, checks, oracle="jets"):
     return [sweep(chart, pts[k:k + 1], checks, oracle=oracle)[0] for k in range(len(pts))]
 
 
-@pytest.mark.parametrize("name, chart", CHARTS, ids=[name for name, _ in CHARTS])
+@pytest.mark.parametrize("name, chart", CHARTS + LOWDIM, ids=[name for name, _ in CHARTS + LOWDIM])
 def test_block_rows_match_the_one_point_route(name, chart):
     pts = random_points(chart.domain, 12, 7)
     checks = HYPERSURFACE_CHECKS
@@ -84,6 +87,40 @@ def test_block_packet_is_the_one_point_packet_at_each_point(name, chart):
         pd = principal_direction_check(chart, p, one)
         pd_block = principal_direction_check(chart, pts, pk)[k]
         assert (pd is None and np.isnan(pd_block)) or pd == pd_block
+
+
+@pytest.mark.parametrize("name, chart", LOWDIM, ids=[name for name, _ in LOWDIM])
+def test_block_submanifold_packet_is_the_one_point_packet_at_each_point(name, chart):
+    pts = random_points(chart.domain, 6, 3)
+    spk = submanifold_packet(chart, pts)
+    gauss, codazzi = gauss_codazzi_residual(chart, pts, spk)
+    beltrami = beltrami_residual(chart, pts, spk)
+    for k, p in enumerate(pts):
+        one = submanifold_packet(chart, p)
+        for field in ("G", "G_inv", "christoffel", "dx", "ddx", "dGamma", "h", "dh",
+                      "mean_curvature"):
+            assert getattr(one, field).shape == getattr(spk, field).shape[1:], field
+            assert np.array_equal(getattr(one, field), getattr(spk, field)[k]), field
+        assert beltrami_residual(chart, p, one) == beltrami[k]
+        assert gauss_codazzi_residual(chart, p, one) == (gauss[k], codazzi[k])
+
+
+def test_degenerate_line_inside_a_surface_block_is_bisected():
+    # d_u x = 3 u^2 e_3 vanishes on u = 0
+    chart = ImmersionChart(components=tuple(parse(e, ("t", "u")) for e in
+                                            ("0", "0", "t", "u^3", "0")),
+                           domain=((-0.5, 0.5),) * 2, expected_index=0, name="cusp")
+    pts = grid_points(chart.domain, [4, 5])
+    rows = sweep(chart, pts, HYPERSURFACE_CHECKS)
+    assert [r.error.split(":")[0] for r in rows] == ["", "", "DegenerateMetric", "", ""] * 4
+    assert all(set(r.values) == {"beltrami", "gauss", "codazzi"} for r in rows if not r.error)
+    assert all(r.H is None and not r.cmc for r in rows)
+    assert_same_rows(rows, one_point_rows(chart, pts, HYPERSURFACE_CHECKS))
+    for r in rows:
+        if r.error:
+            with pytest.raises(BiconserveError) as err:
+                submanifold_packet(chart, np.array(r.point))
+            assert r.error == f"{type(err.value).__name__}: {err.value}"
 
 
 def _straddling_chart():

@@ -12,7 +12,8 @@ from biconserve.catalog import (CATALOG, FamilySpec, all_keys, build, build_rema
                                 list_entries, verify_structure)
 from biconserve.cli import VerifyRequest, run_verify
 from biconserve.errors import ConstraintError, ContractViolation, DomainError
-from biconserve.immersion import packet, principal_direction_check
+from biconserve.expr import parse
+from biconserve.immersion import ImmersionChart, packet, principal_direction_check
 from biconserve.spectral import CLUSTER_TOL, eigen_structure
 from biconserve.sweep import interior_grid
 
@@ -272,3 +273,13 @@ def test_remark42_five_parameters_structure(offsets, distinct):
     rep = verify_structure(spec, nodes_per_axis=2)
     assert rep.family_ok is distinct and rep.index_ok
     assert rep.beltrami_max < 1e-7 and rep.gauss_max < 1e-6 and rep.codazzi_max < 1e-6
+
+
+def test_lowdim_notes_print_plain_points():
+    # a circle of radius 1/2 at speed 1/2 breaks the unit-speed claim
+    circle = ImmersionChart(components=tuple(parse(e, ("v",)) for e in
+                                             ("0", "0", "cos(v)/2", "sin(v)/2", "0")),
+                            domain=((-0.8, 0.8),), expected_index=0, name="circle")
+    rep = verify_structure("intcurve.B", 2, chart=circle)
+    assert not rep.family_ok
+    assert rep.notes[0] == "speed +0.250000 != +1 at (-0.704,)"

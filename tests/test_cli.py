@@ -8,7 +8,9 @@ import sys
 
 import pytest
 
+from biconserve.catalog import FamilySpec, build
 from biconserve.cli import VerifyRequest, main, run_verify
+from biconserve.sweep import interior_grid
 
 
 def run(argv):
@@ -294,6 +296,18 @@ def test_rem42_five_parameter_structure(offsets, code, status):
     checks = {c["name"]: c["status"] for c in report["checks"]}
     assert checks.pop("structure") == status
     assert set(checks.values()) == {"pass"}
+    # no 4x4 classification: no label or pattern counts, the curvature range stays
+    spectral = report["spectral"]
+    assert spectral["labels"] == {} and spectral["patterns"] == {}
+    assert spectral["curvature_min"] < spectral["curvature_max"]
+
+
+def test_rem42_partial_grid_fills_the_chart_interior():
+    code, text = run(["verify", "rem42", "--grid", "s=0.7:1.3:2", "--emit-report"])
+    assert code == 0
+    grid = json.loads(text[text.index("{"):])["config"]["grid"]
+    assert grid[0] == [0.7, 1.3, 2]
+    assert grid[1:] == interior_grid(build(FamilySpec("rem42")).domain)[1:]
 
 
 def test_rem42_axis_names_are_the_chart_names():

@@ -254,8 +254,7 @@ def test_surface_packet_mean_curvature():
     g, c = gauss_codazzi_residual(chart, p, spk)
     assert g < 1e-12 and c < 1e-12
     # h is tangent-free
-    m = 5
-    dx = np.array([[spk._dx[i][a].value for a in range(m)] for i in range(2)])
+    dx = spk.dx
     for i in range(2):
         for j in range(2):
             for k in range(2):

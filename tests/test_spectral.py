@@ -4,7 +4,9 @@ forms under random frame changes, and the refusal behavior near ambiguity."""
 import numpy as np
 import pytest
 
+from biconserve.catalog import FamilySpec, build
 from biconserve.errors import ContractViolation
+from biconserve.immersion import packet
 from biconserve.spectral import (canonical_pair, characteristic_quartic,
                                  classify_case, conjugated_pair, eigen_structure)
 
@@ -137,3 +139,13 @@ def test_classify_case_totals_must_be_four():
 
     spec = ShapeSpectrum([(1.0, 2, 2)], [], "", 1e-6)
     assert classify_case(spec)[0] == "unresolved"
+
+
+def test_double_root_is_not_thrown_off_by_a_newton_step():
+    # the companion matrix finds the double root with p and p' both at
+    # rounding level; a Newton step from there would land far away
+    pk = packet(build(FamilySpec("thm3", "viii")), (0.876, 0.0, 0.0, 0.0))
+    spec = eigen_structure(pk.S, pk.G)
+    assert (spec.case_label, spec.pattern) == ("I", "2+1+1")
+    got = sorted(v for v, alg, _ in spec.real_eigenvalues for _ in range(alg))
+    assert np.allclose(got, np.sort(np.linalg.eigvals(pk.S).real), rtol=0, atol=1e-9)
