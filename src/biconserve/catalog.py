@@ -558,8 +558,11 @@ def structure_verdict(entry: CatalogEntry | None, rows) -> tuple:
             row_ok, note = False, f"unresolved spectrum at {_at(r.point)}"
         elif r.spectrum is not None:
             row_ok, note = pattern_matches(tag, r.spectrum)
+            if not (row_ok or note):
+                note = f"pattern {r.pattern}, expected {tag} at {_at(r.point)}"
         else:
-            row_ok, note = tag == "all-distinct" and _all_distinct(r.curvatures), ""
+            row_ok = tag == "all-distinct" and _all_distinct(r.curvatures)
+            note = "" if row_ok else f"curvatures not {tag} at {_at(r.point)}"
         if note:
             notes.append(note)
         ok = ok and row_ok

@@ -13,6 +13,20 @@ its (m-1)-th derivative, so candidate groups are polished there and accepted
 only if all lower derivatives of the quartic vanish to the coefficient noise
 floor.  Raw clustering alone cannot tell a defective double root (numerical
 split ~ sqrt(eps)) from a genuine tight pair; the derivative test can.
+
+Blocks.  ``eigen_structure`` takes one operator, S and G of shape (4, 4),
+and returns a ShapeSpectrum; or a block, (P, 4, 4), and returns a
+SpectrumBlock: a tuple of the P spectra, each equal field by field to the
+one-point result, whose ``case_label`` and ``pattern`` are tuples of the
+per-point values.  One operator is the P = 1 block.  A block is classified
+in one array pass: the self-adjointness check, the quartic coefficients,
+the companion eigenvalues and their polish, the imaginary-part and pairing
+bands, the separation of real clusters and the rank test are array
+operations over the points.  Only a point with two roots within the snap
+radius goes through the per-point multiplicity test (``_settle``).  One
+operator that is not metric-self-adjoint fails its whole block with
+ContractViolation; a caller that wants the other points classified calls
+again point by point.
 """
 
 from __future__ import annotations
@@ -26,6 +40,7 @@ from .errors import ContractViolation
 CLUSTER_TOL = 1e-6
 _EPS = np.finfo(float).eps
 _ETA = 3e3 * _EPS  # verified-multiplicity noise floor multiplier
+_PAIRS = np.triu_indices(4, 1)  # the six (i, j), i < j, of four roots
 
 
 @dataclass
@@ -41,44 +56,84 @@ class ShapeSpectrum:
         return np.array([v for v, _, _ in self.real_eigenvalues])
 
 
+class SpectrumBlock(tuple):
+    """The ShapeSpectrum of every point of a block, in order."""
+
+    @property
+    def case_label(self) -> tuple:
+        return tuple(s.case_label for s in self)
+
+    @property
+    def pattern(self) -> tuple:
+        return tuple(s.pattern for s in self)
+
+
 def characteristic_quartic(S: np.ndarray) -> np.ndarray:
-    """Monic coefficients of det(lambda I - S) from trace power sums."""
+    """Monic coefficients of det(lambda I - S) from trace power sums: (5,)
+    for one operator (4, 4), (P, 5) for a block (P, 4, 4)."""
     S = np.asarray(S, dtype=float)
-    p1 = np.trace(S)
+
+    def trace(M):
+        return np.trace(M, axis1=-2, axis2=-1)
+
+    p1 = trace(S)
     S2 = S @ S
-    p2 = np.trace(S2)
+    p2 = trace(S2)
     S3 = S2 @ S
-    p3 = np.trace(S3)
-    p4 = np.trace(S3 @ S)
+    p3 = trace(S3)
+    p4 = trace(S3 @ S)
     e1 = p1
     e2 = (e1 * p1 - p2) / 2.0
     e3 = (p3 - e1 * p2 + e2 * p1) / 3.0
     e4 = (e1 * p3 - e2 * p2 + e3 * p1 - p4) / 4.0
-    return np.array([1.0, -e1, e2, -e3, e4])
+    return np.stack([np.ones_like(e1), -e1, e2, -e3, e4], axis=-1)
 
 
-def _quartic_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Companion-matrix eigenvalues polished by two Newton steps.
+def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.polyval`` with one coefficient row per point: c (P, m), x (P, k)."""
+    y = np.zeros_like(x)
+    for j in range(c.shape[-1]):
+        y = y * x + c[:, j, None]
+    return y
+
+
+def _polish(c: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Two Newton steps on the roots (P, 4) of the quartics c (P, 5).
 
     A step is kept only where it lowers |p|: near a multiple root p' is
     rounding noise, and an unguarded step can throw the root far off.
     """
-    c = np.asarray(coeffs, dtype=float)
-    comp = np.zeros((4, 4))
-    comp[1:, :3] = np.eye(3)
-    comp[:, 3] = -c[1:][::-1]
-    roots = np.linalg.eigvals(comp.T)
-    dcoef = np.polyder(c)
-    pv = np.polyval(c, roots)
+    dc = c[:, :-1] * np.arange(4, 0, -1)
+    pv = _horner(c, roots)
     for _ in range(2):
-        dv = np.polyval(dcoef, roots)
+        dv = _horner(dc, roots)
         safe = np.abs(dv) > 1e-300
         step = np.where(safe, roots - pv / np.where(safe, dv, 1.0), roots)
-        pstep = np.polyval(c, step)
+        pstep = _horner(c, step)
         better = np.abs(pstep) < np.abs(pv)
         roots = np.where(better, step, roots)
         pv = np.where(better, pstep, pv)
     return roots
+
+
+def _quartic_roots(coeffs: np.ndarray) -> tuple:
+    """Companion-matrix eigenvalues of the quartics (P, 5), polished: the
+    roots (P, 4, complex) and whether each point's roots are real (P,).
+
+    A point whose companion eigenvalues are all real is polished in real
+    arithmetic, one with a complex pair in complex arithmetic, whatever
+    the other points of its block hold.
+    """
+    comp = np.zeros((len(coeffs), 4, 4))
+    comp[:, 1:, :3] = np.eye(3)
+    comp[:, :, 3] = -coeffs[:, 1:][:, ::-1]
+    eig = np.linalg.eigvals(np.swapaxes(comp, 1, 2))
+    real = np.all(eig.imag == 0, axis=1)
+    roots = eig.astype(complex)
+    for rows, start in ((real, eig.real), (~real, roots)):
+        if rows.any():
+            roots[rows] = _polish(coeffs[rows], start[rows])
+    return roots, real
 
 
 def _poly_floor(coeffs: np.ndarray, z: complex) -> float:
@@ -145,76 +200,114 @@ def _settle(coeffs, group, thresh):
     return _settle(coeffs, ordered[:cut], thresh) + _settle(coeffs, ordered[cut:], thresh)
 
 
-def eigen_structure(S: np.ndarray, G: np.ndarray, tol: float = CLUSTER_TOL) -> ShapeSpectrum:
-    """Root structure, multiplicities and case label of a G-self-adjoint S."""
+def _root_items(coeffs, roots, real, snap_radius, thresh) -> tuple:
+    """Verified root items in slot form, (P, 4) each: every root slot holds
+    the center of its item, and the item's first slot its multiplicity
+    (the other slots 0).
+
+    A point whose roots are all farther apart than its snap radius has four
+    simple items, the roots themselves.  Only a point with a candidate
+    cluster is grouped and settled one point at a time.  ``np.hypot`` is
+    the scalar ``abs`` of a complex number, so the pair test agrees with
+    the grouping in ``_groups_within``.
+    """
+    centers = roots.copy()
+    mults = np.ones(roots.shape, dtype=int)
+    d = roots[:, _PAIRS[0]] - roots[:, _PAIRS[1]]
+    near = np.any(np.hypot(d.real, d.imag) <= snap_radius[:, None], axis=1)
+    for k in np.flatnonzero(near):
+        slot = 0
+        mults[k] = 0
+        group_roots = roots[k].real if real[k] else roots[k]
+        for group in _groups_within(list(group_roots), float(snap_radius[k])):
+            for z, m in _settle(coeffs[k], group, float(thresh[k])):
+                centers[k, slot:slot + m] = complex(z)
+                mults[k, slot] = m
+                slot += m
+    return centers, mults
+
+
+def eigen_structure(S: np.ndarray, G: np.ndarray, tol: float = CLUSTER_TOL):
+    """Root structure, multiplicities and case label of a G-self-adjoint S:
+    a ShapeSpectrum for one operator (4, 4), a SpectrumBlock for a block
+    (P, 4, 4) (see the module docstring)."""
     S = np.asarray(S, dtype=float)
     G = np.asarray(G, dtype=float)
-    if S.shape != (4, 4) or G.shape != (4, 4):
+    if S.ndim not in (2, 3) or S.shape[-2:] != (4, 4) or G.shape != S.shape:
         raise ContractViolation("eigen_structure expects 4x4 arrays")
+    one = S.ndim == 2
+    if one:
+        S, G = S[None], G[None]
     gs = G @ S
-    scale_s = 1.0 + float(np.max(np.abs(gs)))
-    if float(np.max(np.abs(gs - gs.T))) > 1e-8 * scale_s:
+    scale_s = 1.0 + np.max(np.abs(gs), axis=(1, 2))
+    if np.any(np.max(np.abs(gs - np.swapaxes(gs, 1, 2)), axis=(1, 2)) > 1e-8 * scale_s):
         raise ContractViolation("operator is not metric-self-adjoint")
 
     coeffs = characteristic_quartic(S)
-    roots = _quartic_roots(coeffs)
-    scale = 1.0 + float(np.max(np.abs(roots)))
+    roots, real = _quartic_roots(coeffs)
+    scale = 1.0 + np.max(np.abs(roots), axis=1)
     thresh = tol * scale
-    unresolved = ShapeSpectrum([], [], "unresolved", tol)
-
     # wide enough to catch a defective triple splitting by (backward err)^(1/3);
     # genuine structure swept in by the radius is rejected by the derivative
     # test in _settle and falls back to individual roots
     snap_radius = max(100.0 * tol, 2e-3) * scale
-    items = []
-    for group in _groups_within(list(roots), snap_radius):
-        items.extend(_settle(coeffs, group, thresh))
+    centers, mults = _root_items(coeffs, roots, real, snap_radius, thresh)
 
-    real_items, complex_items = [], []
-    for z, mult in items:
-        z = complex(z)
-        if abs(z.imag) <= thresh:
-            real_items.append((float(z.real), int(mult)))
-        elif abs(z.imag) < 10.0 * thresh:
-            return unresolved  # ambiguous rotation band
-        else:
-            complex_items.append((z, int(mult)))
-
-    # conjugate pairing of the complex items
-    pairs = []
-    ups = sorted((z for z, m_ in complex_items for _ in range(m_) if z.imag > 0),
-                 key=lambda z: (z.real, z.imag))
-    downs = sorted((z.conjugate() for z, m_ in complex_items for _ in range(m_) if z.imag < 0),
-                   key=lambda z: (z.real, z.imag))
-    if len(ups) != len(downs):
-        return unresolved
-    for a, b in zip(ups, downs):
-        if abs(a - b) > 10.0 * thresh:
-            return unresolved
-        pairs.append((float(a.real + b.real) / 2.0, float(a.imag + b.imag) / 2.0))
-
-    # distinct real clusters must be separated by the full guard band
-    real_items.sort()
-    for (va, _), (vb, _) in zip(real_items[:-1], real_items[1:]):
-        if vb - va < 10.0 * thresh:
-            return unresolved
+    # refused: a root in the ambiguous rotation band, ...
+    band = 10.0 * thresh[:, None]
+    im = centers.imag
+    is_real = np.abs(im) <= thresh[:, None]
+    refused = np.any(~is_real & (np.abs(im) < band), axis=1)
+    # ... complex roots without their conjugates, ...
+    up, down = ~is_real & (im > 0), ~is_real & (im < 0)
+    npairs = np.sum(up, axis=1)
+    refused |= npairs != np.sum(down, axis=1)
+    paired = np.arange(4) < npairs[:, None]
+    ups = np.where(paired, np.sort(np.where(up, centers, np.inf), axis=1), 0.0)
+    downs = np.where(paired, np.sort(np.where(down, centers.conj(), np.inf), axis=1), 0.0)
+    d = ups - downs
+    refused |= np.any(np.hypot(d.real, d.imag) > band, axis=1)
+    # ... or distinct real clusters closer than the full guard band
+    values = np.where(is_real & (mults > 0), centers.real, np.inf)
+    order = np.lexsort((mults, values), axis=1)
+    values = np.take_along_axis(values, order, axis=1)
+    algs = np.take_along_axis(mults, order, axis=1)
+    live = np.isfinite(values)
+    gaps = np.diff(np.where(live, values, 0.0), axis=1)
+    refused |= np.any(live[:, 1:] & (gaps < band), axis=1)
 
     # True kernel directions sit at machine-eps singular values while a
     # neighboring eigenvalue at distance d leaks sigma >= d^2 or so; a
     # sqrt(eps) floor separates the two regimes far better than tol itself.
+    rank_cut = max(np.sqrt(_EPS), 1e-2 * tol) * (1.0 + np.max(np.abs(S), axis=(1, 2)))
+    geos = np.zeros_like(algs)
+    k, j = np.nonzero(live & ~refused[:, None])
+    if len(k):
+        sv = np.linalg.svd(S[k] - values[k, j, None, None] * np.eye(4), compute_uv=False)
+        geos[k, j] = 4 - np.sum(sv > rank_cut[k, None], axis=1)
+
+    block = SpectrumBlock(
+        _spectrum(*args, tol) for args in zip(
+            refused.tolist(), values.tolist(), algs.tolist(), geos.tolist(),
+            ((ups.real + downs.real) / 2.0).tolist(),
+            ((ups.imag + downs.imag) / 2.0).tolist(), npairs.tolist()))
+    return block[0] if one else block
+
+
+def _spectrum(refused, values, algs, geos, pair_re, pair_im, npairs, tol) -> ShapeSpectrum:
+    """One point's ShapeSpectrum from its rows of the block arrays."""
+    if refused:
+        return ShapeSpectrum([], [], "unresolved", tol)
+    pairs = list(zip(pair_re[:npairs], pair_im[:npairs]))
     reals = []
-    rank_cut = max(np.sqrt(_EPS), 1e-2 * tol) * (1.0 + float(np.max(np.abs(S))))
-    for lam, alg in real_items:
-        sv = np.linalg.svd(S - lam * np.eye(4), compute_uv=False)
-        geo = 4 - int(np.sum(sv > rank_cut))
+    for lam, alg, geo in zip(values, algs, geos):
+        if lam == np.inf:
+            break
         if geo < 1 or geo > alg:
             return ShapeSpectrum([(lam, alg, geo)], pairs, "unresolved", tol)
         reals.append((lam, alg, geo))
-
     spec = ShapeSpectrum(reals, pairs, "", tol)
-    label, pattern = classify_case(spec)
-    spec.case_label = label
-    spec.pattern = pattern
+    spec.case_label, spec.pattern = classify_case(spec)
     return spec
 
 

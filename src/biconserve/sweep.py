@@ -5,10 +5,14 @@ grid is evaluated in blocks of at most BLOCK points: one packet call
 (``packet`` for a hypersurface, ``submanifold_packet`` for a chart of
 higher codimension, which answers only LOWDIM_CHECKS and whose rows carry
 no H) and one pass of each residual per block, the points being an axis
-of the arrays.  Only the spectral classification, and the
-finite-difference oracle when selected, still run point by point.  A block
-that raises a BiconserveError is bisected down to single points, so every
-point gets its own error and message and the others keep their results.
+of the arrays.  The spectral classification is one call per block too:
+``eigen_structure`` on the block's shape operators for a 4-parameter
+chart, one stacked ``np.linalg.eigvals`` otherwise.  Only the
+finite-difference oracle, when selected, still runs point by point.  A
+block whose packet raises a BiconserveError is bisected down to single
+points, and a block whose classification raises is classified again point
+by point, so every point gets its own error and message and the others
+keep their results.
 
 Worker pools split the grid into contiguous chunks and results are merged
 back by chunk index.  Each point gets the same arithmetic in any block, so
@@ -29,7 +33,7 @@ from .immersion import (ImmersionChart, beltrami_residual, biconservative_residu
                         biconservative_residual_fd, gauss_codazzi_residual, packet,
                         packet_fd, principal_direction_check, submanifold_packet,
                         unit_normal_residual)
-from .spectral import eigen_structure
+from .spectral import ShapeSpectrum, eigen_structure
 
 # Points per packet block.  It bounds the memory of a block's jets (order-3
 # chart jets are 35 coefficients per point); larger blocks gain little.
@@ -118,6 +122,13 @@ def _block_rows(chart: ImmersionChart, pts: np.ndarray, checks, oracle: str) -> 
     if not fd and "principal_direction" in checks:
         block["principal_direction"] = principal_direction_check(chart, pts, pk)
     cmc = pk.is_cmc_point if hyper else None
+    spectral = hyper and ("structure" in checks or "curvatures" in checks)
+    spectra = None
+    if spectral:
+        try:
+            spectra = _classify(chart, pk.S, pk.G)
+        except (BiconserveError, np.linalg.LinAlgError):
+            pass  # classified point by point below, each row with its own error
 
     rows = []
     for k, p in enumerate(pts):
@@ -129,8 +140,9 @@ def _block_rows(chart: ImmersionChart, pts: np.ndarray, checks, oracle: str) -> 
         try:
             if fd:
                 _fd_values(chart, p, checks, row)
-            if "structure" in checks or "curvatures" in checks:
-                _spectral_values(chart, pk.S[k], pk.G[k], row)
+            if spectral:
+                _spectral_values(spectra[k] if spectra is not None
+                                 else _classify(chart, pk.S[k], pk.G[k]), row)
         except BiconserveError as exc:
             row.error = _error(exc)
         rows.append(row)
@@ -147,20 +159,26 @@ def _fd_values(chart: ImmersionChart, p, checks, row: PointRow):
         row.values["principal_direction"] = principal_direction_check(chart, p, fpk)
 
 
-def _spectral_values(chart: ImmersionChart, S: np.ndarray, G: np.ndarray, row: PointRow):
+def _classify(chart: ImmersionChart, S: np.ndarray, G: np.ndarray):
+    """Spectral results of one point (n, n) or a block (P, n, n): the
+    ShapeSpectrum of a 4-parameter chart, the eigenvalues of any other."""
     if chart.nparams == 4:
-        spec = eigen_structure(S, G)
-        row.label = spec.case_label
-        row.pattern = spec.pattern
-        row.spectrum = spec
+        return eigen_structure(S, G)
+    return np.linalg.eigvals(S)
+
+
+def _spectral_values(got, row: PointRow):
+    """Fill a row from its point's ``_classify`` result."""
+    if isinstance(got, ShapeSpectrum):
+        row.label = got.case_label
+        row.pattern = got.pattern
+        row.spectrum = got
         vals = []
-        for v, alg, _ in sorted(spec.real_eigenvalues):
+        for v, alg, _ in sorted(got.real_eigenvalues):
             vals.extend([v] * alg)
         row.curvatures = tuple(vals) if len(vals) == 4 else None
-    else:
-        eig = np.linalg.eigvals(S)
-        if np.max(np.abs(eig.imag)) < 1e-9 * (1 + np.max(np.abs(eig))):
-            row.curvatures = tuple(sorted(eig.real.tolist()))
+    elif np.max(np.abs(got.imag)) < 1e-9 * (1 + np.max(np.abs(got))):
+        row.curvatures = tuple(sorted(got.real.tolist()))
 
 
 def _rows(chart: ImmersionChart, points: np.ndarray, checks, oracle: str) -> list:

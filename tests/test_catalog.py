@@ -283,3 +283,12 @@ def test_lowdim_notes_print_plain_points():
     rep = verify_structure("intcurve.B", 2, chart=circle)
     assert not rep.family_ok
     assert rep.notes[0] == "speed +0.250000 != +1 at (-0.704,)"
+
+
+def test_pattern_mismatch_notes_name_the_pattern_and_the_point():
+    # s = 0.7 is a node of the default grid, where two simple curvatures of
+    # thm3.viii cross: those points come out 2+2 instead of 1+2+1-nonzero
+    rep = verify_structure("thm3.viii", 5)
+    assert not rep.family_ok
+    assert rep.notes and all(n.startswith("pattern 2+2, expected 1+2+1-nonzero at (0.7, ")
+                             for n in rep.notes)

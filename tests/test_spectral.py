@@ -1,14 +1,18 @@
 """Shape-operator spectrum tests: quartic coefficients, planted canonical
-forms under random frame changes, and the refusal behavior near ambiguity."""
+forms under random frame changes, the refusal behavior near ambiguity, and
+block classification equal to the one-point route."""
 
 import numpy as np
 import pytest
 
+from biconserve import spectral, sweep as sweep_module
 from biconserve.catalog import FamilySpec, build
 from biconserve.errors import ContractViolation
 from biconserve.immersion import packet
-from biconserve.spectral import (canonical_pair, characteristic_quartic,
-                                 classify_case, conjugated_pair, eigen_structure)
+from biconserve.spectral import (ShapeSpectrum, SpectrumBlock, canonical_pair,
+                                 characteristic_quartic, classify_case, conjugated_pair,
+                                 eigen_structure)
+from biconserve.sweep import grid_points, sweep
 
 
 def test_quartic_of_zero_operator():
@@ -149,3 +153,93 @@ def test_double_root_is_not_thrown_off_by_a_newton_step():
     assert (spec.case_label, spec.pattern) == ("I", "2+1+1")
     got = sorted(v for v, alg, _ in spec.real_eigenvalues for _ in range(alg))
     assert np.allclose(got, np.sort(np.linalg.eigvals(pk.S).real), rtol=0, atol=1e-9)
+
+
+def assert_block_is_each_point(S, G, tol=1e-6):
+    block = eigen_structure(S, G, tol)
+    assert isinstance(block, SpectrumBlock) and len(block) == len(S)
+    assert block.case_label == tuple(s.case_label for s in block)
+    assert block.pattern == tuple(s.pattern for s in block)
+    for k in range(len(S)):
+        one = eigen_structure(S[k], G[k], tol)
+        assert isinstance(one, ShapeSpectrum)
+        for field in ("real_eigenvalues", "complex_pairs", "case_label", "clustering_tol",
+                      "pattern"):
+            assert getattr(block[k], field) == getattr(one, field), (k, field)
+    return block
+
+
+@pytest.mark.parametrize("case, tol", [("I", 1e-6), ("II", 1e-6), ("III", 1e-6),
+                                       ("IV", 1e-6), ("IV", 1e-4)])
+def test_planted_block_is_each_point(case, tol):
+    rng = np.random.default_rng(211)
+    pairs = [conjugated_pair(case, rng, _random_params(rng))[:2] for _ in range(40)]
+    block = assert_block_is_each_point(np.array([S for S, _ in pairs]),
+                                       np.array([G for _, G in pairs]), tol)
+    assert case in block.case_label
+
+
+def test_ambiguity_band_block_is_each_point():
+    G = np.diag([-1.0, -1.0, 1.0, 1.0])
+    S = [np.diag([1.0, 1.0 + gap, 2.0, 3.0]) for gap in (5e-7, 3e-6, 8e-6, 2e-5, 1e-3)]
+    for nu in (3e-6, 8e-6, 2e-5):  # a complex pair near the rotation band
+        S.append(np.array([[1.0, 0, 0, 0], [0, 2.0, -nu, 0], [0, nu, 2.0, 0],
+                           [0, 0, 0, 3.0]]))
+    Gs = [G] * 5 + [np.diag([1.0, -1.0, 1.0, -1.0])] * 3
+    block = assert_block_is_each_point(np.array(S), np.array(Gs))
+    assert block.case_label[1] == "unresolved" and block.case_label[4] == "I"
+
+
+def test_mixed_block_is_each_point():
+    # simple, double, defective and complex-pair points interleaved
+    rng = np.random.default_rng(5)
+    kinds = [canonical_pair("I"), (np.diag([2.0, 1.0, 1.0, -1.0]),
+                                   np.diag([-1.0, -1.0, 1.0, 1.0])),
+             canonical_pair("II"), canonical_pair("III"), canonical_pair("IV")]
+    picks = rng.integers(0, len(kinds), 60)
+    block = assert_block_is_each_point(np.array([kinds[i][0] for i in picks]),
+                                       np.array([kinds[i][1] for i in picks]))
+    assert block.case_label == tuple(("I", "I", "II", "III", "IV")[i] for i in picks)
+
+
+def test_a_non_self_adjoint_point_fails_only_its_row(monkeypatch):
+    S, G = canonical_pair("I")
+    bad = np.array([S, S, S])
+    bad[1, 0, 1] = 0.5
+    with pytest.raises(ContractViolation):
+        eigen_structure(bad, np.array([G, G, G]))
+
+    block_packet = sweep_module.packet
+
+    def broken(chart, pts):
+        pk = block_packet(chart, pts)
+        pk.S[5, 0, 1] += 0.5
+        return pk
+
+    monkeypatch.setattr(sweep_module, "packet", broken)
+    chart = build(FamilySpec("ex41"))
+    rows = sweep(chart, grid_points(((0.6, 1.4),) + ((-0.5, 0.5),) * 3, 2), ("structure",))
+    assert rows[5].error == "ContractViolation: operator is not metric-self-adjoint"
+    assert rows[5].label == "" and rows[5].spectrum is None
+    assert all(not r.error and r.label == "I" for k, r in enumerate(rows) if k != 5)
+
+
+def test_headline_grid_settles_no_root_group(monkeypatch):
+    # every point of the headline 5^4 grid has four well-separated roots,
+    # so none goes through the per-point multiplicity test
+    calls = []
+    settle = spectral._settle
+
+    def counted(*args):
+        calls.append(args)
+        return settle(*args)
+
+    monkeypatch.setattr(spectral, "_settle", counted)
+    chart = build(FamilySpec("ex41", parameters={"a": 1.0, "b": 2.0},
+                             profiles={"solve_psi": True, "c": 1.0}))
+    rows = sweep(chart, grid_points(((0.6, 1.4),) + ((-0.5, 0.5),) * 3, 5), ("structure",))
+    assert len(rows) == 625 and {r.label for r in rows} == {"I"}
+    assert calls == []
+    # the counter is live: a double root does go through it
+    eigen_structure(np.diag([2.0, 1.0, 1.0, -1.0]), np.diag([-1.0, -1.0, 1.0, 1.0]))
+    assert calls

@@ -1,0 +1,57 @@
+"""Regenerate tests/data/structure_snapshot.json.
+
+For every catalog hypersurface, plus the ex41 negative control with the
+profile psi = s^2, the snapshot records what ``verify_structure(key, 3)``
+reports: the case labels, the multiplicity patterns, ``family_ok`` and the
+curvature range.  ``tests/test_structure_snapshot.py`` compares a fresh run
+against it, so a change to the spectral classifier or to the packet
+arithmetic that moves a label, a pattern or a verdict shows up at once.
+
+    PYTHONPATH=src python3 tools/make_structure_snapshot.py
+
+Rerun only when a change is meant to move one of these values, and say in
+the change which values moved and why.
+"""
+
+import json
+import pathlib
+
+from biconserve.catalog import CATALOG, FamilySpec, verify_structure
+
+OUT = pathlib.Path(__file__).resolve().parent.parent / "tests" / "data" / "structure_snapshot.json"
+NODES = 3
+
+
+def cases():
+    """(name, FamilySpec) per snapshot entry: every hypersurface key with its
+    default profiles, then the ex41 control with psi = s^2."""
+    out = []
+    for key, entry in CATALOG.items():
+        if entry.kind == "hypersurface":
+            family, _, case = key.partition(".")
+            out.append((key, FamilySpec(family, case)))
+    out.append(("ex41 psi=s^2", FamilySpec("ex41", profiles={"psi": "s^2"})))
+    return out
+
+
+def snapshot() -> dict:
+    rows = {}
+    for name, spec in cases():
+        rep = verify_structure(spec, NODES)
+        rows[name] = {
+            "case_labels": rep.case_labels,
+            "patterns": rep.patterns,
+            "family_ok": rep.family_ok,
+            "curvature_min": rep.curvature_min,
+            "curvature_max": rep.curvature_max,
+        }
+    return {"nodes_per_axis": NODES, "entries": rows}
+
+
+def main():
+    OUT.write_text(json.dumps(snapshot(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {OUT}")
+
+
+if __name__ == "__main__":
+    main()
