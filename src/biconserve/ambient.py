@@ -3,7 +3,8 @@
 The ambient space is R^m with metric weights eps_i = -1 for the first
 ``index`` coordinates and +1 for the rest.  The main pipeline is pinned to
 m = 5, index = 2; the arbitrary-dimension entry reuses the same routines
-with m = n + 1, index = 2.
+with m = n + 1, index = 2.  ``metric_cross`` takes one tangent frame or a
+stack of frames, one per point of a block.
 """
 
 from __future__ import annotations
@@ -88,40 +89,33 @@ def causal_character(v: AmbientVector, tau_null: float = TAU_NULL):
     return CausalCharacter.TIMELIKE, False
 
 
-def _first_row_cofactors(rows: np.ndarray) -> np.ndarray:
-    """Cofactors of the (symbolic) first row of [e; rows] for an m x m array.
-
-    ``rows`` is (m-1, m).  Entry a of the result is (-1)^a times the minor
-    obtained by deleting column a, so that det([v; rows]) = sum_a v_a * C_a.
-    """
-    m = rows.shape[1]
-    cof = np.empty(m)
-    cols = np.arange(m)
-    for a in range(m):
-        sub = rows[:, cols != a]
-        cof[a] = (-1.0) ** a * np.linalg.det(sub)
-    return cof
-
-
 def metric_cross(tangents, signature: Signature = E5_2) -> AmbientVector:
     """Vector metric-orthogonal to m-1 independent tangents in R^m.
 
     Computed by cofactor expansion of the m x m array whose first row is the
-    coordinate basis and remaining rows are the tangents, then lowering the
-    index (multiplying slot a by eps_a).  The result is not normalized: the
-    caller is expected to inspect its causal character first.
+    coordinate basis and remaining rows are the tangents: slot a is (-1)^a
+    times the minor without column a, so that det([v; rows]) is the sum of
+    v_a times slot a; then the index is lowered (slot a times eps_a).
+    ``tangents`` is m-1 vectors, or a (P, m-1, m) stack of frames giving
+    (P, m) components, each frame's row computed as it would be alone; a
+    stack raises if any frame is rank deficient.  The result is not
+    normalized: the caller is expected to inspect its causal character
+    first.
     """
     rows = np.asarray(
         [t.components if isinstance(t, AmbientVector) else t for t in tangents],
         dtype=float,
     )
     m = signature.dim
-    if rows.shape != (m - 1, m):
+    if rows.ndim not in (2, 3) or rows.shape[-2:] != (m - 1, m):
         raise ContractViolation(
             f"need {m - 1} tangents of dim {m}, got shape {rows.shape}"
         )
-    cof = _first_row_cofactors(rows)
-    scale = float(np.max(np.abs(rows))) or 1.0
-    if np.max(np.abs(cof)) <= TAU_RANK * scale ** (m - 1):
+    cols = np.arange(m)
+    cof = np.stack([(-1.0) ** a * np.linalg.det(rows[..., cols != a]) for a in range(m)],
+                   axis=-1)
+    scale = np.max(np.abs(rows), axis=(-2, -1))
+    scale = np.where(scale == 0.0, 1.0, scale)
+    if np.any(np.max(np.abs(cof), axis=-1) <= TAU_RANK * scale ** (m - 1)):
         raise DegenerateFrameError("tangent frame is rank deficient")
     return AmbientVector(signature.weights * cof, signature)

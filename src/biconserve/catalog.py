@@ -26,8 +26,8 @@ from .ambient import Signature
 from .errors import (ConstraintError, ContractViolation, DomainError, UnexpectedIndex,
                      plain_point)
 from .expr import parse, var_names_for
-from .immersion import (ImmersionChart, beltrami_residual, gauss_codazzi_residual,
-                        packet, submanifold_packet)
+from .immersion import (ImmersionChart, _any_packet, beltrami_residual,
+                        gauss_codazzi_residual, submanifold_packet)
 from .profiles import (DerivativeProfile, ExprProfile, constraint_residual,
                        make_profile_pair, solve_psi, solve_psi_offsets)
 from .spectral import CLUSTER_TOL
@@ -474,11 +474,7 @@ def build_remark42(n: int, a, profiles: dict | None = None,
 
 
 def _validate_center(chart: ImmersionChart):
-    center = chart.center()
-    if chart.codim == 1:
-        packet(chart, center)
-    else:
-        submanifold_packet(chart, center)
+    _any_packet(chart, chart.center(), None)
 
 
 # -- structural verification ----------------------------------------------

@@ -10,7 +10,8 @@ packets' value arrays and the residual operations a leading one.  Each
 identity residual has one body for both packets; only the terms that
 belong to the codimension differ.  The independent oracle, packet_fd, uses
 no jets: nested central differences of chart values computed by array
-evaluation (expr.eval_values).
+evaluation (expr.eval_values), for one point or a block as well.  Its
+FdPacket feeds the same tangency residuals as a CurvaturePacket.
 
 All residual norms are Euclidean in the ambient coordinates: an error vector
 with vanishing indefinite self-product must not masquerade as zero.
@@ -37,11 +38,16 @@ def tau_deg(gmax: float) -> float:
     return 1e-10 * (1.0 + gmax)
 
 
-def _cmc(g_amb, H):
-    """The CMC decision, per point: |grad H| <= TAU_CMC (1 + |H|), with the
-    ambient Euclidean norm of grad H."""
-    out = np.linalg.norm(g_amb, axis=-1) <= TAU_CMC * (1.0 + np.abs(H))
-    return bool(out) if out.ndim == 0 else out
+class _CmcRule:
+    """The CMC decision of a packet with ``H`` and ``gradH_ambient``."""
+
+    @property
+    def is_cmc_point(self):
+        """|grad H| <= TAU_CMC (1 + |H|) at each point, with the ambient
+        Euclidean norm of grad H."""
+        g = self.gradH_ambient.components
+        out = np.linalg.norm(g, axis=-1) <= TAU_CMC * (1.0 + np.abs(self.H))
+        return bool(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -79,7 +85,7 @@ class ImmersionChart:
 
 
 @dataclass
-class CurvaturePacket:
+class CurvaturePacket(_CmcRule):
     """Curvature data at one point, or at each point of a block.
 
     Built from one point (n,), the arrays have the shapes noted below and H
@@ -103,10 +109,6 @@ class CurvaturePacket:
     dB: np.ndarray           # (n, n, n): d_l B_ij at [i, j, l]
     dGamma: np.ndarray       # (n, n, n, n): d_l Gamma^k_ij at [k, i, j, l]
     _weights: np.ndarray = field(repr=False, default=None)
-
-    @property
-    def is_cmc_point(self):
-        return _cmc(self.gradH_ambient.components, self.H)
 
     @property
     def gradH_lightlike(self):
@@ -487,11 +489,13 @@ def _result(one: bool, r):
     return float(r[0]) if one else r
 
 
-def biconservative_residual(chart: ImmersionChart, p, pk: CurvaturePacket | None = None):
+def biconservative_residual(chart: ImmersionChart, p, pk=None):
     """Scale-free tangency defect of the shape operator on grad H.
 
     Zero exactly when grad H vanishes (constant mean curvature, where the
-    condition is vacuous).
+    condition is vacuous).  ``pk`` is a ``CurvaturePacket`` or an
+    ``FdPacket``: both oracles share this arithmetic, each with its own CMC
+    decision.
     """
     if pk is None:
         pk = packet(chart, p)
@@ -640,22 +644,21 @@ def gauss_codazzi_residual(chart: ImmersionChart, p, pk=None):
 
 
 @dataclass
-class FdPacket:
+class FdPacket(_CmcRule):
+    """The oracle's curvature data at one point, or at each point of a block,
+    with the shapes and fields of ``CurvaturePacket`` that the tangency
+    checks read, and the same CMC rule applied to its own grad H."""
+
     point: tuple
     G: np.ndarray
     G_inv: np.ndarray
-    N: np.ndarray
+    N: AmbientVector
     B: np.ndarray
     S: np.ndarray
     H: float
     gradH: np.ndarray
-    gradH_ambient: np.ndarray
+    gradH_ambient: AmbientVector
     dx: np.ndarray  # (n, m) difference quotients d_i x
-
-    @property
-    def is_cmc_point(self) -> bool:
-        """The oracle's own CMC decision, by the rule of CurvaturePacket."""
-        return _cmc(self.gradH_ambient, self.H)
 
 
 def _fd_partials(chart: ImmersionChart, base: np.ndarray):
@@ -685,21 +688,29 @@ def _fd_partials(chart: ImmersionChart, base: np.ndarray):
     return dx, ddx
 
 
-def _fd_frame(chart: ImmersionChart, p, dx, ddx, ref):
-    """G, N, B, S and H at one point from its difference quotients, the
-    normal oriented along ``ref`` (see ``_orient_sign``)."""
+def _rowdot(a, b):
+    """Dot products of the rows of (Q, m) arrays, each rounded as ``np.dot``
+    rounds that row alone."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _fd_frame(chart: ImmersionChart, pts, dx, ddx, ref):
+    """G, N, B, S and H at each of Q points (Q, n) from its difference
+    quotients, dx (Q, n, m) and ddx (Q, n, n, m), the normal oriented along
+    ``ref`` (Q, m) (see ``_orient_sign``); raises at the first point whose
+    normal is degenerate."""
     n = chart.nparams
     eps = chart.signature.weights
-    G0 = np.einsum("ia,a,ja->ij", dx, eps, dx)
-    w = metric_cross([dx[i] for i in range(n)], chart.signature).components
-    nn = float(np.dot(eps * w, w))
-    if nn <= TAU_NORMAL * float(np.dot(w, w)):
-        raise DegenerateNormal(p)
-    N0 = w / np.sqrt(nn) * _orient_sign(w, ref, False)
-    B0 = np.einsum("ija,a,a->ij", ddx, eps, N0)
+    G0 = np.einsum("zia,a,zja->zij", dx, eps, dx)
+    w = metric_cross(dx, chart.signature).components
+    nn = _rowdot(eps * w, w)
+    k = _first(nn <= TAU_NORMAL * _rowdot(w, w))
+    if k is not None:
+        raise DegenerateNormal(pts[k])
+    N0 = w / np.sqrt(nn)[:, None] * _orient_sign(w, ref, False)[:, None]
+    B0 = np.einsum("zija,a,za->zij", ddx, eps, N0)
     S0 = np.linalg.solve(G0, B0)
-    H0 = float(np.trace(S0)) / n
-    return G0, N0, B0, S0, H0
+    return G0, N0, B0, S0, np.trace(S0, axis1=1, axis2=2) / n
 
 
 def packet_fd(chart: ImmersionChart, p, h_grad: float = 5e-4) -> FdPacket:
@@ -709,42 +720,41 @@ def packet_fd(chart: ImmersionChart, p, h_grad: float = 5e-4) -> FdPacket:
     its values, at p and at p +- h_grad along each axis.  grad H is the
     centered difference of the scalar H field built from them.  Every value
     comes from ``eval_values`` (array arithmetic, the profiles' array
-    ``values``), so no jet arithmetic enters anywhere; all nine base points
-    share each stencil evaluation.
+    ``values``), so no jet arithmetic enters anywhere.
+
+    ``p`` is one point (n,) or a block (P, n), as for ``packet``.  All
+    P (2n + 1) base points share each stencil evaluation, and the frames at
+    the P points and then at their 2nP neighbours are each one stacked
+    array pass, so every point gets the arithmetic it would get alone.  A
+    one-point call returns floats and unbatched arrays; a block raises as
+    soon as any of its points fails.
     """
     p = np.asarray(p, dtype=float)
-    n = chart.nparams
-    base = [p]
-    for i in range(n):
-        up = p.copy()
-        up[i] += h_grad
-        dn = p.copy()
-        dn[i] -= h_grad
-        base += [up, dn]
-    base = np.array(base)
+    pts = np.atleast_2d(p)
+    npts, n = pts.shape
+    steps = np.zeros((2 * n + 1, 1, n))
+    steps[1::2, 0] = h_grad * np.eye(n)
+    steps[2::2, 0] = -h_grad * np.eye(n)
+    # the P points, then all of them moved by + h e_0, by - h e_0, + h e_1, ...
+    base = (steps + pts).reshape(-1, n)
     dx, ddx = _fd_partials(chart, base)
     # the reference normal field when the chart has one; the H stencil
-    # points otherwise follow the normal at p
+    # points otherwise follow the normal at their point
     ref = None
     if chart.orientation_ref is not None:
         ref = np.stack([eval_values(e, base, chart.profile_bank)
-                        for e in chart.orientation_ref], axis=1)
-    G0, N0, B0, S0, H0 = _fd_frame(chart, p, dx[0], ddx[0], None if ref is None else ref[0])
-    H = [_fd_frame(chart, base[k], dx[k], ddx[k], N0 if ref is None else ref[k])[4]
-         for k in range(1, len(base))]
-    dH = np.array([(H[2 * i] - H[2 * i + 1]) / (2.0 * h_grad) for i in range(n)])
+                        for e in chart.orientation_ref], axis=-1)
+    G0, N0, B0, S0, H0 = _fd_frame(chart, pts, dx[:npts], ddx[:npts],
+                                   None if ref is None else ref[:npts])
+    H = _fd_frame(chart, base[npts:], dx[npts:], ddx[npts:],
+                  np.tile(N0, (2 * n, 1)) if ref is None else ref[npts:])[4].reshape(2 * n, npts)
+    dH = ((H[0::2] - H[1::2]) / (2.0 * h_grad)).T
     G_inv = np.linalg.inv(G0)
-    gradH = G_inv @ dH
-    return FdPacket(tuple(p), G0, G_inv, N0, B0, S0, H0, gradH, gradH @ dx[0], dx[0])
-
-
-def biconservative_residual_fd(chart: ImmersionChart, p, pk: FdPacket | None = None) -> float:
-    """biconservative_residual on the oracle route, pushed forward by ``pk.dx``."""
-    if pk is None:
-        pk = packet_fd(chart, p)
-    if pk.is_cmc_point:
-        return 0.0
-    n = len(pk.G)
-    v = pk.S @ pk.gradH + (n / 2.0) * pk.H * pk.gradH
-    v_amb = v @ pk.dx
-    return float(np.linalg.norm(v_amb) / max(1.0, np.linalg.norm(pk.gradH_ambient)))
+    gradH = _mv(G_inv, dH)
+    one = p.ndim == 1
+    G0, G_inv, N0, B0, S0, H0, gradH, g_amb, dx0 = [
+        f[0] if one else f
+        for f in (G0, G_inv, N0, B0, S0, H0, gradH, _push(gradH, dx[:npts]), dx[:npts])]
+    sig = chart.signature
+    return FdPacket(tuple(p) if one else p, G0, G_inv, AmbientVector(N0, sig), B0, S0,
+                    float(H0) if one else H0, gradH, AmbientVector(g_amb, sig), dx0)

@@ -7,12 +7,13 @@ higher codimension, which answers only LOWDIM_CHECKS and whose rows carry
 no H) and one pass of each residual per block, the points being an axis
 of the arrays.  The spectral classification is one call per block too:
 ``eigen_structure`` on the block's shape operators for a 4-parameter
-chart, one stacked ``np.linalg.eigvals`` otherwise.  Only the
-finite-difference oracle, when selected, still runs point by point.  A
-block whose packet raises a BiconserveError is bisected down to single
-points, and a block whose classification raises is classified again point
-by point, so every point gets its own error and message and the others
-keep their results.
+chart, one stacked ``np.linalg.eigvals`` otherwise.  With the
+finite-difference oracle selected, the tangency checks and the CMC flag
+read one ``packet_fd`` call per block instead of the jet packet; nothing
+else changes.  A block whose packet or oracle packet raises a
+BiconserveError is bisected down to single points, and a block whose
+classification raises is classified again point by point, so every point
+gets its own error and message and the others keep their results.
 
 Worker pools split the grid into contiguous chunks and results are merged
 back by chunk index.  Each point gets the same arithmetic in any block, so
@@ -30,13 +31,13 @@ import numpy as np
 
 from .errors import BiconserveError, plain_point
 from .immersion import (ImmersionChart, beltrami_residual, biconservative_residual,
-                        biconservative_residual_fd, gauss_codazzi_residual, packet,
-                        packet_fd, principal_direction_check, submanifold_packet,
-                        unit_normal_residual)
+                        gauss_codazzi_residual, packet, packet_fd, principal_direction_check,
+                        submanifold_packet, unit_normal_residual)
 from .spectral import ShapeSpectrum, eigen_structure
 
 # Points per packet block.  It bounds the memory of a block's jets (order-3
-# chart jets are 35 coefficients per point); larger blocks gain little.
+# chart jets are 35 coefficients per point) and of the oracle's stencils
+# (2n + 1 base points per point); larger blocks gain little.
 BLOCK = 128
 
 HYPERSURFACE_CHECKS = ("biconservative", "beltrami", "gauss", "codazzi",
@@ -100,16 +101,22 @@ def _error(exc: BiconserveError) -> str:
 def _block_rows(chart: ImmersionChart, pts: np.ndarray, checks, oracle: str) -> list:
     """Rows of one block of points (P, n); a failing block is bisected."""
     hyper = chart.codim == 1
+    fd = oracle == "fd" and ("biconservative" in checks or "principal_direction" in checks)
+    pk, error = None, ""
     try:
         pk = packet(chart, pts) if hyper else submanifold_packet(chart, pts)
+        # the tangency checks and the CMC flag read the oracle's packet on the fd route
+        tpk = packet_fd(chart, pts) if fd else pk
     except BiconserveError as exc:
-        if len(pts) == 1:
+        if len(pts) > 1:
+            half = len(pts) // 2
+            return (_block_rows(chart, pts[:half], checks, oracle)
+                    + _block_rows(chart, pts[half:], checks, oracle))
+        if pk is None:
             return [PointRow(point=plain_point(pts[0]), error=_error(exc))]
-        half = len(pts) // 2
-        return (_block_rows(chart, pts[:half], checks, oracle)
-                + _block_rows(chart, pts[half:], checks, oracle))
-
-    fd = oracle == "fd" and ("biconservative" in checks or "principal_direction" in checks)
+        # only the oracle failed: the jet values and H stay, with no
+        # tangency value and no label
+        tpk, error = pk, _error(exc)
     block = {}
     if "unit_normal" in checks:
         block["unit_normal"] = unit_normal_residual(chart, pts, pk)
@@ -117,12 +124,12 @@ def _block_rows(chart: ImmersionChart, pts: np.ndarray, checks, oracle: str) -> 
         block["beltrami"] = beltrami_residual(chart, pts, pk)
     if "gauss" in checks or "codazzi" in checks:
         block["gauss"], block["codazzi"] = gauss_codazzi_residual(chart, pts, pk)
-    if not fd and "biconservative" in checks:
-        block["biconservative"] = biconservative_residual(chart, pts, pk)
-    if not fd and "principal_direction" in checks:
-        block["principal_direction"] = principal_direction_check(chart, pts, pk)
-    cmc = pk.is_cmc_point if hyper else None
-    spectral = hyper and ("structure" in checks or "curvatures" in checks)
+    if not error and "biconservative" in checks:
+        block["biconservative"] = biconservative_residual(chart, pts, tpk)
+    if not error and "principal_direction" in checks:
+        block["principal_direction"] = principal_direction_check(chart, pts, tpk)
+    cmc = tpk.is_cmc_point if hyper else None
+    spectral = hyper and not error and ("structure" in checks or "curvatures" in checks)
     spectra = None
     if spectral:
         try:
@@ -132,31 +139,19 @@ def _block_rows(chart: ImmersionChart, pts: np.ndarray, checks, oracle: str) -> 
 
     rows = []
     for k, p in enumerate(pts):
-        row = PointRow(point=plain_point(p))
+        row = PointRow(point=plain_point(p), error=error)
         if hyper:
             row.H, row.cmc = float(pk.H[k]), bool(cmc[k])
         row.values = {name: float(v[k]) for name, v in block.items()
                       if not (name == "principal_direction" and row.cmc)}
-        try:
-            if fd:
-                _fd_values(chart, p, checks, row)
-            if spectral:
+        if spectral:
+            try:
                 _spectral_values(spectra[k] if spectra is not None
                                  else _classify(chart, pk.S[k], pk.G[k]), row)
-        except BiconserveError as exc:
-            row.error = _error(exc)
+            except BiconserveError as exc:
+                row.error = _error(exc)
         rows.append(row)
     return rows
-
-
-def _fd_values(chart: ImmersionChart, p, checks, row: PointRow):
-    """The oracle's tangency checks at one point, with its own CMC decision."""
-    fpk = packet_fd(chart, p)
-    row.cmc = fpk.is_cmc_point
-    if "biconservative" in checks:
-        row.values["biconservative"] = biconservative_residual_fd(chart, p, fpk)
-    if "principal_direction" in checks and not row.cmc:
-        row.values["principal_direction"] = principal_direction_check(chart, p, fpk)
 
 
 def _classify(chart: ImmersionChart, S: np.ndarray, G: np.ndarray):

@@ -86,6 +86,12 @@ def test_metric_cross_orthogonality_random_frames():
         scale = np.max(np.abs(rows)) * np.max(np.abs(w.components)) + 1.0
         for r in rows:
             assert abs(inner(w, vec(*r))) < 1e-10 * scale
+    # a (P, 4, 5) stack gives each frame's vector, bitwise
+    frames = rng.normal(size=(50, 4, 5))
+    block = metric_cross(frames)
+    assert block.components.shape == (50, 5)
+    for f, w in zip(frames, block.components):
+        assert np.array_equal(w, metric_cross([vec(*r) for r in f]).components)
 
 
 def test_metric_cross_antisymmetry():
@@ -95,6 +101,8 @@ def test_metric_cross_antisymmetry():
     swapped = rows[[1, 0, 2, 3]]
     w2 = metric_cross([vec(*r) for r in swapped]).components
     assert np.array_equal(w, -w2)
+    frames = np.stack([rows, swapped])
+    assert np.array_equal(metric_cross(frames).components, np.stack([w, w2]))
 
 
 def test_metric_cross_rank_deficiency():
@@ -103,3 +111,11 @@ def test_metric_cross_rank_deficiency():
     rows[3] = rows[0]
     with pytest.raises(DegenerateFrameError):
         metric_cross([vec(*r) for r in rows])
+    # one rank-deficient frame inside a stack fails the stack
+    frames = np.random.default_rng(3).normal(size=(6, 4, 5))
+    metric_cross(frames)
+    frames[4] = rows
+    with pytest.raises(DegenerateFrameError):
+        metric_cross(frames)
+    with pytest.raises(ContractViolation):
+        metric_cross(frames[:, :3])

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from biconserve.catalog import CATALOG, FamilySpec, all_keys, build
-from biconserve.errors import BiconserveError
+from biconserve.errors import BiconserveError, DomainError
 from biconserve.expr import jet_eval, parse
 from biconserve.immersion import (ImmersionChart, beltrami_residual, biconservative_residual,
-                                  gauss_codazzi_residual, packet, principal_direction_check,
-                                  submanifold_packet, unit_normal_residual)
+                                  gauss_codazzi_residual, packet, packet_fd,
+                                  principal_direction_check, submanifold_packet,
+                                  unit_normal_residual)
 from biconserve.profiles import solve_psi
 from biconserve.sweep import BLOCK, HYPERSURFACE_CHECKS, grid_points, random_points, sweep
 
@@ -87,6 +88,28 @@ def test_block_packet_is_the_one_point_packet_at_each_point(name, chart):
         pd = principal_direction_check(chart, p, one)
         pd_block = principal_direction_check(chart, pts, pk)[k]
         assert (pd is None and np.isnan(pd_block)) or pd == pd_block
+
+
+@pytest.mark.parametrize("name, chart", CHARTS[::2], ids=[name for name, _ in CHARTS[::2]])
+def test_block_packet_fd_is_the_one_point_packet_fd_at_each_point(name, chart):
+    pts = random_points(chart.domain, 6, 3)
+    fpk = packet_fd(chart, pts)
+    bicons = biconservative_residual(chart, pts, fpk)
+    pd_block = principal_direction_check(chart, pts, fpk)
+    for k, p in enumerate(pts):
+        one = packet_fd(chart, p)
+        assert one.point == tuple(p)
+        assert one.H == fpk.H[k] and isinstance(one.H, float)
+        for field in ("G", "G_inv", "B", "S", "gradH", "dx"):
+            assert getattr(one, field).shape == getattr(fpk, field).shape[1:], field
+            assert np.array_equal(getattr(one, field), getattr(fpk, field)[k]), field
+        for field in ("N", "gradH_ambient"):
+            assert np.array_equal(getattr(one, field).components,
+                                  getattr(fpk, field).components[k]), field
+        assert one.is_cmc_point == fpk.is_cmc_point[k]
+        assert biconservative_residual(chart, p, one) == bicons[k]
+        pd = principal_direction_check(chart, p, one)
+        assert (pd is None and np.isnan(pd_block[k])) or pd == pd_block[k]
 
 
 @pytest.mark.parametrize("name, chart", LOWDIM, ids=[name for name, _ in LOWDIM])
@@ -175,11 +198,44 @@ def test_worker_pool_gives_the_serial_rows():
     assert_same_rows(rows2, rows1)
 
 
-def test_fd_oracle_rows_match_the_one_point_route():
-    chart = dict(CHARTS)["ex41 solved"]
+FD_CHARTS = [(name, chart) for name, chart in CHARTS
+             if name in ("ex41 solved", "ex41 control", "rem42", "thm1.ii", "thm2.v",
+                         "thm3.iii", "thm3.viii")]
+
+
+@pytest.mark.parametrize("name, chart", FD_CHARTS, ids=[name for name, _ in FD_CHARTS])
+def test_fd_oracle_rows_match_the_one_point_route(name, chart):
     pts = random_points(chart.domain, 5, 4)
     rows = sweep(chart, pts, HYPERSURFACE_CHECKS, oracle="fd")
     assert_same_rows(rows, one_point_rows(chart, pts, HYPERSURFACE_CHECKS, oracle="fd"))
+    assert all(not r.error for r in rows), name
+
+
+def test_oracle_only_failures_inside_a_block():
+    # just inside the end of the solved profile's range the jet route
+    # evaluates, but the oracle's stencils leave the range
+    chart = dict(CHARTS)["ex41 solved"]
+    pts = random_points(((0.6, 1.4), (-0.5, 0.5), (-0.5, 0.5), (-0.5, 0.5)), 20, 6)
+    bad = [2, 9, 10]
+    pts[bad, 0] = chart.profile_bank["psi"].s_grid.max() - 3e-4
+    checks = HYPERSURFACE_CHECKS
+    rows = sweep(chart, pts, checks, oracle="fd")
+    jets = sweep(chart, pts, checks)
+    assert [k for k, r in enumerate(rows) if r.error] == bad
+    assert all(not r.error for r in jets)
+    for k in bad:
+        r, q = rows[k], jets[k]
+        with pytest.raises(DomainError, match="psi argument") as err:
+            packet_fd(chart, pts[k])
+        assert r.error == f"DomainError: {err.value}"
+        # the jet values, H and the jet CMC flag stay; no tangency value, no label
+        assert r.values == {name: q.values[name]
+                            for name in ("unit_normal", "beltrami", "gauss", "codazzi")}
+        assert (r.H, r.cmc) == (q.H, q.cmc)
+        assert (r.label, r.pattern, r.curvatures, r.spectrum) == ("", "", None, None)
+    ok = [k for k in range(len(pts)) if k not in bad]
+    assert_same_rows([rows[k] for k in ok], sweep(chart, pts[ok], checks, oracle="fd"))
+    assert_same_rows(rows, one_point_rows(chart, pts, checks, oracle="fd"))
 
 
 def test_jet_eval_on_a_block_is_bitwise_each_point():

@@ -1,0 +1,154 @@
+"""Write the `verify` reports of a source tree, and diff two such runs.
+
+    python3 tools/diff_reports.py write SRC OUT_DIR
+    python3 tools/diff_reports.py diff OLD_DIR NEW_DIR
+
+``write`` imports ``biconserve`` from the source tree SRC (a ``src``
+directory) and runs ``verify NAME --emit-report`` for every case: the 41
+catalog keys with their default profiles, the ex41 negative control
+(``--psi s^2``), and ``--oracle fd`` on every catalog hypersurface and on
+the control.  Each case's exit code and printed output go to one JSON file
+in OUT_DIR.
+
+``diff`` compares two such directories case by case: whether the printed
+output is byte-identical, whether the exit code moved, and every report
+field whose value differs, with its relative change |a - b| / max(|a|, |b|)
+for numbers.  A moved argmax point (two grid points whose values tie
+within rounding) is listed and counted apart.  It prints the largest
+relative change per case kind and exits 1 when an exit code, status,
+count or label moved.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import pathlib
+import sys
+
+NEGATIVE_CONTROL = ("--psi", "s^2")
+
+
+def cases(catalog):
+    """(name, argv) per case, argv being the arguments after ``verify``."""
+    out = [(key, [key]) for key in catalog.all_keys()]
+    out.append(("ex41 psi=s^2", ["ex41", *NEGATIVE_CONTROL]))
+    hyper = [key for key in catalog.all_keys() if catalog.CATALOG[key].kind == "hypersurface"]
+    out += [(f"{key} fd", [key, "--oracle", "fd"]) for key in hyper]
+    out.append(("ex41 psi=s^2 fd", ["ex41", *NEGATIVE_CONTROL, "--oracle", "fd"]))
+    return out
+
+
+def write(src: str, out_dir: str):
+    sys.path.insert(0, str(pathlib.Path(src).resolve()))
+    from biconserve import catalog, cli
+
+    out = pathlib.Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, argv in cases(catalog):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(["verify", *argv, "--emit-report"])
+        record = {"argv": argv, "exit_code": code, "stdout": buf.getvalue()}
+        (out / (name.replace(" ", "_").replace("=", "-").replace("^", "") + ".json")) \
+            .write_text(json.dumps(record, indent=1) + "\n")
+        print(f"{name}: exit {code}")
+
+
+def _report(stdout: str) -> dict:
+    """The JSON report that follows the summary lines, or {} if none."""
+    start = stdout.find("\n{")
+    return json.loads(stdout[start + 1:]) if start >= 0 else {}
+
+
+def _flatten(value, prefix=""):
+    if isinstance(value, dict):
+        for k in sorted(value):
+            yield from _flatten(value[k], f"{prefix}.{k}" if prefix else str(k))
+    elif isinstance(value, list):
+        for k, v in enumerate(value):
+            yield from _flatten(v, f"{prefix}[{k}]")
+    else:
+        yield prefix, value
+
+
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def field_moves(old: dict, new: dict):
+    """(field, old, new, relative change or None) for every field that differs."""
+    a, b = dict(_flatten(old)), dict(_flatten(new))
+    for key in sorted(set(a) | set(b)):
+        x, y = a.get(key), b.get(key)
+        if x == y:
+            continue
+        rel = None
+        if _number(x) and _number(y):
+            rel = abs(x - y) / max(abs(x), abs(y))
+        yield key, x, y, rel
+
+
+def _verdict_field(key: str) -> bool:
+    last = key.rsplit(".", 1)[-1]
+    return last in ("status", "count", "passed", "exit_code") or key.startswith("spectral")
+
+
+def _argmax_field(key: str) -> bool:
+    """The grid point of a check's maximum: it moves when two points tie
+    within rounding, so its moves are counted, not bounded."""
+    return ".argmax_point" in key
+
+
+def diff(old_dir: str, new_dir: str) -> int:
+    old_dir, new_dir = pathlib.Path(old_dir), pathlib.Path(new_dir)
+    names = sorted({p.name for p in old_dir.glob("*.json")} | {p.name for p in new_dir.glob("*.json")})
+    identical, moved_verdicts, moved_argmax, worst = 0, 0, 0, {}
+    for name in names:
+        if not (old_dir / name).exists() or not (new_dir / name).exists():
+            print(f"{name}: only in one run")
+            moved_verdicts += 1
+            continue
+        old = json.loads((old_dir / name).read_text())
+        new = json.loads((new_dir / name).read_text())
+        if old == new:
+            identical += 1
+            continue
+        print(f"{name}: output differs")
+        if old["exit_code"] != new["exit_code"]:
+            print(f"  exit code {old['exit_code']} -> {new['exit_code']}")
+            moved_verdicts += 1
+        kind = "fd" if "fd" in new["argv"] else "jets"
+        for key, x, y, rel in field_moves(_report(old["stdout"]), _report(new["stdout"])):
+            if _argmax_field(key):
+                print(f"  {key}: {x!r} -> {y!r}  (argmax moved)")
+                moved_argmax += 1
+                continue
+            change = "" if rel is None else f"  rel {rel:.2e}"
+            print(f"  {key}: {x!r} -> {y!r}{change}")
+            if rel is None or _verdict_field(key):
+                moved_verdicts += 1
+            else:
+                worst[kind] = max(worst.get(kind, 0.0), rel)
+    print(f"{identical} of {len(names)} cases byte-identical; "
+          f"{moved_verdicts} exit codes, statuses, counts or labels moved; "
+          f"{moved_argmax} argmax coordinates moved")
+    for kind, rel in sorted(worst.items()):
+        print(f"largest relative change of a value ({kind} route): {rel:.2e}")
+    return 1 if moved_verdicts else 0
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 3 or argv[0] not in ("write", "diff"):
+        print(__doc__)
+        return 2
+    if argv[0] == "write":
+        write(argv[1], argv[2])
+        return 0
+    return diff(argv[1], argv[2])
+
+
+if __name__ == "__main__":
+    sys.exit(main())
