@@ -9,10 +9,12 @@ Two evaluators walk the same trees with the same domain guards: jet_eval
 gives Taylor coefficients (the forward route), eval_values gives plain values
 (the array route).  Both take one point (n,) or a block of points (P, n) and
 do one numpy operation per node for the whole block.  The difference quotients
-of fd_partial, the oracle's route, use only the array route.  In both, an
-overflow raises DomainError naming the node: a non-finite value of a function
-call or a power (or, on the jet route, of any derivative ladder) names that
-node, a non-finite result of the plain arithmetic names the whole tree.
+of fd_partial, the oracle's route, use only the array route: one tree walk
+covers every stencil point of a stack of multi-indices at every base point.
+In both, an overflow raises DomainError naming the node: a non-finite value
+of a function call or a power (or, on the jet route, of any derivative
+ladder) names that node, a non-finite result of the plain arithmetic names
+the whole tree.
 
 Text syntax (used by the CLI):
 
@@ -228,13 +230,7 @@ def eval_value(expr: Expr, point, profile_bank=None):
     return jet_eval(expr, point, 0, profile_bank).value
 
 
-_UFUNC = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "sinh": np.sinh,
-    "cosh": np.cosh,
-    "exp": np.exp,
-}
+_UFUNC = {name: getattr(np, name) for name in ("sin", "cos", "sinh", "cosh", "exp")}
 
 
 def _reciprocal(den: np.ndarray) -> np.ndarray:
@@ -277,16 +273,11 @@ def _eval_arrays(node: Expr, points: np.ndarray, bank) -> np.ndarray:
             raise _named(node, e) from None
     elif isinstance(node, Neg):
         out = -_eval_arrays(node.a, points, bank)
-    elif isinstance(node, Pow):
-        try:
-            out = _powr_values(_eval_arrays(node.a, points, bank), node.exponent)
-            check_finite(out)
-        except DomainError as e:
-            raise _named(node, e) from None
-    elif isinstance(node, Call):
+    elif isinstance(node, (Pow, Call)):
         try:
             u = _eval_arrays(node.a, points, bank)
-            out = _powr_values(u, 0.5) if node.fn == "sqrt" else _UFUNC[node.fn](u)
+            p = node.exponent if isinstance(node, Pow) else 0.5 if node.fn == "sqrt" else None
+            out = _UFUNC[node.fn](u) if p is None else _powr_values(u, p)
             check_finite(out)
         except DomainError as e:
             raise _named(node, e) from None
@@ -326,45 +317,69 @@ def eval_values(expr: Expr, points, profile_bank=None) -> np.ndarray:
 FD_STEPS = {0: 0.0, 1: 1e-4, 2: 1e-4, 3: 6e-3, 4: 2e-2}
 
 
-def _stencil(expr: Expr, pts: np.ndarray, remaining, step: float, bank) -> np.ndarray:
-    """Nested central difference at each row of pts: each level stacks the up
-    and down points, so the leaves of all rows take one eval_values call."""
-    for axis, cnt in enumerate(remaining):
-        if cnt > 0:
-            dec = list(remaining)
-            dec[axis] -= 1
-            up = pts.copy()
-            up[:, axis] += step
-            dn = pts.copy()
-            dn[:, axis] -= step
-            v = _stencil(expr, np.concatenate((up, dn)), tuple(dec), step, bank)
-            return (v[:len(pts)] - v[len(pts):]) / (2.0 * step)
-    return eval_values(expr, pts, bank)
+def _stencils(expr: Expr, pts: np.ndarray, alphas: np.ndarray, steps: np.ndarray,
+              bank) -> np.ndarray:
+    """Nested central differences d^alpha (T, B) at the rows of pts (B, n),
+    one per row of alphas (T, n) with its step, from one ``eval_values`` call.
+    Leaf l's level j moves along the j-th axis (axis i alpha_i times, in
+    increasing order), down where bit j of l is set: the additions, in order,
+    of a stencil nested level by level.  Values fold back innermost first."""
+    depths = alphas.sum(axis=1)
+    count = 1 << np.sort(depths)
+    stencil = np.repeat(np.argsort(depths, kind="stable"), count)  # of each leaf
+    leaf = np.arange(len(stencil)) - np.repeat(np.cumsum(count) - count, count)
+    axes = np.repeat(np.arange(alphas.size) % alphas.shape[1], alphas.ravel())
+    first = (np.cumsum(depths) - depths)[stencil]  # where each leaf's axes start
+    out = np.repeat(pts[None], len(stencil), axis=0)
+    for j in range(depths.max()):
+        r = depths[stencil] > j
+        h = steps[stencil[r]]
+        out[r, :, axes[first[r] + j]] += np.where(leaf[r] >> j & 1, -h, h)[:, None]
+    vals = eval_values(expr, out.reshape(-1, pts.shape[1]), bank).reshape(len(stencil), -1)
+    est = np.empty((len(alphas), len(pts)))
+    pos = 0
+    for d in range(depths.max() + 1):
+        sel = np.flatnonzero(depths == d)
+        v = vals[pos:pos + (len(sel) << d)].reshape(len(sel), 1 << d, len(pts))
+        div = (2.0 * steps[sel])[:, None, None]
+        while v.shape[1] > 1:
+            v = (v[:, :v.shape[1] // 2] - v[:, v.shape[1] // 2:]) / div
+        est[sel] = v[:, 0]
+        pos += len(sel) << d
+    return est
 
 
 def fd_partial(expr: Expr, point, alpha, h: float | None = None, profile_bank=None):
-    """Finite-difference estimate of the partial derivative d^alpha expr.
+    """Finite-difference estimates of d^alpha expr, from array values only.
 
-    ``point`` is one point (n,), giving a float, or B base points (B, n),
-    giving a (B,) array.  All leaves of the stencil are evaluated in one
-    ``eval_values`` call (two for orders 3 and 4, one per Richardson step),
-    so no jet arithmetic is involved.
+    ``point`` is one point (n,) or B base points (B, n), ``alpha`` one
+    multi-index (n,) or a stack of K (K, n): the result is a float, (B,),
+    (K,) or (K, B).  Each alpha has the step ``FD_STEPS[|alpha|]`` unless
+    ``h`` is given.  The leaves of all stencils, both Richardson steps of
+    orders 3 and 4 included, take one ``eval_values`` call, and each
+    estimate is bitwise the one its alpha gives alone.
     """
-    alpha = tuple(int(a) for a in alpha)
-    total = sum(alpha)
-    if total > 4:
-        raise ContractViolation("finite differences support |alpha| <= 4")
-    if h is None:
-        h = FD_STEPS[total]
-    if total > 0 and h <= 0:
-        raise ContractViolation("step must be positive")
     point = np.asarray(point, dtype=float)
     pts = np.atleast_2d(point)
-    out = _stencil(expr, pts, alpha, h, profile_bank)
-    if total > 2:
-        fine = _stencil(expr, pts, alpha, h / 2.0, profile_bank)
-        out = (4.0 * fine - out) / 3.0
-    return float(out[0]) if point.ndim == 1 else out
+    try:
+        alphas = np.array(alpha, dtype=int)
+    except (TypeError, ValueError):  # a ragged stack
+        alphas = np.zeros(0, dtype=int)
+    stack = np.atleast_2d(alphas)
+    orders = stack.sum(axis=1)
+    if (pts.ndim != 2 or stack.ndim != 2 or stack.shape[1] != pts.shape[1] or not stack.size
+            or stack.min() < 0 or orders.max() > 4):
+        raise ContractViolation(f"alpha {alpha!r} is not a stack of multi-indices of order "
+                                f"<= 4 for points of shape {point.shape}")
+    steps = np.array([FD_STEPS[o] if h is None else float(h) for o in orders.tolist()])
+    if ((orders > 0) & (steps <= 0)).any():
+        raise ContractViolation("step must be positive")
+    rich = np.flatnonzero(orders > 2)  # each also gets a stencil at half the step
+    est = _stencils(expr, pts, np.concatenate((stack, stack[rich])),
+                    np.concatenate((steps, steps[rich] / 2.0)), profile_bank)
+    est[rich] = (4.0 * est[len(stack):] - est[rich]) / 3.0
+    out = est[:len(stack)].reshape(alphas.shape[:-1] + point.shape[:-1])
+    return float(out) if out.ndim == 0 else out
 
 
 def node_repr(node: Expr) -> str:

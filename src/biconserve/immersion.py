@@ -73,11 +73,6 @@ class ImmersionChart:
     def center(self) -> np.ndarray:
         return np.array([(lo + hi) / 2.0 for lo, hi in self.domain])
 
-    def contains(self, p, margin: float = 0.0) -> bool:
-        return all(
-            lo + margin <= x <= hi - margin for x, (lo, hi) in zip(p, self.domain)
-        )
-
     def value(self, p) -> np.ndarray:
         """x(p): (m,) at one point (n,), (P, m) for a block (P, n)."""
         return np.stack([eval_value(c, p, self.profile_bank) for c in self.components],
@@ -326,9 +321,10 @@ def _frame_jets(chart: ImmersionChart, p: np.ndarray):
     return dx, ddx, G, G0
 
 
-def _christoffel_jets(G):
+def _christoffel_jets(G, B=None):
     """Order-1 jets of the Christoffel symbols Gamma^k_ij, from first
-    derivatives of the order-2 metric jets, as [k][i][j]."""
+    derivatives of the order-2 metric jets, as [k][i][j]; with the rows of
+    B, also G^{-1} B, solved in the same elimination over the same G."""
     n = len(G)
     G1 = [[G[i][j].truncate(1) for j in range(n)] for i in range(n)]
     dG = [[[G[i][j].deriv(l) for l in range(n)] for j in range(n)] for i in range(n)]
@@ -337,13 +333,14 @@ def _christoffel_jets(G):
         [(dG[j][l][i] + dG[i][l][j] - dG[i][j][l]) * 0.5 for l in range(n)]
         for i, j in sym_pairs
     ]
-    sol = _jet_solve(G1, [[rhs_cols[col][l] for col in range(len(sym_pairs))] for l in range(n)])
+    nb = len(B[0]) if B else 0
+    sol = _jet_solve(G1, [(B[l] if B else []) + [c[l] for c in rhs_cols] for l in range(n)])
     Gamma_jets = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for col, (i, j) in enumerate(sym_pairs):
+    for col, (i, j) in enumerate(sym_pairs, nb):
         for k in range(n):
             Gamma_jets[k][i][j] = sol[k][col]
             Gamma_jets[k][j][i] = sol[k][col]
-    return Gamma_jets
+    return Gamma_jets, [row[:nb] for row in sol]
 
 
 def packet(chart: ImmersionChart, p, flip_normal: bool = False) -> CurvaturePacket:
@@ -396,14 +393,11 @@ def packet(chart: ImmersionChart, p, flip_normal: bool = False) -> CurvaturePack
                 acc = acc + eps[a] * (ddx[i][j][a] * N_jets[a])
             B[i][j] = acc
             B[j][i] = acc
-    G1 = [[G[i][j].truncate(1) for j in range(n)] for i in range(n)]
-    S = _jet_solve(G1, B)
-
+    Gamma_jets, S = _christoffel_jets(G, B)
     H_jet = S[0][0]
     for i in range(1, n):
         H_jet = H_jet + S[i][i]
     H_jet = H_jet * (1.0 / n)
-    Gamma_jets = _christoffel_jets(G)
 
     G_inv = np.linalg.inv(G0)
     gradH = _mv(G_inv, _point_first([H_jet], _gradient)[..., 0, :])
@@ -442,7 +436,7 @@ def submanifold_packet(chart: ImmersionChart, p) -> SubmanifoldPacket:
     n = chart.nparams
     m = chart.signature.dim
     dx, ddx, G, G0 = _frame_jets(chart, p)
-    Gamma_jets = _christoffel_jets(G)
+    Gamma_jets, _ = _christoffel_jets(G)
 
     h_jets = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -662,30 +656,17 @@ class FdPacket(_CmcRule):
 
 
 def _fd_partials(chart: ImmersionChart, base: np.ndarray):
-    """d_i x (B, n, m) and d_i d_j x (B, n, n, m) at every base point (B, n).
-
-    One ``fd_partial`` call per component and derivative covers all base
-    points at once.
-    """
+    """d_i x (B, n, m) and d_i d_j x (B, n, n, m) at every base point (B, n), from
+    one ``fd_partial`` call per component with all first and second alphas."""
     n = chart.nparams
-    m = chart.signature.dim
-    bank = chart.profile_bank
-    dx = np.empty((len(base), n, m))
-    ddx = np.empty((len(base), n, n, m))
-    for a, comp in enumerate(chart.components):
-        for i in range(n):
-            alpha = [0] * n
-            alpha[i] = 1
-            dx[:, i, a] = fd_partial(comp, base, alpha, profile_bank=bank)
-        for i in range(n):
-            for j in range(i, n):
-                alpha = [0] * n
-                alpha[i] += 1
-                alpha[j] += 1
-                val = fd_partial(comp, base, alpha, profile_bank=bank)
-                ddx[:, i, j, a] = val
-                ddx[:, j, i, a] = val
-    return dx, ddx
+    i, j = np.triu_indices(n)
+    eye = np.eye(n, dtype=int)
+    vals = np.stack([fd_partial(comp, base, np.concatenate((eye, eye[i] + eye[j])),
+                                profile_bank=chart.profile_bank)
+                     for comp in chart.components], axis=-1).swapaxes(0, 1)  # (B, alpha, m)
+    ddx = np.empty((len(base), n, n, chart.signature.dim))
+    ddx[:, i, j] = ddx[:, j, i] = vals[:, n:]
+    return np.ascontiguousarray(vals[:, :n]), ddx
 
 
 def _rowdot(a, b):
@@ -722,12 +703,13 @@ def packet_fd(chart: ImmersionChart, p, h_grad: float = 5e-4) -> FdPacket:
     comes from ``eval_values`` (array arithmetic, the profiles' array
     ``values``), so no jet arithmetic enters anywhere.
 
-    ``p`` is one point (n,) or a block (P, n), as for ``packet``.  All
-    P (2n + 1) base points share each stencil evaluation, and the frames at
-    the P points and then at their 2nP neighbours are each one stacked
-    array pass, so every point gets the arithmetic it would get alone.  A
-    one-point call returns floats and unbatched arrays; a block raises as
-    soon as any of its points fails.
+    ``p`` is one point (n,) or a block (P, n), as for ``packet``.  The
+    stencils of all first and second partials at all P (2n + 1) base points
+    take one array evaluation per chart component (one ``fd_partial`` call
+    each), and the frames at the P points and their 2nP neighbours are each
+    one stacked array pass, so every point gets the arithmetic it would get
+    alone.  A one-point call returns floats and unbatched arrays; a block
+    raises as soon as any of its points fails.
     """
     p = np.asarray(p, dtype=float)
     pts = np.atleast_2d(p)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from biconserve.errors import ContractViolation, DomainError
-from biconserve.expr import (Call, Const, Mul, Pow, ProfileCall, Var, eval_value,
+from biconserve.expr import (FD_STEPS, Call, Const, Mul, Pow, ProfileCall, Var, eval_value,
                              eval_values, fd_partial, node_repr, parse)
 
 
@@ -154,6 +154,68 @@ def test_fd_partial_on_base_arrays_is_bitwise_the_single_point_route():
             single = [fd_partial(comp, p, alpha, profile_bank=chart.profile_bank) for p in base]
             assert isinstance(single[0], float)
             assert np.array_equal(batch, np.array(single)), (key, alpha)
+
+
+def _nested_difference(expr, pts, alpha, h, bank):
+    """The central difference nested one axis at a time, each level stacking
+    its up and down points (the stencil's definition)."""
+    for axis, cnt in enumerate(alpha):
+        if cnt:
+            up, dn = pts.copy(), pts.copy()
+            up[:, axis] += h
+            dn[:, axis] -= h
+            rest = tuple(alpha[:axis]) + (cnt - 1,) + tuple(alpha[axis + 1:])
+            v = _nested_difference(expr, np.concatenate((up, dn)), rest, h, bank)
+            return (v[:len(pts)] - v[len(pts):]) / (2.0 * h)
+    return eval_values(expr, pts, bank)
+
+
+def _reference_partial(expr, pts, alpha, h, bank):
+    order = sum(alpha)
+    h = FD_STEPS[order] if h is None else h
+    out = _nested_difference(expr, pts, alpha, h, bank)
+    if order > 2:
+        out = (4.0 * _nested_difference(expr, pts, alpha, h / 2.0, bank) - out) / 3.0
+    return out
+
+
+@pytest.mark.parametrize("h", [None, 3e-3])
+def test_fd_partial_alpha_stack_is_bitwise_the_single_alpha_calls(h):
+    from biconserve.sweep import random_points
+
+    rng = np.random.default_rng(11)
+    for key, chart in _catalog_charts():
+        n = chart.nparams
+        # orders 0-4 mixed in one stack, shuffled, with a repeated alpha
+        alphas = [tuple(rng.multinomial(order, [1.0 / n] * n)) for order in (0, 1, 2, 3, 4, 2, 1)]
+        alphas = [alphas[k] for k in rng.permutation(len(alphas))] + [alphas[0]]
+        base = random_points(chart.domain, 5, seed=4)
+        bank = chart.profile_bank
+        for comp in chart.components[:2]:
+            block = fd_partial(comp, base, alphas, h=h, profile_bank=bank)
+            one = fd_partial(comp, base[2], np.array(alphas), h=h, profile_bank=bank)
+            assert block.shape == (len(alphas), len(base)) and one.shape == (len(alphas),)
+            for k, alpha in enumerate(alphas):
+                single = fd_partial(comp, base, alpha, h=h, profile_bank=bank)
+                assert np.array_equal(block[k], single), (key, alpha)
+                assert np.array_equal(single, _reference_partial(comp, base, alpha, h, bank))
+                assert one[k] == fd_partial(comp, base[2], alpha, h=h, profile_bank=bank)
+
+
+@pytest.mark.parametrize("alpha", [
+    [(1, 0, 0, 0), (1, 0, 0)],        # ragged
+    [(1, 0, 0), (0, 1, 0)],           # wrong length
+    (1, 0, 0),                        # one alpha of the wrong length
+    [(1, 0, 0, 0), (2, 2, 1, 0)],     # |alpha| > 4 inside a stack
+    [(1, 0, 0, 0), (-1, 1, 0, 0)],    # a negative order
+    np.zeros((0, 4), dtype=int),      # empty
+    np.zeros((2, 1, 4), dtype=int),   # not (n,) or (K, n)
+])
+def test_fd_partial_alpha_stack_contract(alpha):
+    e = parse("s*t + u")
+    for point in ((0.1, 0.2, 0.3, 0.4), np.ones((3, 4))):
+        with pytest.raises(ContractViolation):
+            fd_partial(e, point, alpha)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

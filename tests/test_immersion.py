@@ -7,7 +7,7 @@ import pytest
 from biconserve.catalog import FamilySpec, build
 from biconserve.errors import (ContractViolation, DegenerateFrameError, DegenerateMetric,
                                DegenerateNormal, DomainError, UnexpectedIndex)
-from biconserve.expr import parse
+from biconserve.expr import fd_partial, parse
 from biconserve.immersion import (ImmersionChart, beltrami_residual,
                                   biconservative_residual, gauss_codazzi_residual,
                                   packet, packet_fd, principal_direction_check,
@@ -167,6 +167,23 @@ def test_fd_packet_carries_its_own_tangents(ex41):
     r_fd = biconservative_residual(ex41, p, fpk)
     assert r_fd == biconservative_residual(ex41, p, packet_fd(ex41, p))
     assert r_fd < 1e-4
+
+
+@pytest.mark.parametrize("p", [(1.0, 0.3, -0.2, 0.4),
+                               [(1.0, 0.3, -0.2, 0.4), (0.9, 0.1, 0.2, -0.3)]])
+def test_fd_packet_takes_one_fd_partial_call_per_component(ex41, p, monkeypatch):
+    import biconserve.immersion as immersion
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return fd_partial(*args, **kwargs)
+
+    monkeypatch.setattr(immersion, "fd_partial", counting)
+    packet_fd(ex41, p)
+    assert len(calls) == len(ex41.components)
+    assert all(np.shape(alphas) == (4 + 10, 4) for alphas in calls)
 
 
 @pytest.mark.parametrize("exprs, p, error", [
