@@ -356,13 +356,9 @@ def _profile_bank(entry: CatalogEntry, spec: FamilySpec, domain):
         if worst > _PAIR_TOL:
             raise ConstraintError(_PAIR_COND[entry.pair_kind], f"residual {worst:.2e}")
     elif "psi" in entry.profile_names:
-        if req.get("solve_psi") or ("psi" not in req and entry.key in ("ex41", "rem42")):
+        if req.get("solve_psi") or ("psi" not in req and entry.key == "ex41"):
             c = float(req.get("c", 1.0))
-            if entry.key == "rem42":
-                offsets = tuple(2.0 * float(ai) for ai in params["a"])
-                bank["psi"] = solve_psi_offsets(offsets, c, s_range)
-            else:
-                bank["psi"] = solve_psi(float(params["a"]), float(params["b"]), c, s_range)
+            bank["psi"] = solve_psi(float(params["a"]), float(params["b"]), c, s_range)
         elif "psi" in req:
             if isinstance(req["psi"], str):
                 bank["psi"] = ExprProfile(parse(req["psi"], ("s",)))

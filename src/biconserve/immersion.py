@@ -1,12 +1,16 @@
 """From a parametrized chart to curvature data and verification residuals.
 
-The whole pipeline runs in jet arithmetic: chart components are expanded to
-order-3 jets, so the induced metric, normal, shape operator and mean
-curvature come out as jets themselves and the gradient of H is read off a
-first-order jet instead of being re-differenced.  ``packet`` (codimension
-1) and ``submanifold_packet`` (any codimension) evaluate one point or a
-block of points at once: the jets carry a trailing point axis, and the
-packets' value arrays and the residual operations a leading one.  Each
+Jet arithmetic carries the pipeline up to the second fundamental form:
+chart components are expanded to order-3 jets, so the induced metric (with
+its second partials), the normal and B come out as jets.  From there on
+every quantity is a value array with its first partials: one linear solve
+per point with the values of G gives the shape operator and the
+Christoffel symbols, and one more with the same matrix their partials, so
+H and grad H are traces of S and of its partials, never re-differenced.
+``packet`` (codimension 1) and ``submanifold_packet`` (any codimension)
+evaluate one point or a block of points at once: the jets carry a
+trailing point axis, and the arrays and the residual operations a leading
+one, of length 1 for a one-point call.  Each
 identity residual has one body for both packets; only the terms that
 belong to the codimension differ.  The independent oracle, packet_fd, uses
 no jets: nested central differences of chart values computed by array
@@ -137,46 +141,7 @@ class SubmanifoldPacket:
     _weights: np.ndarray = field(repr=False, default=None)
 
 
-# -- jet linear algebra -------------------------------------------------
-
-
-def _jet_solve(A, B):
-    """Solve A X = B by Gauss-Jordan over the jet ring.
-
-    Each point of a block pivots on the largest |value| in its own column,
-    so it takes the row exchanges it would take alone.
-    """
-    n = len(A)
-    rows = [list(a) + list(b) for a, b in zip(A, B)]
-    for col in range(n):
-        mag = np.abs([rows[r][col].c[0] for r in range(col, n)])
-        piv = np.argmax(mag, axis=0)  # per point, offset from col
-        if piv.any():
-            rows[col:] = _exchange_first(rows[col:], piv)
-        inv = rows[col][col].reciprocal()
-        rows[col] = [a * inv for a in rows[col]]
-        for r in range(n):
-            f = rows[r][col]
-            if r == col or not f.c.any():
-                continue
-            rows[r] = [a - f * ac for a, ac in zip(rows[r], rows[col])]
-    return [row[n:] for row in rows]
-
-
-def _exchange_first(rows, piv):
-    """Rows of jets with row 0 and row piv exchanged (at each point k of a
-    block, row 0 and row piv[k])."""
-    nrow = len(rows)
-    perm = np.broadcast_to(np.arange(nrow).reshape((nrow,) + (1,) * piv.ndim),
-                           (nrow,) + piv.shape).copy()
-    perm[0] = piv
-    np.put_along_axis(perm, piv[None], 0, axis=0)
-    out = [[] for _ in rows]
-    for col in zip(*rows):
-        taken = np.take_along_axis(np.stack([j.c for j in col]), perm[:, None], axis=0)
-        for r, j in enumerate(col):
-            out[r].append(Jet(j.space, j.order, taken[r]))
-    return out
+# -- jet cross product --------------------------------------------------
 
 
 def _jet_cross(tangents, weights):
@@ -262,8 +227,8 @@ def _orient_sign(w_val, ref, flip):
 
 
 def _point_first(jets, part=lambda j: j.c[0]):
-    """``part`` of every jet in a nested list, stacked; for block jets the
-    point axis comes first.  Values (P, ...) by default."""
+    """``part`` of every jet in a nested list, stacked, with a leading point
+    axis (of length 1 for one-point jets).  Values (P, ...) by default."""
     shape, x, flat = [], jets, jets
     while isinstance(x, list):
         shape.append(len(x))
@@ -271,9 +236,9 @@ def _point_first(jets, part=lambda j: j.c[0]):
     for _ in shape[1:]:
         flat = [j for row in flat for j in row]
     arr = np.array([part(j) for j in flat])
-    arr = arr.reshape(shape + list(arr.shape[1:]))
     if flat[0].c.ndim == 1:
-        return arr
+        arr = arr[..., None]
+    arr = arr.reshape(shape + list(arr.shape[1:]))
     return np.ascontiguousarray(np.moveaxis(arr, -1, 0))
 
 
@@ -292,9 +257,10 @@ def _push(v, dx):
 
 
 def _frame_jets(chart: ImmersionChart, p: np.ndarray):
-    """Jets of d_i x (order 2), d_i d_j x (order 1) and the induced metric
-    G_ij (order 2) at p, with the values of G; raises where G fails the
-    metric checks."""
+    """Jets of d_i x (order 2) and d_i d_j x (order 1) at p, and the induced
+    metric G_ij with its first and second partials, (P, n, n), (P, n, n, n)
+    at [i, j, l] and (P, n, n, n, n) at [i, j, l, q]; raises where G fails
+    the metric checks."""
     n = chart.nparams
     m = chart.signature.dim
     eps = chart.signature.weights
@@ -311,6 +277,7 @@ def _frame_jets(chart: ImmersionChart, p: np.ndarray):
             G[j][i] = acc
     G0 = _point_first(G)
     _metric_checks(chart, p, G0)
+    dG = [[[G[i][j].deriv(l) for l in range(n)] for j in range(n)] for i in range(n)]
 
     ddx = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -318,29 +285,41 @@ def _frame_jets(chart: ImmersionChart, p: np.ndarray):
             d = [dx[i][a].deriv(j) for a in range(m)]
             ddx[i][j] = d
             ddx[j][i] = d
-    return dx, ddx, G, G0
+    return dx, ddx, (G0, _point_first(dG), _point_first(dG, _gradient))
 
 
-def _christoffel_jets(G, B=None):
-    """Order-1 jets of the Christoffel symbols Gamma^k_ij, from first
-    derivatives of the order-2 metric jets, as [k][i][j]; with the rows of
-    B, also G^{-1} B, solved in the same elimination over the same G."""
-    n = len(G)
-    G1 = [[G[i][j].truncate(1) for j in range(n)] for i in range(n)]
-    dG = [[[G[i][j].deriv(l) for l in range(n)] for j in range(n)] for i in range(n)]
-    sym_pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    rhs_cols = [
-        [(dG[j][l][i] + dG[i][l][j] - dG[i][j][l]) * 0.5 for l in range(n)]
-        for i, j in sym_pairs
-    ]
-    nb = len(B[0]) if B else 0
-    sol = _jet_solve(G1, [(B[l] if B else []) + [c[l] for c in rhs_cols] for l in range(n)])
-    Gamma_jets = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for col, (i, j) in enumerate(sym_pairs, nb):
-        for k in range(n):
-            Gamma_jets[k][i][j] = sol[k][col]
-            Gamma_jets[k][j][i] = sol[k][col]
-    return Gamma_jets, [row[:nb] for row in sol]
+def _christoffel(G, B=None):
+    """Gamma^k_ij at [k, i, j] and its partials d_l Gamma^k_ij at
+    [k, i, j, l], from the metric arrays G = (G, dG, ddG) of ``_frame_jets``;
+    with B = (B, dB), the values (P, n, n) and first partials (P, n, n, n)
+    of the second fundamental form, also S = G^{-1} B at [k, j] and d_l S at
+    [k, j, l] (else two empty arrays).
+
+    The Christoffel symbols of the first kind and B form the right-hand
+    side R of G X = R; X is one linear solve per point, and its partials a
+    second one with the same matrix, d_l X = G^{-1} (d_l R - d_l G X).
+    Every array has a leading point axis, so a point's numbers do not
+    depend on the block it is solved in.
+    """
+    G0, dG, ddG = G
+    n = G0.shape[-1]
+    i, j = np.triu_indices(n)
+    # Gamma_{l,ij} = (d_i G_jl + d_j G_il - d_l G_ij) / 2 at [l, ij], and its partials
+    R = (dG[:, :, j, i] + dG[:, :, i, j] - dG.transpose(0, 3, 1, 2)[:, :, i, j]) * 0.5
+    dR = (ddG[:, :, j, i] + ddG[:, :, i, j] - ddG.transpose(0, 3, 1, 2, 4)[:, :, i, j]) * 0.5
+    nb = 0
+    if B is not None:
+        nb = n
+        R = np.concatenate((B[0], R), axis=2)
+        dR = np.concatenate((B[1], dR), axis=2)
+    X = np.linalg.solve(G0, R)
+    dR = dR - np.einsum("zrsl,zsc->zrcl", dG, X)
+    dX = np.linalg.solve(G0, dR.reshape(len(G0), n, -1)).reshape(dR.shape)
+    Gamma = np.empty((len(G0), n, n, n))
+    dGamma = np.empty((len(G0), n, n, n, n))
+    Gamma[:, :, i, j] = Gamma[:, :, j, i] = X[:, :, nb:]
+    dGamma[:, :, i, j] = dGamma[:, :, j, i] = dX[:, :, nb:]
+    return Gamma, dGamma, np.ascontiguousarray(X[:, :, :nb]), np.ascontiguousarray(dX[:, :, :nb])
 
 
 def packet(chart: ImmersionChart, p, flip_normal: bool = False) -> CurvaturePacket:
@@ -349,12 +328,15 @@ def packet(chart: ImmersionChart, p, flip_normal: bool = False) -> CurvaturePack
     ``p`` is one point (n,) or a block of points (P, n).  The normal is
     oriented at each point by that point alone: along the chart's reference
     normal field when it has one, else with its last nonzero component
-    positive; ``flip_normal`` reverses it.  A block is evaluated as a point
-    axis of every jet, so the jet arithmetic runs once for the whole block,
-    and each point gets the arithmetic it would get alone.  A one-point call
-    runs the same code with no point axis and returns floats and unbatched
-    arrays.  A block raises as soon as any of its points fails a check;
-    ``sweep`` bisects a failing block to give every point its own error.
+    positive; ``flip_normal`` reverses it.  Jet arithmetic, with a point
+    axis for a block, carries the chart through G, the normal N and the
+    second fundamental form B; the shape operator S, the Christoffel
+    symbols and their partials come from ``_christoffel``, and H and grad H
+    from the traces of S and of its partials.  Each point gets the
+    arithmetic it would get alone: a one-point call runs the block code on
+    a block of one point, and returns floats and unbatched arrays.  A block
+    raises as soon as any of its points fails a check; ``sweep`` bisects a
+    failing block to give every point its own error.
     """
     if chart.codim != 1:
         raise ContractViolation("packet requires a codimension-1 chart")
@@ -363,7 +345,7 @@ def packet(chart: ImmersionChart, p, flip_normal: bool = False) -> CurvaturePack
     n = chart.nparams
     m = chart.signature.dim
     eps = chart.signature.weights
-    dx, ddx, G, G0 = _frame_jets(chart, p)
+    dx, ddx, G = _frame_jets(chart, p)
 
     dx1 = [[dx[i][a].truncate(1) for a in range(m)] for i in range(n)]
     w = _jet_cross(dx1, eps)
@@ -385,85 +367,59 @@ def packet(chart: ImmersionChart, p, flip_normal: bool = False) -> CurvaturePack
     inv_norm = jet_sqrt(nn).reciprocal() * _orient_sign(w_val, ref, flip_normal)
     N_jets = [wj * inv_norm for wj in w]
 
-    B = [[None] * n for _ in range(n)]
+    Bj = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             acc = eps[0] * (ddx[i][j][0] * N_jets[0])
             for a in range(1, m):
                 acc = acc + eps[a] * (ddx[i][j][a] * N_jets[a])
-            B[i][j] = acc
-            B[j][i] = acc
-    Gamma_jets, S = _christoffel_jets(G, B)
-    H_jet = S[0][0]
-    for i in range(1, n):
-        H_jet = H_jet + S[i][i]
-    H_jet = H_jet * (1.0 / n)
+            Bj[i][j] = acc
+            Bj[j][i] = acc
+    B = (_point_first(Bj), _point_first(Bj, _gradient))
+    Gamma, dGamma, S, dS = _christoffel(G, B)
+    H = np.trace(S, axis1=1, axis2=2) * (1.0 / n)
+    dH = np.trace(dS, axis1=1, axis2=2) * (1.0 / n)
 
-    G_inv = np.linalg.inv(G0)
-    gradH = _mv(G_inv, _point_first([H_jet], _gradient)[..., 0, :])
+    G_inv = np.linalg.inv(G[0])
+    gradH = _mv(G_inv, dH)
     dx0 = _point_first(dx)
+    fields = (G[0], G_inv, _point_first(N_jets), B[0], S, H, gradH, _push(gradH, dx0),
+              Gamma, dx0, _point_first(ddx), B[1], dGamma)
     one = p.ndim == 1
-    return CurvaturePacket(
-        point=tuple(p) if one else p,
-        G=G0,
-        G_inv=G_inv,
-        N=AmbientVector(_point_first(N_jets), chart.signature),
-        B=_point_first(B),
-        S=_point_first(S),
-        H=float(H_jet.c[0]) if one else H_jet.c[0].copy(),
-        gradH=gradH,
-        gradH_ambient=AmbientVector(_push(gradH, dx0), chart.signature),
-        christoffel=_point_first(Gamma_jets),
-        dx=dx0,
-        ddx=_point_first(ddx),
-        dB=_point_first(B, _gradient),
-        dGamma=_point_first(Gamma_jets, _gradient),
-        _weights=eps,
-    )
+    G0, G_inv, N0, B0, S, H, gradH, g_amb, Gamma, dx0, ddx0, dB, dGamma = [
+        f[0] if one else f for f in fields]
+    sig = chart.signature
+    return CurvaturePacket(tuple(p) if one else p, G0, G_inv, AmbientVector(N0, sig), B0, S,
+                           float(H) if one else H, gradH, AmbientVector(g_amb, sig), Gamma,
+                           dx0, ddx0, dB, dGamma, _weights=eps)
 
 
 def submanifold_packet(chart: ImmersionChart, p) -> SubmanifoldPacket:
     """First and second fundamental forms of a chart of any codimension.
 
     ``p`` is one point (n,) or a block of points (P, n), evaluated as
-    ``packet`` evaluates them: one jet pass for the whole block, each point
-    getting the arithmetic it would get alone, unbatched arrays from a
-    one-point call, and a block raising as soon as any of its points fails
-    a metric check.  The normal part of the second derivatives is
-    h_ij = d_i d_j x - Gamma^k_ij d_k x.
+    ``packet`` evaluates them: jets carry the chart through G, arrays with
+    a point axis take over from the Christoffel symbols on, a one-point
+    call runs the block code on one point and returns unbatched arrays, and
+    a block raises as soon as any of its points fails a metric check.  The
+    normal part of the second derivatives is h_ij = d_i d_j x - Gamma^k_ij
+    d_k x, and its partials d_l h_ij follow by the product rule from the
+    third partials of x.
     """
     p = np.asarray(p, dtype=float)
     n = chart.nparams
-    m = chart.signature.dim
-    dx, ddx, G, G0 = _frame_jets(chart, p)
-    Gamma_jets, _ = _christoffel_jets(G)
-
-    h_jets = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            vec = []
-            for a in range(m):
-                acc = ddx[i][j][a].truncate(1)
-                for k in range(n):
-                    acc = acc - Gamma_jets[k][i][j] * dx[k][a].truncate(1)
-                vec.append(acc)
-            h_jets[i][j] = vec
-            h_jets[j][i] = vec
-    h0 = _point_first(h_jets)
-    G_inv = np.linalg.inv(G0)
-    return SubmanifoldPacket(
-        point=tuple(p) if p.ndim == 1 else p,
-        G=G0,
-        G_inv=G_inv,
-        christoffel=_point_first(Gamma_jets),
-        dx=_point_first(dx),
-        ddx=_point_first(ddx),
-        dGamma=_point_first(Gamma_jets, _gradient),
-        h=h0,
-        dh=_point_first(h_jets, _gradient),
-        mean_curvature=np.einsum("...ij,...ija->...a", G_inv, h0) / n,
-        _weights=chart.signature.weights,
-    )
+    dx, ddx, G = _frame_jets(chart, p)
+    Gamma, dGamma, _, _ = _christoffel(G)
+    dx0, ddx0 = _point_first(dx), _point_first(ddx)
+    h = ddx0 - np.einsum("zkij,zka->zija", Gamma, dx0)
+    dh = (_point_first(ddx, _gradient) - np.einsum("zkijl,zka->zijal", dGamma, dx0)
+          - np.einsum("zkij,zkla->zijal", Gamma, ddx0))
+    G_inv = np.linalg.inv(G[0])
+    fields = (G[0], G_inv, Gamma, dx0, ddx0, dGamma, h, dh,
+              np.einsum("zij,zija->za", G_inv, h) / n)
+    one = p.ndim == 1
+    return SubmanifoldPacket(tuple(p) if one else p, *[f[0] if one else f for f in fields],
+                             _weights=chart.signature.weights)
 
 
 # -- residual operations --------------------------------------------------

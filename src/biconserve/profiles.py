@@ -100,9 +100,11 @@ def _bary_eval(nodes: np.ndarray, weights: np.ndarray, values: np.ndarray,
 
 
 def _check_range(x: np.ndarray, lo: float, hi: float, what: str):
+    """Raise for the argument of ``x`` farthest outside [lo, hi], so the
+    message does not depend on which arguments share one evaluation."""
     bad = ~((lo - 1e-12 <= x) & (x <= hi + 1e-12))
     if np.any(bad):
-        x0 = float(x[np.argmax(bad)])
+        x0 = float(x[np.argmax(np.where(bad, np.maximum(lo - x, x - hi), -np.inf))])
         raise DomainError(f"{what} {x0:.6g} outside [{lo:.6g}, {hi:.6g}]")
 
 

@@ -191,6 +191,27 @@ def test_array_values_domain_guard(psi_12):
             DerivativeProfile(base).derivs(2.5, 0)
 
 
+def test_range_error_quotes_the_argument_farthest_outside(psi_12):
+    lo, hi = psi_12.s_grid.min(), psi_12.s_grid.max()
+    outside = [hi + 2e-4, lo - 3e-4, hi + 5e-4, lo - 1e-4]
+
+    def quoted(x):
+        with pytest.raises(DomainError) as err:
+            psi_12.values(np.array(x))
+        return str(err.value).split()[2]
+
+    alone = [quoted([x]) for x in outside]
+    assert alone == [f"{x:.6g}" for x in outside]
+    worst = alone[2]  # 5e-4 above the range
+    for k in range(len(outside)):
+        assert quoted(np.roll(outside, k).tolist() + [1.0]) == worst
+    # the jet route and a derivative view quote the same argument
+    with pytest.raises(DomainError, match=f"psi argument {worst} "):
+        psi_12.derivs(np.array([1.0] + outside), 2)
+    with pytest.raises(DomainError, match=f"psi argument {worst} "):
+        DerivativeProfile(psi_12).values(np.array(outside[::-1]))
+
+
 def test_derivative_of_an_expression_profile_is_one_block_jet():
     entry = DerivativeProfile(ExprProfile(parse("s^3*exp(-s) + sin(2*s)", ("s",))))
     x = np.array([0.3, 0.7, 0.7, 1.1, 1.9, -0.4])

@@ -15,8 +15,9 @@ output is byte-identical, whether the exit code moved, and every report
 field whose value differs, with its relative change |a - b| / max(|a|, |b|)
 for numbers.  A moved argmax point (two grid points whose values tie
 within rounding) is listed and counted apart.  It prints the largest
-relative change per case kind and exits 1 when an exit code, status,
-count or label moved.
+relative and the largest absolute change per case kind (a large relative
+change of a residual near 1e-16 is rounding) and exits 1 when an exit
+code, status, count or label moved.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def _argmax_field(key: str) -> bool:
 def diff(old_dir: str, new_dir: str) -> int:
     old_dir, new_dir = pathlib.Path(old_dir), pathlib.Path(new_dir)
     names = sorted({p.name for p in old_dir.glob("*.json")} | {p.name for p in new_dir.glob("*.json")})
-    identical, moved_verdicts, moved_argmax, worst = 0, 0, 0, {}
+    identical, moved_verdicts, moved_argmax, worst, worst_abs = 0, 0, 0, {}, {}
     for name in names:
         if not (old_dir / name).exists() or not (new_dir / name).exists():
             print(f"{name}: only in one run")
@@ -131,11 +132,13 @@ def diff(old_dir: str, new_dir: str) -> int:
                 moved_verdicts += 1
             else:
                 worst[kind] = max(worst.get(kind, 0.0), rel)
+                worst_abs[kind] = max(worst_abs.get(kind, 0.0), abs(x - y))
     print(f"{identical} of {len(names)} cases byte-identical; "
           f"{moved_verdicts} exit codes, statuses, counts or labels moved; "
           f"{moved_argmax} argmax coordinates moved")
     for kind, rel in sorted(worst.items()):
         print(f"largest relative change of a value ({kind} route): {rel:.2e}")
+        print(f"largest absolute change of a value ({kind} route): {worst_abs[kind]:.2e}")
     return 1 if moved_verdicts else 0
 
 
