@@ -1,21 +1,24 @@
 """From a parametrized chart to curvature data and verification residuals.
 
-Jet arithmetic carries the pipeline up to the second fundamental form:
-chart components are expanded to order-3 jets, so the induced metric (with
-its second partials), the normal and B come out as jets.  From there on
-every quantity is a value array with its first partials: one linear solve
-per point with the values of G gives the shape operator and the
-Christoffel symbols, and one more with the same matrix their partials, so
-H and grad H are traces of S and of its partials, never re-differenced.
-``packet`` (codimension 1) and ``submanifold_packet`` (any codimension)
-evaluate one point or a block of points at once: the jets carry a
-trailing point axis, and the arrays and the residual operations a leading
-one, of length 1 for a one-point call.  Each
-identity residual has one body for both packets; only the terms that
-belong to the codimension differ.  The independent oracle, packet_fd, uses
-no jets: nested central differences of chart values computed by array
-evaluation (expr.eval_values), for one point or a block as well.  Its
-FdPacket feeds the same tangency residuals as a CurvaturePacket.
+Jets give the chart's partials and nothing after them: each component is
+expanded to one order-3 jet, from which d_i x, d_i d_j x and d_i d_j d_l x
+are read off as arrays.  Everything after is array arithmetic, shared by
+every codimension in ``_second_form``: the induced metric and its partials
+by the product rule, the Christoffel symbols and their partials by one
+linear solve per point with G and one more with the same matrix (the
+linear-solve rule), and the normal-valued second fundamental form h with
+its partials.  ``submanifold_packet`` adds the mean curvature vector;
+``packet`` (codimension 1) adds the unit normal, B = <d_i d_j x, N> with
+d_l B = <d_l h, N>, and the shape operator S with its partials by the
+same solve, so H and grad H are traces of S and of its partials, never
+re-differenced.  Both packets evaluate one point or a block of points at
+once: the arrays and the residual operations carry a leading point axis,
+of length 1 for a one-point call.  Each identity residual has one body
+for both packets; only the terms that belong to the codimension differ.
+The independent oracle, packet_fd, uses no jets: nested central
+differences of chart values computed by array evaluation
+(expr.eval_values), for one point or a block as well.  Its FdPacket feeds
+the same tangency residuals as a CurvaturePacket.
 
 All residual norms are Euclidean in the ambient coordinates: an error vector
 with vanishing indefinite self-product must not masquerade as zero.
@@ -31,8 +34,6 @@ from .ambient import AmbientVector, Signature, metric_cross
 from .errors import (ContractViolation, DegenerateFrameError, DegenerateMetric,
                      DegenerateNormal, DomainError, UnexpectedIndex, plain_point)
 from .expr import eval_value, eval_values, fd_partial, jet_eval
-from .jets import Jet
-from .jets.jet import sqrt as jet_sqrt
 
 TAU_CMC = 1e-8
 TAU_NORMAL = 1e-10
@@ -141,18 +142,23 @@ class SubmanifoldPacket:
     _weights: np.ndarray = field(repr=False, default=None)
 
 
-# -- jet cross product --------------------------------------------------
+# -- cross product ---------------------------------------------------------
 
 
-def _jet_cross(tangents, weights):
-    """Index-lowered cofactor cross product of m-1 tangent jet vectors."""
-    n = len(tangents)          # rows
-    m = len(tangents[0])       # ambient dim
+def _cross(tangents, weights):
+    """Index-lowered cofactor cross product of the m-1 rows of ``tangents``
+    (P, m-1, m), as (P, m): each minor is expanded along its rows by a
+    bitmask of its columns, in one fixed order of products and sums.  It
+    stays apart from the LU-based ``ambient.metric_cross``: in 8-space it is
+    the more accurate of the two (3.0e-16 against 3.3e-15 relative), and the
+    oracle, which uses ``metric_cross``, keeps a normal of its own."""
+    n = tangents.shape[1]      # rows
+    m = tangents.shape[2]      # ambient dim
     # minors[mask] = det of rows 0..r on the sorted columns in bitmask `mask`
-    minors = {1 << c: tangents[0][c] for c in range(m)}
+    minors = {1 << c: tangents[:, 0, c] for c in range(m)}
     for r in range(1, n):
         nxt = {}
-        row = tangents[r]
+        row = tangents[:, r]
         for mask, det in minors.items():
             cols = [c for c in range(m) if mask & (1 << c)]
             for c in range(m):
@@ -160,7 +166,7 @@ def _jet_cross(tangents, weights):
                     continue
                 new_mask = mask | (1 << c)
                 pos = sum(1 for cc in cols if cc < c)
-                term = row[c] * det if (r + pos) % 2 == 0 else -(row[c] * det)
+                term = row[:, c] * det if (r + pos) % 2 == 0 else -(row[:, c] * det)
                 if new_mask in nxt:
                     nxt[new_mask] = nxt[new_mask] + term
                 else:
@@ -173,7 +179,7 @@ def _jet_cross(tangents, weights):
         if a % 2 == 1:
             cof = -cof
         out.append(weights[a] * cof)
-    return out
+    return np.stack(out, axis=-1)
 
 
 # -- packet construction -------------------------------------------------
@@ -184,12 +190,9 @@ def _first(bad) -> int | None:
     return int(hits[0]) if len(hits) else None
 
 
-def _metric_checks(chart: ImmersionChart, p: np.ndarray, G0: np.ndarray):
-    """Raise for the first point of ``p``, (n,) or (P, n), whose induced
-    metric, (n, n) or (P, n, n), overflows, is degenerate or has the wrong
-    index."""
-    pts = np.atleast_2d(p)
-    G0 = G0.reshape(len(pts), chart.nparams, chart.nparams)
+def _metric_checks(chart: ImmersionChart, pts: np.ndarray, G0: np.ndarray):
+    """Raise for the first point of ``pts`` (P, n) whose induced metric,
+    (P, n, n), overflows, is degenerate or has the wrong index."""
     gmax = np.max(np.abs(G0), axis=(1, 2))
     with np.errstate(over="ignore", invalid="ignore"):
         det = np.linalg.det(G0)
@@ -226,26 +229,6 @@ def _orient_sign(w_val, ref, flip):
     return -sgn if flip else sgn
 
 
-def _point_first(jets, part=lambda j: j.c[0]):
-    """``part`` of every jet in a nested list, stacked, with a leading point
-    axis (of length 1 for one-point jets).  Values (P, ...) by default."""
-    shape, x, flat = [], jets, jets
-    while isinstance(x, list):
-        shape.append(len(x))
-        x = x[0]
-    for _ in shape[1:]:
-        flat = [j for row in flat for j in row]
-    arr = np.array([part(j) for j in flat])
-    if flat[0].c.ndim == 1:
-        arr = arr[..., None]
-    arr = arr.reshape(shape + list(arr.shape[1:]))
-    return np.ascontiguousarray(np.moveaxis(arr, -1, 0))
-
-
-def _gradient(j: Jet) -> np.ndarray:
-    return j.c[1 : 1 + j.space.nvars]
-
-
 def _mv(A, x):
     """A x at each point: (P, n, k) by (P, k)."""
     return np.matmul(A, x[..., None])[..., 0]
@@ -256,70 +239,71 @@ def _push(v, dx):
     return np.matmul(v[..., None, :], dx)[..., 0, :]
 
 
-def _frame_jets(chart: ImmersionChart, p: np.ndarray):
-    """Jets of d_i x (order 2) and d_i d_j x (order 1) at p, and the induced
-    metric G_ij with its first and second partials, (P, n, n), (P, n, n, n)
-    at [i, j, l] and (P, n, n, n, n) at [i, j, l, q]; raises where G fails
-    the metric checks."""
-    n = chart.nparams
-    m = chart.signature.dim
+def _inner(u, v, eps):
+    """<u, v> over the last (ambient) axis, broadcast over the others, with
+    the products summed in the order of the ambient axes."""
+    acc = eps[0] * (u[..., 0] * v[..., 0])
+    for a in range(1, len(eps)):
+        acc = acc + eps[a] * (u[..., a] * v[..., a])
+    return acc
+
+
+def _frame(chart: ImmersionChart, pts: np.ndarray):
+    """The chart's partials at each point of ``pts`` (P, n): d_i x (P, n, m),
+    d_i d_j x (P, n, n, m) and d_i d_j d_l x (P, n, n, n, m), read off one
+    order-3 jet per component; and the induced metric G_ij with its first
+    and second partials, (P, n, n), (P, n, n, n) at [i, j, l] and
+    (P, n, n, n, n) at [i, j, l, q], by the product rule.  Raises where G
+    fails the metric checks."""
     eps = chart.signature.weights
-    xj = [jet_eval(c, p, 3, chart.profile_bank) for c in chart.components]
-    dx = [[xj[a].deriv(i) for a in range(m)] for i in range(n)]
-
-    G = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            acc = eps[0] * (dx[i][0] * dx[j][0])
-            for a in range(1, m):
-                acc = acc + eps[a] * (dx[i][a] * dx[j][a])
-            G[i][j] = acc
-            G[j][i] = acc
-    G0 = _point_first(G)
-    _metric_checks(chart, p, G0)
-    dG = [[[G[i][j].deriv(l) for l in range(n)] for j in range(n)] for i in range(n)]
-
-    ddx = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            d = [dx[i][a].deriv(j) for a in range(m)]
-            ddx[i][j] = d
-            ddx[j][i] = d
-    return dx, ddx, (G0, _point_first(dG), _point_first(dG, _gradient))
+    jets = [jet_eval(c, pts, 3, chart.profile_bank) for c in chart.components]
+    dx, ddx, dddx = [np.moveaxis(np.stack([j.partials(k) for j in jets], axis=-1), -2, 0)
+                     for k in (1, 2, 3)]
+    G = _inner(dx[:, :, None], dx[:, None], eps)
+    _metric_checks(chart, pts, G)
+    # d_l G_ij = <d_i d_l x, d_j x> + <d_i x, d_j d_l x>
+    A = np.einsum("zila,a,zja->zijl", ddx, eps, dx)
+    dG = A + A.transpose(0, 2, 1, 3)
+    # d_q d_l G_ij = <d_i d_l d_q x, d_j x> + <d_i d_l x, d_j d_q x> + (i <-> j)
+    E = (np.einsum("zilqa,a,zja->zijlq", dddx, eps, dx)
+         + np.einsum("zila,a,zjqa->zijlq", ddx, eps, ddx))
+    ddG = E + E.transpose(0, 2, 1, 3, 4)
+    return dx, ddx, dddx, G, dG, ddG
 
 
-def _christoffel(G, B=None):
-    """Gamma^k_ij at [k, i, j] and its partials d_l Gamma^k_ij at
-    [k, i, j, l], from the metric arrays G = (G, dG, ddG) of ``_frame_jets``;
-    with B = (B, dB), the values (P, n, n) and first partials (P, n, n, n)
-    of the second fundamental form, also S = G^{-1} B at [k, j] and d_l S at
-    [k, j, l] (else two empty arrays).
+def _solve(G, dG, R, dR):
+    """X = G^{-1} R, (P, n, c), and its partials d_l X = G^{-1} (d_l R -
+    d_l G X) at [k, c, l], from R (P, n, c) and dR (P, n, c, n): two linear
+    solves per point with the same matrix (the linear-solve rule).  Every
+    array has a leading point axis, so a point's numbers do not depend on
+    the block it is solved in."""
+    X = np.linalg.solve(G, R)
+    dR = dR - np.einsum("zrsl,zsc->zrcl", dG, X)
+    dX = np.linalg.solve(G, dR.reshape(len(G), G.shape[-1], -1)).reshape(dR.shape)
+    return X, dX
 
-    The Christoffel symbols of the first kind and B form the right-hand
-    side R of G X = R; X is one linear solve per point, and its partials a
-    second one with the same matrix, d_l X = G^{-1} (d_l R - d_l G X).
-    Every array has a leading point axis, so a point's numbers do not
-    depend on the block it is solved in.
-    """
-    G0, dG, ddG = G
-    n = G0.shape[-1]
+
+def _second_form(chart: ImmersionChart, pts: np.ndarray):
+    """(dx, ddx, G, dG, Gamma, dGamma, h, dh) at each point of ``pts`` (P, n):
+    the partials and metric of ``_frame``, the Christoffel symbols Gamma^k_ij
+    at [k, i, j] with their partials at [k, i, j, l], and the normal-valued
+    second fundamental form h_ij = d_i d_j x - Gamma^k_ij d_k x, (P, n, n, m),
+    with its partials d_l h_ij at [i, j, a, l] by the product rule."""
+    dx, ddx, dddx, G, dG, ddG = _frame(chart, pts)
+    n = chart.nparams
     i, j = np.triu_indices(n)
     # Gamma_{l,ij} = (d_i G_jl + d_j G_il - d_l G_ij) / 2 at [l, ij], and its partials
     R = (dG[:, :, j, i] + dG[:, :, i, j] - dG.transpose(0, 3, 1, 2)[:, :, i, j]) * 0.5
     dR = (ddG[:, :, j, i] + ddG[:, :, i, j] - ddG.transpose(0, 3, 1, 2, 4)[:, :, i, j]) * 0.5
-    nb = 0
-    if B is not None:
-        nb = n
-        R = np.concatenate((B[0], R), axis=2)
-        dR = np.concatenate((B[1], dR), axis=2)
-    X = np.linalg.solve(G0, R)
-    dR = dR - np.einsum("zrsl,zsc->zrcl", dG, X)
-    dX = np.linalg.solve(G0, dR.reshape(len(G0), n, -1)).reshape(dR.shape)
-    Gamma = np.empty((len(G0), n, n, n))
-    dGamma = np.empty((len(G0), n, n, n, n))
-    Gamma[:, :, i, j] = Gamma[:, :, j, i] = X[:, :, nb:]
-    dGamma[:, :, i, j] = dGamma[:, :, j, i] = dX[:, :, nb:]
-    return Gamma, dGamma, np.ascontiguousarray(X[:, :, :nb]), np.ascontiguousarray(dX[:, :, :nb])
+    X, dX = _solve(G, dG, R, dR)
+    Gamma = np.empty((len(pts), n, n, n))
+    dGamma = np.empty((len(pts), n, n, n, n))
+    Gamma[:, :, i, j] = Gamma[:, :, j, i] = X
+    dGamma[:, :, i, j] = dGamma[:, :, j, i] = dX
+    h = ddx - np.einsum("zkij,zka->zija", Gamma, dx)
+    dh = (np.moveaxis(dddx, -1, -2) - np.einsum("zkijl,zka->zijal", dGamma, dx)
+          - np.einsum("zkij,zkla->zijal", Gamma, ddx))
+    return dx, ddx, G, dG, Gamma, dGamma, h, dh
 
 
 def packet(chart: ImmersionChart, p, flip_normal: bool = False) -> CurvaturePacket:
@@ -328,95 +312,74 @@ def packet(chart: ImmersionChart, p, flip_normal: bool = False) -> CurvaturePack
     ``p`` is one point (n,) or a block of points (P, n).  The normal is
     oriented at each point by that point alone: along the chart's reference
     normal field when it has one, else with its last nonzero component
-    positive; ``flip_normal`` reverses it.  Jet arithmetic, with a point
-    axis for a block, carries the chart through G, the normal N and the
-    second fundamental form B; the shape operator S, the Christoffel
-    symbols and their partials come from ``_christoffel``, and H and grad H
-    from the traces of S and of its partials.  Each point gets the
-    arithmetic it would get alone: a one-point call runs the block code on
-    a block of one point, and returns floats and unbatched arrays.  A block
-    raises as soon as any of its points fails a check; ``sweep`` bisects a
-    failing block to give every point its own error.
+    positive; ``flip_normal`` reverses it.  ``_second_form`` gives the
+    partials, G, the Christoffel symbols and h; the unit normal N is the
+    normalized ``_cross`` of the tangents, B = <d_i d_j x, N> and its
+    partials d_l B = <d_l h, N> (exact, since h is normal and d_l N
+    tangent, so no derivative of N is needed).  The shape operator S and
+    its partials are one ``_solve`` with G, and H and grad H the traces of
+    S and of its partials.  Each point gets the arithmetic it would get
+    alone: a one-point call runs the block code on a block of one point,
+    and returns floats and unbatched arrays.  A block raises as soon as any
+    of its points fails a check; ``sweep`` bisects a failing block to give
+    every point its own error.
     """
     if chart.codim != 1:
         raise ContractViolation("packet requires a codimension-1 chart")
     p = np.asarray(p, dtype=float)
-    pts = np.atleast_2d(p)  # for error messages
+    pts = np.atleast_2d(p)
     n = chart.nparams
-    m = chart.signature.dim
     eps = chart.signature.weights
-    dx, ddx, G = _frame_jets(chart, p)
+    dx, ddx, G, dG, Gamma, dGamma, h, dh = _second_form(chart, pts)
 
-    dx1 = [[dx[i][a].truncate(1) for a in range(m)] for i in range(n)]
-    w = _jet_cross(dx1, eps)
-    w_val = _point_first(w)
-    w_euclid2 = np.sum(w_val * w_val, axis=-1)
+    w = _cross(dx, eps)
+    w_euclid2 = np.sum(w * w, axis=-1)
     k = _first(w_euclid2 <= 1e-300)
     if k is not None:
         raise DegenerateFrameError(f"tangent frame rank deficient at {plain_point(pts[k])}")
-    nn = eps[0] * (w[0] * w[0])
-    for a in range(1, m):
-        nn = nn + eps[a] * (w[a] * w[a])
-    k = _first(nn.c[0] <= TAU_NORMAL * w_euclid2)
+    nn = _inner(w, w, eps)
+    k = _first(nn <= TAU_NORMAL * w_euclid2)
     if k is not None:
         raise DegenerateNormal(pts[k])
     ref = None
     if chart.orientation_ref is not None:
-        ref = np.stack([eval_value(e, p, chart.profile_bank) for e in chart.orientation_ref],
+        ref = np.stack([eval_values(e, pts, chart.profile_bank) for e in chart.orientation_ref],
                        axis=-1)
-    inv_norm = jet_sqrt(nn).reciprocal() * _orient_sign(w_val, ref, flip_normal)
-    N_jets = [wj * inv_norm for wj in w]
-
-    Bj = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            acc = eps[0] * (ddx[i][j][0] * N_jets[0])
-            for a in range(1, m):
-                acc = acc + eps[a] * (ddx[i][j][a] * N_jets[a])
-            Bj[i][j] = acc
-            Bj[j][i] = acc
-    B = (_point_first(Bj), _point_first(Bj, _gradient))
-    Gamma, dGamma, S, dS = _christoffel(G, B)
+    N = w * ((1.0 / np.sqrt(nn)) * _orient_sign(w, ref, flip_normal))[:, None]
+    B = _inner(ddx, N[:, None, None], eps)
+    dB = _inner(np.moveaxis(dh, -1, -2), N[:, None, None, None], eps)
+    S, dS = _solve(G, dG, B, dB)
     H = np.trace(S, axis1=1, axis2=2) * (1.0 / n)
     dH = np.trace(dS, axis1=1, axis2=2) * (1.0 / n)
 
-    G_inv = np.linalg.inv(G[0])
+    G_inv = np.linalg.inv(G)
     gradH = _mv(G_inv, dH)
-    dx0 = _point_first(dx)
-    fields = (G[0], G_inv, _point_first(N_jets), B[0], S, H, gradH, _push(gradH, dx0),
-              Gamma, dx0, _point_first(ddx), B[1], dGamma)
+    fields = (G, G_inv, N, B, S, H, gradH, _push(gradH, dx), Gamma, dx, ddx, dB, dGamma)
     one = p.ndim == 1
-    G0, G_inv, N0, B0, S, H, gradH, g_amb, Gamma, dx0, ddx0, dB, dGamma = [
+    G, G_inv, N, B, S, H, gradH, g_amb, Gamma, dx, ddx, dB, dGamma = [
         f[0] if one else f for f in fields]
     sig = chart.signature
-    return CurvaturePacket(tuple(p) if one else p, G0, G_inv, AmbientVector(N0, sig), B0, S,
+    return CurvaturePacket(tuple(p) if one else p, G, G_inv, AmbientVector(N, sig), B, S,
                            float(H) if one else H, gradH, AmbientVector(g_amb, sig), Gamma,
-                           dx0, ddx0, dB, dGamma, _weights=eps)
+                           dx, ddx, dB, dGamma, _weights=eps)
 
 
 def submanifold_packet(chart: ImmersionChart, p) -> SubmanifoldPacket:
     """First and second fundamental forms of a chart of any codimension.
 
     ``p`` is one point (n,) or a block of points (P, n), evaluated as
-    ``packet`` evaluates them: jets carry the chart through G, arrays with
-    a point axis take over from the Christoffel symbols on, a one-point
-    call runs the block code on one point and returns unbatched arrays, and
-    a block raises as soon as any of its points fails a metric check.  The
-    normal part of the second derivatives is h_ij = d_i d_j x - Gamma^k_ij
-    d_k x, and its partials d_l h_ij follow by the product rule from the
-    third partials of x.
+    ``packet`` evaluates them: ``_second_form`` gives G, the Christoffel
+    symbols, the normal part h_ij = d_i d_j x - Gamma^k_ij d_k x of the
+    second derivatives and its partials, and the mean curvature vector is
+    (1/n) G^{ij} h_ij.  A one-point call runs the block code on one point
+    and returns unbatched arrays, and a block raises as soon as any of its
+    points fails a metric check.
     """
     p = np.asarray(p, dtype=float)
-    n = chart.nparams
-    dx, ddx, G = _frame_jets(chart, p)
-    Gamma, dGamma, _, _ = _christoffel(G)
-    dx0, ddx0 = _point_first(dx), _point_first(ddx)
-    h = ddx0 - np.einsum("zkij,zka->zija", Gamma, dx0)
-    dh = (_point_first(ddx, _gradient) - np.einsum("zkijl,zka->zijal", dGamma, dx0)
-          - np.einsum("zkij,zkla->zijal", Gamma, ddx0))
-    G_inv = np.linalg.inv(G[0])
-    fields = (G[0], G_inv, Gamma, dx0, ddx0, dGamma, h, dh,
-              np.einsum("zij,zija->za", G_inv, h) / n)
+    dx, ddx, G, _, Gamma, dGamma, h, dh = _second_form(chart, np.atleast_2d(p))
+    G_inv = np.linalg.inv(G)
+    fields = (G, G_inv, Gamma, dx, ddx, dGamma, h, dh,
+              np.einsum("zij,zija->za", G_inv, h) / chart.nparams)
     one = p.ndim == 1
     return SubmanifoldPacket(tuple(p) if one else p, *[f[0] if one else f for f in fields],
                              _weights=chart.signature.weights)

@@ -91,25 +91,13 @@ class Jet:
         d = self.c[p] * self.space.factorial[p]
         return d if self.c.ndim > 1 else float(d)
 
-    def gradient(self) -> np.ndarray:
-        """First partials, (nvars,) or (nvars, P)."""
-        if self.order < 1:
-            raise ContractViolation("gradient needs order >= 1")
-        return self.c[1 : 1 + self.space.nvars].copy()
-
-    def truncate(self, r: int) -> "Jet":
-        if r >= self.order:
-            return self
-        return Jet(self.space, r, self.c[: self.space.ncoef[r]])
-
-    def deriv(self, axis: int) -> "Jet":
-        """Jet of the partial derivative along one axis; order drops by one."""
-        if self.order < 1:
-            raise ContractViolation("cannot differentiate an order-0 jet")
-        r = self.order - 1
-        n = self.space.ncoef[r]
-        src, fac = self.space.deriv_tables[axis]
-        return Jet(self.space, r, self.c[src[:n]] * (fac[:n, None] if self.c.ndim > 1 else fac[:n]))
+    def partials(self, k: int) -> np.ndarray:
+        """The symmetric tensor of k-th partials: d_{i1} ... d_{ik} f at
+        [i1, ..., ik], (nvars,) * k or, for a block, (nvars,) * k + (P,)."""
+        if k > self.order:
+            raise ContractViolation(f"partials of order {k} exceed jet order {self.order}")
+        pos, fac = self.space.partial_tables[k]
+        return self.c[pos] * (fac[..., None] if self.c.ndim > 1 else fac)
 
     # -- ring operations ----------------------------------------------
 

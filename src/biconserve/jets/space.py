@@ -60,18 +60,10 @@ class JetSpace:
             [math.prod(math.factorial(x) for x in a) for a in self.indices]
         )
         self.mul_tables = [self._build_mul_table(r) for r in range(max_order + 1)]
-        # Derivative along axis a: out[p] = (alpha_a + 1) * in[pos(alpha + e_a)]
-        # for every alpha of degree < max_order, i.e. every position of an
-        # order-(max_order - 1) jet in layout order, so order-r prefixes align.
-        self.deriv_tables = []
-        for axis in range(nvars):
-            src, fac = [], []
-            for alpha in self.indices[: self.ncoef[max_order - 1]]:
-                up = list(alpha)
-                up[axis] += 1
-                src.append(self.position[tuple(up)])
-                fac.append(float(up[axis]))
-            self.deriv_tables.append((np.asarray(src, dtype=np.intp), np.asarray(fac)))
+        # partial_tables[k] = (positions, factorials) of d_{i1} ... d_{ik} f
+        # at [i1, ..., ik]: the coefficient of the multi-index counting the
+        # i's, and alpha! to turn it into the partial
+        self.partial_tables = [self._build_partial_table(k) for k in range(max_order + 1)]
 
     def _build_mul_table(self, r: int) -> _MulTable:
         ti, tj, tk = [], [], []
@@ -93,6 +85,12 @@ class JetSpace:
         starts = np.searchsorted(tk, np.arange(n))
         return _MulTable(np.asarray(ti, dtype=np.intp)[order],
                          np.asarray(tj, dtype=np.intp)[order], starts)
+
+    def _build_partial_table(self, k: int):
+        pos = [self.position[tuple(axes.count(v) for v in range(self.nvars))]
+               for axes in itertools.product(range(self.nvars), repeat=k)]
+        pos = np.asarray(pos, dtype=np.intp).reshape((self.nvars,) * k)
+        return pos, self.factorial[pos]
 
     @classmethod
     def get(cls, nvars: int) -> "JetSpace":

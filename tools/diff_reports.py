@@ -15,9 +15,11 @@ output is byte-identical, whether the exit code moved, and every report
 field whose value differs, with its relative change |a - b| / max(|a|, |b|)
 for numbers.  A moved argmax point (two grid points whose values tie
 within rounding) is listed and counted apart.  It prints the largest
-relative and the largest absolute change per case kind (a large relative
-change of a residual near 1e-16 is rounding) and exits 1 when an exit
-code, status, count or label moved.
+relative and the largest absolute change per case kind, and the same two
+split at a magnitude of SMALL = 1e-12: the largest relative change among
+values above it, the largest absolute change among values at or below it
+(a large relative change of a residual near 1e-16 is rounding).  It exits
+1 when an exit code, status, count or label moved.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import pathlib
 import sys
 
 NEGATIVE_CONTROL = ("--psi", "s^2")
+SMALL = 1e-12
 
 
 def cases(catalog):
@@ -105,7 +108,8 @@ def _argmax_field(key: str) -> bool:
 def diff(old_dir: str, new_dir: str) -> int:
     old_dir, new_dir = pathlib.Path(old_dir), pathlib.Path(new_dir)
     names = sorted({p.name for p in old_dir.glob("*.json")} | {p.name for p in new_dir.glob("*.json")})
-    identical, moved_verdicts, moved_argmax, worst, worst_abs = 0, 0, 0, {}, {}
+    identical, moved_verdicts, moved_argmax = 0, 0, 0
+    worst, worst_abs, worst_large, worst_small = {}, {}, {}, {}
     for name in names:
         if not (old_dir / name).exists() or not (new_dir / name).exists():
             print(f"{name}: only in one run")
@@ -133,12 +137,20 @@ def diff(old_dir: str, new_dir: str) -> int:
             else:
                 worst[kind] = max(worst.get(kind, 0.0), rel)
                 worst_abs[kind] = max(worst_abs.get(kind, 0.0), abs(x - y))
+                if max(abs(x), abs(y)) > SMALL:
+                    worst_large[kind] = max(worst_large.get(kind, 0.0), rel)
+                else:
+                    worst_small[kind] = max(worst_small.get(kind, 0.0), abs(x - y))
     print(f"{identical} of {len(names)} cases byte-identical; "
           f"{moved_verdicts} exit codes, statuses, counts or labels moved; "
           f"{moved_argmax} argmax coordinates moved")
     for kind, rel in sorted(worst.items()):
         print(f"largest relative change of a value ({kind} route): {rel:.2e}")
         print(f"largest absolute change of a value ({kind} route): {worst_abs[kind]:.2e}")
+        print(f"largest relative change of a value above {SMALL:g} ({kind} route): "
+              f"{worst_large.get(kind, 0.0):.2e}")
+        print(f"largest absolute change of a value at or below {SMALL:g} ({kind} route): "
+              f"{worst_small.get(kind, 0.0):.2e}")
     return 1 if moved_verdicts else 0
 
 
