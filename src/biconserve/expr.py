@@ -16,6 +16,13 @@ of a function call or a power (or, on the jet route, of any derivative
 ladder) names that node, a non-finite result of the plain arithmetic names
 the whole tree.
 
+Each evaluator takes one tree or a ``Dag``: several trees (a chart's
+components) whose equal subtrees are one node.  A tree is the one-root case.
+The roots are walked in order, depth first, as tree by tree; a non-leaf node
+with more than one parent is computed at its first visit, reused, and dropped
+at its last use in the call.  So every value, and every error message, is
+the one the trees give one by one.
+
 Text syntax (used by the CLI):
 
     expr   := term (('+' | '-') term)*
@@ -31,7 +38,7 @@ other call name is looked up in the profile bank, e.g. ``phi(s)*cos(v)``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -139,6 +146,64 @@ class ProfileCall(Expr):
     a: Expr
 
 
+@dataclass(frozen=True)
+class Dag:
+    """Trees evaluated together: ``roots`` in order, equal subtrees one
+    node, and ``shared`` the (node, uses) of each non-leaf node that a walk
+    of the roots reaches more than once.  A pickle keeps the sharing: it
+    stores each node once."""
+
+    roots: tuple
+    shared: tuple = ()
+
+    def memo(self) -> dict:
+        """A fresh memo for one call: [uses left, value] by shared node id."""
+        return {id(node): [uses, None] for node, uses in self.shared}
+
+
+def dag_of(trees) -> Dag:
+    """The ``Dag`` of a sequence of trees: each set of equal subtrees becomes
+    one node, and the non-leaf nodes with more than one parent (a root counts
+    as one) are marked shared."""
+    canon, seen, refs, nodes = {}, {}, {}, []
+
+    def intern(node):
+        if id(node) not in seen:
+            new = [intern(v) if isinstance(v, Expr) else v
+                   for v in (getattr(node, f.name) for f in fields(node))]
+            # children by identity, floats by their bits: 0.0 and -0.0 stay apart
+            key = (type(node), *(id(v) if isinstance(v, Expr) else
+                                 v.hex() if isinstance(v, float) else v for v in new))
+            seen[id(node)] = canon.setdefault(key, type(node)(*new))
+        return seen[id(node)]
+
+    def count(node):
+        refs[id(node)] = refs.get(id(node), 0) + 1
+        if refs[id(node)] == 1:
+            nodes.append(node)
+            for f in fields(node):
+                if isinstance(getattr(node, f.name), Expr):
+                    count(getattr(node, f.name))
+
+    roots = tuple(intern(t) for t in trees)
+    for r in roots:
+        count(r)
+    return Dag(roots, tuple((node, refs[id(node)]) for node in nodes
+                            if refs[id(node)] > 1 and not isinstance(node, (Const, Var))))
+
+
+def _roots(ev, expr, arg, bank):
+    """``ev(root, arg, bank, memo)`` of each root of a tree or a Dag in order,
+    with one memo for the call, each checked finite; the next root is
+    evaluated only when the caller asks for it."""
+    dag = expr if isinstance(expr, Dag) else Dag((expr,))
+    memo = dag.memo()
+    for root in dag.roots:
+        out = ev(root, arg, bank, memo)
+        _check_node(root, out.c[0] if isinstance(out, Jet) else out)
+        yield out
+
+
 _UNARY = {
     "sin": _jetops.sin,
     "cos": _jetops.cos,
@@ -160,41 +225,44 @@ def _check_node(node: Expr, vals):
         raise _named(node, e) from None
 
 
-def _eval(node: Expr, vars_: list[Jet], bank) -> Jet:
+def _eval(node: Expr, vars_: list[Jet], bank, memo: dict) -> Jet:
+    if (slot := memo.get(id(node))) and slot[1] is not None:
+        slot[0] -= 1  # a shared node's value, dropped at its last use
+        return slot[1] if slot[0] else memo.pop(id(node))[1]
     if isinstance(node, Const):
         v = vars_[0]
         out = Jet.constant(v.space, v.order, np.full(v.c.shape[1:], node.value))
     elif isinstance(node, Var):
         out = vars_[node.index]
     elif isinstance(node, Add):
-        out = _eval(node.a, vars_, bank) + _eval(node.b, vars_, bank)
+        out = _eval(node.a, vars_, bank, memo) + _eval(node.b, vars_, bank, memo)
     elif isinstance(node, Sub):
-        out = _eval(node.a, vars_, bank) - _eval(node.b, vars_, bank)
+        out = _eval(node.a, vars_, bank, memo) - _eval(node.b, vars_, bank, memo)
     elif isinstance(node, Mul):
-        out = _eval(node.a, vars_, bank) * _eval(node.b, vars_, bank)
+        out = _eval(node.a, vars_, bank, memo) * _eval(node.b, vars_, bank, memo)
     elif isinstance(node, Div):
-        den = _eval(node.b, vars_, bank)
+        den = _eval(node.b, vars_, bank, memo)
         try:
-            out = _eval(node.a, vars_, bank) / den
+            out = _eval(node.a, vars_, bank, memo) / den
         except DomainError as e:
             raise _named(node, e) from None
     elif isinstance(node, Neg):
-        out = -_eval(node.a, vars_, bank)
+        out = -_eval(node.a, vars_, bank, memo)
     elif isinstance(node, Pow):
         try:
-            out = _jetops.powr(_eval(node.a, vars_, bank), node.exponent)
+            out = _jetops.powr(_eval(node.a, vars_, bank, memo), node.exponent)
             check_finite(out.c[0])
         except DomainError as e:
             raise _named(node, e) from None
     elif isinstance(node, Call):
         try:
-            out = _UNARY[node.fn](_eval(node.a, vars_, bank))
+            out = _UNARY[node.fn](_eval(node.a, vars_, bank, memo))
         except DomainError as e:
             raise _named(node, e) from None
     elif isinstance(node, ProfileCall):
         if bank is None or node.name not in bank:
             raise ContractViolation(f"unknown profile function '{node.name}'")
-        u = _eval(node.a, vars_, bank)
+        u = _eval(node.a, vars_, bank, memo)
         dvals = bank[node.name].derivs(u.value, u.order)
         try:
             out = u.compose(dvals)
@@ -202,13 +270,16 @@ def _eval(node: Expr, vars_: list[Jet], bank) -> Jet:
             raise _named(node, e) from None
     else:
         raise ContractViolation(f"unknown node type {type(node)!r}")
+    if slot:
+        slot[:] = slot[0] - 1, out
     return out
 
 
-def jet_eval(expr: Expr, point, order: int, profile_bank=None) -> Jet:
-    """Taylor coefficients of ``expr`` up to total ``order``.
+def jet_eval(expr: Expr | Dag, point, order: int, profile_bank=None):
+    """Taylor coefficients of ``expr`` up to total ``order``: a Jet for a
+    tree, a tuple of one Jet per root for a ``Dag``.
 
-    ``point`` is one point (n,), giving a jet with (ncoef,) coefficients, or
+    ``point`` is one point (n,), giving jets with (ncoef,) coefficients, or
     a block (P, n), giving (ncoef, P) coefficients: the tree is walked once
     for the block, and each point gets the arithmetic it would get alone.  A
     domain guard that fails at any point of a block raises for the block.
@@ -220,14 +291,15 @@ def jet_eval(expr: Expr, point, order: int, profile_bank=None) -> Jet:
     if not (0 <= order <= space.max_order):
         raise ContractViolation(f"order {order} outside supported range")
     vars_ = [Jet.variable(space, order, i, point[..., i]) for i in range(space.nvars)]
-    out = _eval(expr, vars_, profile_bank)
-    _check_node(expr, out.c[0])
-    return out
+    out = tuple(_roots(_eval, expr, vars_, profile_bank))
+    return out if isinstance(expr, Dag) else out[0]
 
 
-def eval_value(expr: Expr, point, profile_bank=None):
-    """Value by the jet route: a float at one point, a (P,) array for a block."""
-    return jet_eval(expr, point, 0, profile_bank).value
+def eval_value(expr: Expr | Dag, point, profile_bank=None):
+    """Value by the jet route: a float at one point, a (P,) array for a
+    block; for a ``Dag``, one value per root on a last axis."""
+    out = jet_eval(expr, point, 0, profile_bank)
+    return np.stack([j.value for j in out], axis=-1) if isinstance(expr, Dag) else out.value
 
 
 _UFUNC = {name: getattr(np, name) for name in ("sin", "cos", "sinh", "cosh", "exp")}
@@ -242,40 +314,45 @@ def _powr_values(u: np.ndarray, p: float) -> np.ndarray:
     """Value part of ``jets.powr``: the same exponent split, products and guards."""
     if p == round(p) and abs(p) <= 16:
         k = abs(int(round(p)))
-        result, base = np.ones_like(u), u
+        result, base = None, u
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if k > 1 else base
             k >>= 1
+        if result is None:
+            return np.ones_like(u)
         return _reciprocal(result) if p < 0 else result
     guard(u <= _jetops.TAU_POW, u, "fractional power of non-positive base")
     return np.power(u, p)
 
 
-def _eval_arrays(node: Expr, points: np.ndarray, bank) -> np.ndarray:
-    # mirrors _eval: the same evaluation order and the same error wrapping
+def _eval_arrays(node: Expr, points: np.ndarray, bank, memo: dict) -> np.ndarray:
+    # mirrors _eval: the same evaluation order, error wrapping and memo
+    if (slot := memo.get(id(node))) and slot[1] is not None:
+        slot[0] -= 1  # a shared node's value, dropped at its last use
+        return slot[1] if slot[0] else memo.pop(id(node))[1]
     if isinstance(node, Const):
         out = np.full(len(points), node.value)
     elif isinstance(node, Var):
         out = points[:, node.index]
     elif isinstance(node, Add):
-        out = _eval_arrays(node.a, points, bank) + _eval_arrays(node.b, points, bank)
+        out = _eval_arrays(node.a, points, bank, memo) + _eval_arrays(node.b, points, bank, memo)
     elif isinstance(node, Sub):
-        out = _eval_arrays(node.a, points, bank) - _eval_arrays(node.b, points, bank)
+        out = _eval_arrays(node.a, points, bank, memo) - _eval_arrays(node.b, points, bank, memo)
     elif isinstance(node, Mul):
-        out = _eval_arrays(node.a, points, bank) * _eval_arrays(node.b, points, bank)
+        out = _eval_arrays(node.a, points, bank, memo) * _eval_arrays(node.b, points, bank, memo)
     elif isinstance(node, Div):
-        den = _eval_arrays(node.b, points, bank)
+        den = _eval_arrays(node.b, points, bank, memo)
         try:
-            out = _eval_arrays(node.a, points, bank) * _reciprocal(den)
+            out = _eval_arrays(node.a, points, bank, memo) * _reciprocal(den)
         except DomainError as e:
             raise _named(node, e) from None
     elif isinstance(node, Neg):
-        out = -_eval_arrays(node.a, points, bank)
+        out = -_eval_arrays(node.a, points, bank, memo)
     elif isinstance(node, (Pow, Call)):
         try:
-            u = _eval_arrays(node.a, points, bank)
+            u = _eval_arrays(node.a, points, bank, memo)
             p = node.exponent if isinstance(node, Pow) else 0.5 if node.fn == "sqrt" else None
             out = _UFUNC[node.fn](u) if p is None else _powr_values(u, p)
             check_finite(out)
@@ -284,15 +361,20 @@ def _eval_arrays(node: Expr, points: np.ndarray, bank) -> np.ndarray:
     elif isinstance(node, ProfileCall):
         if bank is None or node.name not in bank:
             raise ContractViolation(f"unknown profile function '{node.name}'")
-        u = _eval_arrays(node.a, points, bank)
+        u = _eval_arrays(node.a, points, bank, memo)
         out = np.asarray(bank[node.name].values(u), dtype=float)
     else:
         raise ContractViolation(f"unknown node type {type(node)!r}")
+    if slot:
+        slot[:] = slot[0] - 1, out
     return out
 
 
-def eval_values(expr: Expr, points, profile_bank=None) -> np.ndarray:
-    """Values of ``expr`` at each row of ``points`` (P, n), in one tree walk.
+
+
+def eval_values(expr: Expr | Dag, points, profile_bank=None) -> np.ndarray:
+    """Values of ``expr`` at each row of ``points`` (P, n), in one tree walk:
+    (P,) for a tree, (P, R) for a ``Dag`` of R roots.
 
     No jets: every node is one numpy operation over the P points.  The value
     arithmetic and the domain guards are those of ``eval_value`` (a division
@@ -304,9 +386,8 @@ def eval_values(expr: Expr, points, profile_bank=None) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ContractViolation(f"points must be a (P, n) array, got shape {points.shape}")
-    out = np.array(_eval_arrays(expr, points, profile_bank))
-    _check_node(expr, out)
-    return out
+    out = np.stack(list(_roots(_eval_arrays, expr, points, profile_bank)), axis=-1)
+    return out if isinstance(expr, Dag) else out[:, 0]
 
 
 # Central differences, nested one axis at a time; each level is O(h^2)
@@ -317,13 +398,15 @@ def eval_values(expr: Expr, points, profile_bank=None) -> np.ndarray:
 FD_STEPS = {0: 0.0, 1: 1e-4, 2: 1e-4, 3: 6e-3, 4: 2e-2}
 
 
-def _stencils(expr: Expr, pts: np.ndarray, alphas: np.ndarray, steps: np.ndarray,
+def _stencils(expr: Expr | Dag, pts: np.ndarray, alphas: np.ndarray, steps: np.ndarray,
               bank) -> np.ndarray:
-    """Nested central differences d^alpha (T, B) at the rows of pts (B, n),
-    one per row of alphas (T, n) with its step, from one ``eval_values`` call.
-    Leaf l's level j moves along the j-th axis (axis i alpha_i times, in
-    increasing order), down where bit j of l is set: the additions, in order,
-    of a stencil nested level by level.  Values fold back innermost first."""
+    """Nested central differences d^alpha (T, B, R) at the rows of pts (B, n),
+    one per row of alphas (T, n) with its step, of each of the R roots, from
+    one array walk of the Dag over one set of leaves.  Leaf l's level j moves
+    along the j-th axis (axis i alpha_i times, in increasing order), down
+    where bit j of l is set: the additions, in order, of a stencil nested
+    level by level.  Each root's values fold back, innermost first, before
+    the next root is evaluated."""
     depths = alphas.sum(axis=1)
     count = 1 << np.sort(depths)
     stencil = np.repeat(np.argsort(depths, kind="stable"), count)  # of each leaf
@@ -335,29 +418,31 @@ def _stencils(expr: Expr, pts: np.ndarray, alphas: np.ndarray, steps: np.ndarray
         r = depths[stencil] > j
         h = steps[stencil[r]]
         out[r, :, axes[first[r] + j]] += np.where(leaf[r] >> j & 1, -h, h)[:, None]
-    vals = eval_values(expr, out.reshape(-1, pts.shape[1]), bank).reshape(len(stencil), -1)
-    est = np.empty((len(alphas), len(pts)))
-    pos = 0
-    for d in range(depths.max() + 1):
-        sel = np.flatnonzero(depths == d)
-        v = vals[pos:pos + (len(sel) << d)].reshape(len(sel), 1 << d, len(pts))
-        div = (2.0 * steps[sel])[:, None, None]
-        while v.shape[1] > 1:
-            v = (v[:, :v.shape[1] // 2] - v[:, v.shape[1] // 2:]) / div
-        est[sel] = v[:, 0]
-        pos += len(sel) << d
-    return est
+    est = []
+    for vals in _roots(_eval_arrays, expr, out.reshape(-1, pts.shape[1]), bank):
+        vals, pos = vals.reshape(len(stencil), -1), 0
+        est.append(np.empty((len(alphas), len(pts))))
+        for d in range(depths.max() + 1):
+            sel = np.flatnonzero(depths == d)
+            v = vals[pos:pos + (len(sel) << d)].reshape(len(sel), 1 << d, len(pts))
+            div = (2.0 * steps[sel])[:, None, None]
+            while v.shape[1] > 1:
+                v = (v[:, :v.shape[1] // 2] - v[:, v.shape[1] // 2:]) / div
+            est[-1][sel] = v[:, 0]
+            pos += len(sel) << d
+    return np.stack(est, axis=-1)
 
 
-def fd_partial(expr: Expr, point, alpha, h: float | None = None, profile_bank=None):
+def fd_partial(expr: Expr | Dag, point, alpha, h: float | None = None, profile_bank=None):
     """Finite-difference estimates of d^alpha expr, from array values only.
 
     ``point`` is one point (n,) or B base points (B, n), ``alpha`` one
     multi-index (n,) or a stack of K (K, n): the result is a float, (B,),
-    (K,) or (K, B).  Each alpha has the step ``FD_STEPS[|alpha|]`` unless
-    ``h`` is given.  The leaves of all stencils, both Richardson steps of
-    orders 3 and 4 included, take one ``eval_values`` call, and each
-    estimate is bitwise the one its alpha gives alone.
+    (K,) or (K, B) for a tree; a ``Dag`` of R roots adds a last axis of
+    length R.  Each alpha has the step ``FD_STEPS[|alpha|]`` unless ``h`` is
+    given.  The leaves of all stencils, both Richardson steps of orders 3
+    and 4 included, are built once and take one array walk, and each
+    estimate is bitwise the one its alpha and its root give alone.
     """
     point = np.asarray(point, dtype=float)
     pts = np.atleast_2d(point)
@@ -378,7 +463,8 @@ def fd_partial(expr: Expr, point, alpha, h: float | None = None, profile_bank=No
     est = _stencils(expr, pts, np.concatenate((stack, stack[rich])),
                     np.concatenate((steps, steps[rich] / 2.0)), profile_bank)
     est[rich] = (4.0 * est[len(stack):] - est[rich]) / 3.0
-    out = est[:len(stack)].reshape(alphas.shape[:-1] + point.shape[:-1])
+    out = est[:len(stack)].reshape(alphas.shape[:-1] + point.shape[:-1] + est.shape[-1:])
+    out = out if isinstance(expr, Dag) else out[..., 0]
     return float(out) if out.ndim == 0 else out
 
 

@@ -1,7 +1,8 @@
 """From a parametrized chart to curvature data and verification residuals.
 
-Jets give the chart's partials and nothing after them: each component is
-expanded to one order-3 jet, from which d_i x, d_i d_j x and d_i d_j d_l x
+Jets give the chart's partials and nothing after them: the chart's
+components, one expression Dag built with the chart, are expanded to
+order-3 jets in one walk, from which d_i x, d_i d_j x and d_i d_j d_l x
 are read off as arrays.  Everything after is array arithmetic, shared by
 every codimension in ``_second_form``: the induced metric and its partials
 by the product rule, the Christoffel symbols and their partials by one
@@ -16,8 +17,8 @@ once: the arrays and the residual operations carry a leading point axis,
 of length 1 for a one-point call.  Each identity residual has one body
 for both packets; only the terms that belong to the codimension differ.
 The independent oracle, packet_fd, uses no jets: nested central
-differences of chart values computed by array evaluation
-(expr.eval_values), for one point or a block as well.  Its FdPacket feeds
+differences of chart values computed by one array walk of the Dag
+(expr.fd_partial), for one point or a block as well.  Its FdPacket feeds
 the same tangency residuals as a CurvaturePacket.
 
 All residual norms are Euclidean in the ambient coordinates: an error vector
@@ -27,13 +28,14 @@ with vanishing indefinite self-product must not masquerade as zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .ambient import AmbientVector, Signature, metric_cross
 from .errors import (ContractViolation, DegenerateFrameError, DegenerateMetric,
                      DegenerateNormal, DomainError, UnexpectedIndex, plain_point)
-from .expr import eval_value, eval_values, fd_partial, jet_eval
+from .expr import Dag, dag_of, eval_value, eval_values, fd_partial, jet_eval
 
 TAU_CMC = 1e-8
 TAU_NORMAL = 1e-10
@@ -66,6 +68,14 @@ class ImmersionChart:
     expected_index: int = 2
     name: str = ""
     orientation_ref: tuple | None = None  # expressions for a reference normal
+    # the components, and the reference normal, as one Dag each
+    dag: Dag = field(init=False, repr=False, compare=False)
+    orientation_dag: Dag | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "dag", dag_of(self.components))
+        object.__setattr__(self, "orientation_dag", None if self.orientation_ref is None
+                           else dag_of(self.orientation_ref))
 
     @property
     def nparams(self) -> int:
@@ -80,8 +90,7 @@ class ImmersionChart:
 
     def value(self, p) -> np.ndarray:
         """x(p): (m,) at one point (n,), (P, m) for a block (P, n)."""
-        return np.stack([eval_value(c, p, self.profile_bank) for c in self.components],
-                        axis=-1)
+        return eval_value(self.dag, p, self.profile_bank)
 
 
 @dataclass
@@ -145,41 +154,45 @@ class SubmanifoldPacket:
 # -- cross product ---------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _cross_table(n: int, m: int):
+    """The cofactor expansion of n rows in m columns as index arrays: for
+    each level r, the K minors of rows 0..r in the order the expansion first
+    reaches them, each with its r+1 terms (K, r+1) in the order they are
+    added (the minor of rows 0..r-1 by index, the column of row r, the
+    sign); then where each cofactor of the full minor sits, and its sign."""
+    masks, levels = [1 << c for c in range(m)], []
+    for r in range(1, n):
+        terms = {}
+        for src, mask in enumerate(masks):
+            for c in range(m):
+                if not mask >> c & 1:
+                    pos = bin(mask & ((1 << c) - 1)).count("1")
+                    terms.setdefault(mask | 1 << c, []).append((src, c, (-1) ** (r + pos)))
+        masks = list(terms)
+        t = np.array(list(terms.values()))
+        levels.append((t[..., 0], t[..., 1], t[..., 2].astype(float)))
+    full = (1 << m) - 1
+    return levels, [masks.index(full ^ 1 << a) for a in range(m)], (-1.0) ** np.arange(m)
+
+
 def _cross(tangents, weights):
     """Index-lowered cofactor cross product of the m-1 rows of ``tangents``
     (P, m-1, m), as (P, m): each minor is expanded along its rows by a
-    bitmask of its columns, in one fixed order of products and sums.  It
-    stays apart from the LU-based ``ambient.metric_cross``: in 8-space it is
-    the more accurate of the two (3.0e-16 against 3.3e-15 relative), and the
+    bitmask of its columns, in one fixed order of products and sums, run
+    level by level from ``_cross_table``: each level gathers its (K, r+1)
+    signed terms at once and adds them with r array additions.  It stays
+    apart from the LU-based ``ambient.metric_cross``: in 8-space it is the
+    more accurate of the two (3.0e-16 against 3.3e-15 relative), and the
     oracle, which uses ``metric_cross``, keeps a normal of its own."""
-    n = tangents.shape[1]      # rows
-    m = tangents.shape[2]      # ambient dim
-    # minors[mask] = det of rows 0..r on the sorted columns in bitmask `mask`
-    minors = {1 << c: tangents[:, 0, c] for c in range(m)}
-    for r in range(1, n):
-        nxt = {}
-        row = tangents[:, r]
-        for mask, det in minors.items():
-            cols = [c for c in range(m) if mask & (1 << c)]
-            for c in range(m):
-                if mask & (1 << c):
-                    continue
-                new_mask = mask | (1 << c)
-                pos = sum(1 for cc in cols if cc < c)
-                term = row[:, c] * det if (r + pos) % 2 == 0 else -(row[:, c] * det)
-                if new_mask in nxt:
-                    nxt[new_mask] = nxt[new_mask] + term
-                else:
-                    nxt[new_mask] = term
-        minors = nxt
-    full = (1 << m) - 1
-    out = []
-    for a in range(m):
-        cof = minors[full ^ (1 << a)]
-        if a % 2 == 1:
-            cof = -cof
-        out.append(weights[a] * cof)
-    return np.stack(out, axis=-1)
+    levels, last, sign = _cross_table(*tangents.shape[1:])
+    minors = tangents[:, 0]
+    for r, (src, col, sgn) in enumerate(levels, 1):
+        terms = tangents[:, r][:, col] * minors[:, src] * sgn
+        minors = terms[..., 0]
+        for k in range(1, r + 1):
+            minors = minors + terms[..., k]
+    return weights * (minors[:, last] * sign)
 
 
 # -- packet construction -------------------------------------------------
@@ -250,13 +263,14 @@ def _inner(u, v, eps):
 
 def _frame(chart: ImmersionChart, pts: np.ndarray):
     """The chart's partials at each point of ``pts`` (P, n): d_i x (P, n, m),
-    d_i d_j x (P, n, n, m) and d_i d_j d_l x (P, n, n, n, m), read off one
-    order-3 jet per component; and the induced metric G_ij with its first
-    and second partials, (P, n, n), (P, n, n, n) at [i, j, l] and
-    (P, n, n, n, n) at [i, j, l, q], by the product rule.  Raises where G
-    fails the metric checks."""
+    d_i d_j x (P, n, n, m) and d_i d_j d_l x (P, n, n, n, m), read off the
+    order-3 jets of one ``jet_eval`` of the chart's Dag (each shared
+    subexpression once); and the induced metric G_ij with its first and
+    second partials, (P, n, n), (P, n, n, n) at [i, j, l] and (P, n, n, n, n)
+    at [i, j, l, q], by the product rule.  Raises where G fails the metric
+    checks."""
     eps = chart.signature.weights
-    jets = [jet_eval(c, pts, 3, chart.profile_bank) for c in chart.components]
+    jets = jet_eval(chart.dag, pts, 3, chart.profile_bank)
     dx, ddx, dddx = [np.moveaxis(np.stack([j.partials(k) for j in jets], axis=-1), -2, 0)
                      for k in (1, 2, 3)]
     G = _inner(dx[:, :, None], dx[:, None], eps)
@@ -342,9 +356,8 @@ def packet(chart: ImmersionChart, p, flip_normal: bool = False) -> CurvaturePack
     if k is not None:
         raise DegenerateNormal(pts[k])
     ref = None
-    if chart.orientation_ref is not None:
-        ref = np.stack([eval_values(e, pts, chart.profile_bank) for e in chart.orientation_ref],
-                       axis=-1)
+    if chart.orientation_dag is not None:
+        ref = eval_values(chart.orientation_dag, pts, chart.profile_bank)
     N = w * ((1.0 / np.sqrt(nn)) * _orient_sign(w, ref, flip_normal))[:, None]
     B = _inner(ddx, N[:, None, None], eps)
     dB = _inner(np.moveaxis(dh, -1, -2), N[:, None, None, None], eps)
@@ -576,13 +589,13 @@ class FdPacket(_CmcRule):
 
 def _fd_partials(chart: ImmersionChart, base: np.ndarray):
     """d_i x (B, n, m) and d_i d_j x (B, n, n, m) at every base point (B, n), from
-    one ``fd_partial`` call per component with all first and second alphas."""
+    one ``fd_partial`` call on the chart's Dag with all first and second alphas:
+    one set of stencil points for every component."""
     n = chart.nparams
     i, j = np.triu_indices(n)
     eye = np.eye(n, dtype=int)
-    vals = np.stack([fd_partial(comp, base, np.concatenate((eye, eye[i] + eye[j])),
-                                profile_bank=chart.profile_bank)
-                     for comp in chart.components], axis=-1).swapaxes(0, 1)  # (B, alpha, m)
+    vals = fd_partial(chart.dag, base, np.concatenate((eye, eye[i] + eye[j])),
+                      profile_bank=chart.profile_bank).swapaxes(0, 1)  # (B, alpha, m)
     ddx = np.empty((len(base), n, n, chart.signature.dim))
     ddx[:, i, j] = ddx[:, j, i] = vals[:, n:]
     return np.ascontiguousarray(vals[:, :n]), ddx
@@ -624,8 +637,8 @@ def packet_fd(chart: ImmersionChart, p, h_grad: float = 5e-4) -> FdPacket:
 
     ``p`` is one point (n,) or a block (P, n), as for ``packet``.  The
     stencils of all first and second partials at all P (2n + 1) base points
-    take one array evaluation per chart component (one ``fd_partial`` call
-    each), and the frames at the P points and their 2nP neighbours are each
+    take one ``fd_partial`` call, one array walk of the chart's Dag, and the
+    frames at the P points and their 2nP neighbours are each
     one stacked array pass, so every point gets the arithmetic it would get
     alone.  A one-point call returns floats and unbatched arrays; a block
     raises as soon as any of its points fails.
@@ -642,9 +655,8 @@ def packet_fd(chart: ImmersionChart, p, h_grad: float = 5e-4) -> FdPacket:
     # the reference normal field when the chart has one; the H stencil
     # points otherwise follow the normal at their point
     ref = None
-    if chart.orientation_ref is not None:
-        ref = np.stack([eval_values(e, base, chart.profile_bank)
-                        for e in chart.orientation_ref], axis=-1)
+    if chart.orientation_dag is not None:
+        ref = eval_values(chart.orientation_dag, base, chart.profile_bank)
     G0, N0, B0, S0, H0 = _fd_frame(chart, pts, dx[:npts], ddx[:npts],
                                    None if ref is None else ref[:npts])
     H = _fd_frame(chart, base[npts:], dx[npts:], ddx[npts:],

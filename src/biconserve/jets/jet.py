@@ -234,11 +234,12 @@ def powr(u: Jet, p: float) -> Jet:
 def _ipow(u: Jet, k: int) -> Jet:
     if k < 0:
         return _ipow(u, -k).reciprocal()
-    result = Jet.constant(u.space, u.order, np.ones_like(u.c[0]))
-    base = u
+    if k == 0:
+        return Jet.constant(u.space, u.order, np.ones_like(u.c[0]))
+    result, base = None, u
     while k:
         if k & 1:
-            result = result * base
+            result = base if result is None else result * base
         base = base * base if k > 1 else base
         k >>= 1
     return result

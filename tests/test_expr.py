@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from biconserve.errors import ContractViolation, DomainError
-from biconserve.expr import (FD_STEPS, Call, Const, Mul, Pow, ProfileCall, Var, eval_value,
-                             eval_values, fd_partial, node_repr, parse)
+from biconserve.expr import (FD_STEPS, Call, Const, Dag, Expr, Mul, Pow, ProfileCall, Var,
+                             dag_of, eval_value, eval_values, fd_partial, jet_eval, node_repr,
+                             parse)
 
 
 def test_parse_basic_precedence():
@@ -233,3 +234,179 @@ def test_overflow_raises_domain_error_on_both_routes(text, message):
     with pytest.raises(DomainError) as arr_err:
         eval_values(e, np.array([(1.0, 0.0, 0.0, 0.0), point]))
     assert str(jet_err.value) == str(arr_err.value) == message
+
+
+# -- one DAG per chart ---------------------------------------------------
+
+
+def _nodes(node):
+    """Every node reachable from ``node``, by identity."""
+    out = {id(node): node}
+    for child in vars(node).values():
+        if isinstance(child, Expr):
+            out.update(_nodes(child))
+    return out
+
+
+def test_dag_of_merges_equal_subtrees_and_marks_shared_nodes():
+    trees = (parse("s*t + sin(s*t)"), parse("(s*t)^2 - u"), parse("u"), parse("s*t + sin(s*t)"))
+    dag = dag_of(trees)
+    assert dag.roots == trees
+    # the two equal roots are one node, as are the four copies of s*t
+    assert dag.roots[0] is dag.roots[3]
+    st = dag.roots[0].a
+    assert st is dag.roots[0].b.a is dag.roots[1].a.a
+    # s*t is reached from +, from sin and from ^2; the root twice; leaves never count
+    assert {node_repr(n): k for n, k in dag.shared} == {"(s*t)": 3, node_repr(trees[0]): 2}
+    assert dag_of((parse("s + t"),)).shared == ()
+    # constants are told apart by their bits
+    neg_zero = dag_of((Mul(Const(0.0), Var(0)), Mul(Const(-0.0), Var(0))))
+    assert neg_zero.roots[0] is not neg_zero.roots[1]
+    assert eval_values(neg_zero, np.ones((1, 1))).tolist() == [[0.0, -0.0]]
+    assert np.signbit(eval_values(neg_zero, np.ones((1, 1)))).tolist() == [[False, True]]
+
+
+def _chart_dags(chart):
+    yield chart.dag
+    if chart.orientation_dag is not None:
+        yield chart.orientation_dag
+
+
+def test_chart_dag_evaluation_is_bitwise_tree_by_tree():
+    from biconserve.sweep import random_points
+
+    rng = np.random.default_rng(17)
+    for key, chart in _catalog_charts():
+        n, bank = chart.nparams, chart.profile_bank
+        block = random_points(chart.domain, 5, seed=8)
+        alphas = [tuple(rng.multinomial(order, [1.0 / n] * n)) for order in (0, 1, 2, 3, 4)]
+        for dag in _chart_dags(chart):
+            for pts in (block[0], block):
+                for order in range(4):
+                    jets = jet_eval(dag, pts, order, bank)
+                    assert len(jets) == len(dag.roots)
+                    for jet, tree in zip(jets, dag.roots):
+                        assert np.array_equal(jet.c, jet_eval(tree, pts, order, bank).c), key
+                values = eval_value(dag, pts, bank)
+                assert np.array_equal(values, np.stack(
+                    [eval_value(t, pts, bank) for t in dag.roots], axis=-1)), key
+                fd = fd_partial(dag, pts, alphas, profile_bank=bank)
+                assert np.array_equal(fd, np.stack(
+                    [fd_partial(t, pts, alphas, profile_bank=bank) for t in dag.roots],
+                    axis=-1)), key
+            got = eval_values(dag, block, bank)
+            assert got.shape == (len(block), len(dag.roots))
+            assert np.array_equal(got, np.stack(
+                [eval_values(t, block, bank) for t in dag.roots], axis=-1)), key
+
+
+def test_each_shared_value_is_dropped_at_its_last_use(monkeypatch):
+    memos, shared = [], 0
+    memo = Dag.memo
+    monkeypatch.setattr(Dag, "memo", lambda self: memos.append(memo(self)) or memos[-1])
+    for key, chart in _catalog_charts():
+        p = chart.center()
+        for dag in _chart_dags(chart):
+            shared += len(dag.shared)
+            memos.clear()
+            jet_eval(dag, p, 3, chart.profile_bank)
+            eval_values(dag, p[None], chart.profile_bank)
+            fd_partial(dag, p, np.eye(len(p), dtype=int), profile_bank=chart.profile_bank)
+            assert len(memos) >= 3 and all(m == {} for m in memos), key
+    assert shared > 40
+
+
+def _ex41():
+    from biconserve.catalog import FamilySpec, build
+
+    return build(FamilySpec("ex41", profiles={"solve_psi": True, "c": 1.0}))
+
+
+def test_ex41_shared_profile_call_is_evaluated_once_per_call(monkeypatch):
+    chart = _ex41()
+    assert [node_repr(n) for n, _ in chart.dag.shared if isinstance(n, ProfileCall)] == []
+    assert sum(node_repr(t).count("psi(s)") for t in chart.components) == 2
+    psi, dpsi = chart.profile_bank["psi"], chart.profile_bank["dpsi"]
+    calls = []
+    for prof, meth in ((psi, "derivs"), (dpsi, "values")):
+        original = getattr(type(prof), meth)
+        monkeypatch.setattr(type(prof), meth, lambda self, *a, _o=original, _m=meth:
+                            calls.append(_m) or _o(self, *a))
+    p = chart.center()
+    for pts in (p, np.stack([p, p + 0.01])):
+        for order in (0, 3):
+            calls.clear()
+            jet_eval(chart.dag, pts, order, chart.profile_bank)
+            assert calls == ["derivs"]
+        calls.clear()
+        eval_values(chart.orientation_dag, np.atleast_2d(pts), chart.profile_bank)
+        assert calls == ["values"]
+    # tree by tree, the profile is called once per component that holds it
+    calls.clear()
+    for tree in chart.components:
+        jet_eval(tree, p, 3, chart.profile_bank)
+    assert calls == ["derivs", "derivs"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("texts, point", [
+    (("u + 1/(s - 2)", "t*(1/(s - 2))"), (2.0, 0.1, 0.2, 0.3)),
+    # the first root overflows (named at the root), the second divides by zero
+    (("(s*s) + t", "(s*s)*u/(s - 1e200)"), (1e200, 0.1, 0.2, 0.3)),
+    (("t + sqrt(s - 1)", "u", "sqrt(s - 1)*v"), (0.5, 0.1, 0.2, 0.3)),
+    (("s*t", "v/(s - 2) + s*t", "(s*t)*(v/(s - 2))"), (2.0, 0.1, 0.2, 0.3)),
+])
+def test_domain_error_in_a_shared_subtree_names_the_tree_by_tree_node(texts, point):
+    trees = [parse(t) for t in texts]
+    dag = dag_of(trees)
+    assert dag.shared
+    pts = np.array([(3.0, 0.5, 1.0, 0.2), point])
+
+    def first_error(fn):
+        for tree in trees:
+            try:
+                fn(tree)
+            except DomainError as e:
+                return str(e)
+        raise AssertionError("no tree raised")
+
+    for fn in (lambda e: jet_eval(e, point, 2), lambda e: eval_values(e, pts),
+               lambda e: fd_partial(e, pts, [(1, 0, 0, 0), (0, 2, 0, 0)])):
+        with pytest.raises(DomainError) as err:
+            fn(dag)
+        assert str(err.value) == first_error(fn)
+
+
+def test_pickled_chart_keeps_its_dag_and_its_packets():
+    import pickle
+
+    from biconserve.immersion import packet, packet_fd
+    from biconserve.sweep import random_points
+
+    chart = _ex41()
+    back = pickle.loads(pickle.dumps(chart))
+    assert back.components == chart.components and back.dag.roots == chart.dag.roots
+    for dag in (back.dag, back.orientation_dag):
+        reachable = {}
+        for root in dag.roots:
+            reachable.update(_nodes(root))
+        assert dag.shared and all(id(node) in reachable for node, _ in dag.shared)
+    pts = random_points(chart.domain, 6, seed=21)
+    for p in (pts[0], pts):
+        for fn in (packet, packet_fd):
+            a, b = fn(chart, p), fn(back, p)
+            for name in ("G", "N", "S", "H", "gradH", "dx"):
+                x, y = getattr(a, name), getattr(b, name)
+                x, y = getattr(x, "components", x), getattr(y, "components", y)
+                assert np.array_equal(x, y), (fn.__name__, name)
+
+
+def test_chart_equality_ignores_its_dag():
+    from biconserve.immersion import ImmersionChart
+
+    comps = (parse("s*t + t*s"), parse("u"), parse("v"), parse("s"), parse("t"))
+    a = ImmersionChart(components=comps, domain=((-1, 1),) * 4)
+    b = ImmersionChart(components=tuple(parse(node_repr(c)) for c in comps), domain=a.domain)
+    assert a == b and a.dag is not b.dag
+    assert "dag" not in repr(a)
+    assert isinstance(a.dag, Dag) and a.orientation_dag is None

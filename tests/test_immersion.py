@@ -171,19 +171,22 @@ def test_fd_packet_carries_its_own_tangents(ex41):
 
 @pytest.mark.parametrize("p", [(1.0, 0.3, -0.2, 0.4),
                                [(1.0, 0.3, -0.2, 0.4), (0.9, 0.1, 0.2, -0.3)]])
-def test_fd_packet_takes_one_fd_partial_call_per_component(ex41, p, monkeypatch):
+def test_fd_packet_takes_one_fd_partial_call(ex41, p, monkeypatch):
     import biconserve.immersion as immersion
 
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args[2])
+        calls.append(args)
         return fd_partial(*args, **kwargs)
 
     monkeypatch.setattr(immersion, "fd_partial", counting)
     packet_fd(ex41, p)
-    assert len(calls) == len(ex41.components)
-    assert all(np.shape(alphas) == (4 + 10, 4) for alphas in calls)
+    assert len(calls) == 1
+    (dag, base, alphas), = calls
+    assert dag is ex41.dag and dag.roots == ex41.components
+    assert np.shape(alphas) == (4 + 10, 4)
+    assert np.shape(base) == (len(np.atleast_2d(p)) * (2 * 4 + 1), 4)
 
 
 @pytest.mark.parametrize("exprs, p, error", [
@@ -285,3 +288,54 @@ def test_curve_packet_trivial_integrability():
     p = (0.2,)
     assert gauss_codazzi_residual(chart, p) == (0.0, 0.0)
     assert beltrami_residual(chart, p) < 1e-12
+
+
+# -- the cofactor cross product ----------------------------------------------
+
+
+def _int_det(rows):
+    """Exact determinant of a square integer matrix (fraction-free elimination)."""
+    a = [list(r) for r in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_cross_is_exact_on_integer_tangents(n):
+    from biconserve.ambient import Signature
+    from biconserve.immersion import _cross
+
+    m = n + 1
+    weights = Signature(m, min(2, m - 1)).weights
+    rows = np.random.default_rng(n).integers(-4, 5, size=(9, n, m))
+    got = _cross(rows.astype(float), weights)
+    for frame, w in zip(rows.tolist(), got):
+        cof = [(-1) ** a * _int_det([r[:a] + r[a + 1:] for r in frame]) for a in range(m)]
+        assert w.tolist() == [float(x * e) for x, e in zip(cof, weights)]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_cross_agrees_with_metric_cross(n):
+    from biconserve.ambient import Signature, metric_cross
+    from biconserve.immersion import _cross
+
+    m = n + 1
+    sig = Signature(m, min(2, m - 1))
+    rows = np.random.default_rng(10 + n).standard_normal((64, n, m))
+    got = _cross(rows, sig.weights)
+    ref = metric_cross(rows, sig).components
+    scale = np.max(np.abs(ref), axis=-1, keepdims=True)
+    assert np.max(np.abs(got - ref) / scale) <= 1e-13
+    # index-lowered: metric-orthogonal to every tangent
+    resid = np.einsum("pra,a,pa->pr", rows, sig.weights, got)
+    assert np.max(np.abs(resid) / (scale * np.max(np.abs(rows), axis=(1, 2))[:, None])) <= 1e-13

@@ -220,3 +220,33 @@ def test_partials_tensor_is_the_partial_of_every_alpha(points):
                 assert np.array_equal(d[axes], d[tuple(axes[q] for q in perm)])
     with pytest.raises(ContractViolation):
         j3.partials(4)
+
+
+@pytest.mark.parametrize("k", list(range(-5, 17)))
+def test_integer_powers_start_from_the_base(k, monkeypatch):
+    from biconserve.expr import _powr_values
+    from biconserve.jets import kernel
+
+    space = JetSpace.get(2)
+    rng = np.random.default_rng(k + 40)
+    u = Jet(space, 3, rng.uniform(0.5, 1.5, (space.ncoef[3], 4)))
+    # the binary ladder started from the constant one, as powers were formed before
+    ref, base, e = Jet.constant(space, 3, np.ones(4)), u, abs(k)
+    while e:
+        ref = ref * base if e & 1 else ref
+        base, e = (base * base if e > 1 else base), e >> 1
+    ref = ref.reciprocal() if k < 0 else ref
+    products = []
+    mul_into = kernel.mul_into
+    monkeypatch.setattr(kernel, "mul_into", lambda *a: products.append(1) or mul_into(*a))
+    got = powr(u, k)
+    assert np.array_equal(got.c, ref.c)
+    # one product fewer than the ladder from one: no 1 * x
+    e = abs(k)
+    ladder = e.bit_length() - 1 + bin(e).count("1") - 1 if e else 0
+    inverse = 3 if k < 0 else 0  # the reciprocal's Horner steps at order 3
+    assert len(products) == ladder + inverse
+    vals = _powr_values(u.c[0], float(k))
+    assert np.array_equal(vals, ref.c[0] if k >= 0 else 1.0 / powr(u, -k).c[0])
+    assert powr(u, 0).order == 3 and np.array_equal(powr(u, 0).c, Jet.constant(
+        space, 3, np.ones(4)).c)
