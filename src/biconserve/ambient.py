@@ -98,7 +98,8 @@ def metric_cross(tangents, signature: Signature = E5_2) -> AmbientVector:
     v_a times slot a; then the index is lowered (slot a times eps_a).
     ``tangents`` is m-1 vectors, or a (P, m-1, m) stack of frames giving
     (P, m) components, each frame's row computed as it would be alone; a
-    stack raises if any frame is rank deficient.  The result is not
+    stack raises if any frame is rank deficient: its largest cofactor is at
+    most TAU_RANK times Hadamard's bound.  The result is not
     normalized: the caller is expected to inspect its causal character
     first.
     """
@@ -114,8 +115,8 @@ def metric_cross(tangents, signature: Signature = E5_2) -> AmbientVector:
     cols = np.arange(m)
     cof = np.stack([(-1.0) ** a * np.linalg.det(rows[..., cols != a]) for a in range(m)],
                    axis=-1)
-    scale = np.max(np.abs(rows), axis=(-2, -1))
-    scale = np.where(scale == 0.0, 1.0, scale)
-    if np.any(np.max(np.abs(cof), axis=-1) <= TAU_RANK * scale ** (m - 1)):
+    # Hadamard's bound: no cofactor exceeds the product of the row norms
+    bound = np.prod(np.linalg.norm(rows, axis=-1), axis=-1)
+    if np.any(np.max(np.abs(cof), axis=-1) <= TAU_RANK * bound):
         raise DegenerateFrameError("tangent frame is rank deficient")
     return AmbientVector(signature.weights * cof, signature)

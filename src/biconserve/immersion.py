@@ -4,18 +4,20 @@ Jets give the chart's partials and nothing after them: the chart's
 components, one expression Dag built with the chart, are expanded to
 order-3 jets in one walk, from which d_i x, d_i d_j x and d_i d_j d_l x
 are read off as arrays.  Everything after is array arithmetic, shared by
-every codimension in ``_second_form``: the induced metric and its partials
-by the product rule, the Christoffel symbols and their partials by one
-linear solve per point with G and one more with the same matrix (the
-linear-solve rule), and the normal-valued second fundamental form h with
-its partials.  ``submanifold_packet`` adds the mean curvature vector;
-``packet`` (codimension 1) adds the unit normal, B = <d_i d_j x, N> with
-d_l B = <d_l h, N>, and the shape operator S with its partials by the
-same solve, so H and grad H are traces of S and of its partials, never
-re-differenced.  Both packets evaluate one point or a block of points at
-once: the arrays and the residual operations carry a leading point axis,
-of length 1 for a one-point call.  Each identity residual has one body
-for both packets; only the terms that belong to the codimension differ.
+every codimension in ``_frame``: the induced metric and its first
+partials by the product rule, and the Christoffel symbols by one linear
+solve per point with G.  ``submanifold_packet`` adds the normal-valued
+second fundamental form h and the mean curvature vector; ``packet``
+(codimension 1) adds the unit normal, B = <d_i d_j x, N> with
+d_l B_ij = <d_i d_j d_l x, N> - Gamma^k_ij B_kl, and the shape operator S
+with its partials by a solve with G and one more with the same matrix (the
+linear-solve rule), so H and grad H are traces of S and of its partials,
+never re-differenced.  The second partials of G enter only the Gauss
+check, which builds the curvature tensor from them (``_curvature``).
+Both packets evaluate one point or a block of points at once: the arrays
+and the residual operations carry a leading point axis, of length 1 for a
+one-point call.  Each identity residual has one body for both packets;
+only the terms that belong to the codimension differ.
 The independent oracle, packet_fd, uses no jets: nested central
 differences of chart values computed by one array walk of the Dag
 (expr.fd_partial), for one point or a block as well.  Its FdPacket feeds
@@ -116,7 +118,7 @@ class CurvaturePacket(_CmcRule):
     dx: np.ndarray           # (n, m): d_i x
     ddx: np.ndarray          # (n, n, m): d_i d_j x
     dB: np.ndarray           # (n, n, n): d_l B_ij at [i, j, l]
-    dGamma: np.ndarray       # (n, n, n, n): d_l Gamma^k_ij at [k, i, j, l]
+    dddx: np.ndarray         # (n, n, n, m): d_i d_j d_l x
     _weights: np.ndarray = field(repr=False, default=None)
 
     @property
@@ -144,9 +146,8 @@ class SubmanifoldPacket:
     christoffel: np.ndarray     # (n, n, n): Gamma^k_ij at [k, i, j]
     dx: np.ndarray              # (n, m): d_i x
     ddx: np.ndarray             # (n, n, m): d_i d_j x
-    dGamma: np.ndarray          # (n, n, n, n): d_l Gamma^k_ij at [k, i, j, l]
+    dddx: np.ndarray            # (n, n, n, m): d_i d_j d_l x
     h: np.ndarray               # (n, n, m) normal-part second fundamental form
-    dh: np.ndarray              # (n, n, m, n): d_l h_ij^a at [i, j, a, l]
     mean_curvature: np.ndarray  # (m,) ambient vector, (1/n) G^{ij} h_ij
     _weights: np.ndarray = field(repr=False, default=None)
 
@@ -262,13 +263,13 @@ def _inner(u, v, eps):
 
 
 def _frame(chart: ImmersionChart, pts: np.ndarray):
-    """The chart's partials at each point of ``pts`` (P, n): d_i x (P, n, m),
-    d_i d_j x (P, n, n, m) and d_i d_j d_l x (P, n, n, n, m), read off the
-    order-3 jets of one ``jet_eval`` of the chart's Dag (each shared
-    subexpression once); and the induced metric G_ij with its first and
-    second partials, (P, n, n), (P, n, n, n) at [i, j, l] and (P, n, n, n, n)
-    at [i, j, l, q], by the product rule.  Raises where G fails the metric
-    checks."""
+    """(dx, ddx, dddx, G, dG, Gamma) at each point of ``pts`` (P, n): the
+    chart's partials d_i x (P, n, m), d_i d_j x (P, n, n, m) and d_i d_j d_l x
+    (P, n, n, n, m), read off the order-3 jets of one ``jet_eval`` of the
+    chart's Dag (each shared subexpression once); the induced metric G_ij
+    with its partials, (P, n, n) and (P, n, n, n) at [i, j, l], by the
+    product rule; and the Christoffel symbols Gamma^k_ij at [k, i, j] by one
+    linear solve per point with G.  Raises where G fails the metric checks."""
     eps = chart.signature.weights
     jets = jet_eval(chart.dag, pts, 3, chart.profile_bank)
     dx, ddx, dddx = [np.moveaxis(np.stack([j.partials(k) for j in jets], axis=-1), -2, 0)
@@ -278,46 +279,19 @@ def _frame(chart: ImmersionChart, pts: np.ndarray):
     # d_l G_ij = <d_i d_l x, d_j x> + <d_i x, d_j d_l x>
     A = np.einsum("zila,a,zja->zijl", ddx, eps, dx)
     dG = A + A.transpose(0, 2, 1, 3)
-    # d_q d_l G_ij = <d_i d_l d_q x, d_j x> + <d_i d_l x, d_j d_q x> + (i <-> j)
-    E = (np.einsum("zilqa,a,zja->zijlq", dddx, eps, dx)
-         + np.einsum("zila,a,zjqa->zijlq", ddx, eps, ddx))
-    ddG = E + E.transpose(0, 2, 1, 3, 4)
-    return dx, ddx, dddx, G, dG, ddG
-
-
-def _solve(G, dG, R, dR):
-    """X = G^{-1} R, (P, n, c), and its partials d_l X = G^{-1} (d_l R -
-    d_l G X) at [k, c, l], from R (P, n, c) and dR (P, n, c, n): two linear
-    solves per point with the same matrix (the linear-solve rule).  Every
-    array has a leading point axis, so a point's numbers do not depend on
-    the block it is solved in."""
-    X = np.linalg.solve(G, R)
-    dR = dR - np.einsum("zrsl,zsc->zrcl", dG, X)
-    dX = np.linalg.solve(G, dR.reshape(len(G), G.shape[-1], -1)).reshape(dR.shape)
-    return X, dX
-
-
-def _second_form(chart: ImmersionChart, pts: np.ndarray):
-    """(dx, ddx, G, dG, Gamma, dGamma, h, dh) at each point of ``pts`` (P, n):
-    the partials and metric of ``_frame``, the Christoffel symbols Gamma^k_ij
-    at [k, i, j] with their partials at [k, i, j, l], and the normal-valued
-    second fundamental form h_ij = d_i d_j x - Gamma^k_ij d_k x, (P, n, n, m),
-    with its partials d_l h_ij at [i, j, a, l] by the product rule."""
-    dx, ddx, dddx, G, dG, ddG = _frame(chart, pts)
-    n = chart.nparams
-    i, j = np.triu_indices(n)
-    # Gamma_{l,ij} = (d_i G_jl + d_j G_il - d_l G_ij) / 2 at [l, ij], and its partials
+    # Gamma_{l,ij} = (d_i G_jl + d_j G_il - d_l G_ij) / 2 at [l, ij]
+    i, j = np.triu_indices(chart.nparams)
     R = (dG[:, :, j, i] + dG[:, :, i, j] - dG.transpose(0, 3, 1, 2)[:, :, i, j]) * 0.5
-    dR = (ddG[:, :, j, i] + ddG[:, :, i, j] - ddG.transpose(0, 3, 1, 2, 4)[:, :, i, j]) * 0.5
-    X, dX = _solve(G, dG, R, dR)
-    Gamma = np.empty((len(pts), n, n, n))
-    dGamma = np.empty((len(pts), n, n, n, n))
-    Gamma[:, :, i, j] = Gamma[:, :, j, i] = X
-    dGamma[:, :, i, j] = dGamma[:, :, j, i] = dX
-    h = ddx - np.einsum("zkij,zka->zija", Gamma, dx)
-    dh = (np.moveaxis(dddx, -1, -2) - np.einsum("zkijl,zka->zijal", dGamma, dx)
-          - np.einsum("zkij,zkla->zijal", Gamma, ddx))
-    return dx, ddx, G, dG, Gamma, dGamma, h, dh
+    Gamma = np.empty(dG.shape)
+    Gamma[:, :, i, j] = Gamma[:, :, j, i] = np.linalg.solve(G, R)
+    return dx, ddx, dddx, G, dG, Gamma
+
+
+def _gamma_times(Gamma, T):
+    """sum_m Gamma^m_ij T_m... at [i, j, ...], for T (P, n, ...)."""
+    P, n = Gamma.shape[:2]
+    out = np.matmul(Gamma.reshape(P, n, n * n).swapaxes(1, 2), T.reshape(P, n, -1))
+    return out.reshape((P, n, n) + T.shape[2:])
 
 
 def packet(chart: ImmersionChart, p, flip_normal: bool = False) -> CurvaturePacket:
@@ -326,17 +300,17 @@ def packet(chart: ImmersionChart, p, flip_normal: bool = False) -> CurvaturePack
     ``p`` is one point (n,) or a block of points (P, n).  The normal is
     oriented at each point by that point alone: along the chart's reference
     normal field when it has one, else with its last nonzero component
-    positive; ``flip_normal`` reverses it.  ``_second_form`` gives the
-    partials, G, the Christoffel symbols and h; the unit normal N is the
-    normalized ``_cross`` of the tangents, B = <d_i d_j x, N> and its
-    partials d_l B = <d_l h, N> (exact, since h is normal and d_l N
-    tangent, so no derivative of N is needed).  The shape operator S and
-    its partials are one ``_solve`` with G, and H and grad H the traces of
-    S and of its partials.  Each point gets the arithmetic it would get
-    alone: a one-point call runs the block code on a block of one point,
-    and returns floats and unbatched arrays.  A block raises as soon as any
-    of its points fails a check; ``sweep`` bisects a failing block to give
-    every point its own error.
+    positive; ``flip_normal`` reverses it.  ``_frame`` gives the partials, G
+    and the Christoffel symbols; the unit normal N is the normalized
+    ``_cross`` of the tangents, B = <d_i d_j x, N> and its partials
+    d_l B_ij = <d_i d_j d_l x, N> - Gamma^k_ij B_kl (exact, since
+    <d_k x, N> = 0, so no derivative of N is needed).  The shape operator S
+    and its partials are two linear solves with G (the linear-solve rule),
+    and H and grad H the traces of S and of its partials.  Each point gets
+    the arithmetic it would get alone: a one-point call runs the block code
+    on a block of one point, and returns floats and unbatched arrays.  A
+    block raises as soon as any of its points fails a check; ``sweep``
+    bisects a failing block to give every point its own error.
     """
     if chart.codim != 1:
         raise ContractViolation("packet requires a codimension-1 chart")
@@ -344,7 +318,7 @@ def packet(chart: ImmersionChart, p, flip_normal: bool = False) -> CurvaturePack
     pts = np.atleast_2d(p)
     n = chart.nparams
     eps = chart.signature.weights
-    dx, ddx, G, dG, Gamma, dGamma, h, dh = _second_form(chart, pts)
+    dx, ddx, dddx, G, dG, Gamma = _frame(chart, pts)
 
     w = _cross(dx, eps)
     w_euclid2 = np.sum(w * w, axis=-1)
@@ -360,38 +334,42 @@ def packet(chart: ImmersionChart, p, flip_normal: bool = False) -> CurvaturePack
         ref = eval_values(chart.orientation_dag, pts, chart.profile_bank)
     N = w * ((1.0 / np.sqrt(nn)) * _orient_sign(w, ref, flip_normal))[:, None]
     B = _inner(ddx, N[:, None, None], eps)
-    dB = _inner(np.moveaxis(dh, -1, -2), N[:, None, None, None], eps)
-    S, dS = _solve(G, dG, B, dB)
+    dB = _inner(dddx, N[:, None, None, None], eps) - _gamma_times(Gamma, B)
+    # S = G^-1 B and d_l S = G^-1 (d_l B - d_l G S): two solves with the same matrix
+    S = np.linalg.solve(G, B)
+    dR = dB - np.einsum("zrsl,zsc->zrcl", dG, S)
+    dS = np.linalg.solve(G, dR.reshape(len(pts), n, -1)).reshape(dR.shape)
     H = np.trace(S, axis1=1, axis2=2) * (1.0 / n)
     dH = np.trace(dS, axis1=1, axis2=2) * (1.0 / n)
 
     G_inv = np.linalg.inv(G)
     gradH = _mv(G_inv, dH)
-    fields = (G, G_inv, N, B, S, H, gradH, _push(gradH, dx), Gamma, dx, ddx, dB, dGamma)
+    fields = (G, G_inv, N, B, S, H, gradH, _push(gradH, dx), Gamma, dx, ddx, dB, dddx)
     one = p.ndim == 1
-    G, G_inv, N, B, S, H, gradH, g_amb, Gamma, dx, ddx, dB, dGamma = [
+    G, G_inv, N, B, S, H, gradH, g_amb, Gamma, dx, ddx, dB, dddx = [
         f[0] if one else f for f in fields]
     sig = chart.signature
     return CurvaturePacket(tuple(p) if one else p, G, G_inv, AmbientVector(N, sig), B, S,
                            float(H) if one else H, gradH, AmbientVector(g_amb, sig), Gamma,
-                           dx, ddx, dB, dGamma, _weights=eps)
+                           dx, ddx, dB, dddx, _weights=eps)
 
 
 def submanifold_packet(chart: ImmersionChart, p) -> SubmanifoldPacket:
     """First and second fundamental forms of a chart of any codimension.
 
     ``p`` is one point (n,) or a block of points (P, n), evaluated as
-    ``packet`` evaluates them: ``_second_form`` gives G, the Christoffel
-    symbols, the normal part h_ij = d_i d_j x - Gamma^k_ij d_k x of the
-    second derivatives and its partials, and the mean curvature vector is
+    ``packet`` evaluates them: ``_frame`` gives the partials, G and
+    the Christoffel symbols, h_ij = d_i d_j x - Gamma^k_ij d_k x is the
+    normal part of the second derivatives, and the mean curvature vector is
     (1/n) G^{ij} h_ij.  A one-point call runs the block code on one point
     and returns unbatched arrays, and a block raises as soon as any of its
     points fails a metric check.
     """
     p = np.asarray(p, dtype=float)
-    dx, ddx, G, _, Gamma, dGamma, h, dh = _second_form(chart, np.atleast_2d(p))
+    dx, ddx, dddx, G, _, Gamma = _frame(chart, np.atleast_2d(p))
     G_inv = np.linalg.inv(G)
-    fields = (G, G_inv, Gamma, dx, ddx, dGamma, h, dh,
+    h = ddx - np.einsum("zkij,zka->zija", Gamma, dx)
+    fields = (G, G_inv, Gamma, dx, ddx, dddx, h,
               np.einsum("zij,zija->za", G_inv, h) / chart.nparams)
     one = p.ndim == 1
     return SubmanifoldPacket(tuple(p) if one else p, *[f[0] if one else f for f in fields],
@@ -513,54 +491,67 @@ def beltrami_residual(chart: ImmersionChart, p, pk=None):
     return _result(one, np.linalg.norm(lap - target, axis=-1))
 
 
+def _curvature(G, Gamma, dx, ddx, dddx, eps):
+    """The lowered curvature tensor R_ijkl = G_lm R^m_ijk at [i, j, k, l],
+    (P, n, n, n, n), by the classical formula R_ijkl = (G_jl,ik + G_ik,jl -
+    G_jk,il - G_il,jk) / 2 + Gamma_{m,lj} Gamma^m_ik - Gamma_{m,li} Gamma^m_jk,
+    with Gamma_{m,ab} = G_mp Gamma^p_ab and d_q d_l G_ij by the product rule."""
+    P, n, m = dx.shape
+    # <d_i d_l d_q x, d_j x> at [i, l, q, j] and <d_i d_l x, d_j d_q x> at [i, l, j, q]
+    T = np.matmul((dddx * eps).reshape(P, -1, m), dx.swapaxes(1, 2)).reshape((P,) + (n,) * 4)
+    Q = np.matmul((ddx * eps).reshape(P, -1, m),
+                  ddx.reshape(P, -1, m).swapaxes(1, 2)).reshape((P,) + (n,) * 4)
+    E = T.transpose(0, 1, 4, 2, 3) + Q.transpose(0, 1, 3, 2, 4)
+    ddG = E + E.swapaxes(1, 2)  # d_q d_l G_ij at [i, j, l, q]
+    X = ddG.transpose(0, 1, 3, 2, 4)  # G_ik,jl at [i, j, k, l]
+    Y = X - X.swapaxes(3, 4)
+    # Gamma^m_ik Gamma_{m,lj} at [i, k, l, j]
+    M = _gamma_times(Gamma, np.matmul(G, Gamma.reshape(P, n, -1)).reshape(Gamma.shape))
+    quad = M.transpose(0, 1, 4, 2, 3)
+    return (Y + Y.transpose(0, 2, 1, 4, 3)) * 0.5 + (quad - quad.swapaxes(1, 2))
+
+
 def gauss_codazzi_residual(chart: ImmersionChart, p, pk=None):
     """Max-norm defects of the two flat-space integrability identities.
 
-    ``pk`` is as for ``beltrami_residual``.  The curvature tensor is
-    computed once from the Christoffel symbols; the Gauss right-hand side,
+    ``pk`` is as for ``beltrami_residual``.  The curvature tensor comes from
+    the packet's metric, Christoffel symbols and the chart's partials
+    (``_curvature``), for either codimension; the Gauss right-hand side,
     the scale and the Codazzi tensor are those of the codimension: the
     shape operator's B for a hypersurface, the normal-valued h otherwise,
     whose Codazzi defect is projected onto the normal space.  Every term
     of a curve's identities cancels exactly, so a curve gives (0.0, 0.0).
     """
     pk = _any_packet(chart, p, pk)
-    one, (G, Gamma0, dGamma) = _point_axis(pk, pk.G, pk.christoffel, pk.dGamma)
-    # R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_ip Gamma^p_jk - Gamma^l_jp Gamma^p_ik
-    Rup = (
-        np.einsum("zljki->zlijk", dGamma)
-        - np.einsum("zlikj->zlijk", dGamma)
-        + np.einsum("zlip,zpjk->zlijk", Gamma0, Gamma0)
-        - np.einsum("zljp,zpik->zlijk", Gamma0, Gamma0)
-    )
-    Rdown = np.einsum("zlm,zmijk->zijkl", G, Rup)
+    one, (G, Gamma, dx, ddx, dddx) = _point_axis(pk, pk.G, pk.christoffel, pk.dx, pk.ddx,
+                                                 pk.dddx)
+    w = pk._weights
+    Rdown = _curvature(G, Gamma, dx, ddx, dddx, w)
 
     if chart.codim == 1:
         _, (B0, dB) = _point_axis(pk, pk.B, pk.dB)
         gauss_rhs = np.einsum("zjk,zil->zijkl", B0, B0) - np.einsum("zik,zjl->zijkl", B0, B0)
         scale = (1.0 + np.max(np.abs(B0), axis=(1, 2))) ** 2
         # nabla_i B_jk = d_i B_jk - Gamma^m_ij B_mk - Gamma^m_ik B_jm
-        covB = (
-            np.einsum("zjki->zijk", dB)
-            - np.einsum("zmij,zmk->zijk", Gamma0, B0)
-            - np.einsum("zmik,zjm->zijk", Gamma0, B0)
-        )
-        r_codazzi = np.max(np.abs(covB - np.einsum("zijk->zjik", covB)), axis=(1, 2, 3))
+        GB = _gamma_times(Gamma, B0)
+        covB = dB.transpose(0, 3, 1, 2) - GB - GB.swapaxes(2, 3)
+        r_codazzi = np.max(np.abs(covB - covB.swapaxes(1, 2)), axis=(1, 2, 3))
     else:
-        _, (G_inv, dx, h0, dh) = _point_axis(pk, pk.G_inv, pk.dx, pk.h, pk.dh)
-        w = pk._weights
-        hh = np.einsum("zija,a,zkla->zijkl", h0, w, h0)  # <h_ij, h_kl>
+        _, (G_inv, h0) = _point_axis(pk, pk.G_inv, pk.h)
+        P, n, m = dx.shape
+        hh = np.matmul((h0 * w).reshape(P, -1, m),
+                       h0.reshape(P, -1, m).swapaxes(1, 2)).reshape((P,) + (n,) * 4)
         gauss_rhs = np.einsum("zjkil->zijkl", hh) - np.einsum("zikjl->zijkl", hh)
         scale = (1.0 + np.max(np.linalg.norm(h0, axis=-1), axis=(1, 2))) ** 2
-        # nabla_i h_jk = d_i h_jk - Gamma^m_ij h_mk - Gamma^m_ik h_jm; the normal
-        # part of its skew part in (i, j) must vanish
-        Dh = (
-            np.einsum("zjkai->zijka", dh)
-            - np.einsum("zmij,zmka->zijka", Gamma0, h0)
-            - np.einsum("zmik,zjma->zijka", Gamma0, h0)
-        )
-        diff = Dh - np.einsum("zijka->zjika", Dh)
-        inner = np.einsum("zla,a,zijka->zijkl", dx, w, diff)
-        perp = diff - np.einsum("zml,zijkl,zmb->zijkb", G_inv, inner, dx)
+        # nabla_i h_jk = d_i h_jk - Gamma^m_ij h_mk - Gamma^m_ik h_jm, with d_i h_jk
+        # less its tangential term -d_i Gamma^m_jk d_m x; the normal part of its
+        # skew part in (i, j) must vanish
+        Gh = _gamma_times(Gamma, h0)
+        Dh = dddx - _gamma_times(Gamma, ddx).transpose(0, 3, 1, 2, 4) - Gh - Gh.swapaxes(2, 3)
+        diff = Dh - Dh.swapaxes(1, 2)
+        inner = np.matmul((diff * w).reshape(P, -1, m), dx.swapaxes(1, 2))
+        tangential = np.matmul(np.matmul(inner, G_inv.swapaxes(1, 2)), dx)
+        perp = diff - tangential.reshape(diff.shape)
         r_codazzi = np.max(np.linalg.norm(perp, axis=-1), axis=(1, 2, 3))
     r_gauss = np.max(np.abs(Rdown - gauss_rhs), axis=(1, 2, 3, 4)) / scale
     return _result(one, r_gauss), _result(one, r_codazzi / scale)

@@ -24,7 +24,7 @@ interpolation on a one-entry array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -144,6 +144,11 @@ class _Interpolated:
     def values(self, x) -> np.ndarray:
         return _on_unique(self._interpolate, x)
 
+    def __eq__(self, other):
+        """Field by field, array fields by ``np.array_equal``."""
+        return type(other) is type(self) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
     def _derivs(self, x, k: int):
         if k > 4:
             raise ContractViolation("profile derivative order exceeded (max 4)")
@@ -152,7 +157,7 @@ class _Interpolated:
         return [head] + _deriv_ladder(self.dexpr, x, k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureProfile(_Interpolated):
     """Antiderivative of a closed-form expression, anchored at (s0, f0)."""
 
@@ -213,7 +218,7 @@ def _offset_product(offsets) -> Expr:
     return prod
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PsiSolution(_Interpolated):
     """psi(s) = s/2 + c * integral_0^s (prod_i (xi + o_i))^(2/3) dxi.
 

@@ -119,3 +119,13 @@ def test_metric_cross_rank_deficiency():
         metric_cross(frames)
     with pytest.raises(ContractViolation):
         metric_cross(frames[:, :3])
+
+
+def test_metric_cross_rank_test_is_relative_to_each_row():
+    # an orthogonal frame with one row 1e5 times longer is full rank
+    rows = np.eye(5)[1:] * np.array([1e5, 1.0, 1.0, 1.0])[:, None]
+    w = metric_cross(rows).components
+    assert np.allclose(w, [-1e5, 0.0, 0.0, 0.0, 0.0], rtol=1e-14, atol=0.0)
+    rows[3] = rows[2] * 3.0
+    with pytest.raises(DegenerateFrameError):
+        metric_cross(rows)

@@ -1,0 +1,112 @@
+"""The packets' second-order data against the route that formed it from the
+partials of the Christoffel symbols, and the identity checks against
+packets with one field perturbed.
+
+The reference route, kept here only: d_q d_l G by the product rule, the
+partials of the Christoffel symbols by the linear-solve rule,
+d_l Gamma = G^-1 (d_l Gamma_low - d_l G Gamma), the curvature tensor from
+them, and dB = <d_l h, N> with d_l h = d_l d_i d_j x - d_l Gamma dx - Gamma
+d_l dx."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from biconserve.catalog import FamilySpec, all_keys, build, build_remark42
+from biconserve.immersion import _curvature, gauss_codazzi_residual, packet, submanifold_packet
+from biconserve.sweep import random_points
+
+
+def reference_route(pk, eps):
+    """(R_ijkl at [i, j, k, l], d_l h_ij^a at [i, j, a, l]) of a block packet."""
+    dx, ddx, dddx, G, Gamma = pk.dx, pk.ddx, pk.dddx, pk.G, pk.christoffel
+    A = np.einsum("zila,a,zja->zijl", ddx, eps, dx)
+    dG = A + A.transpose(0, 2, 1, 3)
+    E = (np.einsum("zilqa,a,zja->zijlq", dddx, eps, dx)
+         + np.einsum("zila,a,zjqa->zijlq", ddx, eps, ddx))
+    ddG = E + E.transpose(0, 2, 1, 3, 4)
+    # d_q Gamma_{l,ij} = (d_q d_i G_jl + d_q d_j G_il - d_q d_l G_ij) / 2 at [l, i, j, q]
+    dlow = (np.einsum("zjliq->zlijq", ddG) + np.einsum("ziljq->zlijq", ddG)
+            - np.einsum("zijlq->zlijq", ddG)) * 0.5
+    rhs = dlow - np.einsum("zksq,zsij->zkijq", dG, Gamma)
+    P, n = G.shape[:2]
+    dGamma = np.linalg.solve(G, rhs.reshape(P, n, -1)).reshape(rhs.shape)
+    # R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_ip Gamma^p_jk - Gamma^l_jp Gamma^p_ik
+    Rup = (np.einsum("zljki->zlijk", dGamma) - np.einsum("zlikj->zlijk", dGamma)
+           + np.einsum("zlip,zpjk->zlijk", Gamma, Gamma)
+           - np.einsum("zljp,zpik->zlijk", Gamma, Gamma))
+    R = np.einsum("zlm,zmijk->zijkl", G, Rup)
+    dh = (np.moveaxis(dddx, -1, -2) - np.einsum("zkijl,zka->zijal", dGamma, dx)
+          - np.einsum("zkij,zkla->zijal", Gamma, ddx))
+    return R, dh
+
+
+def _charts():
+    out = []
+    for key in all_keys():
+        family, _, case = key.partition(".")
+        out.append((key, build(FamilySpec(family, case))))
+    out.append(("ex41 psi=s^2", build(FamilySpec("ex41", profiles={"psi": "s^2"}))))
+    out += [(f"rem42 n={n}", build_remark42(n, tuple(range(1, n)))) for n in (5, 6, 7)]
+    return out
+
+
+CHARTS = _charts()
+
+
+@pytest.mark.parametrize("name, chart", CHARTS, ids=[name for name, _ in CHARTS])
+def test_curvature_tensor_and_dB_match_the_christoffel_partials_route(name, chart):
+    pts = random_points(chart.domain, 8, 5)
+    eps = chart.signature.weights
+    pk = packet(chart, pts) if chart.codim == 1 else submanifold_packet(chart, pts)
+    R_ref, dh = reference_route(pk, eps)
+    R = _curvature(pk.G, pk.christoffel, pk.dx, pk.ddx, pk.dddx, eps)
+    scale = 1.0 + np.max(np.abs(R_ref), axis=(1, 2, 3, 4))
+    assert np.all(np.max(np.abs(R - R_ref), axis=(1, 2, 3, 4)) <= 1e-12 * scale)
+    if chart.codim == 1:
+        N = pk.N.components
+        dB_ref = np.einsum("zijal,a,za->zijl", dh, eps, N)
+        # relative to the size of dB's terms, <d_i d_j d_l x, N> and Gamma^k_ij B_kl:
+        # both routes cancel them (dB is 4e-5 to 6e-5 of them on rem42 n = 7)
+        terms = (np.einsum("zijla,za->zijl", np.abs(pk.dddx), np.abs(N))
+                 + np.einsum("zkij,zkl->zijl", np.abs(pk.christoffel), np.abs(pk.B)))
+        bound = 1e-13 * np.max(terms, axis=(1, 2, 3))
+        assert np.all(np.max(np.abs(pk.dB - dB_ref), axis=(1, 2, 3)) <= bound)
+
+
+HYPERSURFACES = [(name, chart) for name, chart in CHARTS if chart.codim == 1]
+SURFACES = [(name, chart) for name, chart in CHARTS if name in
+            ("intsurf.ii", "intsurf.iii", "intsurf.v", "intsurf.vii", "intsurf.viii")]
+
+
+@pytest.mark.parametrize("name, chart", HYPERSURFACES, ids=[name for name, _ in HYPERSURFACES])
+def test_identity_checks_catch_a_perturbed_dB_or_christoffel(name, chart):
+    pts = random_points(chart.domain, 4, 1)
+    pk = packet(chart, pts)
+    gauss, codazzi = gauss_codazzi_residual(chart, pts, pk)
+    assert np.max(gauss) < 1e-6 and np.max(codazzi) < 1e-6
+    n = chart.nparams
+    # symmetric in (i, j) with no totally symmetric part: not the partials of any B
+    skew = np.zeros((n, n, n))
+    skew[0, 0, 1] = 1e-2
+    skew[0, 1, 0] = skew[1, 0, 0] = -0.5e-2
+    _, codazzi = gauss_codazzi_residual(chart, pts, replace(pk, dB=pk.dB + skew))
+    assert np.min(codazzi) > 1e-6
+    bump = np.zeros((n, n, n))
+    bump[0, 0, 1] = bump[0, 1, 0] = 1e-2
+    gauss, codazzi = gauss_codazzi_residual(chart, pts,
+                                            replace(pk, christoffel=pk.christoffel + bump))
+    assert np.min(gauss) > 1e-6 and np.min(codazzi) > 1e-6
+
+
+@pytest.mark.parametrize("name, chart", SURFACES, ids=[name for name, _ in SURFACES])
+def test_identity_checks_catch_a_perturbed_h(name, chart):
+    pts = random_points(chart.domain, 4, 1)
+    pk = submanifold_packet(chart, pts)
+    gauss, codazzi = gauss_codazzi_residual(chart, pts, pk)
+    assert np.max(gauss) < 1e-6 and np.max(codazzi) < 1e-6
+    bump = np.zeros(pk.h.shape[1:])
+    bump[0, 0] = 1e-2
+    gauss, codazzi = gauss_codazzi_residual(chart, pts, replace(pk, h=pk.h + bump))
+    assert np.min(gauss) > 1e-6 and np.min(codazzi) > 1e-6

@@ -401,6 +401,18 @@ def test_pickled_chart_keeps_its_dag_and_its_packets():
                 assert np.array_equal(x, y), (fn.__name__, name)
 
 
+def test_chart_with_interpolated_profiles_equals_its_pickled_copy():
+    import pickle
+
+    from biconserve.catalog import FamilySpec, build, build_remark42
+
+    for chart, other in ((_ex41(), build(FamilySpec("ex41", profiles={"solve_psi": True,
+                                                                       "c": 2.0}))),
+                         (build_remark42(5, (1, 2, 3, 4)), build_remark42(5, (1, 2, 3, 5)))):
+        assert chart == pickle.loads(pickle.dumps(chart))
+        assert (chart == other) is False
+
+
 def test_chart_equality_ignores_its_dag():
     from biconserve.immersion import ImmersionChart
 

@@ -156,6 +156,18 @@ def test_fd_packet_agreement(ex41):
     assert np.max(np.abs(pk.gradH - fpk.gradH)) < 1e-4
 
 
+def test_fd_packet_checks_rem42_n7():
+    # the first tangent is 200 to 1,300 times longer than the others
+    from biconserve.catalog import build_remark42
+    from biconserve.sweep import random_points
+
+    chart = build_remark42(7, (1, 2, 3, 4, 5, 6))
+    pts = np.vstack([chart.center(), random_points(chart.domain, 12, 0)])
+    pk, fpk = packet(chart, pts), packet_fd(chart, pts)
+    assert np.max(np.abs(pk.S - fpk.S) / np.maximum(np.abs(pk.S), 1.0)) < 1e-5
+    assert np.max(biconservative_residual(chart, pts, fpk)) < 1e-6
+
+
 def test_fd_packet_carries_its_own_tangents(ex41):
     p = (1.0, 0.3, -0.2, 0.4)
     pk = packet(ex41, p)
