@@ -103,18 +103,19 @@ def metric_cross(tangents, signature: Signature = E5_2) -> AmbientVector:
     normalized: the caller is expected to inspect its causal character
     first.
     """
-    rows = np.asarray(
-        [t.components if isinstance(t, AmbientVector) else t for t in tangents],
-        dtype=float,
-    )
+    if not isinstance(tangents, np.ndarray):
+        tangents = [t.components if isinstance(t, AmbientVector) else t for t in tangents]
+    rows = np.asarray(tangents, dtype=float)
     m = signature.dim
     if rows.ndim not in (2, 3) or rows.shape[-2:] != (m - 1, m):
         raise ContractViolation(
             f"need {m - 1} tangents of dim {m}, got shape {rows.shape}"
         )
-    cols = np.arange(m)
-    cof = np.stack([(-1.0) ** a * np.linalg.det(rows[..., cols != a]) for a in range(m)],
-                   axis=-1)
+    # the m minors, column a left out of the a-th, in one stacked det; laid
+    # out in C order, so that the cofactors are too
+    keep = np.array([[c for c in range(m) if c != a] for a in range(m)])
+    minors = np.ascontiguousarray(np.moveaxis(rows[..., keep], -2, -3))
+    cof = (-1.0) ** np.arange(m) * np.linalg.det(minors)
     # Hadamard's bound: no cofactor exceeds the product of the row norms
     bound = np.prod(np.linalg.norm(rows, axis=-1), axis=-1)
     if np.any(np.max(np.abs(cof), axis=-1) <= TAU_RANK * bound):

@@ -349,10 +349,9 @@ def _profile_bank(entry: CatalogEntry, spec: FamilySpec, domain):
                                          phi0=phi0, psi0=psi0)
             bank[names[0]] = phi
             bank[names[1]] = psi
-        worst = max(
-            constraint_residual(entry.pair_kind, bank[names[0]], bank[names[1]], s)
-            for s in np.linspace(s_lo, s_hi, _SAMPLES)
-        )
+        samples = np.linspace(s_lo, s_hi, _SAMPLES)
+        worst = max(constraint_residual(entry.pair_kind, bank[names[0]], bank[names[1]],
+                                        samples).tolist())
         if worst > _PAIR_TOL:
             raise ConstraintError(_PAIR_COND[entry.pair_kind], f"residual {worst:.2e}")
     elif "psi" in entry.profile_names:
@@ -369,12 +368,13 @@ def _profile_bank(entry: CatalogEntry, spec: FamilySpec, domain):
             bank["psi"] = ExprProfile(parse(default, ("s",)))
         if entry.psi_inequality:
             sign = entry.psi_inequality
-            for s in np.linspace(s_lo, s_hi, _SAMPLES):
-                dpsi = bank["psi"].derivs(s, 1)[1]
-                val = 1.0 - 2.0 * dpsi if sign in (1, 2) else 1.0 + 2.0 * dpsi
-                if val > -_STRICT_MARGIN:
-                    raise ConstraintError(_INEQ_COND[1 if sign == 2 else sign],
-                                          f"value {val:.2e} at s={s:.3f}")
+            samples = np.linspace(s_lo, s_hi, _SAMPLES)
+            dpsi = bank["psi"].derivs(samples, 1)[1]
+            val = 1.0 - 2.0 * dpsi if sign in (1, 2) else 1.0 + 2.0 * dpsi
+            bad = np.flatnonzero(val > -_STRICT_MARGIN)
+            if len(bad):
+                raise ConstraintError(_INEQ_COND[1 if sign == 2 else sign],
+                                      f"value {val[bad[0]]:.2e} at s={samples[bad[0]]:.3f}")
         bank["dpsi"] = DerivativeProfile(bank["psi"])
     return bank, params
 
@@ -442,9 +442,10 @@ def build_remark42(n: int, a, profiles: dict | None = None,
         c = float(req.get("c", 1.0))
         bank = {"psi": solve_psi_offsets(tuple(2.0 * ai for ai in a), c,
                                          (s_lo - pad, s_hi + pad))}
-    for s in np.linspace(s_lo, s_hi, _SAMPLES):
-        if 2.0 * bank["psi"].derivs(s, 1)[1] - 1.0 < _STRICT_MARGIN:
-            raise ConstraintError(_INEQ_COND[2], f"at s={s:.3f}")
+    samples = np.linspace(s_lo, s_hi, _SAMPLES)
+    bad = np.flatnonzero(2.0 * bank["psi"].derivs(samples, 1)[1] - 1.0 < _STRICT_MARGIN)
+    if len(bad):
+        raise ConstraintError(_INEQ_COND[2], f"at s={samples[bad[0]]:.3f}")
     bank["dpsi"] = DerivativeProfile(bank["psi"])
 
     names = var_names_for(n)
@@ -492,38 +493,24 @@ class StructureReport:
     notes: list
 
 
-def _zero_cluster(reals, tol_abs):
-    for lam, alg, geo in reals:
-        if abs(lam) <= tol_abs:
-            return alg
-    return 0
-
-
-def pattern_matches(tag: str, spec) -> tuple:
-    """Does a resolved spectrum match a family's expected operator pattern?"""
-    if spec.case_label == "unresolved":
-        return False, "unresolved spectrum"
-    scale = 1.0 + max((abs(float(v)) for v, _, _ in spec.real_eigenvalues), default=0.0)
-    ztol = 1e-7 * scale
-    z = _zero_cluster(spec.real_eigenvalues, ztol)
-    algs = sorted(alg for _, alg, _ in spec.real_eigenvalues)
+def _tag_match(tag: str, spectra) -> tuple:
+    """Per point of a SpectrumBlock: whether its spectrum matches a family's
+    expected operator pattern, and its zero multiplicity (that of its
+    first real root within 1e-7 (1 + max|k|) of zero, else 0)."""
+    live = spectra.algs > 0
+    absv = np.abs(np.where(live, spectra.values, 0.0))
+    zero = live & (absv <= 1e-7 * (1.0 + absv.max(axis=1))[:, None])
+    z = np.where(zero.any(axis=1), spectra.algs[np.arange(len(zero)), zero.argmax(axis=1)], 0)
+    ones, twos = (live & (spectra.algs == 1)).sum(axis=1), (live & (spectra.algs == 2)).sum(axis=1)
     if tag == "zero>=2":
-        return z >= 2, f"extra flat direction (zero multiplicity {z})" if z > 2 else ""
+        return z >= 2, z
     if tag == "simple-zero+double":
-        ok = z == 1 and 2 in [alg for lam, alg, _ in spec.real_eigenvalues
-                              if abs(lam) > ztol]
-        return ok, ""
+        return (z == 1) & (live & ~zero & (spectra.algs == 2)).any(axis=1), z
     if tag == "1+2+1-nonzero":
-        return z == 0 and algs == [1, 1, 2], ""
+        return (z == 0) & (ones == 2) & (twos == 1) & (live.sum(axis=1) == 3), z
     if tag == "all-distinct":
-        return z == 0 and all(a == 1 for a in algs) and not spec.complex_pairs, ""
-    return True, ""
-
-
-def _all_distinct(curvatures) -> bool:
-    """Present and pairwise more than CLUSTER_TOL (1 + max|k|) apart."""
-    k = np.sort(curvatures or ())
-    return k.size > 0 and bool(np.all(np.diff(k) > CLUSTER_TOL * (1.0 + np.max(np.abs(k)))))
+        return (z == 0) & (ones == live.sum(axis=1)) & (spectra.npairs == 0), z
+    return np.ones(len(z), dtype=bool), z
 
 
 def _at(point) -> tuple:
@@ -531,40 +518,48 @@ def _at(point) -> tuple:
     return tuple(round(x, 3) for x in plain_point(point))
 
 
-def structure_verdict(entry: CatalogEntry | None, rows) -> tuple:
-    """(ok, spectral, notes): the family-structure verdict on sweep rows.
+def structure_verdict(entry: CatalogEntry | None, table) -> tuple:
+    """(ok, spectral, notes): the family-structure verdict on a sweep table.
 
     ``spectral`` is the report block: point counts per case label and per
     pattern, and the curvature range.  A point error fails the verdict; with
-    no expected pattern (inline charts) nothing else is checked.  Rows of
-    4-parameter charts are classified and matched by ``pattern_matches``;
-    other rows have no label or pattern to count, and ``all-distinct``
-    reads their curvatures.
+    no expected pattern (inline charts) nothing else is checked.  Classified
+    points (4-parameter charts) are matched to the tag in one pass over the
+    table's spectra; other points have no label or pattern to count, and
+    ``all-distinct`` reads their curvatures, pairwise more than CLUSTER_TOL
+    (1 + max|k|) apart.  Notes are made for failing points only, in order.
     """
     tag = entry.structure[0] if entry and entry.structure else ""
-    notes = [f"{r.error} (at {_at(r.point)})" for r in rows if r.error]
+    errors = np.flatnonzero(table.error != "")
+    notes = [f"{table.error[k]} (at {_at(table.points[k])})" for k in errors]
     ok = not notes
-    good = [r for r in rows if not r.error]
-    for r in good if tag else ():
-        if r.label == "unresolved":
-            row_ok, note = False, f"unresolved spectrum at {_at(r.point)}"
-        elif r.spectrum is not None:
-            row_ok, note = pattern_matches(tag, r.spectrum)
-            if not (row_ok or note):
-                note = f"pattern {r.pattern}, expected {tag} at {_at(r.point)}"
-        else:
-            row_ok = tag == "all-distinct" and _all_distinct(r.curvatures)
-            note = "" if row_ok else f"curvatures not {tag} at {_at(r.point)}"
-        if note:
-            notes.append(note)
-        ok = ok and row_ok
-    curv = [r.curvatures for r in rows if r.curvatures]
-    classified = [r for r in good if r.spectrum is not None]
+    spectra = table.spectra
+    # a table has classified points (then every point without an error is
+    # one) or plain ones, so the notes below come in point order
+    if tag and spectra is not None:
+        at = table.points[table.classified]
+        unresolved = spectra.labels == "unresolved"
+        match, z = _tag_match(tag, spectra)
+        extra = (z > 2) & (tag == "zero>=2")  # a match, with a note
+        ok = ok and bool(np.all(match & ~unresolved))
+        for i in np.flatnonzero(unresolved | ~match | extra):
+            notes.append(f"unresolved spectrum at {_at(at[i])}" if unresolved[i] else
+                         f"extra flat direction (zero multiplicity {z[i]})" if extra[i] else
+                         f"pattern {spectra.patterns[i]}, expected {tag} at {_at(at[i])}")
+    plain = (table.error == "") & ~table.classified
+    if tag and plain.any():
+        k = table.curvatures
+        distinct = table.has_curv & np.all(
+            np.diff(k, axis=1) > CLUSTER_TOL * (1.0 + np.abs(k).max(axis=1))[:, None], axis=1)
+        bad = np.flatnonzero(plain & ~(distinct & (tag == "all-distinct")))
+        ok = ok and not len(bad)
+        notes += [f"curvatures not {tag} at {_at(table.points[i])}" for i in bad]
+    curv = table.curvatures[table.has_curv].ravel().tolist()
     spectral = {
-        "labels": Counter(r.label for r in classified),
-        "patterns": Counter(r.pattern for r in classified),
-        "curvature_min": min(min(c) for c in curv) if curv else None,
-        "curvature_max": max(max(c) for c in curv) if curv else None,
+        "labels": Counter(spectra.labels.tolist() if spectra is not None else ()),
+        "patterns": Counter(spectra.patterns.tolist() if spectra is not None else ()),
+        "curvature_min": min(curv) if curv else None,
+        "curvature_max": max(curv) if curv else None,
     }
     return ok, spectral, notes
 
@@ -593,15 +588,15 @@ def verify_structure(spec_or_key, nodes_per_axis: int = 5,
     if entry.kind != "hypersurface":
         return _verify_lowdim(spec.key, entry, chart, points)
 
-    rows = sweep(chart, points, ("beltrami", "gauss", "codazzi", "structure"))
-    ok, spectral, notes = structure_verdict(entry, rows)
-    worst = {name: max((r.values[name] for r in rows if name in r.values), default=0.0)
+    table = sweep(chart, points, ("beltrami", "gauss", "codazzi", "structure"))
+    ok, spectral, notes = structure_verdict(entry, table)
+    worst = {name: max(table.column(name)[0].tolist(), default=0.0)
              for name in ("beltrami", "gauss", "codazzi")}
     kmin, kmax = spectral["curvature_min"], spectral["curvature_max"]
     return StructureReport(
         key=spec.key, n_points=len(points), patterns=sorted(spectral["patterns"]),
         case_labels=sorted(spectral["labels"]), family_ok=ok,
-        index_ok=not any(r.error.startswith(f"{UnexpectedIndex.__name__}:") for r in rows),
+        index_ok=not any(e.startswith(f"{UnexpectedIndex.__name__}:") for e in table.error),
         beltrami_max=worst["beltrami"], gauss_max=worst["gauss"], codazzi_max=worst["codazzi"],
         curvature_min=0.0 if kmin is None else kmin,
         curvature_max=0.0 if kmax is None else kmax, notes=notes,

@@ -31,7 +31,7 @@ from .immersion import ImmersionChart, packet
 from .profiles import ExprProfile
 from .ambient import Signature
 from .spectral import CLUSTER_TOL, eigen_structure
-from .sweep import (DEFAULT_TOLERANCES, HYPERSURFACE_CHECKS, LOWDIM_CHECKS,
+from .sweep import (COLUMNS, DEFAULT_TOLERANCES, HYPERSURFACE_CHECKS, LOWDIM_CHECKS,
                     CheckSummary, grid_points, interior_grid, random_points, summarize,
                     sweep)
 
@@ -191,15 +191,15 @@ def run_verify(req: VerifyRequest):
     tol.update(req.tolerances)
     asserted = _assertion_set(req, entry, req.checks)
 
-    rows = sweep(chart, pts, checks, oracle=req.oracle, jobs=req.jobs)
-    summaries = summarize(rows, checks, tol, asserted)
+    table = sweep(chart, pts, checks, oracle=req.oracle, jobs=req.jobs)
+    summaries = summarize(table, checks, tol, asserted)
 
     spectral = {}
     if "structure" in checks and chart.codim == 1:
-        ok, spectral, _ = structure_verdict(entry, rows)
+        ok, spectral, _ = structure_verdict(entry, table)
         status = ("pass" if "structure" in asserted else "not_asserted") if ok else "fail"
         summaries.append(CheckSummary("structure", 0.0 if ok else 1.0, 0.0,
-                                      None, len(rows), None, status))
+                                      None, len(table), None, status))
 
     errored = any(s.status == "error" for s in summaries)
     failed = any(s.status == "fail" and s.name in asserted | {"structure"}
@@ -242,9 +242,10 @@ def run_verify(req: VerifyRequest):
     }
     if req.per_point:
         report["rows"] = [
-            {"point": list(r.point), "values": r.values, "H": r.H,
-             "label": r.label, "error": r.error}
-            for r in rows
+            {"point": p, "values": v, "H": h, "label": label, "error": e}
+            for p, v, h, label, e in zip(table.points.tolist(), table.value_dicts(),
+                                         np.where(table.hyper, table.H, None).tolist(),
+                                         table.label.tolist(), table.error.tolist())
         ]
     return report, code
 
@@ -456,7 +457,7 @@ def cmd_sample(args, out=None) -> int:
         grid, pts = _resolve_points(req, chart)
         checks = ["biconservative", "beltrami", "gauss", "codazzi", "curvatures"] \
             if chart.codim == 1 else list(LOWDIM_CHECKS)
-        rows = sweep(chart, pts, checks, oracle=req.oracle, jobs=req.jobs)
+        table = sweep(chart, pts, checks, oracle=req.oracle, jobs=req.jobs)
     except BiconserveError as exc:
         out.write(f"error: {exc}\n")
         return 2
@@ -472,17 +473,14 @@ def cmd_sample(args, out=None) -> int:
     sink = open(req.output, "w", newline="") if req.output else out
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(cols)
-    for r in rows:
-        record = dict(zip(names, r.point))
-        if chart.codim == 1:
-            record["H"] = r.H
-            ks = r.curvatures or ()
-            for i, c in enumerate(kcols):
-                record[c] = ks[i] if i < len(ks) else ""
-        for nm in ("biconservative", "beltrami", "gauss", "codazzi"):
-            record[nm] = r.values.get(nm, "")
-        writer.writerow([repr(record[c]) if isinstance(record[c], float) else record[c]
-                         for c in cols])
+    # one list per column, "" (None for H) where a point has no value
+    data = dict(zip(names, table.points.T.tolist()))
+    data["H"] = np.where(table.hyper, table.H, None).tolist()
+    data.update(zip(kcols, np.where(table.has_curv[:, None], table.curvatures.astype(object),
+                                    "").T.tolist()))
+    data.update(zip(COLUMNS, np.where(table.has, table.values.astype(object), "").T.tolist()))
+    for record in zip(*(data[c] for c in cols)):
+        writer.writerow([repr(x) if isinstance(x, float) else x for x in record])
     if req.output:
         sink.close()
     return 0

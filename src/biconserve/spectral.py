@@ -16,12 +16,14 @@ split ~ sqrt(eps)) from a genuine tight pair; the derivative test can.
 
 Blocks.  ``eigen_structure`` takes one operator, S and G of shape (4, 4),
 and returns a ShapeSpectrum; or a block, (P, 4, 4), and returns a
-SpectrumBlock: a tuple of the P spectra, each equal field by field to the
-one-point result, whose ``case_label`` and ``pattern`` are tuples of the
-per-point values.  One operator is the P = 1 block.  A block is classified
-in one array pass: the self-adjointness check, the quartic coefficients,
-the companion eigenvalues and their polish, the imaginary-part and pairing
-bands, the separation of real clusters and the rank test are array
+SpectrumBlock: the block's spectra as columns over its points, whose
+``block[k]`` is point k's ShapeSpectrum, equal field by field to the
+one-point result, and whose ``case_label`` and ``pattern`` are tuples of
+the per-point values.  One operator is the P = 1 block.  A block is
+classified in one array pass: the self-adjointness check, the quartic
+coefficients, the companion eigenvalues and their polish, the
+imaginary-part and pairing bands, the separation of real clusters, the
+rank test and the case labels and patterns (``_case_labels``) are array
 operations over the points.  Only a point with two roots within the snap
 radius goes through the per-point multiplicity test (``_settle``).  One
 operator that is not metric-self-adjoint fails its whole block with
@@ -31,6 +33,7 @@ again point by point.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +44,7 @@ CLUSTER_TOL = 1e-6
 _EPS = np.finfo(float).eps
 _ETA = 3e3 * _EPS  # verified-multiplicity noise floor multiplier
 _PAIRS = np.triu_indices(4, 1)  # the six (i, j), i < j, of four roots
+_LABELS = np.array(["unresolved", "I", "II", "III", "IV"], dtype=object)
 
 
 @dataclass
@@ -56,16 +60,48 @@ class ShapeSpectrum:
         return np.array([v for v, _, _ in self.real_eigenvalues])
 
 
-class SpectrumBlock(tuple):
-    """The ShapeSpectrum of every point of a block, in order."""
+@dataclass
+class SpectrumBlock(Sequence):
+    """The spectra of a block of points as columns: ``values`` (P, 4), each
+    point's real root items ascending, padded with inf; ``algs`` and
+    ``geos``, their multiplicities where the point reports the item (else
+    algs 0); the first ``npairs`` (P,) of ``pair_re`` and ``pair_im`` (P, 4);
+    ``labels`` and ``patterns`` (P,).  ``block[k]`` makes a ShapeSpectrum."""
+
+    values: np.ndarray
+    algs: np.ndarray
+    geos: np.ndarray
+    pair_re: np.ndarray
+    pair_im: np.ndarray
+    npairs: np.ndarray
+    tol: float
+    labels: np.ndarray
+    patterns: np.ndarray
+
+    def __len__(self):
+        return len(self.labels)
+
+    def __getitem__(self, k) -> ShapeSpectrum:
+        reals = [item for item in zip(self.values[k].tolist(), self.algs[k].tolist(),
+                                      self.geos[k].tolist()) if item[1]]
+        n = self.npairs[k]
+        pairs = list(zip(self.pair_re[k, :n].tolist(), self.pair_im[k, :n].tolist()))
+        return ShapeSpectrum(reals, pairs, str(self.labels[k]), self.tol, str(self.patterns[k]))
 
     @property
     def case_label(self) -> tuple:
-        return tuple(s.case_label for s in self)
+        return tuple(self.labels.tolist())
 
     @property
     def pattern(self) -> tuple:
-        return tuple(s.pattern for s in self)
+        return tuple(self.patterns.tolist())
+
+    def curvatures(self) -> tuple:
+        """Each point's reported real roots with multiplicity, ascending
+        (P, 4), and whether they count four."""
+        cum = np.cumsum(self.algs, axis=1)
+        item = np.sum(cum[:, None, :] <= np.arange(4)[:, None], axis=2)
+        return np.take_along_axis(self.values, np.minimum(item, 3), axis=1), cum[:, -1] == 4
 
 
 def characteristic_quartic(S: np.ndarray) -> np.ndarray:
@@ -74,7 +110,7 @@ def characteristic_quartic(S: np.ndarray) -> np.ndarray:
     S = np.asarray(S, dtype=float)
 
     def trace(M):
-        return np.trace(M, axis1=-2, axis2=-1)
+        return M.trace(axis1=-2, axis2=-1)
 
     p1 = trace(S)
     S2 = S @ S
@@ -86,13 +122,14 @@ def characteristic_quartic(S: np.ndarray) -> np.ndarray:
     e2 = (e1 * p1 - p2) / 2.0
     e3 = (p3 - e1 * p2 + e2 * p1) / 3.0
     e4 = (e1 * p3 - e2 * p2 + e3 * p1 - p4) / 4.0
-    return np.stack([np.ones_like(e1), -e1, e2, -e3, e4], axis=-1)
+    return np.stack([np.ones(e1.shape), -e1, e2, -e3, e4], axis=-1)
 
 
 def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``np.polyval`` with one coefficient row per point: c (P, m), x (P, k)."""
-    y = np.zeros_like(x)
-    for j in range(c.shape[-1]):
+    """``np.polyval`` with one coefficient row per point: c (P, m), x (P, k);
+    its first step, 0 * x + c_0, is c_0 for the finite x it gets."""
+    y = c[:, :1] * x + c[:, 1, None]
+    for j in range(2, c.shape[-1]):
         y = y * x + c[:, j, None]
     return y
 
@@ -127,8 +164,8 @@ def _quartic_roots(coeffs: np.ndarray) -> tuple:
     comp = np.zeros((len(coeffs), 4, 4))
     comp[:, 1:, :3] = np.eye(3)
     comp[:, :, 3] = -coeffs[:, 1:][:, ::-1]
-    eig = np.linalg.eigvals(np.swapaxes(comp, 1, 2))
-    real = np.all(eig.imag == 0, axis=1)
+    eig = np.linalg.eigvals(comp.swapaxes(1, 2))
+    real = (eig.imag == 0).all(axis=1)
     roots = eig.astype(complex)
     for rows, start in ((real, eig.real), (~real, roots)):
         if rows.any():
@@ -214,8 +251,8 @@ def _root_items(coeffs, roots, real, snap_radius, thresh) -> tuple:
     centers = roots.copy()
     mults = np.ones(roots.shape, dtype=int)
     d = roots[:, _PAIRS[0]] - roots[:, _PAIRS[1]]
-    near = np.any(np.hypot(d.real, d.imag) <= snap_radius[:, None], axis=1)
-    for k in np.flatnonzero(near):
+    near = (np.hypot(d.real, d.imag) <= snap_radius[:, None]).any(axis=1)
+    for k in near.nonzero()[0]:
         slot = 0
         mults[k] = 0
         group_roots = roots[k].real if real[k] else roots[k]
@@ -239,13 +276,13 @@ def eigen_structure(S: np.ndarray, G: np.ndarray, tol: float = CLUSTER_TOL):
     if one:
         S, G = S[None], G[None]
     gs = G @ S
-    scale_s = 1.0 + np.max(np.abs(gs), axis=(1, 2))
-    if np.any(np.max(np.abs(gs - np.swapaxes(gs, 1, 2)), axis=(1, 2)) > 1e-8 * scale_s):
+    scale_s = 1.0 + np.abs(gs).max(axis=(1, 2))
+    if (np.abs(gs - gs.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-8 * scale_s).any():
         raise ContractViolation("operator is not metric-self-adjoint")
 
     coeffs = characteristic_quartic(S)
     roots, real = _quartic_roots(coeffs)
-    scale = 1.0 + np.max(np.abs(roots), axis=1)
+    scale = 1.0 + np.abs(roots).max(axis=1)
     thresh = tol * scale
     # wide enough to catch a defective triple splitting by (backward err)^(1/3);
     # genuine structure swept in by the radius is rejected by the derivative
@@ -257,84 +294,73 @@ def eigen_structure(S: np.ndarray, G: np.ndarray, tol: float = CLUSTER_TOL):
     band = 10.0 * thresh[:, None]
     im = centers.imag
     is_real = np.abs(im) <= thresh[:, None]
-    refused = np.any(~is_real & (np.abs(im) < band), axis=1)
+    refused = (~is_real & (np.abs(im) < band)).any(axis=1)
     # ... complex roots without their conjugates, ...
     up, down = ~is_real & (im > 0), ~is_real & (im < 0)
-    npairs = np.sum(up, axis=1)
-    refused |= npairs != np.sum(down, axis=1)
+    npairs = up.sum(axis=1)
+    refused |= npairs != down.sum(axis=1)
     paired = np.arange(4) < npairs[:, None]
     ups = np.where(paired, np.sort(np.where(up, centers, np.inf), axis=1), 0.0)
     downs = np.where(paired, np.sort(np.where(down, centers.conj(), np.inf), axis=1), 0.0)
     d = ups - downs
-    refused |= np.any(np.hypot(d.real, d.imag) > band, axis=1)
+    refused |= (np.hypot(d.real, d.imag) > band).any(axis=1)
     # ... or distinct real clusters closer than the full guard band
     values = np.where(is_real & (mults > 0), centers.real, np.inf)
-    order = np.lexsort((mults, values), axis=1)
-    values = np.take_along_axis(values, order, axis=1)
-    algs = np.take_along_axis(mults, order, axis=1)
+    order, at = np.lexsort((mults, values), axis=1), np.arange(len(S))[:, None]
+    values, algs = values[at, order], mults[at, order]
     live = np.isfinite(values)
-    gaps = np.diff(np.where(live, values, 0.0), axis=1)
-    refused |= np.any(live[:, 1:] & (gaps < band), axis=1)
+    gaps = np.where(live, values, 0.0)
+    refused |= (live[:, 1:] & (gaps[:, 1:] - gaps[:, :-1] < band)).any(axis=1)
 
     # True kernel directions sit at machine-eps singular values while a
     # neighboring eigenvalue at distance d leaks sigma >= d^2 or so; a
     # sqrt(eps) floor separates the two regimes far better than tol itself.
-    rank_cut = max(np.sqrt(_EPS), 1e-2 * tol) * (1.0 + np.max(np.abs(S), axis=(1, 2)))
-    geos = np.zeros_like(algs)
-    k, j = np.nonzero(live & ~refused[:, None])
+    rank_cut = max(np.sqrt(_EPS), 1e-2 * tol) * (1.0 + np.abs(S).max(axis=(1, 2)))
+    geos = np.zeros(algs.shape, int)
+    k, j = (live & ~refused[:, None]).nonzero()
     if len(k):
         sv = np.linalg.svd(S[k] - values[k, j, None, None] * np.eye(4), compute_uv=False)
-        geos[k, j] = 4 - np.sum(sv > rank_cut[k, None], axis=1)
+        geos[k, j] = 4 - (sv > rank_cut[k, None]).sum(axis=1)
 
-    block = SpectrumBlock(
-        _spectrum(*args, tol) for args in zip(
-            refused.tolist(), values.tolist(), algs.tolist(), geos.tolist(),
-            ((ups.real + downs.real) / 2.0).tolist(),
-            ((ups.imag + downs.imag) / 2.0).tolist(), npairs.tolist()))
+    labels, patterns, algs = _case_labels(refused, values, algs, geos, npairs)
+    block = SpectrumBlock(values, algs, geos, (ups.real + downs.real) / 2.0,
+                          (ups.imag + downs.imag) / 2.0, npairs * ~refused, tol,
+                          labels, patterns)
     return block[0] if one else block
 
 
-def _spectrum(refused, values, algs, geos, pair_re, pair_im, npairs, tol) -> ShapeSpectrum:
-    """One point's ShapeSpectrum from its rows of the block arrays."""
-    if refused:
-        return ShapeSpectrum([], [], "unresolved", tol)
-    pairs = list(zip(pair_re[:npairs], pair_im[:npairs]))
-    reals = []
-    for lam, alg, geo in zip(values, algs, geos):
-        if lam == np.inf:
-            break
-        if geo < 1 or geo > alg:
-            return ShapeSpectrum([(lam, alg, geo)], pairs, "unresolved", tol)
-        reals.append((lam, alg, geo))
-    spec = ShapeSpectrum(reals, pairs, "", tol)
-    spec.case_label, spec.pattern = classify_case(spec)
-    return spec
+def _case_labels(refused, values, algs, geos, npairs) -> tuple:
+    """Case labels and patterns (P,) of a block, and the algebraic
+    multiplicities (P, 4) of the real root items (``values``, ascending,
+    padded with inf) each point reports.  A refused point reports none, a
+    point with an item of geometric multiplicity below 1 or above the
+    algebraic one only the first such item: both are unresolved, with no
+    pattern.  Any other point is unresolved unless its multiplicities total
+    4 with at most one complex pair; then it is I, or III with the pair,
+    when no item is defective, II when the defects (algebraic less
+    geometric) total 1, IV when they total 2 on an item of algebraic 3.
+    """
+    live = np.isfinite(values) & ~refused[:, None]
+    bad = live & ((geos < 1) | (geos > algs))
+    out = refused | bad.any(axis=1)
+    a = algs * (live & ~out[:, None])  # the items of a resolved point
+    total = a.sum(axis=1)
+    defect = total - geos.sum(axis=1)  # of a resolved point: geos is 0 off its items
+    case = (~out & (total + 2 * npairs == 4) & (npairs <= 1)) * (
+        (defect == 0) * (1 + 2 * npairs) + 2 * (defect == 1)
+        + 4 * ((defect == 2) & (a == 3).any(axis=1)))
+    # the pattern is the items' multiplicities, then "2c" per pair: one
+    # string per distinct (multiplicities, pairs) code of the block (found by
+    # bincount: np.unique would import numpy.ma, 0.8 MB, to test for a mask)
+    code = (a @ np.array([125, 25, 5, 1])) * 3 + npairs * ~out
+    keys = np.flatnonzero(np.bincount(code))
+    patterns = np.array([_pattern(c) for c in keys.tolist()], dtype=object)[keys.searchsorted(code)]
+    return _LABELS[case], patterns, a + algs * (bad & (bad.cumsum(axis=1) == 1))
 
 
-def classify_case(spec: ShapeSpectrum):
-    """Map a spectrum to its canonical-form label and multiplicity pattern."""
-    if spec.case_label == "unresolved":
-        return "unresolved", ""
-    items = sorted(spec.real_eigenvalues)
-    parts = [str(alg) for _, alg, _ in items] + ["2c" for _ in spec.complex_pairs]
-    pattern = "+".join(parts)
-    npairs = len(spec.complex_pairs)
-    total = sum(alg for _, alg, _ in items) + 2 * npairs
-    if total != 4:
-        return "unresolved", pattern
-    defects = [(alg - geo) for _, alg, geo in items]
-    if npairs == 1 and all(d == 0 for d in defects):
-        return "III", pattern
-    if npairs > 1 or any(d < 0 for d in defects):
-        return "unresolved", pattern
-    if all(d == 0 for d in defects):
-        return "I", pattern
-    bad = [(alg, geo) for (_, alg, geo), d in zip(items, defects) if d > 0]
-    if len(bad) == 1 and bad[0][0] - bad[0][1] == 1:
-        return "II", pattern
-    if len(bad) == 1 and bad[0] == (3, 1):
-        return "IV", pattern
-    return "unresolved", pattern
+def _pattern(code: int) -> str:
+    algs = [code // 3 // 5 ** j % 5 for j in (3, 2, 1, 0)]
+    return "+".join([str(m) for m in algs if m] + ["2c"] * (code % 3))
 
 
 # -- canonical planted forms (for self-tests and the synthetic CLI path) ---

@@ -1,31 +1,34 @@
 """Grid sweeps: evaluate verification checks over a parameter grid.
 
-Rows are produced in lexicographic grid order (last axis fastest).  Every
-grid is evaluated in blocks of at most BLOCK points: one packet call
-(``packet`` for a hypersurface, ``submanifold_packet`` for a chart of
-higher codimension, which answers only LOWDIM_CHECKS and whose rows carry
-no H) and one pass of each residual per block, the points being an axis
-of the arrays.  The spectral classification is one call per block too:
-``eigen_structure`` on the block's shape operators for a 4-parameter
-chart, one stacked ``np.linalg.eigvals`` otherwise.  With the
-finite-difference oracle selected, the tangency checks and the CMC flag
-read one ``packet_fd`` call per block instead of the jet packet; nothing
-else changes.  A block whose packet or oracle packet raises a
-BiconserveError is bisected down to single points, and a block whose
+A sweep returns a SweepTable: its results as columns over the points, in
+lexicographic grid order (last axis fastest).  Readers reduce the columns; a
+PointRow is made only for a point a caller asks for.  Every grid is
+evaluated in blocks of at most BLOCK points: one packet call (``packet``
+for a hypersurface, ``submanifold_packet`` for a chart of higher
+codimension, which answers only LOWDIM_CHECKS and whose points carry no H)
+and one pass of each residual per block, the points being an axis of the
+arrays; the blocks' columns are concatenated.  The spectral classification
+is one call per block too: ``eigen_structure`` on the block's shape
+operators for a 4-parameter chart, one stacked ``np.linalg.eigvals``
+otherwise.  With the finite-difference oracle selected, the tangency checks
+and the CMC flag read one ``packet_fd`` call per block instead of the jet
+packet; nothing else changes.  A block whose packet or oracle packet raises
+a BiconserveError is bisected down to single points, and a block whose
 classification raises is classified again point by point, so every point
 gets its own error and message and the others keep their results.
 
-Worker pools split the grid into contiguous chunks and results are merged
-back by chunk index.  Each point gets the same arithmetic in any block, so
-output is deterministic for a fixed request regardless of worker count.
-Normals are oriented per point (reference field when the chart carries
-one), never by cross-point state, for the same reason.
+Worker pools split the grid into contiguous chunks and their tables are
+concatenated in chunk order.  Each point gets the same arithmetic in any
+block, so output is deterministic for a fixed request regardless of worker
+count.  Normals are oriented per point (reference field when the chart
+carries one), never by cross-point state, for the same reason.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -33,7 +36,7 @@ from .errors import BiconserveError, plain_point
 from .immersion import (ImmersionChart, beltrami_residual, biconservative_residual,
                         gauss_codazzi_residual, packet, packet_fd, principal_direction_check,
                         submanifold_packet, unit_normal_residual)
-from .spectral import ShapeSpectrum, eigen_structure
+from .spectral import SpectrumBlock, eigen_structure
 
 # Points per packet block.  It bounds the memory of a block's jets (order-3
 # chart jets are 35 coefficients per point) and of the oracle's stencils
@@ -94,14 +97,97 @@ class PointRow:
     spectrum: object = None
 
 
+# the residual columns of a table, in this order
+COLUMNS = ("unit_normal", "beltrami", "gauss", "codazzi", "biconservative", "principal_direction")
+
+
+@dataclass
+class SweepTable(Sequence):
+    """A sweep's results as columns over its points, in order.
+
+    ``values`` (P, 6) holds each point's residual of each check in COLUMNS
+    and ``has`` (P, 6) whether it has one (a residual may itself be NaN).
+    ``H`` and ``cmc`` (P,) hold where ``hyper`` is set (a hypersurface point
+    whose packet was built), ``curvatures`` (P, n) where ``has_curv`` is;
+    ``error`` and ``label`` (P,) are "" where there is none.  ``spectra`` is
+    the SpectrumBlock of the points ``classified`` marks, in order, or None.
+    ``table[k]`` makes point k's PointRow, a slice a list of them.
+    """
+
+    points: np.ndarray
+    values: np.ndarray
+    has: np.ndarray
+    H: np.ndarray
+    hyper: np.ndarray
+    cmc: np.ndarray
+    error: np.ndarray
+    curvatures: np.ndarray
+    has_curv: np.ndarray
+    label: np.ndarray
+    classified: np.ndarray
+    spectra: SpectrumBlock | None = None
+
+    @classmethod
+    def blank(cls, pts: np.ndarray, ncurv: int) -> SweepTable:
+        """A table of the points (P, n) with no results yet."""
+        P, C = len(pts), len(COLUMNS)
+        return cls(pts, np.zeros((P, C)), np.zeros((P, C), dtype=bool), H=np.zeros(P),
+                   hyper=np.zeros(P, dtype=bool), cmc=np.zeros(P, dtype=bool),
+                   error=np.full(P, "", dtype=object), curvatures=np.zeros((P, ncurv)),
+                   has_curv=np.zeros(P, dtype=bool), label=np.full(P, "", dtype=object),
+                   classified=np.zeros(P, dtype=bool))
+
+    def __len__(self):
+        return len(self.points)
+
+    def __getitem__(self, k):
+        k = range(len(self))[k]
+        if isinstance(k, range):
+            return [self[i] for i in k]
+        row = PointRow(plain_point(self.points[k]), self.value_dicts(slice(k, k + 1))[0],
+                       error=str(self.error[k]))
+        if self.hyper[k]:
+            row.H, row.cmc = float(self.H[k]), bool(self.cmc[k])
+        if self.has_curv[k]:
+            row.curvatures = tuple(self.curvatures[k].tolist())
+        if self.classified[k]:
+            row.spectrum = self.spectra[int(np.count_nonzero(self.classified[:k]))]
+            row.label, row.pattern = row.spectrum.case_label, row.spectrum.pattern
+        return row
+
+    def column(self, name: str) -> tuple:
+        """One check's values at the points that have one, and their indices."""
+        if name not in COLUMNS:
+            return np.zeros(0), np.zeros(0, dtype=int)
+        at = np.flatnonzero(self.has[:, COLUMNS.index(name)])
+        return self.values[at, COLUMNS.index(name)], at
+
+    def value_dicts(self, rows=slice(None)) -> list:
+        """Each point's {check: value} of the checks it has."""
+        return [{n: v for n, v, h in zip(COLUMNS, vals, has) if h}
+                for vals, has in zip(self.values[rows].tolist(), self.has[rows].tolist())]
+
+
+def _concat(parts):
+    """One table (or spectrum block) from consecutive ones, column by column."""
+    parts = [p for p in parts if p is not None]
+    if parts and is_dataclass(parts[0]):
+        return type(parts[0])(**{f.name: _concat([getattr(p, f.name) for p in parts])
+                                 for f in fields(parts[0])})
+    if parts and isinstance(parts[0], np.ndarray):
+        return np.concatenate(parts)
+    return parts[0] if parts else None
+
+
 def _error(exc: BiconserveError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _block_rows(chart: ImmersionChart, pts: np.ndarray, checks, oracle: str) -> list:
-    """Rows of one block of points (P, n); a failing block is bisected."""
+def _block_table(chart: ImmersionChart, pts: np.ndarray, checks, oracle: str) -> SweepTable:
+    """The table of one block of points (P, n); a failing block is bisected."""
     hyper = chart.codim == 1
     fd = oracle == "fd" and ("biconservative" in checks or "principal_direction" in checks)
+    table = SweepTable.blank(pts, chart.nparams)
     pk, error = None, ""
     try:
         pk = packet(chart, pts) if hyper else submanifold_packet(chart, pts)
@@ -110,13 +196,14 @@ def _block_rows(chart: ImmersionChart, pts: np.ndarray, checks, oracle: str) -> 
     except BiconserveError as exc:
         if len(pts) > 1:
             half = len(pts) // 2
-            return (_block_rows(chart, pts[:half], checks, oracle)
-                    + _block_rows(chart, pts[half:], checks, oracle))
+            return _concat([_block_table(chart, pts[:half], checks, oracle),
+                            _block_table(chart, pts[half:], checks, oracle)])
+        table.error[0] = _error(exc)
         if pk is None:
-            return [PointRow(point=plain_point(pts[0]), error=_error(exc))]
+            return table
         # only the oracle failed: the jet values and H stay, with no
         # tangency value and no label
-        tpk, error = pk, _error(exc)
+        tpk, error = pk, table.error[0]
     block = {}
     if "unit_normal" in checks:
         block["unit_normal"] = unit_normal_residual(chart, pts, pk)
@@ -128,61 +215,48 @@ def _block_rows(chart: ImmersionChart, pts: np.ndarray, checks, oracle: str) -> 
         block["biconservative"] = biconservative_residual(chart, pts, tpk)
     if not error and "principal_direction" in checks:
         block["principal_direction"] = principal_direction_check(chart, pts, tpk)
-    cmc = tpk.is_cmc_point if hyper else None
-    spectral = hyper and not error and ("structure" in checks or "curvatures" in checks)
-    spectra = None
-    if spectral:
+    for name, v in block.items():
+        table.values[:, COLUMNS.index(name)], table.has[:, COLUMNS.index(name)] = v, True
+    if hyper:
+        table.H[:], table.hyper[:], table.cmc[:] = pk.H, True, tpk.is_cmc_point
+        table.has[:, -1] &= ~table.cmc  # no principal direction at a CMC point
+    if hyper and not error and ("structure" in checks or "curvatures" in checks):
         try:
-            spectra = _classify(chart, pk.S, pk.G)
+            parts = [(slice(None), _classify(chart, pk.S, pk.G))]
         except (BiconserveError, np.linalg.LinAlgError):
-            pass  # classified point by point below, each row with its own error
-
-    rows = []
-    for k, p in enumerate(pts):
-        row = PointRow(point=plain_point(p), error=error)
-        if hyper:
-            row.H, row.cmc = float(pk.H[k]), bool(cmc[k])
-        row.values = {name: float(v[k]) for name, v in block.items()
-                      if not (name == "principal_direction" and row.cmc)}
-        if spectral:
-            try:
-                _spectral_values(spectra[k] if spectra is not None
-                                 else _classify(chart, pk.S[k], pk.G[k]), row)
-            except BiconserveError as exc:
-                row.error = _error(exc)
-        rows.append(row)
-    return rows
+            # classified point by point, each row with its own error
+            parts = []
+            for k in range(len(pts)):
+                one = slice(k, k + 1)
+                try:
+                    parts.append((one, _classify(chart, pk.S[one], pk.G[one])))
+                except BiconserveError as exc:
+                    table.error[k] = _error(exc)
+        for at, (spectra, curvatures, has_curv) in parts:
+            table.curvatures[at], table.has_curv[at] = curvatures, has_curv
+            table.classified[at] = spectra is not None
+            table.label[at] = "" if spectra is None else spectra.labels
+        table.spectra = _concat([spectra for _, (spectra, _, _) in parts])
+    return table
 
 
-def _classify(chart: ImmersionChart, S: np.ndarray, G: np.ndarray):
-    """Spectral results of one point (n, n) or a block (P, n, n): the
-    ShapeSpectrum of a 4-parameter chart, the eigenvalues of any other."""
+def _classify(chart: ImmersionChart, S: np.ndarray, G: np.ndarray) -> tuple:
+    """(spectra, curvatures (P, n), has_curv (P,)) of a block (P, n, n): a 4-parameter
+    chart's SpectrumBlock and real roots, else the eigenvalues of S where all real."""
     if chart.nparams == 4:
-        return eigen_structure(S, G)
-    return np.linalg.eigvals(S)
+        spectra = eigen_structure(S, G)
+        return (spectra, *spectra.curvatures())
+    got = np.linalg.eigvals(S)
+    real = np.abs(got.imag).max(axis=1) < 1e-9 * (1 + np.abs(got).max(axis=1))
+    return None, np.sort(got.real, axis=1, kind="stable"), real
 
 
-def _spectral_values(got, row: PointRow):
-    """Fill a row from its point's ``_classify`` result."""
-    if isinstance(got, ShapeSpectrum):
-        row.label = got.case_label
-        row.pattern = got.pattern
-        row.spectrum = got
-        vals = []
-        for v, alg, _ in sorted(got.real_eigenvalues):
-            vals.extend([v] * alg)
-        row.curvatures = tuple(vals) if len(vals) == 4 else None
-    elif np.max(np.abs(got.imag)) < 1e-9 * (1 + np.max(np.abs(got))):
-        row.curvatures = tuple(sorted(got.real.tolist()))
-
-
-def _rows(chart: ImmersionChart, points: np.ndarray, checks, oracle: str) -> list:
+def _rows(chart: ImmersionChart, points: np.ndarray, checks, oracle: str) -> SweepTable:
     if chart.codim != 1:
         checks = tuple(c for c in checks if c in LOWDIM_CHECKS)
-    rows = []
-    for start in range(0, len(points), BLOCK):
-        rows.extend(_block_rows(chart, points[start:start + BLOCK], checks, oracle))
-    return rows
+    blocks = [_block_table(chart, points[start:start + BLOCK], checks, oracle)
+              for start in range(0, len(points), BLOCK)]
+    return _concat(blocks) if blocks else SweepTable.blank(points, chart.nparams)
 
 
 def _chunk_worker(args):
@@ -190,8 +264,8 @@ def _chunk_worker(args):
 
 
 def sweep(chart: ImmersionChart, points: np.ndarray, checks, oracle: str = "jets",
-          jobs: int = 1):
-    """One PointRow per point of ``points`` (P, n), in order.
+          jobs: int = 1) -> SweepTable:
+    """The SweepTable of ``points`` (P, n), in order.
 
     Points are evaluated in blocks of at most BLOCK points (see the module
     docstring); ``jobs`` > 1 splits the points over a process pool.
@@ -201,12 +275,9 @@ def sweep(chart: ImmersionChart, points: np.ndarray, checks, oracle: str = "jets
     if jobs <= 1 or len(points) < 2 * jobs:
         return _rows(chart, points, checks, oracle)
     chunks = np.array_split(points, jobs * 4)
-    rows = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_chunk_worker,
-                             [(chart, c, checks, oracle) for c in chunks if len(c)]):
-            rows.extend(part)
-    return rows
+        return _concat(list(pool.map(_chunk_worker,
+                                     [(chart, c, checks, oracle) for c in chunks if len(c)])))
 
 
 @dataclass
@@ -220,34 +291,28 @@ class CheckSummary:
     status: str  # pass | fail | vacuous | not_asserted | skipped | error
 
 
-def summarize(rows, checks, tolerances, asserted) -> list:
+def summarize(table: SweepTable, checks, tolerances, asserted) -> list:
     out = []
-    errors = [r for r in rows if r.error]
+    errors = np.flatnonzero(table.error != "")
+    # the tangency checks are vacuous when every point without an error is CMC
+    vacuous = len(table) > 0 and bool(table.cmc[table.error == ""].all())
     for name in checks:
         if name == "structure":
             continue
-        vals = [(r.values[name], r.point) for r in rows if name in r.values]
+        arr, at = table.column(name)
         tol = tolerances.get(name)
-        if not vals:
-            status = "vacuous" if name in ("biconservative", "principal_direction") \
-                and rows and all(r.cmc for r in rows if not r.error) else "skipped"
+        tangency = name in ("biconservative", "principal_direction")
+        if not len(arr):
+            status = "vacuous" if tangency and vacuous else "skipped"
             out.append(CheckSummary(name, 0.0, 0.0, None, 0, tol, status))
             continue
-        arr = np.array([v for v, _ in vals])
         imax = int(np.argmax(arr))
         vmax = float(arr[imax])
-        if name not in asserted:
-            status = "not_asserted"
-        elif tol is not None and vmax < tol:
-            status = "pass"
-        else:
-            status = "fail"
-        if name in ("biconservative", "principal_direction") and rows \
-                and all(r.cmc for r in rows if not r.error):
-            status = "vacuous"
-        out.append(CheckSummary(name, vmax, float(arr.mean()), vals[imax][1],
-                                len(vals), tol, status))
-    if errors:
+        status = ("vacuous" if tangency and vacuous else "not_asserted" if name not in asserted
+                  else "pass" if tol is not None and vmax < tol else "fail")
+        out.append(CheckSummary(name, vmax, float(arr.mean()), plain_point(table.points[at[imax]]),
+                                len(arr), tol, status))
+    if len(errors):
         out.append(CheckSummary("errors", float(len(errors)), 0.0,
-                                errors[0].point, len(errors), None, "error"))
+                                plain_point(table.points[errors[0]]), len(errors), None, "error"))
     return out

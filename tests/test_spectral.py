@@ -10,8 +10,7 @@ from biconserve.catalog import FamilySpec, build
 from biconserve.errors import ContractViolation
 from biconserve.immersion import packet
 from biconserve.spectral import (ShapeSpectrum, SpectrumBlock, canonical_pair,
-                                 characteristic_quartic, classify_case, conjugated_pair,
-                                 eigen_structure)
+                                 characteristic_quartic, conjugated_pair, eigen_structure)
 from biconserve.sweep import grid_points, sweep
 
 
@@ -139,10 +138,11 @@ def test_non_self_adjoint_rejected():
 
 
 def test_classify_case_totals_must_be_four():
-    from biconserve.spectral import ShapeSpectrum
-
-    spec = ShapeSpectrum([(1.0, 2, 2)], [], "", 1e-6)
-    assert classify_case(spec)[0] == "unresolved"
+    # one real item of multiplicity 2 and no pair: the multiplicities total 2
+    labels, patterns, _ = spectral._case_labels(
+        np.array([False]), np.array([[1.0, np.inf, np.inf, np.inf]]), np.array([[2, 0, 0, 0]]),
+        np.array([[2, 0, 0, 0]]), np.array([0]))
+    assert (labels[0], patterns[0]) == ("unresolved", "2")
 
 
 def test_double_root_is_not_thrown_off_by_a_newton_step():

@@ -7,13 +7,17 @@
 directory) and runs ``verify NAME --emit-report`` for every case: the 41
 catalog keys with their default profiles, the ex41 negative control
 (``--psi s^2``), and ``--oracle fd`` on every catalog hypersurface and on
-the control.  Each case's exit code and printed output go to one JSON file
-in OUT_DIR.
+the control.  It also runs ``verify --per-point`` on the solved ex41 and on
+the control, with either oracle, and ``sample`` on one pair family and on
+``rem42 --n 5``, so that every row a sweep gives is compared, not only the
+summaries.  Each case's argv, exit code and printed output go to one JSON
+file in OUT_DIR.
 
 ``diff`` compares two such directories case by case: whether the printed
 output is byte-identical, whether the exit code moved, and every report
 field whose value differs, with its relative change |a - b| / max(|a|, |b|)
-for numbers.  A moved argmax point (two grid points whose values tie
+for numbers.  A ``sample`` case prints CSV, not a report: its first
+differing line is printed and counts as a moved verdict.  A moved argmax point (two grid points whose values tie
 within rounding) is listed and counted apart.  It prints the largest
 relative and the largest absolute change per case kind, and the same two
 split at a magnitude of SMALL = 1e-12: the largest relative change among
@@ -35,12 +39,20 @@ SMALL = 1e-12
 
 
 def cases(catalog):
-    """(name, argv) per case, argv being the arguments after ``verify``."""
+    """(name, argv) per case, argv being the command line after ``biconserve``."""
     out = [(key, [key]) for key in catalog.all_keys()]
     out.append(("ex41 psi=s^2", ["ex41", *NEGATIVE_CONTROL]))
     hyper = [key for key in catalog.all_keys() if catalog.CATALOG[key].kind == "hypersurface"]
     out += [(f"{key} fd", [key, "--oracle", "fd"]) for key in hyper]
     out.append(("ex41 psi=s^2 fd", ["ex41", *NEGATIVE_CONTROL, "--oracle", "fd"]))
+    for oracle in ("jets", "fd"):
+        out.append((f"ex41 per-point {oracle}",
+                    ["ex41", "--solve-psi", "--per-point", "--oracle", oracle]))
+        out.append((f"ex41 psi=s^2 per-point {oracle}",
+                    ["ex41", *NEGATIVE_CONTROL, "--per-point", "--oracle", oracle]))
+    out = [(name, ["verify", *argv, "--emit-report"]) for name, argv in out]
+    out.append(("sample thm1.ii", ["sample", "thm1.ii"]))
+    out.append(("sample rem42 n=5", ["sample", "rem42", "--n", "5", "--offsets", "1,2,3,4"]))
     return out
 
 
@@ -53,7 +65,7 @@ def write(src: str, out_dir: str):
     for name, argv in cases(catalog):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            code = cli.main(["verify", *argv, "--emit-report"])
+            code = cli.main(argv)
         record = {"argv": argv, "exit_code": code, "stdout": buf.getvalue()}
         (out / (name.replace(" ", "_").replace("=", "-").replace("^", "") + ".json")) \
             .write_text(json.dumps(record, indent=1) + "\n")
@@ -124,6 +136,12 @@ def diff(old_dir: str, new_dir: str) -> int:
         if old["exit_code"] != new["exit_code"]:
             print(f"  exit code {old['exit_code']} -> {new['exit_code']}")
             moved_verdicts += 1
+        if new["argv"][0] == "sample":
+            lines = [(a, b) for a, b in zip(old["stdout"].splitlines(), new["stdout"].splitlines())
+                     if a != b]
+            print(f"  first differing line: {lines[0] if lines else 'line count'}")
+            moved_verdicts += 1
+            continue
         kind = "fd" if "fd" in new["argv"] else "jets"
         for key, x, y, rel in field_moves(_report(old["stdout"]), _report(new["stdout"])):
             if _argmax_field(key):
