@@ -18,7 +18,9 @@ form is used, since the stated congruence targets force it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from numbers import Real
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .expr import parse, var_names_for
 from .immersion import (ImmersionChart, _any_packet, beltrami_residual,
                         gauss_codazzi_residual, submanifold_packet)
 from .profiles import (DerivativeProfile, ExprProfile, constraint_residual,
-                       make_profile_pair, solve_psi, solve_psi_offsets)
+                       make_profile_pair, solve_psi_offsets)
 from .spectral import CLUSTER_TOL
 from .sweep import grid_points, interior_grid, sweep
 
@@ -64,6 +66,7 @@ class CatalogEntry:
     expected_index: int = 2
     structure: tuple = ()          # family-specific structural expectations
     orientation: tuple | None = None
+    offsets: Callable | None = None  # the torsion equation's offsets, from the parameters
 
 
 _TH_DEFAULT = "0.3*s + 0.2"
@@ -73,6 +76,9 @@ _PAIR_COND = {
     "diffM": "phi'^2 - psi'^2 = -1",
 }
 _INEQ_COND = {1: "1 - 2*psi' < 0", -1: "1 + 2*psi' < 0", 2: "2*psi' - 1 > 0"}
+# each inequality's expression as a function of psi', and the sign it must keep
+_INEQ_VALUE = {1: (lambda d: 1.0 - 2.0 * d, -1.0), -1: (lambda d: 1.0 + 2.0 * d, -1.0),
+               2: (lambda d: 2.0 * d - 1.0, 1.0)}
 
 
 def _hyp(key, comps, pair=None, ineq=0, domain=None, params=None, desc="",
@@ -220,6 +226,7 @@ def _build_registry():
         structure=("all-distinct",),
         orientation=("0.5*(t^2+u^2-v^2) + 1 - dpsi(s)", "v", "t", "u",
                      "0.5*(t^2+u^2-v^2) - dpsi(s)"),
+        offsets=lambda p: (0.0, 2.0 * float(p["a"]), 2.0 * float(p["b"])),
     ))
 
     # integral surfaces of the rotational distribution
@@ -278,7 +285,8 @@ def _build_registry():
                          components=comps, domain=((-0.8, 0.8),), params=params,
                          expected_index=idx, structure=structure))
 
-    # arbitrary-dimension extension (parameter count n, ambient n+1)
+    # arbitrary-dimension extension (parameter count n, ambient n+1); its
+    # components and domain are built from n and a by entry_for
     add(CatalogEntry(
         key="rem42", kind="hypersurface",
         description="arbitrary-dimension extension of the four-curvature example",
@@ -286,6 +294,7 @@ def _build_registry():
         components=(), domain=(), profile_names=("psi",), psi_inequality=2,
         params={"n": 4, "a": (1.0, 2.0, 3.0)},
         structure=("all-distinct",),
+        offsets=lambda p: tuple(2.0 * float(ai) for ai in p["a"]),
     ))
 
     return reg
@@ -322,16 +331,67 @@ def var_names(kind: str, nparams: int) -> tuple:
     return var_names_for(nparams)
 
 
-def _profile_bank(entry: CatalogEntry, spec: FamilySpec, domain):
-    """Build the profile bank for an entry, honoring explicit overrides."""
-    req = dict(spec.profiles)
+def _remark42(entry: CatalogEntry, params: dict) -> CatalogEntry:
+    """The extension's entry for n parameters in (n+1)-space, offsets 2*a_i.
+
+    With all offsets distinct (and a generic torsion profile) the chart has n
+    distinct principal curvatures; repeated offsets collapse the matching
+    pair exactly.
+    """
+    n, a = int(params["n"]), tuple(float(x) for x in params["a"])
+    if n < 4:
+        raise ContractViolation("the extension requires n >= 4")
+    if len(a) != n - 1:
+        raise ContractViolation(f"need {n - 1} offset constants, got {len(a)}")
+    ts = var_names_for(n)[1:]
+    quad = " + ".join(f"{ai!r}*{t}^2" for ai, t in zip(a[1:], ts[1:]))
+    quad = (f"-{a[0]!r}*{ts[0]}^2" + (f" + {quad}" if quad else ""))
+    square_sum = " + ".join(f"{t}^2" for t in ts[1:])
+    lead = f"{quad} + 0.5*s*({square_sum} - {ts[0]}^2) + psi(s)"
+    comps = (lead, *(f"{t}*(s + {2.0 * ai!r})" for t, ai in zip(ts, a)), lead + " - s")
+    orient = (f"0.5*({square_sum} - {ts[0]}^2) + 1 - dpsi(s)", *ts,
+              f"0.5*({square_sum} - {ts[0]}^2) - dpsi(s)")
+    return replace(entry, components=comps, domain=((0.6, 1.4),) + ((-0.5, 0.5),) * (n - 1),
+                   orientation=orient, params={"n": n, "a": a})
+
+
+def entry_for(spec: FamilySpec) -> CatalogEntry:
+    """The catalog entry a spec builds, with the spec's parameters checked:
+    each known parameter has its default's type (a number, or a sequence of
+    numbers), a request to solve psi needs a torsion equation, and the entry's
+    ``a != 0`` and ``R > 0`` hold.  For rem42 the entry's components,
+    reference normal and default domain are built from n and a."""
+    entry = CATALOG.get(spec.key)
+    if entry is None:
+        raise ContractViolation(f"unknown catalog key {spec.key!r}")
     params = {**entry.params, **spec.parameters}
+    for name, default in entry.params.items():
+        val = params[name]
+        if isinstance(default, tuple):
+            if not (isinstance(val, (tuple, list)) and all(isinstance(x, Real) for x in val)):
+                raise ContractViolation(f"parameter {name!r} takes a sequence of numbers, "
+                                        f"got {val!r}")
+        elif not isinstance(val, Real):
+            raise ContractViolation(f"parameter {name!r} takes a number, got {val!r}")
+    if spec.profiles.get("solve_psi") and entry.offsets is None:
+        raise ContractViolation("the entry has no torsion equation to solve for psi")
+    if "a != 0" in entry.conditions and abs(float(params["a"])) < _STRICT_MARGIN:
+        raise ConstraintError("a != 0")
+    if "R > 0" in entry.conditions and float(params["R"]) <= 0:
+        raise ConstraintError("R > 0")
+    return _remark42(entry, params) if entry.key == "rem42" else replace(entry, params=params)
+
+
+def _profile_bank(entry: CatalogEntry, spec: FamilySpec, domain) -> dict:
+    """Build the profile bank for an entry, honoring explicit overrides."""
+    req = spec.profiles
     bank = {}
     if not entry.profile_names:
-        return bank, params
+        return bank
     s_lo, s_hi = domain[0]
     pad = 0.05 * (s_hi - s_lo)
     s_range = (s_lo - pad, s_hi + pad)
+    samples = np.linspace(s_lo, s_hi, _SAMPLES)
 
     if entry.pair_kind:
         names = entry.profile_names
@@ -349,62 +409,46 @@ def _profile_bank(entry: CatalogEntry, spec: FamilySpec, domain):
                                          phi0=phi0, psi0=psi0)
             bank[names[0]] = phi
             bank[names[1]] = psi
-        samples = np.linspace(s_lo, s_hi, _SAMPLES)
         worst = max(constraint_residual(entry.pair_kind, bank[names[0]], bank[names[1]],
                                         samples).tolist())
         if worst > _PAIR_TOL:
             raise ConstraintError(_PAIR_COND[entry.pair_kind], f"residual {worst:.2e}")
-    elif "psi" in entry.profile_names:
-        if req.get("solve_psi") or ("psi" not in req and entry.key == "ex41"):
-            c = float(req.get("c", 1.0))
-            bank["psi"] = solve_psi(float(params["a"]), float(params["b"]), c, s_range)
-        elif "psi" in req:
-            if isinstance(req["psi"], str):
-                bank["psi"] = ExprProfile(parse(req["psi"], ("s",)))
-            else:
-                bank["psi"] = req["psi"]  # a prebuilt profile entry
+        return bank
+    if entry.offsets and (req.get("solve_psi") or "psi" not in req):
+        bank["psi"] = solve_psi_offsets(entry.offsets(entry.params),
+                                        float(req.get("c", 1.0)), s_range)
+    elif "psi" in req:
+        if isinstance(req["psi"], str):
+            bank["psi"] = ExprProfile(parse(req["psi"], ("s",)))
         else:
-            default = "s^2" if entry.psi_inequality in (1, 2) else "-s^2"
-            bank["psi"] = ExprProfile(parse(default, ("s",)))
-        if entry.psi_inequality:
-            sign = entry.psi_inequality
-            samples = np.linspace(s_lo, s_hi, _SAMPLES)
-            dpsi = bank["psi"].derivs(samples, 1)[1]
-            val = 1.0 - 2.0 * dpsi if sign in (1, 2) else 1.0 + 2.0 * dpsi
-            bad = np.flatnonzero(val > -_STRICT_MARGIN)
-            if len(bad):
-                raise ConstraintError(_INEQ_COND[1 if sign == 2 else sign],
-                                      f"value {val[bad[0]]:.2e} at s={samples[bad[0]]:.3f}")
-        bank["dpsi"] = DerivativeProfile(bank["psi"])
-    return bank, params
+            bank["psi"] = req["psi"]  # a prebuilt profile entry
+    else:
+        bank["psi"] = ExprProfile(parse("s^2" if entry.psi_inequality > 0 else "-s^2", ("s",)))
+    value, sign = _INEQ_VALUE[entry.psi_inequality]
+    val = value(bank["psi"].derivs(samples, 1)[1])
+    bad = np.flatnonzero(sign * val < _STRICT_MARGIN)
+    if len(bad):
+        raise ConstraintError(_INEQ_COND[entry.psi_inequality],
+                              f"value {val[bad[0]]:.2e} at s={samples[bad[0]]:.3f}")
+    bank["dpsi"] = DerivativeProfile(bank["psi"])
+    return bank
 
 
 def build(spec: FamilySpec) -> ImmersionChart:
     """Instantiate a catalog chart, checking every displayed side condition."""
-    if spec.key == "rem42" or spec.family == "rem42":
-        params = {**CATALOG["rem42"].params, **spec.parameters}
-        return build_remark42(int(params["n"]), params["a"],
-                              profiles=spec.profiles, domain=spec.domain)
-    entry = CATALOG.get(spec.key)
-    if entry is None:
-        raise ContractViolation(f"unknown catalog key {spec.key!r}")
+    entry = entry_for(spec)
     domain = spec.domain or entry.domain
-    bank, params = _profile_bank(entry, spec, domain)
-    for name, val in params.items():
-        if name == "a" and abs(float(val)) < _STRICT_MARGIN and f"{name} != 0" in entry.conditions:
-            raise ConstraintError("a != 0")
-        if name == "R" and float(val) <= 0:
-            raise ConstraintError("R > 0")
-    if entry.key == "ex41":
-        a, b = float(params["a"]), float(params["b"])
-        s_lo, s_hi = domain[0]
-        for root in (0.0, -2.0 * a, -2.0 * b):
-            if s_lo - 1e-9 <= root <= s_hi + 1e-9:
-                raise DomainError(
-                    f"s range [{s_lo:g}, {s_hi:g}] touches the singular value s={root:g}"
-                )
-    fmt = {k: repr(float(v)) for k, v in params.items() if not isinstance(v, (tuple, list))}
-    names = var_names(entry.kind, len(domain))
+    if len(domain) != len(entry.domain):
+        raise ContractViolation(f"domain has {len(domain)} axes, chart has {len(entry.domain)}")
+    s_lo, s_hi = domain[0]
+    for o in entry.offsets(entry.params) if entry.offsets else ():
+        root = 0.0 - o  # not -o: the root s = 0 prints as 0, not -0
+        if s_lo - 1e-9 <= root <= s_hi + 1e-9:
+            raise DomainError(f"s range [{s_lo:g}, {s_hi:g}] touches the singular value s={root:g}")
+    bank = _profile_bank(entry, spec, domain)
+    fmt = {k: repr(float(v)) for k, v in entry.params.items()
+           if not isinstance(v, (tuple, list))}
+    names = var_names(entry.kind, len(entry.domain))
     comps = tuple(parse(c.format(**fmt), names) for c in entry.components)
     orient = None
     if entry.orientation:
@@ -414,64 +458,15 @@ def build(spec: FamilySpec) -> ImmersionChart:
         profile_bank=bank, signature=Signature(len(comps), 2),
         expected_index=entry.expected_index, name=spec.key, orientation_ref=orient,
     )
-    _validate_center(chart)
+    _any_packet(chart, chart.center(), None)  # refuses a chart its centre cannot carry
     return chart
 
 
 def build_remark42(n: int, a, profiles: dict | None = None,
                    domain: tuple | None = None) -> ImmersionChart:
-    """Extension chart with n parameters in (n+1)-space, offsets 2*a_i.
-
-    With all offsets distinct (and a generic torsion profile) the chart has n
-    distinct principal curvatures; repeated offsets collapse the matching
-    pair exactly.
-    """
-    if n < 4:
-        raise ContractViolation("the extension requires n >= 4")
-    a = tuple(float(x) for x in a)
-    if len(a) != n - 1:
-        raise ContractViolation(f"need {n - 1} offset constants, got {len(a)}")
-    domain = domain or ((0.6, 1.4),) + ((-0.5, 0.5),) * (n - 1)
-    req = dict(profiles or {})
-    s_lo, s_hi = domain[0]
-    pad = 0.05 * (s_hi - s_lo)
-    if "psi" in req and not req.get("solve_psi"):
-        bank = {"psi": ExprProfile(parse(str(req["psi"]), ("s",)))
-                if isinstance(req["psi"], str) else req["psi"]}
-    else:
-        c = float(req.get("c", 1.0))
-        bank = {"psi": solve_psi_offsets(tuple(2.0 * ai for ai in a), c,
-                                         (s_lo - pad, s_hi + pad))}
-    samples = np.linspace(s_lo, s_hi, _SAMPLES)
-    bad = np.flatnonzero(2.0 * bank["psi"].derivs(samples, 1)[1] - 1.0 < _STRICT_MARGIN)
-    if len(bad):
-        raise ConstraintError(_INEQ_COND[2], f"at s={samples[bad[0]]:.3f}")
-    bank["dpsi"] = DerivativeProfile(bank["psi"])
-
-    names = var_names_for(n)
-    ts = names[1:]
-    quad = " + ".join(f"{ai!r}*{t}^2" for ai, t in zip(a[1:], ts[1:]))
-    quad = (f"-{a[0]!r}*{ts[0]}^2" + (f" + {quad}" if quad else ""))
-    square_sum = " + ".join(f"{t}^2" for t in ts[1:])
-    lead = f"{quad} + 0.5*s*({square_sum} - {ts[0]}^2) + psi(s)"
-    comps = [lead]
-    comps += [f"{t}*(s + {2.0 * ai!r})" for t, ai in zip(ts, a)]
-    comps.append(lead + " - s")
-    orient = [f"0.5*({square_sum} - {ts[0]}^2) + 1 - dpsi(s)"]
-    orient += list(ts)
-    orient.append(f"0.5*({square_sum} - {ts[0]}^2) - dpsi(s)")
-    chart = ImmersionChart(
-        components=tuple(parse(c, names) for c in comps),
-        domain=tuple(tuple(map(float, d)) for d in domain),
-        profile_bank=bank, signature=Signature(n + 1, 2), expected_index=2,
-        name="rem42", orientation_ref=tuple(parse(c, names) for c in orient),
-    )
-    _validate_center(chart)
-    return chart
-
-
-def _validate_center(chart: ImmersionChart):
-    _any_packet(chart, chart.center(), None)
+    """``build`` of the rem42 spec with these n, offsets a, profiles and domain."""
+    return build(FamilySpec("rem42", parameters={"n": n, "a": a}, profiles=dict(profiles or {}),
+                            domain=domain))
 
 
 # -- structural verification ----------------------------------------------
@@ -578,9 +573,7 @@ def verify_structure(spec_or_key, nodes_per_axis: int = 5,
     else:
         family, _, case = str(spec_or_key).partition(".")
         spec = FamilySpec(family, case)
-    entry = CATALOG.get(spec.key)
-    if entry is None:
-        raise ContractViolation(f"unknown catalog key {spec.key!r}")
+    entry = entry_for(spec)
     if chart is None:
         chart = build(spec)
     grid = interior_grid(chart.domain, nodes_per_axis)

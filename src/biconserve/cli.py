@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .catalog import CATALOG, FamilySpec, build, list_entries, structure_verdict, var_names
+from .catalog import FamilySpec, build, entry_for, list_entries, structure_verdict, var_names
 from .errors import BiconserveError, ContractViolation
 from .expr import parse as parse_expr, var_names_for
 from .immersion import ImmersionChart, packet
@@ -58,16 +58,19 @@ class VerifyRequest:
     per_point: bool = False
 
 
-def _target_var_names(target: str, parameters: dict):
+def _target_var_names(req: VerifyRequest):
     """The parameter names the target's chart is built with."""
-    if _is_inline(target):
-        return var_names_for(max(len(_inline_exprs(target)) - 1, 1))
-    entry = CATALOG.get(target)
-    if entry is None:
-        return var_names_for(4)
-    if target == "rem42":
-        return var_names_for(int(parameters.get("n", entry.params["n"])))
+    if _is_inline(req.target):
+        return var_names_for(max(len(_inline_exprs(req.target)) - 1, 1))
+    entry = entry_for(_spec(req))
     return var_names(entry.kind, len(entry.domain))
+
+
+def _spec(req: VerifyRequest) -> FamilySpec:
+    """The catalog spec of a request whose target is a catalog key."""
+    family, _, case = req.target.partition(".")
+    return FamilySpec(family, case, dict(req.parameters), dict(req.profiles),
+                      tuple(tuple(d) for d in req.domain) if req.domain else None)
 
 
 def _is_inline(target: str) -> bool:
@@ -82,14 +85,12 @@ def _resolve_domain_spec(req: VerifyRequest):
     """Turn a textual domain spec into numeric [lo, hi] per axis."""
     if not req.domain_spec:
         return
-    names = list(_target_var_names(req.target, req.parameters))
-    entry = CATALOG.get(req.target)
-    if entry and entry.domain:
-        base = [list(d) for d in entry.domain]
-    else:
+    names = list(_target_var_names(req))
+    if _is_inline(req.target):
         base = [list(d) for d in (req.domain or [[-0.8, 0.8]] * len(names))]
-    while len(base) < len(names):
-        base.append([-0.8, 0.8])
+        base += [[-0.8, 0.8]] * (len(names) - len(base))
+    else:
+        base = [list(d) for d in entry_for(_spec(req)).domain]
     for idx, (lo, hi, _) in _parse_axis_spec(req.domain_spec, names).items():
         base[idx] = [lo, hi]
     req.domain = base
@@ -102,7 +103,7 @@ def _resolve_grid_spec(req: VerifyRequest, chart: ImmersionChart, entry):
     nodes spanning an explicit or inline domain."""
     if not req.grid_spec:
         return
-    spec = _parse_axis_spec(req.grid_spec, list(_target_var_names(req.target, req.parameters)))
+    spec = _parse_axis_spec(req.grid_spec, list(_target_var_names(req)))
     if entry and not req.domain:
         base = interior_grid(chart.domain)
     else:
@@ -124,7 +125,7 @@ def _build_target(req: VerifyRequest):
 def _build_chart(req: VerifyRequest):
     if _is_inline(req.target):
         exprs = _inline_exprs(req.target)
-        names = _target_var_names(req.target, req.parameters)
+        names = _target_var_names(req)
         bank = {}
         for pname in ("phi", "psi", "phi1", "phi2"):
             if pname in req.profiles:
@@ -138,13 +139,8 @@ def _build_chart(req: VerifyRequest):
             name="inline",
         )
         return chart, None
-    family, _, case = req.target.partition(".")
-    spec = FamilySpec(family, case, dict(req.parameters), dict(req.profiles),
-                      tuple(tuple(d) for d in req.domain) if req.domain else None)
-    entry = CATALOG.get(spec.key)
-    if entry is None:
-        raise BiconserveError(f"unknown target {req.target!r}")
-    return build(spec), entry
+    spec = _spec(req)
+    return build(spec), entry_for(spec)
 
 
 def _resolve_points(req: VerifyRequest, chart: ImmersionChart):
@@ -167,10 +163,9 @@ def _resolve_points(req: VerifyRequest, chart: ImmersionChart):
 
 def _assertion_set(req: VerifyRequest, entry, explicit_checks):
     asserted = {"beltrami", "gauss", "codazzi", "unit_normal"}
-    family = (entry.key.split(".")[0] if entry else "inline")
-    if family in ("ex41", "rem42"):
-        asserted |= {"biconservative", "principal_direction", "structure"}
-    if entry and entry.kind == "hypersurface" and family.startswith("thm"):
+    if entry and entry.offsets:  # a solved torsion profile: the tangency certificate
+        asserted |= {"biconservative", "principal_direction"}
+    if entry and entry.kind == "hypersurface":
         asserted.add("structure")
     asserted |= set(explicit_checks or [])
     return asserted
@@ -461,7 +456,7 @@ def cmd_sample(args, out=None) -> int:
     except BiconserveError as exc:
         out.write(f"error: {exc}\n")
         return 2
-    names = list(_target_var_names(req.target, req.parameters))
+    names = list(_target_var_names(req))
     kcols = [f"k{i+1}" for i in range(chart.nparams)] if chart.codim == 1 else []
     all_cols = names + (["H"] if chart.codim == 1 else []) + kcols + \
         ["biconservative", "beltrami", "gauss", "codazzi"]
@@ -509,7 +504,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--R", type=float)
         p.add_argument("--A", type=float)
         p.add_argument("--n", type=int)
-        p.add_argument("--offsets", help="comma-separated offset constants (rem42)")
+        p.add_argument("--offsets", help="comma-separated offset constants (the parameter a)")
         p.add_argument("--solve-psi", action="store_true", dest="solve_psi")
         p.add_argument("--psi")
         p.add_argument("--phi")

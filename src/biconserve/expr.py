@@ -5,10 +5,12 @@ sinh, cosh, exp, sqrt, negation, and calls to named profile functions that
 supply their own derivative ladders.  Trees are frozen dataclasses so charts
 stay immutable and picklable for worker pools.
 
-Two evaluators walk the same trees with the same domain guards: jet_eval
-gives Taylor coefficients (the forward route), eval_values gives plain values
-(the array route).  Both take one point (n,) or a block of points (P, n) and
-do one numpy operation per node for the whole block.  The difference quotients
+One walker evaluates the trees on two routes with the same domain guards:
+jet_eval gives Taylor coefficients (the forward route), eval_values gives
+plain values (the array route).  The routes share the walk and differ only in
+their arithmetic tables; the array route keeps its own, independent of the
+jets.  Both take one point (n,) or a block of points (P, n) and do one numpy
+operation per node for the whole block.  The difference quotients
 of fd_partial, the oracle's route, use only the array route: one tree walk
 covers every stencil point of a stack of multi-indices at every base point.
 In both, an overflow raises DomainError naming the node: a non-finite value
@@ -38,6 +40,7 @@ other call name is looked up in the profile bank, e.g. ``phi(s)*cos(v)``.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -192,80 +195,95 @@ def dag_of(trees) -> Dag:
                             if refs[id(node)] > 1 and not isinstance(node, (Const, Var))))
 
 
-def _roots(ev, expr, arg, bank):
-    """``ev(root, arg, bank, memo)`` of each root of a tree or a Dag in order,
-    with one memo for the call, each checked finite; the next root is
-    evaluated only when the caller asks for it."""
+def _roots(route, expr, leaves, bank):
+    """``_eval`` of each root of a tree or a Dag in order on ``route``, with
+    one memo for the call, each checked finite; the next root is evaluated
+    only when the caller asks for it."""
     dag = expr if isinstance(expr, Dag) else Dag((expr,))
     memo = dag.memo()
     for root in dag.roots:
-        out = ev(root, arg, bank, memo)
-        _check_node(root, out.c[0] if isinstance(out, Jet) else out)
-        yield out
+        yield _check_node(root, _eval(root, leaves, bank, memo, route))
 
 
-_UNARY = {
-    "sin": _jetops.sin,
-    "cos": _jetops.cos,
-    "sinh": _jetops.sinh,
-    "cosh": _jetops.cosh,
-    "exp": _jetops.exp,
-    "sqrt": _jetops.sqrt,
-}
+_UNARY = {name: getattr(_jetops, name) for name in ("sin", "cos", "sinh", "cosh", "exp", "sqrt")}
 
 
 def _named(node: Expr, err: DomainError) -> DomainError:
     return DomainError(f"{err} in {node_repr(node)}")
 
 
-def _check_node(node: Expr, vals):
+def _check_node(node: Expr, out):
     try:
-        check_finite(vals)
+        return _finite(out)
     except DomainError as e:
         raise _named(node, e) from None
 
 
-def _eval(node: Expr, vars_: list[Jet], bank, memo: dict) -> Jet:
+# The arithmetic of one evaluation route beyond the operands' own + - * and
+# negation: a constant shaped like a leaf, the guarded reciprocal, a power and
+# a function call (each checked finite where the route checks), a profile
+# entry's own values at the argument, and their composition with the argument.
+_Route = namedtuple("_Route", "const reciprocal power call profile compose")
+
+
+def _finite(out):
+    """``out``, with its value checked finite."""
+    check_finite(out.c[0] if isinstance(out, Jet) else out)
+    return out
+
+
+_JETS = _Route(
+    const=lambda value, leaf: Jet.constant(leaf.space, leaf.order,
+                                           np.full(leaf.c.shape[1:], value)),
+    reciprocal=Jet.reciprocal,
+    power=lambda u, p: _finite(_jetops.powr(u, p)),
+    call=lambda fn, u: _UNARY[fn](u),
+    profile=lambda entry, u: entry.derivs(u.value, u.order),
+    compose=Jet.compose,
+)
+
+
+def _eval(node: Expr, leaves: list, bank, memo: dict, route):
+    """The value of ``node`` on ``route`` from the leaves (one per variable).
+
+    A DomainError of a reciprocal, a power, a function call or a profile's
+    composition names the node; a Div evaluates its denominator first.
+    """
     if (slot := memo.get(id(node))) and slot[1] is not None:
         slot[0] -= 1  # a shared node's value, dropped at its last use
         return slot[1] if slot[0] else memo.pop(id(node))[1]
-    if isinstance(node, Const):
-        v = vars_[0]
-        out = Jet.constant(v.space, v.order, np.full(v.c.shape[1:], node.value))
-    elif isinstance(node, Var):
-        out = vars_[node.index]
-    elif isinstance(node, Add):
-        out = _eval(node.a, vars_, bank, memo) + _eval(node.b, vars_, bank, memo)
-    elif isinstance(node, Sub):
-        out = _eval(node.a, vars_, bank, memo) - _eval(node.b, vars_, bank, memo)
-    elif isinstance(node, Mul):
-        out = _eval(node.a, vars_, bank, memo) * _eval(node.b, vars_, bank, memo)
-    elif isinstance(node, Div):
-        den = _eval(node.b, vars_, bank, memo)
+    kind = type(node)  # the node classes are final: identity, not isinstance
+    if kind is Mul:
+        out = _eval(node.a, leaves, bank, memo, route) * _eval(node.b, leaves, bank, memo, route)
+    elif kind is Add:
+        out = _eval(node.a, leaves, bank, memo, route) + _eval(node.b, leaves, bank, memo, route)
+    elif kind is Var:
+        out = leaves[node.index]
+    elif kind is Const:
+        out = route.const(node.value, leaves[0])
+    elif kind is Sub:
+        out = _eval(node.a, leaves, bank, memo, route) - _eval(node.b, leaves, bank, memo, route)
+    elif kind is Pow or kind is Call:
         try:
-            out = _eval(node.a, vars_, bank, memo) / den
+            u = _eval(node.a, leaves, bank, memo, route)
+            out = route.power(u, node.exponent) if kind is Pow else route.call(node.fn, u)
         except DomainError as e:
             raise _named(node, e) from None
-    elif isinstance(node, Neg):
-        out = -_eval(node.a, vars_, bank, memo)
-    elif isinstance(node, Pow):
+    elif kind is Div:
+        den = _eval(node.b, leaves, bank, memo, route)
         try:
-            out = _jetops.powr(_eval(node.a, vars_, bank, memo), node.exponent)
-            check_finite(out.c[0])
+            out = _eval(node.a, leaves, bank, memo, route) * route.reciprocal(den)
         except DomainError as e:
             raise _named(node, e) from None
-    elif isinstance(node, Call):
-        try:
-            out = _UNARY[node.fn](_eval(node.a, vars_, bank, memo))
-        except DomainError as e:
-            raise _named(node, e) from None
-    elif isinstance(node, ProfileCall):
+    elif kind is Neg:
+        out = -_eval(node.a, leaves, bank, memo, route)
+    elif kind is ProfileCall:
         if bank is None or node.name not in bank:
             raise ContractViolation(f"unknown profile function '{node.name}'")
-        u = _eval(node.a, vars_, bank, memo)
-        dvals = bank[node.name].derivs(u.value, u.order)
+        u = _eval(node.a, leaves, bank, memo, route)
+        vals = route.profile(bank[node.name], u)
         try:
-            out = u.compose(dvals)
+            out = route.compose(u, vals)
         except DomainError as e:
             raise _named(node, e) from None
     else:
@@ -291,7 +309,7 @@ def jet_eval(expr: Expr | Dag, point, order: int, profile_bank=None):
     if not (0 <= order <= space.max_order):
         raise ContractViolation(f"order {order} outside supported range")
     vars_ = [Jet.variable(space, order, i, point[..., i]) for i in range(space.nvars)]
-    out = tuple(_roots(_eval, expr, vars_, profile_bank))
+    out = tuple(_roots(_JETS, expr, vars_, profile_bank))
     return out if isinstance(expr, Dag) else out[0]
 
 
@@ -327,49 +345,15 @@ def _powr_values(u: np.ndarray, p: float) -> np.ndarray:
     return np.power(u, p)
 
 
-def _eval_arrays(node: Expr, points: np.ndarray, bank, memo: dict) -> np.ndarray:
-    # mirrors _eval: the same evaluation order, error wrapping and memo
-    if (slot := memo.get(id(node))) and slot[1] is not None:
-        slot[0] -= 1  # a shared node's value, dropped at its last use
-        return slot[1] if slot[0] else memo.pop(id(node))[1]
-    if isinstance(node, Const):
-        out = np.full(len(points), node.value)
-    elif isinstance(node, Var):
-        out = points[:, node.index]
-    elif isinstance(node, Add):
-        out = _eval_arrays(node.a, points, bank, memo) + _eval_arrays(node.b, points, bank, memo)
-    elif isinstance(node, Sub):
-        out = _eval_arrays(node.a, points, bank, memo) - _eval_arrays(node.b, points, bank, memo)
-    elif isinstance(node, Mul):
-        out = _eval_arrays(node.a, points, bank, memo) * _eval_arrays(node.b, points, bank, memo)
-    elif isinstance(node, Div):
-        den = _eval_arrays(node.b, points, bank, memo)
-        try:
-            out = _eval_arrays(node.a, points, bank, memo) * _reciprocal(den)
-        except DomainError as e:
-            raise _named(node, e) from None
-    elif isinstance(node, Neg):
-        out = -_eval_arrays(node.a, points, bank, memo)
-    elif isinstance(node, (Pow, Call)):
-        try:
-            u = _eval_arrays(node.a, points, bank, memo)
-            p = node.exponent if isinstance(node, Pow) else 0.5 if node.fn == "sqrt" else None
-            out = _UFUNC[node.fn](u) if p is None else _powr_values(u, p)
-            check_finite(out)
-        except DomainError as e:
-            raise _named(node, e) from None
-    elif isinstance(node, ProfileCall):
-        if bank is None or node.name not in bank:
-            raise ContractViolation(f"unknown profile function '{node.name}'")
-        u = _eval_arrays(node.a, points, bank, memo)
-        out = np.asarray(bank[node.name].values(u), dtype=float)
-    else:
-        raise ContractViolation(f"unknown node type {type(node)!r}")
-    if slot:
-        slot[:] = slot[0] - 1, out
-    return out
-
-
+# the oracle's own arithmetic: plain values, independent of the jets
+_ARRAYS = _Route(
+    const=lambda value, leaf: np.full(len(leaf), value),
+    reciprocal=_reciprocal,
+    power=lambda u, p: _finite(_powr_values(u, p)),
+    call=lambda fn, u: _finite(_powr_values(u, 0.5) if fn == "sqrt" else _UFUNC[fn](u)),
+    profile=lambda entry, u: np.asarray(entry.values(u), dtype=float),
+    compose=lambda u, vals: vals,
+)
 
 
 def eval_values(expr: Expr | Dag, points, profile_bank=None) -> np.ndarray:
@@ -386,7 +370,7 @@ def eval_values(expr: Expr | Dag, points, profile_bank=None) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ContractViolation(f"points must be a (P, n) array, got shape {points.shape}")
-    out = np.stack(list(_roots(_eval_arrays, expr, points, profile_bank)), axis=-1)
+    out = np.stack(list(_roots(_ARRAYS, expr, list(points.T), profile_bank)), axis=-1)
     return out if isinstance(expr, Dag) else out[:, 0]
 
 
@@ -419,7 +403,7 @@ def _stencils(expr: Expr | Dag, pts: np.ndarray, alphas: np.ndarray, steps: np.n
         h = steps[stencil[r]]
         out[r, :, axes[first[r] + j]] += np.where(leaf[r] >> j & 1, -h, h)[:, None]
     est = []
-    for vals in _roots(_eval_arrays, expr, out.reshape(-1, pts.shape[1]), bank):
+    for vals in _roots(_ARRAYS, expr, list(out.reshape(-1, pts.shape[1]).T), bank):
         vals, pos = vals.reshape(len(stencil), -1), 0
         est.append(np.empty((len(alphas), len(pts))))
         for d in range(depths.max() + 1):

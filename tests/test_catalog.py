@@ -119,6 +119,8 @@ def test_constraint_violations_raise():
         build(FamilySpec("thm1", "i", profiles={"phi": "s", "psi": "s"}))
     with pytest.raises(ConstraintError):
         build(FamilySpec("thm3", "vii", parameters={"a": 0.0}))
+    with pytest.raises(ConstraintError):
+        build(FamilySpec("rem42", profiles={"psi": "0.2*s"}))      # 2psi'-1 < 0
 
 
 def test_ex41_domain_guard():
@@ -130,6 +132,14 @@ def test_ex41_domain_guard():
 def test_unknown_key_rejected():
     with pytest.raises(ContractViolation):
         build(FamilySpec("thm9", "i"))
+
+
+@pytest.mark.parametrize("spec", [FamilySpec("ex41", domain=((0.6, 1.4),) * 3),
+                                  FamilySpec("rem42", parameters={"n": 5, "a": (1, 2, 3, 4)},
+                                             domain=((0.6, 1.4),) + ((-0.5, 0.5),) * 3)])
+def test_domain_needs_one_axis_per_parameter(spec):
+    with pytest.raises(ContractViolation, match=r"domain has \d axes, chart has \d"):
+        build(spec)
 
 
 def test_list_entries_shape():
@@ -171,6 +181,13 @@ def test_remark42_non_solving_profile_fails_direction_check():
     ch = build_remark42(4, (1.0, 2.0, 3.0), profiles={"psi": "s^2"})
     res = principal_direction_check(ch, (1.0, 0.2, -0.3, 0.25))
     assert res is not None and res > 1e-3
+
+
+@pytest.mark.parametrize("n, a", [(4, (1.0, 2.0, 3.0)), (5, (1, 1, 3, 4))])
+def test_remark42_is_the_catalog_build(n, a):
+    chart = build(FamilySpec("rem42", parameters={"n": n, "a": a}))
+    assert build_remark42(n, a) == chart
+    assert chart.nparams == n and chart.signature.dim == n + 1
 
 
 def test_remark42_guards():

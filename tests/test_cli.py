@@ -355,3 +355,23 @@ def test_verify_metric_overflow_is_a_domain_error():
     assert len(report["rows"]) == 16
     for row in report["rows"]:
         assert row["error"].startswith("DomainError: induced metric overflows at (")
+
+
+@pytest.mark.parametrize("argv", [["thm1.v", "--solve-psi"], ["thm3.vii", "--solve-psi"],
+                                  ["rem42", "--a", "2"], ["ex41", "--offsets", "1,2,3"]])
+def test_spec_errors_exit_two_with_one_line(argv):
+    # a solved profile needs a torsion equation; a parameter keeps its default's type
+    code, text = run(["verify", *argv])
+    assert code == 2
+    assert text.startswith(f"error [{argv[0]}]: ") and text.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [[], ["--n", "5", "--offsets", "1,2,3,4"]])
+def test_rem42_domain_spec_keeps_the_default_t_axes(argv):
+    names = ["t", "u", "v"] if not argv else ["t1", "t2", "t3", "t4"]
+    grid = ",".join(["s=0.8:1.2:2"] + [f"{t}=-0.4:0.4:2" for t in names])
+    code, text = run(["verify", "rem42", *argv, "--domain", "s=0.7:1.3", "--grid", grid,
+                      "--emit-report"])
+    assert code == 0
+    domain = json.loads(text[text.index("{"):])["config"]["domain"]
+    assert domain == [[0.7, 1.3]] + [[-0.5, 0.5]] * len(names)

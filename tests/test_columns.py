@@ -481,14 +481,10 @@ def _first_failure_message(spec):
     sign = entry.psi_inequality
     for s in samples:
         dpsi = psi.derivs(s, 1)[1]
-        if spec.key == "rem42":
-            if 2.0 * dpsi - 1.0 < catalog._STRICT_MARGIN:
-                return str(ConstraintError(catalog._INEQ_COND[2], f"at s={s:.3f}"))
-            continue
-        val = 1.0 - 2.0 * dpsi if sign in (1, 2) else 1.0 + 2.0 * dpsi
-        if val > -catalog._STRICT_MARGIN:
-            return str(ConstraintError(catalog._INEQ_COND[1 if sign == 2 else sign],
-                                       f"value {val:.2e} at s={s:.3f}"))
+        # the condition as the entry lists it, and its expression's value
+        val = {1: 1.0 - 2.0 * dpsi, -1: 1.0 + 2.0 * dpsi, 2: 2.0 * dpsi - 1.0}[sign]
+        if (val < catalog._STRICT_MARGIN if sign == 2 else val > -catalog._STRICT_MARGIN):
+            return str(ConstraintError(catalog._INEQ_COND[sign], f"value {val:.2e} at s={s:.3f}"))
     return None
 
 

@@ -8,10 +8,11 @@ directory) and runs ``verify NAME --emit-report`` for every case: the 41
 catalog keys with their default profiles, the ex41 negative control
 (``--psi s^2``), and ``--oracle fd`` on every catalog hypersurface and on
 the control.  It also runs ``verify --per-point`` on the solved ex41 and on
-the control, with either oracle, and ``sample`` on one pair family and on
-``rem42 --n 5``, so that every row a sweep gives is compared, not only the
-summaries.  Each case's argv, exit code and printed output go to one JSON
-file in OUT_DIR.
+the control, with either oracle, ``verify`` on rem42 with ``--psi s^2``
+and on its solved profile with ``--n 5`` and its own ``c``, and ``sample``
+on one pair family and on ``rem42 --n 5``, so that every row a sweep gives
+is compared, not only the summaries.  Each case's argv, exit code and
+printed output go to one JSON file in OUT_DIR.
 
 ``diff`` compares two such directories case by case: whether the printed
 output is byte-identical, whether the exit code moved, and every report
@@ -50,6 +51,8 @@ def cases(catalog):
                     ["ex41", "--solve-psi", "--per-point", "--oracle", oracle]))
         out.append((f"ex41 psi=s^2 per-point {oracle}",
                     ["ex41", *NEGATIVE_CONTROL, "--per-point", "--oracle", oracle]))
+    out.append(("rem42 psi=s^2", ["rem42", *NEGATIVE_CONTROL]))
+    out.append(("rem42 n=5 c=0.5", ["rem42", "--n", "5", "--offsets", "1,2,3,4", "--c", "0.5"]))
     out = [(name, ["verify", *argv, "--emit-report"]) for name, argv in out]
     out.append(("sample thm1.ii", ["sample", "thm1.ii"]))
     out.append(("sample rem42 n=5", ["sample", "rem42", "--n", "5", "--offsets", "1,2,3,4"]))
