@@ -4,7 +4,8 @@ The ambient space is R^m with metric weights eps_i = -1 for the first
 ``index`` coordinates and +1 for the rest.  The main pipeline is pinned to
 m = 5, index = 2; the arbitrary-dimension entry reuses the same routines
 with m = n + 1, index = 2.  ``metric_cross`` takes one tangent frame or a
-stack of frames, one per point of a block.
+stack of frames, one per point of a block; its core ``cofactor_cross``
+returns the rank test instead of raising it.
 """
 
 from __future__ import annotations
@@ -89,35 +90,35 @@ def causal_character(v: AmbientVector, tau_null: float = TAU_NULL):
     return CausalCharacter.TIMELIKE, False
 
 
-def metric_cross(tangents, signature: Signature = E5_2) -> AmbientVector:
-    """Vector metric-orthogonal to m-1 independent tangents in R^m.
-
-    Computed by cofactor expansion of the m x m array whose first row is the
-    coordinate basis and remaining rows are the tangents: slot a is (-1)^a
-    times the minor without column a, so that det([v; rows]) is the sum of
-    v_a times slot a; then the index is lowered (slot a times eps_a).
-    ``tangents`` is m-1 vectors, or a (P, m-1, m) stack of frames giving
-    (P, m) components, each frame's row computed as it would be alone; a
-    stack raises if any frame is rank deficient: its largest cofactor is at
-    most TAU_RANK times Hadamard's bound.  The result is not
-    normalized: the caller is expected to inspect its causal character
-    first.
-    """
-    if not isinstance(tangents, np.ndarray):
-        tangents = [t.components if isinstance(t, AmbientVector) else t for t in tangents]
-    rows = np.asarray(tangents, dtype=float)
+def cofactor_cross(rows: np.ndarray, signature: Signature = E5_2):
+    """Per frame of ``rows`` (m-1, m) or (P, m-1, m): the vector, (m,) or
+    (P, m), metric-orthogonal to its m-1 tangents, computed as for that frame
+    alone, and, without raising, whether the frame is rank deficient (its
+    largest cofactor at most TAU_RANK times Hadamard's bound).  Slot a is
+    (-1)^a times the minor without column a (the cofactor expansion of the
+    m x m array [basis; rows], so det([v; rows]) = sum_a v_a slot_a); then
+    the index is lowered (slot a times eps_a)."""
     m = signature.dim
     if rows.ndim not in (2, 3) or rows.shape[-2:] != (m - 1, m):
-        raise ContractViolation(
-            f"need {m - 1} tangents of dim {m}, got shape {rows.shape}"
-        )
+        raise ContractViolation(f"need {m - 1} tangents of dim {m}, got shape {rows.shape}")
     # the m minors, column a left out of the a-th, in one stacked det; laid
     # out in C order, so that the cofactors are too
     keep = np.array([[c for c in range(m) if c != a] for a in range(m)])
-    minors = np.ascontiguousarray(np.moveaxis(rows[..., keep], -2, -3))
+    minors = np.ascontiguousarray(rows[..., keep].swapaxes(-2, -3))
     cof = (-1.0) ** np.arange(m) * np.linalg.det(minors)
     # Hadamard's bound: no cofactor exceeds the product of the row norms
     bound = np.prod(np.linalg.norm(rows, axis=-1), axis=-1)
-    if np.any(np.max(np.abs(cof), axis=-1) <= TAU_RANK * bound):
+    return signature.weights * cof, np.max(np.abs(cof), axis=-1) <= TAU_RANK * bound
+
+
+def metric_cross(tangents, signature: Signature = E5_2) -> AmbientVector:
+    """``cofactor_cross`` of m-1 tangent vectors, or of a (P, m-1, m) stack
+    of frames, raising if any frame is rank deficient.  The result is not
+    normalized: the caller is expected to inspect its causal character
+    first."""
+    if not isinstance(tangents, np.ndarray):
+        tangents = [t.components if isinstance(t, AmbientVector) else t for t in tangents]
+    w, deficient = cofactor_cross(np.asarray(tangents, dtype=float), signature)
+    if np.any(deficient):
         raise DegenerateFrameError("tangent frame is rank deficient")
-    return AmbientVector(signature.weights * cof, signature)
+    return AmbientVector(w, signature)

@@ -358,21 +358,22 @@ def _remark42(entry: CatalogEntry, params: dict) -> CatalogEntry:
 def entry_for(spec: FamilySpec) -> CatalogEntry:
     """The catalog entry a spec builds, with the spec's parameters checked:
     each known parameter has its default's type (a number, or a sequence of
-    numbers), a request to solve psi needs a torsion equation, and the entry's
-    ``a != 0`` and ``R > 0`` hold.  For rem42 the entry's components,
-    reference normal and default domain are built from n and a."""
+    numbers), any other is a number or a sequence of numbers, a request to
+    solve psi needs a torsion equation, and the entry's ``a != 0`` and
+    ``R > 0`` hold.  For rem42 the entry's components, reference normal and
+    default domain are built from n and a."""
     entry = CATALOG.get(spec.key)
     if entry is None:
         raise ContractViolation(f"unknown catalog key {spec.key!r}")
     params = {**entry.params, **spec.parameters}
-    for name, default in entry.params.items():
-        val = params[name]
-        if isinstance(default, tuple):
-            if not (isinstance(val, (tuple, list)) and all(isinstance(x, Real) for x in val)):
-                raise ContractViolation(f"parameter {name!r} takes a sequence of numbers, "
-                                        f"got {val!r}")
-        elif not isinstance(val, Real):
-            raise ContractViolation(f"parameter {name!r} takes a number, got {val!r}")
+    for name, val in params.items():
+        default, number = entry.params.get(name), isinstance(val, Real)
+        seq = isinstance(val, (tuple, list)) and all(isinstance(x, Real) for x in val)
+        want, ok = (("a sequence of numbers", seq) if isinstance(default, tuple) else
+                    ("a number", number) if default is not None else
+                    ("a number or a sequence of numbers", number or seq))
+        if not ok:
+            raise ContractViolation(f"parameter {name!r} takes {want}, got {val!r}")
     if spec.profiles.get("solve_psi") and entry.offsets is None:
         raise ContractViolation("the entry has no torsion equation to solve for psi")
     if "a != 0" in entry.conditions and abs(float(params["a"])) < _STRICT_MARGIN:

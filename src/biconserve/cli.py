@@ -82,7 +82,7 @@ def _inline_exprs(target: str) -> list:
 
 
 def _resolve_domain_spec(req: VerifyRequest):
-    """Turn a textual domain spec into numeric [lo, hi] per axis."""
+    """Turn a textual domain spec into numeric [lo, hi] per axis of req.domain if given."""
     if not req.domain_spec:
         return
     names = list(_target_var_names(req))
@@ -90,7 +90,9 @@ def _resolve_domain_spec(req: VerifyRequest):
         base = [list(d) for d in (req.domain or [[-0.8, 0.8]] * len(names))]
         base += [[-0.8, 0.8]] * (len(names) - len(base))
     else:
-        base = [list(d) for d in entry_for(_spec(req)).domain]
+        base = [list(d) for d in (req.domain or entry_for(_spec(req)).domain)]
+        if len(base) != len(names):
+            raise ContractViolation(f"domain has {len(base)} axes, chart has {len(names)}")
     for idx, (lo, hi, _) in _parse_axis_spec(req.domain_spec, names).items():
         base[idx] = [lo, hi]
     req.domain = base

@@ -10,9 +10,9 @@ jet_eval gives Taylor coefficients (the forward route), eval_values gives
 plain values (the array route).  The routes share the walk and differ only in
 their arithmetic tables; the array route keeps its own, independent of the
 jets.  Both take one point (n,) or a block of points (P, n) and do one numpy
-operation per node for the whole block.  The difference quotients
-of fd_partial, the oracle's route, use only the array route: one tree walk
-covers every stencil point of a stack of multi-indices at every base point.
+operation per node for the whole block.  fd_partial, the oracle's route,
+uses only the array route: one tree walk covers every stencil point of a
+stack of multi-indices (laid out once per stack) at every base point.
 In both, an overflow raises DomainError naming the node: a non-finite value
 of a function call or a power (or, on the jet route, of any derivative
 ladder) names that node, a non-finite result of the plain arithmetic names
@@ -42,6 +42,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -197,12 +198,10 @@ def dag_of(trees) -> Dag:
 
 def _roots(route, expr, leaves, bank):
     """``_eval`` of each root of a tree or a Dag in order on ``route``, with
-    one memo for the call, each checked finite; the next root is evaluated
-    only when the caller asks for it."""
+    one memo for the call, each checked finite."""
     dag = expr if isinstance(expr, Dag) else Dag((expr,))
     memo = dag.memo()
-    for root in dag.roots:
-        yield _check_node(root, _eval(root, leaves, bank, memo, route))
+    return [_check_node(root, _eval(root, leaves, bank, memo, route)) for root in dag.roots]
 
 
 _UNARY = {name: getattr(_jetops, name) for name in ("sin", "cos", "sinh", "cosh", "exp", "sqrt")}
@@ -370,7 +369,7 @@ def eval_values(expr: Expr | Dag, points, profile_bank=None) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ContractViolation(f"points must be a (P, n) array, got shape {points.shape}")
-    out = np.stack(list(_roots(_ARRAYS, expr, list(points.T), profile_bank)), axis=-1)
+    out = np.stack(_roots(_ARRAYS, expr, list(points.T), profile_bank), axis=-1)
     return out if isinstance(expr, Dag) else out[:, 0]
 
 
@@ -382,6 +381,33 @@ def eval_values(expr: Expr | Dag, points, profile_bank=None) -> np.ndarray:
 FD_STEPS = {0: 0.0, 1: 1e-4, 2: 1e-4, 3: 6e-3, 4: 2e-2}
 
 
+@lru_cache(maxsize=256)
+def _stencil_table(shape: tuple, alpha_bytes: bytes, step_bytes: bytes):
+    """The leaf layout of ``_stencils`` for the alphas (T, n) and steps given
+    by their bytes, read-only: the leaf count, the (leaves, axes, signed
+    steps) of each level and the (alphas, leaves, divisors 2 h) of each depth."""
+    alphas = np.frombuffer(alpha_bytes, dtype=int).reshape(shape)
+    steps = np.frombuffer(step_bytes)
+    depths = alphas.sum(axis=1)
+    count = 1 << np.sort(depths)
+    stencil = np.repeat(np.argsort(depths, kind="stable"), count)  # of each leaf
+    leaf = np.arange(len(stencil)) - np.repeat(np.cumsum(count) - count, count)
+    axes = np.repeat(np.arange(alphas.size) % shape[1], alphas.ravel())
+    first = (np.cumsum(depths) - depths)[stencil]  # where each leaf's axes start
+    moves = []
+    for j in range(depths.max()):
+        r = np.flatnonzero(depths[stencil] > j)
+        h = steps[stencil[r]]
+        moves.append((r, axes[first[r] + j], np.where(leaf[r] >> j & 1, -h, h)[:, None]))
+    sels = [np.flatnonzero(depths == d) for d in range(depths.max() + 1)]
+    ends = np.cumsum([len(sel) << d for d, sel in enumerate(sels)])
+    folds = tuple((sel, slice(end - (len(sel) << d), end), (2.0 * steps[sel])[:, None, None, None])
+                  for d, (sel, end) in enumerate(zip(sels, ends)) if len(sel))
+    for a in (a for t in (*moves, *folds) for a in t if isinstance(a, np.ndarray)):
+        a.flags.writeable = False
+    return len(stencil), tuple(moves), folds
+
+
 def _stencils(expr: Expr | Dag, pts: np.ndarray, alphas: np.ndarray, steps: np.ndarray,
               bank) -> np.ndarray:
     """Nested central differences d^alpha (T, B, R) at the rows of pts (B, n),
@@ -389,32 +415,20 @@ def _stencils(expr: Expr | Dag, pts: np.ndarray, alphas: np.ndarray, steps: np.n
     one array walk of the Dag over one set of leaves.  Leaf l's level j moves
     along the j-th axis (axis i alpha_i times, in increasing order), down
     where bit j of l is set: the additions, in order, of a stencil nested
-    level by level.  Each root's values fold back, innermost first, before
-    the next root is evaluated."""
-    depths = alphas.sum(axis=1)
-    count = 1 << np.sort(depths)
-    stencil = np.repeat(np.argsort(depths, kind="stable"), count)  # of each leaf
-    leaf = np.arange(len(stencil)) - np.repeat(np.cumsum(count) - count, count)
-    axes = np.repeat(np.arange(alphas.size) % alphas.shape[1], alphas.ravel())
-    first = (np.cumsum(depths) - depths)[stencil]  # where each leaf's axes start
-    out = np.repeat(pts[None], len(stencil), axis=0)
-    for j in range(depths.max()):
-        r = depths[stencil] > j
-        h = steps[stencil[r]]
-        out[r, :, axes[first[r] + j]] += np.where(leaf[r] >> j & 1, -h, h)[:, None]
-    est = []
-    for vals in _roots(_ARRAYS, expr, list(out.reshape(-1, pts.shape[1]).T), bank):
-        vals, pos = vals.reshape(len(stencil), -1), 0
-        est.append(np.empty((len(alphas), len(pts))))
-        for d in range(depths.max() + 1):
-            sel = np.flatnonzero(depths == d)
-            v = vals[pos:pos + (len(sel) << d)].reshape(len(sel), 1 << d, len(pts))
-            div = (2.0 * steps[sel])[:, None, None]
-            while v.shape[1] > 1:
-                v = (v[:, :v.shape[1] // 2] - v[:, v.shape[1] // 2:]) / div
-            est[-1][sel] = v[:, 0]
-            pos += len(sel) << d
-    return np.stack(est, axis=-1)
+    level by level.  The roots' values, stacked on a last axis, fold back
+    together, innermost first, one pass per depth."""
+    nleaves, moves, folds = _stencil_table(alphas.shape, alphas.tobytes(), steps.tobytes())
+    out = np.repeat(pts[None], nleaves, axis=0)
+    for rows, axes, h in moves:
+        out[rows, :, axes] += h
+    vals = eval_values(expr, out.reshape(-1, pts.shape[1]), bank).reshape(nleaves, len(pts), -1)
+    est = np.empty((len(alphas),) + vals.shape[1:])
+    for sel, leaves, div in folds:
+        v = vals[leaves].reshape((len(sel), -1) + vals.shape[1:])
+        while v.shape[1] > 1:
+            v = (v[:, :v.shape[1] // 2] - v[:, v.shape[1] // 2:]) / div
+        est[sel] = v[:, 0]
+    return est
 
 
 def fd_partial(expr: Expr | Dag, point, alpha, h: float | None = None, profile_bank=None):

@@ -2,13 +2,13 @@
 
 Jets give the chart's partials and nothing after them: the chart's
 components, one expression Dag built with the chart, are expanded to
-order-3 jets in one walk, from which d_i x, d_i d_j x and d_i d_j d_l x
-are read off as arrays.  Everything after is array arithmetic, shared by
-every codimension in ``_frame``: the induced metric and its first
-partials by the product rule, and the Christoffel symbols by one linear
-solve per point with G.  ``submanifold_packet`` adds the normal-valued
-second fundamental form h and the mean curvature vector; ``packet``
-(codimension 1) adds the unit normal, B = <d_i d_j x, N> with
+order-3 jets in one walk, and d_i x, d_i d_j x and d_i d_j d_l x are read
+off their stacked coefficients, one gather per order.  Everything after is
+array arithmetic, shared by every codimension in ``_frame``: the induced
+metric and its first partials by the product rule, and the Christoffel
+symbols by one linear solve per point with G.  ``submanifold_packet`` adds
+the normal-valued second fundamental form h and the mean curvature vector;
+``packet`` (codimension 1) adds the unit normal, B = <d_i d_j x, N> with
 d_l B_ij = <d_i d_j d_l x, N> - Gamma^k_ij B_kl, and the shape operator S
 with its partials by a solve with G and one more with the same matrix (the
 linear-solve rule), so H and grad H are traces of S and of its partials,
@@ -19,9 +19,9 @@ and the residual operations carry a leading point axis, of length 1 for a
 one-point call.  Each identity residual has one body for both packets;
 only the terms that belong to the codimension differ.
 The independent oracle, packet_fd, uses no jets: nested central
-differences of chart values computed by one array walk of the Dag
-(expr.fd_partial), for one point or a block as well.  Its FdPacket feeds
-the same tangency residuals as a CurvaturePacket.
+differences of chart values from one array walk of the Dag (expr.fd_partial)
+and one frame pass over the points and their stencil neighbours, for one
+point or a block as well.  Its FdPacket feeds the same tangency residuals.
 
 All residual norms are Euclidean in the ambient coordinates: an error vector
 with vanishing indefinite self-product must not masquerade as zero.
@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ambient import AmbientVector, Signature, metric_cross
+from .ambient import AmbientVector, Signature, cofactor_cross
 from .errors import (ContractViolation, DegenerateFrameError, DegenerateMetric,
                      DegenerateNormal, DomainError, UnexpectedIndex, plain_point)
 from .expr import Dag, dag_of, eval_value, eval_values, fd_partial, jet_eval
@@ -185,7 +185,8 @@ def _cross(tangents, weights):
     signed terms at once and adds them with r array additions.  It stays
     apart from the LU-based ``ambient.metric_cross``: in 8-space it is the
     more accurate of the two (3.0e-16 against 3.3e-15 relative), and the
-    oracle, which uses ``metric_cross``, keeps a normal of its own."""
+    oracle, which uses its core ``cofactor_cross``, keeps a normal of its
+    own."""
     levels, last, sign = _cross_table(*tangents.shape[1:])
     minors = tangents[:, 0]
     for r, (src, col, sgn) in enumerate(levels, 1):
@@ -197,6 +198,14 @@ def _cross(tangents, weights):
 
 
 # -- packet construction -------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _triu(n: int):
+    """``np.triu_indices(n)``, built once per n and read-only."""
+    i, j = np.triu_indices(n)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 def _first(bad) -> int | None:
@@ -266,21 +275,23 @@ def _frame(chart: ImmersionChart, pts: np.ndarray):
     """(dx, ddx, dddx, G, dG, Gamma) at each point of ``pts`` (P, n): the
     chart's partials d_i x (P, n, m), d_i d_j x (P, n, n, m) and d_i d_j d_l x
     (P, n, n, n, m), read off the order-3 jets of one ``jet_eval`` of the
-    chart's Dag (each shared subexpression once); the induced metric G_ij
+    chart's Dag (each shared subexpression once), their coefficients stacked
+    once and each order in one gather; the induced metric G_ij
     with its partials, (P, n, n) and (P, n, n, n) at [i, j, l], by the
     product rule; and the Christoffel symbols Gamma^k_ij at [k, i, j] by one
     linear solve per point with G.  Raises where G fails the metric checks."""
     eps = chart.signature.weights
     jets = jet_eval(chart.dag, pts, 3, chart.profile_bank)
-    dx, ddx, dddx = [np.moveaxis(np.stack([j.partials(k) for j in jets], axis=-1), -2, 0)
-                     for k in (1, 2, 3)]
+    coef = np.stack([j.c for j in jets], axis=-1)  # (ncoef, P, m)
+    dx, ddx, dddx = [(coef[pos] * fac[..., None, None]).transpose(k, *range(k), k + 1)
+                     for k, (pos, fac) in enumerate(jets[0].space.partial_tables[1:4], 1)]
     G = _inner(dx[:, :, None], dx[:, None], eps)
     _metric_checks(chart, pts, G)
     # d_l G_ij = <d_i d_l x, d_j x> + <d_i x, d_j d_l x>
     A = np.einsum("zila,a,zja->zijl", ddx, eps, dx)
     dG = A + A.transpose(0, 2, 1, 3)
     # Gamma_{l,ij} = (d_i G_jl + d_j G_il - d_l G_ij) / 2 at [l, ij]
-    i, j = np.triu_indices(chart.nparams)
+    i, j = _triu(chart.nparams)
     R = (dG[:, :, j, i] + dG[:, :, i, j] - dG.transpose(0, 3, 1, 2)[:, :, i, j]) * 0.5
     Gamma = np.empty(dG.shape)
     Gamma[:, :, i, j] = Gamma[:, :, j, i] = np.linalg.solve(G, R)
@@ -578,40 +589,34 @@ class FdPacket(_CmcRule):
     dx: np.ndarray  # (n, m) difference quotients d_i x
 
 
-def _fd_partials(chart: ImmersionChart, base: np.ndarray):
-    """d_i x (B, n, m) and d_i d_j x (B, n, n, m) at every base point (B, n), from
-    one ``fd_partial`` call on the chart's Dag with all first and second alphas:
-    one set of stencil points for every component."""
-    n = chart.nparams
-    i, j = np.triu_indices(n)
-    eye = np.eye(n, dtype=int)
-    vals = fd_partial(chart.dag, base, np.concatenate((eye, eye[i] + eye[j])),
-                      profile_bank=chart.profile_bank).swapaxes(0, 1)  # (B, alpha, m)
-    ddx = np.empty((len(base), n, n, chart.signature.dim))
-    ddx[:, i, j] = ddx[:, j, i] = vals[:, n:]
-    return np.ascontiguousarray(vals[:, :n]), ddx
-
-
 def _rowdot(a, b):
     """Dot products of the rows of (Q, m) arrays, each rounded as ``np.dot``
     rounds that row alone."""
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _fd_frame(chart: ImmersionChart, pts, dx, ddx, ref):
-    """G, N, B, S and H at each of Q points (Q, n) from its difference
-    quotients, dx (Q, n, m) and ddx (Q, n, n, m), the normal oriented along
-    ``ref`` (Q, m) (see ``_orient_sign``); raises at the first point whose
-    normal is degenerate."""
+def _fd_frame(chart: ImmersionChart, base, dx, ddx, ref, npts: int):
+    """G, N, B, S and H in one pass at the npts centre points and then their
+    neighbours, Q base points (Q, n), from dx (Q, n, m) and ddx (Q, n, n, m).
+    The normals are oriented along ``ref`` (Q, m) (see ``_orient_sign``), the
+    neighbours' without one along their centre's.  Raises for the centres,
+    then for the neighbours: at a rank-deficient frame, then at the first
+    point whose normal is degenerate."""
     n = chart.nparams
     eps = chart.signature.weights
     G0 = np.einsum("zia,a,zja->zij", dx, eps, dx)
-    w = metric_cross(dx, chart.signature).components
+    w, deficient = cofactor_cross(dx, chart.signature)
     nn = _rowdot(eps * w, w)
-    k = _first(nn <= TAU_NORMAL * _rowdot(w, w))
-    if k is not None:
-        raise DegenerateNormal(pts[k])
-    N0 = w / np.sqrt(nn)[:, None] * _orient_sign(w, ref, False)[:, None]
+    lightlike = nn <= TAU_NORMAL * _rowdot(w, w)
+    for part in (slice(None, npts), slice(npts, None)):
+        if deficient[part].any():
+            raise DegenerateFrameError("tangent frame is rank deficient")
+        if (k := _first(lightlike[part])) is not None:
+            raise DegenerateNormal(base[part][k])
+    unit = w / np.sqrt(nn)[:, None]
+    sgn = _orient_sign(w[:npts], None if ref is None else ref[:npts], False)
+    ref = np.tile(unit[:npts] * sgn[:, None], (2 * n, 1)) if ref is None else ref[npts:]
+    N0 = unit * np.concatenate((sgn, _orient_sign(w[npts:], ref, False)))[:, None]
     B0 = np.einsum("zija,a,za->zij", ddx, eps, N0)
     S0 = np.linalg.solve(G0, B0)
     return G0, N0, B0, S0, np.trace(S0, axis1=1, axis2=2) / n
@@ -629,36 +634,40 @@ def packet_fd(chart: ImmersionChart, p, h_grad: float = 5e-4) -> FdPacket:
     ``p`` is one point (n,) or a block (P, n), as for ``packet``.  The
     stencils of all first and second partials at all P (2n + 1) base points
     take one ``fd_partial`` call, one array walk of the chart's Dag, and the
-    frames at the P points and their 2nP neighbours are each
-    one stacked array pass, so every point gets the arithmetic it would get
+    frames at the P points and their 2nP neighbours one stacked array pass
+    (``_fd_frame``), so every point gets the arithmetic it would get
     alone.  A one-point call returns floats and unbatched arrays; a block
     raises as soon as any of its points fails.
     """
     p = np.asarray(p, dtype=float)
     pts = np.atleast_2d(p)
     npts, n = pts.shape
+    i, j = _triu(n)
+    eye = np.eye(n, dtype=int)
     steps = np.zeros((2 * n + 1, 1, n))
-    steps[1::2, 0] = h_grad * np.eye(n)
-    steps[2::2, 0] = -h_grad * np.eye(n)
+    steps[1::2, 0] = h_grad * eye
+    steps[2::2, 0] = -h_grad * eye
     # the P points, then all of them moved by + h e_0, by - h e_0, + h e_1, ...
     base = (steps + pts).reshape(-1, n)
-    dx, ddx = _fd_partials(chart, base)
+    # d_i x and d_i d_j x at every base point: one set of stencil points for
+    # all first and second alphas and every component
+    vals = fd_partial(chart.dag, base, np.concatenate((eye, eye[i] + eye[j])),
+                      profile_bank=chart.profile_bank).swapaxes(0, 1)  # (B, alpha, m)
+    dx = np.ascontiguousarray(vals[:, :n])
+    ddx = np.empty((len(base), n, n, chart.signature.dim))
+    ddx[:, i, j] = ddx[:, j, i] = vals[:, n:]
     # the reference normal field when the chart has one; the H stencil
     # points otherwise follow the normal at their point
     ref = None
     if chart.orientation_dag is not None:
         ref = eval_values(chart.orientation_dag, base, chart.profile_bank)
-    G0, N0, B0, S0, H0 = _fd_frame(chart, pts, dx[:npts], ddx[:npts],
-                                   None if ref is None else ref[:npts])
-    H = _fd_frame(chart, base[npts:], dx[npts:], ddx[npts:],
-                  np.tile(N0, (2 * n, 1)) if ref is None else ref[npts:])[4].reshape(2 * n, npts)
-    dH = ((H[0::2] - H[1::2]) / (2.0 * h_grad)).T
-    G_inv = np.linalg.inv(G0)
-    gradH = _mv(G_inv, dH)
+    G, N, B, S, H = _fd_frame(chart, base, dx, ddx, ref, npts)
+    Hn = H[npts:].reshape(2 * n, npts)  # at + h e_0, - h e_0, + h e_1, ...
+    G_inv = np.linalg.inv(G[:npts])
+    gradH = _mv(G_inv, ((Hn[0::2] - Hn[1::2]) / (2.0 * h_grad)).T)
     one = p.ndim == 1
-    G0, G_inv, N0, B0, S0, H0, gradH, g_amb, dx0 = [
-        f[0] if one else f
-        for f in (G0, G_inv, N0, B0, S0, H0, gradH, _push(gradH, dx[:npts]), dx[:npts])]
+    G, G_inv, N, B, S, H, gradH, g_amb, dx = [f[0] if one else f[:npts] for f in (
+        G, G_inv, N, B, S, H, gradH, _push(gradH, dx[:npts]), dx)]
     sig = chart.signature
-    return FdPacket(tuple(p) if one else p, G0, G_inv, AmbientVector(N0, sig), B0, S0,
-                    float(H0) if one else H0, gradH, AmbientVector(g_amb, sig), dx0)
+    return FdPacket(tuple(p) if one else p, G, G_inv, AmbientVector(N, sig), B, S,
+                    float(H) if one else H, gradH, AmbientVector(g_amb, sig), dx)

@@ -42,12 +42,16 @@ def _jet_at(expr: Expr, x, k: int):
     return jet_eval(expr, np.asarray(x, dtype=float)[..., None], k)
 
 
+def _ladder(j) -> list:
+    """[f, f', ..., f^(order)] of a one-variable jet, in one slice (the m-th
+    partial is c[m] m!): floats at one point, (P,) arrays for a block."""
+    fac = j.space.factorial[:len(j.c)]
+    return list(j.c * fac[:, None]) if j.c.ndim > 1 else (j.c * fac).tolist()
+
+
 def _deriv_ladder(dexpr: Expr, x, k: int):
     """[g(x), g'(x), ..., g^(k-1)(x)] for the derivative expression g."""
-    if k <= 0:
-        return []
-    j = _jet_at(dexpr, x, k - 1)
-    return [j.partial((m,)) for m in range(k)]
+    return _ladder(_jet_at(dexpr, x, k - 1)) if k > 0 else []
 
 
 def _on_unique(fn, x) -> np.ndarray:
@@ -63,8 +67,7 @@ class ExprProfile:
     def derivs(self, x, k: int):
         if k > 4:
             raise ContractViolation("profile derivative order exceeded (max 4)")
-        j = _jet_at(self.expr, x, k)
-        return [j.partial((m,)) for m in range(k + 1)]
+        return _ladder(_jet_at(self.expr, x, k))
 
     def values(self, x) -> np.ndarray:
         return eval_values(self.expr, np.asarray(x, dtype=float)[:, None])

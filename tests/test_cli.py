@@ -375,3 +375,34 @@ def test_rem42_domain_spec_keeps_the_default_t_axes(argv):
     assert code == 0
     domain = json.loads(text[text.index("{"):])["config"]["domain"]
     assert domain == [[0.7, 1.3]] + [[-0.5, 0.5]] * len(names)
+
+
+def test_domain_spec_keeps_the_config_domain(tmp_path):
+    # a --domain axis spec edits the config's numeric domain, not the chart's default
+    cfg = {"target": "ex41", "profiles": {"solve_psi": True, "c": 1.0},
+           "domain": [[0.6, 1.4], [-0.2, 0.2], [-0.2, 0.2], [-0.2, 0.2]]}
+    path = tmp_path / "req.json"
+    path.write_text(json.dumps(cfg))
+    grid = "s=0.9:1.1:2,t=-0.1:0.1:2,u=-0.1:0.1:2,v=-0.1:0.1:2"
+    code, text = run(["verify", "--config", str(path), "--domain", "s=0.8:1.2", "--grid", grid,
+                      "--emit-report"])
+    assert code == 0
+    domain = json.loads(text[text.index("{"):])["config"]["domain"]
+    assert domain == [[0.8, 1.2]] + [[-0.2, 0.2]] * 3
+
+
+def test_non_numeric_parameter_exits_two_with_one_line(tmp_path):
+    path = tmp_path / "req.json"
+    path.write_text(json.dumps({"target": "thm1.i", "parameters": {"q": "x"}}))
+    code, text = run(["verify", "--config", str(path)])
+    assert code == 2
+    assert text.startswith("error [thm1.i]: ") and text.count("\n") == 1
+    assert "'q'" in text
+
+
+def test_domain_spec_over_a_short_config_domain_is_a_usage_error(tmp_path):
+    path = tmp_path / "req.json"
+    path.write_text(json.dumps({"target": "ex41", "domain": [[0.6, 1.4], [-0.2, 0.2]]}))
+    code, text = run(["verify", "--config", str(path), "--domain", "v=-0.1:0.1"])
+    assert code == 2
+    assert text == "error [ex41]: domain has 2 axes, chart has 4\n"

@@ -422,3 +422,40 @@ def test_chart_equality_ignores_its_dag():
     assert a == b and a.dag is not b.dag
     assert "dag" not in repr(a)
     assert isinstance(a.dag, Dag) and a.orientation_dag is None
+
+
+def test_stencil_tables_are_read_only_and_interleaved_calls_match_fresh_calls():
+    from biconserve import expr
+    from biconserve.catalog import build_remark42
+    from biconserve.sweep import random_points
+
+    charts = [_ex41(), build_remark42(5, (1.0, 2.0, 3.0, 4.0), {"solve_psi": True, "c": 0.5})]
+    rng = np.random.default_rng(3)
+    cases = []
+    for chart in charts:
+        n = chart.nparams
+        base = random_points(chart.domain, 3, seed=8)
+        for orders in ((1, 2, 2, 1), (0, 3, 4, 2)):
+            alphas = np.array([rng.multinomial(o, [1.0 / n] * n) for o in orders])
+            for h in (None, 2e-3):
+                cases.append((chart, base, alphas, h))
+
+    def call(case):
+        chart, base, alphas, h = case
+        return fd_partial(chart.dag, base, alphas, h=h, profile_bank=chart.profile_bank)
+
+    fresh = []
+    for case in cases:
+        expr._stencil_table.cache_clear()
+        fresh.append(call(case))
+    expr._stencil_table.cache_clear()
+    for k in (0, 4, 1, 5, 2, 6, 3, 7, 0, 7, 4, 3):  # n = 4 and n = 5 stacks interleaved
+        got = call(cases[k])
+        assert got.tobytes() == fresh[k].tobytes() and got.shape == fresh[k].shape, k
+    assert expr._stencil_table.cache_info().currsize == len(cases)
+    nleaves, moves, folds = expr._stencil_table(
+        cases[0][2].shape, cases[0][2].tobytes(), np.full(len(cases[0][2]), 1e-4).tobytes())
+    arrays = [a for t in (*moves, *folds) for a in t if isinstance(a, np.ndarray)]
+    assert nleaves > 0 and arrays and not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        moves[0][2][0] = 1.0

@@ -351,3 +351,77 @@ def test_cross_agrees_with_metric_cross(n):
     # index-lowered: metric-orthogonal to every tangent
     resid = np.einsum("pra,a,pa->pr", rows, sig.weights, got)
     assert np.max(np.abs(resid) / (scale * np.max(np.abs(rows), axis=(1, 2))[:, None])) <= 1e-13
+
+
+@pytest.mark.parametrize("which", ["ex41", "rem42 n=5"])
+def test_frame_gathers_the_jet_partials_bitwise(ex41, which):
+    import biconserve.immersion as immersion
+    from biconserve.catalog import build_remark42
+    from biconserve.expr import jet_eval
+    from biconserve.sweep import random_points
+
+    chart = ex41 if which == "ex41" else build_remark42(5, (1.0, 2.0, 3.0, 4.0))
+    block = random_points(chart.domain, 6, seed=2)
+    for pts in (block[:1], block):
+        jets = jet_eval(chart.dag, pts, 3, chart.profile_bank)
+        got = immersion._frame(chart, pts)[:3]
+        for k, arr in enumerate(got, 1):
+            ref = np.moveaxis(np.stack([j.partials(k) for j in jets], axis=-1), -2, 0)
+            assert arr.shape == ref.shape and arr.tobytes() == ref.tobytes(), (which, k)
+
+
+@pytest.mark.parametrize("p", [(1.0, 0.3, -0.2, 0.4),
+                               [(1.0, 0.3, -0.2, 0.4), (0.9, 0.1, 0.2, -0.3)]])
+def test_fd_packet_runs_the_frame_once(ex41, p, monkeypatch):
+    import biconserve.immersion as immersion
+
+    calls = []
+    frame = immersion._fd_frame
+
+    def counting(chart, base, *args):
+        calls.append(len(base))
+        return frame(chart, base, *args)
+
+    monkeypatch.setattr(immersion, "_fd_frame", counting)
+    packet_fd(ex41, p)
+    assert calls == [len(np.atleast_2d(p)) * (2 * 4 + 1)]
+
+
+# x4 = s^2 / 2 over (s, t, u, v) in R^5_2: the normal is lightlike exactly at s = 1
+LIGHTLIKE_AT_S1 = ("s", "t", "u", "v", "0.5*s^2")
+
+
+def test_fd_packet_names_the_point_whose_normal_is_lightlike():
+    from biconserve.errors import plain_point
+
+    chart = chart_from(LIGHTLIKE_AT_S1)
+    with pytest.raises(DegenerateNormal) as err:
+        packet_fd(chart, (1.0, 0.2, 0.3, 0.4))
+    assert err.value.point == (1.0, 0.2, 0.3, 0.4)
+    # only the stencil neighbour at s + h_grad sits on s = 1
+    centre = np.array([1.0 - 5e-4, 0.2, 0.3, 0.4])
+    with pytest.raises(DegenerateNormal) as err:
+        packet_fd(chart, centre)
+    assert err.value.point == plain_point(centre + 5e-4 * np.eye(4)[0])
+
+
+@pytest.mark.parametrize("centre_s, deficient_rows, error", [
+    (1.0, [3], DegenerateNormal),           # a lightlike centre before a deficient neighbour
+    (1.0 - 5e-4, [3], DegenerateFrameError),  # a deficient neighbour before a lightlike one
+    (1.0, [0], DegenerateFrameError),       # a deficient centre before a lightlike centre
+])
+def test_fd_frame_checks_the_centre_before_its_neighbours(monkeypatch, centre_s, deficient_rows,
+                                                          error):
+    import biconserve.immersion as immersion
+
+    core = immersion.cofactor_cross
+
+    def marked(rows, signature):
+        w, deficient = core(rows, signature)
+        deficient = deficient.copy()
+        deficient[deficient_rows] = True
+        return w, deficient
+
+    monkeypatch.setattr(immersion, "cofactor_cross", marked)
+    with pytest.raises(error):
+        packet_fd(chart_from(LIGHTLIKE_AT_S1), (centre_s, 0.2, 0.3, 0.4))

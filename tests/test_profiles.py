@@ -218,3 +218,40 @@ def test_derivative_of_an_expression_profile_is_one_block_jet():
     got = entry.values(x)
     assert got.tolist() == [entry.derivs(xi, 0)[0] for xi in x]
     assert entry.derivs(x, 1)[1].tolist() == [entry.derivs(xi, 1)[1] for xi in x]
+
+
+def _partial_loop_derivs(entry, x, k):
+    """``derivs`` as read one ``Jet.partial`` per order."""
+    from biconserve.profiles import _jet_at
+
+    if isinstance(entry, DerivativeProfile):
+        return _partial_loop_derivs(entry.base, x, k + 1)[1:]
+    if isinstance(entry, ExprProfile):
+        j = _jet_at(entry.expr, x, k)
+        return [j.partial((m,)) for m in range(k + 1)]
+    head = entry.value(x) if np.ndim(x) == 0 else entry._interpolate(np.asarray(x))
+    if k == 0:
+        return [head]
+    j = _jet_at(entry.dexpr, x, k - 1)
+    return [head] + [j.partial((m,)) for m in range(k)]
+
+
+def test_profile_ladders_are_bitwise_the_partial_loop_on_every_catalog_profile():
+    from biconserve.catalog import FamilySpec, all_keys, build
+
+    seen = 0
+    for key in all_keys():
+        family, _, case = key.partition(".")
+        chart = build(FamilySpec(family, case))
+        lo, hi = chart.domain[0]
+        block = np.linspace(lo, hi, 7)
+        for name, entry in chart.profile_bank.items():
+            for k in range(4 if isinstance(entry, DerivativeProfile) else 5):
+                for x in (block[3], block):
+                    got, ref = entry.derivs(x, k), _partial_loop_derivs(entry, x, k)
+                    assert len(got) == len(ref) == k + 1, (key, name, k)
+                    for g, r in zip(got, ref):
+                        assert type(g) is type(r) and np.shape(g) == np.shape(r), (key, name, k)
+                        assert np.asarray(g).tobytes() == np.asarray(r).tobytes(), (key, name, k)
+            seen += 1
+    assert seen >= 40

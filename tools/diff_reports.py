@@ -9,7 +9,8 @@ catalog keys with their default profiles, the ex41 negative control
 (``--psi s^2``), and ``--oracle fd`` on every catalog hypersurface and on
 the control.  It also runs ``verify --per-point`` on the solved ex41 and on
 the control, with either oracle, ``verify`` on rem42 with ``--psi s^2``
-and on its solved profile with ``--n 5`` and its own ``c``, and ``sample``
+and on its solved profile with ``--n 5`` and its own ``c`` (with either
+oracle, so that the oracle runs at n = 5 too), and ``sample``
 on one pair family and on ``rem42 --n 5``, so that every row a sweep gives
 is compared, not only the summaries.  Each case's argv, exit code and
 printed output go to one JSON file in OUT_DIR.
@@ -52,7 +53,9 @@ def cases(catalog):
         out.append((f"ex41 psi=s^2 per-point {oracle}",
                     ["ex41", *NEGATIVE_CONTROL, "--per-point", "--oracle", oracle]))
     out.append(("rem42 psi=s^2", ["rem42", *NEGATIVE_CONTROL]))
-    out.append(("rem42 n=5 c=0.5", ["rem42", "--n", "5", "--offsets", "1,2,3,4", "--c", "0.5"]))
+    rem42_n5 = ["rem42", "--n", "5", "--offsets", "1,2,3,4", "--c", "0.5"]
+    out.append(("rem42 n=5 c=0.5", rem42_n5))
+    out.append(("rem42 n=5 c=0.5 fd", [*rem42_n5, "--oracle", "fd"]))
     out = [(name, ["verify", *argv, "--emit-report"]) for name, argv in out]
     out.append(("sample thm1.ii", ["sample", "thm1.ii"]))
     out.append(("sample rem42 n=5", ["sample", "rem42", "--n", "5", "--offsets", "1,2,3,4"]))
