@@ -28,8 +28,7 @@ from .ambient import Signature
 from .errors import (ConstraintError, ContractViolation, DomainError, UnexpectedIndex,
                      plain_point)
 from .expr import parse, var_names_for
-from .immersion import (ImmersionChart, _any_packet, beltrami_residual,
-                        gauss_codazzi_residual, submanifold_packet)
+from .immersion import ImmersionChart, _any_packet, submanifold_packet
 from .profiles import (DerivativeProfile, ExprProfile, constraint_residual,
                        make_profile_pair, solve_psi_offsets)
 from .spectral import CLUSTER_TOL
@@ -331,14 +330,16 @@ def var_names(kind: str, nparams: int) -> tuple:
     return var_names_for(nparams)
 
 
-def _remark42(entry: CatalogEntry, params: dict) -> CatalogEntry:
-    """The extension's entry for n parameters in (n+1)-space, offsets 2*a_i.
+def _remark42(entry: CatalogEntry, given: dict) -> CatalogEntry:
+    """The extension's entry for n parameters in (n+1)-space, offsets 2*a_i,
+    from the ``given`` parameters (a defaults to 1, ..., n - 1).
 
     With all offsets distinct (and a generic torsion profile) the chart has n
     distinct principal curvatures; repeated offsets collapse the matching
     pair exactly.
     """
-    n, a = int(params["n"]), tuple(float(x) for x in params["a"])
+    n = int(given.get("n", entry.params["n"]))
+    a = tuple(float(x) for x in given.get("a", range(1, n)))
     if n < 4:
         raise ContractViolation("the extension requires n >= 4")
     if len(a) != n - 1:
@@ -361,7 +362,7 @@ def entry_for(spec: FamilySpec) -> CatalogEntry:
     numbers), any other is a number or a sequence of numbers, a request to
     solve psi needs a torsion equation, and the entry's ``a != 0`` and
     ``R > 0`` hold.  For rem42 the entry's components, reference normal and
-    default domain are built from n and a."""
+    default domain are built from n and a (by default 1, ..., n - 1)."""
     entry = CATALOG.get(spec.key)
     if entry is None:
         raise ContractViolation(f"unknown catalog key {spec.key!r}")
@@ -380,7 +381,9 @@ def entry_for(spec: FamilySpec) -> CatalogEntry:
         raise ConstraintError("a != 0")
     if "R > 0" in entry.conditions and float(params["R"]) <= 0:
         raise ConstraintError("R > 0")
-    return _remark42(entry, params) if entry.key == "rem42" else replace(entry, params=params)
+    if entry.key == "rem42":
+        return _remark42(entry, spec.parameters)
+    return replace(entry, params=params)
 
 
 def _profile_bank(entry: CatalogEntry, spec: FamilySpec, domain) -> dict:
@@ -514,16 +517,20 @@ def _at(point) -> tuple:
     return tuple(round(x, 3) for x in plain_point(point))
 
 
-def structure_verdict(entry: CatalogEntry | None, table) -> tuple:
+def structure_verdict(entry: CatalogEntry | None, table,
+                      chart: ImmersionChart | None = None) -> tuple:
     """(ok, spectral, notes): the family-structure verdict on a sweep table.
 
     ``spectral`` is the report block: point counts per case label and per
     pattern, and the curvature range.  A point error fails the verdict; with
     no expected pattern (inline charts) nothing else is checked.  Classified
-    points (4-parameter charts) are matched to the tag in one pass over the
-    table's spectra; other points have no label or pattern to count, and
-    ``all-distinct`` reads their curvatures, pairwise more than CLUSTER_TOL
-    (1 + max|k|) apart.  Notes are made for failing points only, in order.
+    points (4-parameter hypersurfaces) are matched to the tag in one pass
+    over the table's spectra.  Other points have no label or pattern to
+    count: on a ``chart`` of codimension > 1 (a surface or curve) the
+    family's predicate is evaluated on one submanifold packet of them, and
+    on a hypersurface ``all-distinct`` reads their curvatures, pairwise more
+    than CLUSTER_TOL (1 + max|k|) apart.  Notes are made for failing points
+    only, in order.
     """
     tag = entry.structure[0] if entry and entry.structure else ""
     errors = np.flatnonzero(table.error != "")
@@ -543,7 +550,12 @@ def structure_verdict(entry: CatalogEntry | None, table) -> tuple:
                          f"extra flat direction (zero multiplicity {z[i]})" if extra[i] else
                          f"pattern {spectra.patterns[i]}, expected {tag} at {_at(at[i])}")
     plain = (table.error == "") & ~table.classified
-    if tag and plain.any():
+    if tag and plain.any() and chart is not None and chart.codim > 1:
+        at = table.points[plain]
+        holds, reasons = _family_ok(entry, chart, submanifold_packet(chart, at), at)
+        ok = ok and bool(holds.all())
+        notes += [f"{reasons[i]} at {_at(at[i])}" for i in np.flatnonzero(~holds)]
+    elif tag and plain.any():
         k = table.curvatures
         distinct = table.has_curv & np.all(
             np.diff(k, axis=1) > CLUSTER_TOL * (1.0 + np.abs(k).max(axis=1))[:, None], axis=1)
@@ -562,12 +574,13 @@ def structure_verdict(entry: CatalogEntry | None, table) -> tuple:
 
 def verify_structure(spec_or_key, nodes_per_axis: int = 5,
                      chart: ImmersionChart | None = None) -> StructureReport:
-    """Sample the domain interior and check the family's expected pattern.
+    """Sample the domain interior and check the family's expected structure.
 
-    A hypersurface is judged by ``structure_verdict`` on ``sweep`` rows, as
-    ``biconserve verify`` judges the same grid.  A point error fails
-    ``family_ok`` and is listed in ``notes``; a wrong metric index is such
-    an error and also fails ``index_ok``.
+    Every key is judged by ``structure_verdict`` on ``sweep`` rows, as
+    ``biconserve verify`` judges the same grid: the pattern of a
+    hypersurface, the predicate of a surface or curve family.  A point
+    error fails ``family_ok`` and is listed in ``notes``; a wrong metric
+    index is such an error and also fails ``index_ok``.
     """
     if isinstance(spec_or_key, FamilySpec):
         spec = spec_or_key
@@ -579,11 +592,8 @@ def verify_structure(spec_or_key, nodes_per_axis: int = 5,
         chart = build(spec)
     grid = interior_grid(chart.domain, nodes_per_axis)
     points = grid_points([(lo, hi) for lo, hi, _ in grid], nodes_per_axis)
-    if entry.kind != "hypersurface":
-        return _verify_lowdim(spec.key, entry, chart, points)
-
     table = sweep(chart, points, ("beltrami", "gauss", "codazzi", "structure"))
-    ok, spectral, notes = structure_verdict(entry, table)
+    ok, spectral, notes = structure_verdict(entry, table, chart)
     worst = {name: max(table.column(name)[0].tolist(), default=0.0)
              for name in ("beltrami", "gauss", "codazzi")}
     kmin, kmax = spectral["curvature_min"], spectral["curvature_max"]
@@ -597,58 +607,51 @@ def verify_structure(spec_or_key, nodes_per_axis: int = 5,
     )
 
 
-def _family_ok(entry: CatalogEntry, chart: ImmersionChart, spk, points) -> bool:
-    """Whether the surface or curve family's predicate holds at every point
-    of ``points`` (P, n), whose submanifold packet is ``spk``."""
-    tag = entry.structure[0] if entry.structure else ""
+def _family_ok(entry: CatalogEntry, chart: ImmersionChart, spk, points) -> tuple:
+    """(ok (P,), reasons): whether the surface or curve family's predicate,
+    and a curve's unit-speed claim, hold at each point of ``points`` (P, n),
+    whose submanifold packet is ``spk``; each reason names the first test
+    that fails there, "" where all hold."""
+    tag, P = entry.structure[0], len(points)
     eps = chart.signature.weights
     h = spk.h
+    hmax = np.abs(h).reshape(P, -1).max(axis=1)
     acc = h[:, 0, 0]
     acc2 = np.sum(eps * acc * acc, axis=-1)
-    if tag == "plane":
-        return bool(np.max(np.abs(h)) < 1e-9)
-    if tag == "line":
-        return bool(np.max(np.abs(h)) < 1e-10)
-    if tag == "quadric":
+    tests = []  # (holds (P,), reason format, the value it reads (P,)), first named first
+    if chart.nparams == 1:  # unit-speed claims
+        speed, want = spk.G[:, 0, 0], -1.0 if entry.expected_index == 1 else 1.0
+        tests.append((~(np.abs(speed - want) > 1e-9), f"speed {{:+.6f}} != {want:+g}", speed))
+    if tag in ("plane", "line"):
+        tests.append((hmax < (1e-9 if tag == "plane" else 1e-10), f"{tag}: |h| = {{:.3e}}", hmax))
+    elif tag == "quadric":
         r = entry.params.get("r", 1.0)
-        y = chart.value(points)
-        ok = np.all(np.abs(np.sum(eps * y * y, axis=-1) - entry.structure[1] * r * r)
-                    < 1e-8 * (1 + r * r))
+        want, y = entry.structure[1] * r * r, chart.value(points)
+        q = np.sum(eps * y * y, axis=-1)
+        tests.append((np.abs(q - want) < 1e-8 * (1 + r * r),
+                      f"quadric: <x, x> = {{:+.6f}}, expected {want:+g}", q))
         if entry.structure[2:] == ("umbilic",):
-            dev = h - np.einsum("zij,za->zija", spk.G, spk.mean_curvature)
-            ok = ok and np.max(np.abs(dev)) < 1e-8
-        return bool(ok)
-    if tag == "parabolic":
-        return bool(np.all(acc2 < 1e-9) and np.max(np.abs(h[:, 0, 1])) < 1e-9)
-    if tag == "accel":
+            dev = np.abs(h - np.einsum("zij,za->zija", spk.G, spk.mean_curvature))
+            dev = dev.reshape(P, -1).max(axis=1)
+            tests.append((dev < 1e-8, "umbilic: |h - G H| = {:.3e}", dev))
+    elif tag == "parabolic":
+        h12 = np.abs(h[:, 0, 1]).max(axis=1)
+        tests += [(acc2 < 1e-9, "parabolic: <a, a> = {:+.3e}", acc2),
+                  (h12 < 1e-9, "parabolic: |h_12| = {:.3e}", h12)]
+    elif tag == "accel":
         R = entry.params["R"]
-        return bool(np.all(np.abs(acc2 - entry.structure[1] * R * R) < 1e-8 * (1 + R * R)))
-    if tag == "lightlike-accel":
-        return bool(np.all((np.abs(acc2) < 1e-9) & (np.linalg.norm(acc, axis=-1) > 1e-6)))
-    return True
-
-
-def _verify_lowdim(key, entry, chart, points):
-    """Residual maxima and family predicates on one block of every point;
-    a point whose metric fails a check (a wrong index among them) raises."""
-    spk = submanifold_packet(chart, points)
-    gauss, codazzi = gauss_codazzi_residual(chart, points, spk)
-    family_ok = _family_ok(entry, chart, spk, points)
-    notes = []
-    if entry.kind == "curve":  # unit-speed claims
-        speed = spk.G[:, 0, 0]
-        expected = -1.0 if entry.expected_index == 1 else 1.0
-        bad = np.flatnonzero(np.abs(speed - expected) > 1e-9)
-        family_ok = family_ok and not len(bad)
-        notes = [f"speed {speed[k]:+.6f} != {expected:+g} at {_at(points[k])}"
-                 for k in bad]
-    return StructureReport(
-        key=key, n_points=len(points), patterns=[], case_labels=[],
-        family_ok=family_ok, index_ok=True,
-        beltrami_max=float(np.max(beltrami_residual(chart, points, spk))),
-        gauss_max=float(np.max(gauss)), codazzi_max=float(np.max(codazzi)),
-        curvature_min=0.0, curvature_max=0.0, notes=notes,
-    )
+        want = entry.structure[1] * R * R
+        tests.append((np.abs(acc2 - want) < 1e-8 * (1 + R * R),
+                      f"accel: <a, a> = {{:+.6f}}, expected {want:+g}", acc2))
+    elif tag == "lightlike-accel":
+        norm = np.linalg.norm(acc, axis=-1)
+        tests += [(np.abs(acc2) < 1e-9, "lightlike-accel: <a, a> = {:+.3e}", acc2),
+                  (norm > 1e-6, "lightlike-accel: |a| = {:.3e}", norm)]
+    reasons = [""] * P
+    for holds, fmt, value in reversed(tests):
+        for i in np.flatnonzero(~holds):
+            reasons[i] = fmt.format(value[i])
+    return np.array([not why for why in reasons], dtype=bool), reasons
 
 
 def all_keys():

@@ -167,7 +167,7 @@ def _assertion_set(req: VerifyRequest, entry, explicit_checks):
     asserted = {"beltrami", "gauss", "codazzi", "unit_normal"}
     if entry and entry.offsets:  # a solved torsion profile: the tangency certificate
         asserted |= {"biconservative", "principal_direction"}
-    if entry and entry.kind == "hypersurface":
+    if entry:
         asserted.add("structure")
     asserted |= set(explicit_checks or [])
     return asserted
@@ -192,8 +192,8 @@ def run_verify(req: VerifyRequest):
     summaries = summarize(table, checks, tol, asserted)
 
     spectral = {}
-    if "structure" in checks and chart.codim == 1:
-        ok, spectral, _ = structure_verdict(entry, table)
+    if "structure" in checks:
+        ok, spectral, _ = structure_verdict(entry, table, chart)
         status = ("pass" if "structure" in asserted else "not_asserted") if ok else "fail"
         summaries.append(CheckSummary("structure", 0.0 if ok else 1.0, 0.0,
                                       None, len(table), None, status))
@@ -337,7 +337,7 @@ def _request_from_args(args) -> VerifyRequest:
     req.oracle = cfg.get("oracle", "jets")
     req.jobs = int(cfg.get("jobs", 0) or 0)
 
-    for pname in ("a", "b", "c", "R", "A", "phi0", "psi0"):
+    for pname in ("a", "b", "R", "A"):
         val = getattr(args, pname, None)
         if val is not None:
             req.parameters[pname] = val

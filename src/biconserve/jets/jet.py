@@ -91,14 +91,6 @@ class Jet:
         d = self.c[p] * self.space.factorial[p]
         return d if self.c.ndim > 1 else float(d)
 
-    def partials(self, k: int) -> np.ndarray:
-        """The symmetric tensor of k-th partials: d_{i1} ... d_{ik} f at
-        [i1, ..., ik], (nvars,) * k or, for a block, (nvars,) * k + (P,)."""
-        if k > self.order:
-            raise ContractViolation(f"partials of order {k} exceed jet order {self.order}")
-        pos, fac = self.space.partial_tables[k]
-        return self.c[pos] * (fac[..., None] if self.c.ndim > 1 else fac)
-
     # -- ring operations ----------------------------------------------
 
     def _coerce(self, other):

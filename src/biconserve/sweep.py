@@ -5,14 +5,17 @@ lexicographic grid order (last axis fastest).  Readers reduce the columns; a
 PointRow is made only for a point a caller asks for.  Every grid is
 evaluated in blocks of at most BLOCK points: one packet call (``packet``
 for a hypersurface, ``submanifold_packet`` for a chart of higher
-codimension, which answers only LOWDIM_CHECKS and whose points carry no H)
-and one pass of each residual per block, the points being an axis of the
-arrays; the blocks' columns are concatenated.  The spectral classification
-is one call per block too: ``eigen_structure`` on the block's shape
-operators for a 4-parameter chart, one stacked ``np.linalg.eigvals``
-otherwise.  With the finite-difference oracle selected, the tangency checks
-and the CMC flag read one ``packet_fd`` call per block instead of the jet
-packet; nothing else changes.  A block whose packet or oracle packet raises
+codimension) and one pass of each residual per block, the points being an
+axis of the arrays; the blocks' columns are concatenated.  A chart of
+higher codimension answers only LOWDIM_CHECKS: the three flat-space
+identities, and ``structure``, the family predicate that
+``catalog.structure_verdict`` evaluates at the table's error-free points;
+its points carry no H, no curvatures and no label.  The spectral classification of a hypersurface is one call per
+block too: ``eigen_structure`` on the block's shape operators for a
+4-parameter chart, one stacked ``np.linalg.eigvals`` otherwise.  With the
+finite-difference oracle selected, the tangency checks and the CMC flag
+read one ``packet_fd`` call per block instead of the jet packet; nothing
+else changes.  A block whose packet or oracle packet raises
 a BiconserveError is bisected down to single points, and a block whose
 classification raises is classified again point by point, so every point
 gets its own error and message and the others keep their results.
@@ -45,7 +48,7 @@ BLOCK = 128
 
 HYPERSURFACE_CHECKS = ("biconservative", "beltrami", "gauss", "codazzi",
                        "unit_normal", "principal_direction", "structure")
-LOWDIM_CHECKS = ("beltrami", "gauss", "codazzi")
+LOWDIM_CHECKS = ("beltrami", "gauss", "codazzi", "structure")
 
 DEFAULT_TOLERANCES = {
     "biconservative": 1e-6,

@@ -253,7 +253,7 @@ def test_catalog_charts_accept_any_admissible_profile():
     assert rep.family_ok and rep.index_ok
 
 
-@pytest.mark.parametrize("key", [k for k in all_keys() if CATALOG[k].kind == "hypersurface"])
+@pytest.mark.parametrize("key", all_keys())
 def test_structure_verdict_is_the_verify_verdict(key):
     # verify_structure and `biconserve verify` judge the same grid alike
     rep = verify_structure(key, nodes_per_axis=2)
@@ -265,8 +265,9 @@ def test_structure_verdict_is_the_verify_verdict(key):
     spectral = report["spectral"]
     assert sorted(spectral["patterns"]) == rep.patterns
     assert sorted(spectral["labels"]) == rep.case_labels
-    assert (spectral["curvature_min"], spectral["curvature_max"]) == \
-        (rep.curvature_min, rep.curvature_max)
+    # no curvatures (a surface or curve): the report's range reads 0.0
+    ends = [spectral["curvature_min"], spectral["curvature_max"]]
+    assert [0.0 if k is None else k for k in ends] == [rep.curvature_min, rep.curvature_max]
 
 
 def test_structure_point_errors_fail_the_report():
@@ -300,6 +301,23 @@ def test_lowdim_notes_print_plain_points():
     rep = verify_structure("intcurve.B", 2, chart=circle)
     assert not rep.family_ok
     assert rep.notes[0] == "speed +0.250000 != +1 at (-0.704,)"
+
+
+def test_lowdim_index_errors_are_point_notes():
+    chart = dataclasses.replace(build(FamilySpec("intsurf", "iii")), expected_index=1)
+    rep = verify_structure("intsurf.iii", 2, chart=chart)
+    assert not rep.family_ok and not rep.index_ok
+    assert len(rep.notes) == 4 and all(n.startswith("UnexpectedIndex: ") for n in rep.notes)
+
+
+def test_lowdim_predicate_notes_name_the_predicate():
+    # a unit sphere is umbilic, but not on the quadric <x, x> = r^2 of intsurf.iii (r = 2)
+    sphere = build(FamilySpec("intsurf", "iii", parameters={"r": 1.0}))
+    rep = verify_structure("intsurf.iii", 2, chart=sphere)
+    assert not rep.family_ok and rep.index_ok
+    grid = interior_grid(sphere.domain, 2)
+    assert rep.notes == [f"quadric: <x, x> = +1.000000, expected +4 at ({t:g}, {u:g})"
+                         for t in grid[0][:2] for u in grid[1][:2]]
 
 
 def test_pattern_mismatch_notes_name_the_pattern_and_the_point():

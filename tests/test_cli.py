@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from biconserve.catalog import FamilySpec, build
-from biconserve.cli import VerifyRequest, main, run_verify
+from biconserve.cli import VerifyRequest, _request_from_args, main, make_parser, run_verify
 from biconserve.sweep import interior_grid
 
 
@@ -300,6 +300,24 @@ def test_rem42_five_parameter_structure(offsets, code, status):
     spectral = report["spectral"]
     assert spectral["labels"] == {} and spectral["patterns"] == {}
     assert spectral["curvature_min"] < spectral["curvature_max"]
+
+
+def test_rem42_offsets_default_from_n():
+    # without --offsets, n parameters take the offsets 1, ..., n - 1
+    code, text = run(["verify", "rem42", "--n", "5"])
+    assert code == 0
+    assert run(["verify", "rem42", "--n", "5", "--offsets", "1,2,3,4"]) == (code, text)
+    # a wrong count is still a usage error
+    code, text = run(["verify", "rem42", "--n", "5", "--offsets", "1,2,3"])
+    assert code == 2 and text == "error [rem42]: need 4 offset constants, got 3\n"
+
+
+def test_profile_flags_land_only_in_the_profiles():
+    args = make_parser().parse_args(["verify", "ex41", "--c", "0.5", "--phi0", "1.1",
+                                     "--psi0", "0.2", "--a", "1.5"])
+    req = _request_from_args(args)
+    assert req.parameters == {"a": 1.5}
+    assert req.profiles == {"c": 0.5, "phi0": 1.1, "psi0": 0.2}
 
 
 def test_rem42_partial_grid_fills_the_chart_interior():

@@ -1,6 +1,8 @@
 """Geometric pipeline tests: worked low-curvature examples, packet
 invariants, residual identities, and the finite-difference oracle route."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -362,11 +364,15 @@ def test_frame_gathers_the_jet_partials_bitwise(ex41, which):
 
     chart = ex41 if which == "ex41" else build_remark42(5, (1.0, 2.0, 3.0, 4.0))
     block = random_points(chart.domain, 6, seed=2)
+    n = chart.nparams
     for pts in (block[:1], block):
         jets = jet_eval(chart.dag, pts, 3, chart.profile_bank)
         got = immersion._frame(chart, pts)[:3]
         for k, arr in enumerate(got, 1):
-            ref = np.moveaxis(np.stack([j.partials(k) for j in jets], axis=-1), -2, 0)
+            ref = np.zeros((len(pts),) + (n,) * k + (len(jets),))
+            for axes in itertools.product(range(n), repeat=k):
+                alpha = tuple(axes.count(i) for i in range(n))
+                ref[(slice(None), *axes)] = np.stack([j.partial(alpha) for j in jets], axis=-1)
             assert arr.shape == ref.shape and arr.tobytes() == ref.tobytes(), (which, k)
 
 

@@ -204,24 +204,6 @@ def test_partial_beyond_order_rejected():
         j.partial((2, 1, 0, 0))
 
 
-@pytest.mark.parametrize("points", [(0.4, 0.2, -0.3, 0.7),
-                                    [(0.4, 0.2, -0.3, 0.7), (-0.1, 0.5, 0.3, -0.6),
-                                     (1.1, -0.4, 0.2, 0.05)]],
-                         ids=["point", "block"])
-def test_partials_tensor_is_the_partial_of_every_alpha(points):
-    j3 = jet_eval(parse("sinh(s)*cos(t*u) + v^2*s"), points, 3)
-    for k in (1, 2, 3):
-        d = j3.partials(k)
-        assert d.shape == (4,) * k + np.shape(points)[:-1]
-        for axes in itertools.product(range(4), repeat=k):
-            alpha = tuple(axes.count(v) for v in range(4))
-            assert np.array_equal(d[axes], j3.partial(alpha)), axes
-            for perm in itertools.permutations(range(k)):
-                assert np.array_equal(d[axes], d[tuple(axes[q] for q in perm)])
-    with pytest.raises(ContractViolation):
-        j3.partials(4)
-
-
 @pytest.mark.parametrize("k", list(range(-5, 17)))
 def test_integer_powers_start_from_the_base(k, monkeypatch):
     from biconserve.expr import _powr_values

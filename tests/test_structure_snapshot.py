@@ -1,4 +1,4 @@
-"""Structure verdicts of every catalog hypersurface, and of the ex41
+"""Structure verdicts of every catalog key, and of the ex41
 negative control, against tests/data/structure_snapshot.json (made by
 tools/make_structure_snapshot.py): labels, patterns and family_ok exactly,
 the curvature range to 1e-12."""

@@ -1,9 +1,10 @@
 """Regenerate tests/data/structure_snapshot.json.
 
-For every catalog hypersurface, plus the ex41 negative control with the
-profile psi = s^2, the snapshot records what ``verify_structure(key, 3)``
-reports: the case labels, the multiplicity patterns, ``family_ok`` and the
-curvature range.  ``tests/test_structure_snapshot.py`` compares a fresh run
+For every catalog key, plus the ex41 negative control with the profile
+psi = s^2, the snapshot records what ``verify_structure(key, 3)`` reports:
+the case labels, the multiplicity patterns, ``family_ok`` and the curvature
+range (a surface or curve has no labels or patterns, and its range reads
+0.0).  ``tests/test_structure_snapshot.py`` compares a fresh run
 against it, so a change to the spectral classifier or to the packet
 arithmetic that moves a label, a pattern or a verdict shows up at once.
 
@@ -23,13 +24,12 @@ NODES = 3
 
 
 def cases():
-    """(name, FamilySpec) per snapshot entry: every hypersurface key with its
+    """(name, FamilySpec) per snapshot entry: every catalog key with its
     default profiles, then the ex41 control with psi = s^2."""
     out = []
-    for key, entry in CATALOG.items():
-        if entry.kind == "hypersurface":
-            family, _, case = key.partition(".")
-            out.append((key, FamilySpec(family, case)))
+    for key in CATALOG:
+        family, _, case = key.partition(".")
+        out.append((key, FamilySpec(family, case)))
     out.append(("ex41 psi=s^2", FamilySpec("ex41", profiles={"psi": "s^2"})))
     return out
 
