@@ -19,6 +19,13 @@ forms, never from the interpolant.  ``values`` of an interpolated entry
 interpolates each distinct argument once: the stencils of one difference
 quotient share a handful of s values.  Scalar ``value`` is the same
 interpolation on a one-entry array.
+
+The node values of a quadrature-backed entry are integrals over the gaps
+between successive Chebyshev nodes, chained out from the anchor by
+``np.cumsum``.  ``gl_integrals`` lays out all panels of all gaps in one
+array pass, with one call of the integrand; each gap's integral stays
+bitwise that of the gap integrated alone (``np.linspace`` edges, each
+panel's dot rounded as ``np.dot`` rounds it, the panels summed in order).
 """
 
 from __future__ import annotations
@@ -111,30 +118,36 @@ def _check_range(x: np.ndarray, lo: float, hi: float, what: str):
         raise DomainError(f"{what} {x0:.6g} outside [{lo:.6g}, {hi:.6g}]")
 
 
-def gl_integrals(fn, intervals) -> list:
+def gl_integrals(fn, lo, hi, panels) -> np.ndarray:
     """Composite 16-point Gauss-Legendre quadrature of a callable on arrays
-    over each (lo, hi, panels) of ``intervals``; one call of ``fn`` takes
-    the nodes of all of them."""
-    grids = []
-    for lo, hi, panels in intervals:
-        edges = np.linspace(lo, hi, panels + 1)
-        mid = (edges[:-1] + edges[1:]) / 2.0
-        half = (edges[1:] - edges[:-1]) / 2.0
-        grids.append((mid[:, None] + half[:, None] * GL_NODES, half))
-    vals = fn(np.concatenate([x.ravel() for x, _ in grids]))
-    out, pos = [], 0
-    for (lo, hi, _), (x, half) in zip(intervals, grids):
-        total = 0.0
-        if lo != hi:
-            for h, v in zip(half, vals[pos:pos + x.size].reshape(x.shape)):
-                total += h * float(np.dot(GL_WEIGHTS, v))
-        out.append(total)
-        pos += x.size
-    return out
+    over each interval [lo[i], hi[i]], cut into panels[i] equal panels.
+
+    All panels of all intervals are laid out in one array pass, and one call
+    of ``fn`` takes every node, interval by interval and panel by panel.
+    Each integral is bitwise that of the interval integrated alone: the
+    edges are those of ``np.linspace`` (k * step + lo, the last one exactly
+    hi), each panel's weighted sum is rounded as ``np.dot`` rounds it, and
+    the panels of an interval are summed in order from 0.0 (``np.cumsum``
+    is sequential, where ``np.sum`` would pair).  A zero-length interval
+    gives 0.0.
+    """
+    lo, hi, panels = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), np.asarray(panels)
+    owner = np.repeat(np.arange(len(panels)), panels)  # the interval of each panel
+    k = np.arange(len(owner)) - np.repeat(np.cumsum(panels) - panels, panels)
+    step = ((hi - lo) / panels)[owner]
+    left = k * step + lo[owner]
+    right = np.where(k + 1 == panels[owner], hi[owner], (k + 1) * step + lo[owner])
+    mid, half = (left + right) / 2.0, (right - left) / 2.0
+    vals = fn((mid[:, None] + half[:, None] * GL_NODES).ravel())
+    dots = np.matmul(vals.reshape(-1, 1, len(GL_NODES)), GL_WEIGHTS[:, None])[:, 0, 0]
+    table = np.zeros((len(panels), panels.max(initial=0) + 1))  # a leading 0.0 per row
+    table[owner, k + 1] = half * dots
+    return np.where(lo == hi, 0.0, np.cumsum(table, axis=1)[:, -1])
 
 
-def _panels_for(length: float, floor: int = 1) -> int:
-    return max(floor, int(math.ceil(abs(length) / 0.05)))
+def _panel_counts(length: np.ndarray) -> np.ndarray:
+    """Panels of width at most 0.05 covering each length, at least one."""
+    return np.maximum(1, np.ceil(np.abs(length) / 0.05)).astype(int)
 
 
 class _Interpolated:
@@ -179,27 +192,16 @@ class QuadratureProfile(_Interpolated):
         nodes = _cheb_nodes(lo, hi, n_nodes)
         order = np.argsort(nodes)
         sorted_nodes = nodes[order]
-        # integrate outward from the anchor through successive gaps
+        # integrate outward from the anchor through successive gaps: up the
+        # sorted nodes from the anchor's place, then down from just below it
         start = int(np.searchsorted(sorted_nodes, s0))
-        chains = (range(start, len(sorted_nodes)), range(start - 1, -1, -1))
-        gaps = []  # (node, previous node of its chain or the anchor)
-        for chain in chains:
-            prev = s0
-            for i in chain:
-                gaps.append((i, prev))
-                prev = sorted_nodes[i]
-        parts = gl_integrals(lambda x: eval_values(dexpr, x[:, None]),
-                             [(a, sorted_nodes[i], _panels_for(sorted_nodes[i] - a))
-                              for i, a in gaps])
-        part = dict(zip((i for i, _ in gaps), parts))
-        cumulative = np.empty_like(sorted_nodes)
-        for chain in chains:
-            acc = f0
-            for i in chain:
-                acc += part[i]
-                cumulative[i] = acc
-        values = np.empty_like(cumulative)
-        values[order] = cumulative
+        chains = (sorted_nodes[start:], sorted_nodes[:start][::-1])
+        a = np.concatenate([np.r_[s0, chain][:-1] for chain in chains])
+        b = np.concatenate(chains)
+        parts = gl_integrals(lambda x: eval_values(dexpr, x[:, None]), a, b, _panel_counts(b - a))
+        up, down = (np.cumsum(np.r_[f0, p])[1:] for p in np.split(parts, [len(chains[0])]))
+        values = np.empty_like(nodes)
+        values[order] = np.concatenate((down[::-1], up))
         return cls(dexpr, s0, f0, lo, hi, nodes, values, _bary_weights(n_nodes))
 
     def check_range(self, x: np.ndarray):
@@ -276,16 +278,12 @@ class PsiSolution(_Interpolated):
         order = np.argsort(nodes)
         sorted_nodes = nodes[order]
         w = np.cbrt(sorted_nodes)
-        w_lo = np.concatenate(([0.0], w[:-1]))
-        parts = gl_integrals(integrand_w, [(a, b, _panels_for(4 * (b - a), 8 if i == 0 else 1))
-                                           for i, (a, b) in enumerate(zip(w_lo, w))])
-        cumulative = np.empty_like(sorted_nodes)
-        acc = 0.0
-        for i, (sn, part) in enumerate(zip(sorted_nodes, parts)):
-            acc += part
-            cumulative[i] = sn / 2.0 + c * acc
-        psi_vals = np.empty_like(cumulative)
-        psi_vals[order] = cumulative
+        w_lo = np.r_[0.0, w[:-1]]
+        panels = _panel_counts(4 * (w - w_lo))
+        panels[0] = max(panels[0], 8)
+        acc = np.cumsum(np.r_[0.0, gl_integrals(integrand_w, w_lo, w, panels)])[1:]
+        psi_vals = np.empty_like(nodes)
+        psi_vals[order] = sorted_nodes / 2.0 + c * acc
         dpsi = eval_values(dexpr, nodes[:, None])
         ddpsi = _jet_at(dexpr, nodes, 1).partial((1,))
         return cls(a, b, c, offsets, nodes, psi_vals, dpsi, ddpsi,

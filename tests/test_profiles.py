@@ -255,3 +255,130 @@ def test_profile_ladders_are_bitwise_the_partial_loop_on_every_catalog_profile()
                         assert np.asarray(g).tobytes() == np.asarray(r).tobytes(), (key, name, k)
             seen += 1
     assert seen >= 40
+
+
+# -- quadrature in one array pass ----------------------------------------
+
+
+def _loop_integrals(fn, intervals):
+    """The quadrature integrated one interval at a time: ``np.linspace``
+    edges, one ``np.dot`` per panel, the panels summed in order."""
+    from biconserve.profiles import GL_NODES, GL_WEIGHTS
+
+    grids = []
+    for lo, hi, panels in intervals:
+        edges = np.linspace(lo, hi, panels + 1)
+        mid = (edges[:-1] + edges[1:]) / 2.0
+        half = (edges[1:] - edges[:-1]) / 2.0
+        grids.append((mid[:, None] + half[:, None] * GL_NODES, half))
+    vals = fn(np.concatenate([x.ravel() for x, _ in grids]))
+    out, pos = [], 0
+    for (lo, hi, _), (x, half) in zip(intervals, grids):
+        total = 0.0
+        if lo != hi:
+            for h, v in zip(half, vals[pos:pos + x.size].reshape(x.shape)):
+                total += h * float(np.dot(GL_WEIGHTS, v))
+        out.append(total)
+        pos += x.size
+    return np.array(out)
+
+
+def _loop_quadrature_values(dexpr, s0, f0, lo, hi, n_nodes=129):
+    """``QuadratureProfile`` node values, gap by gap out from the anchor."""
+    from biconserve.expr import eval_values
+    from biconserve.profiles import _cheb_nodes
+
+    nodes = _cheb_nodes(lo, hi, n_nodes)
+    order = np.argsort(nodes)
+    sorted_nodes = nodes[order]
+    start = int(np.searchsorted(sorted_nodes, s0))
+    chains = (range(start, len(sorted_nodes)), range(start - 1, -1, -1))
+    gaps = []
+    for chain in chains:
+        prev = s0
+        for i in chain:
+            gaps.append((i, prev))
+            prev = sorted_nodes[i]
+    parts = _loop_integrals(lambda x: eval_values(dexpr, x[:, None]),
+                            [(a, sorted_nodes[i], max(1, math.ceil(abs(sorted_nodes[i] - a) / 0.05)))
+                             for i, a in gaps])
+    part = dict(zip((i for i, _ in gaps), parts))
+    cumulative = np.empty_like(sorted_nodes)
+    for chain in chains:
+        acc = f0
+        for i in chain:
+            acc += part[i]
+            cumulative[i] = acc
+    values = np.empty_like(cumulative)
+    values[order] = cumulative
+    return values
+
+
+class _Recorder:
+    """An integrand that keeps each array it is called on."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, []
+
+    def __call__(self, x):
+        self.calls.append(x.copy())
+        return self.fn(x)
+
+
+_INTERVAL_SETS = {
+    "one-panel gaps": [(0.5, 0.52, 1), (0.52, 0.55, 1), (0.55, 0.51, 1), (1.0, 1.04, 1)],
+    "60 panels": [(0.0, 1.2599210498948732, 60)],
+    "zero length": [(0.7, 0.7, 1)],
+    "mixed": [(0.0, 0.79, 63), (0.79, 0.8, 1), (0.8, 0.8, 1), (0.8, 0.7, 2),
+              (1.3, 1.9, 12), (-0.2, 0.3, 8)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INTERVAL_SETS))
+def test_gl_integrals_is_bitwise_the_interval_loop(name):
+    from biconserve.profiles import gl_integrals
+
+    intervals = _INTERVAL_SETS[name]
+    fn = lambda x: np.cbrt(x ** 3 + 1.0) ** 2 * np.cos(3.0 * x) + x * x  # noqa: E731
+    ref, got = _Recorder(fn), _Recorder(fn)
+    expected = _loop_integrals(ref, intervals)
+    lo, hi, panels = (np.array(col) for col in zip(*intervals))
+    result = gl_integrals(got, lo, hi, panels)
+    assert result.tobytes() == expected.tobytes()
+    assert len(got.calls) == 1 and got.calls[0].tobytes() == ref.calls[0].tobytes()
+    if name == "zero length":
+        assert result.tolist() == [0.0]
+
+
+def test_gl_integrals_passes_the_integrand_error_through():
+    from biconserve.profiles import gl_integrals
+
+    err = DomainError("integrand outside its domain")
+
+    def fn(x):
+        raise err
+
+    with pytest.raises(DomainError) as caught:
+        gl_integrals(fn, [0.0, 1.0], [1.0, 2.0], [1, 3])
+    assert caught.value is err
+
+
+@pytest.mark.parametrize("s0", [0.2, 0.5, 1.0, 1.25, 2.0, 2.6])
+def test_quadrature_profile_is_bitwise_the_gap_loop(s0):
+    # anchor below the nodes (no down chain), at the end nodes, inside, and
+    # above them (no up chain); 1.25 is the middle node
+    from biconserve.profiles import QuadratureProfile
+
+    dexpr = parse("cos(0.8*s) + 0.3*s", ("s",))
+    got = QuadratureProfile.build(dexpr, s0, 0.7, 0.5, 2.0).node_values
+    assert got.tobytes() == _loop_quadrature_values(dexpr, s0, 0.7, 0.5, 2.0).tobytes()
+
+
+@pytest.mark.parametrize("offsets,closed", [
+    ((0.0,), lambda s, c: s / 2 + 0.6 * c * s ** (5 / 3)),
+    ((0.0, 0.0, 0.0), lambda s, c: s / 2 + c * s ** 3 / 3),
+    ((1.0,), lambda s, c: s / 2 + 0.6 * c * ((s + 1) ** (5 / 3) - 1)),
+])
+def test_psi_solution_node_values_match_the_closed_form(offsets, closed):
+    entry = solve_psi_offsets(offsets, 0.7, (0.5, 2.0))
+    assert np.max(np.abs(entry.psi_values - closed(entry.s_grid, 0.7))) < 1e-13

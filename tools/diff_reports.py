@@ -18,7 +18,8 @@ printed output go to one JSON file in OUT_DIR.
 ``diff`` compares two such directories case by case: whether the printed
 output is byte-identical, whether the exit code moved, and every report
 field whose value differs, with its relative change |a - b| / max(|a|, |b|)
-for numbers.  A ``sample`` case prints CSV, not a report: its first
+for numbers; a field only one report has, empty containers and nulls
+included, reads ``<absent>`` on the other side.  A ``sample`` case prints CSV, not a report: its first
 differing line is printed and counts as a moved verdict.  A moved argmax point (two grid points whose values tie
 within rounding) is listed and counted apart.  It prints the largest
 relative and the largest absolute change per case kind, and the same two
@@ -85,14 +86,25 @@ def _report(stdout: str) -> dict:
 
 
 def _flatten(value, prefix=""):
-    if isinstance(value, dict):
+    """(path, leaf) per leaf; an empty dict or list is a leaf of its own."""
+    if isinstance(value, dict) and value:
         for k in sorted(value):
             yield from _flatten(value[k], f"{prefix}.{k}" if prefix else str(k))
-    elif isinstance(value, list):
+    elif isinstance(value, list) and value:
         for k, v in enumerate(value):
             yield from _flatten(v, f"{prefix}[{k}]")
     else:
         yield prefix, value
+
+
+class _Absent:
+    """The value of a field one report does not have (not ``None``)."""
+
+    def __repr__(self):
+        return "<absent>"
+
+
+ABSENT = _Absent()
 
 
 def _number(v) -> bool:
@@ -100,10 +112,12 @@ def _number(v) -> bool:
 
 
 def field_moves(old: dict, new: dict):
-    """(field, old, new, relative change or None) for every field that differs."""
+    """(field, old, new, relative change or None) for every field that
+    differs, one that only one report has included (as ``ABSENT`` on the
+    other side)."""
     a, b = dict(_flatten(old)), dict(_flatten(new))
     for key in sorted(set(a) | set(b)):
-        x, y = a.get(key), b.get(key)
+        x, y = a.get(key, ABSENT), b.get(key, ABSENT)
         if x == y:
             continue
         rel = None
