@@ -29,8 +29,8 @@ from .errors import (ConstraintError, ContractViolation, DomainError, Unexpected
                      plain_point)
 from .expr import parse, var_names_for
 from .immersion import ImmersionChart, _any_packet, submanifold_packet
-from .profiles import (DerivativeProfile, ExprProfile, constraint_residual,
-                       make_profile_pair, solve_psi_offsets)
+from .profiles import (DerivativeProfile, ExprProfile, PsiSolution, constraint_residual,
+                       make_profile_pair)
 from .spectral import CLUSTER_TOL
 from .sweep import grid_points, interior_grid, sweep
 
@@ -419,7 +419,7 @@ def _profile_bank(entry: CatalogEntry, spec: FamilySpec, domain) -> dict:
             raise ConstraintError(_PAIR_COND[entry.pair_kind], f"residual {worst:.2e}")
         return bank
     if entry.offsets and (req.get("solve_psi") or "psi" not in req):
-        bank["psi"] = solve_psi_offsets(entry.offsets(entry.params),
+        bank["psi"] = PsiSolution.build(entry.offsets(entry.params),
                                         float(req.get("c", 1.0)), s_range)
     elif "psi" in req:
         if isinstance(req["psi"], str):

@@ -156,6 +156,8 @@ def _resolve_points(req: VerifyRequest, chart: ImmersionChart):
         if lo < dlo - 1e-12 or hi > dhi + 1e-12:
             raise BiconserveError(
                 f"grid range [{lo:g}, {hi:g}] outside chart domain [{dlo:g}, {dhi:g}]")
+    if req.random_points is not None and req.random_points < 0:
+        raise ContractViolation(f"random points must be a count >= 0, got {req.random_points}")
     if req.random_points:
         pts = random_points([(lo, hi) for lo, hi, _ in grid], req.random_points, req.seed)
     else:
@@ -177,10 +179,12 @@ def run_verify(req: VerifyRequest):
     """Execute a verification request; returns (report_dict, exit_code)."""
     chart, entry = _build_target(req)
     grid, pts = _resolve_points(req, chart)
-    if chart.codim == 1:
-        checks = list(req.checks) if req.checks else list(HYPERSURFACE_CHECKS)
-    else:
-        checks = [c for c in (req.checks or LOWDIM_CHECKS) if c in LOWDIM_CHECKS]
+    answered = HYPERSURFACE_CHECKS if chart.codim == 1 else LOWDIM_CHECKS
+    unknown = [c for c in req.checks if c not in answered]
+    if unknown:
+        raise ContractViolation(f"unknown check {unknown[0]!r}; this chart answers "
+                                f"{', '.join(answered)}")
+    checks = list(req.checks or answered)
     tol = dict(DEFAULT_TOLERANCES)
     if req.oracle == "fd":
         tol["biconservative"] = tol["biconservative_fd"]
@@ -321,6 +325,18 @@ def _parse_axis_spec(text: str, names):
     return out
 
 
+def _numbers(text: str, what: str, count: int | None = None) -> list:
+    """The comma-separated numbers of an option, ``count`` of them when given."""
+    want = f"{count} comma-separated numbers" if count else "comma-separated numbers"
+    try:
+        vals = [float(x) for x in text.split(",")]
+    except ValueError:
+        raise ContractViolation(f"{what} takes {want}, got {text!r}") from None
+    if count and len(vals) != count:
+        raise ContractViolation(f"{what} takes {want}, got {len(vals)}")
+    return vals
+
+
 def _request_from_args(args) -> VerifyRequest:
     cfg = {}
     if getattr(args, "config", None):
@@ -344,7 +360,7 @@ def _request_from_args(args) -> VerifyRequest:
     if getattr(args, "n", None) is not None:
         req.parameters["n"] = args.n
     if getattr(args, "offsets", None):
-        req.parameters["a"] = tuple(float(x) for x in args.offsets.split(","))
+        req.parameters["a"] = tuple(_numbers(args.offsets, "--offsets"))
     if getattr(args, "solve_psi", False):
         req.profiles["solve_psi"] = True
     for pname in ("psi", "phi", "phi1", "phi2", "theta"):
@@ -408,12 +424,9 @@ def cmd_classify(args, out=None) -> int:
     try:
         tol = args.tol if args.tol else CLUSTER_TOL
         if args.matrix:
-            S = np.array([float(x) for x in args.matrix.split(",")], dtype=float)
-            if S.size != 16:
-                raise BiconserveError("--matrix needs 16 comma-separated entries")
-            S = S.reshape(4, 4)
+            S = np.reshape(_numbers(args.matrix, "--matrix", 16), (4, 4))
             if args.metric:
-                G = np.array([float(x) for x in args.metric.split(",")]).reshape(4, 4)
+                G = np.reshape(_numbers(args.metric, "--metric", 16), (4, 4))
             else:
                 G = np.diag([-1.0, -1.0, 1.0, 1.0])
             spec = eigen_structure(S, G, tol)
@@ -421,7 +434,7 @@ def cmd_classify(args, out=None) -> int:
             req = _request_from_args(args)
             chart, _ = _build_target(req)
             if args.at:
-                point = [float(x) for x in args.at.split(",")]
+                point = _numbers(args.at, "--at", chart.nparams)
             else:
                 point = list(chart.center())
             pk = packet(chart, point)

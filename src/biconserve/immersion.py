@@ -41,6 +41,7 @@ from .expr import Dag, dag_of, eval_value, eval_values, fd_partial, jet_eval
 
 TAU_CMC = 1e-8
 TAU_NORMAL = 1e-10
+FD_STEP = 5e-4  # packet_fd's step along each axis
 
 
 def tau_deg(gmax: float) -> float:
@@ -622,11 +623,11 @@ def _fd_frame(chart: ImmersionChart, base, dx, ddx, ref, npts: int):
     return G0, N0, B0, S0, np.trace(S0, axis1=1, axis2=2) / n
 
 
-def packet_fd(chart: ImmersionChart, p, h_grad: float = 5e-4) -> FdPacket:
+def packet_fd(chart: ImmersionChart, p) -> FdPacket:
     """Curvature bundle from central differences only (independent oracle).
 
     The chart's first and second partials are nested central differences of
-    its values, at p and at p +- h_grad along each axis.  grad H is the
+    its values, at p and at p +- FD_STEP along each axis.  grad H is the
     centered difference of the scalar H field built from them.  Every value
     comes from ``eval_values`` (array arithmetic, the profiles' array
     ``values``), so no jet arithmetic enters anywhere.
@@ -645,8 +646,8 @@ def packet_fd(chart: ImmersionChart, p, h_grad: float = 5e-4) -> FdPacket:
     i, j = _triu(n)
     eye = np.eye(n, dtype=int)
     steps = np.zeros((2 * n + 1, 1, n))
-    steps[1::2, 0] = h_grad * eye
-    steps[2::2, 0] = -h_grad * eye
+    steps[1::2, 0] = FD_STEP * eye
+    steps[2::2, 0] = -FD_STEP * eye
     # the P points, then all of them moved by + h e_0, by - h e_0, + h e_1, ...
     base = (steps + pts).reshape(-1, n)
     # d_i x and d_i d_j x at every base point: one set of stencil points for
@@ -664,7 +665,7 @@ def packet_fd(chart: ImmersionChart, p, h_grad: float = 5e-4) -> FdPacket:
     G, N, B, S, H = _fd_frame(chart, base, dx, ddx, ref, npts)
     Hn = H[npts:].reshape(2 * n, npts)  # at + h e_0, - h e_0, + h e_1, ...
     G_inv = np.linalg.inv(G[:npts])
-    gradH = _mv(G_inv, ((Hn[0::2] - Hn[1::2]) / (2.0 * h_grad)).T)
+    gradH = _mv(G_inv, ((Hn[0::2] - Hn[1::2]) / (2.0 * FD_STEP)).T)
     one = p.ndim == 1
     G, G_inv, N, B, S, H, gradH, g_amb, dx = [f[0] if one else f[:npts] for f in (
         G, G_inv, N, B, S, H, gradH, _push(gradH, dx[:npts]), dx)]

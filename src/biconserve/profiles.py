@@ -9,16 +9,18 @@ arrays back).  Three entry kinds cover everything the chart
 catalog needs:
 
  * ExprProfile       -- a closed-form expression in s,
- * QuadratureProfile -- f' given in closed form, f recovered by quadrature,
- * PsiSolution       -- the solved torsion profile psi with
-                        psi' = 1/2 + c * (prod_i (s + o_i))^(2/3).
+ * QuadratureProfile -- f' given in closed form (``dexpr``), f recovered by
+                        quadrature,
+ * PsiSolution       -- the QuadratureProfile of the solved torsion profile
+                        psi with psi' = 1/2 + c * (prod_i (s + o_i))^(2/3),
+                        anchored at psi(0) = 0 (cube-root quadrature).
 
-Values of quadrature-backed entries are interpolated barycentrically on
-Chebyshev nodes; derivative ladders always come from the analytic closed
-forms, never from the interpolant.  ``values`` of an interpolated entry
-interpolates each distinct argument once: the stencils of one difference
-quotient share a handful of s values.  Scalar ``value`` is the same
-interpolation on a one-entry array.
+A QuadratureProfile has one interpolated representation: its values are
+interpolated barycentrically on Chebyshev nodes; derivative ladders always
+come from the closed form ``dexpr``, never from the interpolant.
+``values`` interpolates each distinct argument once: the stencils of one
+difference quotient share a handful of s values.  Scalar ``value`` is the
+same interpolation on a one-entry array.
 
 The node values of a quadrature-backed entry are integrals over the gaps
 between successive Chebyshev nodes, chained out from the anchor by
@@ -150,9 +152,45 @@ def _panel_counts(length: np.ndarray) -> np.ndarray:
     return np.maximum(1, np.ceil(np.abs(length) / 0.05)).astype(int)
 
 
-class _Interpolated:
-    """value/values of an entry interpolated on Chebyshev nodes
-    (``_interpolate``) whose derivative is the closed form ``dexpr``."""
+@dataclass(frozen=True, eq=False)
+class QuadratureProfile:
+    """Antiderivative of the closed form ``dexpr``, anchored at (s0, f0) and
+    interpolated on the Chebyshev nodes of [lo, hi]."""
+
+    what = "profile argument"  # how range errors name the argument
+
+    dexpr: Expr
+    s0: float
+    f0: float
+    lo: float
+    hi: float
+    nodes: np.ndarray = field(repr=False)
+    node_values: np.ndarray = field(repr=False)
+    bary_w: np.ndarray = field(repr=False)
+
+    @classmethod
+    def build(cls, dexpr: Expr, s0: float, f0: float, lo: float, hi: float):
+        nodes = _cheb_nodes(lo, hi, DEFAULT_NODES)
+        order = np.argsort(nodes)
+        sorted_nodes = nodes[order]
+        # integrate outward from the anchor through successive gaps: up the
+        # sorted nodes from the anchor's place, then down from just below it
+        start = int(np.searchsorted(sorted_nodes, s0))
+        chains = (sorted_nodes[start:], sorted_nodes[:start][::-1])
+        a = np.concatenate([np.r_[s0, chain][:-1] for chain in chains])
+        b = np.concatenate(chains)
+        parts = gl_integrals(lambda x: eval_values(dexpr, x[:, None]), a, b, _panel_counts(b - a))
+        up, down = (np.cumsum(np.r_[f0, p])[1:] for p in np.split(parts, [len(chains[0])]))
+        values = np.empty_like(nodes)
+        values[order] = np.concatenate((down[::-1], up))
+        return cls(dexpr, s0, f0, lo, hi, nodes, values, _bary_weights(DEFAULT_NODES))
+
+    def check_range(self, x: np.ndarray):
+        _check_range(x, self.lo, self.hi, self.what)
+
+    def _interpolate(self, x: np.ndarray) -> np.ndarray:
+        self.check_range(x)
+        return _bary_eval(self.nodes, self.bary_w, self.node_values, x)
 
     def value(self, x: float) -> float:
         return float(self._interpolate(np.array([float(x)]))[0])
@@ -172,45 +210,6 @@ class _Interpolated:
         head = self.value(x) if x.ndim == 0 else self._interpolate(x)
         return [head] + _deriv_ladder(self.dexpr, x, k)
 
-
-@dataclass(frozen=True, eq=False)
-class QuadratureProfile(_Interpolated):
-    """Antiderivative of a closed-form expression, anchored at (s0, f0)."""
-
-    dexpr: Expr
-    s0: float
-    f0: float
-    lo: float
-    hi: float
-    nodes: np.ndarray = field(repr=False, default=None)
-    node_values: np.ndarray = field(repr=False, default=None)
-    bary_w: np.ndarray = field(repr=False, default=None)
-
-    @classmethod
-    def build(cls, dexpr: Expr, s0: float, f0: float, lo: float, hi: float,
-              n_nodes: int = DEFAULT_NODES):
-        nodes = _cheb_nodes(lo, hi, n_nodes)
-        order = np.argsort(nodes)
-        sorted_nodes = nodes[order]
-        # integrate outward from the anchor through successive gaps: up the
-        # sorted nodes from the anchor's place, then down from just below it
-        start = int(np.searchsorted(sorted_nodes, s0))
-        chains = (sorted_nodes[start:], sorted_nodes[:start][::-1])
-        a = np.concatenate([np.r_[s0, chain][:-1] for chain in chains])
-        b = np.concatenate(chains)
-        parts = gl_integrals(lambda x: eval_values(dexpr, x[:, None]), a, b, _panel_counts(b - a))
-        up, down = (np.cumsum(np.r_[f0, p])[1:] for p in np.split(parts, [len(chains[0])]))
-        values = np.empty_like(nodes)
-        values[order] = np.concatenate((down[::-1], up))
-        return cls(dexpr, s0, f0, lo, hi, nodes, values, _bary_weights(n_nodes))
-
-    def check_range(self, x: np.ndarray):
-        _check_range(x, self.lo, self.hi, "profile argument")
-
-    def _interpolate(self, x: np.ndarray) -> np.ndarray:
-        self.check_range(x)
-        return _bary_eval(self.nodes, self.bary_w, self.node_values, x)
-
     def derivs(self, x, k: int):  # each entry class has its own (perfbench traces them)
         return self._derivs(x, k)
 
@@ -224,7 +223,7 @@ def _offset_product(offsets) -> Expr:
 
 
 @dataclass(frozen=True, eq=False)
-class PsiSolution(_Interpolated):
+class PsiSolution(QuadratureProfile):
     """psi(s) = s/2 + c * integral_0^s (prod_i (xi + o_i))^(2/3) dxi.
 
     The integrand's 2/3 power is evaluated as cbrt(x)^2 so the cube-root
@@ -233,21 +232,13 @@ class PsiSolution(_Interpolated):
     range, matching the sign hypotheses under which the profile is used.
     """
 
-    a: float | None
-    b: float | None
+    what = "psi argument"
+
     c: float
     offsets: tuple
-    s_grid: np.ndarray = field(repr=False, default=None)
-    psi_values: np.ndarray = field(repr=False, default=None)
-    dpsi_values: np.ndarray = field(repr=False, default=None)
-    ddpsi_values: np.ndarray = field(repr=False, default=None)
-    interpolation_order: int = DEFAULT_NODES
-    bary_w: np.ndarray = field(repr=False, default=None)
-    dexpr: Expr = None
 
     @classmethod
-    def build(cls, offsets, c: float, s_range, n_nodes: int = DEFAULT_NODES,
-              a: float | None = None, b: float | None = None):
+    def build(cls, offsets, c: float, s_range):
         if c == 0.0:
             raise ContractViolation("the profile constant c must be non-zero")
         lo, hi = float(s_range[0]), float(s_range[1])
@@ -274,7 +265,7 @@ class PsiSolution(_Interpolated):
                     vals *= np.cbrt(w ** 3 + o) ** 2
             return 3.0 * w * w * vals
 
-        nodes = _cheb_nodes(lo, hi, n_nodes)
+        nodes = _cheb_nodes(lo, hi, DEFAULT_NODES)
         order = np.argsort(nodes)
         sorted_nodes = nodes[order]
         w = np.cbrt(sorted_nodes)
@@ -282,36 +273,20 @@ class PsiSolution(_Interpolated):
         panels = _panel_counts(4 * (w - w_lo))
         panels[0] = max(panels[0], 8)
         acc = np.cumsum(np.r_[0.0, gl_integrals(integrand_w, w_lo, w, panels)])[1:]
-        psi_vals = np.empty_like(nodes)
-        psi_vals[order] = sorted_nodes / 2.0 + c * acc
-        dpsi = eval_values(dexpr, nodes[:, None])
-        ddpsi = _jet_at(dexpr, nodes, 1).partial((1,))
-        return cls(a, b, c, offsets, nodes, psi_vals, dpsi, ddpsi,
-                   n_nodes, _bary_weights(n_nodes), dexpr)
-
-    def check_range(self, x: np.ndarray):
-        _check_range(x, self.s_grid.min(), self.s_grid.max(), "psi argument")
-
-    def _interpolate(self, x: np.ndarray) -> np.ndarray:
-        self.check_range(x)
-        return _bary_eval(self.s_grid, self.bary_w, self.psi_values, x)
+        values = np.empty_like(nodes)
+        values[order] = sorted_nodes / 2.0 + c * acc
+        return cls(dexpr, 0.0, 0.0, float(sorted_nodes[0]), float(sorted_nodes[-1]), nodes,
+                   values, _bary_weights(DEFAULT_NODES), c, offsets)
 
     def derivs(self, x, k: int):
         return self._derivs(x, k)
 
 
-def solve_psi(a: float, b: float, c: float, s_range=(0.5, 2.0),
-              n_nodes: int = DEFAULT_NODES) -> PsiSolution:
+def solve_psi(a: float, b: float, c: float, s_range=(0.5, 2.0)) -> PsiSolution:
     """Solved biconservative profile for the explicit four-curvature chart."""
     if a == 0.0:
         raise ContractViolation("parameter a must be non-zero")
-    return PsiSolution.build((0.0, 2.0 * a, 2.0 * b), c, s_range, n_nodes, a=a, b=b)
-
-
-def solve_psi_offsets(offsets, c: float, s_range=(0.5, 2.0),
-                      n_nodes: int = DEFAULT_NODES) -> PsiSolution:
-    """Generalized profile with one pole term per offset (arbitrary count)."""
-    return PsiSolution.build(offsets, c, s_range, n_nodes)
+    return PsiSolution.build((0.0, 2.0 * a, 2.0 * b), c, s_range)
 
 
 _POLE_TOL = 1e-8
@@ -334,12 +309,12 @@ def psi_ode_residual(entry, a: float, b: float, s: float) -> float:
     return psi_ode_residual_general(entry, (0.0, 2.0 * a, 2.0 * b), s)
 
 
-def rk4_solve(f, s0: float, y0: float, s_grid) -> np.ndarray:
-    """Classic fourth-order step integration of y' = f(s, y) through s_grid."""
-    s_grid = np.asarray(s_grid, dtype=float)
-    out = np.empty_like(s_grid)
+def rk4_solve(f, s0: float, y0: float, grid) -> np.ndarray:
+    """Classic fourth-order step integration of y' = f(s, y) through grid."""
+    grid = np.asarray(grid, dtype=float)
+    out = np.empty_like(grid)
     s, y = s0, y0
-    for i, target in enumerate(s_grid):
+    for i, target in enumerate(grid):
         span = target - s
         nsub = max(1, int(math.ceil(abs(span) / 1e-3)))
         h = span / nsub
@@ -374,8 +349,7 @@ PAIR_KINDS = {
 
 
 def make_profile_pair(kind: str, theta, s_range, s0: float | None = None,
-                      phi0: float = 1.2, psi0: float = 0.3,
-                      n_nodes: int = DEFAULT_NODES):
+                      phi0: float = 1.2, psi0: float = 0.3):
     """Unit-constraint profile pair (phi, psi) from an angle function theta(s)."""
     if kind not in PAIR_KINDS:
         raise ContractViolation(f"unknown pair kind {kind!r}")
@@ -385,8 +359,8 @@ def make_profile_pair(kind: str, theta, s_range, s0: float | None = None,
     if s0 is None:
         s0 = (lo + hi) / 2.0
     f_phi, f_psi = PAIR_KINDS[kind]
-    phi = QuadratureProfile.build(Call(f_phi, theta), s0, phi0, lo, hi, n_nodes)
-    psi = QuadratureProfile.build(Call(f_psi, theta), s0, psi0, lo, hi, n_nodes)
+    phi = QuadratureProfile.build(Call(f_phi, theta), s0, phi0, lo, hi)
+    psi = QuadratureProfile.build(Call(f_psi, theta), s0, psi0, lo, hi)
     return phi, psi
 
 
@@ -407,7 +381,7 @@ class DerivativeProfile:
     """View of another profile entry shifted by one derivative order.
 
     ``values`` evaluates the base's closed-form derivative ``dexpr`` (a
-    QuadratureProfile or PsiSolution) on the whole array.  A base without
+    QuadratureProfile, PsiSolution included) on the whole array.  A base without
     one, an ExprProfile, is differentiated by one block jet at order 1.
     """
 

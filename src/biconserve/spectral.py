@@ -363,7 +363,7 @@ def _pattern(code: int) -> str:
     return "+".join([str(m) for m in algs if m] + ["2c"] * (code % 3))
 
 
-# -- canonical planted forms (for self-tests and the synthetic CLI path) ---
+# -- canonical planted forms (test models of each case) ---------------------
 
 
 def canonical_pair(case: str, params: dict | None = None):

@@ -218,8 +218,8 @@ def _block_table(chart: ImmersionChart, pts: np.ndarray, checks, oracle: str) ->
         block["biconservative"] = biconservative_residual(chart, pts, tpk)
     if not error and "principal_direction" in checks:
         block["principal_direction"] = principal_direction_check(chart, pts, tpk)
-    for name, v in block.items():
-        table.values[:, COLUMNS.index(name)], table.has[:, COLUMNS.index(name)] = v, True
+    for name in block.keys() & set(checks):  # one gauss_codazzi_residual call answers both
+        table.values[:, COLUMNS.index(name)], table.has[:, COLUMNS.index(name)] = block[name], True
     if hyper:
         table.H[:], table.hyper[:], table.cmc[:] = pk.H, True, tpk.is_cmc_point
         table.has[:, -1] &= ~table.cmc  # no principal direction at a CMC point

@@ -217,7 +217,7 @@ def test_oracle_only_failures_inside_a_block():
     chart = dict(CHARTS)["ex41 solved"]
     pts = random_points(((0.6, 1.4), (-0.5, 0.5), (-0.5, 0.5), (-0.5, 0.5)), 20, 6)
     bad = [2, 9, 10]
-    pts[bad, 0] = chart.profile_bank["psi"].s_grid.max() - 3e-4
+    pts[bad, 0] = chart.profile_bank["psi"].nodes.max() - 3e-4
     checks = HYPERSURFACE_CHECKS
     rows = sweep(chart, pts, checks, oracle="fd")
     jets = sweep(chart, pts, checks)

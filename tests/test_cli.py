@@ -10,7 +10,7 @@ import pytest
 
 from biconserve.catalog import FamilySpec, build
 from biconserve.cli import VerifyRequest, _request_from_args, main, make_parser, run_verify
-from biconserve.sweep import interior_grid
+from biconserve.sweep import HYPERSURFACE_CHECKS, LOWDIM_CHECKS, interior_grid
 
 
 def run(argv):
@@ -424,3 +424,32 @@ def test_domain_spec_over_a_short_config_domain_is_a_usage_error(tmp_path):
     code, text = run(["verify", "--config", str(path), "--domain", "v=-0.1:0.1"])
     assert code == 2
     assert text == "error [ex41]: domain has 2 axes, chart has 4\n"
+
+
+@pytest.mark.parametrize("target, check", [("ex41", "foo"), ("intsurf.ii", "biconservative"),
+                                           ("ex41", "curvatures")])
+def test_a_check_the_chart_does_not_answer_is_a_usage_error(target, check):
+    code, text = run(["verify", target, "--checks", check])
+    answered = HYPERSURFACE_CHECKS if target == "ex41" else LOWDIM_CHECKS
+    assert code == 2
+    assert text.startswith(f"error [{target}]: ") and text.count("\n") == 1
+    assert repr(check) in text and ", ".join(answered) in text
+
+
+PLANTED = "-1.4,0,0,0,0,1.3,-0.9,0,0,0.9,1.3,0,0,0,0,2.1"
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["verify", "ex41", "--random-points", "-1"], "random points"),
+    (["classify", "ex41", "--at", "0.5,0,0"], "--at takes 4"),
+    (["classify", "ex41", "--at", "0.5,0,0,0,0"], "--at takes 4"),
+    (["classify", "ex41", "--at", "a,0,0,0"], "--at takes 4"),
+    (["classify", "--matrix=" + PLANTED, "--metric", "1,2"], "--metric takes 16"),
+    (["classify", "--matrix", "x" + PLANTED[4:]], "--matrix takes 16"),
+    (["verify", "rem42", "--offsets", "1,b"], "--offsets"),
+])
+def test_malformed_numbers_are_a_usage_error(argv, option):
+    code, text = run(argv)
+    assert code == 2
+    assert text.startswith("error") and text.count("\n") == 1
+    assert option in text

@@ -343,7 +343,7 @@ def test_special_rows_are_the_per_point_reference(monkeypatch, case):
     else:  # the oracle fails at two points, the jet route does not
         chart = build(FamilySpec("ex41", profiles={"solve_psi": True, "c": 1.0}))
         pts = random_points(((0.6, 1.4), (-0.5, 0.5), (-0.5, 0.5), (-0.5, 0.5)), 12, 6)
-        pts[[2, 9], 0] = chart.profile_bank["psi"].s_grid.max() - 3e-4
+        pts[[2, 9], 0] = chart.profile_bank["psi"].nodes.max() - 3e-4
         oracle = "fd"
     table = sweep(chart, pts, checks, oracle=oracle)
     assert_rows_equal(table, ref_rows(monkeypatch, chart, pts, checks, oracle))
@@ -447,6 +447,17 @@ def test_pool_and_pickle_keep_the_columns():
                 assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f") \
                     if isinstance(a, np.ndarray) else a == b, f.name
         assert_rows_equal(other, table)
+
+
+@pytest.mark.parametrize("asked, other", [("gauss", "codazzi"), ("codazzi", "gauss")])
+def test_a_table_holds_only_the_requested_checks(asked, other):
+    # one gauss_codazzi_residual call answers both; the table keeps the one asked for
+    pts = grid_points(((0.6, 1.4),) + ((-0.5, 0.5),) * 3, 2)
+    table = sweep(build(FamilySpec("ex41")), pts, (asked,))
+    assert len(table.column(asked)[0]) == len(pts)
+    assert len(table.column(other)[0]) == 0
+    report, _ = cli.run_verify(cli.VerifyRequest(target="ex41", checks=[asked], per_point=True))
+    assert all(set(row["values"]) == {asked} for row in report["rows"])
 
 
 def test_verify_makes_no_per_point_object(monkeypatch):

@@ -38,3 +38,12 @@ def test_a_removed_field_is_listed(diff_reports):
 def test_equal_reports_list_nothing(diff_reports):
     report = {"spectral": {"labels": {}, "curvature_max": None}, "notes": []}
     assert _moves(diff_reports, report, dict(report)) == {}
+
+
+def test_classify_cases_are_diffed(diff_reports):
+    from biconserve import catalog
+
+    argvs = [argv for _, argv in diff_reports.cases(catalog)]
+    assert len(argvs) == 80
+    assert ["classify", "ex41", "--solve-psi"] in argvs
+    assert ["classify", "thm3.viii", "--at", "0.7,0,0,0"] in argvs

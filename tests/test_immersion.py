@@ -404,7 +404,7 @@ def test_fd_packet_names_the_point_whose_normal_is_lightlike():
     with pytest.raises(DegenerateNormal) as err:
         packet_fd(chart, (1.0, 0.2, 0.3, 0.4))
     assert err.value.point == (1.0, 0.2, 0.3, 0.4)
-    # only the stencil neighbour at s + h_grad sits on s = 1
+    # only the stencil neighbour at s + FD_STEP sits on s = 1
     centre = np.array([1.0 - 5e-4, 0.2, 0.3, 0.4])
     with pytest.raises(DegenerateNormal) as err:
         packet_fd(chart, centre)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from biconserve.errors import ContractViolation, DomainError
-from biconserve.profiles import (DerivativeProfile, ExprProfile,
+from biconserve.profiles import (DerivativeProfile, ExprProfile, PsiSolution,
                                  check_derivative_consistency, constraint_residual,
                                  make_profile_pair, psi_ode_residual,
                                  psi_ode_residual_general, psi_ode_rhs, rk4_solve,
-                                 solve_psi, solve_psi_offsets)
-from biconserve.expr import parse
+                                 solve_psi)
+from biconserve.expr import eval_values, parse
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +73,7 @@ def test_generalized_offsets_reduce_to_pair_form(psi_12):
 
 def test_generalized_solution_passes_oracle():
     offsets = (1.0, 2.5, 4.0, 6.5)
-    entry = solve_psi_offsets(offsets, 0.7, (0.5, 2.0))
+    entry = PsiSolution.build(offsets, 0.7, (0.5, 2.0))
     worst = max(psi_ode_residual_general(entry, offsets, s)
                 for s in np.linspace(0.55, 1.95, 100))
     assert worst < 1e-9
@@ -88,7 +88,7 @@ def test_equal_offsets_only_oracle_agreement():
     # no closed form is assumed for coincident offsets: the integrated
     # trajectory is the reference
     offsets = (2.0, 2.0, 2.0)
-    entry = solve_psi_offsets(offsets, 1.0, (0.5, 2.0))
+    entry = PsiSolution.build(offsets, 1.0, (0.5, 2.0))
     grid = np.linspace(0.5, 2.0, 101)
     traj = rk4_solve(psi_ode_rhs(offsets), 0.5, entry.derivs(0.5, 1)[1], grid)
     closed = np.array([entry.derivs(s, 1)[1] for s in grid])
@@ -96,16 +96,16 @@ def test_equal_offsets_only_oracle_agreement():
 
 
 def test_psi_solution_fields(psi_12):
-    assert psi_12.a == 1.0 and psi_12.b == 2.0 and psi_12.c == 1.0
-    assert np.all(np.diff(np.sort(psi_12.s_grid)) > 0)
-    assert np.all(2 * psi_12.dpsi_values - 1 > 0)
+    assert psi_12.c == 1.0
+    assert np.all(np.diff(np.sort(psi_12.nodes)) > 0)
+    dpsi = eval_values(psi_12.dexpr, psi_12.nodes[:, None])
+    assert np.all(2 * dpsi - 1 > 0)
     # stored node data matches the derivative ladder
-    i = len(psi_12.s_grid) // 3
-    s = psi_12.s_grid[i]
+    i = len(psi_12.nodes) // 3
+    s = psi_12.nodes[i]
     d = psi_12.derivs(s, 2)
-    assert d[0] == pytest.approx(psi_12.psi_values[i], rel=1e-12)
-    assert d[1] == pytest.approx(psi_12.dpsi_values[i], rel=1e-12)
-    assert d[2] == pytest.approx(psi_12.ddpsi_values[i], rel=1e-12)
+    assert d[0] == pytest.approx(psi_12.node_values[i], rel=1e-12)
+    assert d[1] == pytest.approx(dpsi[i], rel=1e-12)
 
 
 def test_derivative_consistency_quadrature(psi_12):
@@ -166,14 +166,14 @@ def test_array_values_match_pointwise_derivs(psi_12):
     entries = [psi_12, phi, expr_entry, DerivativeProfile(psi_12),
                DerivativeProfile(phi), DerivativeProfile(expr_entry)]
     x = np.concatenate([np.linspace(0.55, 1.55, 23),
-                        [1.0, 1.0, psi_12.s_grid[60], phi.nodes[70]]])  # repeats, exact nodes
+                        [1.0, 1.0, psi_12.nodes[60], phi.nodes[70]]])  # repeats, exact nodes
     for entry in entries:
         got = entry.values(x)
         ref = np.array([entry.derivs(xi, 0)[0] for xi in x])
         assert got.shape == x.shape
         assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), type(entry).__name__
     # an exact node returns the stored node value
-    assert psi_12.values(psi_12.s_grid[60:61])[0] == psi_12.psi_values[60]
+    assert psi_12.values(psi_12.nodes[60:61])[0] == psi_12.node_values[60]
     assert phi.values(phi.nodes[70:71])[0] == phi.node_values[70]
 
 
@@ -192,7 +192,7 @@ def test_array_values_domain_guard(psi_12):
 
 
 def test_range_error_quotes_the_argument_farthest_outside(psi_12):
-    lo, hi = psi_12.s_grid.min(), psi_12.s_grid.max()
+    lo, hi = psi_12.nodes.min(), psi_12.nodes.max()
     outside = [hi + 2e-4, lo - 3e-4, hi + 5e-4, lo - 1e-4]
 
     def quoted(x):
@@ -380,5 +380,5 @@ def test_quadrature_profile_is_bitwise_the_gap_loop(s0):
     ((1.0,), lambda s, c: s / 2 + 0.6 * c * ((s + 1) ** (5 / 3) - 1)),
 ])
 def test_psi_solution_node_values_match_the_closed_form(offsets, closed):
-    entry = solve_psi_offsets(offsets, 0.7, (0.5, 2.0))
-    assert np.max(np.abs(entry.psi_values - closed(entry.s_grid, 0.7))) < 1e-13
+    entry = PsiSolution.build(offsets, 0.7, (0.5, 2.0))
+    assert np.max(np.abs(entry.node_values - closed(entry.nodes, 0.7))) < 1e-13

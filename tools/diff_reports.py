@@ -1,4 +1,4 @@
-"""Write the `verify` reports of a source tree, and diff two such runs.
+"""Write the CLI outputs of a source tree, and diff two such runs.
 
     python3 tools/diff_reports.py write SRC OUT_DIR
     python3 tools/diff_reports.py diff OLD_DIR NEW_DIR
@@ -10,18 +10,21 @@ catalog keys with their default profiles, the ex41 negative control
 the control.  It also runs ``verify --per-point`` on the solved ex41 and on
 the control, with either oracle, ``verify`` on rem42 with ``--psi s^2``
 and on its solved profile with ``--n 5`` and its own ``c`` (with either
-oracle, so that the oracle runs at n = 5 too), and ``sample``
+oracle, so that the oracle runs at n = 5 too), ``sample``
 on one pair family and on ``rem42 --n 5``, so that every row a sweep gives
-is compared, not only the summaries.  Each case's argv, exit code and
-printed output go to one JSON file in OUT_DIR.
+is compared, not only the summaries, and ``classify`` at the solved ex41's
+centre and at one thm3.viii point, so that the one-point ``eigen_structure``
+path is compared too.  Each case's argv, exit code and printed output go
+to one JSON file in OUT_DIR.
 
 ``diff`` compares two such directories case by case: whether the printed
 output is byte-identical, whether the exit code moved, and every report
 field whose value differs, with its relative change |a - b| / max(|a|, |b|)
 for numbers; a field only one report has, empty containers and nulls
-included, reads ``<absent>`` on the other side.  A ``sample`` case prints CSV, not a report: its first
-differing line is printed and counts as a moved verdict.  A moved argmax point (two grid points whose values tie
-within rounding) is listed and counted apart.  It prints the largest
+included, reads ``<absent>`` on the other side.  A ``sample`` or
+``classify`` case prints CSV or text, not a report: its first differing
+line is printed and counts as a moved verdict.  A moved argmax point (two
+grid points whose values tie within rounding) is listed and counted apart.  It prints the largest
 relative and the largest absolute change per case kind, and the same two
 split at a magnitude of SMALL = 1e-12: the largest relative change among
 values above it, the largest absolute change among values at or below it
@@ -60,6 +63,8 @@ def cases(catalog):
     out = [(name, ["verify", *argv, "--emit-report"]) for name, argv in out]
     out.append(("sample thm1.ii", ["sample", "thm1.ii"]))
     out.append(("sample rem42 n=5", ["sample", "rem42", "--n", "5", "--offsets", "1,2,3,4"]))
+    out.append(("classify ex41 solved", ["classify", "ex41", "--solve-psi"]))
+    out.append(("classify thm3.viii", ["classify", "thm3.viii", "--at", "0.7,0,0,0"]))
     return out
 
 
@@ -156,7 +161,7 @@ def diff(old_dir: str, new_dir: str) -> int:
         if old["exit_code"] != new["exit_code"]:
             print(f"  exit code {old['exit_code']} -> {new['exit_code']}")
             moved_verdicts += 1
-        if new["argv"][0] == "sample":
+        if new["argv"][0] in ("sample", "classify"):
             lines = [(a, b) for a, b in zip(old["stdout"].splitlines(), new["stdout"].splitlines())
                      if a != b]
             print(f"  first differing line: {lines[0] if lines else 'line count'}")
