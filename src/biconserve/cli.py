@@ -36,6 +36,9 @@ from .sweep import (COLUMNS, DEFAULT_TOLERANCES, HYPERSURFACE_CHECKS, LOWDIM_CHE
                     sweep)
 
 SCHEMA = 1
+# the checks with a --tol-<name> option of their own
+TOLERANCE_FLAGS = ("biconservative", "beltrami", "gauss", "codazzi", "principal_direction",
+                   "unit_normal")
 
 
 @dataclass
@@ -337,6 +340,24 @@ def _numbers(text: str, what: str, count: int | None = None) -> list:
     return vals
 
 
+def _tolerance(flag: str, value):
+    """``value``, a tolerance given by ``flag``: a number >= 0 (0 keeps its meaning)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value >= 0:
+        raise ContractViolation(f"{flag} takes a number >= 0, got {value!r}")
+    return value
+
+
+def _seed(flag: str, value) -> int:
+    """The seed of ``--random-points``, given by ``flag``: an integer >= 0."""
+    try:
+        seed = int(value)
+    except (TypeError, ValueError):
+        seed = -1
+    if seed < 0:
+        raise ContractViolation(f"{flag} takes an integer >= 0, got {value!r}")
+    return seed
+
+
 def _request_from_args(args) -> VerifyRequest:
     cfg = {}
     if getattr(args, "config", None):
@@ -345,10 +366,12 @@ def _request_from_args(args) -> VerifyRequest:
     req = VerifyRequest(target=args.target or cfg.get("target", ""))
     for key in ("parameters", "profiles", "tolerances"):
         req.__setattr__(key, dict(cfg.get(key) or {}))
+    for tname, val in req.tolerances.items():
+        _tolerance(f"--tol-{tname.replace('_', '-')} (in --config)", val)
     req.domain = cfg.get("domain")
     req.grid = cfg.get("grid")
     req.random_points = cfg.get("random_points")
-    req.seed = int(cfg.get("seed", 0))
+    req.seed = _seed("--seed (in --config)", cfg.get("seed", 0))
     req.checks = list(cfg.get("checks") or [])
     req.oracle = cfg.get("oracle", "jets")
     req.jobs = int(cfg.get("jobs", 0) or 0)
@@ -382,15 +405,14 @@ def _request_from_args(args) -> VerifyRequest:
         req.grid_spec = args.grid
     if getattr(args, "checks", None):
         req.checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-    for tname in ("biconservative", "beltrami", "gauss", "codazzi",
-                  "principal_direction", "unit_normal"):
+    for tname in TOLERANCE_FLAGS:
         val = getattr(args, f"tol_{tname}", None)
         if val is not None:
-            req.tolerances[tname] = val
+            req.tolerances[tname] = _tolerance(f"--tol-{tname.replace('_', '-')}", val)
     if getattr(args, "random_points", None) is not None:
         req.random_points = args.random_points
     if getattr(args, "seed", None) is not None:
-        req.seed = args.seed
+        req.seed = _seed("--seed", args.seed)
     if getattr(args, "oracle", None):
         req.oracle = args.oracle
     jobs = getattr(args, "jobs", None)
@@ -422,6 +444,8 @@ def cmd_verify(args, out=None) -> int:
 def cmd_classify(args, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
+        if args.tol is not None:
+            _tolerance("--tol", args.tol)
         tol = args.tol if args.tol else CLUSTER_TOL
         if args.matrix:
             S = np.reshape(_numbers(args.matrix, "--matrix", 16), (4, 4))
@@ -543,8 +567,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--checks",
                        help="comma list: biconservative,beltrami,gauss,codazzi,"
                             "unit_normal,principal_direction,structure")
-    for tname in ("biconservative", "beltrami", "gauss", "codazzi",
-                  "principal_direction", "unit_normal"):
+    for tname in TOLERANCE_FLAGS:
         p_ver.add_argument(f"--tol-{tname.replace('_', '-')}", type=float,
                            dest=f"tol_{tname}")
     p_ver.add_argument("--per-point", action="store_true", dest="per_point")

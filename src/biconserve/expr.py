@@ -18,6 +18,18 @@ of a function call or a power (or, on the jet route, of any derivative
 ladder) names that node, a non-finite result of the plain arithmetic names
 the whole tree.
 
+A constant operand of + - *, and a constant numerator, is a float on both
+routes: the other operand's own scalar arithmetic takes it (a tree made
+only of constants still gives a jet or an array).  On the jet route a
+function of a coordinate, that is a function call, a fractional power, a
+profile call or the reciprocal of a division whose argument is a bare
+variable, is its derivative ladder f^(m)(x) / m! placed on that variable's
+pure powers (``Jet.compose`` with the variable's axis), with no jet
+product; any other argument is composed by Horner's rule.  Each gives the
+values of the general arithmetic (a constant jet operand, Horner's rule on
+the coordinate), whose products there only multiply by 0.0 and 1.0 and add
+0.0; only the sign of an exact zero can differ.
+
 Each evaluator takes one tree or a ``Dag``: several trees (a chart's
 components) whose equal subtrees are one node.  A tree is the one-root case.
 The roots are walked in order, depth first, as tree by tree; a non-leaf node
@@ -204,9 +216,6 @@ def _roots(route, expr, leaves, bank):
     return [_check_node(root, _eval(root, leaves, bank, memo, route)) for root in dag.roots]
 
 
-_UNARY = {name: getattr(_jetops, name) for name in ("sin", "cos", "sinh", "cosh", "exp", "sqrt")}
-
-
 def _named(node: Expr, err: DomainError) -> DomainError:
     return DomainError(f"{err} in {node_repr(node)}")
 
@@ -222,6 +231,8 @@ def _check_node(node: Expr, out):
 # negation: a constant shaped like a leaf, the guarded reciprocal, a power and
 # a function call (each checked finite where the route checks), a profile
 # entry's own values at the argument, and their composition with the argument.
+# The four that take an argument also take its axis: the variable's index
+# when the argument is a coordinate (a ``Var``), else None.
 _Route = namedtuple("_Route", "const reciprocal power call profile compose")
 
 
@@ -235,43 +246,69 @@ _JETS = _Route(
     const=lambda value, leaf: Jet.constant(leaf.space, leaf.order,
                                            np.full(leaf.c.shape[1:], value)),
     reciprocal=Jet.reciprocal,
-    power=lambda u, p: _finite(_jetops.powr(u, p)),
-    call=lambda fn, u: _UNARY[fn](u),
+    power=lambda u, p, axis: _finite(_jetops.powr(u, p, axis)),
+    call=_jetops.apply,
     profile=lambda entry, u: entry.derivs(u.value, u.order),
     compose=Jet.compose,
 )
+
+
+def _axis(node: Expr):
+    """The variable's index if ``node`` is a coordinate, else None."""
+    return node.index if type(node) is Var else None
+
+
+def _operands(node: Expr, leaves: list, bank, memo: dict, route):
+    """The two operands of + - *: a ``Const`` is its float, which the other
+    operand's own scalar arithmetic takes (a node of two constants keeps its
+    first operand a constant of the route, so the node still gives one)."""
+    a, b = node.a, node.b
+    if type(b) is Const:
+        return _eval(a, leaves, bank, memo, route), b.value
+    if type(a) is Const:
+        return a.value, _eval(b, leaves, bank, memo, route)
+    return _eval(a, leaves, bank, memo, route), _eval(b, leaves, bank, memo, route)
 
 
 def _eval(node: Expr, leaves: list, bank, memo: dict, route):
     """The value of ``node`` on ``route`` from the leaves (one per variable).
 
     A DomainError of a reciprocal, a power, a function call or a profile's
-    composition names the node; a Div evaluates its denominator first.
+    composition names the node; a Div evaluates its denominator first.  A
+    constant operand of + - *, or a constant numerator, is a float (see
+    ``_operands``).
     """
     if (slot := memo.get(id(node))) and slot[1] is not None:
         slot[0] -= 1  # a shared node's value, dropped at its last use
         return slot[1] if slot[0] else memo.pop(id(node))[1]
     kind = type(node)  # the node classes are final: identity, not isinstance
     if kind is Mul:
-        out = _eval(node.a, leaves, bank, memo, route) * _eval(node.b, leaves, bank, memo, route)
+        a, b = _operands(node, leaves, bank, memo, route)
+        out = a * b
     elif kind is Add:
-        out = _eval(node.a, leaves, bank, memo, route) + _eval(node.b, leaves, bank, memo, route)
+        a, b = _operands(node, leaves, bank, memo, route)
+        out = a + b
     elif kind is Var:
         out = leaves[node.index]
     elif kind is Const:
         out = route.const(node.value, leaves[0])
     elif kind is Sub:
-        out = _eval(node.a, leaves, bank, memo, route) - _eval(node.b, leaves, bank, memo, route)
+        a, b = _operands(node, leaves, bank, memo, route)
+        out = a - b
     elif kind is Pow or kind is Call:
         try:
             u = _eval(node.a, leaves, bank, memo, route)
-            out = route.power(u, node.exponent) if kind is Pow else route.call(node.fn, u)
+            axis = _axis(node.a)
+            out = (route.power(u, node.exponent, axis) if kind is Pow
+                   else route.call(node.fn, u, axis))
         except DomainError as e:
             raise _named(node, e) from None
     elif kind is Div:
         den = _eval(node.b, leaves, bank, memo, route)
         try:
-            out = _eval(node.a, leaves, bank, memo, route) * route.reciprocal(den)
+            a = node.a
+            num = a.value if type(a) is Const else _eval(a, leaves, bank, memo, route)
+            out = num * route.reciprocal(den, _axis(node.b))
         except DomainError as e:
             raise _named(node, e) from None
     elif kind is Neg:
@@ -282,7 +319,7 @@ def _eval(node: Expr, leaves: list, bank, memo: dict, route):
         u = _eval(node.a, leaves, bank, memo, route)
         vals = route.profile(bank[node.name], u)
         try:
-            out = route.compose(u, vals)
+            out = route.compose(u, vals, _axis(node.a))
         except DomainError as e:
             raise _named(node, e) from None
     else:
@@ -347,11 +384,11 @@ def _powr_values(u: np.ndarray, p: float) -> np.ndarray:
 # the oracle's own arithmetic: plain values, independent of the jets
 _ARRAYS = _Route(
     const=lambda value, leaf: np.full(len(leaf), value),
-    reciprocal=_reciprocal,
-    power=lambda u, p: _finite(_powr_values(u, p)),
-    call=lambda fn, u: _finite(_powr_values(u, 0.5) if fn == "sqrt" else _UFUNC[fn](u)),
+    reciprocal=lambda den, axis: _reciprocal(den),
+    power=lambda u, p, axis: _finite(_powr_values(u, p)),
+    call=lambda fn, u, axis: _finite(_powr_values(u, 0.5) if fn == "sqrt" else _UFUNC[fn](u)),
     profile=lambda entry, u: np.asarray(entry.values(u), dtype=float),
-    compose=lambda u, vals: vals,
+    compose=lambda u, vals, axis: vals,
 )
 
 
@@ -594,7 +631,7 @@ class _Parser:
                 self.take()
                 arg = self.expr()
                 self.expect_op(")")
-                if val in _UNARY:
+                if val in _jetops.LADDERS:
                     return Call(val, arg)
                 return ProfileCall(val, arg)
             if val in self.vars:

@@ -8,10 +8,16 @@ arithmetic it would get alone.  A domain guard raises for the block when any
 of its points fails, reporting the first failing point's value; callers that
 need per-point errors retry smaller blocks.
 
-Binary operations truncate to the lower of the two operand orders; unary
-analytic functions are applied by Horner composition of the univariate
-derivative ladder with the nilpotent part of the argument, so one
-multiplication table drives everything.
+Binary operations truncate to the lower of the two operand orders; a
+number (or one number per point) is an operand of its own: it scales or
+shifts the coefficients, with no product.  A unary analytic function has one
+univariate derivative ladder f^(m)(x), m = 0..order (``LADDERS``, the
+reciprocal's and the real power's).  Composed with a general jet, the ladder
+goes through Horner's rule over the multiplication table with the nilpotent
+part of the argument.  Composed with a coordinate (a ``Jet.variable``), it
+is placed as it is: f^(m)(x) / m! on the pure powers m e_i.  That is the
+value Horner's rule gives there, whose products by the coordinate only
+multiply by 0.0 and 1.0 and add 0.0; only an exact zero's sign can differ.
 """
 
 from __future__ import annotations
@@ -126,7 +132,7 @@ class Jet:
         return Jet(self.space, r, self.c[:n] - o.c[:n])
 
     def __rsub__(self, other):
-        c = -self.c
+        c = 0.0 - self.c  # not -self.c: a constant jet's difference, zero signs included
         c[0] += other
         return Jet(self.space, self.order, c)
 
@@ -149,24 +155,29 @@ class Jet:
     def __rtruediv__(self, other):
         return self.reciprocal() * other
 
-    def reciprocal(self) -> "Jet":
-        u0 = self.c[0]
-        guard(np.abs(u0) <= TAU_DIV, u0, "division by near-zero value")
-        dvals = [1.0 / u0]
-        for m in range(1, self.order + 1):
-            dvals.append(-m * dvals[m - 1] / u0)
-        return self.compose(dvals)
+    def reciprocal(self, axis=None) -> "Jet":
+        """1 / self; ``axis`` as for ``compose``."""
+        return self.compose(_reciprocal_ladder(self.c[0], self.order), axis)
 
     # -- analytic functions -------------------------------------------
 
-    def compose(self, dvals) -> "Jet":
+    def compose(self, dvals, axis=None) -> "Jet":
         """Apply a univariate analytic f given f^(m)(value) for m = 0..order.
 
-        A non-finite ladder entry raises DomainError.
+        Given ``axis``, self must be the coordinate ``Jet.variable`` of that
+        axis: f of a coordinate is its Taylor series, f^(m)(value) / m!
+        placed on the pure powers m e_axis and zero elsewhere, with no
+        product.  Otherwise Horner's rule composes the ladder with the
+        nilpotent part of self.  A non-finite ladder entry raises DomainError.
         """
         check_finite(dvals)
         r = self.order
         space = self.space
+        if axis is not None:
+            out = np.zeros(self.c.shape)
+            for m, pos in enumerate(space.powers[axis][:r + 1]):
+                out[pos] = dvals[m] / _FACT[m]
+            return Jet(space, r, out)
         w = self.c.copy()
         w[0] = 0.0
         out = np.zeros_like(w)
@@ -177,50 +188,89 @@ class Jet:
         return Jet(space, r, out)
 
 
-def _ladder(cycle, order: int):
+# -- derivative ladders: [f(x), f'(x), ..., f^(order)(x)] at x, a float or
+# one value per point (P,), each written once for every composition
+
+def _cycle(cycle, order: int):
     return [cycle[m % len(cycle)] for m in range(order + 1)]
 
 
+def _sin_ladder(x, order: int):
+    s, c = np.sin(x), np.cos(x)
+    return _cycle([s, c, -s, -c], order)
+
+
+def _cos_ladder(x, order: int):
+    s, c = np.sin(x), np.cos(x)
+    return _cycle([c, -s, -c, s], order)
+
+
+def _reciprocal_ladder(x, order: int):
+    guard(np.abs(x) <= TAU_DIV, x, "division by near-zero value")
+    dvals = [1.0 / x]
+    for m in range(1, order + 1):
+        dvals.append(-m * dvals[m - 1] / x)
+    return dvals
+
+
+def _power_ladder(x, p: float, order: int):
+    """Ladder of x**p for a fractional p: a strictly positive base only."""
+    guard(x <= TAU_POW, x, "fractional power of non-positive base")
+    dvals = [np.power(x, p)]
+    for m in range(1, order + 1):
+        dvals.append(dvals[m - 1] * (p - (m - 1)) / x)
+    return dvals
+
+
+LADDERS = {
+    "sin": _sin_ladder,
+    "cos": _cos_ladder,
+    "sinh": lambda x, order: _cycle([np.sinh(x), np.cosh(x)], order),
+    "cosh": lambda x, order: _cycle([np.cosh(x), np.sinh(x)], order),
+    "exp": lambda x, order: _cycle([np.exp(x)], order),
+    "sqrt": lambda x, order: _power_ladder(x, 0.5, order),
+}
+
+
+def apply(fn: str, u: Jet, axis=None) -> Jet:
+    """The unary function ``fn`` (a key of ``LADDERS``) of u; ``axis`` as
+    for ``Jet.compose``."""
+    return u.compose(LADDERS[fn](u.c[0], u.order), axis)
+
+
 def sin(u: Jet) -> Jet:
-    s, c = np.sin(u.c[0]), np.cos(u.c[0])
-    return u.compose(_ladder([s, c, -s, -c], u.order))
+    return apply("sin", u)
 
 
 def cos(u: Jet) -> Jet:
-    s, c = np.sin(u.c[0]), np.cos(u.c[0])
-    return u.compose(_ladder([c, -s, -c, s], u.order))
+    return apply("cos", u)
 
 
 def sinh(u: Jet) -> Jet:
-    return u.compose(_ladder([np.sinh(u.c[0]), np.cosh(u.c[0])], u.order))
+    return apply("sinh", u)
 
 
 def cosh(u: Jet) -> Jet:
-    return u.compose(_ladder([np.cosh(u.c[0]), np.sinh(u.c[0])], u.order))
+    return apply("cosh", u)
 
 
 def exp(u: Jet) -> Jet:
-    return u.compose(_ladder([np.exp(u.c[0])], u.order))
+    return apply("exp", u)
 
 
 def sqrt(u: Jet) -> Jet:
-    return powr(u, 0.5)
+    return apply("sqrt", u)
 
 
-def powr(u: Jet, p: float) -> Jet:
-    """u**p with real exponent.
+def powr(u: Jet, p: float, axis=None) -> Jet:
+    """u**p with real exponent; ``axis`` as for ``Jet.compose``.
 
     Integer exponents use repeated multiplication and are defined for any
     base value; fractional exponents require a strictly positive base.
     """
     if p == round(p) and abs(p) <= 16:
         return _ipow(u, int(round(p)))
-    u0 = u.c[0]
-    guard(u0 <= TAU_POW, u0, "fractional power of non-positive base")
-    dvals = [np.power(u0, p)]
-    for m in range(1, u.order + 1):
-        dvals.append(dvals[m - 1] * (p - (m - 1)) / u0)
-    return u.compose(dvals)
+    return u.compose(_power_ladder(u.c[0], p, u.order), axis)
 
 
 def _ipow(u: Jet, k: int) -> Jet:

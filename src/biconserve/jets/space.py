@@ -64,6 +64,12 @@ class JetSpace:
         # at [i1, ..., ik]: the coefficient of the multi-index counting the
         # i's, and alpha! to turn it into the partial
         self.partial_tables = [self._build_partial_table(k) for k in range(max_order + 1)]
+        # powers[i][m] = position of m e_i, the pure powers of variable i: a
+        # function of that variable alone has its Taylor series there
+        self.powers = tuple(
+            tuple(self.position[tuple(m if v == i else 0 for v in range(nvars))]
+                  for m in range(max_order + 1))
+            for i in range(nvars))
 
     def _build_mul_table(self, r: int) -> _MulTable:
         ti, tj, tk = [], [], []

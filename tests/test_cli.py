@@ -453,3 +453,53 @@ def test_malformed_numbers_are_a_usage_error(argv, option):
     assert code == 2
     assert text.startswith("error") and text.count("\n") == 1
     assert option in text
+
+
+def _config(tmp_path, **cfg):
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["verify", "ex41", "--random-points", "3", "--seed", "-1"], "--seed takes"),
+    (["sample", "ex41", "--random-points", "3", "--seed", "-2"], "--seed takes"),
+    (["verify", "ex41", "--random-points", "3", "--config", {"seed": -1}],
+     "--seed (in --config) takes"),
+    (["verify", "ex41", "--config", {"seed": "one"}], "--seed (in --config) takes"),
+])
+def test_a_negative_seed_is_a_usage_error(tmp_path, argv, option):
+    argv = [_config(tmp_path, **a) if isinstance(a, dict) else a for a in argv]
+    code, text = run(argv)
+    assert code == 2
+    assert text.startswith("error") and text.count("\n") == 1
+    assert option in text
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["classify", "ex41", "--tol", "-1"], "--tol takes"),
+    (["classify", "ex41", "--tol", "nan"], "--tol takes"),
+    (["classify", "--matrix=" + PLANTED, "--tol=-1e-9"], "--tol takes"),
+    (["verify", "ex41", "--tol-gauss", "nan"], "--tol-gauss takes"),
+    (["verify", "ex41", "--tol-principal-direction=-1e-3"], "--tol-principal-direction takes"),
+    (["sample", "ex41", "--config", {"tolerances": {"gauss": -1}}],
+     "--tol-gauss (in --config) takes"),
+    (["verify", "ex41", "--config", {"tolerances": {"unit_normal": float("nan")}}],
+     "--tol-unit-normal (in --config) takes"),
+    (["verify", "ex41", "--config", {"tolerances": {"beltrami": "small"}}],
+     "--tol-beltrami (in --config) takes"),
+])
+def test_a_negative_or_nan_tolerance_is_a_usage_error(tmp_path, argv, option):
+    argv = [_config(tmp_path, **a) if isinstance(a, dict) else a for a in argv]
+    code, text = run(argv)
+    assert code == 2
+    assert text.startswith("error") and text.count("\n") == 1
+    assert option in text
+
+
+def test_a_zero_tolerance_keeps_its_meaning():
+    # classify's --tol 0 is the default cluster tolerance; a check's 0 is a bound
+    assert run(["classify", "ex41", "--tol", "0"]) == run(["classify", "ex41"])
+    code, text = run(["verify", "ex41", "--grid", "s=0.6:1.4:2,t=-0.5:0.5:2,u=-0.5:0.5:2,"
+                      "v=-0.5:0.5:2", "--checks", "gauss", "--tol-gauss", "0"])
+    assert code in (0, 1) and not text.startswith("error")

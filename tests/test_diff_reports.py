@@ -44,6 +44,15 @@ def test_classify_cases_are_diffed(diff_reports):
     from biconserve import catalog
 
     argvs = [argv for _, argv in diff_reports.cases(catalog)]
-    assert len(argvs) == 80
+    assert len(argvs) == 83
     assert ["classify", "ex41", "--solve-psi"] in argvs
     assert ["classify", "thm3.viii", "--at", "0.7,0,0,0"] in argvs
+    assert ["classify", "thm1.v", "--at", "1,0,0,0"] in argvs
+
+
+def test_constant_arguments_and_operands_are_diffed(diff_reports):
+    from biconserve import catalog
+
+    argvs = [argv for _, argv in diff_reports.cases(catalog)]
+    assert ["verify", "thm1.i", "--theta", "0.3", "--emit-report"] in argvs
+    assert ["verify", "ex41", "--psi", "2*s+1", "--emit-report"] in argvs

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from biconserve import jets
 from biconserve.errors import ContractViolation, DomainError
 from biconserve.expr import (FD_STEPS, Call, Const, Dag, Expr, Mul, Pow, ProfileCall, Var,
                              dag_of, eval_value, eval_values, fd_partial, jet_eval, node_repr,
                              parse)
+from biconserve.jets import Jet, JetSpace
+from biconserve.jets.jet import LADDERS
+from biconserve.profiles import DerivativeProfile, ExprProfile, PsiSolution, QuadratureProfile
 
 
 def test_parse_basic_precedence():
@@ -459,3 +463,190 @@ def test_stencil_tables_are_read_only_and_interleaved_calls_match_fresh_calls():
     assert nleaves > 0 and arrays and not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
         moves[0][2][0] = 1.0
+
+
+# -- the jet route: placed series and scalar operands ---------------------
+#
+# A function of a coordinate is its ladder placed on that coordinate's pure
+# powers, and a constant operand is a float.  The general arithmetic both
+# replace still exists in jets: Horner composition with ``Jet.variable`` and
+# a ``Jet.constant`` operand.  The two agree bit for bit, except that an
+# exact zero may carry the other sign (sin or cos placed at 0, a scalar times
+# a -0.0 coefficient).
+
+POINTS = {
+    "one": np.array([0.7, 0.45, 1.3, 0.25]),
+    "row": np.array([[0.7, 0.45, 1.3, 0.25]]),
+    "block": np.array([[0.7, 0.45, 1.3, 0.25], [1.9, 0.35, 0.6, 2.4], [0.3, 1.1, 0.9, 0.8]]),
+}
+
+
+def _bits(jet):
+    return jet.c.dtype, jet.c.shape, jet.c.tobytes()
+
+
+def _coordinate(point, order, axis):
+    return Jet.variable(JetSpace.get(point.shape[-1]), order, axis, point[..., axis])
+
+
+def _general(point, order, fn):
+    """fn of the coordinate jets by the general arithmetic alone."""
+    return fn(*[_coordinate(point, order, i) for i in range(point.shape[-1])])
+
+
+def _constant(point, order, value):
+    return Jet.constant(JetSpace.get(point.shape[-1]), order, np.full(point.shape[:-1], value))
+
+
+@pytest.mark.parametrize("shape", list(POINTS))
+@pytest.mark.parametrize("order", range(5))
+@pytest.mark.parametrize("fn", sorted(LADDERS))
+def test_a_function_of_a_coordinate_is_its_horner_composition(fn, order, shape):
+    point = POINTS[shape]
+    for i, name in enumerate("stuv"):
+        want = _general(point, order, lambda *x: getattr(jets, fn)(x[i]))
+        assert _bits(jet_eval(parse(f"{fn}({name})"), point, order)) == _bits(want)
+
+
+@pytest.mark.parametrize("shape", list(POINTS))
+@pytest.mark.parametrize("order", range(5))
+def test_a_fractional_power_and_a_division_by_a_coordinate_are_placed(order, shape):
+    point = POINTS[shape]
+    cases = [("u^1.5", lambda s, t, u, v: jets.powr(u, 1.5)),
+             ("t^(-0.5)", lambda s, t, u, v: jets.powr(t, -0.5)),
+             ("s/v", lambda s, t, u, v: s * v.reciprocal()),
+             ("(s + u)/t", lambda s, t, u, v: (s + u) * t.reciprocal())]
+    for text, fn in cases:
+        assert _bits(jet_eval(parse(text), point, order)) == _bits(_general(point, order, fn))
+
+
+@pytest.mark.parametrize("order", range(5))
+def test_only_the_sign_of_an_exact_zero_can_differ(order):
+    # sin(0) = 0 and its even derivatives are exact zeros: a placed -0.0 / m!
+    # keeps its sign where Horner's sums of +0.0 and -0.0 may not, and so does
+    # a scalar times a -0.0 coefficient, where the product of jets adds +0.0
+    point = np.array([[0.0, -0.4, 1.3, 0.0], [0.0, 0.4, -1.3, 2.0]])
+    cases = [("0.8*(t*t)", lambda s, t, u, v: _constant(point, order, 0.8) * (t * t))]
+    for fn in ("sin", "cos", "sinh", "cosh", "exp"):
+        cases += [(f"{fn}({name})", lambda *x, fn=fn, i=i: getattr(jets, fn)(x[i]))
+                  for i, name in enumerate("stuv")]
+    for text, fn in cases:
+        got = jet_eval(parse(text), point, order).c
+        want = _general(point, order, fn).c
+        assert np.array_equal(got, want)
+        assert np.all(got[np.signbit(got) != np.signbit(want)] == 0.0)
+
+
+def _profile_bank():
+    quad = QuadratureProfile.build(parse("cosh(0.3*s + 0.1)", ("s",)), 0.5, 1.2, 0.0, 2.5)
+    expr_entry = ExprProfile(parse("s^3 - 2*sin(s)", ("s",)))
+    return {"quad": quad, "psi": PsiSolution.build((0.0, 2.0, 4.0), 1.0, (0.25, 2.5)),
+            "expr": expr_entry, "dquad": DerivativeProfile(quad),
+            "dexpr": DerivativeProfile(expr_entry)}
+
+
+@pytest.mark.parametrize("shape", list(POINTS))
+@pytest.mark.parametrize("order", range(5))
+def test_a_profile_of_a_coordinate_is_its_horner_composition(order, shape):
+    bank, point = _profile_bank(), POINTS[shape]
+    for name, entry in bank.items():
+        if order == 4 and isinstance(entry, DerivativeProfile):
+            continue  # a derivative view supplies three derivatives
+        for i, var in enumerate("stuv"):
+            u = _coordinate(point, order, i)
+            want = u.compose(entry.derivs(u.value, order))
+            assert _bits(jet_eval(parse(f"{name}({var})"), point, order, bank)) == _bits(want)
+
+
+@pytest.mark.parametrize("shape", list(POINTS))
+@pytest.mark.parametrize("order", range(5))
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+def test_a_constant_operand_is_a_scalar(op, order, shape):
+    point = POINTS[shape]
+    apply = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b,
+             "/": lambda a, b: a / b}[op]
+    cases = [(f"2.5 {op} t", lambda s, t, u, v: apply(_constant(point, order, 2.5), t)),
+             (f"sin(t) {op} 0.75", lambda s, t, u, v: apply(jets.sin(t), _constant(point, order, 0.75))),
+             (f"3 {op} 0.5", lambda *x: apply(_constant(point, order, 3.0),
+                                              _constant(point, order, 0.5))),
+             (f"(1.5 {op} 2) {op} (s*u)",
+              lambda s, t, u, v: apply(apply(_constant(point, order, 1.5),
+                                             _constant(point, order, 2.0)), s * u))]
+    for text, fn in cases:
+        got = jet_eval(parse(text), point, order)
+        assert isinstance(got, Jet)
+        assert _bits(got) == _bits(_general(point, order, fn))
+
+
+@pytest.mark.parametrize("shape", list(POINTS))
+def test_a_constant_only_tree_gives_a_jet(shape):
+    point = POINTS[shape]
+    for text, value in [("2", 2.0), ("2 + 3", 5.0), ("2*3 - 4/5", 5.2), ("-(2 - 3)", 1.0),
+                        ("cos(0.5)*2", 2.0 * np.cos(0.5))]:
+        got = jet_eval(parse(text), point, 2)
+        assert isinstance(got, Jet) and got.c.shape == (15,) + point.shape[:-1]
+        assert np.all(got.c[1:] == 0.0)
+        assert got.c[0] == pytest.approx(np.full(point.shape[:-1], value), rel=1e-15)
+    assert isinstance(jet_eval(Const(1.5), point, 0), Jet)
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_a_placed_series_shared_by_two_roots_is_the_tree_by_tree_one(order):
+    texts = ("s*cos(v) + 2", "cos(v)/t - sinh(u)", "3 - cos(v)")
+    dag = dag_of([parse(t) for t in texts])
+    assert any(node == parse("cos(v)") for node, _ in dag.shared)
+    point = POINTS["block"]
+    fns = [lambda s, t, u, v: s * jets.cos(v) + _constant(point, order, 2.0),
+           lambda s, t, u, v: jets.cos(v) * t.reciprocal() - jets.sinh(u),
+           lambda s, t, u, v: _constant(point, order, 3.0) - jets.cos(v)]
+    for text, got, fn in zip(texts, jet_eval(dag, point, order), fns):
+        assert _bits(got) == _bits(jet_eval(parse(text), point, order))
+        assert _bits(got) == _bits(_general(point, order, fn))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("text, point, message", [
+    ("exp(s)", (800.0, 0.0, 0.0, 0.0), "non-finite value inf in exp(s)"),
+    ("sqrt(s)", (-1.0, 0.0, 0.0, 0.0),
+     "fractional power of non-positive base -1.000e+00 in sqrt(s)"),
+    ("sqrt(s)", (0.0, 0.0, 0.0, 0.0), "fractional power of non-positive base 0.000e+00 in sqrt(s)"),
+    ("s^0.5", (-2.0, 0.0, 0.0, 0.0), "fractional power of non-positive base -2.000e+00 in s^0.5"),
+    ("1/t", (0.0, 0.0, 0.0, 0.0), "division by near-zero value 0.000e+00 in (1/t)"),
+    ("t*quad(u)", (0.0, 0.0, 3.0, 0.0), "profile argument 3 outside [0, 2.5]"),
+    ("psi(s)", (-0.5, 0.0, 0.0, 0.0), "psi argument -0.5 outside [0.25, 2.5]"),
+])
+@pytest.mark.parametrize("order", [0, 3])
+def test_placed_series_keep_their_domain_errors(text, point, message, order):
+    with pytest.raises(DomainError) as err:
+        jet_eval(parse(text), point, order, _profile_bank())
+    assert str(err.value) == message
+    with pytest.raises(DomainError) as err:
+        jet_eval(parse(text), np.array([(0.5, 0.5, 0.5, 0.5), point]), order, _profile_bank())
+    assert str(err.value) == message
+
+
+def _products(monkeypatch):
+    from biconserve.jets import jet as jet_module
+
+    count, real = [0], jet_module._mul_arrays
+
+    def counting(*args):
+        count[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(jet_module, "_mul_arrays", counting)
+    return count
+
+
+def test_one_point_packets_multiply_only_general_jets(monkeypatch):
+    from biconserve.catalog import FamilySpec, build
+    from biconserve.immersion import packet, submanifold_packet
+
+    thm3 = build(FamilySpec("thm3", "i"))
+    surface = build(FamilySpec("intsurf", "ii"))
+    count = _products(monkeypatch)
+    packet(thm3, thm3.center())
+    assert count[0] <= 10  # 36 while every composition and constant went through products
+    count[0] = 0
+    submanifold_packet(surface, surface.center())
+    assert count[0] <= 2  # 16 likewise

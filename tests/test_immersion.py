@@ -431,3 +431,21 @@ def test_fd_frame_checks_the_centre_before_its_neighbours(monkeypatch, centre_s,
     monkeypatch.setattr(immersion, "cofactor_cross", marked)
     with pytest.raises(error):
         packet_fd(chart_from(LIGHTLIKE_AT_S1), (centre_s, 0.2, 0.3, 0.4))
+
+
+@pytest.mark.parametrize("npts", [1, 7])
+def test_inner_is_bitwise_the_sum_in_ambient_axis_order(npts):
+    from biconserve.immersion import _inner
+
+    rng = np.random.default_rng(npts)
+    n, m = 4, 5
+    eps = np.array([-1.0, -1.0, 1.0, 1.0, 1.0])
+    dx, w = rng.normal(size=(npts, n, m)), rng.normal(size=(npts, m))
+    ddx, dddx = rng.normal(size=(npts, n, n, m)), rng.normal(size=(npts, n, n, n, m))
+    for u, v in [(dx[:, :, None], dx[:, None]), (w, w), (ddx, w[:, None, None]),
+                 (dddx, w[:, None, None, None])]:
+        want = eps[0] * (u[..., 0] * v[..., 0])
+        for a in range(1, m):
+            want = want + eps[a] * (u[..., a] * v[..., a])
+        got = _inner(u, v, eps)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

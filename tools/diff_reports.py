@@ -10,11 +10,13 @@ catalog keys with their default profiles, the ex41 negative control
 the control.  It also runs ``verify --per-point`` on the solved ex41 and on
 the control, with either oracle, ``verify`` on rem42 with ``--psi s^2``
 and on its solved profile with ``--n 5`` and its own ``c`` (with either
-oracle, so that the oracle runs at n = 5 too), ``sample``
-on one pair family and on ``rem42 --n 5``, so that every row a sweep gives
-is compared, not only the summaries, and ``classify`` at the solved ex41's
-centre and at one thm3.viii point, so that the one-point ``eigen_structure``
-path is compared too.  Each case's argv, exit code and printed output go
+oracle, so that the oracle runs at n = 5 too), ``verify`` on thm1.i with
+a constant ``--theta`` (its profile's derivative is ``cos`` of a constant)
+and on ex41 with ``--psi 2*s+1`` (a profile with constant operands),
+``sample`` on one pair family and on ``rem42 --n 5``, so that every row a
+sweep gives is compared, not only the summaries, and ``classify`` at the
+solved ex41's centre, at one thm3.viii point and at one thm1.v point, so
+that the one-point ``eigen_structure`` path is compared too.  Each case's argv, exit code and printed output go
 to one JSON file in OUT_DIR.
 
 ``diff`` compares two such directories case by case: whether the printed
@@ -60,11 +62,14 @@ def cases(catalog):
     rem42_n5 = ["rem42", "--n", "5", "--offsets", "1,2,3,4", "--c", "0.5"]
     out.append(("rem42 n=5 c=0.5", rem42_n5))
     out.append(("rem42 n=5 c=0.5 fd", [*rem42_n5, "--oracle", "fd"]))
+    out.append(("thm1.i theta=0.3", ["thm1.i", "--theta", "0.3"]))
+    out.append(("ex41 psi=2s+1", ["ex41", "--psi", "2*s+1"]))
     out = [(name, ["verify", *argv, "--emit-report"]) for name, argv in out]
     out.append(("sample thm1.ii", ["sample", "thm1.ii"]))
     out.append(("sample rem42 n=5", ["sample", "rem42", "--n", "5", "--offsets", "1,2,3,4"]))
     out.append(("classify ex41 solved", ["classify", "ex41", "--solve-psi"]))
     out.append(("classify thm3.viii", ["classify", "thm3.viii", "--at", "0.7,0,0,0"]))
+    out.append(("classify thm1.v", ["classify", "thm1.v", "--at", "1,0,0,0"]))
     return out
 
 
