@@ -18,17 +18,19 @@ of a function call or a power (or, on the jet route, of any derivative
 ladder) names that node, a non-finite result of the plain arithmetic names
 the whole tree.
 
-A constant operand of + - *, and a constant numerator, is a float on both
-routes: the other operand's own scalar arithmetic takes it (a tree made
-only of constants still gives a jet or an array).  On the jet route a
-function of a coordinate, that is a function call, a fractional power, a
-profile call or the reciprocal of a division whose argument is a bare
-variable, is its derivative ladder f^(m)(x) / m! placed on that variable's
-pure powers (``Jet.compose`` with the variable's axis), with no jet
-product; any other argument is composed by Horner's rule.  Each gives the
-values of the general arithmetic (a constant jet operand, Horner's rule on
-the coordinate), whose products there only multiply by 0.0 and 1.0 and add
-0.0; only the sign of an exact zero can differ.
+A constant operand of + - *, a constant numerator, and the reciprocal of a
+constant denominator are floats on both routes: the other operand's own
+scalar arithmetic takes them (a tree made only of constants still gives a
+jet or an array).  On the jet route a function of a coordinate, that is a
+function call, a fractional power, a profile call or the reciprocal of a
+division whose argument is a bare variable, is its derivative ladder
+f^(m)(x) / m! placed on that variable's pure powers (``Jet.compose`` with
+the variable's axis), with no jet product; a function of an argument that
+holds no variable is the constant jet of its ladder's value entry; any
+other argument is composed by Horner's rule.  Each gives the values of the
+general arithmetic (a constant jet operand, Horner's rule on the coordinate
+or on the constant), whose products there only multiply by 0.0 and 1.0 and
+add 0.0; only the sign of an exact zero can differ.
 
 Each evaluator takes one tree or a ``Dag``: several trees (a chart's
 components) whose equal subtrees are one node.  A tree is the one-root case.
@@ -61,7 +63,7 @@ import numpy as np
 from .errors import ContractViolation, DomainError
 from .jets import Jet, JetSpace
 from .jets import jet as _jetops
-from .jets.jet import check_finite, guard
+from .jets.jet import CONSTANT, check_finite, guard
 
 
 class Expr:
@@ -254,8 +256,24 @@ _JETS = _Route(
 
 
 def _axis(node: Expr):
-    """The variable's index if ``node`` is a coordinate, else None."""
-    return node.index if type(node) is Var else None
+    """The variable's index if ``node`` is a coordinate, ``CONSTANT`` if it
+    holds no variable, else None."""
+    if type(node) is Var:
+        return node.index
+    return CONSTANT if _constant(node) else None
+
+
+_BINARY = (Add, Sub, Mul, Div)
+
+
+def _constant(node: Expr) -> bool:
+    """Whether ``node`` holds no variable."""
+    kind = type(node)
+    if kind is Var:
+        return False
+    if kind is Const:
+        return True
+    return _constant(node.a) and (kind not in _BINARY or _constant(node.b))
 
 
 def _operands(node: Expr, leaves: list, bank, memo: dict, route):
@@ -276,7 +294,8 @@ def _eval(node: Expr, leaves: list, bank, memo: dict, route):
     A DomainError of a reciprocal, a power, a function call or a profile's
     composition names the node; a Div evaluates its denominator first.  A
     constant operand of + - *, or a constant numerator, is a float (see
-    ``_operands``).
+    ``_operands``); so is the guarded reciprocal 1/c of a ``Const``
+    denominator c, whose numerator then is a value of the route.
     """
     if (slot := memo.get(id(node))) and slot[1] is not None:
         slot[0] -= 1  # a shared node's value, dropped at its last use
@@ -304,11 +323,13 @@ def _eval(node: Expr, leaves: list, bank, memo: dict, route):
         except DomainError as e:
             raise _named(node, e) from None
     elif kind is Div:
-        den = _eval(node.b, leaves, bank, memo, route)
+        a, b = node.a, node.b
+        const_den = type(b) is Const
+        den = b.value if const_den else _eval(b, leaves, bank, memo, route)
         try:
-            a = node.a
-            num = a.value if type(a) is Const else _eval(a, leaves, bank, memo, route)
-            out = num * route.reciprocal(den, _axis(node.b))
+            num = (a.value if type(a) is Const and not const_den
+                   else _eval(a, leaves, bank, memo, route))
+            out = num * (_reciprocal(den) if const_den else route.reciprocal(den, _axis(b)))
         except DomainError as e:
             raise _named(node, e) from None
     elif kind is Neg:

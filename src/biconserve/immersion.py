@@ -13,7 +13,8 @@ d_l B_ij = <d_i d_j d_l x, N> - Gamma^k_ij B_kl, and the shape operator S
 with its partials by a solve with G and one more with the same matrix (the
 linear-solve rule), so H and grad H are traces of S and of its partials,
 never re-differenced.  The second partials of G enter only the Gauss
-check, which builds the curvature tensor from them (``_curvature``).
+check, which forms from them only the curvature tensor's pair-symmetric
+components, each from the distinct partials it reads (``_curvature``).
 Both packets evaluate one point or a block of points at once: the arrays
 and the residual operations carry a leading point axis, of length 1 for a
 one-point call.  Each identity residual has one body for both packets;
@@ -29,6 +30,8 @@ with vanishing indefinite self-product must not masquerade as zero.
 
 from __future__ import annotations
 
+import itertools
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -502,46 +505,107 @@ def beltrami_residual(chart: ImmersionChart, p, pk=None):
     return _result(one, np.linalg.norm(lap - target, axis=-1))
 
 
+_GaussPlan = namedtuple("_GaussPlan", "ijkl third dddx_dx ddx_ddx quad hh B")
+
+
+@lru_cache(maxsize=None)
+def _gauss_plan(n: int) -> _GaussPlan:
+    """Index plan of the Gauss row at n parameters, built once per n and
+    read-only.  ``ijkl`` (4, K) lists the kept components: i < j, k < l and
+    (i, j) <= (k, l).  ``third`` (3, A3) lists the distinct third-order
+    alpha = (a, b, c), a <= b <= c; the second-order beta are ``_triu(n)``.
+    The rest are flat positions, per kept component, into tables of inner
+    products of distinct partials: ``dddx_dx`` into <d_alpha x, d_q x>
+    (A3, n) and ``ddx_ddx`` into <d_beta x, d_gamma x> (A2, A2), both
+    (2, 4, K): the two halves of d_a d_b G_pq (see ``_curvature``) at
+    (p, q, a, b) = (i, k, j, l), (i, l, j, k), (j, l, i, k), (j, k, i, l);
+    ``quad`` (2, K) into Gamma^m_beta Gamma_{m,gamma} at (ik, lj), (jk, li);
+    ``hh`` (2, K) into <h_beta, h_gamma> at (jk, il), (ik, jl); and ``B``
+    (4, K) into B (n, n) at jk, il, ik, jl."""
+    pairs = list(itertools.combinations(range(n), 2))
+    ijkl = np.array([p + q for a, p in enumerate(pairs) for q in pairs[a:]],
+                    dtype=np.intp).reshape(-1, 4).T
+    i, j, k, l = ijkl
+    a2, b2 = _triu(n)
+    A2 = len(a2)
+    two = np.empty((n, n), dtype=np.intp)  # beta's position, in either order
+    two[a2, b2] = two[b2, a2] = np.arange(A2)
+    third = list(itertools.combinations_with_replacement(range(n), 3))
+    three = np.empty((n,) * 3, dtype=np.intp)  # alpha's position, in any order
+    for pos, abc in enumerate(third):
+        for perm in itertools.permutations(abc):
+            three[perm] = pos
+
+    def table2(x, y, u, v):  # (beta, gamma) = ((x, y), (u, v)) in an (A2, A2) table
+        return two[x, y] * A2 + two[u, v]
+
+    pqab = [(i, k, j, l), (i, l, j, k), (j, l, i, k), (j, k, i, l)]
+    plan = _GaussPlan(
+        ijkl, np.array(third, dtype=np.intp).reshape(-1, 3).T,
+        np.array([[three[p, a, b] * n + q for p, q, a, b in pqab],
+                  [three[q, a, b] * n + p for p, q, a, b in pqab]]),
+        np.array([[table2(p, a, q, b) for p, q, a, b in pqab],
+                  [table2(q, a, p, b) for p, q, a, b in pqab]]),
+        np.array([table2(i, k, l, j), table2(j, k, l, i)]),
+        np.array([table2(j, k, i, l), table2(i, k, j, l)]),
+        np.array([j * n + k, i * n + l, i * n + k, j * n + l]))
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
+
+
 def _curvature(G, Gamma, dx, ddx, dddx, eps):
-    """The lowered curvature tensor R_ijkl = G_lm R^m_ijk at [i, j, k, l],
-    (P, n, n, n, n), by the classical formula R_ijkl = (G_jl,ik + G_ik,jl -
-    G_jk,il - G_il,jk) / 2 + Gamma_{m,lj} Gamma^m_ik - Gamma_{m,li} Gamma^m_jk,
-    with Gamma_{m,ab} = G_mp Gamma^p_ab and d_q d_l G_ij by the product rule."""
+    """The kept components of the lowered curvature tensor, (P, K) in the
+    order of ``_gauss_plan(n).ijkl``, by the classical formula R_ijkl =
+    (G_ik,jl + G_jl,ik - G_il,jk - G_jk,il) / 2 + Gamma^m_ik Gamma_{m,lj}
+    - Gamma^m_jk Gamma_{m,li}, with Gamma_{m,ab} = G_mp Gamma^p_ab and
+    d_a d_b G_pq = (<d_p d_a d_b x, d_q x> + <d_p d_a x, d_q d_b x>)
+    + (<d_q d_a d_b x, d_p x> + <d_q d_a x, d_p d_b x>).  Each inner product
+    of distinct partials is one matmul per point, and each component's terms
+    are gathered and added one by one, so a point's arithmetic does not
+    depend on its block."""
     P, n, m = dx.shape
-    # <d_i d_l d_q x, d_j x> at [i, l, q, j] and <d_i d_l x, d_j d_q x> at [i, l, j, q]
-    T = np.matmul((dddx * eps).reshape(P, -1, m), dx.swapaxes(1, 2)).reshape((P,) + (n,) * 4)
-    Q = np.matmul((ddx * eps).reshape(P, -1, m),
-                  ddx.reshape(P, -1, m).swapaxes(1, 2)).reshape((P,) + (n,) * 4)
-    E = T.transpose(0, 1, 4, 2, 3) + Q.transpose(0, 1, 3, 2, 4)
-    ddG = E + E.swapaxes(1, 2)  # d_q d_l G_ij at [i, j, l, q]
-    X = ddG.transpose(0, 1, 3, 2, 4)  # G_ik,jl at [i, j, k, l]
-    Y = X - X.swapaxes(3, 4)
-    # Gamma^m_ik Gamma_{m,lj} at [i, k, l, j]
-    M = _gamma_times(Gamma, np.matmul(G, Gamma.reshape(P, n, -1)).reshape(Gamma.shape))
-    quad = M.transpose(0, 1, 4, 2, 3)
-    return (Y + Y.transpose(0, 2, 1, 4, 3)) * 0.5 + (quad - quad.swapaxes(1, 2))
+    plan = _gauss_plan(n)
+    a2, b2 = _triu(n)
+    a3, b3, c3 = plan.third
+    T = np.matmul(dddx[:, a3, b3, c3] * eps, dx.swapaxes(1, 2)).reshape(P, -1)
+    Q = np.matmul(ddx[:, a2, b2] * eps, ddx[:, a2, b2].swapaxes(1, 2)).reshape(P, -1)
+    t, q = plan.dddx_dx, plan.ddx_ddx
+    ddG = (T[:, t[0]] + Q[:, q[0]]) + (T[:, t[1]] + Q[:, q[1]])  # (P, 4, K)
+    Gam = Gamma[:, :, a2, b2]
+    quad = np.matmul(Gam.swapaxes(1, 2), np.matmul(G, Gam)).reshape(P, -1)[:, plan.quad]
+    return (((ddG[:, 0] - ddG[:, 1]) + (ddG[:, 2] - ddG[:, 3])) * 0.5
+            + (quad[:, 0] - quad[:, 1]))
 
 
 def gauss_codazzi_residual(chart: ImmersionChart, p, pk=None):
     """Max-norm defects of the two flat-space integrability identities.
 
-    ``pk`` is as for ``beltrami_residual``.  The curvature tensor comes from
-    the packet's metric, Christoffel symbols and the chart's partials
-    (``_curvature``), for either codimension; the Gauss right-hand side,
-    the scale and the Codazzi tensor are those of the codimension: the
-    shape operator's B for a hypersurface, the normal-valued h otherwise,
-    whose Codazzi defect is projected onto the normal space.  Every term
-    of a curve's identities cancels exactly, so a curve gives (0.0, 0.0).
+    ``pk`` is as for ``beltrami_residual``.  The Gauss row compares the
+    curvature tensor from the packet's metric, Christoffel symbols and the
+    chart's partials (``_curvature``) with B_jk B_il - B_ik B_jl on a
+    hypersurface, <h_jk, h_il> - <h_ik, h_jl> otherwise, at the
+    pair-symmetric components only: both sides are antisymmetric in (i, j)
+    and in (k, l) and symmetric under the pair exchange, exactly or to
+    rounding for the symmetric partials the packets hold, so the entries
+    left out repeat kept ones.  The scale and the Codazzi tensor are those
+    of the codimension: the shape operator's B for a hypersurface, the
+    normal-valued h otherwise, whose Codazzi defect is projected onto the
+    normal space.  A curve has no pair i < j, and every term of its Codazzi
+    identity cancels exactly, so it gives (0.0, 0.0).
     """
     pk = _any_packet(chart, p, pk)
     one, (G, Gamma, dx, ddx, dddx) = _point_axis(pk, pk.G, pk.christoffel, pk.dx, pk.ddx,
                                                  pk.dddx)
     w = pk._weights
-    Rdown = _curvature(G, Gamma, dx, ddx, dddx, w)
+    P, n, m = dx.shape
+    plan = _gauss_plan(n)
+    R = _curvature(G, Gamma, dx, ddx, dddx, w)
 
     if chart.codim == 1:
         _, (B0, dB) = _point_axis(pk, pk.B, pk.dB)
-        gauss_rhs = np.einsum("zjk,zil->zijkl", B0, B0) - np.einsum("zik,zjl->zijkl", B0, B0)
+        b = B0.reshape(P, -1)[:, plan.B]
+        gauss_rhs = b[:, 0] * b[:, 1] - b[:, 2] * b[:, 3]
         scale = (1.0 + np.max(np.abs(B0), axis=(1, 2))) ** 2
         # nabla_i B_jk = d_i B_jk - Gamma^m_ij B_mk - Gamma^m_ik B_jm
         GB = _gamma_times(Gamma, B0)
@@ -549,10 +613,10 @@ def gauss_codazzi_residual(chart: ImmersionChart, p, pk=None):
         r_codazzi = np.max(np.abs(covB - covB.swapaxes(1, 2)), axis=(1, 2, 3))
     else:
         _, (G_inv, h0) = _point_axis(pk, pk.G_inv, pk.h)
-        P, n, m = dx.shape
-        hh = np.matmul((h0 * w).reshape(P, -1, m),
-                       h0.reshape(P, -1, m).swapaxes(1, 2)).reshape((P,) + (n,) * 4)
-        gauss_rhs = np.einsum("zjkil->zijkl", hh) - np.einsum("zikjl->zijkl", hh)
+        a2, b2 = _triu(n)
+        hd = h0[:, a2, b2]
+        hh = np.matmul(hd * w, hd.swapaxes(1, 2)).reshape(P, -1)[:, plan.hh]
+        gauss_rhs = hh[:, 0] - hh[:, 1]
         scale = (1.0 + np.max(np.linalg.norm(h0, axis=-1), axis=(1, 2))) ** 2
         # nabla_i h_jk = d_i h_jk - Gamma^m_ij h_mk - Gamma^m_ik h_jm, with d_i h_jk
         # less its tangential term -d_i Gamma^m_jk d_m x; the normal part of its
@@ -564,7 +628,7 @@ def gauss_codazzi_residual(chart: ImmersionChart, p, pk=None):
         tangential = np.matmul(np.matmul(inner, G_inv.swapaxes(1, 2)), dx)
         perp = diff - tangential.reshape(diff.shape)
         r_codazzi = np.max(np.linalg.norm(perp, axis=-1), axis=(1, 2, 3))
-    r_gauss = np.max(np.abs(Rdown - gauss_rhs), axis=(1, 2, 3, 4)) / scale
+    r_gauss = np.max(np.abs(R - gauss_rhs), axis=1, initial=0.0) / scale
     return _result(one, r_gauss), _result(one, r_codazzi / scale)
 
 

@@ -15,9 +15,10 @@ univariate derivative ladder f^(m)(x), m = 0..order (``LADDERS``, the
 reciprocal's and the real power's).  Composed with a general jet, the ladder
 goes through Horner's rule over the multiplication table with the nilpotent
 part of the argument.  Composed with a coordinate (a ``Jet.variable``), it
-is placed as it is: f^(m)(x) / m! on the pure powers m e_i.  That is the
-value Horner's rule gives there, whose products by the coordinate only
-multiply by 0.0 and 1.0 and add 0.0; only an exact zero's sign can differ.
+is placed as it is: f^(m)(x) / m! on the pure powers m e_i; composed with a
+constant, it is its value entry f(x) alone.  That is the value Horner's rule
+gives there, whose products only multiply by 0.0 and 1.0 (by 0.0 alone for
+a constant) and add 0.0; only an exact zero's sign can differ.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ TAU_DIV = 1e-13
 TAU_POW = 1e-12
 
 _FACT = [math.factorial(m) for m in range(MAX_ORDER + 1)]
+
+CONSTANT = "constant"  # the ``axis`` of a composition whose argument is a constant
 
 
 def guard(bad: np.ndarray, vals, what: str):
@@ -167,15 +170,17 @@ class Jet:
         Given ``axis``, self must be the coordinate ``Jet.variable`` of that
         axis: f of a coordinate is its Taylor series, f^(m)(value) / m!
         placed on the pure powers m e_axis and zero elsewhere, with no
-        product.  Otherwise Horner's rule composes the ladder with the
-        nilpotent part of self.  A non-finite ladder entry raises DomainError.
+        product.  Given ``CONSTANT``, self must be a constant jet: f of it is
+        the constant f(value), the ladder's value entry alone.  Otherwise
+        Horner's rule composes the ladder with the nilpotent part of self.  A
+        non-finite ladder entry raises DomainError.
         """
         check_finite(dvals)
         r = self.order
         space = self.space
         if axis is not None:
             out = np.zeros(self.c.shape)
-            for m, pos in enumerate(space.powers[axis][:r + 1]):
+            for m, pos in enumerate((0,) if axis is CONSTANT else space.powers[axis][:r + 1]):
                 out[pos] = dvals[m] / _FACT[m]
             return Jet(space, r, out)
         w = self.c.copy()

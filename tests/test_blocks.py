@@ -6,7 +6,7 @@ worker count."""
 import numpy as np
 import pytest
 
-from biconserve.catalog import CATALOG, FamilySpec, all_keys, build
+from biconserve.catalog import CATALOG, FamilySpec, all_keys, build, build_remark42
 from biconserve.errors import BiconserveError, DomainError
 from biconserve.expr import jet_eval, parse
 from biconserve.immersion import (ImmersionChart, beltrami_residual, biconservative_residual,
@@ -35,6 +35,8 @@ def _charts():
 
 
 CHARTS = _charts()
+# above n = 4 the Gauss row's index plans and the jet space change with n
+HIGH = [(f"rem42 n={n}", build_remark42(n, tuple(range(1, n)))) for n in (5, 6)]
 LOWDIM = [(key, build(FamilySpec(*key.split(".")))) for key in all_keys()
           if CATALOG[key].kind != "hypersurface"]
 
@@ -69,7 +71,8 @@ def test_block_rows_match_the_one_point_route(name, chart):
     assert all(not r.error for r in rows), name
 
 
-@pytest.mark.parametrize("name, chart", CHARTS[::5], ids=[name for name, _ in CHARTS[::5]])
+@pytest.mark.parametrize("name, chart", CHARTS[::5] + HIGH,
+                         ids=[name for name, _ in CHARTS[::5] + HIGH])
 def test_block_packet_is_the_one_point_packet_at_each_point(name, chart):
     pts = random_points(chart.domain, 6, 3)
     pk = packet(chart, pts)

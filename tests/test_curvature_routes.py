@@ -1,12 +1,15 @@
 """The packets' second-order data against the route that formed it from the
-partials of the Christoffel symbols, and the identity checks against
-packets with one field perturbed.
+partials of the Christoffel symbols, the Gauss row against the full
+curvature tensor, and the identity checks against packets with one field
+perturbed.
 
 The reference route, kept here only: d_q d_l G by the product rule, the
 partials of the Christoffel symbols by the linear-solve rule,
 d_l Gamma = G^-1 (d_l Gamma_low - d_l G Gamma), the curvature tensor from
 them, and dB = <d_l h, N> with d_l h = d_l d_i d_j x - d_l Gamma dx - Gamma
-d_l dx."""
+d_l dx.  The full-tensor Gauss row, also kept here only, forms all n^4
+entries of R_ijkl by the classical formula that ``immersion._curvature``
+evaluates at the pair-symmetric entries alone."""
 
 from dataclasses import replace
 
@@ -14,7 +17,8 @@ import numpy as np
 import pytest
 
 from biconserve.catalog import FamilySpec, all_keys, build, build_remark42
-from biconserve.immersion import _curvature, gauss_codazzi_residual, packet, submanifold_packet
+from biconserve.immersion import (_curvature, _gamma_times, _gauss_plan, gauss_codazzi_residual,
+                                  packet, submanifold_packet)
 from biconserve.sweep import random_points
 
 
@@ -42,6 +46,37 @@ def reference_route(pk, eps):
     return R, dh
 
 
+def full_tensor_gauss(pk, eps, codim):
+    """(Gauss defect, (1 + max|R|) / scale) of a block packet over all n^4 entries:
+    R_ijkl = (G_ik,jl + G_jl,ik - G_il,jk - G_jk,il) / 2 + Gamma^m_ik Gamma_{m,lj}
+    - Gamma^m_jk Gamma_{m,li} against B_jk B_il - B_ik B_jl, or <h_jk, h_il> -
+    <h_ik, h_jl> for codimension > 1, over the residual's scale."""
+    G, Gamma, dx, ddx, dddx = pk.G, pk.christoffel, pk.dx, pk.ddx, pk.dddx
+    P, n, m = dx.shape
+    # <d_i d_l d_q x, d_j x> at [i, l, q, j] and <d_i d_l x, d_j d_q x> at [i, l, j, q]
+    T = np.matmul((dddx * eps).reshape(P, -1, m), dx.swapaxes(1, 2)).reshape((P,) + (n,) * 4)
+    Q = np.matmul((ddx * eps).reshape(P, -1, m),
+                  ddx.reshape(P, -1, m).swapaxes(1, 2)).reshape((P,) + (n,) * 4)
+    E = T.transpose(0, 1, 4, 2, 3) + Q.transpose(0, 1, 3, 2, 4)
+    ddG = E + E.swapaxes(1, 2)  # d_q d_l G_ij at [i, j, l, q]
+    X = ddG.transpose(0, 1, 3, 2, 4)  # G_ik,jl at [i, j, k, l]
+    Y = X - X.swapaxes(3, 4)
+    # Gamma^m_ik Gamma_{m,lj} at [i, k, l, j]
+    M = _gamma_times(Gamma, np.matmul(G, Gamma.reshape(P, n, -1)).reshape(Gamma.shape))
+    quad = M.transpose(0, 1, 4, 2, 3)
+    R = (Y + Y.transpose(0, 2, 1, 4, 3)) * 0.5 + (quad - quad.swapaxes(1, 2))
+    if codim == 1:
+        B = pk.B
+        rhs = np.einsum("zjk,zil->zijkl", B, B) - np.einsum("zik,zjl->zijkl", B, B)
+        scale = (1.0 + np.max(np.abs(B), axis=(1, 2))) ** 2
+    else:
+        hh = np.einsum("zija,a,zkla->zijkl", pk.h, eps, pk.h)
+        rhs = np.einsum("zjkil->zijkl", hh) - np.einsum("zikjl->zijkl", hh)
+        scale = (1.0 + np.max(np.linalg.norm(pk.h, axis=-1), axis=(1, 2))) ** 2
+    return (np.max(np.abs(R - rhs), axis=(1, 2, 3, 4)) / scale,
+            (1.0 + np.max(np.abs(R), axis=(1, 2, 3, 4))) / scale)
+
+
 def _charts():
     out = []
     for key in all_keys():
@@ -63,7 +98,14 @@ def test_curvature_tensor_and_dB_match_the_christoffel_partials_route(name, char
     R_ref, dh = reference_route(pk, eps)
     R = _curvature(pk.G, pk.christoffel, pk.dx, pk.ddx, pk.dddx, eps)
     scale = 1.0 + np.max(np.abs(R_ref), axis=(1, 2, 3, 4))
-    assert np.all(np.max(np.abs(R - R_ref), axis=(1, 2, 3, 4)) <= 1e-12 * scale)
+    i, j, k, l = _gauss_plan(chart.nparams).ijkl
+    assert R.shape == (8, len(i))
+    assert np.all(np.max(np.abs(R - R_ref[:, i, j, k, l]), axis=1, initial=0.0) <= 1e-12 * scale)
+    # the entries the Gauss row leaves out repeat the kept ones: R_jikl = R_ijlk =
+    # -R_ijkl and R_klij = R_ijkl under the same bound
+    for defect in (R_ref + R_ref.swapaxes(1, 2), R_ref + R_ref.swapaxes(3, 4),
+                   R_ref - R_ref.transpose(0, 3, 4, 1, 2)):
+        assert np.all(np.max(np.abs(defect), axis=(1, 2, 3, 4)) <= 1e-12 * scale)
     if chart.codim == 1:
         N = pk.N.components
         dB_ref = np.einsum("zijal,a,za->zijl", dh, eps, N)
@@ -73,6 +115,21 @@ def test_curvature_tensor_and_dB_match_the_christoffel_partials_route(name, char
                  + np.einsum("zkij,zkl->zijl", np.abs(pk.christoffel), np.abs(pk.B)))
         bound = 1e-13 * np.max(terms, axis=(1, 2, 3))
         assert np.all(np.max(np.abs(pk.dB - dB_ref), axis=(1, 2, 3)) <= bound)
+
+
+@pytest.mark.parametrize("name, chart", CHARTS, ids=[name for name, _ in CHARTS])
+def test_gauss_row_is_the_full_tensor_maximum(name, chart):
+    pts = random_points(chart.domain, 8, 5)
+    pk = packet(chart, pts) if chart.codim == 1 else submanifold_packet(chart, pts)
+    gauss, codazzi = gauss_codazzi_residual(chart, pts, pk)
+    full, size = full_tensor_gauss(pk, chart.signature.weights, chart.codim)
+    # the left-out entries differ from the kept ones in rounding only: within
+    # 4e-15 of the tensor's size on the residual's scale (6.2e-16 at most
+    # here, on thm2.v)
+    assert np.all(np.abs(gauss - full) <= 4e-15 * size)
+    if chart.nparams == 1:
+        assert gauss_codazzi_residual(chart, pts[0], submanifold_packet(chart, pts[0])) == (0.0, 0.0)
+        assert not np.any(gauss) and not np.any(codazzi)
 
 
 HYPERSURFACES = [(name, chart) for name, chart in CHARTS if chart.codim == 1]

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -44,7 +45,7 @@ def test_classify_cases_are_diffed(diff_reports):
     from biconserve import catalog
 
     argvs = [argv for _, argv in diff_reports.cases(catalog)]
-    assert len(argvs) == 83
+    assert len(argvs) == 84
     assert ["classify", "ex41", "--solve-psi"] in argvs
     assert ["classify", "thm3.viii", "--at", "0.7,0,0,0"] in argvs
     assert ["classify", "thm1.v", "--at", "1,0,0,0"] in argvs
@@ -56,3 +57,22 @@ def test_constant_arguments_and_operands_are_diffed(diff_reports):
     argvs = [argv for _, argv in diff_reports.cases(catalog)]
     assert ["verify", "thm1.i", "--theta", "0.3", "--emit-report"] in argvs
     assert ["verify", "ex41", "--psi", "2*s+1", "--emit-report"] in argvs
+
+
+def _case(tmp, name, argv, stdout):
+    tmp.mkdir(exist_ok=True)
+    record = {"argv": argv, "exit_code": 0, "stdout": stdout}
+    (tmp / name).write_text(json.dumps(record))
+
+
+def test_a_sample_value_move_is_a_value_not_a_verdict(diff_reports, tmp_path, capsys):
+    argv = ["sample", "thm1.ii"]
+    old = "s,label,gauss\n0.5,I,4.105854381010194e-17\n0.6,I,2e-17\n"
+    _case(tmp_path / "old", "a.json", argv, old)
+    _case(tmp_path / "new", "a.json", argv, old.replace("4.105854381010194e-17", "4.1e-17"))
+    assert diff_reports.diff(tmp_path / "old", tmp_path / "new") == 0
+    assert "rows[0].gauss: 4.105854381010194e-17 -> 4.1e-17" in capsys.readouterr().out
+    _case(tmp_path / "new", "a.json", argv, old.replace("0.6,I", "0.6,II"))
+    assert diff_reports.diff(tmp_path / "old", tmp_path / "new") == 1
+    _case(tmp_path / "new", "a.json", argv, old.rsplit("0.6", 1)[0])
+    assert diff_reports.diff(tmp_path / "old", tmp_path / "new") == 1

@@ -650,3 +650,42 @@ def test_one_point_packets_multiply_only_general_jets(monkeypatch):
     count[0] = 0
     submanifold_packet(surface, surface.center())
     assert count[0] <= 2  # 16 likewise
+
+
+def test_no_composition_runs_horner_on_a_constant_argument(monkeypatch):
+    # 10 before this rule: 2 on each of intcurve.B, C, D and F, and
+    # the two cos(0.3) of thm1.i's profile ladder with a constant theta
+    from biconserve.catalog import FamilySpec, all_keys, build
+    from biconserve.immersion import packet, submanifold_packet
+
+    charts = [build(FamilySpec(*key.split("."))) for key in all_keys()]
+    charts.append(build(FamilySpec("thm1", "i", profiles={"theta": "0.3"})))
+    count, real = [0], Jet.compose
+
+    def counting(self, dvals, axis=None):
+        count[0] += axis is None and self.order >= 1 and not self.c[1:].any()
+        return real(self, dvals, axis)
+
+    monkeypatch.setattr(Jet, "compose", counting)
+    for chart in charts:
+        (packet if chart.codim == 1 else submanifold_packet)(chart, chart.center())
+    assert count[0] == 0
+
+
+@pytest.mark.parametrize("shape", list(POINTS))
+@pytest.mark.parametrize("order", range(5))
+def test_a_function_of_a_constant_is_its_value(order, shape):
+    point = POINTS[shape]
+    cases = [("cos(0.3)*t", lambda s, t, u, v: jets.cos(_constant(point, order, 0.3)) * t),
+             ("s^3/sinh(2 - 0.5)",
+              lambda s, t, u, v: jets.powr(s, 3) * jets.sinh(_constant(point, order, 2.0) - 0.5).reciprocal()),
+             ("(2*3)^0.5 + u", lambda s, t, u, v: jets.powr(_constant(point, order, 6.0), 0.5) + u),
+             ("expr(1.5)*v", lambda s, t, u, v: Jet.compose(
+                 _constant(point, order, 1.5), _profile_bank()["expr"].derivs(
+                     np.full(point.shape[:-1], 1.5), order)) * v),
+             ("(s - t)/4", lambda s, t, u, v: (s - t) * _constant(point, order, 4.0).reciprocal())]
+    for text, fn in cases:
+        got = jet_eval(parse(text), point, order, _profile_bank()).c
+        want = _general(point, order, fn).c
+        assert np.array_equal(got, want), text
+        assert np.all(got[np.signbit(got) != np.signbit(want)] == 0.0)

@@ -10,7 +10,8 @@ catalog keys with their default profiles, the ex41 negative control
 the control.  It also runs ``verify --per-point`` on the solved ex41 and on
 the control, with either oracle, ``verify`` on rem42 with ``--psi s^2``
 and on its solved profile with ``--n 5`` and its own ``c`` (with either
-oracle, so that the oracle runs at n = 5 too), ``verify`` on thm1.i with
+oracle, so that the oracle runs at n = 5 too) and on ``--n 6`` (the Gauss
+row's index plans above n = 5), ``verify`` on thm1.i with
 a constant ``--theta`` (its profile's derivative is ``cos`` of a constant)
 and on ex41 with ``--psi 2*s+1`` (a profile with constant operands),
 ``sample`` on one pair family and on ``rem42 --n 5``, so that every row a
@@ -23,9 +24,11 @@ to one JSON file in OUT_DIR.
 output is byte-identical, whether the exit code moved, and every report
 field whose value differs, with its relative change |a - b| / max(|a|, |b|)
 for numbers; a field only one report has, empty containers and nulls
-included, reads ``<absent>`` on the other side.  A ``sample`` or
-``classify`` case prints CSV or text, not a report: its first differing
-line is printed and counts as a moved verdict.  A moved argmax point (two
+included, reads ``<absent>`` on the other side.  A ``sample`` case prints
+CSV, read as a report of its rows (``rows[k].<column>``, a number where the
+cell parses as one), so a moved number is a value change and a moved word
+or row count a moved verdict.  A ``classify`` case prints text: its first
+differing line is printed and counts as a moved verdict.  A moved argmax point (two
 grid points whose values tie within rounding) is listed and counted apart.  It prints the largest
 relative and the largest absolute change per case kind, and the same two
 split at a magnitude of SMALL = 1e-12: the largest relative change among
@@ -62,6 +65,7 @@ def cases(catalog):
     rem42_n5 = ["rem42", "--n", "5", "--offsets", "1,2,3,4", "--c", "0.5"]
     out.append(("rem42 n=5 c=0.5", rem42_n5))
     out.append(("rem42 n=5 c=0.5 fd", [*rem42_n5, "--oracle", "fd"]))
+    out.append(("rem42 n=6", ["rem42", "--n", "6", "--offsets", "1,2,3,4,5"]))
     out.append(("thm1.i theta=0.3", ["thm1.i", "--theta", "0.3"]))
     out.append(("ex41 psi=2s+1", ["ex41", "--psi", "2*s+1"]))
     out = [(name, ["verify", *argv, "--emit-report"]) for name, argv in out]
@@ -93,6 +97,20 @@ def _report(stdout: str) -> dict:
     """The JSON report that follows the summary lines, or {} if none."""
     start = stdout.find("\n{")
     return json.loads(stdout[start + 1:]) if start >= 0 else {}
+
+
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _csv(stdout: str) -> dict:
+    """A ``sample`` CSV as a report: its rows, each a dict by column."""
+    header, *lines = stdout.splitlines() or [""]
+    return {"rows": [dict(zip(header.split(","), map(_cell, line.split(","))))
+                     for line in lines]}
 
 
 def _flatten(value, prefix=""):
@@ -166,14 +184,15 @@ def diff(old_dir: str, new_dir: str) -> int:
         if old["exit_code"] != new["exit_code"]:
             print(f"  exit code {old['exit_code']} -> {new['exit_code']}")
             moved_verdicts += 1
-        if new["argv"][0] in ("sample", "classify"):
+        if new["argv"][0] == "classify":
             lines = [(a, b) for a, b in zip(old["stdout"].splitlines(), new["stdout"].splitlines())
                      if a != b]
             print(f"  first differing line: {lines[0] if lines else 'line count'}")
             moved_verdicts += 1
             continue
         kind = "fd" if "fd" in new["argv"] else "jets"
-        for key, x, y, rel in field_moves(_report(old["stdout"]), _report(new["stdout"])):
+        read = _csv if new["argv"][0] == "sample" else _report
+        for key, x, y, rel in field_moves(read(old["stdout"]), read(new["stdout"])):
             if _argmax_field(key):
                 print(f"  {key}: {x!r} -> {y!r}  (argmax moved)")
                 moved_argmax += 1
