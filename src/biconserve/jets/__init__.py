@@ -1,4 +1,4 @@
-from .jet import Jet, cos, cosh, exp, powr, sin, sinh, sqrt
+from .jet import Jet, apply, powr
 from .kernel import backend_name
 from .space import MAX_ORDER, JetSpace
 
@@ -7,11 +7,6 @@ __all__ = [
     "JetSpace",
     "MAX_ORDER",
     "backend_name",
-    "sin",
-    "cos",
-    "sinh",
-    "cosh",
-    "exp",
-    "sqrt",
+    "apply",
     "powr",
 ]

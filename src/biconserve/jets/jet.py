@@ -19,6 +19,19 @@ is placed as it is: f^(m)(x) / m! on the pure powers m e_i; composed with a
 constant, it is its value entry f(x) alone.  That is the value Horner's rule
 gives there, whose products only multiply by 0.0 and 1.0 (by 0.0 alone for
 a constant) and add 0.0; only an exact zero's sign can differ.
+
+Every Jet carries a ``support``: an int bitmask over the positions of the
+coefficient layout, bit p set where coefficient p may be nonzero (every
+other coefficient is an exact zero).  A constant has {0} and a variable
+{0, e_i}; a ladder placed on axis i has that axis's pure powers, placed on a
+constant {0}; a sum or a difference has the union of its operands'
+supports, a scaling by a number its operand's.  A Jet built without a
+support is general: every position.  A product, and each Horner step of a
+composition (whose nilpotent part drops position 0), runs the triple table
+restricted to the terms whose factors both lie in their supports
+(``JetSpace.mul_table``); its support is the outputs those terms reach.
+The terms it skips are exact zeros, so every coefficient equals the full
+table's, bit for bit where nonzero; an output no term reaches is +0.0.
 """
 
 from __future__ import annotations
@@ -52,20 +65,25 @@ def check_finite(vals):
         guard(~ok, vals, "non-finite value")
 
 
-def _mul_arrays(space: JetSpace, a: np.ndarray, b: np.ndarray, r: int) -> np.ndarray:
-    n = space.ncoef[r]
-    out = np.empty((n,) + a.shape[1:])
-    kernel.mul_into(out, a[:n], b[:n], space.mul_tables[r])
-    return out
+def _mul_arrays(space: JetSpace, a: np.ndarray, sa: int, b: np.ndarray, sb: int, r: int):
+    """The order-r product of coefficients a and b with supports sa and sb,
+    and its support."""
+    table = space.tables.get((r, sa, sb))
+    if table is None:
+        table = space.mul_table(r, sa, sb)
+    out = (np.empty if table.out is None else np.zeros)((space.ncoef[r],) + a.shape[1:])
+    kernel.mul_into(out, a, b, table)
+    return out, table.support
 
 
 class Jet:
-    __slots__ = ("space", "order", "c")
+    __slots__ = ("space", "order", "c", "support")
 
-    def __init__(self, space: JetSpace, order: int, coeffs: np.ndarray):
+    def __init__(self, space: JetSpace, order: int, coeffs: np.ndarray, support=None):
         self.space = space
         self.order = order
         self.c = coeffs
+        self.support = space.full[order] if support is None else support
 
     # -- constructors -------------------------------------------------
 
@@ -75,14 +93,14 @@ class Jet:
         value = np.asarray(value, dtype=float)
         c = np.zeros((space.ncoef[order],) + value.shape)
         c[0] = value
-        return cls(space, order, c)
+        return cls(space, order, c, 1)
 
     @classmethod
     def variable(cls, space: JetSpace, order: int, axis: int, value) -> "Jet":
         c = cls.constant(space, order, value).c
         if order >= 1:
             c[1 + axis] = 1.0
-        return cls(space, order, c)
+        return cls(space, order, c, space.power_support[axis][min(order, 1)])
 
     # -- accessors ----------------------------------------------------
 
@@ -114,45 +132,48 @@ class Jet:
         if o is None:
             c = self.c.copy()
             c[0] += other
-            return Jet(self.space, self.order, c)
+            return Jet(self.space, self.order, c, self.support | 1)
         r = min(self.order, o.order)
         n = self.space.ncoef[r]
-        return Jet(self.space, r, self.c[:n] + o.c[:n])
+        return Jet(self.space, r, self.c[:n] + o.c[:n],
+                   (self.support | o.support) & self.space.full[r])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.space, self.order, -self.c)
+        return Jet(self.space, self.order, -self.c, self.support)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             c = self.c.copy()
             c[0] -= other
-            return Jet(self.space, self.order, c)
+            return Jet(self.space, self.order, c, self.support | 1)
         r = min(self.order, o.order)
         n = self.space.ncoef[r]
-        return Jet(self.space, r, self.c[:n] - o.c[:n])
+        return Jet(self.space, r, self.c[:n] - o.c[:n],
+                   (self.support | o.support) & self.space.full[r])
 
     def __rsub__(self, other):
         c = 0.0 - self.c  # not -self.c: a constant jet's difference, zero signs included
         c[0] += other
-        return Jet(self.space, self.order, c)
+        return Jet(self.space, self.order, c, self.support | 1)
 
     def __mul__(self, other):
         """Jet product, or scaling by a number or by one number per point."""
         o = self._coerce(other)
         if o is None:
-            return Jet(self.space, self.order, self.c * other)
+            return Jet(self.space, self.order, self.c * other, self.support)
         r = min(self.order, o.order)
-        return Jet(self.space, r, _mul_arrays(self.space, self.c, o.c, r))
+        return Jet(self.space, r, *_mul_arrays(self.space, self.c, self.support,
+                                               o.c, o.support, r))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
-            return Jet(self.space, self.order, self.c / other)
+            return Jet(self.space, self.order, self.c / other, self.support)
         return self * o.reciprocal()
 
     def __rtruediv__(self, other):
@@ -182,15 +203,18 @@ class Jet:
             out = np.zeros(self.c.shape)
             for m, pos in enumerate((0,) if axis is CONSTANT else space.powers[axis][:r + 1]):
                 out[pos] = dvals[m] / _FACT[m]
-            return Jet(space, r, out)
+            return Jet(space, r, out, 1 if axis is CONSTANT else space.power_support[axis][r])
         w = self.c.copy()
         w[0] = 0.0
+        sw = self.support & ~1
         out = np.zeros_like(w)
         out[0] = dvals[r] / _FACT[r]
+        support = 1
         for m in range(r - 1, -1, -1):
-            out = _mul_arrays(space, out, w, r)
+            out, support = _mul_arrays(space, out, support, w, sw, r)
             out[0] += dvals[m] / _FACT[m]
-        return Jet(space, r, out)
+            support |= 1
+        return Jet(space, r, out, support)
 
 
 # -- derivative ladders: [f(x), f'(x), ..., f^(order)(x)] at x, a float or
@@ -241,30 +265,6 @@ def apply(fn: str, u: Jet, axis=None) -> Jet:
     """The unary function ``fn`` (a key of ``LADDERS``) of u; ``axis`` as
     for ``Jet.compose``."""
     return u.compose(LADDERS[fn](u.c[0], u.order), axis)
-
-
-def sin(u: Jet) -> Jet:
-    return apply("sin", u)
-
-
-def cos(u: Jet) -> Jet:
-    return apply("cos", u)
-
-
-def sinh(u: Jet) -> Jet:
-    return apply("sinh", u)
-
-
-def cosh(u: Jet) -> Jet:
-    return apply("cosh", u)
-
-
-def exp(u: Jet) -> Jet:
-    return apply("exp", u)
-
-
-def sqrt(u: Jet) -> Jet:
-    return apply("sqrt", u)
 
 
 def powr(u: Jet, p: float, axis=None) -> Jet:

@@ -2,8 +2,9 @@
 
 A sweep returns a SweepTable: its results as columns over the points, in
 lexicographic grid order (last axis fastest).  Readers reduce the columns; a
-PointRow is made only for a point a caller asks for.  Every grid is
-evaluated in blocks of at most BLOCK points: one packet call (``packet``
+PointRow is made only for a point a caller asks for.  Every grid of P
+points is evaluated in ceil(P / BLOCK) contiguous blocks whose sizes differ
+by at most one (``np.array_split``): one packet call (``packet``
 for a hypersurface, ``submanifold_packet`` for a chart of higher
 codimension) and one pass of each residual per block, the points being an
 axis of the arrays; the blocks' columns are concatenated.  A chart of
@@ -30,7 +31,6 @@ carries one), never by cross-point state, for the same reason.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -41,10 +41,14 @@ from .immersion import (ImmersionChart, beltrami_residual, biconservative_residu
                         submanifold_packet, unit_normal_residual)
 from .spectral import SpectrumBlock, eigen_structure
 
-# Points per packet block.  It bounds the memory of a block's jets (order-3
-# chart jets are 35 coefficients per point) and of the oracle's stencils
-# (2n + 1 base points per point); larger blocks gain little.
-BLOCK = 128
+# Points per packet block at most.  It bounds the memory of a block's jets
+# (order-3 chart jets are 35 coefficients per point) and of the oracle's
+# stencils (2n + 1 base points per point).  Each block pays a fixed cost of
+# about a one-point block's time, so fewer blocks gain: a 625-point ex41
+# verify in 2 blocks of 313 and 312 ran 15 % more points/s than in 5 of 125,
+# and 5 % more than in 3 of 209 and 208, for 5 % more peak resident memory
+# (BENCH_21.json, on a 2-core Xeon host).
+BLOCK = 384
 
 HYPERSURFACE_CHECKS = ("biconservative", "beltrami", "gauss", "codazzi",
                        "unit_normal", "principal_direction", "structure")
@@ -257,9 +261,11 @@ def _classify(chart: ImmersionChart, S: np.ndarray, G: np.ndarray) -> tuple:
 def _rows(chart: ImmersionChart, points: np.ndarray, checks, oracle: str) -> SweepTable:
     if chart.codim != 1:
         checks = tuple(c for c in checks if c in LOWDIM_CHECKS)
-    blocks = [_block_table(chart, points[start:start + BLOCK], checks, oracle)
-              for start in range(0, len(points), BLOCK)]
-    return _concat(blocks) if blocks else SweepTable.blank(points, chart.nparams)
+    nblocks = -(-len(points) // BLOCK)
+    if not nblocks:
+        return SweepTable.blank(points, chart.nparams)
+    return _concat([_block_table(chart, pts, checks, oracle)
+                    for pts in np.array_split(points, nblocks)])
 
 
 def _chunk_worker(args):
@@ -270,13 +276,16 @@ def sweep(chart: ImmersionChart, points: np.ndarray, checks, oracle: str = "jets
           jobs: int = 1) -> SweepTable:
     """The SweepTable of ``points`` (P, n), in order.
 
-    Points are evaluated in blocks of at most BLOCK points (see the module
-    docstring); ``jobs`` > 1 splits the points over a process pool.
+    Points are evaluated in ceil(P / BLOCK) near-equal blocks (see the
+    module docstring); ``jobs`` > 1 splits the points over a process pool.
     """
     checks = tuple(checks)
     points = np.asarray(points, dtype=float)
     if jobs <= 1 or len(points) < 2 * jobs:
         return _rows(chart, points, checks, oracle)
+    # imported only where a pool starts: its modules would add to every run's import
+    from concurrent.futures import ProcessPoolExecutor
+
     chunks = np.array_split(points, jobs * 4)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return _concat(list(pool.map(_chunk_worker,

@@ -193,6 +193,38 @@ def test_a_block_not_a_multiple_of_the_block_size():
     assert_same_rows(sweep(chart, pts[:BLOCK - 5], checks), rows[:BLOCK - 5])
 
 
+@pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5, 625])
+def test_a_sweep_takes_the_fewest_near_equal_blocks(count, monkeypatch):
+    from biconserve import sweep as sweep_module
+
+    chart = dict(CHARTS)["ex41 control"]
+    pts = random_points(chart.domain, count, 12)
+    sizes = []
+
+    def recording(chart, block, checks, oracle):
+        sizes.append(len(block))
+        return sweep_module.SweepTable.blank(block, chart.nparams)
+
+    monkeypatch.setattr(sweep_module, "_block_table", recording)
+    table = sweep(chart, pts, HYPERSURFACE_CHECKS)
+    assert np.array_equal(table.points, pts)
+    assert len(sizes) == -(-count // BLOCK)
+    assert max(sizes) <= BLOCK and max(sizes) - min(sizes) <= 1
+    assert sizes == sorted(sizes, reverse=True)
+
+
+def test_three_uneven_blocks_with_failing_points_give_the_one_point_rows():
+    # 2 BLOCK + 1 points: blocks of BLOCK + 1, BLOCK and BLOCK points, each
+    # holding degenerate and out-of-domain points that are bisected
+    chart = _straddling_chart()
+    pts = random_points(chart.domain, 2 * BLOCK + 1, 13)
+    pts[::7, 0] = 0.0
+    checks = ("biconservative", "beltrami", "gauss", "codazzi", "unit_normal")
+    rows = sweep(chart, pts, checks)
+    assert {r.error.split(":")[0] for r in rows} == {"", "DegenerateMetric", "DomainError"}
+    assert_same_rows(rows, one_point_rows(chart, pts, checks))
+
+
 def test_worker_pool_gives_the_serial_rows():
     chart = dict(CHARTS)["ex41 solved"]
     pts = random_points(chart.domain, 40, 2)

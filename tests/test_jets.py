@@ -9,7 +9,7 @@ import pytest
 
 from biconserve.errors import ContractViolation, DomainError
 from biconserve.expr import fd_partial, jet_eval, parse
-from biconserve.jets import Jet, JetSpace, cos, cosh, exp, powr, sin, sinh, sqrt
+from biconserve.jets import Jet, JetSpace, apply, powr
 from biconserve.jets.space import _multi_indices
 
 
@@ -171,12 +171,12 @@ def test_unary_functions_match_univariate_taylor():
     x0 = 0.37
     u = Jet.variable(sp, 4, 0, x0)
     cases = [
-        (sin, [math.sin, math.cos, lambda x: -math.sin(x), lambda x: -math.cos(x), math.sin]),
-        (cosh, [math.cosh, math.sinh, math.cosh, math.sinh, math.cosh]),
-        (exp, [math.exp] * 5),
+        ("sin", [math.sin, math.cos, lambda x: -math.sin(x), lambda x: -math.cos(x), math.sin]),
+        ("cosh", [math.cosh, math.sinh, math.cosh, math.sinh, math.cosh]),
+        ("exp", [math.exp] * 5),
     ]
     for fn, ladder in cases:
-        j = fn(u)
+        j = apply(fn, u)
         for m in range(5):
             assert j.partial((m,)) == pytest.approx(ladder[m](x0), rel=1e-12)
 
@@ -185,7 +185,7 @@ def test_sqrt_and_power_guards():
     sp = JetSpace.get(1)
     u = Jet.variable(sp, 2, 0, -1.0)
     with pytest.raises(DomainError):
-        sqrt(u)
+        apply("sqrt", u)
     with pytest.raises(DomainError):
         powr(u, 2.0 / 3.0)
     # integer powers stay defined at negative base
@@ -232,3 +232,75 @@ def test_integer_powers_start_from_the_base(k, monkeypatch):
     assert np.array_equal(vals, ref.c[0] if k >= 0 else 1.0 / powr(u, -k).c[0])
     assert powr(u, 0).order == 3 and np.array_equal(powr(u, 0).c, Jet.constant(
         space, 3, np.ones(4)).c)
+
+
+def _sparse_coeffs(space, order, shape, rng):
+    """Random coefficients on a random support, exact zeros of either sign
+    elsewhere, and the support's mask."""
+    n = space.ncoef[order]
+    flags = rng.uniform(size=n) < rng.uniform(0.05, 0.95)
+    flags[0] |= rng.uniform() < 0.5
+    zeros = np.where(rng.uniform(size=(n,) + shape) < 0.5, 0.0, -0.0)
+    c = np.where(flags.reshape((n,) + (1,) * len(shape)), rng.normal(size=(n,) + shape), zeros)
+    return c, sum(1 << p for p in np.flatnonzero(flags).tolist())
+
+
+@pytest.mark.parametrize("nvars", range(1, 8))
+@pytest.mark.parametrize("order", range(5))
+def test_a_restricted_product_is_the_full_table_product(nvars, order):
+    # equal to the full triple table's product, bit for bit where nonzero,
+    # +0.0 where no term is reached; its support holds every nonzero
+    from biconserve.jets import kernel
+    from biconserve.jets.space import _flags
+
+    space = JetSpace.get(nvars)
+    rng = np.random.default_rng(10 * nvars + order)
+    n = space.ncoef[order]
+    for shape in ((), (6,)):
+        for _ in range(30):
+            other = int(rng.integers(order, 5))  # a longer factor is truncated
+            a, sa = _sparse_coeffs(space, order, shape, rng)
+            b, sb = _sparse_coeffs(space, other, shape, rng)
+            want = np.empty((n,) + shape)
+            kernel.mul_into(want, a, b[:n], space.mul_tables[order])
+            got = Jet(space, order, a, sa) * Jet(space, other, b, sb)
+            assert got.order == order and got.c.shape == want.shape
+            assert np.array_equal(got.c, want)
+            nonzero = want != 0.0
+            assert got.c[nonzero].tobytes() == want[nonzero].tobytes()
+            reached = _flags(got.support, n)
+            assert not np.any(want[~reached])
+            assert not np.any(np.signbit(got.c[~reached]))
+            assert got.support & ~space.full[order] == 0
+
+
+@pytest.mark.parametrize("nvars", [1, 4, 7])
+def test_a_jet_built_without_a_support_is_general(nvars):
+    space = JetSpace.get(nvars)
+    for order in range(5):
+        a = Jet(space, order, np.ones(space.ncoef[order]))
+        assert a.support == (1 << space.ncoef[order]) - 1
+        assert space.mul_table(order, a.support, a.support) is space.mul_tables[order]
+
+
+def _support_charts():
+    from biconserve.catalog import FamilySpec, all_keys, build, build_remark42
+
+    out = [(key, build(FamilySpec(*key.split(".")))) for key in all_keys()]
+    out.append(("ex41 psi=s^2", build(FamilySpec("ex41", profiles={"psi": "s^2"}))))
+    out.append(("rem42 n=7", build_remark42(7, tuple(range(1, 7)))))
+    return out
+
+
+SUPPORT_CHARTS = _support_charts()
+
+
+@pytest.mark.parametrize("name, chart", SUPPORT_CHARTS, ids=[n for n, _ in SUPPORT_CHARTS])
+def test_a_chart_jet_support_covers_its_nonzero_coefficients(name, chart):
+    from biconserve.jets.space import _flags
+    from biconserve.sweep import random_points
+
+    for pts in (chart.center(), random_points(chart.domain, 5, 8)):
+        for jet in jet_eval(chart.dag, pts, 3, chart.profile_bank):
+            outside = ~_flags(jet.support, len(jet.c))
+            assert not np.any(jet.c[outside]), name

@@ -11,7 +11,8 @@ the control.  It also runs ``verify --per-point`` on the solved ex41 and on
 the control, with either oracle, ``verify`` on rem42 with ``--psi s^2``
 and on its solved profile with ``--n 5`` and its own ``c`` (with either
 oracle, so that the oracle runs at n = 5 too) and on ``--n 6`` (the Gauss
-row's index plans above n = 5), ``verify`` on thm1.i with
+row's index plans above n = 5) and on ``--n 5 --jobs 2`` (the process
+pool's chunks and their blocks), ``verify`` on thm1.i with
 a constant ``--theta`` (its profile's derivative is ``cos`` of a constant)
 and on ex41 with ``--psi 2*s+1`` (a profile with constant operands),
 ``sample`` on one pair family and on ``rem42 --n 5``, so that every row a
@@ -66,6 +67,7 @@ def cases(catalog):
     out.append(("rem42 n=5 c=0.5", rem42_n5))
     out.append(("rem42 n=5 c=0.5 fd", [*rem42_n5, "--oracle", "fd"]))
     out.append(("rem42 n=6", ["rem42", "--n", "6", "--offsets", "1,2,3,4,5"]))
+    out.append(("rem42 n=5 jobs=2", ["rem42", "--n", "5", "--offsets", "1,2,3,4", "--jobs", "2"]))
     out.append(("thm1.i theta=0.3", ["thm1.i", "--theta", "0.3"]))
     out.append(("ex41 psi=2s+1", ["ex41", "--psi", "2*s+1"]))
     out = [(name, ["verify", *argv, "--emit-report"]) for name, argv in out]
