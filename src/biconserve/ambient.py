@@ -3,9 +3,9 @@
 The ambient space is R^m with metric weights eps_i = -1 for the first
 ``index`` coordinates and +1 for the rest.  The main pipeline is pinned to
 m = 5, index = 2; the arbitrary-dimension entry reuses the same routines
-with m = n + 1, index = 2.  ``metric_cross`` takes one tangent frame or a
-stack of frames, one per point of a block; its core ``cofactor_cross``
-returns the rank test instead of raising it.
+with m = n + 1, index = 2.  ``cofactor_cross`` takes one tangent frame or a
+stack of frames, one per point of a block, and returns the rank test with
+the vector.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, DegenerateFrameError
+from .errors import ContractViolation
 
 TAU_NULL = 1e-9
 TAU_RANK = 1e-12
@@ -109,16 +109,3 @@ def cofactor_cross(rows: np.ndarray, signature: Signature = E5_2):
     # Hadamard's bound: no cofactor exceeds the product of the row norms
     bound = np.prod(np.linalg.norm(rows, axis=-1), axis=-1)
     return signature.weights * cof, np.max(np.abs(cof), axis=-1) <= TAU_RANK * bound
-
-
-def metric_cross(tangents, signature: Signature = E5_2) -> AmbientVector:
-    """``cofactor_cross`` of m-1 tangent vectors, or of a (P, m-1, m) stack
-    of frames, raising if any frame is rank deficient.  The result is not
-    normalized: the caller is expected to inspect its causal character
-    first."""
-    if not isinstance(tangents, np.ndarray):
-        tangents = [t.components if isinstance(t, AmbientVector) else t for t in tangents]
-    w, deficient = cofactor_cross(np.asarray(tangents, dtype=float), signature)
-    if np.any(deficient):
-        raise DegenerateFrameError("tangent frame is rank deficient")
-    return AmbientVector(w, signature)

@@ -356,13 +356,45 @@ def _remark42(entry: CatalogEntry, given: dict) -> CatalogEntry:
                    orientation=orient, params={"n": n, "a": a})
 
 
+def _explicit_pair(names: tuple, profiles: dict) -> list:
+    """The pair's profile names given as expressions: the literal value
+    "auto-<kind>" asks for the constructed pair."""
+    return [n for n in names if n in profiles and not str(profiles[n]).startswith("auto")]
+
+
+def refuse_unread(profiles: dict, reads, reader: str):
+    """ContractViolation naming the first key of ``profiles`` outside
+    ``reads``: a profile flag that ``reader``'s build would ignore."""
+    for key in profiles:
+        if key not in reads:
+            raise ContractViolation(f"--{key.replace('_', '-')} is not read by {reader}")
+
+
+def _profile_reads(entry: CatalogEntry, profiles: dict) -> tuple:
+    """The profile keys the entry's build reads: none without profiles; a
+    pair family's theta, phi0, psi0 and its two profile names, the names
+    only together or as "auto-<kind>"; a psi family's psi, plus solve_psi
+    and c where it has a torsion equation."""
+    names = entry.profile_names
+    if entry.pair_kind:
+        explicit = _explicit_pair(names, profiles)
+        if len(explicit) == 1:
+            other = names[1 - names.index(explicit[0])]
+            raise ContractViolation(f"--{explicit[0]} is read only together with --{other}")
+        return ("theta", "phi0", "psi0", *names)
+    if names:
+        return ("psi", "solve_psi", "c") if entry.offsets else ("psi",)
+    return ()
+
+
 def entry_for(spec: FamilySpec) -> CatalogEntry:
     """The catalog entry a spec builds, with the spec's parameters checked:
     each known parameter has its default's type (a number, or a sequence of
     numbers), any other is a number or a sequence of numbers, a request to
-    solve psi needs a torsion equation, and the entry's ``a != 0`` and
-    ``R > 0`` hold.  For rem42 the entry's components, reference normal and
-    default domain are built from n and a (by default 1, ..., n - 1)."""
+    solve psi needs a torsion equation, every profile key is one the build
+    reads, and the entry's ``a != 0`` and ``R > 0`` hold.  For rem42 the
+    entry's components, reference normal and default domain are built from
+    n and a (by default 1, ..., n - 1)."""
     entry = CATALOG.get(spec.key)
     if entry is None:
         raise ContractViolation(f"unknown catalog key {spec.key!r}")
@@ -377,6 +409,7 @@ def entry_for(spec: FamilySpec) -> CatalogEntry:
             raise ContractViolation(f"parameter {name!r} takes {want}, got {val!r}")
     if spec.profiles.get("solve_psi") and entry.offsets is None:
         raise ContractViolation("the entry has no torsion equation to solve for psi")
+    refuse_unread(spec.profiles, _profile_reads(entry, spec.profiles), spec.key)
     if "a != 0" in entry.conditions and abs(float(params["a"])) < _STRICT_MARGIN:
         raise ConstraintError("a != 0")
     if "R > 0" in entry.conditions and float(params["R"]) <= 0:
@@ -399,10 +432,7 @@ def _profile_bank(entry: CatalogEntry, spec: FamilySpec, domain) -> dict:
 
     if entry.pair_kind:
         names = entry.profile_names
-        # the literal value "auto-<kind>" asks for the constructed pair
-        explicit = [n for n in names
-                    if n in req and not str(req[n]).startswith("auto")]
-        if len(explicit) == 2:
+        if len(_explicit_pair(names, req)) == 2:
             bank[names[0]] = ExprProfile(parse(str(req[names[0]]), ("s",)))
             bank[names[1]] = ExprProfile(parse(str(req[names[1]]), ("s",)))
         else:
@@ -417,6 +447,12 @@ def _profile_bank(entry: CatalogEntry, spec: FamilySpec, domain) -> dict:
                                         samples).tolist())
         if worst > _PAIR_TOL:
             raise ConstraintError(_PAIR_COND[entry.pair_kind], f"residual {worst:.2e}")
+        for name in [n for n in names if n != "psi"]:  # a radius keeps one sign, off 0
+            val = bank[name].derivs(samples, 0)[0]
+            bad = np.flatnonzero(np.sign(val[0]) * val < _STRICT_MARGIN)
+            if len(bad):
+                raise ConstraintError(f"{name} != 0 with one sign",
+                                      f"value {val[bad[0]]:.2e} at s={samples[bad[0]]:.3f}")
         return bank
     if entry.offsets and (req.get("solve_psi") or "psi" not in req):
         bank["psi"] = PsiSolution.build(entry.offsets(entry.params),

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .catalog import FamilySpec, build, entry_for, list_entries, structure_verdict, var_names
+from .catalog import (FamilySpec, build, entry_for, list_entries, refuse_unread,
+                      structure_verdict, var_names)
 from .errors import BiconserveError, ContractViolation
 from .expr import parse as parse_expr, var_names_for
 from .immersion import ImmersionChart, packet
@@ -36,6 +37,8 @@ from .sweep import (COLUMNS, DEFAULT_TOLERANCES, HYPERSURFACE_CHECKS, LOWDIM_CHE
                     sweep)
 
 SCHEMA = 1
+# the profiles an inline chart's expressions may call, each given by its flag
+INLINE_PROFILES = ("phi", "psi", "phi1", "phi2")
 # the checks with a --tol-<name> option of their own
 TOLERANCE_FLAGS = ("biconservative", "beltrami", "gauss", "codazzi", "principal_direction",
                    "unit_normal")
@@ -132,7 +135,8 @@ def _build_chart(req: VerifyRequest):
         exprs = _inline_exprs(req.target)
         names = _target_var_names(req)
         bank = {}
-        for pname in ("phi", "psi", "phi1", "phi2"):
+        refuse_unread(req.profiles, INLINE_PROFILES, "an inline chart")
+        for pname in INLINE_PROFILES:
             if pname in req.profiles:
                 bank[pname] = ExprProfile(parse_expr(str(req.profiles[pname]), ("s",)))
         domain = req.domain or [(-0.8, 0.8)] * len(names)

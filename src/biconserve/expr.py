@@ -21,16 +21,10 @@ the whole tree.
 A constant operand of + - *, a constant numerator, and the reciprocal of a
 constant denominator are floats on both routes: the other operand's own
 scalar arithmetic takes them (a tree made only of constants still gives a
-jet or an array).  On the jet route a function of a coordinate, that is a
-function call, a fractional power, a profile call or the reciprocal of a
-division whose argument is a bare variable, is its derivative ladder
-f^(m)(x) / m! placed on that variable's pure powers (``Jet.compose`` with
-the variable's axis), with no jet product; a function of an argument that
-holds no variable is the constant jet of its ladder's value entry; any
-other argument is composed by Horner's rule.  Each gives the values of the
-general arithmetic (a constant jet operand, Horner's rule on the coordinate
-or on the constant), whose products there only multiply by 0.0 and 1.0 and
-add 0.0; only the sign of an exact zero can differ.
+jet or an array).  On the jet route every function call, fractional power,
+profile call and reciprocal is ``Jet.compose`` of its ladder with the
+argument's jet, which decides from the jet's support alone whether the
+ladder is placed (a + b x_i, or a constant) or composed by Horner's rule.
 
 Each evaluator takes one tree or a ``Dag``: several trees (a chart's
 components) whose equal subtrees are one node.  A tree is the one-root case.
@@ -63,7 +57,7 @@ import numpy as np
 from .errors import ContractViolation, DomainError
 from .jets import Jet, JetSpace
 from .jets import jet as _jetops
-from .jets.jet import CONSTANT, check_finite, guard
+from .jets.jet import check_finite, guard
 
 
 class Expr:
@@ -233,8 +227,6 @@ def _check_node(node: Expr, out):
 # negation: a constant shaped like a leaf, the guarded reciprocal, a power and
 # a function call (each checked finite where the route checks), a profile
 # entry's own values at the argument, and their composition with the argument.
-# The four that take an argument also take its axis: the variable's index
-# when the argument is a coordinate (a ``Var``), else None.
 _Route = namedtuple("_Route", "const reciprocal power call profile compose")
 
 
@@ -248,32 +240,11 @@ _JETS = _Route(
     const=lambda value, leaf: Jet.constant(leaf.space, leaf.order,
                                            np.full(leaf.c.shape[1:], value)),
     reciprocal=Jet.reciprocal,
-    power=lambda u, p, axis: _finite(_jetops.powr(u, p, axis)),
+    power=lambda u, p: _finite(_jetops.powr(u, p)),
     call=_jetops.apply,
     profile=lambda entry, u: entry.derivs(u.value, u.order),
     compose=Jet.compose,
 )
-
-
-def _axis(node: Expr):
-    """The variable's index if ``node`` is a coordinate, ``CONSTANT`` if it
-    holds no variable, else None."""
-    if type(node) is Var:
-        return node.index
-    return CONSTANT if _constant(node) else None
-
-
-_BINARY = (Add, Sub, Mul, Div)
-
-
-def _constant(node: Expr) -> bool:
-    """Whether ``node`` holds no variable."""
-    kind = type(node)
-    if kind is Var:
-        return False
-    if kind is Const:
-        return True
-    return _constant(node.a) and (kind not in _BINARY or _constant(node.b))
 
 
 def _operands(node: Expr, leaves: list, bank, memo: dict, route):
@@ -317,9 +288,7 @@ def _eval(node: Expr, leaves: list, bank, memo: dict, route):
     elif kind is Pow or kind is Call:
         try:
             u = _eval(node.a, leaves, bank, memo, route)
-            axis = _axis(node.a)
-            out = (route.power(u, node.exponent, axis) if kind is Pow
-                   else route.call(node.fn, u, axis))
+            out = route.power(u, node.exponent) if kind is Pow else route.call(node.fn, u)
         except DomainError as e:
             raise _named(node, e) from None
     elif kind is Div:
@@ -329,7 +298,7 @@ def _eval(node: Expr, leaves: list, bank, memo: dict, route):
         try:
             num = (a.value if type(a) is Const and not const_den
                    else _eval(a, leaves, bank, memo, route))
-            out = num * (_reciprocal(den) if const_den else route.reciprocal(den, _axis(b)))
+            out = num * (_reciprocal(den) if const_den else route.reciprocal(den))
         except DomainError as e:
             raise _named(node, e) from None
     elif kind is Neg:
@@ -340,7 +309,7 @@ def _eval(node: Expr, leaves: list, bank, memo: dict, route):
         u = _eval(node.a, leaves, bank, memo, route)
         vals = route.profile(bank[node.name], u)
         try:
-            out = route.compose(u, vals, _axis(node.a))
+            out = route.compose(u, vals)
         except DomainError as e:
             raise _named(node, e) from None
     else:
@@ -405,11 +374,11 @@ def _powr_values(u: np.ndarray, p: float) -> np.ndarray:
 # the oracle's own arithmetic: plain values, independent of the jets
 _ARRAYS = _Route(
     const=lambda value, leaf: np.full(len(leaf), value),
-    reciprocal=lambda den, axis: _reciprocal(den),
-    power=lambda u, p, axis: _finite(_powr_values(u, p)),
-    call=lambda fn, u, axis: _finite(_powr_values(u, 0.5) if fn == "sqrt" else _UFUNC[fn](u)),
+    reciprocal=_reciprocal,
+    power=lambda u, p: _finite(_powr_values(u, p)),
+    call=lambda fn, u: _finite(_powr_values(u, 0.5) if fn == "sqrt" else _UFUNC[fn](u)),
     profile=lambda entry, u: np.asarray(entry.values(u), dtype=float),
-    compose=lambda u, vals, axis: vals,
+    compose=lambda u, vals: vals,
 )
 
 

@@ -125,14 +125,6 @@ class CurvaturePacket(_CmcRule):
     dddx: np.ndarray         # (n, n, n, m): d_i d_j d_l x
     _weights: np.ndarray = field(repr=False, default=None)
 
-    @property
-    def gradH_lightlike(self):
-        """Nonzero grad H with vanishing self-product (the excluded case)."""
-        g = self.gradH_ambient.components
-        q = np.sum(self._weights * g * g, axis=-1)
-        out = ~np.asarray(self.is_cmc_point) & (np.abs(q) <= 1e-9 * np.sum(g * g, axis=-1))
-        return bool(out) if out.ndim == 0 else out
-
 
 @dataclass
 class SubmanifoldPacket:
@@ -187,10 +179,9 @@ def _cross(tangents, weights):
     bitmask of its columns, in one fixed order of products and sums, run
     level by level from ``_cross_table``: each level gathers its (K, r+1)
     signed terms at once and adds them with r array additions.  It stays
-    apart from the LU-based ``ambient.metric_cross``: in 8-space it is the
+    apart from the LU-based ``ambient.cofactor_cross``: in 8-space it is the
     more accurate of the two (3.0e-16 against 3.3e-15 relative), and the
-    oracle, which uses its core ``cofactor_cross``, keeps a normal of its
-    own."""
+    oracle, which uses ``cofactor_cross``, keeps a normal of its own."""
     levels, last, sign = _cross_table(*tangents.shape[1:])
     minors = tangents[:, 0]
     for r, (src, col, sgn) in enumerate(levels, 1):

@@ -12,19 +12,16 @@ Binary operations truncate to the lower of the two operand orders; a
 number (or one number per point) is an operand of its own: it scales or
 shifts the coefficients, with no product.  A unary analytic function has one
 univariate derivative ladder f^(m)(x), m = 0..order (``LADDERS``, the
-reciprocal's and the real power's).  Composed with a general jet, the ladder
-goes through Horner's rule over the multiplication table with the nilpotent
-part of the argument.  Composed with a coordinate (a ``Jet.variable``), it
-is placed as it is: f^(m)(x) / m! on the pure powers m e_i; composed with a
-constant, it is its value entry f(x) alone.  That is the value Horner's rule
-gives there, whose products only multiply by 0.0 and 1.0 (by 0.0 alone for
-a constant) and add 0.0; only an exact zero's sign can differ.
+reciprocal's and the real power's), composed with its argument by
+``Jet.compose``.  Where the argument's support says a + b x_i (a constant
+included), f of it is its Taylor series placed on x_i's pure powers with no
+product; any other argument goes through Horner's rule.
 
 Every Jet carries a ``support``: an int bitmask over the positions of the
 coefficient layout, bit p set where coefficient p may be nonzero (every
 other coefficient is an exact zero).  A constant has {0} and a variable
-{0, e_i}; a ladder placed on axis i has that axis's pure powers, placed on a
-constant {0}; a sum or a difference has the union of its operands'
+{0, e_i}; a ladder placed on x_i has that variable's pure powers, placed on
+a constant {0}; a sum or a difference has the union of its operands'
 supports, a scaling by a number its operand's.  A Jet built without a
 support is general: every position.  A product, and each Horner step of a
 composition (whose nilpotent part drops position 0), runs the triple table
@@ -48,8 +45,6 @@ TAU_DIV = 1e-13
 TAU_POW = 1e-12
 
 _FACT = [math.factorial(m) for m in range(MAX_ORDER + 1)]
-
-CONSTANT = "constant"  # the ``axis`` of a composition whose argument is a constant
 
 
 def guard(bad: np.ndarray, vals, what: str):
@@ -179,34 +174,40 @@ class Jet:
     def __rtruediv__(self, other):
         return self.reciprocal() * other
 
-    def reciprocal(self, axis=None) -> "Jet":
-        """1 / self; ``axis`` as for ``compose``."""
-        return self.compose(_reciprocal_ladder(self.c[0], self.order), axis)
+    def reciprocal(self) -> "Jet":
+        """1 / self."""
+        return self.compose(_reciprocal_ladder(self.c[0], self.order))
 
     # -- analytic functions -------------------------------------------
 
-    def compose(self, dvals, axis=None) -> "Jet":
+    def compose(self, dvals) -> "Jet":
         """Apply a univariate analytic f given f^(m)(value) for m = 0..order.
 
-        Given ``axis``, self must be the coordinate ``Jet.variable`` of that
-        axis: f of a coordinate is its Taylor series, f^(m)(value) / m!
-        placed on the pure powers m e_axis and zero elsewhere, with no
-        product.  Given ``CONSTANT``, self must be a constant jet: f of it is
-        the constant f(value), the ladder's value entry alone.  Otherwise
-        Horner's rule composes the ladder with the nilpotent part of self.  A
-        non-finite ladder entry raises DomainError.
+        Horner's rule composes the ladder with the nilpotent part w of self.
+        Where the support puts w on one first power e_i alone (w = b x_i,
+        self = a + b x_i; a constant has w = 0), each Horner step multiplies
+        by b on x_i's pure powers only, so f of self is placed there with no
+        product: f^(m)(value) / m!, plus the +0.0 of the step that adds it
+        (every step but the first), times b, m times in turn.  Those are
+        Horner's own bits.  A non-finite ladder entry raises DomainError.
         """
         check_finite(dvals)
         r = self.order
         space = self.space
-        if axis is not None:
+        sw = self.support & ~1
+        if sw < 2 << space.nvars and not sw & (sw - 1):  # w is b x_i, or 0
+            i = sw.bit_length() - 2  # sw = 1 << (1 + i)
             out = np.zeros(self.c.shape)
-            for m, pos in enumerate((0,) if axis is CONSTANT else space.powers[axis][:r + 1]):
-                out[pos] = dvals[m] / _FACT[m]
-            return Jet(space, r, out, 1 if axis is CONSTANT else space.power_support[axis][r])
+            for m, pos in enumerate(space.powers[i][:r + 1] if sw else (0,)):
+                term = dvals[m] / _FACT[m]
+                if m < r:
+                    term = 0.0 + term  # the Horner step adds it to a +0.0
+                for _ in range(m):
+                    term = term * self.c[1 + i]
+                out[pos] = term
+            return Jet(space, r, out, space.power_support[i][r] if sw else 1)
         w = self.c.copy()
         w[0] = 0.0
-        sw = self.support & ~1
         out = np.zeros_like(w)
         out[0] = dvals[r] / _FACT[r]
         support = 1
@@ -261,21 +262,20 @@ LADDERS = {
 }
 
 
-def apply(fn: str, u: Jet, axis=None) -> Jet:
-    """The unary function ``fn`` (a key of ``LADDERS``) of u; ``axis`` as
-    for ``Jet.compose``."""
-    return u.compose(LADDERS[fn](u.c[0], u.order), axis)
+def apply(fn: str, u: Jet) -> Jet:
+    """The unary function ``fn`` (a key of ``LADDERS``) of u."""
+    return u.compose(LADDERS[fn](u.c[0], u.order))
 
 
-def powr(u: Jet, p: float, axis=None) -> Jet:
-    """u**p with real exponent; ``axis`` as for ``Jet.compose``.
+def powr(u: Jet, p: float) -> Jet:
+    """u**p with real exponent.
 
     Integer exponents use repeated multiplication and are defined for any
     base value; fractional exponents require a strictly positive base.
     """
     if p == round(p) and abs(p) <= 16:
         return _ipow(u, int(round(p)))
-    return u.compose(_power_ladder(u.c[0], p, u.order), axis)
+    return u.compose(_power_ladder(u.c[0], p, u.order))
 
 
 def _ipow(u: Jet, k: int) -> Jet:

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biconserve.ambient import (AmbientVector, CausalCharacter, Signature,
-                                causal_character, inner, metric_cross)
-from biconserve.errors import ContractViolation, DegenerateFrameError
+                                causal_character, cofactor_cross, inner)
+from biconserve.errors import ContractViolation
 
 
 def vec(*comps):
@@ -63,35 +63,35 @@ def test_causal_character_requires_positive_tolerance():
         causal_character(vec(1, 0, 0, 0, 0), tau_null=0.0)
 
 
-def test_metric_cross_of_coordinate_axes():
-    axes = [vec(*row) for row in np.eye(5)[:4]]
-    w = metric_cross(axes)
-    assert np.allclose(w.components / w.components[4], [0, 0, 0, 0, 1])
+def test_cofactor_cross_of_coordinate_axes():
+    w, deficient = cofactor_cross(np.eye(5)[:4])
+    assert not deficient
+    assert np.allclose(w / w[4], [0, 0, 0, 0, 1])
 
 
-def test_metric_cross_flat_chart_tangents():
+def test_cofactor_cross_flat_chart_tangents():
     # tangents of x = (t, u, s, v, 0)
-    tangents = [vec(0, 0, 1, 0, 0), vec(1, 0, 0, 0, 0),
-                vec(0, 1, 0, 0, 0), vec(0, 0, 0, 1, 0)]
-    w = metric_cross(tangents)
-    assert abs(w.components[4]) > 0
-    assert np.allclose(w.components[:4], 0.0)
+    tangents = np.array([[0, 0, 1, 0, 0], [1, 0, 0, 0, 0],
+                         [0, 1, 0, 0, 0], [0, 0, 0, 1, 0]], dtype=float)
+    w, _ = cofactor_cross(tangents)
+    assert abs(w[4]) > 0
+    assert np.allclose(w[:4], 0.0)
 
 
-def test_metric_cross_orthogonality_random_frames():
+def test_cofactor_cross_orthogonality_random_frames():
     rng = np.random.default_rng(7)
     for _ in range(1000):
         rows = rng.normal(size=(4, 5))
-        w = metric_cross([vec(*r) for r in rows])
+        w = AmbientVector(cofactor_cross(rows)[0])
         scale = np.max(np.abs(rows)) * np.max(np.abs(w.components)) + 1.0
         for r in rows:
             assert abs(inner(w, vec(*r))) < 1e-10 * scale
     # a (P, 4, 5) stack gives each frame's vector, bitwise
     frames = rng.normal(size=(50, 4, 5))
-    block = metric_cross(frames)
-    assert block.components.shape == (50, 5)
-    for f, w in zip(frames, block.components):
-        assert np.array_equal(w, metric_cross([vec(*r) for r in f]).components)
+    block, deficient = cofactor_cross(frames)
+    assert block.shape == (50, 5) and deficient.shape == (50,) and not deficient.any()
+    for f, w in zip(frames, block):
+        assert np.array_equal(w, cofactor_cross(f)[0])
 
 
 def _cofactor_cross(frame, signature):
@@ -103,49 +103,46 @@ def _cofactor_cross(frame, signature):
 
 @pytest.mark.parametrize("q", [1, 8, 128, 1024])
 @pytest.mark.parametrize("m", [5, 8])
-def test_metric_cross_stacked_det_is_bitwise_each_minor(q, m):
+def test_cofactor_cross_stacked_det_is_bitwise_each_minor(q, m):
     sig = Signature(m, 2)
     frames = np.random.default_rng(q + m).normal(size=(q, m - 1, m))
-    block = metric_cross(frames, sig).components
+    block = cofactor_cross(frames, sig)[0]
     ref = np.array([_cofactor_cross(f, sig) for f in frames])
     # bitwise, and laid out as the stack of rows: products downstream round by the layout
     assert block.tobytes() == ref.tobytes() and block.strides == ref.strides
-    assert metric_cross(frames[0], sig).components.tobytes() == ref[0].tobytes()
-    assert metric_cross(list(frames[0]), sig).components.tobytes() == ref[0].tobytes()
+    assert cofactor_cross(frames[0], sig)[0].tobytes() == ref[0].tobytes()
 
 
-def test_metric_cross_antisymmetry():
+def test_cofactor_cross_antisymmetry():
     rng = np.random.default_rng(11)
     rows = rng.normal(size=(4, 5))
-    w = metric_cross([vec(*r) for r in rows]).components
+    w = cofactor_cross(rows)[0]
     swapped = rows[[1, 0, 2, 3]]
-    w2 = metric_cross([vec(*r) for r in swapped]).components
+    w2 = cofactor_cross(swapped)[0]
     assert np.array_equal(w, -w2)
     frames = np.stack([rows, swapped])
-    assert np.array_equal(metric_cross(frames).components, np.stack([w, w2]))
+    assert np.array_equal(cofactor_cross(frames)[0], np.stack([w, w2]))
 
 
-def test_metric_cross_rank_deficiency():
+def test_cofactor_cross_rank_deficiency():
     rows = np.zeros((4, 5))
     rows[0, 0] = rows[1, 1] = rows[2, 2] = 1.0
     rows[3] = rows[0]
-    with pytest.raises(DegenerateFrameError):
-        metric_cross([vec(*r) for r in rows])
-    # one rank-deficient frame inside a stack fails the stack
+    assert cofactor_cross(rows)[1]
+    # a rank-deficient frame inside a stack is flagged alone
     frames = np.random.default_rng(3).normal(size=(6, 4, 5))
-    metric_cross(frames)
+    assert not cofactor_cross(frames)[1].any()
     frames[4] = rows
-    with pytest.raises(DegenerateFrameError):
-        metric_cross(frames)
+    assert cofactor_cross(frames)[1].tolist() == [False] * 4 + [True, False]
     with pytest.raises(ContractViolation):
-        metric_cross(frames[:, :3])
+        cofactor_cross(frames[:, :3])
 
 
-def test_metric_cross_rank_test_is_relative_to_each_row():
+def test_cofactor_cross_rank_test_is_relative_to_each_row():
     # an orthogonal frame with one row 1e5 times longer is full rank
     rows = np.eye(5)[1:] * np.array([1e5, 1.0, 1.0, 1.0])[:, None]
-    w = metric_cross(rows).components
+    w, deficient = cofactor_cross(rows)
+    assert not deficient
     assert np.allclose(w, [-1e5, 0.0, 0.0, 0.0, 0.0], rtol=1e-14, atol=0.0)
     rows[3] = rows[2] * 3.0
-    with pytest.raises(DegenerateFrameError):
-        metric_cross(rows)
+    assert cofactor_cross(rows)[1]

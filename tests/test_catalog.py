@@ -222,10 +222,10 @@ def test_fd_oracle_on_every_chart_component():
             assert abs(ad - fd) <= max(1e-5 * abs(ad), 1e-7), (key, alpha, ad, fd)
 
 
-def test_metric_cross_parallel_to_reference_normal():
+def test_cofactor_cross_parallel_to_reference_normal():
     # the unnormalized cross product of the tangents must be proportional
     # to the chart's displayed normal field
-    from biconserve.ambient import metric_cross
+    from biconserve.ambient import cofactor_cross
     from biconserve.expr import eval_value, fd_partial
 
     chart = build(FamilySpec("ex41", profiles={"solve_psi": True, "c": 1.0}))
@@ -238,7 +238,8 @@ def test_metric_cross_parallel_to_reference_normal():
             fd_partial(c, p, alpha, profile_bank=chart.profile_bank)
             for c in chart.components
         ]))
-    w = metric_cross(tangents).components
+    w, deficient = cofactor_cross(np.array(tangents))
+    assert not deficient
     ref = np.array([eval_value(e, p, chart.profile_bank)
                     for e in chart.orientation_ref])
     cosine = np.dot(w, ref) / (np.linalg.norm(w) * np.linalg.norm(ref))
@@ -251,6 +252,14 @@ def test_catalog_charts_accept_any_admissible_profile():
                                                     "phi0": 1.5, "psi0": 0.4}))
     rep = verify_structure("thm3.i", nodes_per_axis=2, chart=chart)
     assert rep.family_ok and rep.index_ok
+
+
+def test_a_pair_member_whose_radius_vanishes_is_refused():
+    # phi2 changes sign between the 2nd and 3rd side-condition samples
+    with pytest.raises(ConstraintError) as err:
+        build(FamilySpec("thm3", "ii", profiles={"theta": "-0.546*s - 1.125"}))
+    assert str(err.value) == ("violated side condition: phi2 != 0 with one sign "
+                              "(value 3.81e-02 at s=0.167)")
 
 
 @pytest.mark.parametrize("key", all_keys())

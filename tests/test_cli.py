@@ -384,6 +384,22 @@ def test_spec_errors_exit_two_with_one_line(argv):
     assert text.startswith(f"error [{argv[0]}]: ") and text.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["thm1.v", "--theta", "0.9*s"], "--theta"),    # a psi family without a pair
+    (["ex41", "--theta", "0.9*s"], "--theta"),
+    (["ex41", "--phi0", "3"], "--phi0"),
+    (["intsurf.ii", "--psi", "s"], "--psi"),        # an entry without profiles
+    (["thm1.i", "--psi", "s^2"], "--psi"),          # half of the pair
+    (["thm1.i", "--c", "5"], "--c"),                # no torsion equation
+    (["t; u; s; v; 0", "--theta", "s"], "--theta"),
+    (["t; u; s; v; 0", "--solve-psi"], "--solve-psi"),
+])
+def test_a_profile_flag_the_chart_does_not_read_is_a_usage_error(argv, flag):
+    code, text = run(["verify", *argv])
+    assert code == 2
+    assert text.startswith(f"error [{argv[0]}]: {flag} ") and text.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [[], ["--n", "5", "--offsets", "1,2,3,4"]])
 def test_rem42_domain_spec_keeps_the_default_t_axes(argv):
     names = ["t", "u", "v"] if not argv else ["t1", "t2", "t3", "t4"]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from biconserve.expr import (FD_STEPS, Call, Const, Dag, Expr, Mul, Pow, Profile
                              dag_of, eval_value, eval_values, fd_partial, jet_eval, node_repr,
                              parse)
 from biconserve.jets import Jet, JetSpace
-from biconserve.jets.jet import LADDERS
+from biconserve.jets.jet import LADDERS, _power_ladder, _reciprocal_ladder
 from biconserve.profiles import DerivativeProfile, ExprProfile, PsiSolution, QuadratureProfile
 
 
@@ -467,18 +469,21 @@ def test_stencil_tables_are_read_only_and_interleaved_calls_match_fresh_calls():
 
 # -- the jet route: placed series and scalar operands ---------------------
 #
-# A function of a coordinate is its ladder placed on that coordinate's pure
-# powers, and a constant operand is a float.  The general arithmetic both
-# replace still exists in jets: Horner composition with ``Jet.variable`` and
-# a ``Jet.constant`` operand.  The two agree bit for bit, except that an
-# exact zero may carry the other sign (sin or cos placed at 0, a scalar times
-# a -0.0 coefficient).
+# ``Jet.compose`` places a ladder on x_i's pure powers where its argument's
+# support says a + b x_i (a constant included), and a constant operand is a
+# float.  The references below never place: Horner's rule through
+# ``Jet.__mul__`` with the argument's nilpotent part, and a ``Jet.constant``
+# operand.  Placement gives Horner's bits; a constant operand may differ from
+# its jet only in the sign of an exact zero (a scalar times a -0.0
+# coefficient).
 
 POINTS = {
     "one": np.array([0.7, 0.45, 1.3, 0.25]),
     "row": np.array([[0.7, 0.45, 1.3, 0.25]]),
     "block": np.array([[0.7, 0.45, 1.3, 0.25], [1.9, 0.35, 0.6, 2.4], [0.3, 1.1, 0.9, 0.8]]),
 }
+# the arguments a + b x_i a ladder is placed on, x_i in braces
+AFFINE = ("{}", "2.5*{}", "{} - 0.1", "-1.5*{} + 3")
 
 
 def _bits(jet):
@@ -498,43 +503,66 @@ def _constant(point, order, value):
     return Jet.constant(JetSpace.get(point.shape[-1]), order, np.full(point.shape[:-1], value))
 
 
+def _horner(u, dvals):
+    """The ladder dvals composed with u by Horner's rule through ``Jet.__mul__``
+    with u's nilpotent part (support ``u.support & ~1``): no placement."""
+    r = u.order
+    w = u.c.copy()
+    w[0] = 0.0
+    w = Jet(u.space, r, w, u.support & ~1)
+    out = Jet.constant(u.space, r, dvals[r] / math.factorial(r))
+    for m in range(r - 1, -1, -1):
+        out = out * w + dvals[m] / math.factorial(m)
+    return out
+
+
+def _unplaced(fn, u, p=None):
+    """``jets.apply(fn, u)``, or u**p for fn "pow" and 1/u for fn "1/", by
+    ``_horner``."""
+    ladder = {"pow": lambda x, r: _power_ladder(x, p, r), "1/": _reciprocal_ladder}.get(fn)
+    return _horner(u, (ladder or LADDERS[fn])(u.c[0], u.order))
+
+
 @pytest.mark.parametrize("shape", list(POINTS))
 @pytest.mark.parametrize("order", range(5))
 @pytest.mark.parametrize("fn", sorted(LADDERS))
 def test_a_function_of_a_coordinate_is_its_horner_composition(fn, order, shape):
     point = POINTS[shape]
-    for i, name in enumerate("stuv"):
-        want = _general(point, order, lambda *x: jets.apply(fn, x[i]))
-        assert _bits(jet_eval(parse(f"{fn}({name})"), point, order)) == _bits(want)
+    for arg in (a.format(name) for name in "stuv" for a in AFFINE):
+        u = jet_eval(parse(arg), point, order)
+        if fn == "sqrt" and np.any(u.c[0] <= 0.0):
+            continue  # -1.5*v + 3 leaves sqrt's domain on the block
+        got, want = jet_eval(parse(f"{fn}({arg})"), point, order), _unplaced(fn, u)
+        assert _bits(got) == _bits(want), arg
+        assert got.support == want.support, arg
 
 
 @pytest.mark.parametrize("shape", list(POINTS))
 @pytest.mark.parametrize("order", range(5))
 def test_a_fractional_power_and_a_division_by_a_coordinate_are_placed(order, shape):
     point = POINTS[shape]
-    cases = [("u^1.5", lambda s, t, u, v: jets.powr(u, 1.5)),
-             ("t^(-0.5)", lambda s, t, u, v: jets.powr(t, -0.5)),
-             ("s/v", lambda s, t, u, v: s * v.reciprocal()),
-             ("(s + u)/t", lambda s, t, u, v: (s + u) * t.reciprocal())]
+    cases = [("u^1.5", lambda s, t, u, v: _unplaced("pow", u, 1.5)),
+             ("t^(-0.5)", lambda s, t, u, v: _unplaced("pow", t, -0.5)),
+             ("s/v", lambda s, t, u, v: s * _unplaced("1/", v)),
+             ("(s + u)/t", lambda s, t, u, v: (s + u) * _unplaced("1/", t))]
     for text, fn in cases:
         assert _bits(jet_eval(parse(text), point, order)) == _bits(_general(point, order, fn))
 
 
 @pytest.mark.parametrize("order", range(5))
 def test_only_the_sign_of_an_exact_zero_can_differ(order):
-    # sin(0) = 0 and its even derivatives are exact zeros: a placed -0.0 / m!
-    # keeps its sign where Horner's sums of +0.0 and -0.0 may not, and so does
-    # a scalar times a -0.0 coefficient, where the product of jets adds +0.0
+    # sin(0) = 0 and its even derivatives are exact zeros: placement keeps
+    # Horner's signs of them bit for bit, while a scalar times a -0.0
+    # coefficient keeps its sign where the product of jets adds +0.0
     point = np.array([[0.0, -0.4, 1.3, 0.0], [0.0, 0.4, -1.3, 2.0]])
-    cases = [("0.8*(t*t)", lambda s, t, u, v: _constant(point, order, 0.8) * (t * t))]
+    got = jet_eval(parse("0.8*(t*t)"), point, order).c
+    want = _general(point, order, lambda s, t, u, v: _constant(point, order, 0.8) * (t * t)).c
+    assert np.array_equal(got, want)
+    assert np.all(got[np.signbit(got) != np.signbit(want)] == 0.0)
     for fn in ("sin", "cos", "sinh", "cosh", "exp"):
-        cases += [(f"{fn}({name})", lambda *x, fn=fn, i=i: jets.apply(fn, x[i]))
-                  for i, name in enumerate("stuv")]
-    for text, fn in cases:
-        got = jet_eval(parse(text), point, order).c
-        want = _general(point, order, fn).c
-        assert np.array_equal(got, want)
-        assert np.all(got[np.signbit(got) != np.signbit(want)] == 0.0)
+        for i, name in enumerate("stuv"):
+            want = _general(point, order, lambda *x: _unplaced(fn, x[i]))
+            assert _bits(jet_eval(parse(f"{fn}({name})"), point, order)) == _bits(want)
 
 
 def _profile_bank():
@@ -554,7 +582,7 @@ def test_a_profile_of_a_coordinate_is_its_horner_composition(order, shape):
             continue  # a derivative view supplies three derivatives
         for i, var in enumerate("stuv"):
             u = _coordinate(point, order, i)
-            want = u.compose(entry.derivs(u.value, order))
+            want = _horner(u, entry.derivs(u.value, order))
             assert _bits(jet_eval(parse(f"{name}({var})"), point, order, bank)) == _bits(want)
 
 
@@ -596,9 +624,9 @@ def test_a_placed_series_shared_by_two_roots_is_the_tree_by_tree_one(order):
     dag = dag_of([parse(t) for t in texts])
     assert any(node == parse("cos(v)") for node, _ in dag.shared)
     point = POINTS["block"]
-    fns = [lambda s, t, u, v: s * jets.apply("cos", v) + _constant(point, order, 2.0),
-           lambda s, t, u, v: jets.apply("cos", v) * t.reciprocal() - jets.apply("sinh", u),
-           lambda s, t, u, v: _constant(point, order, 3.0) - jets.apply("cos", v)]
+    fns = [lambda s, t, u, v: s * _unplaced("cos", v) + _constant(point, order, 2.0),
+           lambda s, t, u, v: _unplaced("cos", v) * _unplaced("1/", t) - _unplaced("sinh", u),
+           lambda s, t, u, v: _constant(point, order, 3.0) - _unplaced("cos", v)]
     for text, got, fn in zip(texts, jet_eval(dag, point, order), fns):
         assert _bits(got) == _bits(jet_eval(parse(text), point, order))
         assert _bits(got) == _bits(_general(point, order, fn))
@@ -644,27 +672,35 @@ def test_one_point_packets_multiply_only_general_jets(monkeypatch):
 
     thm3 = build(FamilySpec("thm3", "i"))
     surface = build(FamilySpec("intsurf", "ii"))
+    curves = [build(FamilySpec("intcurve", case)) for case in "BCDF"]
     count = _products(monkeypatch)
     packet(thm3, thm3.center())
-    assert count[0] <= 10  # 36 while every composition and constant went through products
+    assert count[0] <= 6  # 10 while only a bare coordinate was placed, 36 with none
     count[0] = 0
     submanifold_packet(surface, surface.center())
-    assert count[0] <= 2  # 16 likewise
+    assert count[0] <= 2  # 16 with none placed
+    for curve in curves:  # cos(2 v), sinh(2 v), ...: placed on the slope 2
+        count[0] = 0
+        submanifold_packet(curve, curve.center())
+        assert count[0] == 0, curve.name
 
 
 def test_no_composition_runs_horner_on_a_constant_argument(monkeypatch):
-    # 10 before this rule: 2 on each of intcurve.B, C, D and F, and
-    # the two cos(0.3) of thm1.i's profile ladder with a constant theta
+    # 10 before constants were placed: 2 on each of intcurve.B, C, D and F,
+    # and the two cos(0.3) of thm1.i's profile ladder with a constant theta
     from biconserve.catalog import FamilySpec, all_keys, build
     from biconserve.immersion import packet, submanifold_packet
 
     charts = [build(FamilySpec(*key.split("."))) for key in all_keys()]
     charts.append(build(FamilySpec("thm1", "i", profiles={"theta": "0.3"})))
+    products = _products(monkeypatch)
     count, real = [0], Jet.compose
 
-    def counting(self, dvals, axis=None):
-        count[0] += axis is None and self.order >= 1 and not self.c[1:].any()
-        return real(self, dvals, axis)
+    def counting(self, dvals):
+        before = products[0]
+        out = real(self, dvals)
+        count[0] += self.order >= 1 and not self.c[1:].any() and products[0] > before
+        return out
 
     monkeypatch.setattr(Jet, "compose", counting)
     for chart in charts:
@@ -676,14 +712,15 @@ def test_no_composition_runs_horner_on_a_constant_argument(monkeypatch):
 @pytest.mark.parametrize("order", range(5))
 def test_a_function_of_a_constant_is_its_value(order, shape):
     point = POINTS[shape]
-    cases = [("cos(0.3)*t", lambda s, t, u, v: jets.apply("cos", _constant(point, order, 0.3)) * t),
+    cases = [("cos(0.3)*t", lambda s, t, u, v: _unplaced("cos", _constant(point, order, 0.3)) * t),
              ("s^3/sinh(2 - 0.5)",
-              lambda s, t, u, v: jets.powr(s, 3) * jets.apply("sinh", _constant(point, order, 2.0) - 0.5).reciprocal()),
-             ("(2*3)^0.5 + u", lambda s, t, u, v: jets.powr(_constant(point, order, 6.0), 0.5) + u),
-             ("expr(1.5)*v", lambda s, t, u, v: Jet.compose(
+              lambda s, t, u, v: jets.powr(s, 3) * _unplaced(
+                  "1/", _unplaced("sinh", _constant(point, order, 2.0) - 0.5))),
+             ("(2*3)^0.5 + u", lambda s, t, u, v: _unplaced("pow", _constant(point, order, 6.0), 0.5) + u),
+             ("expr(1.5)*v", lambda s, t, u, v: _horner(
                  _constant(point, order, 1.5), _profile_bank()["expr"].derivs(
                      np.full(point.shape[:-1], 1.5), order)) * v),
-             ("(s - t)/4", lambda s, t, u, v: (s - t) * _constant(point, order, 4.0).reciprocal())]
+             ("(s - t)/4", lambda s, t, u, v: (s - t) * _unplaced("1/", _constant(point, order, 4.0)))]
     for text, fn in cases:
         got = jet_eval(parse(text), point, order, _profile_bank()).c
         want = _general(point, order, fn).c

@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from biconserve.ambient import CausalCharacter, causal_character
 from biconserve.catalog import FamilySpec, build
 from biconserve.errors import (ContractViolation, DegenerateFrameError, DegenerateMetric,
                                DegenerateNormal, DomainError, UnexpectedIndex)
@@ -221,15 +222,16 @@ def test_fd_packet_profile_range_error(ex41):
 
 def test_gradH_causal_flag(ex41):
     # the explicit example has a timelike gradient; a constant-H chart has
-    # no gradient at all, and neither is flagged lightlike
+    # no gradient at all, and neither is lightlike
     pk = packet(ex41, (1.0, 0.3, -0.2, 0.4))
-    assert not pk.gradH_lightlike
+    assert not pk.is_cmc_point
+    assert causal_character(pk.gradH_ambient) == (CausalCharacter.TIMELIKE, False)
     w = ex41.signature.weights
     g = pk.gradH_ambient.components
     assert float(np.dot(w * g, g)) < 0  # timelike, as displayed
     cyl = chart_from(("t", "u", "cos(v)", "sin(v)", "s"), name="cyl")
     pk2 = packet(cyl, (0.1, 0.1, 0.1, 0.1))
-    assert not pk2.gradH_lightlike
+    assert pk2.is_cmc_point
 
 
 def test_degenerate_metric_detected():
@@ -339,15 +341,16 @@ def test_cross_is_exact_on_integer_tangents(n):
 
 
 @pytest.mark.parametrize("n", range(1, 8))
-def test_cross_agrees_with_metric_cross(n):
-    from biconserve.ambient import Signature, metric_cross
+def test_cross_agrees_with_cofactor_cross(n):
+    from biconserve.ambient import Signature, cofactor_cross
     from biconserve.immersion import _cross
 
     m = n + 1
     sig = Signature(m, min(2, m - 1))
     rows = np.random.default_rng(10 + n).standard_normal((64, n, m))
     got = _cross(rows, sig.weights)
-    ref = metric_cross(rows, sig).components
+    ref, deficient = cofactor_cross(rows, sig)
+    assert not deficient.any()
     scale = np.max(np.abs(ref), axis=-1, keepdims=True)
     assert np.max(np.abs(got - ref) / scale) <= 1e-13
     # index-lowered: metric-orthogonal to every tangent
