@@ -13,6 +13,10 @@ and enforces the displayed side conditions numerically at build time.  Two
 displays contain a provable slip (a lone cosh(u) where only cosh(t) yields a
 nondegenerate metric, in thm2.vi / thm3.vi / intsurf.viii); the corrected
 form is used, since the stated congruence targets force it.
+
+A spec's inputs each have one reader: ``entry_for`` takes the parameters
+the entry declares, ``_profile_bank`` takes the profile keys at the point
+where the build reads them, and either refuses a key left over, naming it.
 """
 
 from __future__ import annotations
@@ -25,14 +29,12 @@ from typing import Callable
 import numpy as np
 
 from .ambient import Signature
-from .errors import (ConstraintError, ContractViolation, DomainError, UnexpectedIndex,
-                     plain_point)
+from .errors import ConstraintError, ContractViolation, DomainError, plain_point
 from .expr import parse, var_names_for
 from .immersion import ImmersionChart, _any_packet, submanifold_packet
 from .profiles import (DerivativeProfile, ExprProfile, PsiSolution, constraint_residual,
                        make_profile_pair)
 from .spectral import CLUSTER_TOL
-from .sweep import grid_points, interior_grid, sweep
 
 E5_2 = Signature(5, 2)
 
@@ -356,60 +358,32 @@ def _remark42(entry: CatalogEntry, given: dict) -> CatalogEntry:
                    orientation=orient, params={"n": n, "a": a})
 
 
-def _explicit_pair(names: tuple, profiles: dict) -> list:
-    """The pair's profile names given as expressions: the literal value
-    "auto-<kind>" asks for the constructed pair."""
-    return [n for n in names if n in profiles and not str(profiles[n]).startswith("auto")]
-
-
-def refuse_unread(profiles: dict, reads, reader: str):
-    """ContractViolation naming the first key of ``profiles`` outside
-    ``reads``: a profile flag that ``reader``'s build would ignore."""
+def refuse_unread(parameters, profiles, reader: str):
+    """ContractViolation naming the first key left in ``parameters``, else in
+    ``profiles``, once ``reader``'s build has taken every key it reads."""
+    for name in parameters:
+        raise ContractViolation(f"parameter {name!r} is not read by {reader}")
     for key in profiles:
-        if key not in reads:
-            raise ContractViolation(f"--{key.replace('_', '-')} is not read by {reader}")
-
-
-def _profile_reads(entry: CatalogEntry, profiles: dict) -> tuple:
-    """The profile keys the entry's build reads: none without profiles; a
-    pair family's theta, phi0, psi0 and its two profile names, the names
-    only together or as "auto-<kind>"; a psi family's psi, plus solve_psi
-    and c where it has a torsion equation."""
-    names = entry.profile_names
-    if entry.pair_kind:
-        explicit = _explicit_pair(names, profiles)
-        if len(explicit) == 1:
-            other = names[1 - names.index(explicit[0])]
-            raise ContractViolation(f"--{explicit[0]} is read only together with --{other}")
-        return ("theta", "phi0", "psi0", *names)
-    if names:
-        return ("psi", "solve_psi", "c") if entry.offsets else ("psi",)
-    return ()
+        raise ContractViolation(f"--{key.replace('_', '-')} is not read by {reader}")
 
 
 def entry_for(spec: FamilySpec) -> CatalogEntry:
     """The catalog entry a spec builds, with the spec's parameters checked:
-    each known parameter has its default's type (a number, or a sequence of
-    numbers), any other is a number or a sequence of numbers, a request to
-    solve psi needs a torsion equation, every profile key is one the build
-    reads, and the entry's ``a != 0`` and ``R > 0`` hold.  For rem42 the
-    entry's components, reference normal and default domain are built from
-    n and a (by default 1, ..., n - 1)."""
+    each is one the entry declares, of its default's type (a number, or a
+    sequence of numbers), and the entry's ``a != 0`` and ``R > 0`` hold.  For
+    rem42 the entry's components, reference normal and default domain are
+    built from n and a (by default 1, ..., n - 1)."""
     entry = CATALOG.get(spec.key)
     if entry is None:
         raise ContractViolation(f"unknown catalog key {spec.key!r}")
-    params = {**entry.params, **spec.parameters}
-    for name, val in params.items():
-        default, number = entry.params.get(name), isinstance(val, Real)
-        seq = isinstance(val, (tuple, list)) and all(isinstance(x, Real) for x in val)
-        want, ok = (("a sequence of numbers", seq) if isinstance(default, tuple) else
-                    ("a number", number) if default is not None else
-                    ("a number or a sequence of numbers", number or seq))
-        if not ok:
+    refuse_unread([k for k in spec.parameters if k not in entry.params], (), spec.key)
+    for name, val in spec.parameters.items():
+        seq = isinstance(entry.params[name], tuple)
+        if not (isinstance(val, (tuple, list)) and all(isinstance(x, Real) for x in val)
+                if seq else isinstance(val, Real)):
+            want = "a sequence of numbers" if seq else "a number"
             raise ContractViolation(f"parameter {name!r} takes {want}, got {val!r}")
-    if spec.profiles.get("solve_psi") and entry.offsets is None:
-        raise ContractViolation("the entry has no torsion equation to solve for psi")
-    refuse_unread(spec.profiles, _profile_reads(entry, spec.profiles), spec.key)
+    params = {**entry.params, **spec.parameters}
     if "a != 0" in entry.conditions and abs(float(params["a"])) < _STRICT_MARGIN:
         raise ConstraintError("a != 0")
     if "R > 0" in entry.conditions and float(params["R"]) <= 0:
@@ -420,29 +394,39 @@ def entry_for(spec: FamilySpec) -> CatalogEntry:
 
 
 def _profile_bank(entry: CatalogEntry, spec: FamilySpec, domain) -> dict:
-    """Build the profile bank for an entry, honoring explicit overrides."""
-    req = spec.profiles
-    bank = {}
-    if not entry.profile_names:
-        return bank
+    """The entry's profiles.  Each key of ``spec.profiles`` is taken where it
+    is read, and a key left over is refused before any profile is built: a
+    pair family reads its two profile names, then nothing else when both
+    are expressions, else theta, phi0 and psi0 for the constructed pair (a
+    name given alone is read only as "auto-<kind>"); a psi family reads
+    solve_psi and the solve's c where it has a torsion equation, and psi
+    unless it solves that equation; an entry without profiles reads none."""
+    req = dict(spec.profiles)
+    names = entry.profile_names
+    if not names:
+        refuse_unread((), req, spec.key)
+        return {}
     s_lo, s_hi = domain[0]
     pad = 0.05 * (s_hi - s_lo)
     s_range = (s_lo - pad, s_hi + pad)
     samples = np.linspace(s_lo, s_hi, _SAMPLES)
 
     if entry.pair_kind:
-        names = entry.profile_names
-        if len(_explicit_pair(names, req)) == 2:
-            bank[names[0]] = ExprProfile(parse(str(req[names[0]]), ("s",)))
-            bank[names[1]] = ExprProfile(parse(str(req[names[1]]), ("s",)))
+        given = {n: req.pop(n) for n in names if n in req}
+        explicit = [n for n in given if not str(given[n]).startswith("auto")]
+        if len(explicit) == 1:
+            other = names[1 - names.index(explicit[0])]
+            raise ContractViolation(f"--{explicit[0]} is read only together with --{other}")
+        if explicit:
+            refuse_unread((), req, spec.key)
+            bank = {n: ExprProfile(parse(str(given[n]), ("s",))) for n in names}
         else:
-            theta = req.get("theta", _TH_DEFAULT)
-            phi0 = float(req.get("phi0", 1.2))
-            psi0 = float(req.get("psi0", 0.3 if names[1] == "psi" else 0.7))
-            phi, psi = make_profile_pair(entry.pair_kind, theta, s_range,
-                                         phi0=phi0, psi0=psi0)
-            bank[names[0]] = phi
-            bank[names[1]] = psi
+            theta = req.pop("theta", _TH_DEFAULT)
+            phi0 = float(req.pop("phi0", 1.2))
+            psi0 = float(req.pop("psi0", 0.3 if names[1] == "psi" else 0.7))
+            refuse_unread((), req, spec.key)
+            bank = dict(zip(names, make_profile_pair(entry.pair_kind, theta, s_range,
+                                                     phi0=phi0, psi0=psi0)))
         worst = max(constraint_residual(entry.pair_kind, bank[names[0]], bank[names[1]],
                                         samples).tolist())
         if worst > _PAIR_TOL:
@@ -454,16 +438,15 @@ def _profile_bank(entry: CatalogEntry, spec: FamilySpec, domain) -> dict:
                 raise ConstraintError(f"{name} != 0 with one sign",
                                       f"value {val[bad[0]]:.2e} at s={samples[bad[0]]:.3f}")
         return bank
-    if entry.offsets and (req.get("solve_psi") or "psi" not in req):
-        bank["psi"] = PsiSolution.build(entry.offsets(entry.params),
-                                        float(req.get("c", 1.0)), s_range)
-    elif "psi" in req:
-        if isinstance(req["psi"], str):
-            bank["psi"] = ExprProfile(parse(req["psi"], ("s",)))
-        else:
-            bank["psi"] = req["psi"]  # a prebuilt profile entry
+    if entry.offsets and (req.pop("solve_psi", False) or "psi" not in req):
+        c = float(req.pop("c", 1.0))
+        refuse_unread((), req, spec.key)
+        bank = {"psi": PsiSolution.build(entry.offsets(entry.params), c, s_range)}
     else:
-        bank["psi"] = ExprProfile(parse("s^2" if entry.psi_inequality > 0 else "-s^2", ("s",)))
+        psi = req.pop("psi", "s^2" if entry.psi_inequality > 0 else "-s^2")
+        refuse_unread((), req, spec.key)
+        # an expression, or a prebuilt profile entry
+        bank = {"psi": ExprProfile(parse(psi, ("s",))) if isinstance(psi, str) else psi}
     value, sign = _INEQ_VALUE[entry.psi_inequality]
     val = value(bank["psi"].derivs(samples, 1)[1])
     bad = np.flatnonzero(sign * val < _STRICT_MARGIN)
@@ -510,22 +493,6 @@ def build_remark42(n: int, a, profiles: dict | None = None,
 
 
 # -- structural verification ----------------------------------------------
-
-
-@dataclass
-class StructureReport:
-    key: str
-    n_points: int
-    patterns: list
-    case_labels: list
-    family_ok: bool
-    index_ok: bool
-    beltrami_max: float
-    gauss_max: float
-    codazzi_max: float
-    curvature_min: float
-    curvature_max: float
-    notes: list
 
 
 def _tag_match(tag: str, spectra) -> tuple:
@@ -606,41 +573,6 @@ def structure_verdict(entry: CatalogEntry | None, table,
         "curvature_max": max(curv) if curv else None,
     }
     return ok, spectral, notes
-
-
-def verify_structure(spec_or_key, nodes_per_axis: int = 5,
-                     chart: ImmersionChart | None = None) -> StructureReport:
-    """Sample the domain interior and check the family's expected structure.
-
-    Every key is judged by ``structure_verdict`` on ``sweep`` rows, as
-    ``biconserve verify`` judges the same grid: the pattern of a
-    hypersurface, the predicate of a surface or curve family.  A point
-    error fails ``family_ok`` and is listed in ``notes``; a wrong metric
-    index is such an error and also fails ``index_ok``.
-    """
-    if isinstance(spec_or_key, FamilySpec):
-        spec = spec_or_key
-    else:
-        family, _, case = str(spec_or_key).partition(".")
-        spec = FamilySpec(family, case)
-    entry = entry_for(spec)
-    if chart is None:
-        chart = build(spec)
-    grid = interior_grid(chart.domain, nodes_per_axis)
-    points = grid_points([(lo, hi) for lo, hi, _ in grid], nodes_per_axis)
-    table = sweep(chart, points, ("beltrami", "gauss", "codazzi", "structure"))
-    ok, spectral, notes = structure_verdict(entry, table, chart)
-    worst = {name: max(table.column(name)[0].tolist(), default=0.0)
-             for name in ("beltrami", "gauss", "codazzi")}
-    kmin, kmax = spectral["curvature_min"], spectral["curvature_max"]
-    return StructureReport(
-        key=spec.key, n_points=len(points), patterns=sorted(spectral["patterns"]),
-        case_labels=sorted(spectral["labels"]), family_ok=ok,
-        index_ok=not any(e.startswith(f"{UnexpectedIndex.__name__}:") for e in table.error),
-        beltrami_max=worst["beltrami"], gauss_max=worst["gauss"], codazzi_max=worst["codazzi"],
-        curvature_min=0.0 if kmin is None else kmin,
-        curvature_max=0.0 if kmax is None else kmax, notes=notes,
-    )
 
 
 def _family_ok(entry: CatalogEntry, chart: ImmersionChart, spk, points) -> tuple:

@@ -9,6 +9,17 @@ the target, e.g. ``biconserve verify "t; u; s; v; 0"``.  The expression
 grammar is infix with ^ or ** for powers (exponents are numeric literals),
 the functions sin, cos, sinh, cosh, exp, sqrt, and named profile calls such
 as ``phi(s)`` resolved against the profile options below.
+
+Each input has one reader.  The chart flags are declared once, in
+PARAMETER_FLAGS and PROFILE_FLAGS, which both the parser and
+``_request_from_args`` read; each subcommand parses only the flags it
+reads, so ``classify`` takes no point or output flags and ``sample`` no
+``--format``.  A ``--config`` file gives the fields a report's config block
+holds (CONFIG_KEYS) and no others.  The chart build takes the parameters
+and profiles it reads and refuses the rest (exit 2, one line naming it):
+``catalog.entry_for`` and ``catalog._profile_bank`` for a catalog key, and
+``_build_chart`` for an inline chart, which reads the profiles it may call
+and, below four parameters, the parameter ``index``.
 """
 
 from __future__ import annotations
@@ -37,6 +48,24 @@ from .sweep import (COLUMNS, DEFAULT_TOLERANCES, HYPERSURFACE_CHECKS, LOWDIM_CHE
                     sweep)
 
 SCHEMA = 1
+# the chart flags, each once: flag -> (request key, type, help); a parameter
+# flag given as text is a list of comma-separated numbers
+PARAMETER_FLAGS = {
+    "a": ("a", float, None), "b": ("b", float, None), "R": ("R", float, None),
+    "A": ("A", float, None), "n": ("n", int, "rem42's number of parameters"),
+    "offsets": ("a", str, "comma-separated offset constants (the parameter a)"),
+}
+PROFILE_FLAGS = {
+    "solve-psi": ("solve_psi", bool, "solve the torsion equation for psi"),
+    "c": ("c", float, "the solved psi's constant"),
+    "psi": ("psi", str, None), "phi": ("phi", str, None), "phi1": ("phi1", str, None),
+    "phi2": ("phi2", str, None),
+    "theta": ("theta", str, "angle function of the constructed pair"),
+    "phi0": ("phi0", float, None), "psi0": ("psi0", float, None),
+}
+# the request fields a --config file may give: those a report's config block holds
+CONFIG_KEYS = ("target", "parameters", "profiles", "domain", "grid", "random_points", "seed",
+               "checks", "tolerances", "oracle", "jobs")
 # the profiles an inline chart's expressions may call, each given by its flag
 INLINE_PROFILES = ("phi", "psi", "phi1", "phi2")
 # the checks with a --tol-<name> option of their own
@@ -134,18 +163,17 @@ def _build_chart(req: VerifyRequest):
     if _is_inline(req.target):
         exprs = _inline_exprs(req.target)
         names = _target_var_names(req)
-        bank = {}
-        refuse_unread(req.profiles, INLINE_PROFILES, "an inline chart")
-        for pname in INLINE_PROFILES:
-            if pname in req.profiles:
-                bank[pname] = ExprProfile(parse_expr(str(req.profiles[pname]), ("s",)))
+        params, profiles = dict(req.parameters), dict(req.profiles)
+        index = 2 if len(names) == 4 else int(params.pop("index", 2))
+        texts = {p: str(profiles.pop(p)) for p in INLINE_PROFILES if p in profiles}
+        refuse_unread(params, profiles, "an inline chart")
+        bank = {p: ExprProfile(parse_expr(e, ("s",))) for p, e in texts.items()}
         domain = req.domain or [(-0.8, 0.8)] * len(names)
         comps = tuple(parse_expr(e, names) for e in exprs)
         chart = ImmersionChart(
             components=comps, domain=tuple(tuple(d) for d in domain),
             profile_bank=bank, signature=Signature(len(comps), 2),
-            expected_index=2 if len(names) == 4 else int(req.parameters.get("index", 2)),
-            name="inline",
+            expected_index=index, name="inline",
         )
         return chart, None
     spec = _spec(req)
@@ -221,19 +249,7 @@ def run_verify(req: VerifyRequest):
         "target": req.target,
         "passed": code == 0,
         "exit_code": code,
-        "config": {
-            "target": req.target,
-            "parameters": req.parameters,
-            "profiles": req.profiles,
-            "domain": req.domain,
-            "grid": grid,
-            "random_points": req.random_points,
-            "seed": req.seed,
-            "checks": req.checks,
-            "tolerances": req.tolerances,
-            "oracle": req.oracle,
-            "jobs": req.jobs,
-        },
+        "config": {**{key: getattr(req, key) for key in CONFIG_KEYS}, "grid": grid},
         "checks": [
             {
                 "name": s.name,
@@ -364,9 +380,13 @@ def _seed(flag: str, value) -> int:
 
 def _request_from_args(args) -> VerifyRequest:
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
+    for key in cfg:
+        if key not in CONFIG_KEYS:
+            raise ContractViolation(f"--config key {key!r} is not read; a request reads "
+                                    f"{', '.join(CONFIG_KEYS)}")
     req = VerifyRequest(target=args.target or cfg.get("target", ""))
     for key in ("parameters", "profiles", "tolerances"):
         req.__setattr__(key, dict(cfg.get(key) or {}))
@@ -380,30 +400,19 @@ def _request_from_args(args) -> VerifyRequest:
     req.oracle = cfg.get("oracle", "jets")
     req.jobs = int(cfg.get("jobs", 0) or 0)
 
-    for pname in ("a", "b", "R", "A"):
-        val = getattr(args, pname, None)
+    if args.psi is not None and not args.solve_psi and "solve_psi" in req.profiles:
+        for key in ("solve_psi", "c"):  # an explicit profile drops the file's solve
+            req.profiles.pop(key, None)
+    for flag, (key, kind, _) in PARAMETER_FLAGS.items():
+        val = getattr(args, flag.replace("-", "_"))
         if val is not None:
-            req.parameters[pname] = val
-    if getattr(args, "n", None) is not None:
-        req.parameters["n"] = args.n
-    if getattr(args, "offsets", None):
-        req.parameters["a"] = tuple(_numbers(args.offsets, "--offsets"))
-    if getattr(args, "solve_psi", False):
-        req.profiles["solve_psi"] = True
-    for pname in ("psi", "phi", "phi1", "phi2", "theta"):
-        val = getattr(args, pname, None)
+            req.parameters[key] = tuple(_numbers(val, f"--{flag}")) if kind is str else val
+    for flag, (key, _, _) in PROFILE_FLAGS.items():
+        val = getattr(args, flag.replace("-", "_"))
         if val is not None:
-            req.profiles[pname] = val
-    if getattr(args, "psi", None) is not None and not getattr(args, "solve_psi", False):
-        req.profiles.pop("solve_psi", None)  # an explicit profile wins
-    if getattr(args, "c", None) is not None:
-        req.profiles["c"] = args.c
-    if getattr(args, "phi0", None) is not None:
-        req.profiles["phi0"] = args.phi0
-    if getattr(args, "psi0", None) is not None:
-        req.profiles["psi0"] = args.psi0
+            req.profiles[key] = val
 
-    if getattr(args, "domain", None):
+    if args.domain:
         req.domain_spec = args.domain
     if getattr(args, "grid", None):
         req.grid_spec = args.grid
@@ -424,7 +433,7 @@ def _request_from_args(args) -> VerifyRequest:
         jobs = req.jobs or int(os.environ.get("BICONSERVE_JOBS", "1"))
     req.jobs = max(1, jobs)
     req.output = getattr(args, "output", None)
-    req.fmt = getattr(args, "format", "json") or "json"
+    req.fmt = getattr(args, "format", "json")
     req.per_point = bool(getattr(args, "per_point", False))
     return req
 
@@ -537,26 +546,18 @@ def make_parser() -> argparse.ArgumentParser:
     p_list.add_argument("--json", action="store_true")
     p_list.set_defaults(fn=cmd_list)
 
-    def common(p):
+    def chart(p):
         p.add_argument("target", nargs="?", default=None,
                        help="catalog key or inline ';'-separated expressions")
         p.add_argument("--config", help="JSON file mirroring the request; flags override")
-        p.add_argument("--a", type=float)
-        p.add_argument("--b", type=float)
-        p.add_argument("--c", type=float)
-        p.add_argument("--R", type=float)
-        p.add_argument("--A", type=float)
-        p.add_argument("--n", type=int)
-        p.add_argument("--offsets", help="comma-separated offset constants (the parameter a)")
-        p.add_argument("--solve-psi", action="store_true", dest="solve_psi")
-        p.add_argument("--psi")
-        p.add_argument("--phi")
-        p.add_argument("--phi1")
-        p.add_argument("--phi2")
-        p.add_argument("--theta")
-        p.add_argument("--phi0", type=float)
-        p.add_argument("--psi0", type=float)
+        for flag, (_, kind, text) in {**PARAMETER_FLAGS, **PROFILE_FLAGS}.items():
+            if kind is bool:
+                p.add_argument(f"--{flag}", action="store_true", default=None, help=text)
+            else:
+                p.add_argument(f"--{flag}", type=kind, help=text)
         p.add_argument("--domain", help="axis ranges, e.g. 's=0.5:2,t=-1:1'")
+
+    def points(p):
         p.add_argument("--grid", help="axis grids, e.g. 's=0.6:1.4:5,t=-0.5:0.5:5'")
         p.add_argument("--random-points", type=int, dest="random_points")
         p.add_argument("--seed", type=int)
@@ -564,10 +565,11 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int, default=0,
                        help="worker processes (default: BICONSERVE_JOBS or 1)")
         p.add_argument("--output")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p_ver = sub.add_parser("verify", help="run verification checks over a grid")
-    common(p_ver)
+    chart(p_ver)
+    points(p_ver)
+    p_ver.add_argument("--format", choices=("json", "csv"), default="json")
     p_ver.add_argument("--checks",
                        help="comma list: biconservative,beltrami,gauss,codazzi,"
                             "unit_normal,principal_direction,structure")
@@ -580,7 +582,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(fn=cmd_verify)
 
     p_cls = sub.add_parser("classify", help="classify the shape operator at a point")
-    common(p_cls)
+    chart(p_cls)
     p_cls.add_argument("--at", help="comma-separated parameter point")
     p_cls.add_argument("--matrix", help="16 comma-separated operator entries")
     p_cls.add_argument("--metric", help="16 comma-separated metric entries")
@@ -588,7 +590,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_cls.set_defaults(fn=cmd_classify)
 
     p_smp = sub.add_parser("sample", help="stream per-point data as CSV")
-    common(p_smp)
+    chart(p_smp)
+    points(p_smp)
     p_smp.add_argument("--columns", help="subset of output columns")
     p_smp.set_defaults(fn=cmd_sample)
     return ap

@@ -8,14 +8,14 @@ import pathlib
 import numpy as np
 import pytest
 
-from biconserve.catalog import (CATALOG, FamilySpec, all_keys, build, build_remark42,
-                                list_entries, verify_structure)
+from biconserve.catalog import (CATALOG, FamilySpec, all_keys, build, build_remark42, entry_for,
+                                list_entries, structure_verdict)
 from biconserve.cli import VerifyRequest, run_verify
 from biconserve.errors import ConstraintError, ContractViolation, DomainError
 from biconserve.expr import parse
 from biconserve.immersion import ImmersionChart, packet, principal_direction_check
 from biconserve.spectral import CLUSTER_TOL, eigen_structure
-from biconserve.sweep import interior_grid
+from biconserve.sweep import grid_points, interior_grid, sweep
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "data" / "golden_charts.json").read_text()
@@ -43,14 +43,38 @@ def test_golden_transcription(row):
     assert np.max(np.abs(got - np.asarray(row["values"]))) < 1e-12
 
 
+STRUCTURE_CHECKS = ("beltrami", "gauss", "codazzi", "structure")
+
+
+def _spec(key: str) -> FamilySpec:
+    family, _, case = key.partition(".")
+    return FamilySpec(family, case)
+
+
+def _verdict(key, chart=None, nodes=2):
+    """(ok, index_ok, spectral, notes): ``structure_verdict`` of the key's
+    entry on a sweep of ``chart``, by default the key's build, over its
+    interior grid with ``nodes`` per axis; ``index_ok`` reads no
+    UnexpectedIndex error at any point."""
+    if chart is None:
+        chart = build(_spec(key))
+    grid = interior_grid(chart.domain, nodes)
+    table = sweep(chart, grid_points([(lo, hi) for lo, hi, _ in grid], nodes), STRUCTURE_CHECKS)
+    ok, spectral, notes = structure_verdict(entry_for(_spec(key)), table, chart)
+    return ok, not any(e.startswith("UnexpectedIndex:") for e in table.error), spectral, notes
+
+
 @pytest.mark.parametrize("key", [k for k in all_keys() if k != "rem42"])
 def test_structure_every_entry(key):
-    rep = verify_structure(key, nodes_per_axis=2)
-    assert rep.index_ok, key
-    assert rep.family_ok, (key, rep.notes)
-    assert rep.beltrami_max < 1e-7
-    assert rep.gauss_max < 1e-6
-    assert rep.codazzi_max < 1e-6
+    grid = interior_grid(entry_for(_spec(key)).domain, 2)
+    report, _ = run_verify(VerifyRequest(target=key, grid=grid, checks=list(STRUCTURE_CHECKS),
+                                         per_point=True))
+    checks = {c["name"]: c for c in report["checks"]}
+    assert not any(row["error"].startswith("UnexpectedIndex:") for row in report["rows"]), key
+    assert checks["structure"]["status"] != "fail", key
+    assert checks["beltrami"]["max"] < 1e-7
+    assert checks["gauss"]["max"] < 1e-6
+    assert checks["codazzi"]["max"] < 1e-6
 
 
 def test_cylinder_member_degenerates_further():
@@ -59,21 +83,21 @@ def test_cylinder_member_degenerates_further():
     chart = build(FamilySpec("thm1", "i",
                              profiles={"theta": "1.5707963267948966",
                                        "phi0": 1.0, "psi0": 0.0}))
-    rep = verify_structure("thm1.i", nodes_per_axis=2, chart=chart)
-    assert rep.family_ok
-    assert any("zero multiplicity 3" in n for n in rep.notes)
+    ok, _, _, notes = _verdict("thm1.i", chart)
+    assert ok
+    assert any("zero multiplicity 3" in n for n in notes)
 
 
 def test_thm2_pattern_double_plus_simple_zero():
-    rep = verify_structure("thm2.i", nodes_per_axis=2)
-    assert rep.family_ok
-    assert all(p in ("1+2+1", "2+1+1", "1+1+2") for p in rep.patterns)
+    ok, _, spectral, _ = _verdict("thm2.i")
+    assert ok
+    assert all(p in ("1+2+1", "2+1+1", "1+1+2") for p in spectral["patterns"])
 
 
 def test_ex41_pattern_and_curvature_values():
     chart = build(FamilySpec("ex41", profiles={"solve_psi": True, "c": 1.0}))
-    rep = verify_structure("ex41", nodes_per_axis=2, chart=chart)
-    assert rep.family_ok and rep.patterns == ["1+1+1+1"]
+    ok, _, spectral, _ = _verdict("ex41", chart)
+    assert ok and sorted(spectral["patterns"]) == ["1+1+1+1"]
     psi = chart.profile_bank["psi"]
     rng = np.random.default_rng(31)
     for _ in range(10):
@@ -250,8 +274,8 @@ def test_catalog_charts_accept_any_admissible_profile():
     # the constraint, not a particular solution, is what the family needs
     chart = build(FamilySpec("thm3", "i", profiles={"theta": "0.5*s + 0.1",
                                                     "phi0": 1.5, "psi0": 0.4}))
-    rep = verify_structure("thm3.i", nodes_per_axis=2, chart=chart)
-    assert rep.family_ok and rep.index_ok
+    ok, index_ok, _, _ = _verdict("thm3.i", chart)
+    assert ok and index_ok
 
 
 def test_a_pair_member_whose_radius_vanishes_is_refused():
@@ -262,34 +286,16 @@ def test_a_pair_member_whose_radius_vanishes_is_refused():
                               "(value 3.81e-02 at s=0.167)")
 
 
-@pytest.mark.parametrize("key", all_keys())
-def test_structure_verdict_is_the_verify_verdict(key):
-    # verify_structure and `biconserve verify` judge the same grid alike
-    rep = verify_structure(key, nodes_per_axis=2)
-    family, _, case = key.partition(".")
-    grid = interior_grid(build(FamilySpec(family, case)).domain, 2)
-    report, _ = run_verify(VerifyRequest(target=key, grid=grid))
-    status = {c["name"]: c["status"] for c in report["checks"]}["structure"]
-    assert (status != "fail") == rep.family_ok
-    spectral = report["spectral"]
-    assert sorted(spectral["patterns"]) == rep.patterns
-    assert sorted(spectral["labels"]) == rep.case_labels
-    # no curvatures (a surface or curve): the report's range reads 0.0
-    ends = [spectral["curvature_min"], spectral["curvature_max"]]
-    assert [0.0 if k is None else k for k in ends] == [rep.curvature_min, rep.curvature_max]
-
-
 def test_structure_point_errors_fail_the_report():
     chart = build(FamilySpec("thm1", "i"))
-    rep = verify_structure("thm1.i", nodes_per_axis=2,
-                           chart=dataclasses.replace(chart, expected_index=1))
-    assert not rep.family_ok and not rep.index_ok
-    assert len(rep.notes) == 16 and all("UnexpectedIndex" in n for n in rep.notes)
+    ok, index_ok, _, notes = _verdict("thm1.i", dataclasses.replace(chart, expected_index=1))
+    assert not ok and not index_ok
+    assert len(notes) == 16 and all("UnexpectedIndex" in n for n in notes)
     # beyond the profile's range: a domain error, the index is fine
     wide = dataclasses.replace(chart, domain=((0.1, 3.0),) + chart.domain[1:])
-    rep = verify_structure("thm1.i", nodes_per_axis=2, chart=wide)
-    assert not rep.family_ok and rep.index_ok
-    assert len(rep.notes) == 8 and all("DomainError" in n for n in rep.notes)
+    ok, index_ok, _, notes = _verdict("thm1.i", wide)
+    assert not ok and index_ok
+    assert len(notes) == 8 and all("DomainError" in n for n in notes)
 
 
 @pytest.mark.parametrize("offsets, distinct", [((1.0, 2.0, 3.0, 4.0), True),
@@ -297,9 +303,15 @@ def test_structure_point_errors_fail_the_report():
 def test_remark42_five_parameters_structure(offsets, distinct):
     # no 4x4 classification above four parameters: the curvatures decide
     spec = FamilySpec("rem42", parameters={"n": 5, "a": offsets})
-    rep = verify_structure(spec, nodes_per_axis=2)
-    assert rep.family_ok is distinct and rep.index_ok
-    assert rep.beltrami_max < 1e-7 and rep.gauss_max < 1e-6 and rep.codazzi_max < 1e-6
+    grid = interior_grid(entry_for(spec).domain, 2)
+    report, _ = run_verify(VerifyRequest(target="rem42", parameters=dict(spec.parameters),
+                                         grid=grid, checks=list(STRUCTURE_CHECKS),
+                                         per_point=True))
+    checks = {c["name"]: c for c in report["checks"]}
+    assert (checks["structure"]["status"] != "fail") is distinct
+    assert not any(row["error"].startswith("UnexpectedIndex:") for row in report["rows"])
+    assert checks["beltrami"]["max"] < 1e-7 and checks["gauss"]["max"] < 1e-6
+    assert checks["codazzi"]["max"] < 1e-6
 
 
 def test_lowdim_notes_print_plain_points():
@@ -307,32 +319,32 @@ def test_lowdim_notes_print_plain_points():
     circle = ImmersionChart(components=tuple(parse(e, ("v",)) for e in
                                              ("0", "0", "cos(v)/2", "sin(v)/2", "0")),
                             domain=((-0.8, 0.8),), expected_index=0, name="circle")
-    rep = verify_structure("intcurve.B", 2, chart=circle)
-    assert not rep.family_ok
-    assert rep.notes[0] == "speed +0.250000 != +1 at (-0.704,)"
+    ok, _, _, notes = _verdict("intcurve.B", circle)
+    assert not ok
+    assert notes[0] == "speed +0.250000 != +1 at (-0.704,)"
 
 
 def test_lowdim_index_errors_are_point_notes():
     chart = dataclasses.replace(build(FamilySpec("intsurf", "iii")), expected_index=1)
-    rep = verify_structure("intsurf.iii", 2, chart=chart)
-    assert not rep.family_ok and not rep.index_ok
-    assert len(rep.notes) == 4 and all(n.startswith("UnexpectedIndex: ") for n in rep.notes)
+    ok, index_ok, _, notes = _verdict("intsurf.iii", chart)
+    assert not ok and not index_ok
+    assert len(notes) == 4 and all(n.startswith("UnexpectedIndex: ") for n in notes)
 
 
 def test_lowdim_predicate_notes_name_the_predicate():
     # a unit sphere is umbilic, but not on the quadric <x, x> = r^2 of intsurf.iii (r = 2)
     sphere = build(FamilySpec("intsurf", "iii", parameters={"r": 1.0}))
-    rep = verify_structure("intsurf.iii", 2, chart=sphere)
-    assert not rep.family_ok and rep.index_ok
+    ok, index_ok, _, notes = _verdict("intsurf.iii", sphere)
+    assert not ok and index_ok
     grid = interior_grid(sphere.domain, 2)
-    assert rep.notes == [f"quadric: <x, x> = +1.000000, expected +4 at ({t:g}, {u:g})"
-                         for t in grid[0][:2] for u in grid[1][:2]]
+    assert notes == [f"quadric: <x, x> = +1.000000, expected +4 at ({t:g}, {u:g})"
+                     for t in grid[0][:2] for u in grid[1][:2]]
 
 
 def test_pattern_mismatch_notes_name_the_pattern_and_the_point():
     # s = 0.7 is a node of the default grid, where two simple curvatures of
     # thm3.viii cross: those points come out 2+2 instead of 1+2+1-nonzero
-    rep = verify_structure("thm3.viii", 5)
-    assert not rep.family_ok
-    assert rep.notes and all(n.startswith("pattern 2+2, expected 1+2+1-nonzero at (0.7, ")
-                             for n in rep.notes)
+    ok, _, _, notes = _verdict("thm3.viii", nodes=5)
+    assert not ok
+    assert notes and all(n.startswith("pattern 2+2, expected 1+2+1-nonzero at (0.7, ")
+                         for n in notes)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from biconserve.catalog import FamilySpec, build
+from biconserve.catalog import FamilySpec, all_keys, build
 from biconserve.cli import VerifyRequest, _request_from_args, main, make_parser, run_verify
 from biconserve.sweep import HYPERSURFACE_CHECKS, LOWDIM_CHECKS, interior_grid
 
@@ -116,6 +116,19 @@ def test_report_round_trip(tmp_path):
     for c1, c2 in zip(report["checks"], report2["checks"]):
         assert c1["name"] == c2["name"]
         assert abs(c1["max"] - c2["max"]) <= 1e-12 * (1.0 + abs(c1["max"]))
+
+
+@pytest.mark.parametrize("key", all_keys())
+def test_a_report_config_is_a_config_file_that_reproduces_the_report(tmp_path, key):
+    # the config block holds only keys a --config file may give, and what it holds suffices
+    family, _, case = key.partition(".")
+    grid = interior_grid(build(FamilySpec(family, case)).domain, 2)
+    report, code = run_verify(VerifyRequest(target=key, grid=grid))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(report["config"]))
+    code2, text = run(["verify", "--config", str(path), "--emit-report"])
+    assert code2 == code
+    assert json.loads(text[text.index("{"):]) == json.loads(json.dumps(report))
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -393,11 +406,56 @@ def test_spec_errors_exit_two_with_one_line(argv):
     (["thm1.i", "--c", "5"], "--c"),                # no torsion equation
     (["t; u; s; v; 0", "--theta", "s"], "--theta"),
     (["t; u; s; v; 0", "--solve-psi"], "--solve-psi"),
+    # an explicit pair reads nothing else
+    (["thm1.i", "--phi", "1.2+0.6*s", "--psi", "0.8*s", "--theta", "0.9*s"], "--theta"),
+    (["thm1.i", "--phi", "1.2+0.6*s", "--psi", "0.8*s", "--phi0", "3"], "--phi0"),
+    (["thm1.i", "--phi", "1.2+0.6*s", "--psi", "0.8*s", "--psi0", "7"], "--psi0"),
+    # a solved psi reads no --psi, an explicit one no --c
+    (["ex41", "--solve-psi", "--psi", "s^2"], "--psi"),
+    (["ex41", "--psi", "s^2", "--c", "5"], "--c"),
 ])
 def test_a_profile_flag_the_chart_does_not_read_is_a_usage_error(argv, flag):
     code, text = run(["verify", *argv])
     assert code == 2
     assert text.startswith(f"error [{argv[0]}]: {flag} ") and text.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, name, reader", [
+    (["thm1.i", "--a", "5"], "a", "thm1.i"),
+    (["ex41", "--solve-psi", "--R", "3"], "R", "ex41"),
+    (["intsurf.ii", "--b", "2", "--n", "7"], "b", "intsurf.ii"),
+    (["rem42", "--b", "3"], "b", "rem42"),
+    (["t; u; s; v; 0", "--a", "5"], "a", "an inline chart"),
+])
+def test_a_parameter_the_chart_does_not_read_is_a_usage_error(argv, name, reader):
+    code, text = run(["verify", *argv])
+    assert code == 2
+    assert text == f"error [{argv[0]}]: parameter {name!r} is not read by {reader}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "ex41", "--grid", "s=0.6:1.4:3"],
+    ["classify", "ex41", "--random-points", "5"],
+    ["classify", "ex41", "--seed", "3"],
+    ["classify", "ex41", "--oracle", "fd"],
+    ["classify", "ex41", "--jobs", "2"],
+    ["classify", "ex41", "--output", "F"],
+    ["classify", "ex41", "--format", "csv"],
+    ["sample", "thm1.ii", "--format", "json"],
+])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    named = [line for line in capsys.readouterr().err.splitlines() if argv[2] in line]
+    assert named == [f"biconserve: error: unrecognized arguments: {' '.join(argv[2:])}"]
+
+
+def test_each_subcommand_parses_only_the_flags_it_reads():
+    subcommands = next(a for a in make_parser()._actions if a.dest == "command").choices
+    counts = {name: sum(len(a.option_strings) for a in p._actions if a.dest != "help")
+              for name, p in subcommands.items()}
+    assert counts == {"list": 2, "verify": 33, "classify": 21, "sample": 24}
 
 
 @pytest.mark.parametrize("argv", [[], ["--n", "5", "--offsets", "1,2,3,4"]])
@@ -432,6 +490,19 @@ def test_non_numeric_parameter_exits_two_with_one_line(tmp_path):
     assert code == 2
     assert text.startswith("error [thm1.i]: ") and text.count("\n") == 1
     assert "'q'" in text
+    # a parameter the entry declares keeps its default's type
+    path.write_text(json.dumps({"target": "thm3.vii", "parameters": {"a": "x"}}))
+    code, text = run(["verify", "--config", str(path)])
+    assert (code, text) == (2, "error [thm3.vii]: parameter 'a' takes a number, got 'x'\n")
+
+
+def test_a_config_key_the_request_does_not_read_is_a_usage_error(tmp_path):
+    path = tmp_path / "req.json"
+    path.write_text(json.dumps({"target": "ex41", "profiles": {"solve_psi": True},
+                                "tolerence": {"gauss": 0}, "per_point": True, "output": "F"}))
+    code, text = run(["verify", "--config", str(path)])
+    assert code == 2
+    assert text.startswith("error: --config key 'tolerence' ") and text.count("\n") == 1
 
 
 def test_domain_spec_over_a_short_config_domain_is_a_usage_error(tmp_path):

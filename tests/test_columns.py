@@ -24,9 +24,9 @@ from biconserve.errors import BiconserveError, ConstraintError, plain_point
 from biconserve.expr import parse
 from biconserve.immersion import ImmersionChart
 from biconserve.profiles import ExprProfile, constraint_residual
-from biconserve.spectral import (CLUSTER_TOL, ShapeSpectrum, canonical_pair, conjugated_pair,
-                                 eigen_structure)
+from biconserve.spectral import CLUSTER_TOL, ShapeSpectrum, eigen_structure
 from biconserve.sweep import HYPERSURFACE_CHECKS, PointRow, grid_points, random_points, sweep
+from planted import canonical_pair, conjugated_pair
 
 TAGS = ("zero>=2", "simple-zero+double", "1+2+1-nonzero", "all-distinct")
 

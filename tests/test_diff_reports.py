@@ -45,7 +45,7 @@ def test_classify_cases_are_diffed(diff_reports):
     from biconserve import catalog
 
     argvs = [argv for _, argv in diff_reports.cases(catalog)]
-    assert len(argvs) == 87
+    assert len(argvs) == 90
     assert ["classify", "ex41", "--solve-psi"] in argvs
     assert ["classify", "thm3.viii", "--at", "0.7,0,0,0"] in argvs
     assert ["classify", "thm1.v", "--at", "1,0,0,0"] in argvs
@@ -65,6 +65,10 @@ def test_profile_usage_errors_are_diffed(diff_reports):
     argvs = [argv for _, argv in diff_reports.cases(catalog)]
     assert ["verify", "thm1.v", "--theta", "0.9*s", "--emit-report"] in argvs
     assert ["verify", "thm3.ii", "--theta", "-0.546*s - 1.125", "--emit-report"] in argvs
+    assert ["verify", "thm1.i", "--phi", "1.2+0.6*s", "--psi", "0.8*s", "--theta", "0.9*s",
+            "--emit-report"] in argvs
+    assert ["verify", "ex41", "--solve-psi", "--psi", "s^2", "--emit-report"] in argvs
+    assert ["verify", "thm1.i", "--a", "5", "--emit-report"] in argvs
 
 
 def _case(tmp, name, argv, stdout):

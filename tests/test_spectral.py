@@ -9,9 +9,10 @@ from biconserve import spectral, sweep as sweep_module
 from biconserve.catalog import FamilySpec, build
 from biconserve.errors import ContractViolation
 from biconserve.immersion import packet
-from biconserve.spectral import (ShapeSpectrum, SpectrumBlock, canonical_pair,
-                                 characteristic_quartic, conjugated_pair, eigen_structure)
+from biconserve.spectral import (ShapeSpectrum, SpectrumBlock, characteristic_quartic,
+                                 eigen_structure)
 from biconserve.sweep import grid_points, sweep
+from planted import canonical_pair, conjugated_pair
 
 
 def test_quartic_of_zero_operator():

@@ -15,9 +15,11 @@ row's index plans above n = 5) and on ``--n 5 --jobs 2`` (the process
 pool's chunks and their blocks), ``verify`` on thm1.i with
 a constant ``--theta`` (its profile's derivative is ``cos`` of a constant)
 and on ex41 with ``--psi 2*s+1`` (a profile with constant operands),
-two usage errors, thm1.v with a ``--theta`` it does not read and the
+five usage errors: thm1.v with a ``--theta`` it does not read, the
 thm3.ii member with ``--theta "-0.546*s - 1.125"`` (a radius that changes
-sign in the s-range),
+sign in the s-range), thm1.i with an explicit pair and a ``--theta``,
+ex41 with both ``--solve-psi`` and ``--psi`` and thm1.i with a parameter
+``--a`` it does not declare,
 ``sample`` on one pair family and on ``rem42 --n 5``, so that every row a
 sweep gives is compared, not only the summaries, and ``classify`` at the
 solved ex41's centre, at one thm3.viii point and at one thm1.v point, so
@@ -75,6 +77,10 @@ def cases(catalog):
     out.append(("ex41 psi=2s+1", ["ex41", "--psi", "2*s+1"]))
     out.append(("thm1.v theta=0.9s", ["thm1.v", "--theta", "0.9*s"]))
     out.append(("thm3.ii theta=-0.546s-1.125", ["thm3.ii", "--theta", "-0.546*s - 1.125"]))
+    out.append(("thm1.i pair theta=0.9s", ["thm1.i", "--phi", "1.2+0.6*s", "--psi", "0.8*s",
+                                           "--theta", "0.9*s"]))
+    out.append(("ex41 solve-psi psi=s^2", ["ex41", "--solve-psi", *NEGATIVE_CONTROL]))
+    out.append(("thm1.i a=5", ["thm1.i", "--a", "5"]))
     out = [(name, ["verify", *argv, "--emit-report"]) for name, argv in out]
     out.append(("sample thm1.ii", ["sample", "thm1.ii"]))
     out.append(("sample rem42 n=5", ["sample", "rem42", "--n", "5", "--offsets", "1,2,3,4"]))
