@@ -6,17 +6,17 @@ condition, degenerate metric, unparsable input).
 
 Inline charts: pass five semicolon-separated expressions in s, t, u, v as
 the target, e.g. ``biconserve verify "t; u; s; v; 0"``.  The expression
-grammar is infix with ^ or ** for powers (exponents are numeric literals),
-the functions sin, cos, sinh, cosh, exp, sqrt, and named profile calls such
-as ``phi(s)`` resolved against the profile options below.
+grammar (``expr``) is infix with ^ or ** for powers (exponents are numeric
+literals), sin, cos, sinh, cosh, exp, sqrt and named profile calls such as
+``phi(s)`` resolved against the profile options below; whitespace is free.
 
 Each input has one reader.  The chart flags are declared once, in
-PARAMETER_FLAGS and PROFILE_FLAGS, which both the parser and
-``_request_from_args`` read; each subcommand parses only the flags it
-reads, so ``classify`` takes no point or output flags and ``sample`` no
-``--format``.  A ``--config`` file gives the fields a report's config block
-holds (CONFIG_KEYS) and no others.  The chart build takes the parameters
-and profiles it reads and refuses the rest (exit 2, one line naming it):
+PARAMETER_FLAGS and PROFILE_FLAGS; each subcommand parses only the flags it
+reads (``classify`` reads a chart or ``--matrix``, not both).  A ``--config``
+file gives the fields of the flags the subcommand parses (of CONFIG_KEYS, a
+report's config block), each checked and converted as its flag's value is.
+The chart build takes the parameters and profiles it reads and refuses the
+rest (exit 2, one line naming it):
 ``catalog.entry_for`` and ``catalog._profile_bank`` for a catalog key, and
 ``_build_chart`` for an inline chart, which reads the profiles it may call
 and, below four parameters, the parameter ``index``.
@@ -63,9 +63,15 @@ PROFILE_FLAGS = {
     "theta": ("theta", str, "angle function of the constructed pair"),
     "phi0": ("phi0", float, None), "psi0": ("psi0", float, None),
 }
-# the request fields a --config file may give: those a report's config block holds
-CONFIG_KEYS = ("target", "parameters", "profiles", "domain", "grid", "random_points", "seed",
-               "checks", "tolerances", "oracle", "jobs")
+# the request fields a --config file may give (those a report's config block
+# holds), each with the JSON shape of its value (see _typed)
+CONFIG_KEYS = {"target": str, "parameters": dict, "profiles": dict, "domain": [(float, float)],
+               "grid": [(float, float, int)], "random_points": int, "seed": int, "checks": [str],
+               "tolerances": dict, "oracle": str, "jobs": int}
+# the JSON types of a --config value of a flag's type, and their name
+JSON_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string"),
+              bool: (bool, "true or false"), dict: (dict, "an object")}
+ORACLES = ("jets", "fd")
 # the profiles an inline chart's expressions may call, each given by its flag
 INLINE_PROFILES = ("phi", "psi", "phi1", "phi2")
 # the checks with a --tol-<name> option of their own
@@ -164,7 +170,7 @@ def _build_chart(req: VerifyRequest):
         exprs = _inline_exprs(req.target)
         names = _target_var_names(req)
         params, profiles = dict(req.parameters), dict(req.profiles)
-        index = 2 if len(names) == 4 else int(params.pop("index", 2))
+        index = 2 if len(names) == 4 else _typed("parameters.index", int, params.pop("index", 2))
         texts = {p: str(profiles.pop(p)) for p in INLINE_PROFILES if p in profiles}
         refuse_unread(params, profiles, "an inline chart")
         bank = {p: ExprProfile(parse_expr(e, ("s",))) for p, e in texts.items()}
@@ -369,36 +375,72 @@ def _tolerance(flag: str, value):
 
 def _seed(flag: str, value) -> int:
     """The seed of ``--random-points``, given by ``flag``: an integer >= 0."""
-    try:
-        seed = int(value)
-    except (TypeError, ValueError):
-        seed = -1
-    if seed < 0:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise ContractViolation(f"{flag} takes an integer >= 0, got {value!r}")
-    return seed
+    return value
+
+
+def _typed(key: str, shape, value):
+    """``value`` of --config ``key``, converted as its flag's value is:
+    ``shape`` is the flag's type (a number is never true or false), [shape]
+    a list of such values, (shape, ...) a list of one each."""
+    if isinstance(shape, type):
+        types, what = JSON_TYPES[shape]
+        if isinstance(value, types) and isinstance(value, bool) is (shape is bool):
+            return shape(value)
+    else:
+        listed = isinstance(value, list)
+        shapes = shape * len(value) if isinstance(shape, list) and listed else shape
+        what = "a list" if isinstance(shape, list) else f"a list of {len(shape)}"
+        if listed and len(value) == len(shapes):
+            return [_typed(key, s, v) for s, v in zip(shapes, value)]
+    raise ContractViolation(f"--config key {key!r} takes {what}, got {value!r}")
+
+
+def _read_config(args) -> dict:
+    """The request fields of the --config file, each checked and converted as
+    its flag's value is (a null is an absent field).  A subcommand reads the
+    keys whose flags it parses and refuses the others."""
+    try:
+        with open(args.config) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ContractViolation(f"--config {args.config}: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ContractViolation(f"--config {args.config} holds no JSON object")
+    dest = {"parameters": "a", "profiles": "psi", "tolerances": f"tol_{TOLERANCE_FLAGS[0]}"}
+    reads = [key for key in CONFIG_KEYS if hasattr(args, dest.get(key, key))]
+    for key in cfg:
+        if key not in reads:
+            raise ContractViolation(f"--config key {key!r} is not read by {args.command}; "
+                                    f"it reads {', '.join(reads)}")
+    cfg = {key: val for key, val in cfg.items() if val is not None}
+    if "seed" in cfg:
+        _seed("--seed (in --config)", cfg["seed"])
+    cfg = {key: _typed(key, CONFIG_KEYS[key], val) for key, val in cfg.items()}
+    if cfg.get("oracle", ORACLES[0]) not in ORACLES:
+        raise ContractViolation(f"--config key 'oracle' takes one of {', '.join(ORACLES)}, "
+                                f"got {cfg['oracle']!r}")
+    for name, val in cfg.get("tolerances", {}).items():
+        if name not in TOLERANCE_FLAGS:
+            raise ContractViolation(f"--config key 'tolerances.{name}' is not read; the "
+                                    f"tolerances are {', '.join(TOLERANCE_FLAGS)}")
+        _tolerance(f"--tol-{name.replace('_', '-')} (in --config)", val)
+    # a parameter or profile as its key's flag gives it: a list of parameters
+    # as the numbers of a parameter flag's text
+    kinds = {**{key: kind for key, kind, _ in PARAMETER_FLAGS.values() if kind is not str},
+             **{key: kind for key, kind, _ in PROFILE_FLAGS.values()}}
+    for group in ("parameters", "profiles"):
+        for key, val in cfg.get(group, {}).items():
+            shape = [float] if group == "parameters" and isinstance(val, list) else kinds.get(key)
+            if shape:  # a key no flag gives is left to the chart build
+                cfg[group][key] = _typed(f"{group}.{key}", shape, val)
+    return cfg
 
 
 def _request_from_args(args) -> VerifyRequest:
-    cfg = {}
-    if args.config:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-    for key in cfg:
-        if key not in CONFIG_KEYS:
-            raise ContractViolation(f"--config key {key!r} is not read; a request reads "
-                                    f"{', '.join(CONFIG_KEYS)}")
-    req = VerifyRequest(target=args.target or cfg.get("target", ""))
-    for key in ("parameters", "profiles", "tolerances"):
-        req.__setattr__(key, dict(cfg.get(key) or {}))
-    for tname, val in req.tolerances.items():
-        _tolerance(f"--tol-{tname.replace('_', '-')} (in --config)", val)
-    req.domain = cfg.get("domain")
-    req.grid = cfg.get("grid")
-    req.random_points = cfg.get("random_points")
-    req.seed = _seed("--seed (in --config)", cfg.get("seed", 0))
-    req.checks = list(cfg.get("checks") or [])
-    req.oracle = cfg.get("oracle", "jets")
-    req.jobs = int(cfg.get("jobs", 0) or 0)
+    cfg = _read_config(args) if args.config else {}
+    req = VerifyRequest(**{"jobs": 0, **cfg, "target": args.target or cfg.get("target", "")})
 
     if args.psi is not None and not args.solve_psi and "solve_psi" in req.profiles:
         for key in ("solve_psi", "c"):  # an explicit profile drops the file's solve
@@ -460,14 +502,21 @@ def cmd_classify(args, out=None) -> int:
         if args.tol is not None:
             _tolerance("--tol", args.tol)
         tol = args.tol if args.tol else CLUSTER_TOL
-        if args.matrix:
+        if args.matrix is not None:
+            given = [k for k, v in vars(args).items()
+                     if v is not None and k not in ("command", "fn", "matrix", "metric", "tol")]
+            if given:
+                name = "a target" if given[0] == "target" else "--" + given[0].replace("_", "-")
+                raise ContractViolation(f"{name} is not read with --matrix")
             S = np.reshape(_numbers(args.matrix, "--matrix", 16), (4, 4))
-            if args.metric:
+            if args.metric is not None:
                 G = np.reshape(_numbers(args.metric, "--metric", 16), (4, 4))
             else:
                 G = np.diag([-1.0, -1.0, 1.0, 1.0])
             spec = eigen_structure(S, G, tol)
         else:
+            if args.metric is not None:
+                raise ContractViolation("--metric is read only with --matrix")
             req = _request_from_args(args)
             chart, _ = _build_target(req)
             if args.at:
@@ -561,7 +610,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", help="axis grids, e.g. 's=0.6:1.4:5,t=-0.5:0.5:5'")
         p.add_argument("--random-points", type=int, dest="random_points")
         p.add_argument("--seed", type=int)
-        p.add_argument("--oracle", choices=("jets", "fd"))
+        p.add_argument("--oracle", choices=ORACLES)
         p.add_argument("--jobs", type=int, default=0,
                        help="worker processes (default: BICONSERVE_JOBS or 1)")
         p.add_argument("--output")

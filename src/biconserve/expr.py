@@ -33,20 +33,26 @@ with more than one parent is computed at its first visit, reused, and dropped
 at its last use in the call.  So every value, and every error message, is
 the one the trees give one by one.
 
-Text syntax (used by the CLI):
+Text syntax (used by the CLI), with whitespace anywhere:
 
     expr   := term (('+' | '-') term)*
     term   := unary (('*' | '/') unary)*
     unary  := '-' unary | power
-    power  := atom (('^' | '**') signed_number)?
+    power  := atom (('^' | '**') signed)?
+    signed := '-' signed | number | '(' signed ')'
     atom   := number | name | name '(' expr ')' | '(' expr ')'
+    number := (digits ['.' [digits]] | '.' digits) [('e' | 'E') ['+' | '-'] digits]
+    name   := [A-Za-z_][A-Za-z_0-9]*
 
-Variable names come from the chart (s, t, u, v for four parameters); any
-other call name is looked up in the profile bank, e.g. ``phi(s)*cos(v)``.
+Python's own parser reads the text, with ``^`` for ``**``, and ``parse``
+keeps the nodes this grammar has and refuses any other.  Variable names come
+from the chart (s, t, u, v for four parameters); any other call name is
+looked up in the profile bank, e.g. ``phi(s)*cos(v)``.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 from collections import namedtuple
 from dataclasses import dataclass, fields
@@ -520,122 +526,61 @@ def node_repr(node: Expr) -> str:
 
 # -- parser ------------------------------------------------------------
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|[()+\-*/^,]))"
-)
+# a name or a number (group 1) of the grammar; every character it has once ^ reads **
+_LEXEME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)")
+_CHARS = re.compile(r"[A-Za-z0-9_.+\-*/() ]*")
+_BINARY = {ast.Add: Add, ast.Sub: Sub, ast.Mult: Mul, ast.Div: Div}
 
 
-def _tokenize(text: str):
-    pos, out = 0, []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ContractViolation(f"cannot tokenize {text[pos:]!r}")
-        pos = m.end()
-        if m.lastgroup == "num":
-            out.append(("num", float(m.group("num"))))
-        elif m.lastgroup == "name":
-            out.append(("name", m.group("name")))
-        else:
-            out.append(("op", m.group("op")))
-    out.append(("end", None))
-    return out
+def _python_lexeme(m) -> str:
+    """A name with a trailing '_', so that none is a Python keyword (``if(s)``
+    is a profile call); a number as an ASCII float literal set apart by
+    spaces, so that Python splits ``2s`` in two and reads no int (``05`` is
+    ``05.``: no leading-zero rule, no int digit limit)."""
+    if m[1] is None:
+        return m[0] + "_"
+    num = m[1] if m[1].isascii() else re.sub(r"\d", lambda d: str(int(d[0])), m[1])
+    return f" {num}{'.' * num.isdigit()} "
 
 
-class _Parser:
-    def __init__(self, tokens, var_names):
-        self.toks = tokens
-        self.pos = 0
-        self.vars = {name: i for i, name in enumerate(var_names)}
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def take(self):
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise ContractViolation(f"expected {op!r}, found {val!r}")
-
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.take()
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
-
-    def term(self) -> Expr:
-        node = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.take()
-            rhs = self.unary()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
-        return node
-
-    def unary(self) -> Expr:
-        if self.peek() == ("op", "-"):
-            self.take()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        if self.peek() in (("op", "^"), ("op", "**")):
-            self.take()
-            return Pow(base, self.signed_number())
-        return base
-
-    def signed_number(self) -> float:
-        sign = 1.0
-        while self.peek() == ("op", "-"):
-            self.take()
-            sign = -sign
-        kind, val = self.peek()
-        if kind == "num":
-            self.take()
-            return sign * val
-        if kind == "op" and val == "(":
-            self.take()
-            inner = self.signed_number()
-            self.expect_op(")")
-            return sign * inner
+def _tree(node, var_names) -> Expr:
+    """The tree of a Python expression node whose every node is one of the
+    grammar's; ContractViolation names the first that is not."""
+    kind = type(node)
+    if kind is ast.BinOp and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_tree(node.left, var_names), _tree(node.right, var_names))
+    if kind is ast.BinOp and type(node.op) is ast.Pow:
+        sign, exp = 1.0, node.right
+        while type(exp) is ast.UnaryOp and type(exp.op) is ast.USub:
+            sign, exp = -sign, exp.operand
+        if type(exp) is ast.Constant and type(exp.value) is float:
+            return Pow(_tree(node.left, var_names), sign * exp.value)
         raise ContractViolation("exponent must be a numeric literal")
-
-    def atom(self) -> Expr:
-        kind, val = self.take()
-        if kind == "num":
-            return Const(val)
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        if kind == "name":
-            if self.peek() == ("op", "("):
-                self.take()
-                arg = self.expr()
-                self.expect_op(")")
-                if val in _jetops.LADDERS:
-                    return Call(val, arg)
-                return ProfileCall(val, arg)
-            if val in self.vars:
-                return Var(self.vars[val], val)
-            raise ContractViolation(f"unknown name {val!r}")
-        raise ContractViolation(f"unexpected token {val!r}")
+    if kind is ast.UnaryOp and type(node.op) is ast.USub:
+        return Neg(_tree(node.operand, var_names))
+    if kind is ast.Constant and type(node.value) is float:  # every float is a number
+        return Const(node.value)
+    if kind is ast.Name and node.id[:-1] in var_names:
+        return Var(var_names.index(node.id[:-1]), node.id[:-1])
+    # a call is a name and its one argument: not (s)(t), f(*s) or f(s=t)
+    if (kind is ast.Call and type(node.func) is ast.Name and node.func.col_offset ==
+            node.col_offset and len(node.args) == 1 and not node.keywords):
+        fn, arg = node.func.id[:-1], _tree(node.args[0], var_names)
+        return Call(fn, arg) if fn in _jetops.LADDERS else ProfileCall(fn, arg)
+    raise ContractViolation(f"unknown name {node.id[:-1]!r}" if kind is ast.Name else
+                            f"{kind.__name__} is not in the expression grammar")
 
 
 def parse(text: str, var_names=("s", "t", "u", "v")) -> Expr:
-    p = _Parser(_tokenize(text), var_names)
-    node = p.expr()
-    if p.peek() != ("end", None):
-        raise ContractViolation(f"trailing input near {p.peek()[1]!r}")
-    return node
+    """The tree of ``text`` in the grammar of the module docstring, whose
+    variables are ``var_names``; ContractViolation if it is not in it."""
+    src = " ".join(_LEXEME.sub(_python_lexeme, text.replace("^", "**")).split())
+    if (end := _CHARS.match(src).end()) < len(src):
+        raise ContractViolation(f"cannot read {src[end]!r} in {text!r}")
+    try:
+        return _tree(ast.parse(src, mode="eval").body, tuple(var_names))
+    except SyntaxError:
+        raise ContractViolation(f"cannot parse {text!r}") from None
 
 
 def var_names_for(nparams: int):

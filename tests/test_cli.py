@@ -71,6 +71,12 @@ def test_verify_negative_control_exit_one():
     assert "fail" in text
 
 
+def test_trailing_whitespace_in_an_expression_is_read():
+    control = ["verify", "ex41", "--a", "1", "--b", "2", "--psi", "s^2", "--grid", SMALL]
+    assert run([*control[:-3], "s^2 \t", *control[-2:]]) == run(control)
+    assert run(control)[0] == 1
+
+
 def test_verify_error_exit_two():
     code, _ = run(["verify", "nosuch.case"])
     assert code == 2
@@ -190,8 +196,7 @@ def test_classify_zero_multiplicity_cylinder():
 
 
 def test_classify_planted_matrix():
-    code, text = run(["classify", "x",
-                      "--matrix=-1.4,0,0,0,0,1.3,-0.9,0,0,0.9,1.3,0,0,0,0,2.1",
+    code, text = run(["classify", "--matrix=-1.4,0,0,0,0,1.3,-0.9,0,0,0.9,1.3,0,0,0,0,2.1",
                       "--metric=1,0,0,0,0,-1,0,0,0,0,1,0,0,0,0,-1"])
     assert code == 0
     assert "Case III" in text
@@ -490,19 +495,34 @@ def test_non_numeric_parameter_exits_two_with_one_line(tmp_path):
     assert code == 2
     assert text.startswith("error [thm1.i]: ") and text.count("\n") == 1
     assert "'q'" in text
-    # a parameter the entry declares keeps its default's type
+    # a parameter the entry declares keeps its default's type: its flag's, in a --config file
     path.write_text(json.dumps({"target": "thm3.vii", "parameters": {"a": "x"}}))
     code, text = run(["verify", "--config", str(path)])
-    assert (code, text) == (2, "error [thm3.vii]: parameter 'a' takes a number, got 'x'\n")
-
-
-def test_a_config_key_the_request_does_not_read_is_a_usage_error(tmp_path):
-    path = tmp_path / "req.json"
-    path.write_text(json.dumps({"target": "ex41", "profiles": {"solve_psi": True},
-                                "tolerence": {"gauss": 0}, "per_point": True, "output": "F"}))
+    assert (code, text) == (2, "error: --config key 'parameters.a' takes a number, got 'x'\n")
+    path.write_text(json.dumps({"target": "thm3.vii", "parameters": {"a": [1, 2]}}))
     code, text = run(["verify", "--config", str(path)])
+    assert (code, text) == (2, "error [thm3.vii]: parameter 'a' takes a number, got [1.0, 2.0]\n")
+
+
+@pytest.mark.parametrize("argv, cfg, key", [
+    (["verify"], {"target": "ex41", "profiles": {"solve_psi": True}, "tolerence": {"gauss": 0},
+                  "per_point": True, "output": "F"}, "tolerence"),
+    # a subcommand reads the keys of the flags it parses
+    (["classify", "ex41", "--solve-psi"], {"grid": [[0.6, 1.4, 3]]}, "grid"),
+    (["classify", "ex41", "--solve-psi"], {"jobs": 4}, "jobs"),
+    (["classify", "ex41", "--solve-psi"], {"random_points": 3}, "random_points"),
+    (["classify", "ex41", "--solve-psi"], {"seed": 1}, "seed"),
+    (["classify", "ex41", "--solve-psi"], {"oracle": "fd"}, "oracle"),
+    (["classify", "ex41", "--solve-psi"], {"tolerances": {"gauss": 1}}, "tolerances"),
+    (["classify", "ex41", "--solve-psi"], {"checks": ["gauss"]}, "checks"),
+    (["sample", "ex41", "--solve-psi"], {"tolerances": {"gauss": 1}}, "tolerances"),
+    (["sample", "ex41", "--solve-psi"], {"checks": ["gauss"]}, "checks"),
+    (["verify", "ex41", "--solve-psi"], {"tolerances": {"gaus": 0}}, "tolerances.gaus"),
+])
+def test_a_config_key_the_request_does_not_read_is_a_usage_error(tmp_path, argv, cfg, key):
+    code, text = run([*argv, "--config", _config(tmp_path, **cfg)])
     assert code == 2
-    assert text.startswith("error: --config key 'tolerence' ") and text.count("\n") == 1
+    assert text.startswith(f"error: --config key {key!r} is not read") and text.count("\n") == 1
 
 
 def test_domain_spec_over_a_short_config_domain_is_a_usage_error(tmp_path):
@@ -524,6 +544,53 @@ def test_a_check_the_chart_does_not_answer_is_a_usage_error(target, check):
 
 
 PLANTED = "-1.4,0,0,0,0,1.3,-0.9,0,0,0.9,1.3,0,0,0,0,2.1"
+
+
+@pytest.mark.parametrize("argv, cfg, message", [
+    (["verify", "ex41", "--solve-psi"], {"oracle": "foo"}, "'oracle' takes one of jets, fd"),
+    (["verify", "ex41"], {"parameters": {"a": True}}, "'parameters.a' takes a number"),
+    (["verify", "rem42"], {"parameters": {"n": 4.5}}, "'parameters.n' takes an integer"),
+    (["verify", "rem42"], {"parameters": {"a": [1, 2, "x"]}}, "'parameters.a' takes a number"),
+    (["verify", "ex41", "--solve-psi"], {"checks": "gauss"}, "'checks' takes a list"),
+    (["verify", "ex41", "--solve-psi"], {"jobs": "x"}, "'jobs' takes an integer"),
+    (["verify", "ex41", "--solve-psi"], {"random_points": "x"}, "'random_points' takes an integer"),
+    (["verify", "thm1.i"], {"profiles": {"phi0": "x"}}, "'profiles.phi0' takes a number"),
+    (["verify", "thm1.i"], {"profiles": {"psi0": "x"}}, "'profiles.psi0' takes a number"),
+    (["verify", "ex41"], {"profiles": {"c": "x"}}, "'profiles.c' takes a number"),
+    (["verify", "ex41"], {"profiles": {"psi": 2}}, "'profiles.psi' takes a string"),
+    (["verify", "ex41"], {"profiles": {"solve_psi": 1}}, "'profiles.solve_psi' takes true"),
+    (["verify", "t; u; s; 0"], {"parameters": {"index": "x"}}, "'parameters.index' takes an"),
+    (["verify"], {"target": 5}, "'target' takes a string"),
+    (["verify", "ex41"], {"parameters": 5}, "'parameters' takes an object"),
+    (["verify", "ex41"], {"domain": [[0.6], [-0.5, 0.5], [-0.5, 0.5], [-0.5, 0.5]]},
+     "'domain' takes a list of 2"),
+    (["verify", "ex41"], {"grid": [[0.6, 1.4, 2.5], [-0.5, 0.5, 2], [-0.5, 0.5, 2],
+                                   [-0.5, 0.5, 2]]}, "'grid' takes an integer"),
+])
+def test_a_config_value_gets_the_check_its_flag_gets(tmp_path, argv, cfg, message):
+    code, text = run([*argv, "--config", _config(tmp_path, **cfg)])
+    assert code == 2
+    assert text.startswith("error") and text.count("\n") == 1
+    assert f"--config key {message}" in text
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["x", "--matrix=" + PLANTED, "--psi", "s^2", "--a", "5", "--domain", "s=0:1"], "a target"),
+    (["--matrix=" + PLANTED, "--psi", "s^2"], "--psi"),
+    (["--matrix=" + PLANTED, "--solve-psi"], "--solve-psi"),
+    (["--matrix=" + PLANTED, "--n", "5"], "--n"),
+    (["--matrix=" + PLANTED, "--domain", "s=0:1"], "--domain"),
+    (["--matrix=" + PLANTED, "--at", "1,0,0,0"], "--at"),
+    (["--matrix=" + PLANTED, "--config", "F"], "--config"),
+])
+def test_classify_reads_a_chart_or_a_matrix_not_both(argv, name):
+    assert run(["classify", *argv]) == (2, f"error: {name} is not read with --matrix\n")
+
+
+def test_classify_reads_a_metric_only_with_a_matrix():
+    code, text = run(["classify", "ex41", "--solve-psi", "--metric", "1,0,0,0,0,1,0,0,0,0,1,0,"
+                      "0,0,0,1"])
+    assert (code, text) == (2, "error: --metric is read only with --matrix\n")
 
 
 @pytest.mark.parametrize("argv, option", [
@@ -554,6 +621,8 @@ def _config(tmp_path, **cfg):
     (["verify", "ex41", "--random-points", "3", "--config", {"seed": -1}],
      "--seed (in --config) takes"),
     (["verify", "ex41", "--config", {"seed": "one"}], "--seed (in --config) takes"),
+    (["verify", "ex41", "--random-points", "3", "--config", {"seed": 1.5}],
+     "--seed (in --config) takes"),
 ])
 def test_a_negative_seed_is_a_usage_error(tmp_path, argv, option):
     argv = [_config(tmp_path, **a) if isinstance(a, dict) else a for a in argv]
@@ -569,7 +638,7 @@ def test_a_negative_seed_is_a_usage_error(tmp_path, argv, option):
     (["classify", "--matrix=" + PLANTED, "--tol=-1e-9"], "--tol takes"),
     (["verify", "ex41", "--tol-gauss", "nan"], "--tol-gauss takes"),
     (["verify", "ex41", "--tol-principal-direction=-1e-3"], "--tol-principal-direction takes"),
-    (["sample", "ex41", "--config", {"tolerances": {"gauss": -1}}],
+    (["verify", "ex41", "--config", {"tolerances": {"gauss": -1}}],
      "--tol-gauss (in --config) takes"),
     (["verify", "ex41", "--config", {"tolerances": {"unit_normal": float("nan")}}],
      "--tol-unit-normal (in --config) takes"),

@@ -45,7 +45,7 @@ def test_classify_cases_are_diffed(diff_reports):
     from biconserve import catalog
 
     argvs = [argv for _, argv in diff_reports.cases(catalog)]
-    assert len(argvs) == 90
+    assert len(argvs) == 92
     assert ["classify", "ex41", "--solve-psi"] in argvs
     assert ["classify", "thm3.viii", "--at", "0.7,0,0,0"] in argvs
     assert ["classify", "thm1.v", "--at", "1,0,0,0"] in argvs
@@ -69,6 +69,23 @@ def test_profile_usage_errors_are_diffed(diff_reports):
             "--emit-report"] in argvs
     assert ["verify", "ex41", "--solve-psi", "--psi", "s^2", "--emit-report"] in argvs
     assert ["verify", "thm1.i", "--a", "5", "--emit-report"] in argvs
+
+
+def test_the_parser_and_classify_moves_are_diffed(diff_reports):
+    # exit 2 -> 1 (trailing whitespace is read) and 0 -> 2 (a matrix reads no chart flag)
+    import contextlib
+    import io
+
+    from biconserve import catalog, cli
+
+    argvs = [argv for _, argv in diff_reports.cases(catalog)]
+    trailing = ["verify", "ex41", "--psi", "s^2 ", "--emit-report"]
+    matrix = ["classify", "x", f"--matrix={diff_reports.PLANTED}", "--psi", "s^2"]
+    assert trailing in argvs and matrix in argvs
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "ex41", "--psi", "s^2 ", "--grid", "s=0.9:1.1:2,t=-0.1:0.1:2,"
+                         "u=-0.1:0.1:2,v=-0.1:0.1:2"]) == 1
+        assert cli.main(matrix) == 2
 
 
 def _case(tmp, name, argv, stdout):

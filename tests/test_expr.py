@@ -1,11 +1,14 @@
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
 from biconserve import jets
 from biconserve.errors import ContractViolation, DomainError
-from biconserve.expr import (FD_STEPS, Call, Const, Dag, Expr, Mul, Pow, ProfileCall, Var,
+from biconserve.expr import (FD_STEPS, Add, Call, Const, Dag, Div, Expr, Mul, Neg, Pow,
+                             ProfileCall, Sub, Var,
                              dag_of, eval_value, eval_values, fd_partial, jet_eval, node_repr,
                              parse)
 from biconserve.jets import Jet, JetSpace
@@ -81,6 +84,108 @@ def test_constants_fold_to_nodes():
     e = parse("3.5e-2 + .5")
     assert isinstance(e.a, Const)
     assert eval_value(e, (0, 0, 0, 0)) == pytest.approx(0.535)
+
+
+# -- the text grammar ----------------------------------------------------
+
+# each binary operator's level (+ - 1, * / 2) and node; unary minus is 3,
+# a power 4 and an atom 5
+BINARY = {"+": (1, Add), "-": (1, Sub), "*": (2, Mul), "/": (2, Div)}
+SPACES = ["", "", "", " ", "  ", "\t", "\n", " \t\n ", "\r\x0b\x0c", "\xa0"]
+NUMBERS = ["0", "00", "05", "2", "17", "3.", "0.5", "1.25", ".5", "007.5", "2e3", "1E-2",
+           "4.5e+05", ".5e1", "1.e2", "1" + "0" * 400]
+
+
+def _grammar_case(rng, depth):
+    """The tokens of a random text of the grammar, the tree the grammar gives
+    it and its level: each operand is parenthesized where its level is below
+    the one its place takes (the right operand of + - * / one above the
+    operator's, for grouping from the left), and now and then at random."""
+    def operand(case, level):
+        tokens, tree, own = case
+        return (["(", *tokens, ")"] if own < level or rng.random() < 0.1 else tokens), tree
+
+    kind = rng.randrange(7 if depth else 2)
+    if kind == 0:
+        name = rng.choice("stuv")
+        return [name], Var("stuv".index(name), name), 5
+    if kind == 1:
+        text = rng.choice(NUMBERS)
+        return [text], Const(float(text)), 5
+    if kind <= 3:  # a binary operator
+        op = rng.choice("+-*/")
+        level, node = BINARY[op]
+        (a, x), (b, y) = (operand(_grammar_case(rng, depth - 1), lv) for lv in (level, level + 1))
+        return [*a, op, *b], node(x, y), level
+    if kind == 4:
+        a, x = operand(_grammar_case(rng, depth - 1), 3)
+        return ["-", *a], Neg(x), 3
+    if kind == 5:  # an exponent: minus signs and parentheses around a number
+        exponent = [rng.choice(NUMBERS[:-1])]
+        value = float(exponent[0])
+        for _ in range(rng.randrange(3)):
+            if rng.random() < 0.5:
+                exponent, value = ["-", *exponent], -value
+            else:
+                exponent = ["(", *exponent, ")"]
+        base, tree = operand(_grammar_case(rng, depth - 1), 5)
+        return [*base, rng.choice(["^", "**"]), *exponent], Pow(tree, value), 4
+    fn = rng.choice(sorted(LADDERS) + ["phi", "psi", "dpsi"])
+    a, x = _grammar_case(rng, depth - 1)[:2]
+    return [fn, "(", *a, ")"], (Call if fn in LADDERS else ProfileCall)(fn, x), 5
+
+
+def _grammar_texts(count):
+    """``count`` (text, tree) pairs, with whitespace anywhere, leading and
+    trailing included, and first every pair of binary operators."""
+    rng = random.Random(24)
+    names = [Var(i, n) for i, n in enumerate("stu")]
+    for op1, op2 in itertools.product(BINARY, repeat=2):
+        (l1, n1), (l2, n2) = BINARY[op1], BINARY[op2]
+        tree = n2(n1(*names[:2]), names[2]) if l1 >= l2 else n1(names[0], n2(*names[1:]))
+        yield f"s {op1} t {op2} u", tree
+    for _ in range(count - 16):
+        tokens, tree, _ = _grammar_case(rng, rng.randrange(1, 5))
+        yield "".join(rng.choice(SPACES) + t for t in tokens) + rng.choice(SPACES), tree
+
+
+def test_parse_reads_every_text_of_the_grammar_as_its_tree():
+    for text, tree in _grammar_texts(3000):
+        assert repr(parse(text)) == repr(tree), text
+
+
+S = Var(0, "s")
+
+
+@pytest.mark.parametrize("text, names, tree", [
+    ("05*s", "s", Mul(Const(5.0), S)),
+    ("s^02", "s", Pow(S, 2.0)),
+    ("1" + "0" * 400, "s", Const(math.inf)),
+    ("1" + "0" * 5000, "s", Const(math.inf)),  # past the digits Python reads as an int
+    ("t05 + 1e05", ("t05",), Add(Var(0, "t05"), Const(1e5))),
+    ("s^2 ", "s", Pow(S, 2.0)),
+    ("\t s\n", "s", S),
+    ("s^-(-(2))", "s", Pow(S, 2.0)),
+    ("s^-(0)", "s", Pow(S, -0.0)),
+    ("if(s) + True(s)", "s", Add(ProfileCall("if", S), ProfileCall("True", S))),
+    ("\u0663*s", "s", Mul(Const(3.0), S)),  # a decimal digit beyond ASCII
+])
+def test_parse_edge_cases(text, names, tree):
+    assert repr(parse(text, tuple(names))) == repr(tree)
+
+
+@pytest.mark.parametrize("text", [
+    "0x10", "1_0", "1j", "True", "None", "'s'", "...", "()",
+    "+s", "s^+2", "s^t", "s^2^3", "s**2**3", "s^^2", "s* *2",
+    "f(s, t)", "sin()", "phi(s,)", "phi(*s)", "phi(**s)", "phi(x=s)", "(phi)(s)", "2(s)",
+    "s[0]", "s.real", "s < t", "s if t else u", "lambda: s", "s // t", "s % t", "s @ t",
+    "not s", "s and t", "1if s else 2", "s # comment", "s \\", "s;t",
+    "2s", "(s", "s)", "1.5.2", "\u03c3(s)", "\uff53", "w", "", " \t\n",
+    "(" * 250 + "s" + ")" * 250,  # past Python's nesting limit
+])
+def test_parse_refuses_every_text_outside_the_grammar(text):
+    with pytest.raises(ContractViolation):
+        parse(text)
 
 
 # -- array evaluation ----------------------------------------------------

@@ -15,7 +15,8 @@ row's index plans above n = 5) and on ``--n 5 --jobs 2`` (the process
 pool's chunks and their blocks), ``verify`` on thm1.i with
 a constant ``--theta`` (its profile's derivative is ``cos`` of a constant)
 and on ex41 with ``--psi 2*s+1`` (a profile with constant operands),
-five usage errors: thm1.v with a ``--theta`` it does not read, the
+ex41 with ``--psi "s^2 "`` (trailing whitespace in an expression), five
+usage errors: thm1.v with a ``--theta`` it does not read, the
 thm3.ii member with ``--theta "-0.546*s - 1.125"`` (a radius that changes
 sign in the s-range), thm1.i with an explicit pair and a ``--theta``,
 ex41 with both ``--solve-psi`` and ``--psi`` and thm1.i with a parameter
@@ -23,7 +24,8 @@ ex41 with both ``--solve-psi`` and ``--psi`` and thm1.i with a parameter
 ``sample`` on one pair family and on ``rem42 --n 5``, so that every row a
 sweep gives is compared, not only the summaries, and ``classify`` at the
 solved ex41's centre, at one thm3.viii point and at one thm1.v point, so
-that the one-point ``eigen_structure`` path is compared too.  Each case's argv, exit code and printed output go
+that the one-point ``eigen_structure`` path is compared too, and with a
+planted ``--matrix`` beside a target and ``--psi`` (a usage error).  Each case's argv, exit code and printed output go
 to one JSON file in OUT_DIR.
 
 ``diff`` compares two such directories case by case: whether the printed
@@ -52,6 +54,7 @@ import pathlib
 import sys
 
 NEGATIVE_CONTROL = ("--psi", "s^2")
+PLANTED = "-1.4,0,0,0,0,1.3,-0.9,0,0,0.9,1.3,0,0,0,0,2.1"
 SMALL = 1e-12
 
 
@@ -81,12 +84,15 @@ def cases(catalog):
                                            "--theta", "0.9*s"]))
     out.append(("ex41 solve-psi psi=s^2", ["ex41", "--solve-psi", *NEGATIVE_CONTROL]))
     out.append(("thm1.i a=5", ["thm1.i", "--a", "5"]))
+    out.append(("ex41 psi=s^2 trailing-space", ["ex41", "--psi", "s^2 "]))
     out = [(name, ["verify", *argv, "--emit-report"]) for name, argv in out]
     out.append(("sample thm1.ii", ["sample", "thm1.ii"]))
     out.append(("sample rem42 n=5", ["sample", "rem42", "--n", "5", "--offsets", "1,2,3,4"]))
     out.append(("classify ex41 solved", ["classify", "ex41", "--solve-psi"]))
     out.append(("classify thm3.viii", ["classify", "thm3.viii", "--at", "0.7,0,0,0"]))
     out.append(("classify thm1.v", ["classify", "thm1.v", "--at", "1,0,0,0"]))
+    out.append(("classify matrix with a chart", ["classify", "x", f"--matrix={PLANTED}",
+                                                 *NEGATIVE_CONTROL]))
     return out
 
 
