@@ -367,10 +367,16 @@ def refuse_unread(parameters, profiles, reader: str):
         raise ContractViolation(f"--{key.replace('_', '-')} is not read by {reader}")
 
 
+def _number(val) -> bool:
+    """A real number, not a bool (which Python counts as one)."""
+    return isinstance(val, Real) and not isinstance(val, bool)
+
+
 def entry_for(spec: FamilySpec) -> CatalogEntry:
     """The catalog entry a spec builds, with the spec's parameters checked:
-    each is one the entry declares, of its default's type (a number, or a
-    sequence of numbers), and the entry's ``a != 0`` and ``R > 0`` hold.  For
+    each is one the entry declares, of its default's type (a number, an
+    integral number where the default is an int, or a sequence of numbers;
+    never a bool), and the entry's ``a != 0`` and ``R > 0`` hold.  For
     rem42 the entry's components, reference normal and default domain are
     built from n and a (by default 1, ..., n - 1)."""
     entry = CATALOG.get(spec.key)
@@ -378,10 +384,15 @@ def entry_for(spec: FamilySpec) -> CatalogEntry:
         raise ContractViolation(f"unknown catalog key {spec.key!r}")
     refuse_unread([k for k in spec.parameters if k not in entry.params], (), spec.key)
     for name, val in spec.parameters.items():
-        seq = isinstance(entry.params[name], tuple)
-        if not (isinstance(val, (tuple, list)) and all(isinstance(x, Real) for x in val)
-                if seq else isinstance(val, Real)):
-            want = "a sequence of numbers" if seq else "a number"
+        default = entry.params[name]
+        if isinstance(default, tuple):
+            ok = isinstance(val, (tuple, list)) and all(map(_number, val))
+            want = "a sequence of numbers"
+        elif isinstance(default, int):
+            ok, want = _number(val) and float(val).is_integer(), "an integer"
+        else:
+            ok, want = _number(val), "a number"
+        if not ok:
             raise ContractViolation(f"parameter {name!r} takes {want}, got {val!r}")
     params = {**entry.params, **spec.parameters}
     if "a != 0" in entry.conditions and abs(float(params["a"])) < _STRICT_MARGIN:

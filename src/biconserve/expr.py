@@ -530,6 +530,13 @@ def node_repr(node: Expr) -> str:
 _LEXEME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)")
 _CHARS = re.compile(r"[A-Za-z0-9_.+\-*/() ]*")
 _BINARY = {ast.Add: Add, ast.Sub: Sub, ast.Mult: Mul, ast.Div: Div}
+# the deepest tree a text may give: the walkers recurse once per level.  The
+# 41 catalog keys' trees have at most 8 levels and rem42's n + 4 (11 at n = 7)
+_MAX_DEPTH = 100
+
+
+def _too_deep() -> ContractViolation:
+    return ContractViolation(f"expression nested more than {_MAX_DEPTH} levels deep")
 
 
 def _python_lexeme(m) -> str:
@@ -543,21 +550,25 @@ def _python_lexeme(m) -> str:
     return f" {num}{'.' * num.isdigit()} "
 
 
-def _tree(node, var_names) -> Expr:
+def _tree(node, var_names, room=_MAX_DEPTH) -> Expr:
     """The tree of a Python expression node whose every node is one of the
-    grammar's; ContractViolation names the first that is not."""
+    grammar's, at most ``room`` levels deep; ContractViolation names the
+    first node that is not in the grammar."""
+    if room == 0:
+        raise _too_deep()
     kind = type(node)
     if kind is ast.BinOp and type(node.op) in _BINARY:
-        return _BINARY[type(node.op)](_tree(node.left, var_names), _tree(node.right, var_names))
+        return _BINARY[type(node.op)](_tree(node.left, var_names, room - 1),
+                                        _tree(node.right, var_names, room - 1))
     if kind is ast.BinOp and type(node.op) is ast.Pow:
         sign, exp = 1.0, node.right
         while type(exp) is ast.UnaryOp and type(exp.op) is ast.USub:
             sign, exp = -sign, exp.operand
         if type(exp) is ast.Constant and type(exp.value) is float:
-            return Pow(_tree(node.left, var_names), sign * exp.value)
+            return Pow(_tree(node.left, var_names, room - 1), sign * exp.value)
         raise ContractViolation("exponent must be a numeric literal")
     if kind is ast.UnaryOp and type(node.op) is ast.USub:
-        return Neg(_tree(node.operand, var_names))
+        return Neg(_tree(node.operand, var_names, room - 1))
     if kind is ast.Constant and type(node.value) is float:  # every float is a number
         return Const(node.value)
     if kind is ast.Name and node.id[:-1] in var_names:
@@ -565,7 +576,7 @@ def _tree(node, var_names) -> Expr:
     # a call is a name and its one argument: not (s)(t), f(*s) or f(s=t)
     if (kind is ast.Call and type(node.func) is ast.Name and node.func.col_offset ==
             node.col_offset and len(node.args) == 1 and not node.keywords):
-        fn, arg = node.func.id[:-1], _tree(node.args[0], var_names)
+        fn, arg = node.func.id[:-1], _tree(node.args[0], var_names, room - 1)
         return Call(fn, arg) if fn in _jetops.LADDERS else ProfileCall(fn, arg)
     raise ContractViolation(f"unknown name {node.id[:-1]!r}" if kind is ast.Name else
                             f"{kind.__name__} is not in the expression grammar")
@@ -578,9 +589,12 @@ def parse(text: str, var_names=("s", "t", "u", "v")) -> Expr:
     if (end := _CHARS.match(src).end()) < len(src):
         raise ContractViolation(f"cannot read {src[end]!r} in {text!r}")
     try:
-        return _tree(ast.parse(src, mode="eval").body, tuple(var_names))
+        body = ast.parse(src, mode="eval").body
     except SyntaxError:
         raise ContractViolation(f"cannot parse {text!r}") from None
+    except RecursionError:  # Python's parser stops near 3,000 levels
+        raise _too_deep() from None
+    return _tree(body, tuple(var_names))
 
 
 def var_names_for(nparams: int):

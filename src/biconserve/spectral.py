@@ -29,12 +29,24 @@ radius goes through the per-point multiplicity test (``_settle``).  One
 operator that is not metric-self-adjoint fails its whole block with
 ContractViolation; a caller that wants the other points classified calls
 again point by point.
+
+Rank test.  The geometric multiplicity of a real root item lambda is the
+number of singular values of A = S - lambda I at or below ``rank_cut``.  It
+is 1, A of rank exactly 3, wherever the closed-form adjugate certifies it
+(``_nullity``): A adj(A) = det(A) I gives sigma_4 <= |det A| / max_j
+|adj(A) e_j|, and |adj A|_2 = sigma_1 sigma_2 sigma_3 gives sigma_3 >=
+|adj A|_F / |A|_F^2; an item is certified where, with a rounding
+allowance, the first bound is at most rank_cut / 2 and the second at least
+2 rank_cut.  Every other item (a diagonalizable multiple root, whose
+adjugate is 0, an item near the cut, a non-finite bound) takes the SVD rule
+(``_svd_nullity``), so the decision is the SVD's everywhere.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -45,6 +57,33 @@ _EPS = np.finfo(float).eps
 _ETA = 3e3 * _EPS  # verified-multiplicity noise floor multiplier
 _PAIRS = np.triu_indices(4, 1)  # the six (i, j), i < j, of four roots
 _LABELS = np.array(["unresolved", "I", "II", "III", "IV"], dtype=object)
+_ROUND = 3 * _EPS  # >= gamma_5 = 5u / (1 - 5u), u = eps / 2: the rank certificate's allowance
+
+
+def _adjugate_tables() -> tuple:
+    """Tables of the 4x4 adjugate over a row-major 4x4 matrix a (16,).  The
+    products p = a[left] * a[right] (24,) give the twelve 2x2 minors of row
+    pairs h = 0, 1 (rows (0, 1) and (2, 3)): minor q = p[q] - p[12 + q] on
+    column pair q - 6 h of the six c < d.  p @ dual (32,) is, for each h,
+    the Hodge dual of the other pair's minors as a 4x4 matrix: entry (j, k)
+    is the minor on the other two columns (l, m), l < m, times the sign of
+    the permutation (j, k, l, m), and 0 for j = k."""
+    cols = [(c, d) for c in range(4) for d in range(c + 1, 4)]
+    minors = [(4 * r + c, 4 * r + 4 + d, 4 * r + d, 4 * r + 4 + c)
+              for r in (0, 2) for c, d in cols]  # a[t0] a[t1] - a[t2] a[t3]
+    left = [t[0] for t in minors] + [t[2] for t in minors]
+    right = [t[1] for t in minors] + [t[3] for t in minors]
+    dual = np.zeros((24, 32))
+    for h in range(2):
+        for j, k in permutations(range(4), 2):
+            l, m = (c for c in range(4) if c not in (j, k))
+            sign = (-1.0) ** sum(a > b for a, b in combinations((j, k, l, m), 2))
+            q = 6 * (1 - h) + cols.index((l, m))
+            dual[q, 16 * h + 4 * j + k], dual[12 + q, 16 * h + 4 * j + k] = sign, -sign
+    return np.array(left), np.array(right), dual
+
+
+_LEFT, _RIGHT, _DUAL = _adjugate_tables()
 
 
 @dataclass
@@ -264,6 +303,60 @@ def _root_items(coeffs, roots, real, snap_radius, thresh) -> tuple:
     return centers, mults
 
 
+def _svd_nullity(A: np.ndarray, cut: np.ndarray) -> np.ndarray:
+    """The number of singular values of each A (M, 4, 4) at or below its cut (M,)."""
+    return 4 - (np.linalg.svd(A, compute_uv=False) > cut[:, None]).sum(axis=1)
+
+
+def _cofactor_rows(A: np.ndarray) -> np.ndarray:
+    """The cofactor matrices of A (M, 4, 4), adj(A) transposed, with rows 0
+    and 2 negated: row i is the other row of i's pair times the dual of the
+    other pair's 2x2 minors."""
+    m = len(A)
+    p = A.reshape(m, 16)[:, _LEFT]
+    p *= A.reshape(m, 16)[:, _RIGHT]
+    duals = (p @ _DUAL).reshape(m, 2, 4, 4)
+    del p  # freed before the cofactor product, for a block's peak memory
+    return (A.reshape(m, 2, 2, 4)[:, :, ::-1] @ duals).reshape(m, 4, 4)
+
+
+def _nullity(A: np.ndarray, cut: np.ndarray) -> np.ndarray:
+    """``_svd_nullity`` of each A (M, 4, 4): 1 where the adjugate certifies
+    sigma_4 <= cut / 2 and sigma_3 >= 2 cut (cut (M,)), the SVD rule
+    elsewhere.
+
+    With x the largest column of adj(A), A x = det(A) e_j gives
+    sigma_4 <= |det A| / |x|; and |adj A|_2 = sigma_1 sigma_2 sigma_3 with
+    sigma_1 sigma_2 <= |A|_F^2 / 2 and |adj A|_F <= 2 |adj A|_2 gives
+    sigma_3 >= |adj A|_F / |A|_F^2.  The columns of adj(A) are the rows of
+    ``_cofactor_rows``, up to signs that no bound reads.  Both bounds are
+    tested without a division, with a rounding allowance (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., ch. 3): an adjugate
+    entry, six products of three entries, is off by at most
+    e = gamma_5 6 |A|_F^3, the adjugate by 4 e in the Frobenius norm, A x by
+    |A|_F 2 e, and det A (row 0 of A times column 0 of the adjugate) by
+    |A|_F (gamma_4 |x| + 2 e).  The SVD's own error, about eps |A|, is far
+    inside the factor-2 margins, so a certified item has the nullity the
+    SVD would give it.
+    """
+    m = len(A)
+    cof = _cofactor_rows(A)
+    det = (A[:, 0] * cof[:, 0]).sum(axis=1)
+    col2 = (cof * cof).sum(axis=2)
+    col = np.sqrt(col2.max(axis=1))
+    a_f2 = (A * A).sum(axis=(1, 2))
+    a_f = np.sqrt(a_f2)
+    err = (24.0 * _ROUND) * a_f2 * a_f  # 4 e
+    adj_f = np.sqrt(col2.sum(axis=1))
+    rank3 = ((adj_f < np.inf)  # an adjugate that overflowed bounds nothing
+             & (adj_f > err + 2.0 * cut * a_f2)
+             & (np.abs(det) + a_f * err <= col * (0.5 * cut - _ROUND * a_f)))
+    nullity = np.ones(m, int)
+    if np.count_nonzero(rank3) < m:
+        nullity[~rank3] = _svd_nullity(A[~rank3], cut[~rank3])
+    return nullity
+
+
 def eigen_structure(S: np.ndarray, G: np.ndarray, tol: float = CLUSTER_TOL):
     """Root structure, multiplicities and case label of a G-self-adjoint S:
     a ShapeSpectrum for one operator (4, 4), a SpectrumBlock for a block
@@ -319,8 +412,7 @@ def eigen_structure(S: np.ndarray, G: np.ndarray, tol: float = CLUSTER_TOL):
     geos = np.zeros(algs.shape, int)
     k, j = (live & ~refused[:, None]).nonzero()
     if len(k):
-        sv = np.linalg.svd(S[k] - values[k, j, None, None] * np.eye(4), compute_uv=False)
-        geos[k, j] = 4 - (sv > rank_cut[k, None]).sum(axis=1)
+        geos[k, j] = _nullity(S[k] - values[k, j, None, None] * np.eye(4), rank_cut[k])
 
     labels, patterns, algs = _case_labels(refused, values, algs, geos, npairs)
     block = SpectrumBlock(values, algs, geos, (ups.real + downs.real) / 2.0,

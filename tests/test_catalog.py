@@ -348,3 +348,19 @@ def test_pattern_mismatch_notes_name_the_pattern_and_the_point():
     assert not ok
     assert notes and all(n.startswith("pattern 2+2, expected 1+2+1-nonzero at (0.7, ")
                          for n in notes)
+
+
+@pytest.mark.parametrize("key, parameters, want", [
+    ("rem42", {"n": 4.5}, "an integer"),
+    ("ex41", {"a": True}, "a number"),
+    ("rem42", {"a": (1.0, True, 3.0)}, "a sequence of numbers"),
+])
+def test_parameter_types_are_checked(key, parameters, want):
+    with pytest.raises(ContractViolation, match=f"parameter '.*' takes {want}, got"):
+        entry_for(FamilySpec(key, parameters=parameters))
+
+
+def test_an_integer_parameter_is_unchanged():
+    entry = entry_for(FamilySpec("rem42", parameters={"n": 5}))
+    assert entry.params["n"] == 5 and type(entry.params["n"]) is int
+    assert entry.params["a"] == (1.0, 2.0, 3.0, 4.0) and len(entry.components) == 6

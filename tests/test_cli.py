@@ -659,3 +659,11 @@ def test_a_zero_tolerance_keeps_its_meaning():
     code, text = run(["verify", "ex41", "--grid", "s=0.6:1.4:2,t=-0.5:0.5:2,u=-0.5:0.5:2,"
                       "v=-0.5:0.5:2", "--checks", "gauss", "--tol-gauss", "0"])
     assert code in (0, 1) and not text.startswith("error")
+
+
+@pytest.mark.parametrize("minus", [1000, 3000])
+def test_a_deeply_nested_profile_is_a_usage_error(minus):
+    # past the parser's depth bound, and past Python's own parser at 3,000
+    code, text = run(["verify", "ex41", f"--psi={'-' * minus}s^2"])
+    assert code == 2
+    assert text == "error [ex41]: expression nested more than 100 levels deep\n"

@@ -45,10 +45,26 @@ def test_classify_cases_are_diffed(diff_reports):
     from biconserve import catalog
 
     argvs = [argv for _, argv in diff_reports.cases(catalog)]
-    assert len(argvs) == 92
+    assert len(argvs) == 94
     assert ["classify", "ex41", "--solve-psi"] in argvs
     assert ["classify", "thm3.viii", "--at", "0.7,0,0,0"] in argvs
     assert ["classify", "thm1.v", "--at", "1,0,0,0"] in argvs
+
+
+def test_the_planted_defective_operators_are_diffed(diff_reports):
+    import contextlib
+    import io
+
+    from biconserve import catalog, cli
+
+    argvs = [argv for _, argv in diff_reports.cases(catalog)]
+    for case, (matrix, metric) in diff_reports.PLANTED_DEFECTIVE.items():
+        argv = ["classify", f"--matrix={matrix}", f"--metric={metric}"]
+        assert argv in argvs
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        assert out.getvalue().startswith(f"Case {case}, pattern ")
 
 
 def test_constant_arguments_and_operands_are_diffed(diff_reports):

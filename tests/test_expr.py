@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -5,7 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from biconserve import jets
+from biconserve import expr, jets
+from biconserve.catalog import FamilySpec, all_keys, build
 from biconserve.errors import ContractViolation, DomainError
 from biconserve.expr import (FD_STEPS, Add, Call, Const, Dag, Div, Expr, Mul, Neg, Pow,
                              ProfileCall, Sub, Var,
@@ -53,6 +55,32 @@ def test_parse_rejects_unknown_names_and_trailing():
         parse("s + ")
     with pytest.raises(ContractViolation):
         parse("s 3")
+
+
+def _depth(tree) -> int:
+    kids = [getattr(tree, f.name) for f in dataclasses.fields(tree)]
+    return 1 + max((_depth(k) for k in kids if isinstance(k, Expr)), default=0)
+
+
+@pytest.mark.parametrize("minus", [98, 99, 1000, 3000])
+def test_parse_refuses_a_tree_past_the_depth_bound(minus):
+    # k minus signs on s^2 make k + 2 levels; at 3,000 Python's own parser
+    # gives up, at 1,000 the walkers would
+    text = "-" * minus + "s^2"
+    if minus + 2 <= expr._MAX_DEPTH:
+        assert _depth(parse(text)) == expr._MAX_DEPTH
+    else:
+        with pytest.raises(ContractViolation, match="nested more than 100 levels deep"):
+            parse(text)
+
+
+def test_the_catalog_trees_are_far_inside_the_depth_bound():
+    charts = [build(FamilySpec(key)) for key in all_keys()]
+    charts.append(build(FamilySpec("rem42", parameters={"n": 7})))
+    deepest = max(_depth(tree) for chart in charts
+                  for tree in chart.components + (chart.orientation_ref or ()))
+    assert deepest == 11  # rem42 at n = 7
+    assert 5 * deepest < expr._MAX_DEPTH
 
 
 def test_exponent_must_be_literal():

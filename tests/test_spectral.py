@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from biconserve import spectral, sweep as sweep_module
-from biconserve.catalog import FamilySpec, build
+from biconserve.catalog import CATALOG, FamilySpec, all_keys, build
 from biconserve.errors import ContractViolation
 from biconserve.immersion import packet
-from biconserve.spectral import (ShapeSpectrum, SpectrumBlock, characteristic_quartic,
-                                 eigen_structure)
-from biconserve.sweep import grid_points, sweep
+from biconserve.spectral import (CLUSTER_TOL, ShapeSpectrum, SpectrumBlock,
+                                 characteristic_quartic, eigen_structure)
+from biconserve.sweep import grid_points, random_points, sweep
 from planted import canonical_pair, conjugated_pair
 
 
@@ -244,3 +244,111 @@ def test_headline_grid_settles_no_root_group(monkeypatch):
     # the counter is live: a double root does go through it
     eigen_structure(np.diag([2.0, 1.0, 1.0, -1.0]), np.diag([-1.0, -1.0, 1.0, 1.0]))
     assert calls
+
+
+def svd_rule(A, cut):
+    """The plain rank test: the singular values of each A at or below its cut."""
+    return 4 - (np.linalg.svd(A, compute_uv=False) > cut[:, None]).sum(axis=1)
+
+
+def svd_rows(monkeypatch):
+    """A list that collects the items ``_nullity`` sends to the SVD."""
+    rows = []
+    svd = spectral._svd_nullity
+
+    def counted(A, cut):
+        rows.extend(A)
+        return svd(A, cut)
+
+    monkeypatch.setattr(spectral, "_svd_nullity", counted)
+    return rows
+
+
+def assert_certified_is_svd_rule(monkeypatch, S, G, tol=CLUSTER_TOL):
+    block = eigen_structure(S, G, tol)
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_nullity", svd_rule)
+        plain = eigen_structure(S, G, tol)
+    for field in ("values", "algs", "geos", "pair_re", "pair_im", "npairs", "labels",
+                  "patterns"):
+        assert np.array_equal(getattr(block, field), getattr(plain, field)), field
+
+
+def test_cofactor_rows_are_the_adjugate_up_to_sign():
+    rng = np.random.default_rng(41)
+    A = rng.normal(size=(50, 4, 4)) * rng.uniform(0.1, 10.0, size=(50, 1, 1))
+    adj = np.linalg.inv(A) * np.linalg.det(A)[:, None, None]
+    cof = spectral._cofactor_rows(A) * np.array([-1.0, 1.0, -1.0, 1.0])[:, None]
+    assert np.allclose(cof, adj.transpose(0, 2, 1), rtol=0,
+                       atol=1e-13 * np.abs(adj).max())
+
+
+@pytest.mark.parametrize("key", [k for k in all_keys()
+                                 if CATALOG[k].kind == "hypersurface"])
+def test_certified_rank_is_svd_rule_on_catalog_charts(monkeypatch, key):
+    chart = build(FamilySpec(key))
+    pk = packet(chart, random_points(chart.domain, 24, 301))
+    assert_certified_is_svd_rule(monkeypatch, pk.S, pk.G)
+
+
+@pytest.mark.parametrize("profiles", [{"solve_psi": True, "c": 1.0}, {"psi": "s^2"}],
+                         ids=["solved", "control"])
+def test_certified_rank_is_svd_rule_on_ex41(monkeypatch, profiles):
+    chart = build(FamilySpec("ex41", parameters={"a": 1.0, "b": 2.0}, profiles=profiles))
+    pk = packet(chart, grid_points(((0.6, 1.4),) + ((-0.5, 0.5),) * 3, 3))
+    assert_certified_is_svd_rule(monkeypatch, pk.S, pk.G)
+
+
+@pytest.mark.parametrize("case", ["I", "II", "III", "IV"])
+@pytest.mark.parametrize("tol", [1e-6, 1e-4])
+def test_certified_rank_is_svd_rule_on_planted_pairs(monkeypatch, case, tol):
+    rng = np.random.default_rng(83)
+    pairs = [canonical_pair(case)] + [conjugated_pair(case, rng, _random_params(rng))[:2]
+                                      for _ in range(40)]
+    assert_certified_is_svd_rule(monkeypatch, np.array([S for S, _ in pairs]),
+                                 np.array([G for _, G in pairs]), tol)
+
+
+def test_certified_rank_is_svd_rule_near_the_cut(monkeypatch):
+    # sigma_3 and sigma_4 at 0.3, 0.9, 1.1 and 3 cuts, beside a certifiable
+    # sigma_3 = 1: the items near the cut must reach the SVD and get its answer
+    rng = np.random.default_rng(97)
+    cut = 1e-8
+    levels = [0.3 * cut, 0.9 * cut, 1.1 * cut, 3.0 * cut]
+    sigmas = [(2.0, 1.0, s3, s4) for s3 in levels + [1.0] for s4 in levels if s4 <= s3]
+    A = []
+    for sigma in sigmas * 4:
+        U, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        V, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        A.append(U @ np.diag(sigma) @ V.T)
+    A, cuts = np.array(A), np.full(len(A), cut)
+    rows = svd_rows(monkeypatch)
+    assert np.array_equal(spectral._nullity(A, cuts), svd_rule(A, cuts))
+    # only sigma_3 = 1 with sigma_4 = 0.3 cut is certified: every other item
+    # is near the cut
+    assert len(rows) == len(A) - 4
+
+
+def test_headline_grid_sends_no_item_to_the_svd(monkeypatch):
+    # every root item of the headline 5^4 grid is simple and far from the
+    # cut, so the adjugate certifies all of them
+    rows = svd_rows(monkeypatch)
+    chart = build(FamilySpec("ex41", parameters={"a": 1.0, "b": 2.0},
+                             profiles={"solve_psi": True, "c": 1.0}))
+    table = sweep(chart, grid_points(((0.6, 1.4),) + ((-0.5, 0.5),) * 3, 5), ("structure",))
+    assert len(table) == 625 and {r.label for r in table} == {"I"}
+    assert rows == []
+    # the counter is live: a diagonalizable double root, whose adjugate is
+    # 0, does reach the SVD
+    spec = eigen_structure(np.diag([2.0, 1.0, 1.0, -1.0]), np.diag([-1.0, -1.0, 1.0, 1.0]))
+    assert len(rows) == 1 and [geo for _, alg, geo in spec.real_eigenvalues if alg == 2] == [2]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_an_overflowed_adjugate_takes_the_svd(monkeypatch):
+    # entries near 1e60 overflow the adjugate's squared norms; with sigma_4
+    # (1e53) above the cut, only the SVD can say the nullity is 0
+    A, cut = np.diag([1e53, 1e60, 2e60, 3e60])[None], np.array([6e51])
+    rows = svd_rows(monkeypatch)
+    assert spectral._nullity(A, cut).tolist() == svd_rule(A, cut).tolist() == [0]
+    assert len(rows) == 1

@@ -24,9 +24,12 @@ ex41 with both ``--solve-psi`` and ``--psi`` and thm1.i with a parameter
 ``sample`` on one pair family and on ``rem42 --n 5``, so that every row a
 sweep gives is compared, not only the summaries, and ``classify`` at the
 solved ex41's centre, at one thm3.viii point and at one thm1.v point, so
-that the one-point ``eigen_structure`` path is compared too, and with a
-planted ``--matrix`` beside a target and ``--psi`` (a usage error).  Each case's argv, exit code and printed output go
-to one JSON file in OUT_DIR.
+that the one-point ``eigen_structure`` path is compared too, with a
+planted ``--matrix`` beside a target and ``--psi`` (a usage error), and on
+the planted defective operators of cases II and IV (``--matrix`` and
+``--metric``: a double root with one eigenvector, a triple root with one),
+so that the rank test is compared on defective root items too.  Each
+case's argv, exit code and printed output go to one JSON file in OUT_DIR.
 
 ``diff`` compares two such directories case by case: whether the printed
 output is byte-identical, whether the exit code moved, and every report
@@ -55,6 +58,11 @@ import sys
 
 NEGATIVE_CONTROL = ("--psi", "s^2")
 PLANTED = "-1.4,0,0,0,0,1.3,-0.9,0,0,0.9,1.3,0,0,0,0,2.1"
+# the canonical models of cases II and IV, (operator, metric), row-major
+PLANTED_DEFECTIVE = {
+    "II": ("-1.4,0,0,0,0,1.3,1,0,0,0,1.3,0,0,0,0,2.1", "1,0,0,0,0,0,-1,0,0,-1,0,0,0,0,0,-1"),
+    "IV": ("-1.4,0,0,0,0,1.4,0,0,0,0,1.4,-1,0,1,0,1.4", "-1,0,0,0,0,0,-1,0,0,-1,0,0,0,0,0,1"),
+}
 SMALL = 1e-12
 
 
@@ -93,6 +101,9 @@ def cases(catalog):
     out.append(("classify thm1.v", ["classify", "thm1.v", "--at", "1,0,0,0"]))
     out.append(("classify matrix with a chart", ["classify", "x", f"--matrix={PLANTED}",
                                                  *NEGATIVE_CONTROL]))
+    for case, (matrix, metric) in PLANTED_DEFECTIVE.items():
+        out.append((f"classify planted {case}",
+                    ["classify", f"--matrix={matrix}", f"--metric={metric}"]))
     return out
 
 
