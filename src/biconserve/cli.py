@@ -39,7 +39,7 @@ from .catalog import (FamilySpec, build, entry_for, list_entries, refuse_unread,
                       structure_verdict, var_names)
 from .errors import BiconserveError, ContractViolation
 from .expr import parse as parse_expr, var_names_for
-from .immersion import ImmersionChart, packet
+from .immersion import ImmersionChart, packet, tau_deg
 from .profiles import ExprProfile
 from .ambient import Signature
 from .spectral import CLUSTER_TOL, eigen_structure
@@ -366,6 +366,20 @@ def _numbers(text: str, what: str, count: int | None = None) -> list:
     return vals
 
 
+def _metric(text: str) -> np.ndarray:
+    """The 4x4 matrix of ``--metric``: finite, symmetric, nondegenerate (as
+    an induced metric is, see ``immersion.tau_deg``) and of index 2."""
+    G = np.reshape(_numbers(text, "--metric", 16), (4, 4))
+    if not (np.isfinite(G).all() and np.array_equal(G, G.T)):
+        raise ContractViolation("--metric takes a finite symmetric matrix")
+    eig = np.linalg.eigvalsh(G)
+    if np.min(np.abs(eig)) <= tau_deg(np.max(np.abs(G))):
+        raise ContractViolation("--metric is degenerate")
+    if (index := int(np.sum(eig < 0))) != 2:
+        raise ContractViolation(f"--metric has index {index}, expected 2")
+    return G
+
+
 def _tolerance(flag: str, value):
     """``value``, a tolerance given by ``flag``: a number >= 0 (0 keeps its meaning)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not value >= 0:
@@ -509,10 +523,7 @@ def cmd_classify(args, out=None) -> int:
                 name = "a target" if given[0] == "target" else "--" + given[0].replace("_", "-")
                 raise ContractViolation(f"{name} is not read with --matrix")
             S = np.reshape(_numbers(args.matrix, "--matrix", 16), (4, 4))
-            if args.metric is not None:
-                G = np.reshape(_numbers(args.metric, "--metric", 16), (4, 4))
-            else:
-                G = np.diag([-1.0, -1.0, 1.0, 1.0])
+            G = np.diag([-1.0, -1.0, 1.0, 1.0]) if args.metric is None else _metric(args.metric)
             spec = eigen_structure(S, G, tol)
         else:
             if args.metric is not None:

@@ -6,26 +6,27 @@ order-3 jets in one walk, and d_i x, d_i d_j x and d_i d_j d_l x are read
 off their stacked coefficients, one gather per order.  Everything after is
 array arithmetic, shared by every codimension in ``_frame``: the induced
 metric and its first partials by the product rule, and the Christoffel
-symbols by one linear solve per point with G.  ``submanifold_packet`` adds
-the normal-valued second fundamental form h and the mean curvature vector;
-``packet`` (codimension 1) adds the unit normal, B = <d_i d_j x, N> with
-d_l B_ij = <d_i d_j d_l x, N> - Gamma^k_ij B_kl, and the shape operator S
-with its partials by a solve with G and one more with the same matrix (the
-linear-solve rule), so H and grad H are traces of S and of its partials,
-never re-differenced.  The second partials of G enter only the Gauss
-check, which forms from them only the curvature tensor's pair-symmetric
-components, each from the distinct partials it reads (``_curvature``).
-Both packets evaluate one point or a block of points at once: the arrays
-and the residual operations carry a leading point axis, of length 1 for a
-one-point call.  Each identity residual has one body for both packets;
-only the terms that belong to the codimension differ.
+symbols by one linear solve per point with G.  ``packet`` (codimension 1)
+adds the unit normal, B = <d_i d_j x, N> with its partials d_l B_ij =
+<d_i d_j d_l x, N> - Gamma^k_ij B_kl, and the shape operator S with its
+partials by a solve with G and one more with the same matrix (the
+linear-solve rule), so H and grad H are traces of S and of its partials.
+``submanifold_packet`` adds the normal parts h of d_i d_j x and dh of its
+partials, and the mean curvature vector.  Each packet gives h, dh and the
+mean curvature vector in its own normal coordinates, whose metric is its
+``normal_weights`` (on a hypersurface the one coordinate along N, h = B),
+so each identity residual has one body for every codimension.  The second
+partials of G enter only the Gauss check (``_curvature``).  Both packets
+evaluate one point or a block of points at once: the arrays and the
+residual operations carry a leading point axis, of length 1 for a
+one-point call.
 The independent oracle, packet_fd, uses no jets: nested central
 differences of chart values from one array walk of the Dag (expr.fd_partial)
 and one frame pass over the points and their stencil neighbours, for one
 point or a block as well.  Its FdPacket feeds the same tangency residuals.
 
-All residual norms are Euclidean in the ambient coordinates: an error vector
-with vanishing indefinite self-product must not masquerade as zero.
+All residual norms are Euclidean in the ambient or normal coordinates: an
+error vector with vanishing indefinite self-product must not masquerade as zero.
 """
 
 from __future__ import annotations
@@ -123,18 +124,19 @@ class CurvaturePacket(_CmcRule):
     ddx: np.ndarray          # (n, n, m): d_i d_j x
     dB: np.ndarray           # (n, n, n): d_l B_ij at [i, j, l]
     dddx: np.ndarray         # (n, n, n, m): d_i d_j d_l x
-    _weights: np.ndarray = field(repr=False, default=None)
+
+    # B, dB and H N in the one normal coordinate, along N, of weight <N, N> = 1
+    normal_weights = (1.0,)
+    h = property(lambda self: self.B[..., None])
+    dh = property(lambda self: self.dB[..., None])
+    mean_curvature = property(lambda self: np.asarray(self.H)[..., None] * self.N.components)
 
 
 @dataclass
 class SubmanifoldPacket:
     """First and second fundamental forms of a chart of any codimension, at
-    one point or at each point of a block.
-
-    Built from one point (n,), the arrays have the shapes noted below;
-    built from a block (P, n), every array gains a leading point axis and
-    ``point`` is the (P, n) block.
-    """
+    one point (n,), with the shapes noted below, or at each point of a block
+    (P, n), every array with a leading point axis and ``point`` the block."""
 
     point: tuple
     G: np.ndarray               # (n, n)
@@ -143,9 +145,10 @@ class SubmanifoldPacket:
     dx: np.ndarray              # (n, m): d_i x
     ddx: np.ndarray             # (n, n, m): d_i d_j x
     dddx: np.ndarray            # (n, n, n, m): d_i d_j d_l x
-    h: np.ndarray               # (n, n, m) normal-part second fundamental form
+    h: np.ndarray               # (n, n, m): normal part of d_i d_j x
+    dh: np.ndarray              # (n, n, n, m): normal part of d_l h_ij at [i, j, l]
     mean_curvature: np.ndarray  # (m,) ambient vector, (1/n) G^{ij} h_ij
-    _weights: np.ndarray = field(repr=False, default=None)
+    normal_weights: np.ndarray  # (m,): the ambient metric
 
 
 # -- cross product ---------------------------------------------------------
@@ -232,19 +235,17 @@ def _metric_checks(chart: ImmersionChart, pts: np.ndarray, G0: np.ndarray):
     raise UnexpectedIndex(int(index[k]), chart.expected_index, pts[k])
 
 
-def _orient_sign(w_val, ref, flip):
+def _orient_sign(w_val, ref):
     """Sign of the normal for each row of ``w_val`` (..., m): along the
     reference ``ref`` (..., m) when given, else with its last nonzero
-    component positive; reversed by ``flip``."""
+    component positive."""
     if ref is not None:
-        sgn = np.where(np.sum(w_val * ref, axis=-1) >= 0.0, 1.0, -1.0)
-    else:
-        mag = np.abs(w_val)
-        big = mag > 1e-9 * np.max(mag, axis=-1, keepdims=True)
-        last = w_val.shape[-1] - 1 - np.argmax(big[..., ::-1], axis=-1)
-        comp = np.take_along_axis(w_val, last[..., None], axis=-1)[..., 0]
-        sgn = np.where(big.any(axis=-1) & (comp < 0), -1.0, 1.0)
-    return -sgn if flip else sgn
+        return np.where(np.sum(w_val * ref, axis=-1) >= 0.0, 1.0, -1.0)
+    mag = np.abs(w_val)
+    big = mag > 1e-9 * np.max(mag, axis=-1, keepdims=True)
+    last = w_val.shape[-1] - 1 - np.argmax(big[..., ::-1], axis=-1)
+    comp = np.take_along_axis(w_val, last[..., None], axis=-1)[..., 0]
+    return np.where(big.any(axis=-1) & (comp < 0), -1.0, 1.0)
 
 
 def _mv(A, x):
@@ -299,17 +300,17 @@ def _gamma_times(Gamma, T):
     return out.reshape((P, n, n) + T.shape[2:])
 
 
-def packet(chart: ImmersionChart, p, flip_normal: bool = False) -> CurvaturePacket:
+def packet(chart: ImmersionChart, p) -> CurvaturePacket:
     """Full curvature bundle at interior points of a hypersurface chart.
 
     ``p`` is one point (n,) or a block of points (P, n).  The normal is
     oriented at each point by that point alone: along the chart's reference
     normal field when it has one, else with its last nonzero component
-    positive; ``flip_normal`` reverses it.  ``_frame`` gives the partials, G
-    and the Christoffel symbols; the unit normal N is the normalized
-    ``_cross`` of the tangents, B = <d_i d_j x, N> and its partials
-    d_l B_ij = <d_i d_j d_l x, N> - Gamma^k_ij B_kl (exact, since
-    <d_k x, N> = 0, so no derivative of N is needed).  The shape operator S
+    positive.  ``_frame`` gives the partials, G and the Christoffel
+    symbols; the unit normal N is the normalized ``_cross`` of the
+    tangents, B = <d_i d_j x, N> and its partials d_l B_ij =
+    <d_i d_j d_l x, N> - Gamma^k_ij B_kl (exact, since <d_k x, N> = 0, so
+    no derivative of N is needed).  The shape operator S
     and its partials are two linear solves with G (the linear-solve rule),
     and H and grad H the traces of S and of its partials.  Each point gets
     the arithmetic it would get alone: a one-point call runs the block code
@@ -337,7 +338,7 @@ def packet(chart: ImmersionChart, p, flip_normal: bool = False) -> CurvaturePack
     ref = None
     if chart.orientation_dag is not None:
         ref = eval_values(chart.orientation_dag, pts, chart.profile_bank)
-    N = w * ((1.0 / np.sqrt(nn)) * _orient_sign(w, ref, flip_normal))[:, None]
+    N = w * ((1.0 / np.sqrt(nn)) * _orient_sign(w, ref))[:, None]
     B = _inner(ddx, N[:, None, None], eps)
     dB = _inner(dddx, N[:, None, None, None], eps) - _gamma_times(Gamma, B)
     # S = G^-1 B and d_l S = G^-1 (d_l B - d_l G S): two solves with the same matrix
@@ -356,29 +357,39 @@ def packet(chart: ImmersionChart, p, flip_normal: bool = False) -> CurvaturePack
     sig = chart.signature
     return CurvaturePacket(tuple(p) if one else p, G, G_inv, AmbientVector(N, sig), B, S,
                            float(H) if one else H, gradH, AmbientVector(g_amb, sig), Gamma,
-                           dx, ddx, dB, dddx, _weights=eps)
+                           dx, ddx, dB, dddx)
+
+
+def _normal_part(T, dx, G_inv, eps):
+    """T less its G-orthogonal tangential part, <T, d_l x> G^{lk} d_k x, at
+    each point, for T (P, ..., m)."""
+    P, m = dx.shape[0], dx.shape[-1]
+    inner = np.matmul((T * eps).reshape(P, -1, m), dx.swapaxes(1, 2))
+    return T - np.matmul(np.matmul(inner, G_inv.swapaxes(1, 2)), dx).reshape(T.shape)
 
 
 def submanifold_packet(chart: ImmersionChart, p) -> SubmanifoldPacket:
     """First and second fundamental forms of a chart of any codimension.
 
     ``p`` is one point (n,) or a block of points (P, n), evaluated as
-    ``packet`` evaluates them: ``_frame`` gives the partials, G and
-    the Christoffel symbols, h_ij = d_i d_j x - Gamma^k_ij d_k x is the
-    normal part of the second derivatives, and the mean curvature vector is
-    (1/n) G^{ij} h_ij.  A one-point call runs the block code on one point
-    and returns unbatched arrays, and a block raises as soon as any of its
-    points fails a metric check.
+    ``packet`` evaluates them: ``_frame`` gives the partials, G and the
+    Christoffel symbols.  h_ij is the G-orthogonal normal part of d_i d_j x,
+    d_l h_ij that of d_i d_j d_l x - Gamma^k_ij d_k d_l x, and the mean
+    curvature vector (1/n) G^{ij} h_ij takes no Christoffel symbol.  A
+    one-point call runs the block code on one point and returns unbatched
+    arrays; a block raises as soon as any of its points fails a check.
     """
     p = np.asarray(p, dtype=float)
+    eps = chart.signature.weights
     dx, ddx, dddx, G, _, Gamma = _frame(chart, np.atleast_2d(p))
     G_inv = np.linalg.inv(G)
-    h = ddx - np.einsum("zkij,zka->zija", Gamma, dx)
-    fields = (G, G_inv, Gamma, dx, ddx, dddx, h,
+    h = _normal_part(ddx, dx, G_inv, eps)
+    dh = _normal_part(dddx - _gamma_times(Gamma, ddx), dx, G_inv, eps)
+    fields = (G, G_inv, Gamma, dx, ddx, dddx, h, dh,
               np.einsum("zij,zija->za", G_inv, h) / chart.nparams)
     one = p.ndim == 1
     return SubmanifoldPacket(tuple(p) if one else p, *[f[0] if one else f for f in fields],
-                             _weights=chart.signature.weights)
+                             normal_weights=eps)
 
 
 # -- residual operations --------------------------------------------------
@@ -456,7 +467,7 @@ def unit_normal_residual(chart: ImmersionChart, p, pk: CurvaturePacket | None = 
     if pk is None:
         pk = packet(chart, p)
     one, (N,) = _point_axis(pk, pk.N.components)
-    return _result(one, np.abs(np.sum(pk._weights * N * N, axis=-1) - 1.0))
+    return _result(one, np.abs(np.sum(chart.signature.weights * N * N, axis=-1) - 1.0))
 
 
 def _any_packet(chart: ImmersionChart, p, pk):
@@ -474,29 +485,18 @@ def beltrami_residual(chart: ImmersionChart, p, pk=None):
     position vector satisfies lap x = n H N on a hypersurface (the sign
     convention is fixed once here and tested once).  ``pk`` is a
     ``CurvaturePacket`` for a hypersurface and a ``SubmanifoldPacket``
-    otherwise, of one point or of a block.  lap x is computed once; only
-    the vector it is compared with depends on the codimension: n H N, or
-    for codimension > 1 the metric-orthogonal projection of the second
-    derivatives, an independent route to n times the mean curvature vector.
+    otherwise, of one point or of a block.  lap x takes the Christoffel
+    symbols and the packet's mean curvature vector does not, so the two are
+    independent routes.
     """
     pk = _any_packet(chart, p, pk)
-    one, (G_inv, ddx, Gamma, dx) = _point_axis(pk, pk.G_inv, pk.ddx, pk.christoffel, pk.dx)
-    n = G_inv.shape[-1]
-    lap = np.einsum("zij,zija->za", G_inv, ddx) - np.einsum(
-        "zij,zkij,zka->za", G_inv, Gamma, dx
-    )
-    if chart.codim == 1:
-        _, (H, N) = _point_axis(pk, pk.H, pk.N.components)
-        target = n * H[:, None] * N
-    else:
-        inner = np.einsum("zijc,c,zlc->zijl", ddx, pk._weights, dx)
-        tangential = np.einsum("zkl,zijl,zkb->zijb", G_inv, inner, dx)
-        Hvec = np.einsum("zij,zijb->zb", G_inv, ddx - tangential) / n
-        target = n * Hvec
-    return _result(one, np.linalg.norm(lap - target, axis=-1))
+    one, (G_inv, ddx, Gamma, dx, Hvec) = _point_axis(
+        pk, pk.G_inv, pk.ddx, pk.christoffel, pk.dx, pk.mean_curvature)
+    lap = np.einsum("zij,zija->za", G_inv, ddx) - np.einsum("zij,zkij,zka->za", G_inv, Gamma, dx)
+    return _result(one, np.linalg.norm(lap - G_inv.shape[-1] * Hvec, axis=-1))
 
 
-_GaussPlan = namedtuple("_GaussPlan", "ijkl third dddx_dx ddx_ddx quad hh B")
+_GaussPlan = namedtuple("_GaussPlan", "ijkl third dddx_dx ddx_ddx quad B")
 
 
 @lru_cache(maxsize=None)
@@ -511,8 +511,7 @@ def _gauss_plan(n: int) -> _GaussPlan:
     (2, 4, K): the two halves of d_a d_b G_pq (see ``_curvature``) at
     (p, q, a, b) = (i, k, j, l), (i, l, j, k), (j, l, i, k), (j, k, i, l);
     ``quad`` (2, K) into Gamma^m_beta Gamma_{m,gamma} at (ik, lj), (jk, li);
-    ``hh`` (2, K) into <h_beta, h_gamma> at (jk, il), (ik, jl); and ``B``
-    (4, K) into B (n, n) at jk, il, ik, jl."""
+    and ``B`` (4, K) into h's (n, n) entries at jk, il, ik, jl."""
     pairs = list(itertools.combinations(range(n), 2))
     ijkl = np.array([p + q for a, p in enumerate(pairs) for q in pairs[a:]],
                     dtype=np.intp).reshape(-1, 4).T
@@ -538,7 +537,6 @@ def _gauss_plan(n: int) -> _GaussPlan:
         np.array([[table2(p, a, q, b) for p, q, a, b in pqab],
                   [table2(q, a, p, b) for p, q, a, b in pqab]]),
         np.array([table2(i, k, l, j), table2(j, k, l, i)]),
-        np.array([table2(j, k, i, l), table2(i, k, j, l)]),
         np.array([j * n + k, i * n + l, i * n + k, j * n + l]))
     for arr in plan:
         arr.flags.writeable = False
@@ -569,56 +567,39 @@ def _curvature(G, Gamma, dx, ddx, dddx, eps):
             + (quad[:, 0] - quad[:, 1]))
 
 
+def _max_norm(v, axes):
+    """The largest Euclidean norm of v's last (normal) axis over ``axes``:
+    the root of the largest sum of squares (|v| for one coordinate)."""
+    return np.sqrt(np.max(np.einsum("...c,...c->...", v, v), axis=axes))
+
+
 def gauss_codazzi_residual(chart: ImmersionChart, p, pk=None):
     """Max-norm defects of the two flat-space integrability identities.
 
-    ``pk`` is as for ``beltrami_residual``.  The Gauss row compares the
-    curvature tensor from the packet's metric, Christoffel symbols and the
-    chart's partials (``_curvature``) with B_jk B_il - B_ik B_jl on a
-    hypersurface, <h_jk, h_il> - <h_ik, h_jl> otherwise, at the
-    pair-symmetric components only: both sides are antisymmetric in (i, j)
-    and in (k, l) and symmetric under the pair exchange, exactly or to
-    rounding for the symmetric partials the packets hold, so the entries
-    left out repeat kept ones.  The scale and the Codazzi tensor are those
-    of the codimension: the shape operator's B for a hypersurface, the
-    normal-valued h otherwise, whose Codazzi defect is projected onto the
-    normal space.  A curve has no pair i < j, and every term of its Codazzi
-    identity cancels exactly, so it gives (0.0, 0.0).
+    ``pk`` is as for ``beltrami_residual``: h and dh are in its normal
+    coordinates, with weights w.  The Gauss row compares the curvature
+    tensor from the packet's metric, Christoffel symbols and the chart's
+    partials (``_curvature``) with sum_c w_c (h_jk h_il - h_ik h_jl)_c
+    (B_jk B_il - B_ik B_jl on a hypersurface) at the pair-symmetric
+    components only: both sides are antisymmetric in (i, j) and in (k, l)
+    and symmetric under the pair exchange, exactly or to rounding for the
+    symmetric partials the packets hold, so the entries left out repeat
+    kept ones.  The Codazzi row is the skew part in (i, j) of nabla_i h_jk
+    = d_i h_jk - Gamma^m_ij h_mk - Gamma^m_ik h_jm.  Both are over the scale
+    (1 + max|h|)^2.  A curve has no pair i < j, and every term of its
+    Codazzi identity cancels exactly, so it gives (0.0, 0.0).
     """
     pk = _any_packet(chart, p, pk)
-    one, (G, Gamma, dx, ddx, dddx) = _point_axis(pk, pk.G, pk.christoffel, pk.dx, pk.ddx,
-                                                 pk.dddx)
-    w = pk._weights
-    P, n, m = dx.shape
-    plan = _gauss_plan(n)
-    R = _curvature(G, Gamma, dx, ddx, dddx, w)
-
-    if chart.codim == 1:
-        _, (B0, dB) = _point_axis(pk, pk.B, pk.dB)
-        b = B0.reshape(P, -1)[:, plan.B]
-        gauss_rhs = b[:, 0] * b[:, 1] - b[:, 2] * b[:, 3]
-        scale = (1.0 + np.max(np.abs(B0), axis=(1, 2))) ** 2
-        # nabla_i B_jk = d_i B_jk - Gamma^m_ij B_mk - Gamma^m_ik B_jm
-        GB = _gamma_times(Gamma, B0)
-        covB = dB.transpose(0, 3, 1, 2) - GB - GB.swapaxes(2, 3)
-        r_codazzi = np.max(np.abs(covB - covB.swapaxes(1, 2)), axis=(1, 2, 3))
-    else:
-        _, (G_inv, h0) = _point_axis(pk, pk.G_inv, pk.h)
-        a2, b2 = _triu(n)
-        hd = h0[:, a2, b2]
-        hh = np.matmul(hd * w, hd.swapaxes(1, 2)).reshape(P, -1)[:, plan.hh]
-        gauss_rhs = hh[:, 0] - hh[:, 1]
-        scale = (1.0 + np.max(np.linalg.norm(h0, axis=-1), axis=(1, 2))) ** 2
-        # nabla_i h_jk = d_i h_jk - Gamma^m_ij h_mk - Gamma^m_ik h_jm, with d_i h_jk
-        # less its tangential term -d_i Gamma^m_jk d_m x; the normal part of its
-        # skew part in (i, j) must vanish
-        Gh = _gamma_times(Gamma, h0)
-        Dh = dddx - _gamma_times(Gamma, ddx).transpose(0, 3, 1, 2, 4) - Gh - Gh.swapaxes(2, 3)
-        diff = Dh - Dh.swapaxes(1, 2)
-        inner = np.matmul((diff * w).reshape(P, -1, m), dx.swapaxes(1, 2))
-        tangential = np.matmul(np.matmul(inner, G_inv.swapaxes(1, 2)), dx)
-        perp = diff - tangential.reshape(diff.shape)
-        r_codazzi = np.max(np.linalg.norm(perp, axis=-1), axis=(1, 2, 3))
+    one, (G, Gamma, dx, ddx, dddx, h, dh) = _point_axis(
+        pk, pk.G, pk.christoffel, pk.dx, pk.ddx, pk.dddx, pk.h, pk.dh)
+    P, n = G.shape[:2]
+    R = _curvature(G, Gamma, dx, ddx, dddx, chart.signature.weights)
+    b = h.reshape(P, n * n, -1)[:, _gauss_plan(n).B]
+    gauss_rhs = np.einsum("zkc,c->zk", b[:, 0] * b[:, 1] - b[:, 2] * b[:, 3], pk.normal_weights)
+    scale = (1.0 + _max_norm(h, (1, 2))) ** 2
+    Gh = _gamma_times(Gamma, h)
+    cov = dh.transpose(0, 3, 1, 2, 4) - Gh - Gh.swapaxes(2, 3)
+    r_codazzi = _max_norm(cov - cov.swapaxes(1, 2), (1, 2, 3))
     r_gauss = np.max(np.abs(R - gauss_rhs), axis=1, initial=0.0) / scale
     return _result(one, r_gauss), _result(one, r_codazzi / scale)
 
@@ -669,9 +650,9 @@ def _fd_frame(chart: ImmersionChart, base, dx, ddx, ref, npts: int):
         if (k := _first(lightlike[part])) is not None:
             raise DegenerateNormal(base[part][k])
     unit = w / np.sqrt(nn)[:, None]
-    sgn = _orient_sign(w[:npts], None if ref is None else ref[:npts], False)
+    sgn = _orient_sign(w[:npts], None if ref is None else ref[:npts])
     ref = np.tile(unit[:npts] * sgn[:, None], (2 * n, 1)) if ref is None else ref[npts:]
-    N0 = unit * np.concatenate((sgn, _orient_sign(w[npts:], ref, False)))[:, None]
+    N0 = unit * np.concatenate((sgn, _orient_sign(w[npts:], ref)))[:, None]
     B0 = np.einsum("zija,a,za->zij", ddx, eps, N0)
     S0 = np.linalg.solve(G0, B0)
     return G0, N0, B0, S0, np.trace(S0, axis1=1, axis2=2) / n

@@ -365,6 +365,9 @@ def eigen_structure(S: np.ndarray, G: np.ndarray, tol: float = CLUSTER_TOL):
     G = np.asarray(G, dtype=float)
     if S.ndim not in (2, 3) or S.shape[-2:] != (4, 4) or G.shape != S.shape:
         raise ContractViolation("eigen_structure expects 4x4 arrays")
+    # before the self-adjointness test, whose comparison a NaN passes
+    if not (np.isfinite(S).all() and np.isfinite(G).all()):
+        raise ContractViolation("operator or metric is not finite")
     one = S.ndim == 2
     if one:
         S, G = S[None], G[None]

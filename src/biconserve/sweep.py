@@ -67,7 +67,7 @@ DEFAULT_TOLERANCES = {
 
 def interior_grid(domain, nodes: int = 5) -> list:
     """[lo, hi, nodes] per axis of ``domain``, inset by 6 % of the span on
-    each side: the default grid of ``verify`` and ``verify_structure``."""
+    each side: the default grid of ``verify`` and ``sample``."""
     return [[lo + 0.06 * (hi - lo), hi - 0.06 * (hi - lo), nodes] for lo, hi in domain]
 
 

@@ -123,7 +123,7 @@ def test_block_submanifold_packet_is_the_one_point_packet_at_each_point(name, ch
     beltrami = beltrami_residual(chart, pts, spk)
     for k, p in enumerate(pts):
         one = submanifold_packet(chart, p)
-        for field in ("G", "G_inv", "christoffel", "dx", "ddx", "dddx", "h",
+        for field in ("G", "G_inv", "christoffel", "dx", "ddx", "dddx", "h", "dh",
                       "mean_curvature"):
             assert getattr(one, field).shape == getattr(spk, field).shape[1:], field
             assert np.array_equal(getattr(one, field), getattr(spk, field)[k]), field

@@ -615,6 +615,26 @@ def _config(tmp_path, **cfg):
     return str(path)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--matrix=nan" + PLANTED[4:]], "operator or metric is not finite"),
+    (["--matrix=inf" + PLANTED[4:]], "operator or metric is not finite"),
+    (["--matrix=" + PLANTED, "--metric=nan,0,0,0,0,-1,0,0,0,0,1,0,0,0,0,1"],
+     "--metric takes a finite symmetric matrix"),
+    (["--matrix=" + PLANTED, "--metric=-1,0,0,0,0,-1,0,0,0,0,1,0,0,0,0,inf"],
+     "--metric takes a finite symmetric matrix"),
+    (["--matrix=" + PLANTED, "--metric=-1,0.5,0,0,0,-1,0,0,0,0,1,0,0,0,0,1"],
+     "--metric takes a finite symmetric matrix"),
+    (["--matrix=" + PLANTED, "--metric=0,0,0,0,0,-1,0,0,0,0,1,0,0,0,0,1"],
+     "--metric is degenerate"),
+    (["--matrix=" + PLANTED, "--metric=1,0,0,0,0,-1,0,0,0,0,1,0,0,0,0,1"],
+     "--metric has index 1, expected 2"),
+    (["--matrix=" + PLANTED, "--metric=1,0,0,0,0,1,0,0,0,0,1,0,0,0,0,1"],
+     "--metric has index 0, expected 2"),
+])
+def test_classify_refuses_a_non_finite_operator_or_a_bad_metric(argv, message):
+    assert run(["classify", *argv]) == (2, f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv, option", [
     (["verify", "ex41", "--random-points", "3", "--seed", "-1"], "--seed takes"),
     (["sample", "ex41", "--random-points", "3", "--seed", "-2"], "--seed takes"),

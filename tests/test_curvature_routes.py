@@ -6,8 +6,9 @@ perturbed.
 The reference route, kept here only: d_q d_l G by the product rule, the
 partials of the Christoffel symbols by the linear-solve rule,
 d_l Gamma = G^-1 (d_l Gamma_low - d_l G Gamma), the curvature tensor from
-them, and dB = <d_l h, N> with d_l h = d_l d_i d_j x - d_l Gamma dx - Gamma
-d_l dx.  The full-tensor Gauss row, also kept here only, forms all n^4
+them, and d_l h = d_l d_i d_j x - d_l Gamma dx - Gamma d_l dx, whose
+component along N is dB and whose G-orthogonal normal part is a submanifold
+packet's dh.  The full-tensor Gauss row, also kept here only, forms all n^4
 entries of R_ijkl by the classical formula that ``immersion._curvature``
 evaluates at the pair-symmetric entries alone."""
 
@@ -17,8 +18,8 @@ import numpy as np
 import pytest
 
 from biconserve.catalog import FamilySpec, all_keys, build, build_remark42
-from biconserve.immersion import (_curvature, _gamma_times, _gauss_plan, gauss_codazzi_residual,
-                                  packet, submanifold_packet)
+from biconserve.immersion import (_curvature, _gamma_times, _gauss_plan, beltrami_residual,
+                                  gauss_codazzi_residual, packet, submanifold_packet)
 from biconserve.sweep import random_points
 
 
@@ -115,6 +116,14 @@ def test_curvature_tensor_and_dB_match_the_christoffel_partials_route(name, char
                  + np.einsum("zkij,zkl->zijl", np.abs(pk.christoffel), np.abs(pk.B)))
         bound = 1e-13 * np.max(terms, axis=(1, 2, 3))
         assert np.all(np.max(np.abs(pk.dB - dB_ref), axis=(1, 2, 3)) <= bound)
+    else:
+        # the packet's dh is the G-orthogonal normal part of d_l h_ij
+        ref = np.moveaxis(dh, 3, 4)  # at [i, j, l, a]
+        inner = np.einsum("zijla,a,zka->zijlk", ref, eps, pk.dx)
+        perp = ref - np.einsum("zijlk,zkq,zqa->zijla", inner, pk.G_inv, pk.dx)
+        size = 1.0 + np.max(np.abs(pk.dddx), axis=(1, 2, 3, 4))
+        err = np.max(np.abs(pk.dh - perp), axis=(1, 2, 3, 4)) / size
+        assert np.all(err <= 1e-14)  # 1.0e-15 at most here, on intsurf.ii
 
 
 @pytest.mark.parametrize("name, chart", CHARTS, ids=[name for name, _ in CHARTS])
@@ -135,6 +144,42 @@ def test_gauss_row_is_the_full_tensor_maximum(name, chart):
 HYPERSURFACES = [(name, chart) for name, chart in CHARTS if chart.codim == 1]
 SURFACES = [(name, chart) for name, chart in CHARTS if name in
             ("intsurf.ii", "intsurf.iii", "intsurf.v", "intsurf.vii", "intsurf.viii")]
+
+
+@pytest.mark.parametrize("name, chart", HYPERSURFACES, ids=[name for name, _ in HYPERSURFACES])
+def test_hypersurface_rows_are_the_shape_operator_identities(name, chart):
+    # the one-body rows, with h = B in the normal coordinate along N, give
+    # bitwise the shape operator's forms of the identities, written out here
+    pts = random_points(chart.domain, 8, 5)
+    pk = packet(chart, pts)
+    B, Gamma = pk.B, pk.christoffel
+    R = _curvature(pk.G, Gamma, pk.dx, pk.ddx, pk.dddx, chart.signature.weights)
+    i, j, k, l = _gauss_plan(chart.nparams).ijkl
+    scale = (1.0 + np.max(np.abs(B), axis=(1, 2))) ** 2
+    rhs = B[:, j, k] * B[:, i, l] - B[:, i, k] * B[:, j, l]
+    gauss = np.max(np.abs(R - rhs), axis=1) / scale
+    GB = _gamma_times(Gamma, B)
+    covB = pk.dB.transpose(0, 3, 1, 2) - GB - GB.swapaxes(2, 3)
+    codazzi = np.max(np.abs(covB - covB.swapaxes(1, 2)), axis=(1, 2, 3)) / scale
+    got = gauss_codazzi_residual(chart, pts, pk)
+    assert np.array_equal(got[0], gauss) and np.array_equal(got[1], codazzi)
+
+
+@pytest.mark.parametrize("name, chart", CHARTS, ids=[name for name, _ in CHARTS])
+def test_beltrami_catches_a_perturbed_christoffel_or_mean_curvature(name, chart):
+    pts = random_points(chart.domain, 4, 1)
+    pk = packet(chart, pts) if chart.codim == 1 else submanifold_packet(chart, pts)
+    assert np.max(beltrami_residual(chart, pts, pk)) < 1e-7
+    # Gamma^0_ij += 1e-2 G_ij moves lap x by -1e-2 d_0 x at every point, whatever G is
+    bump = np.zeros(pk.christoffel.shape)
+    bump[:, 0] = 1e-2 * pk.G
+    wrong = replace(pk, christoffel=pk.christoffel + bump)
+    assert np.min(beltrami_residual(chart, pts, wrong)) > 1e-7
+    if chart.codim == 1:
+        wrong = replace(pk, H=pk.H + 1e-2)
+    else:
+        wrong = replace(pk, mean_curvature=pk.mean_curvature + 1e-2)
+    assert np.min(beltrami_residual(chart, pts, wrong)) > 1e-7
 
 
 @pytest.mark.parametrize("name, chart", HYPERSURFACES, ids=[name for name, _ in HYPERSURFACES])

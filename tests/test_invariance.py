@@ -19,7 +19,7 @@ PROFILES = {"solved": {"solve_psi": True, "c": 1.0}, "control": {"psi": "s^2"}}
 SCALES = (1e-3, 1e-2, 1e2, 1e3)
 LARGE = pytest.mark.xfail(
     strict=True,
-    reason="the spectral thresholds are absolute (ROADMAP item 1), so the shape "
+    reason="the spectral thresholds are absolute (ROADMAP item 4), so the shape "
            "operator of a chart scaled by 100 or more reads as unresolved")
 
 

@@ -138,6 +138,21 @@ def test_non_self_adjoint_rejected():
         eigen_structure(S2, G)
 
 
+@pytest.mark.parametrize("bad", ["S", "G"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_non_finite_operator_or_metric_is_refused(bad, value):
+    # a NaN passes the self-adjointness comparison, so finiteness is tested first
+    S, G = canonical_pair("I")
+    pair = {"S": S.copy(), "G": G.copy()}
+    pair[bad][0, 0] = value
+    with pytest.raises(ContractViolation, match="not finite"):
+        eigen_structure(pair["S"], pair["G"])
+    block = {"S": np.array([S, S, S]), "G": np.array([G, G, G])}
+    block[bad][1] = pair[bad]
+    with pytest.raises(ContractViolation, match="not finite"):
+        eigen_structure(block["S"], block["G"])
+
+
 def test_classify_case_totals_must_be_four():
     # one real item of multiplicity 2 and no pair: the multiplicities total 2
     labels, patterns, _ = spectral._case_labels(

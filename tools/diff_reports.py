@@ -28,8 +28,10 @@ that the one-point ``eigen_structure`` path is compared too, with a
 planted ``--matrix`` beside a target and ``--psi`` (a usage error), and on
 the planted defective operators of cases II and IV (``--matrix`` and
 ``--metric``: a double root with one eigenvector, a triple root with one),
-so that the rank test is compared on defective root items too.  Each
-case's argv, exit code and printed output go to one JSON file in OUT_DIR.
+so that the rank test is compared on defective root items too, and two
+usage errors of ``classify``: a NaN ``--matrix`` and a singular
+``--metric``.  Each case's argv, exit code and printed output go to one
+JSON file in OUT_DIR.
 
 ``diff`` compares two such directories case by case: whether the printed
 output is byte-identical, whether the exit code moved, and every report
@@ -104,6 +106,9 @@ def cases(catalog):
     for case, (matrix, metric) in PLANTED_DEFECTIVE.items():
         out.append((f"classify planted {case}",
                     ["classify", f"--matrix={matrix}", f"--metric={metric}"]))
+    out.append(("classify nan matrix", ["classify", "--matrix=nan" + PLANTED[4:]]))
+    out.append(("classify singular metric", ["classify", f"--matrix={PLANTED}",
+                                             "--metric=0,0,0,0,0,-1,0,0,0,0,1,0,0,0,0,1"]))
     return out
 
 
