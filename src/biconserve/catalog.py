@@ -21,6 +21,7 @@ where the build reads them, and either refuses a key left over, naming it.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from numbers import Real
@@ -372,13 +373,22 @@ def _number(val) -> bool:
     return isinstance(val, Real) and not isinstance(val, bool)
 
 
+def _profile_number(req: dict, key: str, default: float) -> float:
+    """The number ``req`` gives for ``key`` (taken from it), else ``default``;
+    ContractViolation if it is not finite."""
+    val = float(req.pop(key, default))
+    if not math.isfinite(val):
+        raise ContractViolation(f"--{key} takes a finite number, got {val!r}")
+    return val
+
+
 def entry_for(spec: FamilySpec) -> CatalogEntry:
     """The catalog entry a spec builds, with the spec's parameters checked:
     each is one the entry declares, of its default's type (a number, an
     integral number where the default is an int, or a sequence of numbers;
-    never a bool), and the entry's ``a != 0`` and ``R > 0`` hold.  For
-    rem42 the entry's components, reference normal and default domain are
-    built from n and a (by default 1, ..., n - 1)."""
+    never a bool), every number finite, and the entry's ``a != 0`` and
+    ``R > 0`` hold.  For rem42 the entry's components, reference normal and
+    default domain are built from n and a (by default 1, ..., n - 1)."""
     entry = CATALOG.get(spec.key)
     if entry is None:
         raise ContractViolation(f"unknown catalog key {spec.key!r}")
@@ -393,6 +403,9 @@ def entry_for(spec: FamilySpec) -> CatalogEntry:
         else:
             ok, want = _number(val), "a number"
         if not ok:
+            raise ContractViolation(f"parameter {name!r} takes {want}, got {val!r}")
+        if not all(map(math.isfinite, val if isinstance(default, tuple) else (val,))):
+            want = "finite numbers" if isinstance(default, tuple) else "a finite number"
             raise ContractViolation(f"parameter {name!r} takes {want}, got {val!r}")
     params = {**entry.params, **spec.parameters}
     if "a != 0" in entry.conditions and abs(float(params["a"])) < _STRICT_MARGIN:
@@ -433,8 +446,8 @@ def _profile_bank(entry: CatalogEntry, spec: FamilySpec, domain) -> dict:
             bank = {n: ExprProfile(parse(str(given[n]), ("s",))) for n in names}
         else:
             theta = req.pop("theta", _TH_DEFAULT)
-            phi0 = float(req.pop("phi0", 1.2))
-            psi0 = float(req.pop("psi0", 0.3 if names[1] == "psi" else 0.7))
+            phi0 = _profile_number(req, "phi0", 1.2)
+            psi0 = _profile_number(req, "psi0", 0.3 if names[1] == "psi" else 0.7)
             refuse_unread((), req, spec.key)
             bank = dict(zip(names, make_profile_pair(entry.pair_kind, theta, s_range,
                                                      phi0=phi0, psi0=psi0)))
@@ -450,7 +463,7 @@ def _profile_bank(entry: CatalogEntry, spec: FamilySpec, domain) -> dict:
                                       f"value {val[bad[0]]:.2e} at s={samples[bad[0]]:.3f}")
         return bank
     if entry.offsets and (req.pop("solve_psi", False) or "psi" not in req):
-        c = float(req.pop("c", 1.0))
+        c = _profile_number(req, "c", 1.0)
         refuse_unread((), req, spec.key)
         bank = {"psi": PsiSolution.build(entry.offsets(entry.params), c, s_range)}
     else:

@@ -28,6 +28,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -157,9 +158,25 @@ def _resolve_grid_spec(req: VerifyRequest, chart: ImmersionChart, entry):
     req.grid_spec = None
 
 
+def _check_axes(what: str, ranges, names, strict: bool):
+    """ContractViolation naming the first axis of ``ranges`` ([lo, hi, ...]
+    per axis of ``names``) with a bound that is not finite, or with lo > hi
+    (lo >= hi when ``strict``)."""
+    for name, (lo, hi, *_) in zip(names, ranges):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ContractViolation(f"{what} axis {name!r} takes finite bounds, "
+                                    f"got {lo!r}:{hi!r}")
+        if lo > hi or (strict and lo == hi):
+            raise ContractViolation(f"{what} axis {name!r} needs lo {'<' if strict else '<='} "
+                                    f"hi, got {lo!r}:{hi!r}")
+
+
 def _build_target(req: VerifyRequest):
-    """Returns (chart, entry_or_None), with the request's axis specs resolved."""
+    """Returns (chart, entry_or_None), with the request's axis specs resolved
+    and its domain's axes checked."""
     _resolve_domain_spec(req)
+    if req.domain:
+        _check_axes("domain", req.domain, _target_var_names(req), strict=True)
     chart, entry = _build_chart(req)
     _resolve_grid_spec(req, chart, entry)
     return chart, entry
@@ -191,6 +208,7 @@ def _resolve_points(req: VerifyRequest, chart: ImmersionChart):
     if len(grid) != chart.nparams:
         raise BiconserveError(
             f"grid has {len(grid)} axes, chart has {chart.nparams} parameters")
+    _check_axes("grid", grid, _target_var_names(req), strict=False)
     for (lo, hi, n), (dlo, dhi) in zip(grid, chart.domain):
         if n < 2:
             raise BiconserveError("grid needs at least 2 nodes per axis")
@@ -532,6 +550,10 @@ def cmd_classify(args, out=None) -> int:
             chart, _ = _build_target(req)
             if args.at:
                 point = _numbers(args.at, "--at", chart.nparams)
+                for name, x in zip(_target_var_names(req), point):
+                    if not math.isfinite(x):
+                        raise ContractViolation(f"--at axis {name!r} takes a finite number, "
+                                                f"got {x!r}")
             else:
                 point = list(chart.center())
             pk = packet(chart, point)
@@ -598,10 +620,11 @@ def make_parser() -> argparse.ArgumentParser:
         prog="biconserve",
         description="numerical verification of curvature identities and the "
                     "shape-operator tangency condition for index-2 hypersurface charts",
+        allow_abbrev=False,
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p_list = sub.add_parser("list", help="list catalog entries")
+    p_list = sub.add_parser("list", help="list catalog entries", allow_abbrev=False)
     p_list.add_argument("--family", help="filter by family prefix (thm1, intsurf, ...)")
     p_list.add_argument("--json", action="store_true")
     p_list.set_defaults(fn=cmd_list)
@@ -626,7 +649,8 @@ def make_parser() -> argparse.ArgumentParser:
                        help="worker processes (default: BICONSERVE_JOBS or 1)")
         p.add_argument("--output")
 
-    p_ver = sub.add_parser("verify", help="run verification checks over a grid")
+    p_ver = sub.add_parser("verify", help="run verification checks over a grid",
+                           allow_abbrev=False)
     chart(p_ver)
     points(p_ver)
     p_ver.add_argument("--format", choices=("json", "csv"), default="json")
@@ -641,7 +665,8 @@ def make_parser() -> argparse.ArgumentParser:
                        help="print the JSON/CSV report to stdout as well")
     p_ver.set_defaults(fn=cmd_verify)
 
-    p_cls = sub.add_parser("classify", help="classify the shape operator at a point")
+    p_cls = sub.add_parser("classify", help="classify the shape operator at a point",
+                           allow_abbrev=False)
     chart(p_cls)
     p_cls.add_argument("--at", help="comma-separated parameter point")
     p_cls.add_argument("--matrix", help="16 comma-separated operator entries")
@@ -649,7 +674,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--tol", type=float)
     p_cls.set_defaults(fn=cmd_classify)
 
-    p_smp = sub.add_parser("sample", help="stream per-point data as CSV")
+    p_smp = sub.add_parser("sample", help="stream per-point data as CSV", allow_abbrev=False)
     chart(p_smp)
     points(p_smp)
     p_smp.add_argument("--columns", help="subset of output columns")

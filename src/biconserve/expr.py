@@ -44,15 +44,17 @@ Text syntax (used by the CLI), with whitespace anywhere:
     number := (digits ['.' [digits]] | '.' digits) [('e' | 'E') ['+' | '-'] digits]
     name   := [A-Za-z_][A-Za-z_0-9]*
 
-Python's own parser reads the text, with ``^`` for ``**``, and ``parse``
-keeps the nodes this grammar has and refuses any other.  Variable names come
-from the chart (s, t, u, v for four parameters); any other call name is
-looked up in the profile bank, e.g. ``phi(s)*cos(v)``.
+A number must read as a finite float (not ``1e999``).  Python's own
+parser reads the text, with ``^`` for ``**``, and ``parse`` keeps the nodes
+this grammar has and refuses any other.  Variable names come from the chart
+(s, t, u, v for four parameters); any other call name is looked up in the
+profile bank, e.g. ``phi(s)*cos(v)``.
 """
 
 from __future__ import annotations
 
 import ast
+import math
 import re
 from collections import namedtuple
 from dataclasses import dataclass, fields
@@ -543,10 +545,13 @@ def _python_lexeme(m) -> str:
     """A name with a trailing '_', so that none is a Python keyword (``if(s)``
     is a profile call); a number as an ASCII float literal set apart by
     spaces, so that Python splits ``2s`` in two and reads no int (``05`` is
-    ``05.``: no leading-zero rule, no int digit limit)."""
+    ``05.``: no leading-zero rule, no int digit limit).  ContractViolation
+    for a number past the float range (``1e999``), which would read as inf."""
     if m[1] is None:
         return m[0] + "_"
     num = m[1] if m[1].isascii() else re.sub(r"\d", lambda d: str(int(d[0])), m[1])
+    if not math.isfinite(float(num)):
+        raise ContractViolation(f"number {m[1]!r} is not a finite float")
     return f" {num}{'.' * num.isdigit()} "
 
 

@@ -15,8 +15,10 @@ linear-solve rule), so H and grad H are traces of S and of its partials.
 partials, and the mean curvature vector.  Each packet gives h, dh and the
 mean curvature vector in its own normal coordinates, whose metric is its
 ``normal_weights`` (on a hypersurface the one coordinate along N, h = B),
-so each identity residual has one body for every codimension.  The second
-partials of G enter only the Gauss check (``_curvature``).  Both packets
+so each identity residual has one body for every codimension.  The third
+partials enter only dB and dh: the Gauss check (``_curvature``) forms the
+curvature tensor from the second partials and the Christoffel symbols, as
+the third-partial terms of its classical formula cancel.  Both packets
 evaluate one point or a block of points at once: the arrays and the
 residual operations carry a leading point axis, of length 1 for a
 one-point call.
@@ -123,7 +125,6 @@ class CurvaturePacket(_CmcRule):
     dx: np.ndarray           # (n, m): d_i x
     ddx: np.ndarray          # (n, n, m): d_i d_j x
     dB: np.ndarray           # (n, n, n): d_l B_ij at [i, j, l]
-    dddx: np.ndarray         # (n, n, n, m): d_i d_j d_l x
 
     # B, dB and H N in the one normal coordinate, along N, of weight <N, N> = 1
     normal_weights = (1.0,)
@@ -144,7 +145,6 @@ class SubmanifoldPacket:
     christoffel: np.ndarray     # (n, n, n): Gamma^k_ij at [k, i, j]
     dx: np.ndarray              # (n, m): d_i x
     ddx: np.ndarray             # (n, n, m): d_i d_j x
-    dddx: np.ndarray            # (n, n, n, m): d_i d_j d_l x
     h: np.ndarray               # (n, n, m): normal part of d_i d_j x
     dh: np.ndarray              # (n, n, n, m): normal part of d_l h_ij at [i, j, l]
     mean_curvature: np.ndarray  # (m,) ambient vector, (1/n) G^{ij} h_ij
@@ -350,14 +350,13 @@ def packet(chart: ImmersionChart, p) -> CurvaturePacket:
 
     G_inv = np.linalg.inv(G)
     gradH = _mv(G_inv, dH)
-    fields = (G, G_inv, N, B, S, H, gradH, _push(gradH, dx), Gamma, dx, ddx, dB, dddx)
+    fields = (G, G_inv, N, B, S, H, gradH, _push(gradH, dx), Gamma, dx, ddx, dB)
     one = p.ndim == 1
-    G, G_inv, N, B, S, H, gradH, g_amb, Gamma, dx, ddx, dB, dddx = [
-        f[0] if one else f for f in fields]
+    G, G_inv, N, B, S, H, gradH, g_amb, Gamma, dx, ddx, dB = [f[0] if one else f for f in fields]
     sig = chart.signature
     return CurvaturePacket(tuple(p) if one else p, G, G_inv, AmbientVector(N, sig), B, S,
                            float(H) if one else H, gradH, AmbientVector(g_amb, sig), Gamma,
-                           dx, ddx, dB, dddx)
+                           dx, ddx, dB)
 
 
 def _normal_part(T, dx, G_inv, eps):
@@ -385,8 +384,7 @@ def submanifold_packet(chart: ImmersionChart, p) -> SubmanifoldPacket:
     G_inv = np.linalg.inv(G)
     h = _normal_part(ddx, dx, G_inv, eps)
     dh = _normal_part(dddx - _gamma_times(Gamma, ddx), dx, G_inv, eps)
-    fields = (G, G_inv, Gamma, dx, ddx, dddx, h, dh,
-              np.einsum("zij,zija->za", G_inv, h) / chart.nparams)
+    fields = (G, G_inv, Gamma, dx, ddx, h, dh, np.einsum("zij,zija->za", G_inv, h) / chart.nparams)
     one = p.ndim == 1
     return SubmanifoldPacket(tuple(p) if one else p, *[f[0] if one else f for f in fields],
                              normal_weights=eps)
@@ -496,20 +494,16 @@ def beltrami_residual(chart: ImmersionChart, p, pk=None):
     return _result(one, np.linalg.norm(lap - G_inv.shape[-1] * Hvec, axis=-1))
 
 
-_GaussPlan = namedtuple("_GaussPlan", "ijkl third dddx_dx ddx_ddx quad B")
+_GaussPlan = namedtuple("_GaussPlan", "ijkl ddx_ddx quad B")
 
 
 @lru_cache(maxsize=None)
 def _gauss_plan(n: int) -> _GaussPlan:
     """Index plan of the Gauss row at n parameters, built once per n and
     read-only.  ``ijkl`` (4, K) lists the kept components: i < j, k < l and
-    (i, j) <= (k, l).  ``third`` (3, A3) lists the distinct third-order
-    alpha = (a, b, c), a <= b <= c; the second-order beta are ``_triu(n)``.
-    The rest are flat positions, per kept component, into tables of inner
-    products of distinct partials: ``dddx_dx`` into <d_alpha x, d_q x>
-    (A3, n) and ``ddx_ddx`` into <d_beta x, d_gamma x> (A2, A2), both
-    (2, 4, K): the two halves of d_a d_b G_pq (see ``_curvature``) at
-    (p, q, a, b) = (i, k, j, l), (i, l, j, k), (j, l, i, k), (j, k, i, l);
+    (i, j) <= (k, l).  The rest are flat positions, per kept component:
+    ``ddx_ddx`` (2, K) into the table <d_beta x, d_gamma x> (A2, A2) of the
+    distinct second-order beta, gamma (``_triu(n)``) at (jk, il), (ik, jl);
     ``quad`` (2, K) into Gamma^m_beta Gamma_{m,gamma} at (ik, lj), (jk, li);
     and ``B`` (4, K) into h's (n, n) entries at jk, il, ik, jl."""
     pairs = list(itertools.combinations(range(n), 2))
@@ -520,51 +514,38 @@ def _gauss_plan(n: int) -> _GaussPlan:
     A2 = len(a2)
     two = np.empty((n, n), dtype=np.intp)  # beta's position, in either order
     two[a2, b2] = two[b2, a2] = np.arange(A2)
-    third = list(itertools.combinations_with_replacement(range(n), 3))
-    three = np.empty((n,) * 3, dtype=np.intp)  # alpha's position, in any order
-    for pos, abc in enumerate(third):
-        for perm in itertools.permutations(abc):
-            three[perm] = pos
 
     def table2(x, y, u, v):  # (beta, gamma) = ((x, y), (u, v)) in an (A2, A2) table
         return two[x, y] * A2 + two[u, v]
 
-    pqab = [(i, k, j, l), (i, l, j, k), (j, l, i, k), (j, k, i, l)]
-    plan = _GaussPlan(
-        ijkl, np.array(third, dtype=np.intp).reshape(-1, 3).T,
-        np.array([[three[p, a, b] * n + q for p, q, a, b in pqab],
-                  [three[q, a, b] * n + p for p, q, a, b in pqab]]),
-        np.array([[table2(p, a, q, b) for p, q, a, b in pqab],
-                  [table2(q, a, p, b) for p, q, a, b in pqab]]),
-        np.array([table2(i, k, l, j), table2(j, k, l, i)]),
-        np.array([j * n + k, i * n + l, i * n + k, j * n + l]))
+    plan = _GaussPlan(ijkl, np.array([table2(j, k, i, l), table2(i, k, j, l)]),
+                      np.array([table2(i, k, l, j), table2(j, k, l, i)]),
+                      np.array([j * n + k, i * n + l, i * n + k, j * n + l]))
     for arr in plan:
         arr.flags.writeable = False
     return plan
 
 
-def _curvature(G, Gamma, dx, ddx, dddx, eps):
+def _curvature(G, Gamma, ddx, eps):
     """The kept components of the lowered curvature tensor, (P, K) in the
-    order of ``_gauss_plan(n).ijkl``, by the classical formula R_ijkl =
-    (G_ik,jl + G_jl,ik - G_il,jk - G_jk,il) / 2 + Gamma^m_ik Gamma_{m,lj}
-    - Gamma^m_jk Gamma_{m,li}, with Gamma_{m,ab} = G_mp Gamma^p_ab and
-    d_a d_b G_pq = (<d_p d_a d_b x, d_q x> + <d_p d_a x, d_q d_b x>)
-    + (<d_q d_a d_b x, d_p x> + <d_q d_a x, d_p d_b x>).  Each inner product
-    of distinct partials is one matmul per point, and each component's terms
-    are gathered and added one by one, so a point's arithmetic does not
-    depend on its block."""
-    P, n, m = dx.shape
+    order of ``_gauss_plan(n).ijkl``: R_ijkl = <d_j d_k x, d_i d_l x> -
+    <d_i d_k x, d_j d_l x> + Gamma^m_ik Gamma_{m,lj} - Gamma^m_jk Gamma_{m,li},
+    with Gamma_{m,ab} = G_mp Gamma^p_ab.  This is the classical formula
+    (G_ik,jl + G_jl,ik - G_il,jk - G_jk,il) / 2 + the same Gamma terms, its
+    second partials of G expanded by the product rule: every term with a
+    third partial of x, and four of the eight products of second partials,
+    meet their own negatives, and the other four are two transposed pairs.
+    Each inner product of distinct second partials is one matmul per point,
+    and each component's terms are gathered and added one by one, so a
+    point's arithmetic does not depend on its block."""
+    P, n = G.shape[:2]
     plan = _gauss_plan(n)
     a2, b2 = _triu(n)
-    a3, b3, c3 = plan.third
-    T = np.matmul(dddx[:, a3, b3, c3] * eps, dx.swapaxes(1, 2)).reshape(P, -1)
-    Q = np.matmul(ddx[:, a2, b2] * eps, ddx[:, a2, b2].swapaxes(1, 2)).reshape(P, -1)
-    t, q = plan.dddx_dx, plan.ddx_ddx
-    ddG = (T[:, t[0]] + Q[:, q[0]]) + (T[:, t[1]] + Q[:, q[1]])  # (P, 4, K)
+    D = ddx[:, a2, b2]
+    Q = np.matmul(D * eps, D.swapaxes(1, 2)).reshape(P, -1)[:, plan.ddx_ddx]
     Gam = Gamma[:, :, a2, b2]
     quad = np.matmul(Gam.swapaxes(1, 2), np.matmul(G, Gam)).reshape(P, -1)[:, plan.quad]
-    return (((ddG[:, 0] - ddG[:, 1]) + (ddG[:, 2] - ddG[:, 3])) * 0.5
-            + (quad[:, 0] - quad[:, 1]))
+    return (Q[:, 0] - Q[:, 1]) + (quad[:, 0] - quad[:, 1])
 
 
 def _max_norm(v, axes):
@@ -579,7 +560,7 @@ def gauss_codazzi_residual(chart: ImmersionChart, p, pk=None):
     ``pk`` is as for ``beltrami_residual``: h and dh are in its normal
     coordinates, with weights w.  The Gauss row compares the curvature
     tensor from the packet's metric, Christoffel symbols and the chart's
-    partials (``_curvature``) with sum_c w_c (h_jk h_il - h_ik h_jl)_c
+    second partials (``_curvature``) with sum_c w_c (h_jk h_il - h_ik h_jl)_c
     (B_jk B_il - B_ik B_jl on a hypersurface) at the pair-symmetric
     components only: both sides are antisymmetric in (i, j) and in (k, l)
     and symmetric under the pair exchange, exactly or to rounding for the
@@ -590,10 +571,9 @@ def gauss_codazzi_residual(chart: ImmersionChart, p, pk=None):
     Codazzi identity cancels exactly, so it gives (0.0, 0.0).
     """
     pk = _any_packet(chart, p, pk)
-    one, (G, Gamma, dx, ddx, dddx, h, dh) = _point_axis(
-        pk, pk.G, pk.christoffel, pk.dx, pk.ddx, pk.dddx, pk.h, pk.dh)
+    one, (G, Gamma, ddx, h, dh) = _point_axis(pk, pk.G, pk.christoffel, pk.ddx, pk.h, pk.dh)
     P, n = G.shape[:2]
-    R = _curvature(G, Gamma, dx, ddx, dddx, chart.signature.weights)
+    R = _curvature(G, Gamma, ddx, chart.signature.weights)
     b = h.reshape(P, n * n, -1)[:, _gauss_plan(n).B]
     gauss_rhs = np.einsum("zkc,c->zk", b[:, 0] * b[:, 1] - b[:, 2] * b[:, 3], pk.normal_weights)
     scale = (1.0 + _max_norm(h, (1, 2))) ** 2

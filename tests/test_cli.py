@@ -687,3 +687,67 @@ def test_a_deeply_nested_profile_is_a_usage_error(minus):
     code, text = run(["verify", "ex41", f"--psi={'-' * minus}s^2"])
     assert code == 2
     assert text == "error [ex41]: expression nested more than 100 levels deep\n"
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ex41", "--a", "nan"], "parameter 'a' takes a finite number, got nan"),
+    (["intcurve.B", "--R", "inf"], "parameter 'R' takes a finite number, got inf"),
+    (["rem42", "--offsets", "1,2,nan"], "parameter 'a' takes finite numbers, got (1.0, 2.0, nan)"),
+    (["ex41", "--solve-psi", "--c", "nan"], "--c takes a finite number, got nan"),
+    (["thm1.i", "--phi0", "inf"], "--phi0 takes a finite number, got inf"),
+    (["thm1.i", "--psi0", "nan"], "--psi0 takes a finite number, got nan"),
+    (["ex41", "--psi", "1e999*s"], "number '1e999' is not a finite float"),
+    (["t; u; s; v; 1e999*s"], "number '1e999' is not a finite float"),
+    (["ex41", "--config", {"parameters": {"a": NAN}}], "parameter 'a' takes a finite number"),
+    (["rem42", "--config", {"parameters": {"a": [1, 2, NAN]}}],
+     "parameter 'a' takes finite numbers"),
+    (["ex41", "--config", {"profiles": {"c": NAN}}], "--c takes a finite number, got nan"),
+    (["ex41", "--config", {"profiles": {"psi": "1e999*s"}}], "number '1e999' is not a finite"),
+])
+def test_a_non_finite_number_is_refused_where_it_is_read(tmp_path, argv, message):
+    argv = [_config(tmp_path, **a) if isinstance(a, dict) else a for a in argv]
+    code, text = run(["verify", *argv])
+    assert code == 2
+    assert text.startswith(f"error [{argv[0]}]: {message}") and text.count("\n") == 1
+
+
+_AXES4 = [[0.6, 1.4], [-0.5, 0.5], [-0.5, 0.5], [-0.5, 0.5]]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "thm1.i", "--domain", "t=0:0"], "domain axis 't' needs lo < hi, got 0.0:0.0"),
+    (["verify", "thm1.i", "--domain", "t=1:-1"], "domain axis 't' needs lo < hi, got 1.0:-1.0"),
+    (["verify", "ex41", "--domain", "s=0.6:inf"], "domain axis 's' takes finite bounds"),
+    (["sample", "ex41", "--domain", "u=nan:0.5"], "domain axis 'u' takes finite bounds"),
+    (["verify", "thm1.i", "--grid", "t=nan:0.5:3"], "grid axis 't' takes finite bounds"),
+    (["verify", "ex41", "--grid", "s=1.2:0.8:3"], "grid axis 's' needs lo <= hi, got 1.2:0.8"),
+    (["classify", "ex41", "--domain", "v=0.5:-0.5"], "domain axis 'v' needs lo < hi"),
+    (["classify", "ex41", "--at", "1,nan,0,0"], "--at axis 't' takes a finite number, got nan"),
+    (["verify", "ex41", "--config",
+      {"domain": [_AXES4[0], [NAN, 0.5], *_AXES4[2:]]}], "domain axis 't' takes finite bounds"),
+    (["verify", "ex41", "--config",
+      {"grid": [[*axis, 2] for axis in _AXES4[:3]] + [[0.5, -0.5, 2]]}],
+     "grid axis 'v' needs lo <= hi"),
+])
+def test_an_axis_range_is_checked_where_it_is_read(tmp_path, argv, message):
+    argv = [_config(tmp_path, **a) if isinstance(a, dict) else a for a in argv]
+    code, text = run(argv)
+    assert code == 2
+    assert text.startswith("error") and text.count("\n") == 1
+    assert message in text
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["verify", "intsurf.ii", "--r", "2"], "--r 2"),        # not --random-points
+    (["verify", "ex41", "--solve"], "--solve"),             # not --solve-psi
+    (["sample", "ex41", "--col", "s"], "--col s"),          # not --columns
+    (["classify", "--mat=" + PLANTED], "--mat=" + PLANTED),  # not --matrix
+])
+def test_an_abbreviated_flag_is_a_usage_error(argv, extra, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    assert f"unrecognized arguments: {extra}\n" in capsys.readouterr().err

@@ -9,8 +9,10 @@ d_l Gamma = G^-1 (d_l Gamma_low - d_l G Gamma), the curvature tensor from
 them, and d_l h = d_l d_i d_j x - d_l Gamma dx - Gamma d_l dx, whose
 component along N is dB and whose G-orthogonal normal part is a submanifold
 packet's dh.  The full-tensor Gauss row, also kept here only, forms all n^4
-entries of R_ijkl by the classical formula that ``immersion._curvature``
-evaluates at the pair-symmetric entries alone."""
+entries of R_ijkl by the classical formula, third partials included, that
+``immersion._curvature`` evaluates at the pair-symmetric entries alone with
+the third-partial terms cancelled: these tests bound what the dropped terms
+ever added to rounding."""
 
 from dataclasses import replace
 
@@ -18,14 +20,16 @@ import numpy as np
 import pytest
 
 from biconserve.catalog import FamilySpec, all_keys, build, build_remark42
-from biconserve.immersion import (_curvature, _gamma_times, _gauss_plan, beltrami_residual,
-                                  gauss_codazzi_residual, packet, submanifold_packet)
+from biconserve.immersion import (_curvature, _frame, _gamma_times, _gauss_plan,
+                                  beltrami_residual, gauss_codazzi_residual, packet,
+                                  submanifold_packet)
 from biconserve.sweep import random_points
 
 
-def reference_route(pk, eps):
-    """(R_ijkl at [i, j, k, l], d_l h_ij^a at [i, j, a, l]) of a block packet."""
-    dx, ddx, dddx, G, Gamma = pk.dx, pk.ddx, pk.dddx, pk.G, pk.christoffel
+def reference_route(pk, dddx, eps):
+    """(R_ijkl at [i, j, k, l], d_l h_ij^a at [i, j, a, l]) of a block packet
+    and the chart's third partials at its points."""
+    dx, ddx, G, Gamma = pk.dx, pk.ddx, pk.G, pk.christoffel
     A = np.einsum("zila,a,zja->zijl", ddx, eps, dx)
     dG = A + A.transpose(0, 2, 1, 3)
     E = (np.einsum("zilqa,a,zja->zijlq", dddx, eps, dx)
@@ -47,12 +51,13 @@ def reference_route(pk, eps):
     return R, dh
 
 
-def full_tensor_gauss(pk, eps, codim):
+def full_tensor_gauss(pk, dddx, eps, codim):
     """(Gauss defect, (1 + max|R|) / scale) of a block packet over all n^4 entries:
     R_ijkl = (G_ik,jl + G_jl,ik - G_il,jk - G_jk,il) / 2 + Gamma^m_ik Gamma_{m,lj}
     - Gamma^m_jk Gamma_{m,li} against B_jk B_il - B_ik B_jl, or <h_jk, h_il> -
-    <h_ik, h_jl> for codimension > 1, over the residual's scale."""
-    G, Gamma, dx, ddx, dddx = pk.G, pk.christoffel, pk.dx, pk.ddx, pk.dddx
+    <h_ik, h_jl> for codimension > 1, over the residual's scale, with the
+    third partials ``dddx`` that ``immersion._curvature`` has no need of."""
+    G, Gamma, dx, ddx = pk.G, pk.christoffel, pk.dx, pk.ddx
     P, n, m = dx.shape
     # <d_i d_l d_q x, d_j x> at [i, l, q, j] and <d_i d_l x, d_j d_q x> at [i, l, j, q]
     T = np.matmul((dddx * eps).reshape(P, -1, m), dx.swapaxes(1, 2)).reshape((P,) + (n,) * 4)
@@ -96,8 +101,9 @@ def test_curvature_tensor_and_dB_match_the_christoffel_partials_route(name, char
     pts = random_points(chart.domain, 8, 5)
     eps = chart.signature.weights
     pk = packet(chart, pts) if chart.codim == 1 else submanifold_packet(chart, pts)
-    R_ref, dh = reference_route(pk, eps)
-    R = _curvature(pk.G, pk.christoffel, pk.dx, pk.ddx, pk.dddx, eps)
+    dddx = _frame(chart, pts)[2]
+    R_ref, dh = reference_route(pk, dddx, eps)
+    R = _curvature(pk.G, pk.christoffel, pk.ddx, eps)
     scale = 1.0 + np.max(np.abs(R_ref), axis=(1, 2, 3, 4))
     i, j, k, l = _gauss_plan(chart.nparams).ijkl
     assert R.shape == (8, len(i))
@@ -112,7 +118,7 @@ def test_curvature_tensor_and_dB_match_the_christoffel_partials_route(name, char
         dB_ref = np.einsum("zijal,a,za->zijl", dh, eps, N)
         # relative to the size of dB's terms, <d_i d_j d_l x, N> and Gamma^k_ij B_kl:
         # both routes cancel them (dB is 4e-5 to 6e-5 of them on rem42 n = 7)
-        terms = (np.einsum("zijla,za->zijl", np.abs(pk.dddx), np.abs(N))
+        terms = (np.einsum("zijla,za->zijl", np.abs(dddx), np.abs(N))
                  + np.einsum("zkij,zkl->zijl", np.abs(pk.christoffel), np.abs(pk.B)))
         bound = 1e-13 * np.max(terms, axis=(1, 2, 3))
         assert np.all(np.max(np.abs(pk.dB - dB_ref), axis=(1, 2, 3)) <= bound)
@@ -121,7 +127,7 @@ def test_curvature_tensor_and_dB_match_the_christoffel_partials_route(name, char
         ref = np.moveaxis(dh, 3, 4)  # at [i, j, l, a]
         inner = np.einsum("zijla,a,zka->zijlk", ref, eps, pk.dx)
         perp = ref - np.einsum("zijlk,zkq,zqa->zijla", inner, pk.G_inv, pk.dx)
-        size = 1.0 + np.max(np.abs(pk.dddx), axis=(1, 2, 3, 4))
+        size = 1.0 + np.max(np.abs(dddx), axis=(1, 2, 3, 4))
         err = np.max(np.abs(pk.dh - perp), axis=(1, 2, 3, 4)) / size
         assert np.all(err <= 1e-14)  # 1.0e-15 at most here, on intsurf.ii
 
@@ -131,7 +137,8 @@ def test_gauss_row_is_the_full_tensor_maximum(name, chart):
     pts = random_points(chart.domain, 8, 5)
     pk = packet(chart, pts) if chart.codim == 1 else submanifold_packet(chart, pts)
     gauss, codazzi = gauss_codazzi_residual(chart, pts, pk)
-    full, size = full_tensor_gauss(pk, chart.signature.weights, chart.codim)
+    full, size = full_tensor_gauss(pk, _frame(chart, pts)[2], chart.signature.weights,
+                                   chart.codim)
     # the left-out entries differ from the kept ones in rounding only: within
     # 4e-15 of the tensor's size on the residual's scale (6.2e-16 at most
     # here, on thm2.v)
@@ -153,7 +160,7 @@ def test_hypersurface_rows_are_the_shape_operator_identities(name, chart):
     pts = random_points(chart.domain, 8, 5)
     pk = packet(chart, pts)
     B, Gamma = pk.B, pk.christoffel
-    R = _curvature(pk.G, Gamma, pk.dx, pk.ddx, pk.dddx, chart.signature.weights)
+    R = _curvature(pk.G, Gamma, pk.ddx, chart.signature.weights)
     i, j, k, l = _gauss_plan(chart.nparams).ijkl
     scale = (1.0 + np.max(np.abs(B), axis=(1, 2))) ** 2
     rhs = B[:, j, k] * B[:, i, l] - B[:, i, k] * B[:, j, l]

@@ -121,7 +121,7 @@ def test_constants_fold_to_nodes():
 BINARY = {"+": (1, Add), "-": (1, Sub), "*": (2, Mul), "/": (2, Div)}
 SPACES = ["", "", "", " ", "  ", "\t", "\n", " \t\n ", "\r\x0b\x0c", "\xa0"]
 NUMBERS = ["0", "00", "05", "2", "17", "3.", "0.5", "1.25", ".5", "007.5", "2e3", "1E-2",
-           "4.5e+05", ".5e1", "1.e2", "1" + "0" * 400]
+           "4.5e+05", ".5e1", "1.e2", "1" + "0" * 300]
 
 
 def _grammar_case(rng, depth):
@@ -188,8 +188,8 @@ S = Var(0, "s")
 @pytest.mark.parametrize("text, names, tree", [
     ("05*s", "s", Mul(Const(5.0), S)),
     ("s^02", "s", Pow(S, 2.0)),
-    ("1" + "0" * 400, "s", Const(math.inf)),
-    ("1" + "0" * 5000, "s", Const(math.inf)),  # past the digits Python reads as an int
+    ("1" + "0" * 300, "s", Const(1e300)),
+    ("0" * 5000 + "1", "s", Const(1.0)),  # past the digits Python reads as an int
     ("t05 + 1e05", ("t05",), Add(Var(0, "t05"), Const(1e5))),
     ("s^2 ", "s", Pow(S, 2.0)),
     ("\t s\n", "s", S),
@@ -210,6 +210,8 @@ def test_parse_edge_cases(text, names, tree):
     "not s", "s and t", "1if s else 2", "s # comment", "s \\", "s;t",
     "2s", "(s", "s)", "1.5.2", "\u03c3(s)", "\uff53", "w", "", " \t\n",
     "(" * 250 + "s" + ")" * 250,  # past Python's nesting limit
+    # a number past the float range, which would read as inf
+    "1e999*s", "s^1e999", "1" + "0" * 400, "1" + "0" * 5000,
 ])
 def test_parse_refuses_every_text_outside_the_grammar(text):
     with pytest.raises(ContractViolation):

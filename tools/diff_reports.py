@@ -20,7 +20,10 @@ usage errors: thm1.v with a ``--theta`` it does not read, the
 thm3.ii member with ``--theta "-0.546*s - 1.125"`` (a radius that changes
 sign in the s-range), thm1.i with an explicit pair and a ``--theta``,
 ex41 with both ``--solve-psi`` and ``--psi`` and thm1.i with a parameter
-``--a`` it does not declare,
+``--a`` it does not declare, an inline chart (a curved graph, so that its
+Gauss row compares nonzero curvature), four more usage errors: a NaN parameter, a literal past the
+float range, a NaN grid bound and an abbreviated flag (``--r`` for
+``--random-points``),
 ``sample`` on one pair family and on ``rem42 --n 5``, so that every row a
 sweep gives is compared, not only the summaries, and ``classify`` at the
 solved ex41's centre, at one thm3.viii point and at one thm1.v point, so
@@ -31,7 +34,9 @@ the planted defective operators of cases II and IV (``--matrix`` and
 so that the rank test is compared on defective root items too, and two
 usage errors of ``classify``: a NaN ``--matrix`` and a singular
 ``--metric``.  Each case's argv, exit code and printed output go to one
-JSON file in OUT_DIR.
+JSON file in OUT_DIR, with what it writes to stderr when it writes there: a
+usage error of the argument parser (exit 2), or an exception the command
+line would print as a traceback (exit 1).
 
 ``diff`` compares two such directories case by case: whether the printed
 output is byte-identical, whether the exit code moved, and every report
@@ -95,6 +100,11 @@ def cases(catalog):
     out.append(("ex41 solve-psi psi=s^2", ["ex41", "--solve-psi", *NEGATIVE_CONTROL]))
     out.append(("thm1.i a=5", ["thm1.i", "--a", "5"]))
     out.append(("ex41 psi=s^2 trailing-space", ["ex41", "--psi", "s^2 "]))
+    out.append(("inline graph s^2+t^2", ["t; u; s; v; 0.5*s^2 + 0.5*t^2"]))
+    out.append(("ex41 a=nan", ["ex41", "--a", "nan"]))
+    out.append(("ex41 psi=1e999s", ["ex41", "--psi", "1e999*s"]))
+    out.append(("thm1.i grid t=nan", ["thm1.i", "--grid", "t=nan:0.5:3"]))
+    out.append(("intsurf.ii abbreviated r=2", ["intsurf.ii", "--r", "2"]))
     out = [(name, ["verify", *argv, "--emit-report"]) for name, argv in out]
     out.append(("sample thm1.ii", ["sample", "thm1.ii"]))
     out.append(("sample rem42 n=5", ["sample", "rem42", "--n", "5", "--offsets", "1,2,3,4"]))
@@ -119,10 +129,18 @@ def write(src: str, out_dir: str):
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, argv in cases(catalog):
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = cli.main(argv)
+        buf, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # a usage error of the argument parser
+                code = exc.code
+            except Exception as exc:  # a traceback on the command line, exit 1
+                code = 1
+                err.write(f"{type(exc).__name__}: {exc}\n")
         record = {"argv": argv, "exit_code": code, "stdout": buf.getvalue()}
+        if err.getvalue():
+            record["stderr"] = err.getvalue()
         (out / (name.replace(" ", "_").replace("=", "-").replace("^", "") + ".json")) \
             .write_text(json.dumps(record, indent=1) + "\n")
         print(f"{name}: exit {code}")
