@@ -373,10 +373,19 @@ def _number(val) -> bool:
     return isinstance(val, Real) and not isinstance(val, bool)
 
 
+def _float(val) -> float:
+    """float(val), an integer past the float range read as an infinity (so
+    that it is refused as not finite)."""
+    try:
+        return float(val)
+    except OverflowError:
+        return math.inf if val > 0 else -math.inf
+
+
 def _profile_number(req: dict, key: str, default: float) -> float:
     """The number ``req`` gives for ``key`` (taken from it), else ``default``;
     ContractViolation if it is not finite."""
-    val = float(req.pop(key, default))
+    val = _float(req.pop(key, default))
     if not math.isfinite(val):
         raise ContractViolation(f"--{key} takes a finite number, got {val!r}")
     return val
@@ -399,12 +408,14 @@ def entry_for(spec: FamilySpec) -> CatalogEntry:
             ok = isinstance(val, (tuple, list)) and all(map(_number, val))
             want = "a sequence of numbers"
         elif isinstance(default, int):
-            ok, want = _number(val) and float(val).is_integer(), "an integer"
+            ok = _number(val) and (isinstance(val, int) or _float(val).is_integer())
+            want = "an integer"
         else:
             ok, want = _number(val), "a number"
         if not ok:
             raise ContractViolation(f"parameter {name!r} takes {want}, got {val!r}")
-        if not all(map(math.isfinite, val if isinstance(default, tuple) else (val,))):
+        vals = val if isinstance(default, tuple) else (val,)
+        if not all(math.isfinite(_float(v)) for v in vals):
             want = "finite numbers" if isinstance(default, tuple) else "a finite number"
             raise ContractViolation(f"parameter {name!r} takes {want}, got {val!r}")
     params = {**entry.params, **spec.parameters}

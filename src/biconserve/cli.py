@@ -73,6 +73,12 @@ CONFIG_KEYS = {"target": str, "parameters": dict, "profiles": dict, "domain": [(
 JSON_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string"),
               bool: (bool, "true or false"), dict: (dict, "an object")}
 ORACLES = ("jets", "fd")
+# the most points one request may evaluate: the sweep table's array columns
+# take about 150 bytes per point (1.5 GB at 10^7) besides one spectrum per
+# classified point, and a sweep runs 1e4 to 3e4 points/s per core (rem42 at
+# n = 7 to the headline chart), so 10^7 points take 5 to 20 minutes; a larger
+# count is refused before any point is made
+MAX_POINTS = 10**7
 # the profiles an inline chart's expressions may call, each given by its flag
 INLINE_PROFILES = ("phi", "psi", "phi1", "phi2")
 # the checks with a --tol-<name> option of their own
@@ -217,6 +223,11 @@ def _resolve_points(req: VerifyRequest, chart: ImmersionChart):
                 f"grid range [{lo:g}, {hi:g}] outside chart domain [{dlo:g}, {dhi:g}]")
     if req.random_points is not None and req.random_points < 0:
         raise ContractViolation(f"random points must be a count >= 0, got {req.random_points}")
+    count = req.random_points or math.prod(n for _, _, n in grid)
+    if count > MAX_POINTS:
+        what = "random points" if req.random_points else "the grid's nodes"
+        raise ContractViolation(f"{what} number {count}, more than the {MAX_POINTS} points "
+                                f"one request may evaluate")
     if req.random_points:
         pts = random_points([(lo, hi) for lo, hi, _ in grid], req.random_points, req.seed)
     else:
@@ -402,6 +413,9 @@ def _tolerance(flag: str, value):
     """``value``, a tolerance given by ``flag``: a number >= 0 (0 keeps its meaning)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not value >= 0:
         raise ContractViolation(f"{flag} takes a number >= 0, got {value!r}")
+    if isinstance(value, int) and value > sys.float_info.max:  # past the float range
+        raise ContractViolation(f"{flag} takes a number in the float range, got an integer "
+                                f"of {len(str(value))} digits")
     return value
 
 
@@ -419,7 +433,12 @@ def _typed(key: str, shape, value):
     if isinstance(shape, type):
         types, what = JSON_TYPES[shape]
         if isinstance(value, types) and isinstance(value, bool) is (shape is bool):
-            return shape(value)
+            try:
+                return shape(value)
+            except OverflowError:  # a JSON integer past the float range
+                raise ContractViolation(f"--config key {key!r} takes a number in the float "
+                                        f"range, got an integer of {len(str(value))} "
+                                        f"digits") from None
     else:
         listed = isinstance(value, list)
         shapes = shape * len(value) if isinstance(shape, list) and listed else shape

@@ -2,17 +2,20 @@
 
 Jets give the chart's partials and nothing after them: the chart's
 components, one expression Dag built with the chart, are expanded to
-order-3 jets in one walk, and d_i x, d_i d_j x and d_i d_j d_l x are read
-off their stacked coefficients, one gather per order.  Everything after is
-array arithmetic, shared by every codimension in ``_frame``: the induced
-metric and its first partials by the product rule, and the Christoffel
-symbols by one linear solve per point with G.  ``packet`` (codimension 1)
-adds the unit normal, B = <d_i d_j x, N> with its partials d_l B_ij =
-<d_i d_j d_l x, N> - Gamma^k_ij B_kl, and the shape operator S with its
-partials by a solve with G and one more with the same matrix (the
-linear-solve rule), so H and grad H are traces of S and of its partials.
-``submanifold_packet`` adds the normal parts h of d_i d_j x and dh of its
-partials, and the mean curvature vector.  Each packet gives h, dh and the
+order-3 jets in one walk, and d_i x and d_i d_j x are read off their
+stacked coefficients, one gather per order; the third partials stay as
+their n(n+1)(n+2)/6 distinct coefficients.  Everything after is array
+arithmetic, shared by every codimension in ``_frame``: the induced metric
+and its first partials by the product rule, one inverse of G per point,
+and the Christoffel symbols by one matmul with it.  ``packet``
+(codimension 1) adds the unit normal, B = <d_i d_j x, N> with its partials
+d_l B_ij = <d_i d_j d_l x, N> - Gamma^k_ij B_kl, the inner product formed
+once per distinct third partial, and the shape operator S with its
+partials by matmuls with the same inverse (the linear-solve rule), so H
+and grad H are traces of S and of its partials.  ``submanifold_packet``
+adds the normal parts h of d_i d_j x and dh of its partials (the one place
+the third partials are expanded, ``_third_partials``), and the mean
+curvature vector.  Each packet gives h, dh and the
 mean curvature vector in its own normal coordinates, whose metric is its
 ``normal_weights`` (on a hypersurface the one coordinate along N, h = B),
 so each identity residual has one body for every codimension.  The third
@@ -266,22 +269,55 @@ def _inner(u, v, eps):
     return np.einsum("...a,...a,a->...", u, v, eps)
 
 
-def _frame(chart: ImmersionChart, pts: np.ndarray):
-    """(dx, ddx, dddx, G, dG, Gamma) at each point of ``pts`` (P, n): the
-    chart's partials d_i x (P, n, m), d_i d_j x (P, n, n, m) and d_i d_j d_l x
-    (P, n, n, n, m), read off the order-3 jets of one ``jet_eval`` of the
-    chart's Dag (each shared subexpression once), their coefficients stacked
-    once and each order in one gather; the induced metric G_ij
-    with its partials, (P, n, n) and (P, n, n, n) at [i, j, l], by the
-    product rule; and the Christoffel symbols Gamma^k_ij at [k, i, j] by one
-    linear solve per point with G.  Raises where G fails the metric checks."""
+_Frame = namedtuple("_Frame", "dx ddx c3 at3 fac3 G G_inv dG Gamma")
+
+
+@lru_cache(maxsize=None)
+def _third_table(space) -> tuple:
+    """Where the order-3 coefficients of a jet in ``space`` sit, (K3,), and
+    how to read the third partials off them: for each [i, j, l] the index
+    of its coefficient among the K3 (n, n, n), and alpha! per coefficient
+    (K3,).  K3 = n(n+1)(n+2)/6: 20 at n = 4, 84 at n = 7.  Read-only."""
+    pos, _ = space.partial_tables[3]
+    rows = np.flatnonzero(space.degree == 3)
+    table = (rows, np.searchsorted(rows, pos), space.factorial[rows].astype(float))
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
+def _third_partials(c3, at3, fac3):
+    """d_i d_j d_l x (P, n, n, n, m) at [i, j, l] from the distinct order-3
+    coefficients ``c3`` (P, K3, m): each coefficient times its alpha!
+    ``fac3`` (K3,), gathered where ``at3`` (n, n, n) places it."""
+    return (c3 * fac3[:, None])[:, at3]
+
+
+def _frame(chart: ImmersionChart, pts: np.ndarray) -> _Frame:
+    """The array core of both packets at each point of ``pts`` (P, n).
+
+    One ``jet_eval`` of the chart's Dag (each shared subexpression once)
+    gives order-3 jets, whose coefficients are stacked once.  d_i x
+    (P, n, m) and d_i d_j x (P, n, n, m) are read off them in one gather
+    per order.  The order-3 coefficients stay distinct, ``c3`` (P, K3, m),
+    with ``at3`` (n, n, n) the index of [i, j, l] among them and ``fac3``
+    (K3,) their alpha!, which ``_third_partials`` expands.  The
+    induced metric G_ij with its partials, (P, n, n) and (P, n, n, n) at
+    [i, j, l], come by the product rule; G is inverted once per point,
+    after the metric checks pass it, and the inverse gives the Christoffel
+    symbols Gamma^k_ij at [k, i, j] by one matmul (the linear-solve rule).
+    Raises where G fails the metric checks."""
     eps = chart.signature.weights
     jets = jet_eval(chart.dag, pts, 3, chart.profile_bank)
     coef = np.stack([j.c for j in jets], axis=-1)  # (ncoef, P, m)
-    dx, ddx, dddx = [(coef[pos] * fac[..., None, None]).transpose(k, *range(k), k + 1)
-                     for k, (pos, fac) in enumerate(jets[0].space.partial_tables[1:4], 1)]
+    space = jets[0].space
+    dx, ddx = [(coef[pos] * fac[..., None, None]).transpose(k, *range(k), k + 1)
+               for k, (pos, fac) in enumerate(space.partial_tables[1:3], 1)]
+    rows, at3, fac3 = _third_table(space)
+    c3 = coef[rows].swapaxes(0, 1)
     G = _inner(dx[:, :, None], dx[:, None], eps)
     _metric_checks(chart, pts, G)
+    G_inv = np.linalg.inv(G)
     # d_l G_ij = <d_i d_l x, d_j x> + <d_i x, d_j d_l x>
     A = np.einsum("zila,a,zja->zijl", ddx, eps, dx)
     dG = A + A.transpose(0, 2, 1, 3)
@@ -289,8 +325,8 @@ def _frame(chart: ImmersionChart, pts: np.ndarray):
     i, j = _triu(chart.nparams)
     R = (dG[:, :, j, i] + dG[:, :, i, j] - dG.transpose(0, 3, 1, 2)[:, :, i, j]) * 0.5
     Gamma = np.empty(dG.shape)
-    Gamma[:, :, i, j] = Gamma[:, :, j, i] = np.linalg.solve(G, R)
-    return dx, ddx, dddx, G, dG, Gamma
+    Gamma[:, :, i, j] = Gamma[:, :, j, i] = np.matmul(G_inv, R)
+    return _Frame(dx, ddx, c3, at3, fac3, G, G_inv, dG, Gamma)
 
 
 def _gamma_times(Gamma, T):
@@ -300,19 +336,33 @@ def _gamma_times(Gamma, T):
     return out.reshape((P, n, n) + T.shape[2:])
 
 
+def _shape_operator(G_inv, dG, B, dB):
+    """(S, dS) at each point: S = G^-1 B and d_l S = G^-1 (d_l B - d_l G S)
+    at [i, j, l], both by matmuls with the one inverse of G (the
+    linear-solve rule), for G_inv, B (P, n, n) and dG, dB (P, n, n, n)."""
+    P, n = B.shape[:2]
+    S = np.matmul(G_inv, B)
+    # d_l G S at [r, l, c], one matmul per point, then d_l R at [r, c, l]
+    dGS = np.matmul(dG.swapaxes(2, 3).reshape(P, n * n, n), S).reshape(P, n, n, n)
+    dR = dB - dGS.swapaxes(2, 3)
+    return S, np.matmul(G_inv, dR.reshape(P, n, n * n)).reshape(dR.shape)
+
+
 def packet(chart: ImmersionChart, p) -> CurvaturePacket:
     """Full curvature bundle at interior points of a hypersurface chart.
 
     ``p`` is one point (n,) or a block of points (P, n).  The normal is
     oriented at each point by that point alone: along the chart's reference
     normal field when it has one, else with its last nonzero component
-    positive.  ``_frame`` gives the partials, G and the Christoffel
-    symbols; the unit normal N is the normalized ``_cross`` of the
-    tangents, B = <d_i d_j x, N> and its partials d_l B_ij =
+    positive.  ``_frame`` gives the partials, G, its inverse and the
+    Christoffel symbols; the unit normal N is the normalized ``_cross`` of
+    the tangents, B = <d_i d_j x, N> and its partials d_l B_ij =
     <d_i d_j d_l x, N> - Gamma^k_ij B_kl (exact, since <d_k x, N> = 0, so
-    no derivative of N is needed).  The shape operator S
-    and its partials are two linear solves with G (the linear-solve rule),
-    and H and grad H the traces of S and of its partials.  Each point gets
+    no derivative of N is needed), whose first term is formed once per
+    distinct third partial and then placed at each [i, j, l].  The shape
+    operator S and its partials are matmuls with the inverse of G
+    (``_shape_operator``), and H and grad H the traces of S and of its
+    partials.  Each point gets
     the arithmetic it would get alone: a one-point call runs the block code
     on a block of one point, and returns floats and unbatched arrays.  A
     block raises as soon as any of its points fails a check; ``sweep``
@@ -324,7 +374,7 @@ def packet(chart: ImmersionChart, p) -> CurvaturePacket:
     pts = np.atleast_2d(p)
     n = chart.nparams
     eps = chart.signature.weights
-    dx, ddx, dddx, G, dG, Gamma = _frame(chart, pts)
+    dx, ddx, c3, at3, fac3, G, G_inv, dG, Gamma = _frame(chart, pts)
 
     w = _cross(dx, eps)
     w_euclid2 = np.sum(w * w, axis=-1)
@@ -340,15 +390,13 @@ def packet(chart: ImmersionChart, p) -> CurvaturePacket:
         ref = eval_values(chart.orientation_dag, pts, chart.profile_bank)
     N = w * ((1.0 / np.sqrt(nn)) * _orient_sign(w, ref))[:, None]
     B = _inner(ddx, N[:, None, None], eps)
-    dB = _inner(dddx, N[:, None, None, None], eps) - _gamma_times(Gamma, B)
-    # S = G^-1 B and d_l S = G^-1 (d_l B - d_l G S): two solves with the same matrix
-    S = np.linalg.solve(G, B)
-    dR = dB - np.einsum("zrsl,zsc->zrcl", dG, S)
-    dS = np.linalg.solve(G, dR.reshape(len(pts), n, -1)).reshape(dR.shape)
+    # <d_i d_j d_l x, N> once per distinct partial, as alpha! times the
+    # coefficient's product with N, then placed at each [i, j, l]
+    dB = (_inner(c3, N[:, None], eps) * fac3)[:, at3] - _gamma_times(Gamma, B)
+    S, dS = _shape_operator(G_inv, dG, B, dB)
     H = np.trace(S, axis1=1, axis2=2) * (1.0 / n)
     dH = np.trace(dS, axis1=1, axis2=2) * (1.0 / n)
 
-    G_inv = np.linalg.inv(G)
     gradH = _mv(G_inv, dH)
     fields = (G, G_inv, N, B, S, H, gradH, _push(gradH, dx), Gamma, dx, ddx, dB)
     one = p.ndim == 1
@@ -371,19 +419,20 @@ def submanifold_packet(chart: ImmersionChart, p) -> SubmanifoldPacket:
     """First and second fundamental forms of a chart of any codimension.
 
     ``p`` is one point (n,) or a block of points (P, n), evaluated as
-    ``packet`` evaluates them: ``_frame`` gives the partials, G and the
-    Christoffel symbols.  h_ij is the G-orthogonal normal part of d_i d_j x,
-    d_l h_ij that of d_i d_j d_l x - Gamma^k_ij d_k d_l x, and the mean
+    ``packet`` evaluates them: ``_frame`` gives the partials, G, its inverse
+    and the Christoffel symbols.  h_ij is the G-orthogonal normal part of
+    d_i d_j x, d_l h_ij that of d_i d_j d_l x - Gamma^k_ij d_k d_l x (the
+    third partials expanded by ``_third_partials``), and the mean
     curvature vector (1/n) G^{ij} h_ij takes no Christoffel symbol.  A
     one-point call runs the block code on one point and returns unbatched
     arrays; a block raises as soon as any of its points fails a check.
     """
     p = np.asarray(p, dtype=float)
     eps = chart.signature.weights
-    dx, ddx, dddx, G, _, Gamma = _frame(chart, np.atleast_2d(p))
-    G_inv = np.linalg.inv(G)
+    dx, ddx, c3, at3, fac3, G, G_inv, _, Gamma = _frame(chart, np.atleast_2d(p))
     h = _normal_part(ddx, dx, G_inv, eps)
-    dh = _normal_part(dddx - _gamma_times(Gamma, ddx), dx, G_inv, eps)
+    d3 = _third_partials(c3, at3, fac3)
+    dh = _normal_part(d3 - _gamma_times(Gamma, ddx), dx, G_inv, eps)
     fields = (G, G_inv, Gamma, dx, ddx, h, dh, np.einsum("zij,zija->za", G_inv, h) / chart.nparams)
     one = p.ndim == 1
     return SubmanifoldPacket(tuple(p) if one else p, *[f[0] if one else f for f in fields],

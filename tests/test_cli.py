@@ -714,6 +714,62 @@ def test_a_non_finite_number_is_refused_where_it_is_read(tmp_path, argv, message
     assert text.startswith(f"error [{argv[0]}]: {message}") and text.count("\n") == 1
 
 
+BIG = 10**400  # a JSON integer past the float range
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ex41", "--config", {"parameters": {"a": BIG}}],
+     "--config key 'parameters.a' takes a number in the float range, got an integer of 401 "
+     "digits"),
+    (["ex41", "--config", {"profiles": {"solve_psi": True, "c": -BIG}}],
+     "--config key 'profiles.c' takes a number in the float range, got an integer of 402 "
+     "digits"),
+    (["ex41", "--config", {"domain": [[0.6, BIG], [-0.5, 0.5], [-0.5, 0.5], [-0.5, 0.5]]}],
+     "--config key 'domain' takes a number in the float range"),
+    (["ex41", "--config", {"tolerances": {"gauss": BIG}}],
+     "--tol-gauss (in --config) takes a number in the float range, got an integer of 401 "
+     "digits"),
+    (["rem42", "--n", str(BIG)], "parameter 'n' takes a finite number, got 1000"),
+])
+def test_an_integer_past_the_float_range_is_a_usage_error(tmp_path, argv, message):
+    argv = [_config(tmp_path, **a) if isinstance(a, dict) else a for a in argv]
+    code, text = run(["verify", *argv])
+    assert code == 2
+    assert text.startswith("error") and text.count("\n") == 1
+    assert message in text
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "ex41", "--config", {"random_points": 10**30}],
+     f"random points number {10**30}, more than the 10000000 points one request may evaluate"),
+    (["sample", "ex41", "--random-points", str(10**30)], f"random points number {10**30}"),
+    (["verify", "ex41", "--grid", "s=0.6:1.4:100000000000000000000"],
+     "the grid's nodes number 12500000000000000000000, more than the 10000000 points"),
+    (["verify", "ex41", "--config", {"grid": [[0.6, 1.4, 10**6], [-0.5, 0.5, 10**6],
+                                              [-0.5, 0.5, 2], [-0.5, 0.5, 2]]}],
+     "the grid's nodes number 4000000000000"),
+])
+def test_a_point_count_past_the_bound_is_a_usage_error(tmp_path, argv, message):
+    argv = [_config(tmp_path, **a) if isinstance(a, dict) else a for a in argv]
+    code, text = run(argv)
+    assert code == 2
+    assert text.startswith("error") and text.count("\n") == 1
+    assert message in text
+
+
+def test_the_point_bound_admits_its_own_count(monkeypatch):
+    import biconserve.cli as cli
+
+    monkeypatch.setattr(cli, "MAX_POINTS", 16)
+    box = ",t=-0.5:0.5:2,u=-0.5:0.5:2,v=-0.5:0.5:2"
+    for argv, refused in ([["--grid", "s=0.6:1.4:2" + box], False],
+                          [["--grid", "s=0.6:1.4:3" + box], True],
+                          [["--random-points", "16"], False], [["--random-points", "17"], True]):
+        code, text = run(["verify", "ex41", *argv, "--checks", "gauss"])
+        assert (code == 2) is refused, (argv, text)
+        assert ("more than the 16 points" in text) is refused
+
+
 _AXES4 = [[0.6, 1.4], [-0.5, 0.5], [-0.5, 0.5], [-0.5, 0.5]]
 
 

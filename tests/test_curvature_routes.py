@@ -21,8 +21,8 @@ import pytest
 
 from biconserve.catalog import FamilySpec, all_keys, build, build_remark42
 from biconserve.immersion import (_curvature, _frame, _gamma_times, _gauss_plan,
-                                  beltrami_residual, gauss_codazzi_residual, packet,
-                                  submanifold_packet)
+                                  _shape_operator, _third_partials, beltrami_residual,
+                                  gauss_codazzi_residual, packet, submanifold_packet)
 from biconserve.sweep import random_points
 
 
@@ -101,7 +101,8 @@ def test_curvature_tensor_and_dB_match_the_christoffel_partials_route(name, char
     pts = random_points(chart.domain, 8, 5)
     eps = chart.signature.weights
     pk = packet(chart, pts) if chart.codim == 1 else submanifold_packet(chart, pts)
-    dddx = _frame(chart, pts)[2]
+    frame = _frame(chart, pts)
+    dddx = _third_partials(frame.c3, frame.at3, frame.fac3)
     R_ref, dh = reference_route(pk, dddx, eps)
     R = _curvature(pk.G, pk.christoffel, pk.ddx, eps)
     scale = 1.0 + np.max(np.abs(R_ref), axis=(1, 2, 3, 4))
@@ -137,8 +138,9 @@ def test_gauss_row_is_the_full_tensor_maximum(name, chart):
     pts = random_points(chart.domain, 8, 5)
     pk = packet(chart, pts) if chart.codim == 1 else submanifold_packet(chart, pts)
     gauss, codazzi = gauss_codazzi_residual(chart, pts, pk)
-    full, size = full_tensor_gauss(pk, _frame(chart, pts)[2], chart.signature.weights,
-                                   chart.codim)
+    frame = _frame(chart, pts)
+    full, size = full_tensor_gauss(pk, _third_partials(frame.c3, frame.at3, frame.fac3),
+                                   chart.signature.weights, chart.codim)
     # the left-out entries differ from the kept ones in rounding only: within
     # 4e-15 of the tensor's size on the residual's scale (6.2e-16 at most
     # here, on thm2.v)
@@ -170,6 +172,30 @@ def test_hypersurface_rows_are_the_shape_operator_identities(name, chart):
     codazzi = np.max(np.abs(covB - covB.swapaxes(1, 2)), axis=(1, 2, 3)) / scale
     got = gauss_codazzi_residual(chart, pts, pk)
     assert np.array_equal(got[0], gauss) and np.array_equal(got[1], codazzi)
+
+
+@pytest.mark.parametrize("name, chart", HYPERSURFACES, ids=[name for name, _ in HYPERSURFACES])
+def test_the_inverse_of_G_gives_what_linear_solves_give(name, chart):
+    # the packet's Christoffel symbols, S and dS come from one inverse of G per
+    # point; solves with G, S's among them, give the same within 1e-13 of the
+    # largest entry at each point
+    pts = random_points(chart.domain, 8, 5)
+    pk = packet(chart, pts)
+    G, dG = pk.G, _frame(chart, pts).dG
+    P, n = G.shape[:2]
+    # Gamma_{l,ij} = (d_i G_jl + d_j G_il - d_l G_ij) / 2 at [l, i, j]
+    low = (np.einsum("zjli->zlij", dG) + np.einsum("zilj->zlij", dG)
+           - np.einsum("zijl->zlij", dG)) * 0.5
+    Gamma = np.linalg.solve(G, low.reshape(P, n, -1)).reshape(low.shape)
+    S_ref = np.linalg.solve(G, pk.B)
+    dR = pk.dB - np.einsum("zrsl,zsc->zrcl", dG, S_ref)
+    dS_ref = np.linalg.solve(G, dR.reshape(P, n, -1)).reshape(dR.shape)
+    S, dS = _shape_operator(pk.G_inv, dG, pk.B, pk.dB)
+    assert np.array_equal(S, pk.S)
+    for got, ref in ((pk.christoffel, Gamma), (S, S_ref), (dS, dS_ref)):
+        axes = tuple(range(1, ref.ndim))
+        err = np.max(np.abs(got - ref), axis=axes) / np.max(np.abs(ref), axis=axes)
+        assert np.all(err <= 1e-13)
 
 
 @pytest.mark.parametrize("name, chart", CHARTS, ids=[name for name, _ in CHARTS])

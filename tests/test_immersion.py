@@ -371,13 +371,58 @@ def test_frame_gathers_the_jet_partials_bitwise(ex41, which):
     n = chart.nparams
     for pts in (block[:1], block):
         jets = jet_eval(chart.dag, pts, 3, chart.profile_bank)
-        got = immersion._frame(chart, pts)[:3]
+        frame = immersion._frame(chart, pts)
+        got = frame.dx, frame.ddx, immersion._third_partials(frame.c3, frame.at3, frame.fac3)
         for k, arr in enumerate(got, 1):
             ref = np.zeros((len(pts),) + (n,) * k + (len(jets),))
             for axes in itertools.product(range(n), repeat=k):
                 alpha = tuple(axes.count(i) for i in range(n))
                 ref[(slice(None), *axes)] = np.stack([j.partial(alpha) for j in jets], axis=-1)
             assert arr.shape == ref.shape and arr.tobytes() == ref.tobytes(), (which, k)
+
+
+def test_packet_never_expands_the_third_partials(ex41, monkeypatch):
+    # dB contracts the distinct third partials with N; only submanifold_packet
+    # expands them to (P, n, n, n, m)
+    import biconserve.immersion as immersion
+    from biconserve.sweep import random_points
+
+    pts = random_points(ex41.domain, 5, seed=3)
+    want = [packet(ex41, pts), packet(ex41, pts[0])]
+
+    def refuse(*args):
+        raise AssertionError("packet expanded the third partials")
+
+    monkeypatch.setattr(immersion, "_third_partials", refuse)
+    for ref, got in zip(want, [packet(ex41, pts), packet(ex41, pts[0])]):
+        assert np.array_equal(got.dB, ref.dB) and np.array_equal(got.gradH, ref.gradH)
+    with pytest.raises(AssertionError, match="expanded"):
+        submanifold_packet(ex41, pts)
+
+
+@pytest.mark.parametrize("which", ["ex41", "intsurf.ii"])
+def test_the_jet_packets_invert_G_once_and_solve_nothing(ex41, which, monkeypatch):
+    from biconserve.sweep import random_points
+
+    chart = ex41 if which == "ex41" else build(FamilySpec("intsurf", "ii"))
+    make = packet if chart.codim == 1 else submanifold_packet
+    pts = random_points(chart.domain, 5, seed=4)
+    calls = []
+    inv = np.linalg.inv
+
+    def counting(G):
+        calls.append(G.shape)
+        return inv(G)
+
+    def refuse(*args):
+        raise AssertionError("a jet packet made a linear solve")
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    make(chart, pts)
+    make(chart, pts[0])
+    n = chart.nparams
+    assert calls == [(5, n, n), (1, n, n)]
 
 
 @pytest.mark.parametrize("p", [(1.0, 0.3, -0.2, 0.4),

@@ -23,7 +23,10 @@ ex41 with both ``--solve-psi`` and ``--psi`` and thm1.i with a parameter
 ``--a`` it does not declare, an inline chart (a curved graph, so that its
 Gauss row compares nonzero curvature), four more usage errors: a NaN parameter, a literal past the
 float range, a NaN grid bound and an abbreviated flag (``--r`` for
-``--random-points``),
+``--random-points``), two more past a bound: a ``--config`` parameter given
+as a JSON integer past the float range (from a config file that ``write``
+puts in OUT_DIR/configs) and a grid of more points than a request may
+evaluate,
 ``sample`` on one pair family and on ``rem42 --n 5``, so that every row a
 sweep gives is compared, not only the summaries, and ``classify`` at the
 solved ex41's centre, at one thm3.viii point and at one thm1.v point, so
@@ -71,6 +74,8 @@ PLANTED_DEFECTIVE = {
     "IV": ("-1.4,0,0,0,0,1.4,0,0,0,0,1.4,-1,0,1,0,1.4", "-1,0,0,0,0,0,-1,0,0,-1,0,0,0,0,0,1"),
 }
 SMALL = 1e-12
+# the --config files of the cases, by name: an argv names one as CONFIGS/<name>
+CONFIGS = {"huge-int.json": {"parameters": {"a": 10**400}}}
 
 
 def cases(catalog):
@@ -105,6 +110,8 @@ def cases(catalog):
     out.append(("ex41 psi=1e999s", ["ex41", "--psi", "1e999*s"]))
     out.append(("thm1.i grid t=nan", ["thm1.i", "--grid", "t=nan:0.5:3"]))
     out.append(("intsurf.ii abbreviated r=2", ["intsurf.ii", "--r", "2"]))
+    out.append(("ex41 config a=1e400", ["ex41", "--config", "CONFIGS/huge-int.json"]))
+    out.append(("ex41 grid s=1e20 nodes", ["ex41", "--grid", "s=0.6:1.4:100000000000000000000"]))
     out = [(name, ["verify", *argv, "--emit-report"]) for name, argv in out]
     out.append(("sample thm1.ii", ["sample", "thm1.ii"]))
     out.append(("sample rem42 n=5", ["sample", "rem42", "--n", "5", "--offsets", "1,2,3,4"]))
@@ -127,12 +134,14 @@ def write(src: str, out_dir: str):
     from biconserve import catalog, cli
 
     out = pathlib.Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    (out / "configs").mkdir(parents=True, exist_ok=True)
+    for name, cfg in CONFIGS.items():
+        (out / "configs" / name).write_text(json.dumps(cfg))
     for name, argv in cases(catalog):
         buf, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
             try:
-                code = cli.main(argv)
+                code = cli.main([a.replace("CONFIGS/", f"{out / 'configs'}/") for a in argv])
             except SystemExit as exc:  # a usage error of the argument parser
                 code = exc.code
             except Exception as exc:  # a traceback on the command line, exit 1
