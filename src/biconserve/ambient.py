@@ -16,9 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-
-TAU_NULL = 1e-9
-TAU_RANK = 1e-12
+from .thresholds import TAU_NULL, TAU_RANK
 
 
 @dataclass(frozen=True)

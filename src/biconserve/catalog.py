@@ -35,7 +35,9 @@ from .expr import parse, var_names_for
 from .immersion import ImmersionChart, _any_packet, submanifold_packet
 from .profiles import (DerivativeProfile, ExprProfile, PsiSolution, constraint_residual,
                        make_profile_pair)
-from .spectral import CLUSTER_TOL
+from .thresholds import (ACCEL_MIN, ACCEL_TOL, CLUSTER_TOL, LINE_TOL, NULL_ACCEL_TOL, OFFSET_SLACK,
+                         PAIR_TOL, PARABOLIC_TOL, PLANE_TOL, QUADRIC_TOL, SPEED_TOL, STRICT_MARGIN,
+                         UMBILIC_TOL, ZERO_ROOT_TOL)
 
 E5_2 = Signature(5, 2)
 
@@ -304,8 +306,9 @@ def _build_registry():
 
 CATALOG = _build_registry()
 _SAMPLES = 25
-_PAIR_TOL = 1e-8
-_STRICT_MARGIN = 1e-6
+# rem42's largest n: its chart builds JetSpace(n), whose order-4 product table
+# took 0.04, 0.11, 0.45 and 1.76 s at n = 7, 8, 9 and 10 on a 2-core host
+REM42_MAX_N = 10
 
 
 def list_entries(family: str | None = None):
@@ -342,9 +345,11 @@ def _remark42(entry: CatalogEntry, given: dict) -> CatalogEntry:
     pair exactly.
     """
     n = int(given.get("n", entry.params["n"]))
-    a = tuple(float(x) for x in given.get("a", range(1, n)))
     if n < 4:
         raise ContractViolation("the extension requires n >= 4")
+    if n > REM42_MAX_N:
+        raise ContractViolation(f"the extension takes n <= {REM42_MAX_N}, got n = {n}")
+    a = tuple(float(x) for x in given.get("a", range(1, n)))
     if len(a) != n - 1:
         raise ContractViolation(f"need {n - 1} offset constants, got {len(a)}")
     ts = var_names_for(n)[1:]
@@ -419,7 +424,7 @@ def entry_for(spec: FamilySpec) -> CatalogEntry:
             want = "finite numbers" if isinstance(default, tuple) else "a finite number"
             raise ContractViolation(f"parameter {name!r} takes {want}, got {val!r}")
     params = {**entry.params, **spec.parameters}
-    if "a != 0" in entry.conditions and abs(float(params["a"])) < _STRICT_MARGIN:
+    if "a != 0" in entry.conditions and abs(float(params["a"])) < STRICT_MARGIN:
         raise ConstraintError("a != 0")
     if "R > 0" in entry.conditions and float(params["R"]) <= 0:
         raise ConstraintError("R > 0")
@@ -464,11 +469,11 @@ def _profile_bank(entry: CatalogEntry, spec: FamilySpec, domain) -> dict:
                                                      phi0=phi0, psi0=psi0)))
         worst = max(constraint_residual(entry.pair_kind, bank[names[0]], bank[names[1]],
                                         samples).tolist())
-        if worst > _PAIR_TOL:
+        if worst > PAIR_TOL:
             raise ConstraintError(_PAIR_COND[entry.pair_kind], f"residual {worst:.2e}")
         for name in [n for n in names if n != "psi"]:  # a radius keeps one sign, off 0
             val = bank[name].derivs(samples, 0)[0]
-            bad = np.flatnonzero(np.sign(val[0]) * val < _STRICT_MARGIN)
+            bad = np.flatnonzero(np.sign(val[0]) * val < STRICT_MARGIN)
             if len(bad):
                 raise ConstraintError(f"{name} != 0 with one sign",
                                       f"value {val[bad[0]]:.2e} at s={samples[bad[0]]:.3f}")
@@ -484,7 +489,7 @@ def _profile_bank(entry: CatalogEntry, spec: FamilySpec, domain) -> dict:
         bank = {"psi": ExprProfile(parse(psi, ("s",))) if isinstance(psi, str) else psi}
     value, sign = _INEQ_VALUE[entry.psi_inequality]
     val = value(bank["psi"].derivs(samples, 1)[1])
-    bad = np.flatnonzero(sign * val < _STRICT_MARGIN)
+    bad = np.flatnonzero(sign * val < STRICT_MARGIN)
     if len(bad):
         raise ConstraintError(_INEQ_COND[entry.psi_inequality],
                               f"value {val[bad[0]]:.2e} at s={samples[bad[0]]:.3f}")
@@ -501,7 +506,7 @@ def build(spec: FamilySpec) -> ImmersionChart:
     s_lo, s_hi = domain[0]
     for o in entry.offsets(entry.params) if entry.offsets else ():
         root = 0.0 - o  # not -o: the root s = 0 prints as 0, not -0
-        if s_lo - 1e-9 <= root <= s_hi + 1e-9:
+        if s_lo - OFFSET_SLACK <= root <= s_hi + OFFSET_SLACK:
             raise DomainError(f"s range [{s_lo:g}, {s_hi:g}] touches the singular value s={root:g}")
     bank = _profile_bank(entry, spec, domain)
     fmt = {k: repr(float(v)) for k, v in entry.params.items()
@@ -533,10 +538,10 @@ def build_remark42(n: int, a, profiles: dict | None = None,
 def _tag_match(tag: str, spectra) -> tuple:
     """Per point of a SpectrumBlock: whether its spectrum matches a family's
     expected operator pattern, and its zero multiplicity (that of its
-    first real root within 1e-7 (1 + max|k|) of zero, else 0)."""
+    first real root within ZERO_ROOT_TOL (1 + max|k|) of zero, else 0)."""
     live = spectra.algs > 0
     absv = np.abs(np.where(live, spectra.values, 0.0))
-    zero = live & (absv <= 1e-7 * (1.0 + absv.max(axis=1))[:, None])
+    zero = live & (absv <= ZERO_ROOT_TOL * (1.0 + absv.max(axis=1))[:, None])
     z = np.where(zero.any(axis=1), spectra.algs[np.arange(len(zero)), zero.argmax(axis=1)], 0)
     ones, twos = (live & (spectra.algs == 1)).sum(axis=1), (live & (spectra.algs == 2)).sum(axis=1)
     if tag == "zero>=2":
@@ -624,32 +629,32 @@ def _family_ok(entry: CatalogEntry, chart: ImmersionChart, spk, points) -> tuple
     tests = []  # (holds (P,), reason format, the value it reads (P,)), first named first
     if chart.nparams == 1:  # unit-speed claims
         speed, want = spk.G[:, 0, 0], -1.0 if entry.expected_index == 1 else 1.0
-        tests.append((~(np.abs(speed - want) > 1e-9), f"speed {{:+.6f}} != {want:+g}", speed))
+        tests.append((~(np.abs(speed - want) > SPEED_TOL), f"speed {{:+.6f}} != {want:+g}", speed))
     if tag in ("plane", "line"):
-        tests.append((hmax < (1e-9 if tag == "plane" else 1e-10), f"{tag}: |h| = {{:.3e}}", hmax))
+        tests.append((hmax < (PLANE_TOL if tag == "plane" else LINE_TOL), f"{tag}: |h| = {{:.3e}}", hmax))
     elif tag == "quadric":
         r = entry.params.get("r", 1.0)
         want, y = entry.structure[1] * r * r, chart.value(points)
         q = np.sum(eps * y * y, axis=-1)
-        tests.append((np.abs(q - want) < 1e-8 * (1 + r * r),
+        tests.append((np.abs(q - want) < QUADRIC_TOL * (1 + r * r),
                       f"quadric: <x, x> = {{:+.6f}}, expected {want:+g}", q))
         if entry.structure[2:] == ("umbilic",):
             dev = np.abs(h - np.einsum("zij,za->zija", spk.G, spk.mean_curvature))
             dev = dev.reshape(P, -1).max(axis=1)
-            tests.append((dev < 1e-8, "umbilic: |h - G H| = {:.3e}", dev))
+            tests.append((dev < UMBILIC_TOL, "umbilic: |h - G H| = {:.3e}", dev))
     elif tag == "parabolic":
         h12 = np.abs(h[:, 0, 1]).max(axis=1)
-        tests += [(acc2 < 1e-9, "parabolic: <a, a> = {:+.3e}", acc2),
-                  (h12 < 1e-9, "parabolic: |h_12| = {:.3e}", h12)]
+        tests += [(acc2 < PARABOLIC_TOL, "parabolic: <a, a> = {:+.3e}", acc2),
+                  (h12 < PARABOLIC_TOL, "parabolic: |h_12| = {:.3e}", h12)]
     elif tag == "accel":
         R = entry.params["R"]
         want = entry.structure[1] * R * R
-        tests.append((np.abs(acc2 - want) < 1e-8 * (1 + R * R),
+        tests.append((np.abs(acc2 - want) < ACCEL_TOL * (1 + R * R),
                       f"accel: <a, a> = {{:+.6f}}, expected {want:+g}", acc2))
     elif tag == "lightlike-accel":
         norm = np.linalg.norm(acc, axis=-1)
-        tests += [(np.abs(acc2) < 1e-9, "lightlike-accel: <a, a> = {:+.3e}", acc2),
-                  (norm > 1e-6, "lightlike-accel: |a| = {:.3e}", norm)]
+        tests += [(np.abs(acc2) < NULL_ACCEL_TOL, "lightlike-accel: <a, a> = {:+.3e}", acc2),
+                  (norm > ACCEL_MIN, "lightlike-accel: |a| = {:.3e}", norm)]
     reasons = [""] * P
     for holds, fmt, value in reversed(tests):
         for i in np.flatnonzero(~holds):

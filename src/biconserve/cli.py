@@ -40,13 +40,13 @@ from .catalog import (FamilySpec, build, entry_for, list_entries, refuse_unread,
                       structure_verdict, var_names)
 from .errors import BiconserveError, ContractViolation
 from .expr import parse as parse_expr, var_names_for
-from .immersion import ImmersionChart, packet, tau_deg
+from .immersion import ImmersionChart, packet
 from .profiles import ExprProfile
 from .ambient import Signature
-from .spectral import CLUSTER_TOL, eigen_structure
-from .sweep import (COLUMNS, DEFAULT_TOLERANCES, HYPERSURFACE_CHECKS, LOWDIM_CHECKS,
-                    CheckSummary, grid_points, interior_grid, random_points, summarize,
-                    sweep)
+from .spectral import eigen_structure
+from .sweep import (COLUMNS, HYPERSURFACE_CHECKS, LOWDIM_CHECKS, CheckSummary, grid_points,
+                    interior_grid, random_points, summarize, sweep)
+from .thresholds import CLUSTER_TOL, DEFAULT_TOLERANCES, GRID_SLACK, TAU_DEG
 
 SCHEMA = 1
 # the chart flags, each once: flag -> (request key, type, help); a parameter
@@ -79,11 +79,15 @@ ORACLES = ("jets", "fd")
 # n = 7 to the headline chart), so 10^7 points take 5 to 20 minutes; a larger
 # count is refused before any point is made
 MAX_POINTS = 10**7
+# the most worker processes one request may start: each is an interpreter
+# with numpy and this package, about 33 MB resident before its first point
+# (2 GB for 64), and a pool wider than the host's cores gains nothing; a
+# larger count is refused before any process starts
+MAX_JOBS = 64
 # the profiles an inline chart's expressions may call, each given by its flag
 INLINE_PROFILES = ("phi", "psi", "phi1", "phi2")
-# the checks with a --tol-<name> option of their own
-TOLERANCE_FLAGS = ("biconservative", "beltrami", "gauss", "codazzi", "principal_direction",
-                   "unit_normal")
+# the checks with a --tol-<name> option of their own (the oracle's has none)
+TOLERANCE_FLAGS = tuple(name for name in DEFAULT_TOLERANCES if name != "biconservative_fd")
 
 
 @dataclass
@@ -218,7 +222,7 @@ def _resolve_points(req: VerifyRequest, chart: ImmersionChart):
     for (lo, hi, n), (dlo, dhi) in zip(grid, chart.domain):
         if n < 2:
             raise BiconserveError("grid needs at least 2 nodes per axis")
-        if lo < dlo - 1e-12 or hi > dhi + 1e-12:
+        if lo < dlo - GRID_SLACK or hi > dhi + GRID_SLACK:
             raise BiconserveError(
                 f"grid range [{lo:g}, {hi:g}] outside chart domain [{dlo:g}, {dhi:g}]")
     if req.random_points is not None and req.random_points < 0:
@@ -397,12 +401,12 @@ def _numbers(text: str, what: str, count: int | None = None) -> list:
 
 def _metric(text: str) -> np.ndarray:
     """The 4x4 matrix of ``--metric``: finite, symmetric, nondegenerate (as
-    an induced metric is, see ``immersion.tau_deg``) and of index 2."""
+    an induced metric is, see ``thresholds.TAU_DEG``) and of index 2."""
     G = np.reshape(_numbers(text, "--metric", 16), (4, 4))
     if not (np.isfinite(G).all() and np.array_equal(G, G.T)):
         raise ContractViolation("--metric takes a finite symmetric matrix")
     eig = np.linalg.eigvalsh(G)
-    if np.min(np.abs(eig)) <= tau_deg(np.max(np.abs(G))):
+    if np.min(np.abs(eig)) <= TAU_DEG * (1.0 + np.max(np.abs(G))):
         raise ContractViolation("--metric is degenerate")
     if (index := int(np.sum(eig < 0))) != 2:
         raise ContractViolation(f"--metric has index {index}, expected 2")
@@ -417,6 +421,18 @@ def _tolerance(flag: str, value):
         raise ContractViolation(f"{flag} takes a number in the float range, got an integer "
                                 f"of {len(str(value))} digits")
     return value
+
+
+def _jobs(source: str, value) -> int:
+    """``value``, a worker count given by ``source`` (text from the
+    environment): an integer from 0, which gives none, to MAX_JOBS."""
+    try:
+        count = int(value) if isinstance(value, str) else value
+    except ValueError:
+        count = None
+    if isinstance(count, bool) or not isinstance(count, int) or not 0 <= count <= MAX_JOBS:
+        raise ContractViolation(f"{source} takes an integer from 0 to {MAX_JOBS}, got {value!r}")
+    return count
 
 
 def _seed(flag: str, value) -> int:
@@ -521,10 +537,9 @@ def _request_from_args(args) -> VerifyRequest:
         req.seed = _seed("--seed", args.seed)
     if getattr(args, "oracle", None):
         req.oracle = args.oracle
-    jobs = getattr(args, "jobs", None)
-    if jobs is None or jobs == 0:
-        jobs = req.jobs or int(os.environ.get("BICONSERVE_JOBS", "1"))
-    req.jobs = max(1, jobs)
+    if hasattr(args, "jobs"):  # the first source that gives a count, else 1
+        req.jobs = max(1, _jobs("--jobs", args.jobs) or _jobs("--config key 'jobs'", req.jobs)
+                       or _jobs("BICONSERVE_JOBS", os.environ.get("BICONSERVE_JOBS", "0")))
     req.output = getattr(args, "output", None)
     req.fmt = getattr(args, "format", "json")
     req.per_point = bool(getattr(args, "per_point", False))

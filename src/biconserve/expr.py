@@ -66,6 +66,7 @@ from .errors import ContractViolation, DomainError
 from .jets import Jet, JetSpace
 from .jets import jet as _jetops
 from .jets.jet import check_finite, guard
+from .thresholds import FD_STEPS, TAU_DIV, TAU_POW
 
 
 class Expr:
@@ -358,7 +359,7 @@ _UFUNC = {name: getattr(np, name) for name in ("sin", "cos", "sinh", "cosh", "ex
 
 
 def _reciprocal(den: np.ndarray) -> np.ndarray:
-    guard(np.abs(den) <= _jetops.TAU_DIV, den, "division by near-zero value")
+    guard(np.abs(den) <= TAU_DIV, den, "division by near-zero value")
     return 1.0 / den
 
 
@@ -375,7 +376,7 @@ def _powr_values(u: np.ndarray, p: float) -> np.ndarray:
         if result is None:
             return np.ones_like(u)
         return _reciprocal(result) if p < 0 else result
-    guard(u <= _jetops.TAU_POW, u, "fractional power of non-positive base")
+    guard(u <= TAU_POW, u, "fractional power of non-positive base")
     return np.power(u, p)
 
 
@@ -406,14 +407,6 @@ def eval_values(expr: Expr | Dag, points, profile_bank=None) -> np.ndarray:
         raise ContractViolation(f"points must be a (P, n) array, got shape {points.shape}")
     out = np.stack(_roots(_ARRAYS, expr, list(points.T), profile_bank), axis=-1)
     return out if isinstance(expr, Dag) else out[:, 0]
-
-
-# Central differences, nested one axis at a time; each level is O(h^2)
-# accurate.  Orders three and four add one Richardson pass over the whole
-# stencil: a single step cannot keep both the truncation term (wants small h)
-# and the eps/h^3 cancellation noise (wants large h) inside the cross-check
-# tolerances at float64.
-FD_STEPS = {0: 0.0, 1: 1e-4, 2: 1e-4, 3: 6e-3, 4: 2e-2}
 
 
 @lru_cache(maxsize=256)

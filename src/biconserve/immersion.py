@@ -47,14 +47,7 @@ from .ambient import AmbientVector, Signature, cofactor_cross
 from .errors import (ContractViolation, DegenerateFrameError, DegenerateMetric,
                      DegenerateNormal, DomainError, UnexpectedIndex, plain_point)
 from .expr import Dag, dag_of, eval_value, eval_values, fd_partial, jet_eval
-
-TAU_CMC = 1e-8
-TAU_NORMAL = 1e-10
-FD_STEP = 5e-4  # packet_fd's step along each axis
-
-
-def tau_deg(gmax: float) -> float:
-    return 1e-10 * (1.0 + gmax)
+from .thresholds import FD_STEP, TAU_CMC, TAU_DEG, TAU_NORMAL, TAU_ORIENT, TAU_UNDERFLOW
 
 
 class _CmcRule:
@@ -220,14 +213,14 @@ def _metric_checks(chart: ImmersionChart, pts: np.ndarray, G0: np.ndarray):
     gmax = np.max(np.abs(G0), axis=(1, 2))
     with np.errstate(over="ignore", invalid="ignore"):
         det = np.linalg.det(G0)
-        tau = tau_deg(gmax)
+        tau = TAU_DEG * (1.0 + gmax)
         det_floor = tau ** chart.nparams
     k = _first(~(np.isfinite(gmax) & np.isfinite(det) & np.isfinite(det_floor)))
     if k is not None:
         raise DomainError(f"induced metric overflows at {plain_point(pts[k])} "
                           f"(max|G|={gmax[k]:.3e}, det={det[k]:.3e})")
     eig = np.linalg.eigvalsh(G0)
-    degenerate = ((np.abs(det) <= det_floor) | (np.abs(det) <= 1e-300)
+    degenerate = ((np.abs(det) <= det_floor) | (np.abs(det) <= TAU_UNDERFLOW)
                   | (np.min(np.abs(eig), axis=1) <= tau))
     index = np.sum(eig < 0, axis=1)
     k = _first(degenerate | (index != chart.expected_index))
@@ -245,7 +238,7 @@ def _orient_sign(w_val, ref):
     if ref is not None:
         return np.where(np.sum(w_val * ref, axis=-1) >= 0.0, 1.0, -1.0)
     mag = np.abs(w_val)
-    big = mag > 1e-9 * np.max(mag, axis=-1, keepdims=True)
+    big = mag > TAU_ORIENT * np.max(mag, axis=-1, keepdims=True)
     last = w_val.shape[-1] - 1 - np.argmax(big[..., ::-1], axis=-1)
     comp = np.take_along_axis(w_val, last[..., None], axis=-1)[..., 0]
     return np.where(big.any(axis=-1) & (comp < 0), -1.0, 1.0)
@@ -378,7 +371,7 @@ def packet(chart: ImmersionChart, p) -> CurvaturePacket:
 
     w = _cross(dx, eps)
     w_euclid2 = np.sum(w * w, axis=-1)
-    k = _first(w_euclid2 <= 1e-300)
+    k = _first(w_euclid2 <= TAU_UNDERFLOW)
     if k is not None:
         raise DegenerateFrameError(f"tangent frame rank deficient at {plain_point(pts[k])}")
     nn = _inner(w, w, eps)

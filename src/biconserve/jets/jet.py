@@ -38,11 +38,9 @@ import math
 import numpy as np
 
 from ..errors import ContractViolation, DomainError
+from ..thresholds import TAU_DIV, TAU_POW
 from . import kernel
 from .space import MAX_ORDER, JetSpace
-
-TAU_DIV = 1e-13
-TAU_POW = 1e-12
 
 _FACT = [math.factorial(m) for m in range(MAX_ORDER + 1)]
 

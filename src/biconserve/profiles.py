@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import ContractViolation, DomainError
 from .expr import Call, Const, Expr, Mul, Pow, Var, eval_values, jet_eval, parse
+from .thresholds import DERIV_STEP, DERIV_TOL, NODE_HIT, POLE_TOL, PSI_DEN_TOL, RANGE_SLACK
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 DEFAULT_NODES = 129
@@ -97,13 +98,13 @@ def _bary_weights(n: int) -> np.ndarray:
 
 def _bary_eval(nodes: np.ndarray, weights: np.ndarray, values: np.ndarray,
                x: np.ndarray) -> np.ndarray:
-    """Barycentric interpolant at each entry of x; an entry within 1e-14
+    """Barycentric interpolant at each entry of x; an entry within NODE_HIT
     (relative) of a node takes that node's value exactly."""
     d = x[:, None] - nodes
     ad = np.abs(d)
     hit = np.argmin(ad, axis=1)
     rows = np.arange(len(x))
-    exact = ad[rows, hit] < 1e-14 * (1.0 + np.abs(x))
+    exact = ad[rows, hit] < NODE_HIT * (1.0 + np.abs(x))
     d[rows[exact], hit[exact]] = 1.0  # keeps those rows finite; overwritten below
     q = weights / d
     out = np.sum(q * values, axis=1) / np.sum(q, axis=1)
@@ -114,7 +115,7 @@ def _bary_eval(nodes: np.ndarray, weights: np.ndarray, values: np.ndarray,
 def _check_range(x: np.ndarray, lo: float, hi: float, what: str):
     """Raise for the argument of ``x`` farthest outside [lo, hi], so the
     message does not depend on which arguments share one evaluation."""
-    bad = ~((lo - 1e-12 <= x) & (x <= hi + 1e-12))
+    bad = ~((lo - RANGE_SLACK <= x) & (x <= hi + RANGE_SLACK))
     if np.any(bad):
         x0 = float(x[np.argmax(np.where(bad, np.maximum(lo - x, x - hi), -np.inf))])
         raise DomainError(f"{what} {x0:.6g} outside [{lo:.6g}, {hi:.6g}]")
@@ -289,17 +290,14 @@ def solve_psi(a: float, b: float, c: float, s_range=(0.5, 2.0)) -> PsiSolution:
     return PsiSolution.build((0.0, 2.0 * a, 2.0 * b), c, s_range)
 
 
-_POLE_TOL = 1e-8
-
-
 def psi_ode_residual_general(entry, offsets, s: float) -> float:
     """|3 psi'' / (2 psi' - 1) - sum_i 1/(s + o_i)| at one point."""
     for o in offsets:
-        if abs(s + o) < _POLE_TOL:
-            raise DomainError(f"pole proximity: |s + {o:g}| < {_POLE_TOL:g}")
+        if abs(s + o) < POLE_TOL:
+            raise DomainError(f"pole proximity: |s + {o:g}| < {POLE_TOL:g}")
     _, dpsi, ddpsi = entry.derivs(s, 2)
     den = 2.0 * dpsi - 1.0
-    if abs(den) < 1e-10:
+    if abs(den) < PSI_DEN_TOL:
         raise DomainError("2 psi' - 1 vanishes at the requested point")
     rhs = sum(1.0 / (s + o) for o in offsets)
     return abs(3.0 * ddpsi / den - rhs)
@@ -400,9 +398,9 @@ class DerivativeProfile:
 
 
 def check_derivative_consistency(entry, lo: float, hi: float, n: int = 25,
-                                 tol: float = 1e-6) -> float:
+                                 tol: float = DERIV_TOL) -> float:
     """Max |FD of value - supplied first derivative| over the range."""
-    h = 1e-5 * (hi - lo)
+    h = DERIV_STEP * (hi - lo)
     worst = 0.0
     for x in np.linspace(lo + 2 * h, hi - 2 * h, n):
         fd = (entry.derivs(x + h, 0)[0] - entry.derivs(x - h, 0)[0]) / (2.0 * h)

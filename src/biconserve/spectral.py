@@ -51,13 +51,12 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .errors import ContractViolation
+from .thresholds import (BAND_FACTOR, CLUSTER_TOL, ETA, NEWTON_STOP, RANK_FACTOR, RANK_FLOOR,
+                         ROUND, SELF_ADJOINT_TOL, SETTLE_SHIFT, SHARP_FACTOR, SNAP_FACTOR,
+                         SNAP_FLOOR, TAU_UNDERFLOW)
 
-CLUSTER_TOL = 1e-6
-_EPS = np.finfo(float).eps
-_ETA = 3e3 * _EPS  # verified-multiplicity noise floor multiplier
 _PAIRS = np.triu_indices(4, 1)  # the six (i, j), i < j, of four roots
 _LABELS = np.array(["unresolved", "I", "II", "III", "IV"], dtype=object)
-_ROUND = 3 * _EPS  # >= gamma_5 = 5u / (1 - 5u), u = eps / 2: the rank certificate's allowance
 
 
 def _adjugate_tables() -> tuple:
@@ -183,7 +182,7 @@ def _polish(c: np.ndarray, roots: np.ndarray) -> np.ndarray:
     pv = _horner(c, roots)
     for _ in range(2):
         dv = _horner(dc, roots)
-        safe = np.abs(dv) > 1e-300
+        safe = np.abs(dv) > TAU_UNDERFLOW
         step = np.where(safe, roots - pv / np.where(safe, dv, 1.0), roots)
         pstep = _horner(c, step)
         better = np.abs(pstep) < np.abs(pv)
@@ -251,23 +250,24 @@ def _settle(coeffs, group, thresh):
     ok = True
     for _ in range(60):
         dv = np.polyval(ddp, refined)
-        if abs(dv) < 1e-300:
+        if abs(dv) < TAU_UNDERFLOW:
             ok = False
             break
         step = np.polyval(dp, refined) / dv
         refined = refined - step
-        if abs(step) < 1e-15 * (1.0 + abs(refined)):
+        if abs(step) < NEWTON_STOP * (1.0 + abs(refined)):
             break
     spread = max(abs(g - center) for g in group)
-    if ok and abs(refined - center) <= 2.0 * spread + 10.0 * thresh:
+    if ok and abs(refined - center) <= 2.0 * spread + SETTLE_SHIFT * thresh:
         derivs = [np.polyder(coeffs, j) if j else coeffs for j in range(m + 1)]
         small = [
-            abs(np.polyval(d, refined)) <= _ETA * _poly_floor(d, refined)
+            abs(np.polyval(d, refined)) <= ETA * _poly_floor(d, refined)
             for d in derivs
         ]
         # all lower derivatives at the noise floor, the m-th sharply not:
         # exactly an m-fold root, neither more nor less
-        if all(small[:m]) and abs(np.polyval(derivs[m], refined)) > 100.0 * _ETA * _poly_floor(derivs[m], refined):
+        if all(small[:m]) and (abs(np.polyval(derivs[m], refined))
+                               > SHARP_FACTOR * ETA * _poly_floor(derivs[m], refined)):
             return [(refined, m)]
     # hypothesis rejected: split the group at its largest internal gap
     ordered = sorted(group, key=lambda z: (z.real, z.imag))
@@ -346,11 +346,11 @@ def _nullity(A: np.ndarray, cut: np.ndarray) -> np.ndarray:
     col = np.sqrt(col2.max(axis=1))
     a_f2 = (A * A).sum(axis=(1, 2))
     a_f = np.sqrt(a_f2)
-    err = (24.0 * _ROUND) * a_f2 * a_f  # 4 e
+    err = (24.0 * ROUND) * a_f2 * a_f  # 4 e
     adj_f = np.sqrt(col2.sum(axis=1))
     rank3 = ((adj_f < np.inf)  # an adjugate that overflowed bounds nothing
              & (adj_f > err + 2.0 * cut * a_f2)
-             & (np.abs(det) + a_f * err <= col * (0.5 * cut - _ROUND * a_f)))
+             & (np.abs(det) + a_f * err <= col * (0.5 * cut - ROUND * a_f)))
     nullity = np.ones(m, int)
     if np.count_nonzero(rank3) < m:
         nullity[~rank3] = _svd_nullity(A[~rank3], cut[~rank3])
@@ -373,21 +373,18 @@ def eigen_structure(S: np.ndarray, G: np.ndarray, tol: float = CLUSTER_TOL):
         S, G = S[None], G[None]
     gs = G @ S
     scale_s = 1.0 + np.abs(gs).max(axis=(1, 2))
-    if (np.abs(gs - gs.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-8 * scale_s).any():
+    if (np.abs(gs - gs.transpose(0, 2, 1)).max(axis=(1, 2)) > SELF_ADJOINT_TOL * scale_s).any():
         raise ContractViolation("operator is not metric-self-adjoint")
 
     coeffs = characteristic_quartic(S)
     roots, real = _quartic_roots(coeffs)
     scale = 1.0 + np.abs(roots).max(axis=1)
     thresh = tol * scale
-    # wide enough to catch a defective triple splitting by (backward err)^(1/3);
-    # genuine structure swept in by the radius is rejected by the derivative
-    # test in _settle and falls back to individual roots
-    snap_radius = max(100.0 * tol, 2e-3) * scale
+    snap_radius = max(SNAP_FACTOR * tol, SNAP_FLOOR) * scale
     centers, mults = _root_items(coeffs, roots, real, snap_radius, thresh)
 
     # refused: a root in the ambiguous rotation band, ...
-    band = 10.0 * thresh[:, None]
+    band = BAND_FACTOR * thresh[:, None]
     im = centers.imag
     is_real = np.abs(im) <= thresh[:, None]
     refused = (~is_real & (np.abs(im) < band)).any(axis=1)
@@ -408,10 +405,7 @@ def eigen_structure(S: np.ndarray, G: np.ndarray, tol: float = CLUSTER_TOL):
     gaps = np.where(live, values, 0.0)
     refused |= (live[:, 1:] & (gaps[:, 1:] - gaps[:, :-1] < band)).any(axis=1)
 
-    # True kernel directions sit at machine-eps singular values while a
-    # neighboring eigenvalue at distance d leaks sigma >= d^2 or so; a
-    # sqrt(eps) floor separates the two regimes far better than tol itself.
-    rank_cut = max(np.sqrt(_EPS), 1e-2 * tol) * (1.0 + np.abs(S).max(axis=(1, 2)))
+    rank_cut = max(RANK_FLOOR, RANK_FACTOR * tol) * (1.0 + np.abs(S).max(axis=(1, 2)))
     geos = np.zeros(algs.shape, int)
     k, j = (live & ~refused[:, None]).nonzero()
     if len(k):

@@ -40,6 +40,7 @@ from .immersion import (ImmersionChart, beltrami_residual, biconservative_residu
                         gauss_codazzi_residual, packet, packet_fd, principal_direction_check,
                         submanifold_packet, unit_normal_residual)
 from .spectral import SpectrumBlock, eigen_structure
+from .thresholds import ROOTS_REAL_TOL
 
 # Points per packet block at most.  It bounds the memory of a block's jets
 # (order-3 chart jets are 35 coefficients per point) and of the oracle's
@@ -53,16 +54,6 @@ BLOCK = 384
 HYPERSURFACE_CHECKS = ("biconservative", "beltrami", "gauss", "codazzi",
                        "unit_normal", "principal_direction", "structure")
 LOWDIM_CHECKS = ("beltrami", "gauss", "codazzi", "structure")
-
-DEFAULT_TOLERANCES = {
-    "biconservative": 1e-6,
-    "biconservative_fd": 1e-4,
-    "beltrami": 1e-7,
-    "gauss": 1e-6,
-    "codazzi": 1e-6,
-    "unit_normal": 1e-9,
-    "principal_direction": 1e-6,
-}
 
 
 def interior_grid(domain, nodes: int = 5) -> list:
@@ -254,7 +245,7 @@ def _classify(chart: ImmersionChart, S: np.ndarray, G: np.ndarray) -> tuple:
         spectra = eigen_structure(S, G)
         return (spectra, *spectra.curvatures())
     got = np.linalg.eigvals(S)
-    real = np.abs(got.imag).max(axis=1) < 1e-9 * (1 + np.abs(got).max(axis=1))
+    real = np.abs(got.imag).max(axis=1) < ROOTS_REAL_TOL * (1 + np.abs(got).max(axis=1))
     return None, np.sort(got.real, axis=1, kind="stable"), real
 
 

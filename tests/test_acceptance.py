@@ -16,8 +16,9 @@ from biconserve.immersion import (beltrami_residual, gauss_codazzi_residual,
                                   packet, packet_fd, submanifold_packet)
 from biconserve.profiles import (psi_ode_residual, psi_ode_rhs, rk4_solve,
                                  solve_psi)
-from biconserve.spectral import CLUSTER_TOL, eigen_structure
+from biconserve.spectral import eigen_structure
 from biconserve.sweep import random_points
+from biconserve.thresholds import CLUSTER_TOL
 from planted import conjugated_pair
 
 GRID1 = [[0.6, 1.4, 5], [-0.5, 0.5, 5], [-0.5, 0.5, 5], [-0.5, 0.5, 5]]

@@ -14,8 +14,9 @@ from biconserve.cli import VerifyRequest, run_verify
 from biconserve.errors import ConstraintError, ContractViolation, DomainError
 from biconserve.expr import parse
 from biconserve.immersion import ImmersionChart, packet, principal_direction_check
-from biconserve.spectral import CLUSTER_TOL, eigen_structure
+from biconserve.spectral import eigen_structure
 from biconserve.sweep import grid_points, interior_grid, sweep
+from biconserve.thresholds import CLUSTER_TOL
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "data" / "golden_charts.json").read_text()
@@ -364,3 +365,17 @@ def test_an_integer_parameter_is_unchanged():
     entry = entry_for(FamilySpec("rem42", parameters={"n": 5}))
     assert entry.params["n"] == 5 and type(entry.params["n"]) is int
     assert entry.params["a"] == (1.0, 2.0, 3.0, 4.0) and len(entry.components) == 6
+
+
+def test_rem42_refuses_n_above_its_largest_before_building_an_expression(monkeypatch):
+    from biconserve import catalog
+
+    def unreachable(n):
+        raise AssertionError(f"the names of {n} parameters were built")
+
+    monkeypatch.setattr(catalog, "var_names_for", unreachable)
+    with pytest.raises(ContractViolation, match=r"^the extension takes n <= 10, got n = 11$"):
+        entry_for(FamilySpec("rem42", parameters={"n": 11}))
+    monkeypatch.undo()
+    entry = entry_for(FamilySpec("rem42", parameters={"n": 10}))
+    assert len(entry.components) == 11  # n + 1 coordinates

@@ -807,3 +807,53 @@ def test_an_abbreviated_flag_is_a_usage_error(argv, extra, capsys):
         main(argv)
     assert stop.value.code == 2
     assert f"unrecognized arguments: {extra}\n" in capsys.readouterr().err
+
+
+GRID16 = "s=0.2:0.8:2,t=-0.5:0.5:2,u=-0.5:0.5:2,v=-0.5:0.5:2"  # thm1.i, 16 points
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Fails a test whose request starts a worker pool."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
+
+
+@pytest.mark.parametrize("argv, env, cfg, source, given", [
+    (["--jobs", "65"], None, None, "--jobs", "65"),
+    (["--jobs", "-4"], None, None, "--jobs", "-4"),
+    ([], "abc", None, "BICONSERVE_JOBS", "'abc'"),
+    ([], "65", None, "BICONSERVE_JOBS", "'65'"),
+    ([], "-1", None, "BICONSERVE_JOBS", "'-1'"),
+    ([], None, {"jobs": 65}, "--config key 'jobs'", "65"),
+    ([], None, {"jobs": -1}, "--config key 'jobs'", "-1"),
+])
+def test_a_job_count_out_of_range_is_a_usage_error(no_pool, monkeypatch, tmp_path, argv, env, cfg,
+                                                   source, given):
+    # 16 points: fewer than 2 x 65, so even an accepted count would run serially
+    if env is not None:
+        monkeypatch.setenv("BICONSERVE_JOBS", env)
+    extra = ["--config", _config(tmp_path, **cfg)] if cfg else []
+    code, text = run(["verify", "thm1.i", "--grid", GRID16, *argv, *extra])
+    assert (code, text) == (2, f"error: {source} takes an integer from 0 to 64, got {given}\n")
+
+
+@pytest.mark.parametrize("argv, env, cfg, jobs", [
+    (["sample", "thm1.i", "--jobs", "64"], "abc", None, 64),  # the environment is not read
+    (["sample", "thm1.i", "--jobs", "0"], "3", {"jobs": 5}, 5),
+    (["sample", "thm1.i"], "3", None, 3),
+    (["sample", "thm1.i"], "0", {"jobs": 0}, 1),
+    (["classify", "thm1.i"], "abc", None, 0),  # classify starts no pool and reads no count
+])
+def test_the_job_count_is_the_first_source_that_gives_one(monkeypatch, tmp_path, argv, env, cfg,
+                                                          jobs):
+    monkeypatch.setenv("BICONSERVE_JOBS", env)
+    extra = ["--config", _config(tmp_path, **cfg)] if cfg else []
+    assert _request_from_args(make_parser().parse_args([*argv, *extra])).jobs == jobs
+
+
+def test_rem42_above_its_largest_n_is_a_usage_error_naming_n(no_pool):
+    code, text = run(["verify", "rem42", "--n", "11", "--random-points", "2"])
+    assert (code, text) == (2, "error [rem42]: the extension takes n <= 10, got n = 11\n")

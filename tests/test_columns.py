@@ -24,8 +24,9 @@ from biconserve.errors import BiconserveError, ConstraintError, plain_point
 from biconserve.expr import parse
 from biconserve.immersion import ImmersionChart
 from biconserve.profiles import ExprProfile, constraint_residual
-from biconserve.spectral import CLUSTER_TOL, ShapeSpectrum, eigen_structure
+from biconserve.spectral import ShapeSpectrum, eigen_structure
 from biconserve.sweep import HYPERSURFACE_CHECKS, PointRow, grid_points, random_points, sweep
+from biconserve.thresholds import CLUSTER_TOL, DEFAULT_TOLERANCES, STRICT_MARGIN
 from planted import canonical_pair, conjugated_pair
 
 TAGS = ("zero>=2", "simple-zero+double", "1+2+1-nonzero", "all-distinct")
@@ -396,7 +397,7 @@ def test_summaries_are_the_per_point_reference(case):
     table = sweep(chart, pts, HYPERSURFACE_CHECKS)
     assert (table.error != "").any() == (case != "control")
     for asserted in (set(HYPERSURFACE_CHECKS), {"beltrami"}):
-        for tol in (sweep_module.DEFAULT_TOLERANCES, {"gauss": 0.0, "beltrami": 1.0}):
+        for tol in (DEFAULT_TOLERANCES, {"gauss": 0.0, "beltrami": 1.0}):
             got = sweep_module.summarize(table, HYPERSURFACE_CHECKS, tol, asserted)
             assert got == ref_summarize(list(table), HYPERSURFACE_CHECKS, tol, asserted)
     statuses = {s.name: s.status for s in got}
@@ -494,7 +495,7 @@ def _first_failure_message(spec):
         dpsi = psi.derivs(s, 1)[1]
         # the condition as the entry lists it, and its expression's value
         val = {1: 1.0 - 2.0 * dpsi, -1: 1.0 + 2.0 * dpsi, 2: 2.0 * dpsi - 1.0}[sign]
-        if (val < catalog._STRICT_MARGIN if sign == 2 else val > -catalog._STRICT_MARGIN):
+        if (val < STRICT_MARGIN if sign == 2 else val > -STRICT_MARGIN):
             return str(ConstraintError(catalog._INEQ_COND[sign], f"value {val:.2e} at s={s:.3f}"))
     return None
 

@@ -45,7 +45,7 @@ def test_classify_cases_are_diffed(diff_reports):
     from biconserve import catalog
 
     argvs = [argv for _, argv in diff_reports.cases(catalog)]
-    assert len(argvs) == 103
+    assert len(argvs) == 105
     assert ["classify", "ex41", "--solve-psi"] in argvs
     assert ["classify", "thm3.viii", "--at", "0.7,0,0,0"] in argvs
     assert ["classify", "thm1.v", "--at", "1,0,0,0"] in argvs
@@ -121,3 +121,13 @@ def test_a_sample_value_move_is_a_value_not_a_verdict(diff_reports, tmp_path, ca
     assert diff_reports.diff(tmp_path / "old", tmp_path / "new") == 1
     _case(tmp_path / "new", "a.json", argv, old.rsplit("0.6", 1)[0])
     assert diff_reports.diff(tmp_path / "old", tmp_path / "new") == 1
+
+
+def test_the_job_count_and_rem42_bounds_are_diffed_one_past_them(diff_reports):
+    from biconserve import catalog, cli
+
+    argvs = [argv for _, argv in diff_reports.cases(catalog)]
+    assert ["verify", "thm1.i", "--grid", diff_reports.GRID16, "--jobs", str(cli.MAX_JOBS + 1),
+            "--emit-report"] in argvs
+    assert ["verify", "rem42", "--n", str(catalog.REM42_MAX_N + 1), "--random-points", "2",
+            "--emit-report"] in argvs

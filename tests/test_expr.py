@@ -9,13 +9,14 @@ import pytest
 from biconserve import expr, jets
 from biconserve.catalog import FamilySpec, all_keys, build
 from biconserve.errors import ContractViolation, DomainError
-from biconserve.expr import (FD_STEPS, Add, Call, Const, Dag, Div, Expr, Mul, Neg, Pow,
+from biconserve.expr import (Add, Call, Const, Dag, Div, Expr, Mul, Neg, Pow,
                              ProfileCall, Sub, Var,
                              dag_of, eval_value, eval_values, fd_partial, jet_eval, node_repr,
                              parse)
 from biconserve.jets import Jet, JetSpace
 from biconserve.jets.jet import LADDERS, _power_ladder, _reciprocal_ladder
 from biconserve.profiles import DerivativeProfile, ExprProfile, PsiSolution, QuadratureProfile
+from biconserve.thresholds import FD_STEPS
 
 
 def test_parse_basic_precedence():

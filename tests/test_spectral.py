@@ -9,9 +9,10 @@ from biconserve import spectral, sweep as sweep_module
 from biconserve.catalog import CATALOG, FamilySpec, all_keys, build
 from biconserve.errors import ContractViolation
 from biconserve.immersion import packet
-from biconserve.spectral import (CLUSTER_TOL, ShapeSpectrum, SpectrumBlock,
-                                 characteristic_quartic, eigen_structure)
+from biconserve.spectral import (ShapeSpectrum, SpectrumBlock, characteristic_quartic,
+                                 eigen_structure)
 from biconserve.sweep import grid_points, random_points, sweep
+from biconserve.thresholds import CLUSTER_TOL
 from planted import canonical_pair, conjugated_pair
 
 
