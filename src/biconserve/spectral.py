@@ -21,10 +21,14 @@ SpectrumBlock: the block's spectra as columns over its points, whose
 one-point result, and whose ``case_label`` and ``pattern`` are tuples of
 the per-point values.  One operator is the P = 1 block.  A block is
 classified in one array pass: the self-adjointness check, the quartic
-coefficients, the companion eigenvalues and their polish, the
-imaginary-part and pairing bands, the separation of real clusters, the
-rank test and the case labels and patterns (``_case_labels``) are array
-operations over the points.  Only a point with two roots within the snap
+coefficients, their roots in closed form (the resolvent cubic's roots,
+``_closed_form_roots``) and the roots' Newton polish, the imaginary-part
+and pairing bands, the separation of real clusters, the rank test and the
+case labels and patterns (``_case_labels``) are array operations over the
+points.  A point whose polished roots are not finite or lie within its
+snap radius of each other, every multiple root among them, takes the
+companion matrix's eigenvalues (LAPACK) and their polish instead
+(``_quartic_roots``); only such a point with two roots within the snap
 radius goes through the per-point multiplicity test (``_settle``).  One
 operator that is not metric-self-adjoint fails its whole block with
 ContractViolation; a caller that wants the other points classified calls
@@ -57,6 +61,7 @@ from .thresholds import (BAND_FACTOR, CLUSTER_TOL, ETA, NEWTON_STOP, RANK_FACTOR
 
 _PAIRS = np.triu_indices(4, 1)  # the six (i, j), i < j, of four roots
 _LABELS = np.array(["unresolved", "I", "II", "III", "IV"], dtype=object)
+_TURNS = 2.0 * np.pi * np.arange(3)  # the trigonometric form's three branches
 
 
 def _adjugate_tables() -> tuple:
@@ -191,23 +196,107 @@ def _polish(c: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return roots
 
 
-def _quartic_roots(coeffs: np.ndarray) -> tuple:
-    """Companion-matrix eigenvalues of the quartics (P, 5), polished: the
-    roots (P, 4, complex) and whether each point's roots are real (P,).
+def _polished(coeffs: np.ndarray, roots: np.ndarray, real: np.ndarray) -> np.ndarray:
+    """``_polish`` of the roots (P, 4, complex) of the quartics (P, 5): a
+    point whose roots are real (``real``, P) in real arithmetic, one with a
+    complex pair in complex arithmetic, whatever the other points hold."""
+    out = roots.copy()
+    for rows, start in ((real, roots.real), (~real, roots)):
+        if rows.any():
+            out[rows] = _polish(coeffs[rows], start[rows])
+    return out
 
-    A point whose companion eigenvalues are all real is polished in real
-    arithmetic, one with a complex pair in complex arithmetic, whatever
-    the other points of its block hold.
-    """
+
+def _companion_roots(coeffs: np.ndarray) -> tuple:
+    """Companion-matrix eigenvalues of the quartics (P, 5), polished: the
+    roots (P, 4, complex) and whether each point's eigenvalues are real (P,)."""
     comp = np.zeros((len(coeffs), 4, 4))
     comp[:, 1:, :3] = np.eye(3)
     comp[:, :, 3] = -coeffs[:, 1:][:, ::-1]
     eig = np.linalg.eigvals(comp.swapaxes(1, 2))
     real = (eig.imag == 0).all(axis=1)
-    roots = eig.astype(complex)
-    for rows, start in ((real, eig.real), (~real, roots)):
-        if rows.any():
-            roots[rows] = _polish(coeffs[rows], start[rows])
+    return _polished(coeffs, eig.astype(complex), real), real
+
+
+def _closed_form_roots(coeffs: np.ndarray) -> tuple:
+    """The roots (P, 4, complex) of the quartics (P, 5) in closed form,
+    unpolished, and whether each point's are real (P,).
+
+    x = y - a/4 depresses x^4 + a x^3 + b x^2 + c x + d to
+    y^4 + p y^2 + q y + r.  Its resolvent cubic z^3 + 2p z^2 + (p^2 - 4r) z
+    - q^2 has the roots (y_i + y_j)^2, one per split of the four roots into
+    two pairs, and z_0 z_1 z_2 = q^2.  With s_k = sqrt(z_k), s_0 s_1 s_2 is
+    -q or q, and the roots are s_0 + (s_1 + s_2), s_0 - (s_1 + s_2),
+    (s_1 - s_2) - s_0 and -s_0 - (s_1 - s_2), halved, or their negatives
+    where it is q.  The cubic's discriminant is a positive multiple of
+    4 D0^3 - D1^2 (D0 = p^2 + 12 r, D1 = 2 p^3 - 72 p r + 27 q^2), the
+    quartic's.  Where it is positive the three z are real and distinct
+    (trigonometric form, z_0 > z_1 > z_2): all four roots are real where
+    z_1 > 0, with z_2 clamped at 0, and form two conjugate pairs where
+    z_1 < 0.  Elsewhere one z is real (Cardano's form) and two are
+    conjugate, z_c and conj(z_c): two roots are real and two conjugate.
+    Each s is real or imaginary, or the pair sqrt(z_c), conj(sqrt(z_c)), so
+    that a real root has imaginary part 0 and a pair is conjugate exactly.
+    Overflow, or 0 / 0 at a multiple root, leaves roots that are not finite.
+    """
+    a, b, c, d = coeffs[:, 1:].T
+    a2 = a * a
+    p = b - 0.375 * a2
+    q = c - 0.5 * a * b + 0.125 * a2 * a
+    r = d - 0.25 * a * c + a2 * b / 16.0 - 3.0 * a2 * a2 / 256.0
+    d0 = p * p + 12.0 * r
+    d1 = (2.0 * p * p - 72.0 * r) * p + 27.0 * q * q
+    disc = d1 * d1 - 4.0 * d0 * d0 * d0
+    three = disc < 0.0
+    # both forms are formed at every point, and each point keeps its own
+    root0 = np.sqrt(d0)
+    phi = np.arccos(np.clip(d1 / (2.0 * d0 * root0), -1.0, 1.0))
+    z3 = (2.0 * root0[:, None] * np.cos((phi[:, None] - _TURNS) / 3.0) - 2.0 * p[:, None]) / 3.0
+    real = three & (z3[:, 1] > 0.0)
+    z3[:, 0] = np.maximum(z3[:, 0], 0.0)  # as z_0 z_1 z_2 = q^2 >= 0
+    z3[:, 2] = np.where(real, np.maximum(z3[:, 2], 0.0), z3[:, 2])
+    cube = np.cbrt((d1 + np.copysign(np.sqrt(disc), d1)) / 2.0)
+    zr = (cube + d0 / cube - 2.0 * p) / 3.0
+    zr = np.maximum(zr, 0.0)  # as z_r |z_c|^2 = q^2 >= 0
+    re_c = -p - zr / 2.0  # as z_r + 2 Re z_c = -2p
+    im2 = p * p - 4.0 * r + zr * (2.0 * p + zr) - re_c * re_c  # |z_c|^2 - (Re z_c)^2
+    sc = np.sqrt(re_c + 1j * np.sqrt(np.maximum(im2, 0.0)))
+    s0, s1, s2 = np.where(three[:, None], np.sqrt(z3.astype(complex)),
+                          np.stack([np.sqrt(zr) + 0j, sc, sc.conj()], axis=1)).T
+    u, v = s1 + s2, s1 - s2
+    y = np.stack([s0 + u, s0 - u, v - s0, -s0 - v], axis=1)
+    y = np.where(((s0 * s1 * s2).real * q > 0.0)[:, None], -y, y)
+    return y / 2.0 - (a / 4.0)[:, None], real
+
+
+def _near(roots: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """Whether two of each point's roots (P, 4) lie within its radius (P,).
+    ``np.hypot`` is the scalar ``abs`` of a complex number, so the test
+    agrees with the grouping in ``_groups_within``."""
+    d = roots[:, _PAIRS[0]] - roots[:, _PAIRS[1]]
+    return (np.hypot(d.real, d.imag) <= radius[:, None]).any(axis=1)
+
+
+def _quartic_roots(coeffs: np.ndarray, snap: float) -> tuple:
+    """The polished roots of the quartics (P, 5), (P, 4, complex), and
+    whether each point's roots are real (P,).
+
+    The closed form (``_closed_form_roots``) gives them, except at a point
+    whose polished roots are not finite or lie within its snap radius, snap
+    (1 + max|root|), of each other: there the companion matrix's
+    eigenvalues (``_companion_roots``) do.  Next to a multiple root a root
+    is only as accurate as the quartic's coefficients allow, and the two
+    routes differ in those digits; the multiplicity test (``_settle``) and
+    the structure snapshot read the companion route's.  The route is the
+    point's own, whatever its block holds.
+    """
+    with np.errstate(all="ignore"):  # a root lost to overflow or 0 / 0 is redone below
+        roots, real = _closed_form_roots(coeffs)
+        roots = _polished(coeffs, roots, real)
+    redo = ~np.isfinite(roots).all(axis=1)
+    redo |= _near(roots, snap * (1.0 + np.abs(roots).max(axis=1)))
+    if redo.any():
+        roots[redo], real[redo] = _companion_roots(coeffs[redo])
     return roots, real
 
 
@@ -283,15 +372,11 @@ def _root_items(coeffs, roots, real, snap_radius, thresh) -> tuple:
 
     A point whose roots are all farther apart than its snap radius has four
     simple items, the roots themselves.  Only a point with a candidate
-    cluster is grouped and settled one point at a time.  ``np.hypot`` is
-    the scalar ``abs`` of a complex number, so the pair test agrees with
-    the grouping in ``_groups_within``.
+    cluster is grouped and settled one point at a time.
     """
     centers = roots.copy()
     mults = np.ones(roots.shape, dtype=int)
-    d = roots[:, _PAIRS[0]] - roots[:, _PAIRS[1]]
-    near = (np.hypot(d.real, d.imag) <= snap_radius[:, None]).any(axis=1)
-    for k in near.nonzero()[0]:
+    for k in _near(roots, snap_radius).nonzero()[0]:
         slot = 0
         mults[k] = 0
         group_roots = roots[k].real if real[k] else roots[k]
@@ -377,10 +462,11 @@ def eigen_structure(S: np.ndarray, G: np.ndarray, tol: float = CLUSTER_TOL):
         raise ContractViolation("operator is not metric-self-adjoint")
 
     coeffs = characteristic_quartic(S)
-    roots, real = _quartic_roots(coeffs)
+    snap = max(SNAP_FACTOR * tol, SNAP_FLOOR)
+    roots, real = _quartic_roots(coeffs, snap)
     scale = 1.0 + np.abs(roots).max(axis=1)
     thresh = tol * scale
-    snap_radius = max(SNAP_FACTOR * tol, SNAP_FLOOR) * scale
+    snap_radius = snap * scale
     centers, mults = _root_items(coeffs, roots, real, snap_radius, thresh)
 
     # refused: a root in the ambiguous rotation band, ...

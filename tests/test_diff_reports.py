@@ -131,3 +131,51 @@ def test_the_job_count_and_rem42_bounds_are_diffed_one_past_them(diff_reports):
             "--emit-report"] in argvs
     assert ["verify", "rem42", "--n", str(catalog.REM42_MAX_N + 1), "--random-points", "2",
             "--emit-report"] in argvs
+
+
+CLASSIFY = ("H = -0.05516715556233917\nCase I, 4 distinct\n"
+            "  eigenvalue -0.2039814916729381 (algebraic 1, geometric 1)\n"
+            "  eigenvalue 0.11033431112467854 (algebraic 1, geometric 1)\n")
+
+
+def test_a_moved_eigenvalue_digit_is_a_value(diff_reports, tmp_path, capsys):
+    argv = ["classify", "ex41", "--solve-psi"]
+    _case(tmp_path / "old", "a.json", argv, CLASSIFY)
+    _case(tmp_path / "new", "a.json", argv, CLASSIFY.replace("0.11033431112467854",
+                                                             "0.11033431112467856"))
+    assert diff_reports.diff(tmp_path / "old", tmp_path / "new") == 0
+    out = capsys.readouterr().out
+    assert "values[3][0]: 0.11033431112467854 -> 0.11033431112467856" in out
+    assert "0 exit codes, statuses, counts or labels moved" in out
+    assert "largest relative change of a value (jets route): 2.52e-16" in out
+
+
+@pytest.mark.parametrize("old, new", [("Case I, 4 distinct", "Case II, 4 distinct"),
+                                      ("(algebraic 1, geometric 1)\n  eigenvalue 0.11",
+                                       "(algebraic 2, geometric 1)\n  eigenvalue 0.11"),
+                                      ("4 distinct", "pattern 1+1+2")],
+                         ids=["label", "multiplicity", "pattern"])
+def test_a_moved_classify_word_is_still_a_verdict(diff_reports, tmp_path, old, new):
+    argv = ["classify", "ex41", "--solve-psi"]
+    _case(tmp_path / "old", "a.json", argv, CLASSIFY)
+    _case(tmp_path / "new", "a.json", argv, CLASSIFY.replace(old, new))
+    assert diff_reports.diff(tmp_path / "old", tmp_path / "new") == 1
+
+
+def _verify(spectral):
+    return "1 of 1 checks passed\n" + json.dumps({"spectral": spectral}, indent=1)
+
+
+SPECTRAL = {"curvature_max": 0.28306879896623033, "curvature_min": -0.6261016333714534,
+            "labels": {"I": 625}, "patterns": {"1+1+1+1": 625}}
+
+
+@pytest.mark.parametrize("field, moved, code", [
+    ("curvature_min", -0.6261016333714533, 0), ("curvature_max", 0.2830687989662304, 0),
+    ("labels", {"I": 624, "II": 1}, 1), ("patterns", {"1+1+1+1": 624, "2+1+1": 1}, 1)])
+def test_spectral_extremes_are_values_and_labels_verdicts(diff_reports, tmp_path, field, moved,
+                                                          code):
+    argv = ["verify", "ex41", "--emit-report"]
+    _case(tmp_path / "old", "a.json", argv, _verify(SPECTRAL))
+    _case(tmp_path / "new", "a.json", argv, _verify({**SPECTRAL, field: moved}))
+    assert diff_reports.diff(tmp_path / "old", tmp_path / "new") == code

@@ -17,6 +17,7 @@ from biconserve.immersion import (ImmersionChart, beltrami_residual,
                                   packet, packet_fd, principal_direction_check,
                                   submanifold_packet)
 from biconserve.sweep import HYPERSURFACE_CHECKS, sweep
+from biconserve.thresholds import FD_STEP
 
 
 def chart_from(exprs, domain=((-1, 1),) * 4, **kw):
@@ -454,15 +455,15 @@ def test_fd_packet_names_the_point_whose_normal_is_lightlike():
         packet_fd(chart, (1.0, 0.2, 0.3, 0.4))
     assert err.value.point == (1.0, 0.2, 0.3, 0.4)
     # only the stencil neighbour at s + FD_STEP sits on s = 1
-    centre = np.array([1.0 - 5e-4, 0.2, 0.3, 0.4])
+    centre = np.array([1.0 - FD_STEP, 0.2, 0.3, 0.4])
     with pytest.raises(DegenerateNormal) as err:
         packet_fd(chart, centre)
-    assert err.value.point == plain_point(centre + 5e-4 * np.eye(4)[0])
+    assert err.value.point == plain_point(centre + FD_STEP * np.eye(4)[0])
 
 
 @pytest.mark.parametrize("centre_s, deficient_rows, error", [
     (1.0, [3], DegenerateNormal),           # a lightlike centre before a deficient neighbour
-    (1.0 - 5e-4, [3], DegenerateFrameError),  # a deficient neighbour before a lightlike one
+    (1.0 - FD_STEP, [3], DegenerateFrameError),  # a deficient neighbour before a lightlike one
     (1.0, [0], DegenerateFrameError),       # a deficient centre before a lightlike centre
 ])
 def test_fd_frame_checks_the_centre_before_its_neighbours(monkeypatch, centre_s, deficient_rows,

@@ -12,7 +12,7 @@ from biconserve.immersion import packet
 from biconserve.spectral import (ShapeSpectrum, SpectrumBlock, characteristic_quartic,
                                  eigen_structure)
 from biconserve.sweep import grid_points, random_points, sweep
-from biconserve.thresholds import CLUSTER_TOL
+from biconserve.thresholds import CLUSTER_TOL, SNAP_FACTOR, SNAP_FLOOR
 from planted import canonical_pair, conjugated_pair
 
 
@@ -368,3 +368,118 @@ def test_an_overflowed_adjugate_takes_the_svd(monkeypatch):
     rows = svd_rows(monkeypatch)
     assert spectral._nullity(A, cut).tolist() == svd_rule(A, cut).tolist() == [0]
     assert len(rows) == 1
+
+
+SNAP = max(SNAP_FACTOR * CLUSTER_TOL, SNAP_FLOOR)  # eigen_structure's at the default tol
+
+
+def _quartics(rng, kind, count=200):
+    """Monic quartics (count, 5) with four real roots, two real roots and a
+    pair, or two pairs, every two roots at least 0.2 apart."""
+    out = []
+    while len(out) < count:
+        re = rng.uniform(-3.0, 3.0, 4)
+        im = rng.uniform(0.2, 2.0, 2)
+        roots = {"real": re,
+                 "pair": [re[0], re[1], re[2] + 1j * im[0], re[2] - 1j * im[0]],
+                 "pairs": [re[0] + 1j * im[0], re[0] - 1j * im[0],
+                           re[1] + 1j * im[1], re[1] - 1j * im[1]]}[kind]
+        d = np.subtract.outer(roots, roots)[np.triu_indices(4, 1)]
+        if np.abs(d).min() >= 0.2:
+            out.append(np.poly(roots).real)
+    return np.array(out)
+
+
+def _closed_form(coeffs):
+    # both forms are formed at every point: the one a point does not use may
+    # take the square root of a negative number, which is not an error here
+    with np.errstate(all="ignore"):
+        return spectral._closed_form_roots(coeffs)
+
+
+def _closed_form_polished(coeffs):
+    roots, real = _closed_form(coeffs)
+    return spectral._polished(coeffs, roots, real), real
+
+
+def _assert_roots_match(coeffs, got, want):
+    # each route's root is off by its rounding in evaluating p, over |p'| there
+    for c, g, w in zip(coeffs, got, want):
+        w = np.sort_complex(w)
+        cond = np.abs(np.polyval(np.abs(c), np.abs(w))) / np.abs(np.polyval(np.polyder(c), w))
+        assert (np.abs(np.sort_complex(g) - w) <= 16 * np.finfo(float).eps * cond).all()
+
+
+@pytest.mark.parametrize("kind", ["real", "pair", "pairs"])
+def test_closed_form_roots_match_the_companion_route(kind):
+    coeffs = _quartics(np.random.default_rng({"real": 7, "pair": 8, "pairs": 9}[kind]), kind)
+    raw, real = _closed_form(coeffs)
+    assert (real == (kind == "real")).all()
+    # real roots are real exactly, and pairs conjugate exactly
+    imag = np.sort(raw.imag, axis=1)
+    assert np.array_equal(imag, -imag[:, ::-1])
+    assert (np.count_nonzero(raw.imag, axis=1) == {"real": 0, "pair": 2, "pairs": 4}[kind]).all()
+    roots, real = spectral._quartic_roots(coeffs, SNAP)
+    polished, _ = _closed_form_polished(coeffs)
+    assert np.array_equal(roots, polished)  # no point fell back
+    companion, companion_real = spectral._companion_roots(coeffs)
+    assert np.array_equal(real, companion_real)
+    _assert_roots_match(coeffs, roots, companion)
+
+
+@pytest.mark.parametrize("roots, real", [((0.3, 1.1, 2.9, 3.7), True),
+                                         ((0.5 + 1j, 0.5 - 1j, 2.5 + 0.7j, 2.5 - 0.7j), False)],
+                         ids=["real", "pairs"])
+def test_roots_symmetric_about_their_mean(roots, real):
+    # y_1 + y_2 = 0 about the mean 2: q = 0 and the smallest resolvent root is 0
+    coeffs = np.poly(roots).real[None]
+    got, got_real = spectral._quartic_roots(coeffs, SNAP)
+    assert np.array_equal(got, _closed_form_polished(coeffs)[0])
+    assert got_real.tolist() == [real]
+    _assert_roots_match(coeffs, got, spectral._companion_roots(coeffs)[0])
+
+
+def test_clustered_and_overflowed_points_take_the_companion_route():
+    coeffs = np.array([np.poly([0.3, 1.1, 2.9, 3.7]),     # closed form
+                       np.poly([1.0, 1.0, 2.0, -1.0]),    # a double root
+                       np.poly([1.0, 1.0 + 1e-4, 2.0, 3.0]),  # a pair inside the snap radius
+                       np.poly([1e30, 2e30, 3e30, 4e30]),  # D0^3 overflows
+                       [1.0, 0.0, 0.0, 0.0, 0.0]])         # a quadruple root, 0 / 0
+    roots, real = spectral._quartic_roots(coeffs, SNAP)
+    companion, companion_real = spectral._companion_roots(coeffs)
+    assert np.array_equal(roots[1:], companion[1:]) and np.array_equal(real, companion_real)
+    assert np.array_equal(roots[:1], _closed_form_polished(coeffs[:1])[0])
+    assert not np.isfinite(_closed_form(coeffs[3:])[0]).any()
+    # one point at a time, each row is the same
+    for k in range(len(coeffs)):
+        one, one_real = spectral._quartic_roots(coeffs[k:k + 1], SNAP)
+        assert np.array_equal(one[0], roots[k]) and one_real[0] == real[k]
+
+
+def test_non_finite_coefficients_are_refused_as_before():
+    # S^4 overflows: LAPACK refuses the companion matrix, as it always has
+    S = np.array([np.diag([0.3, 1.1, 2.9, 3.7]), np.diag([1e80, 2e80, 3e80, 4e80])])
+    with np.errstate(all="ignore"):
+        coeffs = characteristic_quartic(S)
+        assert not np.isfinite(coeffs[1]).all()
+        with pytest.raises(np.linalg.LinAlgError):
+            spectral._quartic_roots(coeffs, SNAP)
+
+
+def test_headline_grid_takes_the_closed_form_everywhere(monkeypatch):
+    calls = []
+    companion = spectral._companion_roots
+
+    def counted(coeffs):
+        calls.append(len(coeffs))
+        return companion(coeffs)
+
+    monkeypatch.setattr(spectral, "_companion_roots", counted)
+    for profiles in ({"solve_psi": True, "c": 1.0}, {"psi": "s^2"}):
+        chart = build(FamilySpec("ex41", parameters={"a": 1.0, "b": 2.0}, profiles=profiles))
+        rows = sweep(chart, grid_points(((0.6, 1.4),) + ((-0.5, 0.5),) * 3, 5), ("structure",))
+        assert len(rows) == 625 and not any(r.error for r in rows)
+    assert calls == []
+    # the counter is live: a double root does fall back
+    eigen_structure(np.diag([2.0, 1.0, 1.0, -1.0]), np.diag([-1.0, -1.0, 1.0, 1.0]))
+    assert calls == [1]

@@ -49,8 +49,13 @@ for numbers; a field only one report has, empty containers and nulls
 included, reads ``<absent>`` on the other side.  A ``sample`` case prints
 CSV, read as a report of its rows (``rows[k].<column>``, a number where the
 cell parses as one), so a moved number is a value change and a moved word
-or row count a moved verdict.  A ``classify`` case prints text: its first
-differing line is printed and counts as a moved verdict.  A moved argmax point (two
+or row count a moved verdict.  A ``classify`` case prints text, read as a
+report of its lines: each line's words with its floats masked
+(``lines[k]``) and the floats themselves (``values[k][j]``), so a moved
+eigenvalue or H is a value change and a moved label, pattern, multiplicity
+or any other word a moved verdict.  In a ``verify`` report the ``spectral``
+fields are verdicts (labels and patterns with their counts) except
+``curvature_min`` and ``curvature_max``, which are values.  A moved argmax point (two
 grid points whose values tie within rounding) is listed and counted apart.  It prints the largest
 relative and the largest absolute change per case kind, and the same two
 split at a magnitude of SMALL = 1e-12: the largest relative change among
@@ -65,6 +70,7 @@ import contextlib
 import io
 import json
 import pathlib
+import re
 import sys
 
 NEGATIVE_CONTROL = ("--psi", "s^2")
@@ -179,6 +185,19 @@ def _csv(stdout: str) -> dict:
                      for line in lines]}
 
 
+# a float as repr writes it, with a point or an exponent: an integer (a
+# multiplicity, a count of roots) stays a word of its line
+_FLOAT = re.compile(r"(?<![\w.])-?(?:\d+\.\d+(?:e[-+]?\d+)?|\d+e[-+]?\d+)(?![\w.])")
+
+
+def _text(stdout: str) -> dict:
+    """A ``classify`` output as a report: each line with its floats masked
+    as ``#``, and the floats of each line."""
+    lines = stdout.splitlines()
+    return {"lines": [_FLOAT.sub("#", line) for line in lines],
+            "values": [[float(x) for x in _FLOAT.findall(line)] for line in lines]}
+
+
 def _flatten(value, prefix=""):
     """(path, leaf) per leaf; an empty dict or list is a leaf of its own."""
     if isinstance(value, dict) and value:
@@ -222,7 +241,8 @@ def field_moves(old: dict, new: dict):
 
 def _verdict_field(key: str) -> bool:
     last = key.rsplit(".", 1)[-1]
-    return last in ("status", "count", "passed", "exit_code") or key.startswith("spectral")
+    return last in ("status", "count", "passed", "exit_code") or (
+        key.startswith("spectral") and last not in ("curvature_min", "curvature_max"))
 
 
 def _argmax_field(key: str) -> bool:
@@ -250,14 +270,8 @@ def diff(old_dir: str, new_dir: str) -> int:
         if old["exit_code"] != new["exit_code"]:
             print(f"  exit code {old['exit_code']} -> {new['exit_code']}")
             moved_verdicts += 1
-        if new["argv"][0] == "classify":
-            lines = [(a, b) for a, b in zip(old["stdout"].splitlines(), new["stdout"].splitlines())
-                     if a != b]
-            print(f"  first differing line: {lines[0] if lines else 'line count'}")
-            moved_verdicts += 1
-            continue
         kind = "fd" if "fd" in new["argv"] else "jets"
-        read = _csv if new["argv"][0] == "sample" else _report
+        read = {"sample": _csv, "classify": _text}.get(new["argv"][0], _report)
         for key, x, y, rel in field_moves(read(old["stdout"]), read(new["stdout"])):
             if _argmax_field(key):
                 print(f"  {key}: {x!r} -> {y!r}  (argmax moved)")
