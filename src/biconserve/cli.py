@@ -18,8 +18,12 @@ report's config block), each checked and converted as its flag's value is.
 The chart build takes the parameters and profiles it reads and refuses the
 rest (exit 2, one line naming it):
 ``catalog.entry_for`` and ``catalog._profile_bank`` for a catalog key, and
-``_build_chart`` for an inline chart, which reads the profiles it may call
+``_resolve`` for an inline chart, which reads the profiles it may call
 and, below four parameters, the parameter ``index``.
+
+Each request is resolved once, by ``_resolve``; ``verify``, ``sample`` and
+``classify`` read the names, domain and grid from its result, and the
+request is an input only, never rewritten.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .catalog import (FamilySpec, build, entry_for, list_entries, refuse_unread,
+from .catalog import (CatalogEntry, FamilySpec, build, entry_for, list_entries, refuse_unread,
                       structure_verdict, var_names)
 from .errors import BiconserveError, ContractViolation
 from .expr import parse as parse_expr, var_names_for
@@ -110,64 +114,6 @@ class VerifyRequest:
     per_point: bool = False
 
 
-def _target_var_names(req: VerifyRequest):
-    """The parameter names the target's chart is built with."""
-    if _is_inline(req.target):
-        return var_names_for(max(len(_inline_exprs(req.target)) - 1, 1))
-    entry = entry_for(_spec(req))
-    return var_names(entry.kind, len(entry.domain))
-
-
-def _spec(req: VerifyRequest) -> FamilySpec:
-    """The catalog spec of a request whose target is a catalog key."""
-    family, _, case = req.target.partition(".")
-    return FamilySpec(family, case, dict(req.parameters), dict(req.profiles),
-                      tuple(tuple(d) for d in req.domain) if req.domain else None)
-
-
-def _is_inline(target: str) -> bool:
-    return ";" in target
-
-
-def _inline_exprs(target: str) -> list:
-    return [e.strip() for e in target.split(";") if e.strip()]
-
-
-def _resolve_domain_spec(req: VerifyRequest):
-    """Turn a textual domain spec into numeric [lo, hi] per axis of req.domain if given."""
-    if not req.domain_spec:
-        return
-    names = list(_target_var_names(req))
-    if _is_inline(req.target):
-        base = [list(d) for d in (req.domain or [[-0.8, 0.8]] * len(names))]
-        base += [[-0.8, 0.8]] * (len(names) - len(base))
-    else:
-        base = [list(d) for d in (req.domain or entry_for(_spec(req)).domain)]
-        if len(base) != len(names):
-            raise ContractViolation(f"domain has {len(base)} axes, chart has {len(names)}")
-    for idx, (lo, hi, _) in _parse_axis_spec(req.domain_spec, names).items():
-        base[idx] = [lo, hi]
-    req.domain = base
-    req.domain_spec = None
-
-
-def _resolve_grid_spec(req: VerifyRequest, chart: ImmersionChart, entry):
-    """Turn a textual grid spec into numeric [lo, hi, n] per axis.  Axes the
-    spec leaves out get the interior grid of a catalog chart's domain, or 5
-    nodes spanning an explicit or inline domain."""
-    if not req.grid_spec:
-        return
-    spec = _parse_axis_spec(req.grid_spec, list(_target_var_names(req)))
-    if entry and not req.domain:
-        base = interior_grid(chart.domain)
-    else:
-        base = [[lo, hi, 5] for lo, hi in (req.domain or chart.domain)]
-    for idx, (lo, hi, n) in spec.items():
-        base[idx] = [lo, hi, n if n else 5]
-    req.grid = base
-    req.grid_spec = None
-
-
 def _check_axes(what: str, ranges, names, strict: bool):
     """ContractViolation naming the first axis of ``ranges`` ([lo, hi, ...]
     per axis of ``names``) with a bound that is not finite, or with lo > hi
@@ -181,44 +127,75 @@ def _check_axes(what: str, ranges, names, strict: bool):
                                     f"hi, got {lo!r}:{hi!r}")
 
 
-def _build_target(req: VerifyRequest):
-    """Returns (chart, entry_or_None), with the request's axis specs resolved
-    and its domain's axes checked."""
-    _resolve_domain_spec(req)
-    if req.domain:
-        _check_axes("domain", req.domain, _target_var_names(req), strict=True)
-    chart, entry = _build_chart(req)
-    _resolve_grid_spec(req, chart, entry)
-    return chart, entry
+@dataclass(frozen=True)
+class Target:
+    """A request's target resolved: its chart, its catalog entry (None for an
+    inline chart) and parameter names, and the request's domain and grid
+    with their axis specs read (each None where the request gives none)."""
+    chart: ImmersionChart
+    entry: CatalogEntry | None
+    names: tuple
+    domain: list | None     # numeric per-axis [lo, hi]
+    grid: list | None       # numeric per-axis [lo, hi, n]
 
 
-def _build_chart(req: VerifyRequest):
-    if _is_inline(req.target):
-        exprs = _inline_exprs(req.target)
-        names = _target_var_names(req)
+def _resolve(req: VerifyRequest) -> Target:
+    """The request's target, resolved once and in this order: the catalog
+    entry (its parameters checked) or the inline expressions, and the
+    parameter names; the --domain spec read against them over the given
+    domain, else the entry's or the inline default, and the domain's axes
+    checked; the chart; the --grid spec, whose left-out axes get the
+    interior grid of a catalog chart's domain, or 5 nodes spanning an
+    explicit or inline domain.  An inline chart reads the profiles it may
+    call and, below four parameters, the parameter ``index``."""
+    inline, (family, _, case) = ";" in req.target, req.target.partition(".")
+    exprs = [e.strip() for e in req.target.split(";") if e.strip()]
+    if inline:
+        entry, names = None, var_names_for(max(len(exprs) - 1, 1))
+    else:
+        entry = entry_for(FamilySpec(family, case, dict(req.parameters)))
+        names = var_names(entry.kind, len(entry.domain))
+    domain, default = req.domain, [[-0.8, 0.8]] * len(names) if inline else entry.domain
+    if req.domain_spec:
+        domain = [list(d) for d in (domain or default)]
+        if inline:
+            domain += default[len(domain):]
+        elif len(domain) != len(names):
+            raise ContractViolation(f"domain has {len(domain)} axes, chart has {len(names)}")
+        for idx, (lo, hi, _) in _parse_axis_spec(req.domain_spec, names).items():
+            domain[idx] = [lo, hi]
+    if domain:
+        _check_axes("domain", domain, names, strict=True)
+    if inline:
         params, profiles = dict(req.parameters), dict(req.profiles)
         index = 2 if len(names) == 4 else _typed("parameters.index", int, params.pop("index", 2))
         texts = {p: str(profiles.pop(p)) for p in INLINE_PROFILES if p in profiles}
         refuse_unread(params, profiles, "an inline chart")
         bank = {p: ExprProfile(parse_expr(e, ("s",))) for p, e in texts.items()}
-        domain = req.domain or [(-0.8, 0.8)] * len(names)
         comps = tuple(parse_expr(e, names) for e in exprs)
-        chart = ImmersionChart(
-            components=comps, domain=tuple(tuple(d) for d in domain),
-            profile_bank=bank, signature=Signature(len(comps), 2),
-            expected_index=index, name="inline",
-        )
-        return chart, None
-    spec = _spec(req)
-    return build(spec), entry_for(spec)
+        chart = ImmersionChart(comps, tuple(tuple(d) for d in domain or default), bank,
+                               Signature(len(comps), 2), expected_index=index, name="inline")
+    else:
+        chart = build(FamilySpec(family, case, dict(req.parameters), dict(req.profiles),
+                                 tuple(tuple(d) for d in domain) if domain else None))
+    grid = req.grid
+    if req.grid_spec:
+        if entry and not domain:
+            grid = interior_grid(chart.domain)
+        else:
+            grid = [[lo, hi, 5] for lo, hi in (domain or chart.domain)]
+        for idx, (lo, hi, n) in _parse_axis_spec(req.grid_spec, names).items():
+            grid[idx] = [lo, hi, n if n else 5]
+    return Target(chart, entry, names, domain, grid)
 
 
-def _resolve_points(req: VerifyRequest, chart: ImmersionChart):
-    grid = req.grid or interior_grid(chart.domain)
+def _resolve_points(req: VerifyRequest, target: Target):
+    chart = target.chart
+    grid = target.grid or interior_grid(chart.domain)
     if len(grid) != chart.nparams:
         raise BiconserveError(
             f"grid has {len(grid)} axes, chart has {chart.nparams} parameters")
-    _check_axes("grid", grid, _target_var_names(req), strict=False)
+    _check_axes("grid", grid, target.names, strict=False)
     for (lo, hi, n), (dlo, dhi) in zip(grid, chart.domain):
         if n < 2:
             raise BiconserveError("grid needs at least 2 nodes per axis")
@@ -239,7 +216,7 @@ def _resolve_points(req: VerifyRequest, chart: ImmersionChart):
     return grid, pts
 
 
-def _assertion_set(req: VerifyRequest, entry, explicit_checks):
+def _assertion_set(entry, explicit_checks):
     asserted = {"beltrami", "gauss", "codazzi", "unit_normal"}
     if entry and entry.offsets:  # a solved torsion profile: the tangency certificate
         asserted |= {"biconservative", "principal_direction"}
@@ -251,8 +228,9 @@ def _assertion_set(req: VerifyRequest, entry, explicit_checks):
 
 def run_verify(req: VerifyRequest):
     """Execute a verification request; returns (report_dict, exit_code)."""
-    chart, entry = _build_target(req)
-    grid, pts = _resolve_points(req, chart)
+    target = _resolve(req)
+    chart, entry = target.chart, target.entry
+    grid, pts = _resolve_points(req, target)
     answered = HYPERSURFACE_CHECKS if chart.codim == 1 else LOWDIM_CHECKS
     unknown = [c for c in req.checks if c not in answered]
     if unknown:
@@ -264,7 +242,7 @@ def run_verify(req: VerifyRequest):
         tol["biconservative"] = tol["biconservative_fd"]
         tol["principal_direction"] = tol["biconservative_fd"]
     tol.update(req.tolerances)
-    asserted = _assertion_set(req, entry, req.checks)
+    asserted = _assertion_set(entry, req.checks)
 
     table = sweep(chart, pts, checks, oracle=req.oracle, jobs=req.jobs)
     summaries = summarize(table, checks, tol, asserted)
@@ -288,7 +266,8 @@ def run_verify(req: VerifyRequest):
         "target": req.target,
         "passed": code == 0,
         "exit_code": code,
-        "config": {**{key: getattr(req, key) for key in CONFIG_KEYS}, "grid": grid},
+        "config": {**{key: getattr(req, key) for key in CONFIG_KEYS}, "domain": target.domain,
+                   "grid": grid},
         "checks": [
             {
                 "name": s.name,
@@ -580,11 +559,11 @@ def cmd_classify(args, out=None) -> int:
         else:
             if args.metric is not None:
                 raise ContractViolation("--metric is read only with --matrix")
-            req = _request_from_args(args)
-            chart, _ = _build_target(req)
+            target = _resolve(_request_from_args(args))
+            chart = target.chart
             if args.at:
                 point = _numbers(args.at, "--at", chart.nparams)
-                for name, x in zip(_target_var_names(req), point):
+                for name, x in zip(target.names, point):
                     if not math.isfinite(x):
                         raise ContractViolation(f"--at axis {name!r} takes a finite number, "
                                                 f"got {x!r}")
@@ -616,15 +595,16 @@ def cmd_sample(args, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
         req = _request_from_args(args)
-        chart, _ = _build_target(req)
-        grid, pts = _resolve_points(req, chart)
+        target = _resolve(req)
+        chart = target.chart
+        _, pts = _resolve_points(req, target)
         checks = ["biconservative", "beltrami", "gauss", "codazzi", "curvatures"] \
             if chart.codim == 1 else list(LOWDIM_CHECKS)
         table = sweep(chart, pts, checks, oracle=req.oracle, jobs=req.jobs)
     except BiconserveError as exc:
         out.write(f"error: {exc}\n")
         return 2
-    names = list(_target_var_names(req))
+    names = list(target.names)
     kcols = [f"k{i+1}" for i in range(chart.nparams)] if chart.codim == 1 else []
     all_cols = names + (["H"] if chart.codim == 1 else []) + kcols + \
         ["biconservative", "beltrami", "gauss", "codazzi"]

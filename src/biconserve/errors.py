@@ -41,9 +41,15 @@ class UnexpectedIndex(BiconserveError):
 
 
 class DegenerateNormal(BiconserveError):
-    def __init__(self, point):
+    """The normal at a point is not spacelike: timelike, or lightlike or
+    degenerate.  The engine takes only a spacelike normal, <N, N> > 0."""
+
+    def __init__(self, point, timelike: bool = False):
         self.point = plain_point(point)
-        super().__init__(f"normal direction is lightlike/degenerate at {self.point}")
+        self.timelike = bool(timelike)
+        kind = "timelike" if timelike else "lightlike/degenerate"
+        super().__init__(f"normal direction is {kind} at {self.point}; only a spacelike "
+                         f"normal is supported")
 
 
 class ConstraintError(BiconserveError):

@@ -377,7 +377,7 @@ def packet(chart: ImmersionChart, p) -> CurvaturePacket:
     nn = _inner(w, w, eps)
     k = _first(nn <= TAU_NORMAL * w_euclid2)
     if k is not None:
-        raise DegenerateNormal(pts[k])
+        raise DegenerateNormal(pts[k], timelike=nn[k] < -TAU_NORMAL * w_euclid2[k])
     ref = None
     if chart.orientation_dag is not None:
         ref = eval_values(chart.orientation_dag, pts, chart.profile_bank)
@@ -659,18 +659,19 @@ def _fd_frame(chart: ImmersionChart, base, dx, ddx, ref, npts: int):
     The normals are oriented along ``ref`` (Q, m) (see ``_orient_sign``), the
     neighbours' without one along their centre's.  Raises for the centres,
     then for the neighbours: at a rank-deficient frame, then at the first
-    point whose normal is degenerate."""
+    point whose normal is not spacelike."""
     n = chart.nparams
     eps = chart.signature.weights
     G0 = np.einsum("zia,a,zja->zij", dx, eps, dx)
     w, deficient = cofactor_cross(dx, chart.signature)
     nn = _rowdot(eps * w, w)
-    lightlike = nn <= TAU_NORMAL * _rowdot(w, w)
+    cut = TAU_NORMAL * _rowdot(w, w)
+    not_spacelike = nn <= cut
     for part in (slice(None, npts), slice(npts, None)):
         if deficient[part].any():
             raise DegenerateFrameError("tangent frame is rank deficient")
-        if (k := _first(lightlike[part])) is not None:
-            raise DegenerateNormal(base[part][k])
+        if (k := _first(not_spacelike[part])) is not None:
+            raise DegenerateNormal(base[part][k], timelike=nn[part][k] < -cut[part][k])
     unit = w / np.sqrt(nn)[:, None]
     sgn = _orient_sign(w[:npts], None if ref is None else ref[:npts])
     ref = np.tile(unit[:npts] * sgn[:, None], (2 * n, 1)) if ref is None else ref[npts:]

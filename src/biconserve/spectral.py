@@ -30,9 +30,10 @@ snap radius of each other, every multiple root among them, takes the
 companion matrix's eigenvalues (LAPACK) and their polish instead
 (``_quartic_roots``); only such a point with two roots within the snap
 radius goes through the per-point multiplicity test (``_settle``).  One
-operator that is not metric-self-adjoint fails its whole block with
-ContractViolation; a caller that wants the other points classified calls
-again point by point.
+operator that is not metric-self-adjoint, or whose characteristic quartic
+overflows (a finite operator of entries near 1e80), fails its whole block
+with ContractViolation; a caller that wants the other points classified
+calls again point by point.
 
 Rank test.  The geometric multiplicity of a real root item lambda is the
 number of singular values of A = S - lambda I at or below ``rank_cut``.  It
@@ -461,7 +462,10 @@ def eigen_structure(S: np.ndarray, G: np.ndarray, tol: float = CLUSTER_TOL):
     if (np.abs(gs - gs.transpose(0, 2, 1)).max(axis=(1, 2)) > SELF_ADJOINT_TOL * scale_s).any():
         raise ContractViolation("operator is not metric-self-adjoint")
 
-    coeffs = characteristic_quartic(S)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, with no warning
+        coeffs = characteristic_quartic(S)
+    if not np.isfinite(coeffs).all():
+        raise ContractViolation("the operator's characteristic quartic overflows")
     snap = max(SNAP_FACTOR * tol, SNAP_FLOOR)
     roots, real = _quartic_roots(coeffs, snap)
     scale = 1.0 + np.abs(roots).max(axis=1)

@@ -379,3 +379,33 @@ def test_rem42_refuses_n_above_its_largest_before_building_an_expression(monkeyp
     monkeypatch.undo()
     entry = entry_for(FamilySpec("rem42", parameters={"n": 10}))
     assert len(entry.components) == 11  # n + 1 coordinates
+
+
+def test_the_structure_verdict_reads_a_surface_in_blocks(monkeypatch):
+    # one submanifold packet per block of at most sweep.BLOCK points, and the
+    # verdict and notes of one packet over every point
+    import biconserve.catalog as catalog
+    from biconserve.sweep import BLOCK, LOWDIM_CHECKS, random_points
+
+    chart = build(_spec("intsurf.ii"))
+    table = sweep(chart, random_points(chart.domain, 2 * BLOCK + 5, 3), LOWDIM_CHECKS)
+    packet_of, sizes = catalog.submanifold_packet, []
+
+    def flat_below(chart, pts):  # h = 0 where t < 0.7: a plane there, not elsewhere
+        sizes.append(len(pts))
+        spk = packet_of(chart, pts)
+        spk.h[pts[:, 0] < 0.7] = 0.0
+        return spk
+
+    monkeypatch.setattr(catalog, "submanifold_packet", flat_below)
+    own = entry_for(_spec("intsurf.ii"))
+    for entry in (own, dataclasses.replace(own, structure=("plane",))):
+        sizes.clear()
+        ok, spectral, notes = structure_verdict(entry, table, chart)
+        assert sizes == [258, 258, 257]
+        assert not ok and 0 < len(notes) < len(table)
+        with monkeypatch.context() as m:
+            m.setattr(catalog, "BLOCK", len(table))
+            sizes.clear()
+            assert structure_verdict(entry, table, chart) == (ok, spectral, notes)
+            assert sizes == [len(table)]

@@ -857,3 +857,48 @@ def test_the_job_count_is_the_first_source_that_gives_one(monkeypatch, tmp_path,
 def test_rem42_above_its_largest_n_is_a_usage_error_naming_n(no_pool):
     code, text = run(["verify", "rem42", "--n", "11", "--random-points", "2"])
     assert (code, text) == (2, "error [rem42]: the extension takes n <= 10, got n = 11\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "thm1.i", "--random-points", "4"],
+    ["verify", "thm1.i", "--domain", "s=0.2:0.8", "--grid", GRID16],
+    ["sample", "thm1.i", "--random-points", "4"],
+    ["classify", "thm1.i", "--at", "0.5,0,0,0"],
+])
+def test_a_request_reads_its_catalog_entry_at_most_twice(monkeypatch, argv):
+    # once where the request is resolved, once inside catalog.build
+    import biconserve.catalog as catalog
+    import biconserve.cli as cli
+
+    calls, entry_for = [], catalog.entry_for
+
+    def counted(spec):
+        calls.append(spec.key)
+        return entry_for(spec)
+
+    monkeypatch.setattr(catalog, "entry_for", counted)
+    monkeypatch.setattr(cli, "entry_for", counted)
+    code, text = run(argv)
+    assert code != 2, text
+    assert calls and len(calls) <= 2
+
+
+def test_run_verify_leaves_its_request_as_given():
+    import copy
+
+    req = VerifyRequest(target="thm1.i", domain_spec="s=0.2:0.8", grid_spec=GRID16)
+    given = copy.deepcopy(req)
+    report, _ = run_verify(req)
+    assert req == given
+    assert report["config"]["domain"] == [[0.2, 0.8]] + [[-0.8, 0.8]] * 3
+    assert report["config"]["grid"] == [[0.2, 0.8, 2]] + [[-0.5, 0.5, 2]] * 3
+
+
+def test_classify_refuses_an_operator_whose_quartic_overflows():
+    import warnings
+
+    big = "--matrix=1e80,0,0,0,0,2e80,0,0,0,0,3e80,0,0,0,0,4e80"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["classify", big]) == (
+            2, "error: the operator's characteristic quartic overflows\n")

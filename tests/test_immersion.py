@@ -461,6 +461,28 @@ def test_fd_packet_names_the_point_whose_normal_is_lightlike():
     assert err.value.point == plain_point(centre + FD_STEP * np.eye(4)[0])
 
 
+# the hyperbolic plane <x, x> = -1 of E^3_1: its normal, the position, is timelike
+HYPERBOLIC_PLANE = ("cosh(t)", "sinh(t)*cos(s)", "sinh(t)*sin(s)")
+
+
+@pytest.mark.parametrize("route", [packet, packet_fd])
+def test_a_timelike_normal_is_named_timelike(route):
+    from biconserve.ambient import Signature
+
+    chart = ImmersionChart(components=tuple(parse(e, ("s", "t")) for e in HYPERBOLIC_PLANE),
+                           domain=((-1.0, 1.0), (0.3, 1.0)), signature=Signature(3, 1),
+                           expected_index=0)
+    with pytest.raises(DegenerateNormal) as err:
+        route(chart, (0.0, 0.65))
+    assert str(err.value) == ("normal direction is timelike at (0.0, 0.65); only a spacelike "
+                              "normal is supported")
+    assert err.value.timelike
+    with pytest.raises(DegenerateNormal) as err:
+        packet_fd(chart_from(LIGHTLIKE_AT_S1), (1.0, 0.2, 0.3, 0.4))
+    assert str(err.value).startswith("normal direction is lightlike/degenerate at ")
+    assert not err.value.timelike
+
+
 @pytest.mark.parametrize("centre_s, deficient_rows, error", [
     (1.0, [3], DegenerateNormal),           # a lightlike centre before a deficient neighbour
     (1.0 - FD_STEP, [3], DegenerateFrameError),  # a deficient neighbour before a lightlike one

@@ -2,6 +2,8 @@
 forms under random frame changes, the refusal behavior near ambiguity, and
 block classification equal to the one-point route."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -483,3 +485,33 @@ def test_headline_grid_takes_the_closed_form_everywhere(monkeypatch):
     # the counter is live: a double root does fall back
     eigen_structure(np.diag([2.0, 1.0, 1.0, -1.0]), np.diag([-1.0, -1.0, 1.0, 1.0]))
     assert calls == [1]
+
+
+def test_an_operator_whose_quartic_overflows_is_refused():
+    # finite entries near 1e80: the quartic's constant term passes the float range
+    S, G = np.diag([1e80, 2e80, 3e80, 4e80]), np.diag([-1.0, -1.0, 1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractViolation, match="characteristic quartic overflows"):
+            eigen_structure(S, G)
+        good, _ = canonical_pair("I")
+        with pytest.raises(ContractViolation, match="characteristic quartic overflows"):
+            eigen_structure(np.array([good, S, good]), np.array([G, G, G]))
+    with np.errstate(over="ignore"):  # the rank test's adjugate bound overflows at 1e70
+        assert eigen_structure(S * 1e-10, G).case_label == "I"
+
+
+def test_an_overflowing_point_fails_only_its_row(monkeypatch):
+    block_packet = sweep_module.packet
+
+    def planted(chart, pts):
+        pk = block_packet(chart, pts)
+        pk.S[5] *= 1e80
+        return pk
+
+    monkeypatch.setattr(sweep_module, "packet", planted)
+    chart = build(FamilySpec("ex41"))
+    rows = sweep(chart, grid_points(((0.6, 1.4),) + ((-0.5, 0.5),) * 3, 2), ("structure",))
+    assert rows[5].error == "ContractViolation: the operator's characteristic quartic overflows"
+    assert rows[5].label == "" and rows[5].spectrum is None
+    assert all(not r.error and r.label == "I" for k, r in enumerate(rows) if k != 5)

@@ -35,9 +35,10 @@ that the one-point ``eigen_structure`` path is compared too, with a
 planted ``--matrix`` beside a target and ``--psi`` (a usage error), and on
 the planted defective operators of cases II and IV (``--matrix`` and
 ``--metric``: a double root with one eigenvector, a triple root with one),
-so that the rank test is compared on defective root items too, and two
-usage errors of ``classify``: a NaN ``--matrix`` and a singular
-``--metric``.  Each case's argv, exit code and printed output go to one
+so that the rank test is compared on defective root items too, and three
+usage errors of ``classify``: a NaN ``--matrix``, a singular ``--metric``
+and a finite ``--matrix`` whose characteristic quartic overflows (entries
+near 1e80).  Each case's argv, exit code and printed output go to one
 JSON file in OUT_DIR, with what it writes to stderr when it writes there: a
 usage error of the argument parser (exit 2), or an exception the command
 line would print as a traceback (exit 1).
@@ -80,6 +81,8 @@ PLANTED_DEFECTIVE = {
     "II": ("-1.4,0,0,0,0,1.3,1,0,0,0,1.3,0,0,0,0,2.1", "1,0,0,0,0,0,-1,0,0,-1,0,0,0,0,0,-1"),
     "IV": ("-1.4,0,0,0,0,1.4,0,0,0,0,1.4,-1,0,1,0,1.4", "-1,0,0,0,0,0,-1,0,0,-1,0,0,0,0,0,1"),
 }
+# finite entries whose characteristic quartic passes the float range
+OVERFLOWING = "1e80,0,0,0,0,2e80,0,0,0,0,3e80,0,0,0,0,4e80"
 SMALL = 1e-12
 GRID16 = "s=0.2:0.8:2,t=-0.5:0.5:2,u=-0.5:0.5:2,v=-0.5:0.5:2"  # thm1.i, 2 nodes per axis
 # the --config files of the cases, by name: an argv names one as CONFIGS/<name>
@@ -136,6 +139,7 @@ def cases(catalog):
     out.append(("classify nan matrix", ["classify", "--matrix=nan" + PLANTED[4:]]))
     out.append(("classify singular metric", ["classify", f"--matrix={PLANTED}",
                                              "--metric=0,0,0,0,0,-1,0,0,0,0,1,0,0,0,0,1"]))
+    out.append(("classify overflowing matrix", ["classify", f"--matrix={OVERFLOWING}"]))
     return out
 
 
