@@ -156,12 +156,11 @@ def _resolve(req: VerifyRequest) -> Target:
         entry = entry_for(FamilySpec(family, case, dict(req.parameters)))
         names = var_names(entry.kind, len(entry.domain))
     domain, default = req.domain, [[-0.8, 0.8]] * len(names) if inline else entry.domain
+    # a catalog chart's domain without a --domain spec is checked by ``build``
+    if domain and (inline or req.domain_spec) and len(domain) != len(names):
+        raise ContractViolation(f"domain has {len(domain)} axes, chart has {len(names)}")
     if req.domain_spec:
         domain = [list(d) for d in (domain or default)]
-        if inline:
-            domain += default[len(domain):]
-        elif len(domain) != len(names):
-            raise ContractViolation(f"domain has {len(domain)} axes, chart has {len(names)}")
         for idx, (lo, hi, _) in _parse_axis_spec(req.domain_spec, names).items():
             domain[idx] = [lo, hi]
     if domain:

@@ -26,9 +26,10 @@ evaluate one point or a block of points at once: the arrays and the
 residual operations carry a leading point axis, of length 1 for a
 one-point call.
 The independent oracle, packet_fd, uses no jets: nested central
-differences of chart values from one array walk of the Dag (expr.fd_partial)
-and one frame pass over the points and their stencil neighbours, for one
-point or a block as well.  Its FdPacket feeds the same tangency residuals.
+differences of chart values from array walks of the Dag (expr.fd_partial),
+one per slice of at most FD_BASES stencil base points, and one frame pass
+over the points and their stencil neighbours, for one point or a block as
+well.  Its FdPacket feeds the same tangency residuals.
 
 All residual norms are Euclidean in the ambient or normal coordinates: an
 error vector with vanishing indefinite self-product must not masquerade as zero.
@@ -304,10 +305,12 @@ def _frame(chart: ImmersionChart, pts: np.ndarray) -> _Frame:
     jets = jet_eval(chart.dag, pts, 3, chart.profile_bank)
     coef = np.stack([j.c for j in jets], axis=-1)  # (ncoef, P, m)
     space = jets[0].space
+    del jets  # the root jets, then their stack, freed once read: a block's peak memory
     dx, ddx = [(coef[pos] * fac[..., None, None]).transpose(k, *range(k), k + 1)
                for k, (pos, fac) in enumerate(space.partial_tables[1:3], 1)]
     rows, at3, fac3 = _third_table(space)
     c3 = coef[rows].swapaxes(0, 1)
+    del coef
     G = _inner(dx[:, :, None], dx[:, None], eps)
     _metric_checks(chart, pts, G)
     G_inv = np.linalg.inv(G)
@@ -386,7 +389,9 @@ def packet(chart: ImmersionChart, p) -> CurvaturePacket:
     # <d_i d_j d_l x, N> once per distinct partial, as alpha! times the
     # coefficient's product with N, then placed at each [i, j, l]
     dB = (_inner(c3, N[:, None], eps) * fac3)[:, at3] - _gamma_times(Gamma, B)
+    del c3  # freed once read, as in _frame
     S, dS = _shape_operator(G_inv, dG, B, dB)
+    del dG
     H = np.trace(S, axis1=1, axis2=2) * (1.0 / n)
     dH = np.trace(dS, axis1=1, axis2=2) * (1.0 / n)
 
@@ -681,6 +686,15 @@ def _fd_frame(chart: ImmersionChart, base, dx, ddx, ref, npts: int):
     return G0, N0, B0, S0, np.trace(S0, axis1=1, axis2=2) / n
 
 
+# Base points per ``fd_partial`` call at most.  A call holds every stencil
+# leaf of its base points and the Dag's values at each: a 384-point ex41
+# control block (3,456 base points) peaked at 18.6 MiB under tracemalloc and
+# took 46 ms in one call, and 7.5 MiB and 30 ms in slices of 256 (64: 44 ms,
+# 512: 31 ms; 2-core Xeon host).  Each estimate is its base point's own, so
+# no value depends on the slice.
+FD_BASES = 256
+
+
 def packet_fd(chart: ImmersionChart, p) -> FdPacket:
     """Curvature bundle from central differences only (independent oracle).
 
@@ -691,8 +705,9 @@ def packet_fd(chart: ImmersionChart, p) -> FdPacket:
     ``values``), so no jet arithmetic enters anywhere.
 
     ``p`` is one point (n,) or a block (P, n), as for ``packet``.  The
-    stencils of all first and second partials at all P (2n + 1) base points
-    take one ``fd_partial`` call, one array walk of the chart's Dag, and the
+    stencils of all first and second partials at the P (2n + 1) base points
+    take one ``fd_partial`` call, one array walk of the chart's Dag, per
+    slice of at most FD_BASES base points (one call for one point), and the
     frames at the P points and their 2nP neighbours one stacked array pass
     (``_fd_frame``), so every point gets the arithmetic it would get
     alone.  A one-point call returns floats and unbatched arrays; a block
@@ -708,13 +723,16 @@ def packet_fd(chart: ImmersionChart, p) -> FdPacket:
     steps[2::2, 0] = -FD_STEP * eye
     # the P points, then all of them moved by + h e_0, by - h e_0, + h e_1, ...
     base = (steps + pts).reshape(-1, n)
-    # d_i x and d_i d_j x at every base point: one set of stencil points for
-    # all first and second alphas and every component
-    vals = fd_partial(chart.dag, base, np.concatenate((eye, eye[i] + eye[j])),
-                      profile_bank=chart.profile_bank).swapaxes(0, 1)  # (B, alpha, m)
-    dx = np.ascontiguousarray(vals[:, :n])
+    # d_i x and d_i d_j x at the base points, FD_BASES at a time: one set of
+    # stencil points for all first and second alphas and every component
+    alphas = np.concatenate((eye, eye[i] + eye[j]))
+    dx = np.empty((len(base), n, chart.signature.dim))
     ddx = np.empty((len(base), n, n, chart.signature.dim))
-    ddx[:, i, j] = ddx[:, j, i] = vals[:, n:]
+    for k in range(0, len(base), FD_BASES):
+        vals = fd_partial(chart.dag, base[k:k + FD_BASES], alphas,
+                          profile_bank=chart.profile_bank).swapaxes(0, 1)  # (B, alpha, m)
+        dx[k:k + FD_BASES] = vals[:, :n]
+        ddx[k:k + FD_BASES, i, j] = ddx[k:k + FD_BASES, j, i] = vals[:, n:]
     # the reference normal field when the chart has one; the H stencil
     # points otherwise follow the normal at their point
     ref = None

@@ -44,7 +44,9 @@ is 1, A of rank exactly 3, wherever the closed-form adjugate certifies it
 allowance, the first bound is at most rank_cut / 2 and the second at least
 2 rank_cut.  Every other item (a diagonalizable multiple root, whose
 adjugate is 0, an item near the cut, a non-finite bound) takes the SVD rule
-(``_svd_nullity``), so the decision is the SVD's everywhere.
+(``_svd_nullity``), so the decision is the SVD's everywhere.  A block's
+items are tested ``NULLITY_ITEMS`` at a time, which bounds the test's
+temporaries and changes no item's nullity.
 """
 
 from __future__ import annotations
@@ -426,21 +428,33 @@ def _nullity(A: np.ndarray, cut: np.ndarray) -> np.ndarray:
     SVD would give it.
     """
     m = len(A)
-    cof = _cofactor_rows(A)
-    det = (A[:, 0] * cof[:, 0]).sum(axis=1)
-    col2 = (cof * cof).sum(axis=2)
-    col = np.sqrt(col2.max(axis=1))
-    a_f2 = (A * A).sum(axis=(1, 2))
-    a_f = np.sqrt(a_f2)
-    err = (24.0 * ROUND) * a_f2 * a_f  # 4 e
-    adj_f = np.sqrt(col2.sum(axis=1))
-    rank3 = ((adj_f < np.inf)  # an adjugate that overflowed bounds nothing
-             & (adj_f > err + 2.0 * cut * a_f2)
-             & (np.abs(det) + a_f * err <= col * (0.5 * cut - ROUND * a_f)))
+    # an operator of entries near 1e70 overflows the adjugate's squares: its
+    # item goes to the SVD below, with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        cof = _cofactor_rows(A)
+        det = (A[:, 0] * cof[:, 0]).sum(axis=1)
+        col2 = (cof * cof).sum(axis=2)
+        col = np.sqrt(col2.max(axis=1))
+        a_f2 = (A * A).sum(axis=(1, 2))
+        a_f = np.sqrt(a_f2)
+        err = (24.0 * ROUND) * a_f2 * a_f  # 4 e
+        adj_f = np.sqrt(col2.sum(axis=1))
+        rank3 = ((adj_f < np.inf)  # an adjugate that overflowed bounds nothing
+                 & (adj_f > err + 2.0 * cut * a_f2)
+                 & (np.abs(det) + a_f * err <= col * (0.5 * cut - ROUND * a_f)))
     nullity = np.ones(m, int)
     if np.count_nonzero(rank3) < m:
         nullity[~rank3] = _svd_nullity(A[~rank3], cut[~rank3])
     return nullity
+
+
+# Root items per ``_nullity`` call at most.  A call holds a few (items, 32)
+# temporaries: the block of 625 solved ex41 points (2,500 items) peaked at
+# 1.89 MiB under tracemalloc in one call, 0.78 MiB in slices of 512 and
+# 0.59 MiB in slices of 64, and its ``eigen_structure`` took 5.2-6.1, 5.2-5.5
+# and 5.8-7.1 ms (2-core Xeon host).  Each item's nullity is its own, so
+# none depends on its slice.
+NULLITY_ITEMS = 512
 
 
 def eigen_structure(S: np.ndarray, G: np.ndarray, tol: float = CLUSTER_TOL):
@@ -498,8 +512,9 @@ def eigen_structure(S: np.ndarray, G: np.ndarray, tol: float = CLUSTER_TOL):
     rank_cut = max(RANK_FLOOR, RANK_FACTOR * tol) * (1.0 + np.abs(S).max(axis=(1, 2)))
     geos = np.zeros(algs.shape, int)
     k, j = (live & ~refused[:, None]).nonzero()
-    if len(k):
-        geos[k, j] = _nullity(S[k] - values[k, j, None, None] * np.eye(4), rank_cut[k])
+    for at in range(0, len(k), NULLITY_ITEMS):
+        kk, jj = k[at:at + NULLITY_ITEMS], j[at:at + NULLITY_ITEMS]
+        geos[kk, jj] = _nullity(S[kk] - values[kk, jj, None, None] * np.eye(4), rank_cut[kk])
 
     labels, patterns, algs = _case_labels(refused, values, algs, geos, npairs)
     block = SpectrumBlock(values, algs, geos, (ups.real + downs.real) / 2.0,

@@ -4,7 +4,8 @@ A sweep returns a SweepTable: its results as columns over the points, in
 lexicographic grid order (last axis fastest).  Readers reduce the columns; a
 PointRow is made only for a point a caller asks for.  Every grid of P
 points is evaluated in ceil(P / BLOCK) contiguous blocks whose sizes differ
-by at most one (``np.array_split``): one packet call (``packet``
+by at most one (``np.array_split``), the default 625-point grid of a
+4-parameter chart in one block: one packet call (``packet``
 for a hypersurface, ``submanifold_packet`` for a chart of higher
 codimension) and one pass of each residual per block, the points being an
 axis of the arrays; the blocks' columns are concatenated.  A chart of
@@ -42,14 +43,19 @@ from .immersion import (ImmersionChart, beltrami_residual, biconservative_residu
 from .spectral import SpectrumBlock, eigen_structure
 from .thresholds import ROOTS_REAL_TOL
 
-# Points per packet block at most.  It bounds the memory of a block's jets
-# (order-3 chart jets are 35 coefficients per point) and of the oracle's
-# stencils (2n + 1 base points per point).  Each block pays a fixed cost of
-# about a one-point block's time, so fewer blocks gain: a 625-point ex41
-# verify in 2 blocks of 313 and 312 ran 15 % more points/s than in 5 of 125,
-# and 5 % more than in 3 of 209 and 208, for 5 % more peak resident memory
-# (BENCH_21.json, on a 2-core Xeon host).
-BLOCK = 384
+# Points per packet block at most: the default 5^4 = 625-point grid of a
+# 4-parameter chart is one block.  Each block pays a fixed cost of about a
+# one-point block's time, so fewer blocks gain.  The working sets that would
+# grow past the block's jets are bounded apart: profile interpolation by
+# ``profiles.BARY_ROWS``, the oracle's stencils by ``immersion.FD_BASES`` and
+# the rank test by ``spectral.NULLITY_ITEMS``.  With them, ``verify_grid``
+# (625-point ex41 requests) ran 17 % more points/s at reference speed (8 % in
+# raw time) in one block than in 2 of 313 and 312, for 4.2 % more peak
+# resident memory; the block size alone gave 15 % for 7.0 % (BENCH_32.json,
+# on a 2-core Xeon host).  A 625-point block
+# of the ex41 control peaks at 3.4 MiB of heap under tracemalloc, 13.9 MiB
+# with the FD oracle.
+BLOCK = 640
 
 HYPERSURFACE_CHECKS = ("biconservative", "beltrami", "gauss", "codazzi",
                        "unit_normal", "principal_direction", "structure")

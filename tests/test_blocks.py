@@ -9,9 +9,9 @@ import pytest
 from biconserve.catalog import CATALOG, FamilySpec, all_keys, build, build_remark42
 from biconserve.errors import BiconserveError, DomainError
 from biconserve.expr import jet_eval, parse
-from biconserve.immersion import (ImmersionChart, beltrami_residual, biconservative_residual,
-                                  gauss_codazzi_residual, packet, packet_fd,
-                                  principal_direction_check, submanifold_packet,
+from biconserve.immersion import (FD_BASES, ImmersionChart, beltrami_residual,
+                                  biconservative_residual, gauss_codazzi_residual, packet,
+                                  packet_fd, principal_direction_check, submanifold_packet,
                                   unit_normal_residual)
 from biconserve.profiles import solve_psi
 from biconserve.sweep import BLOCK, HYPERSURFACE_CHECKS, grid_points, random_points, sweep
@@ -243,6 +243,56 @@ def test_fd_oracle_rows_match_the_one_point_route(name, chart):
     rows = sweep(chart, pts, HYPERSURFACE_CHECKS, oracle="fd")
     assert_same_rows(rows, one_point_rows(chart, pts, HYPERSURFACE_CHECKS, oracle="fd"))
     assert all(not r.error for r in rows), name
+
+
+@pytest.mark.parametrize("name, chart", [("ex41 solved", dict(CHARTS)["ex41 solved"]), HIGH[0]],
+                         ids=["ex41 solved", HIGH[0][0]])
+def test_packet_fd_slices_of_base_points_are_bitwise_each_point(name, chart, monkeypatch):
+    # a block whose P (2n + 1) stencil base points cross the FD_BASES edge
+    # gives each point's one-point oracle packet, and one point alone takes one call
+    from biconserve import immersion
+
+    fd, sizes = immersion.fd_partial, []
+
+    def recording(dag, base, *args, **kwargs):
+        sizes.append(len(base))
+        return fd(dag, base, *args, **kwargs)
+
+    monkeypatch.setattr(immersion, "fd_partial", recording)
+    bases = 2 * chart.nparams + 1
+    pts = random_points(chart.domain, FD_BASES // bases + 2, 17)
+    fpk = packet_fd(chart, pts)
+    assert len(pts) * bases > FD_BASES and sizes[0] == FD_BASES
+    assert sum(sizes) == len(pts) * bases and len(sizes) == -(-sum(sizes) // FD_BASES)
+    for k, p in enumerate(pts):
+        sizes.clear()
+        one = packet_fd(chart, p)
+        assert sizes == [bases]
+        assert one.H == fpk.H[k]
+        for field in ("G", "G_inv", "B", "S", "gradH", "dx"):
+            assert np.array_equal(getattr(one, field), getattr(fpk, field)[k]), field
+        for field in ("N", "gradH_ambient"):
+            assert np.array_equal(getattr(one, field).components,
+                                  getattr(fpk, field).components[k]), field
+
+
+def test_the_oracle_on_a_block_peaks_below_10_mib():
+    # tracemalloc peak of packet_fd on a 384-point ex41 control block: 18.6
+    # MiB with every stencil base point in one fd_partial call, 7.5 MiB in
+    # slices of FD_BASES.  For scale, a 625-point jet packet on the solved
+    # ex41 peaks at 2.9 MiB.
+    import tracemalloc
+
+    chart = dict(CHARTS)["ex41 control"]
+    pts = random_points(((0.6, 1.4),) + ((-0.5, 0.5),) * 3, 384, 5)
+    packet_fd(chart, pts[:2])  # the stencil tables, built once
+    tracemalloc.start()
+    try:
+        packet_fd(chart, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak / 2**20
 
 
 def test_oracle_only_failures_inside_a_block():

@@ -902,3 +902,30 @@ def test_classify_refuses_an_operator_whose_quartic_overflows():
         warnings.simplefilter("error")
         assert run(["classify", big]) == (
             2, "error: the operator's characteristic quartic overflows\n")
+
+
+def test_classify_an_operator_whose_adjugate_overflows_prints_no_warning():
+    # entries near 1e70: the quartic is finite, the rank test's adjugate
+    # squares are not, and those items take the SVD with no RuntimeWarning
+    proc = subprocess.run(
+        [sys.executable, "-m", "biconserve.cli", "classify",
+         "--matrix=1e70,0,0,0,0,2e70,0,0,0,0,3e70,0,0,0,0,4e70"],
+        capture_output=True, text=True, env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+        cwd=str(__import__("pathlib").Path(__file__).parent.parent))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("Case I, 4 distinct\n"
+                           "  eigenvalue 9.999999999999982e+69 (algebraic 1, geometric 1)\n"
+                           "  eigenvalue 2.0000000000000017e+70 (algebraic 1, geometric 1)\n"
+                           "  eigenvalue 2.999999999999988e+70 (algebraic 1, geometric 1)\n"
+                           "  eigenvalue 3.9999999999999985e+70 (algebraic 1, geometric 1)\n")
+
+
+@pytest.mark.parametrize("axes", [2, 5])
+@pytest.mark.parametrize("spec", [[], ["--domain", "s=0.5:1"]])
+def test_an_inline_config_domain_of_the_wrong_axis_count_is_a_usage_error(tmp_path, axes, spec):
+    # was an IndexError traceback at 2 axes, and a chart of 5 parameters,
+    # every point a DegenerateMetric, at 5
+    target = "t; u; s; v; 0.5*s^2"
+    path = _config(tmp_path, domain=[[-0.8, 0.8]] * axes)
+    code, text = run(["verify", target, "--config", path, *spec])
+    assert (code, text) == (2, f"error [{target}]: domain has {axes} axes, chart has 4\n")

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from biconserve.errors import ContractViolation, DomainError
-from biconserve.profiles import (DerivativeProfile, ExprProfile, PsiSolution,
-                                 check_derivative_consistency, constraint_residual,
+from biconserve.profiles import (BARY_ROWS, DerivativeProfile, ExprProfile, PsiSolution,
+                                 _bary_eval, check_derivative_consistency, constraint_residual,
                                  make_profile_pair, psi_ode_residual,
                                  psi_ode_residual_general, psi_ode_rhs, rk4_solve,
                                  solve_psi)
@@ -382,3 +382,16 @@ def test_quadrature_profile_is_bitwise_the_gap_loop(s0):
 def test_psi_solution_node_values_match_the_closed_form(offsets, closed):
     entry = PsiSolution.build(offsets, 0.7, (0.5, 2.0))
     assert np.max(np.abs(entry.node_values - closed(entry.nodes, 0.7))) < 1e-13
+
+
+@pytest.mark.parametrize("count", [1, BARY_ROWS - 1, BARY_ROWS, BARY_ROWS + 1, 625])
+def test_interpolation_in_passes_is_bitwise_each_entry(psi_12, count):
+    # every pass edge and an exact node hit in the second pass (the last entry
+    # when there is none): each entry as it is interpolated alone
+    x = np.random.default_rng(count).uniform(psi_12.lo, psi_12.hi, count)
+    hit = min(count - 1, BARY_ROWS + 1)
+    x[hit] = psi_12.nodes[7]
+    args = psi_12.nodes, psi_12.bary_w, psi_12.node_values
+    got = _bary_eval(*args, x)
+    assert got.shape == (count,) and got[hit] == psi_12.node_values[7]
+    assert np.array_equal(got, [_bary_eval(*args, x[k:k + 1])[0] for k in range(count)])

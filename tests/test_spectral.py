@@ -362,14 +362,41 @@ def test_headline_grid_sends_no_item_to_the_svd(monkeypatch):
     assert len(rows) == 1 and [geo for _, alg, geo in spec.real_eigenvalues if alg == 2] == [2]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_an_overflowed_adjugate_takes_the_svd(monkeypatch):
     # entries near 1e60 overflow the adjugate's squared norms; with sigma_4
-    # (1e53) above the cut, only the SVD can say the nullity is 0
+    # (1e53) above the cut, only the SVD can say the nullity is 0, and no
+    # overflow warning is raised on the way
     A, cut = np.diag([1e53, 1e60, 2e60, 3e60])[None], np.array([6e51])
     rows = svd_rows(monkeypatch)
-    assert spectral._nullity(A, cut).tolist() == svd_rule(A, cut).tolist() == [0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert spectral._nullity(A, cut).tolist() == svd_rule(A, cut).tolist() == [0]
     assert len(rows) == 1
+
+
+def test_rank_test_slices_are_bitwise_each_point(monkeypatch):
+    # the root items of a block cross the NULLITY_ITEMS edge, and the
+    # diagonalizable double root, whose adjugate is 0, lies past it and
+    # reaches the SVD: each point as it is classified alone
+    rng = np.random.default_rng(29)
+    count = spectral.NULLITY_ITEMS // 4 + 3
+    pairs = [conjugated_pair("I", rng, _random_params(rng))[:2] for _ in range(count)]
+    double = count - 2  # its items start past the edge
+    pairs[double] = (np.diag([2.0, 1.0, 1.0, -1.0]), np.diag([-1.0, -1.0, 1.0, 1.0]))
+    S, G = np.array([S for S, _ in pairs]), np.array([G for _, G in pairs])
+    nullity, sizes = spectral._nullity, []
+
+    def recording(A, cut):
+        sizes.append(len(A))
+        return nullity(A, cut)
+
+    monkeypatch.setattr(spectral, "_nullity", recording)
+    rows = svd_rows(monkeypatch)
+    block = assert_block_is_each_point(S, G, CLUSTER_TOL)
+    assert block.labels.tolist() == ["I"] * count and block.patterns[double] == "1+2+1"
+    assert sizes[:2] == [spectral.NULLITY_ITEMS, 4 * count - 1 - spectral.NULLITY_ITEMS]
+    # the double root's item, once in the block and once alone
+    assert len(rows) == 2 and np.array_equal(rows[0], rows[1])
 
 
 SNAP = max(SNAP_FACTOR * CLUSTER_TOL, SNAP_FLOOR)  # eigen_structure's at the default tol

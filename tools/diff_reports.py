@@ -23,9 +23,10 @@ ex41 with both ``--solve-psi`` and ``--psi`` and thm1.i with a parameter
 ``--a`` it does not declare, an inline chart (a curved graph, so that its
 Gauss row compares nonzero curvature), four more usage errors: a NaN parameter, a literal past the
 float range, a NaN grid bound and an abbreviated flag (``--r`` for
-``--random-points``), four more past a bound: a ``--config`` parameter given
-as a JSON integer past the float range (from a config file that ``write``
-puts in OUT_DIR/configs), a grid of more points than a request may
+``--random-points``), a ``--config`` domain of two axes for a 4-parameter
+inline chart, four more past a bound: a ``--config`` parameter given
+as a JSON integer past the float range (the config files are those that
+``write`` puts in OUT_DIR/configs), a grid of more points than a request may
 evaluate, a worker count past ``cli.MAX_JOBS`` (on 16 points, too few for a
 pool at any count) and rem42 with ``--n`` past ``catalog.REM42_MAX_N``,
 ``sample`` on one pair family and on ``rem42 --n 5``, so that every row a
@@ -86,7 +87,9 @@ OVERFLOWING = "1e80,0,0,0,0,2e80,0,0,0,0,3e80,0,0,0,0,4e80"
 SMALL = 1e-12
 GRID16 = "s=0.2:0.8:2,t=-0.5:0.5:2,u=-0.5:0.5:2,v=-0.5:0.5:2"  # thm1.i, 2 nodes per axis
 # the --config files of the cases, by name: an argv names one as CONFIGS/<name>
-CONFIGS = {"huge-int.json": {"parameters": {"a": 10**400}}}
+CONFIGS = {"huge-int.json": {"parameters": {"a": 10**400}},
+           "two-axis-domain.json": {"domain": [[-0.8, 0.8], [-0.8, 0.8]]}}
+INLINE = "t; u; s; v; 0.5*s^2"  # a 4-parameter inline chart
 
 
 def cases(catalog):
@@ -122,6 +125,8 @@ def cases(catalog):
     out.append(("thm1.i grid t=nan", ["thm1.i", "--grid", "t=nan:0.5:3"]))
     out.append(("intsurf.ii abbreviated r=2", ["intsurf.ii", "--r", "2"]))
     out.append(("ex41 config a=1e400", ["ex41", "--config", "CONFIGS/huge-int.json"]))
+    out.append(("inline config 2-axis domain",
+                [INLINE, "--config", "CONFIGS/two-axis-domain.json"]))
     out.append(("ex41 grid s=1e20 nodes", ["ex41", "--grid", "s=0.6:1.4:100000000000000000000"]))
     out.append(("thm1.i jobs=65", ["thm1.i", "--grid", GRID16, "--jobs", "65"]))
     out.append(("rem42 n=11", ["rem42", "--n", "11", "--random-points", "2"]))
