@@ -35,7 +35,7 @@ from .expr import parse, var_names_for
 from .immersion import ImmersionChart, _any_packet, submanifold_packet
 from .profiles import (DerivativeProfile, ExprProfile, PsiSolution, constraint_residual,
                        make_profile_pair)
-from .sweep import BLOCK
+from .sweep import blocks
 from .thresholds import (ACCEL_MIN, ACCEL_TOL, CLUSTER_TOL, LINE_TOL, NULL_ACCEL_TOL, OFFSET_SLACK,
                          PAIR_TOL, PARABOLIC_TOL, PLANE_TOL, QUADRIC_TOL, SPEED_TOL, STRICT_MARGIN,
                          UMBILIC_TOL, ZERO_ROOT_TOL)
@@ -572,7 +572,7 @@ def structure_verdict(entry: CatalogEntry | None, table,
     over the table's spectra.  Other points have no label or pattern to
     count: on a ``chart`` of codimension > 1 (a surface or curve) the
     family's predicate is evaluated on their submanifold packets, one per
-    block of at most ``sweep.BLOCK`` points (so memory stays a block's), and
+    block of ``sweep.blocks`` (so memory stays a block's), and
     on a hypersurface ``all-distinct`` reads their curvatures, pairwise more
     than CLUSTER_TOL (1 + max|k|) apart.  Notes are made for failing points
     only, in order.
@@ -598,7 +598,7 @@ def structure_verdict(entry: CatalogEntry | None, table,
     if tag and plain.any() and chart is not None and chart.codim > 1:
         at = table.points[plain]
         parts = [_family_ok(entry, chart, submanifold_packet(chart, pts), pts)
-                 for pts in np.array_split(at, -(-len(at) // BLOCK))]
+                 for pts in blocks(at)]
         holds, reasons = np.concatenate([h for h, _ in parts]), [r for _, rs in parts for r in rs]
         ok = ok and bool(holds.all())
         notes += [f"{reasons[i]} at {_at(at[i])}" for i in np.flatnonzero(~holds)]

@@ -29,8 +29,8 @@ request is an input only, never rewritten.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import math
 import os
@@ -201,14 +201,15 @@ def _resolve_points(req: VerifyRequest, target: Target):
         if lo < dlo - GRID_SLACK or hi > dhi + GRID_SLACK:
             raise BiconserveError(
                 f"grid range [{lo:g}, {hi:g}] outside chart domain [{dlo:g}, {dhi:g}]")
-    if req.random_points is not None and req.random_points < 0:
-        raise ContractViolation(f"random points must be a count >= 0, got {req.random_points}")
-    count = req.random_points or math.prod(n for _, _, n in grid)
+    drawn = req.random_points is not None
+    if drawn and req.random_points < 1:
+        raise ContractViolation(f"random points must be a count >= 1, got {req.random_points}")
+    count = req.random_points if drawn else math.prod(n for _, _, n in grid)
     if count > MAX_POINTS:
-        what = "random points" if req.random_points else "the grid's nodes"
+        what = "random points" if drawn else "the grid's nodes"
         raise ContractViolation(f"{what} number {count}, more than the {MAX_POINTS} points "
                                 f"one request may evaluate")
-    if req.random_points:
+    if drawn:
         pts = random_points([(lo, hi) for lo, hi, _ in grid], req.random_points, req.seed)
     else:
         pts = grid_points([(lo, hi) for lo, hi, _ in grid], [n for _, _, n in grid])
@@ -294,28 +295,27 @@ def run_verify(req: VerifyRequest):
 # -- output helpers ---------------------------------------------------------
 
 
+def _output(req: VerifyRequest):
+    """The ``--output`` file, opened before the sweep: an unwritable path is a usage error."""
+    if not req.output:
+        return contextlib.nullcontext()
+    try:
+        return open(req.output, "w", newline="")
+    except OSError as exc:
+        raise ContractViolation(f"--output {req.output}: {exc.strerror}") from None
+
+
 def _write_report(report: dict, req: VerifyRequest, stream):
     if req.fmt == "json":
-        text = json.dumps(report, indent=2, sort_keys=True)
-        if req.output:
-            with open(req.output, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            stream.write(text + "\n")
+        stream.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
         return
     # csv: one row per check
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["check", "max", "mean", "count", "tolerance", "status"])
     for c in report["checks"]:
         writer.writerow([c["name"], repr(c["max"]), repr(c["mean"]), c["count"],
                          "" if c["tolerance"] is None else repr(c["tolerance"]),
                          c["status"]])
-    if req.output:
-        with open(req.output, "w", newline="") as fh:
-            fh.write(buf.getvalue())
-    else:
-        stream.write(buf.getvalue())
 
 
 def _print_summary(report: dict, stream):
@@ -529,14 +529,15 @@ def cmd_verify(args, out=None) -> int:
     req = None
     try:
         req = _request_from_args(args)
-        report, code = run_verify(req)
+        with _output(req) as sink:
+            report, code = run_verify(req)
+            _print_summary(report, out)
+            if sink or args.emit_report:
+                _write_report(report, req, sink or out)
     except BiconserveError as exc:
         target = f" [{req.target}]" if req else ""
         out.write(f"error{target}: {exc}\n")
         return 2
-    _print_summary(report, out)
-    if req.output or args.emit_report:
-        _write_report(report, req, out)
     return code
 
 
@@ -597,34 +598,32 @@ def cmd_sample(args, out=None) -> int:
         target = _resolve(req)
         chart = target.chart
         _, pts = _resolve_points(req, target)
+        names = list(target.names)
+        kcols = [f"k{i+1}" for i in range(chart.nparams)] if chart.codim == 1 else []
+        all_cols = names + (["H"] if chart.codim == 1 else []) + kcols + \
+            ["biconservative", "beltrami", "gauss", "codazzi"]
+        cols = [c.strip() for c in args.columns.split(",")] if args.columns else all_cols
+        unknown = [c for c in cols if c not in all_cols]
+        if unknown:
+            raise ContractViolation(f"unknown columns {unknown}")
         checks = ["biconservative", "beltrami", "gauss", "codazzi", "curvatures"] \
             if chart.codim == 1 else list(LOWDIM_CHECKS)
-        table = sweep(chart, pts, checks, oracle=req.oracle, jobs=req.jobs)
+        with _output(req) as sink:
+            table = sweep(chart, pts, checks, oracle=req.oracle, jobs=req.jobs)
+            writer = csv.writer(sink or out, lineterminator="\n")
+            writer.writerow(cols)
+            # one list per column, "" (None for H) where a point has no value
+            data = dict(zip(names, table.points.T.tolist()))
+            data["H"] = np.where(table.hyper, table.H, None).tolist()
+            data.update(zip(kcols, np.where(table.has_curv[:, None],
+                                            table.curvatures.astype(object), "").T.tolist()))
+            data.update(zip(COLUMNS, np.where(table.has, table.values.astype(object),
+                                              "").T.tolist()))
+            for record in zip(*(data[c] for c in cols)):
+                writer.writerow([repr(x) if isinstance(x, float) else x for x in record])
     except BiconserveError as exc:
         out.write(f"error: {exc}\n")
         return 2
-    names = list(target.names)
-    kcols = [f"k{i+1}" for i in range(chart.nparams)] if chart.codim == 1 else []
-    all_cols = names + (["H"] if chart.codim == 1 else []) + kcols + \
-        ["biconservative", "beltrami", "gauss", "codazzi"]
-    cols = [c.strip() for c in args.columns.split(",")] if args.columns else all_cols
-    unknown = [c for c in cols if c not in all_cols]
-    if unknown:
-        out.write(f"error: unknown columns {unknown}\n")
-        return 2
-    sink = open(req.output, "w", newline="") if req.output else out
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(cols)
-    # one list per column, "" (None for H) where a point has no value
-    data = dict(zip(names, table.points.T.tolist()))
-    data["H"] = np.where(table.hyper, table.H, None).tolist()
-    data.update(zip(kcols, np.where(table.has_curv[:, None], table.curvatures.astype(object),
-                                    "").T.tolist()))
-    data.update(zip(COLUMNS, np.where(table.has, table.values.astype(object), "").T.tolist()))
-    for record in zip(*(data[c] for c in cols)):
-        writer.writerow([repr(x) if isinstance(x, float) else x for x in record])
-    if req.output:
-        sink.close()
     return 0
 
 

@@ -2,31 +2,30 @@
 
 A sweep returns a SweepTable: its results as columns over the points, in
 lexicographic grid order (last axis fastest).  Readers reduce the columns; a
-PointRow is made only for a point a caller asks for.  Every grid of P
-points is evaluated in ceil(P / BLOCK) contiguous blocks whose sizes differ
-by at most one (``np.array_split``), the default 625-point grid of a
-4-parameter chart in one block: one packet call (``packet``
-for a hypersurface, ``submanifold_packet`` for a chart of higher
-codimension) and one pass of each residual per block, the points being an
-axis of the arrays; the blocks' columns are concatenated.  A chart of
-higher codimension answers only LOWDIM_CHECKS: the three flat-space
-identities, and ``structure``, the family predicate that
-``catalog.structure_verdict`` evaluates at the table's error-free points;
-its points carry no H, no curvatures and no label.  The spectral classification of a hypersurface is one call per
-block too: ``eigen_structure`` on the block's shape operators for a
-4-parameter chart, one stacked ``np.linalg.eigvals`` otherwise.  With the
-finite-difference oracle selected, the tangency checks and the CMC flag
-read one ``packet_fd`` call per block instead of the jet packet; nothing
-else changes.  A block whose packet or oracle packet raises
-a BiconserveError is bisected down to single points, and a block whose
-classification raises is classified again point by point, so every point
-gets its own error and message and the others keep their results.
+PointRow is made only for a point a caller asks for.
 
-Worker pools split the grid into contiguous chunks and their tables are
-concatenated in chunk order.  Each point gets the same arithmetic in any
-block, so output is deterministic for a fixed request regardless of worker
-count.  Normals are oriented per point (reference field when the chart
-carries one), never by cross-point state, for the same reason.
+One split: ``blocks`` cuts P points into ceil(P / BLOCK) contiguous blocks
+whose sizes differ by at most one, the default 625-point grid of a
+4-parameter chart into one.  The serial loop runs them, a process pool maps
+them one task each (one block runs in-process at any worker count), and
+``catalog.structure_verdict`` reads a surface or curve in them.  A block is
+one packet call (``packet``, or ``submanifold_packet`` for a chart of
+higher codimension), one pass of each residual and, on a hypersurface, one
+classification (``eigen_structure`` for 4 parameters, one stacked
+``np.linalg.eigvals`` otherwise), the points being an axis of the arrays.
+A chart of higher codimension answers only LOWDIM_CHECKS: the three
+flat-space identities, and ``structure``, the family predicate that
+``catalog.structure_verdict`` evaluates; its points carry no H, no
+curvatures and no label.  With the FD oracle, the tangency checks and the
+CMC flag read one ``packet_fd`` call per block instead of the jet packet.
+
+One failure rule: a block's table is written in three stages (the packet,
+its identity rows, H and the jet CMC flag; the oracle's packet, its CMC
+flag and the tangency rows; the classification), and a BiconserveError or
+LinAlgError at any stage bisects the block.  A single point keeps what the
+earlier stages wrote, with its own error.  Each point gets the same
+arithmetic in any block, and normals are oriented per point, never by
+cross-point state, so output does not depend on blocks or worker count.
 """
 
 from __future__ import annotations
@@ -187,60 +186,53 @@ def _error(exc: BiconserveError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+def _put(table: SweepTable, checks, rows: dict):
+    """Write the residual rows {check: (P,)} that ``checks`` asks for."""
+    for name in rows.keys() & set(checks):  # one gauss_codazzi_residual call answers both
+        table.values[:, COLUMNS.index(name)], table.has[:, COLUMNS.index(name)] = rows[name], True
+
+
 def _block_table(chart: ImmersionChart, pts: np.ndarray, checks, oracle: str) -> SweepTable:
-    """The table of one block of points (P, n); a failing block is bisected."""
+    """The table of one block of points (P, n), written in three stages; a
+    stage that raises bisects the block, and a single point keeps what the
+    earlier stages wrote, with its error."""
     hyper = chart.codim == 1
-    fd = oracle == "fd" and ("biconservative" in checks or "principal_direction" in checks)
     table = SweepTable.blank(pts, chart.nparams)
-    pk, error = None, ""
     try:
+        # 1: the packet, its identity rows, H and the jet CMC flag
         pk = packet(chart, pts) if hyper else submanifold_packet(chart, pts)
-        # the tangency checks and the CMC flag read the oracle's packet on the fd route
-        tpk = packet_fd(chart, pts) if fd else pk
-    except BiconserveError as exc:
-        if len(pts) > 1:
-            half = len(pts) // 2
-            return _concat([_block_table(chart, pts[:half], checks, oracle),
-                            _block_table(chart, pts[half:], checks, oracle)])
-        table.error[0] = _error(exc)
-        if pk is None:
+        rows = {}
+        if "unit_normal" in checks:
+            rows["unit_normal"] = unit_normal_residual(chart, pts, pk)
+        if "beltrami" in checks:
+            rows["beltrami"] = beltrami_residual(chart, pts, pk)
+        if "gauss" in checks or "codazzi" in checks:
+            rows["gauss"], rows["codazzi"] = gauss_codazzi_residual(chart, pts, pk)
+        _put(table, checks, rows)
+        if hyper:
+            table.H[:], table.hyper[:], table.cmc[:] = pk.H, True, pk.is_cmc_point
+            # 2: the tangency checks and the CMC flag read the oracle's packet
+            fd = oracle == "fd" and ("biconservative" in checks or "principal_direction" in checks)
+            tpk = packet_fd(chart, pts) if fd else pk
+            rows = {}
+            if "biconservative" in checks:
+                rows["biconservative"] = biconservative_residual(chart, pts, tpk)
+            if "principal_direction" in checks:
+                rows["principal_direction"] = principal_direction_check(chart, pts, tpk)
+            table.cmc[:] = tpk.is_cmc_point
+            _put(table, checks, rows)
+            table.has[:, -1] &= ~table.cmc  # no principal direction at a CMC point
+        if hyper and ("structure" in checks or "curvatures" in checks):  # 3: the classification
+            spectra, table.curvatures[:], table.has_curv[:] = _classify(chart, pk.S, pk.G)
+            if spectra is not None:
+                table.spectra, table.classified[:], table.label[:] = spectra, True, spectra.labels
+    except (BiconserveError, np.linalg.LinAlgError) as exc:
+        if len(pts) == 1:
+            table.error[0] = _error(exc)
             return table
-        # only the oracle failed: the jet values and H stay, with no
-        # tangency value and no label
-        tpk, error = pk, table.error[0]
-    block = {}
-    if "unit_normal" in checks:
-        block["unit_normal"] = unit_normal_residual(chart, pts, pk)
-    if "beltrami" in checks:
-        block["beltrami"] = beltrami_residual(chart, pts, pk)
-    if "gauss" in checks or "codazzi" in checks:
-        block["gauss"], block["codazzi"] = gauss_codazzi_residual(chart, pts, pk)
-    if not error and "biconservative" in checks:
-        block["biconservative"] = biconservative_residual(chart, pts, tpk)
-    if not error and "principal_direction" in checks:
-        block["principal_direction"] = principal_direction_check(chart, pts, tpk)
-    for name in block.keys() & set(checks):  # one gauss_codazzi_residual call answers both
-        table.values[:, COLUMNS.index(name)], table.has[:, COLUMNS.index(name)] = block[name], True
-    if hyper:
-        table.H[:], table.hyper[:], table.cmc[:] = pk.H, True, tpk.is_cmc_point
-        table.has[:, -1] &= ~table.cmc  # no principal direction at a CMC point
-    if hyper and not error and ("structure" in checks or "curvatures" in checks):
-        try:
-            parts = [(slice(None), _classify(chart, pk.S, pk.G))]
-        except (BiconserveError, np.linalg.LinAlgError):
-            # classified point by point, each row with its own error
-            parts = []
-            for k in range(len(pts)):
-                one = slice(k, k + 1)
-                try:
-                    parts.append((one, _classify(chart, pk.S[one], pk.G[one])))
-                except BiconserveError as exc:
-                    table.error[k] = _error(exc)
-        for at, (spectra, curvatures, has_curv) in parts:
-            table.curvatures[at], table.has_curv[at] = curvatures, has_curv
-            table.classified[at] = spectra is not None
-            table.label[at] = "" if spectra is None else spectra.labels
-        table.spectra = _concat([spectra for _, (spectra, _, _) in parts])
+        half = len(pts) // 2
+        return _concat([_block_table(chart, pts[:half], checks, oracle),
+                        _block_table(chart, pts[half:], checks, oracle)])
     return table
 
 
@@ -255,38 +247,47 @@ def _classify(chart: ImmersionChart, S: np.ndarray, G: np.ndarray) -> tuple:
     return None, np.sort(got.real, axis=1, kind="stable"), real
 
 
-def _rows(chart: ImmersionChart, points: np.ndarray, checks, oracle: str) -> SweepTable:
-    if chart.codim != 1:
-        checks = tuple(c for c in checks if c in LOWDIM_CHECKS)
-    nblocks = -(-len(points) // BLOCK)
-    if not nblocks:
-        return SweepTable.blank(points, chart.nparams)
-    return _concat([_block_table(chart, pts, checks, oracle)
-                    for pts in np.array_split(points, nblocks)])
+def blocks(points: np.ndarray) -> list:
+    """The points (P, n) as ceil(P / BLOCK) contiguous blocks whose sizes
+    differ by at most one, the larger first; none for no points."""
+    return np.array_split(points, -(-len(points) // BLOCK)) if len(points) else []
 
 
-def _chunk_worker(args):
-    return _rows(*args)
+_request = None  # a pool worker's (chart, checks, oracle), set by _pool_start
+
+
+def _pool_start(chart: ImmersionChart, checks, oracle: str):
+    """Keep the request in a pool worker, so that each task carries only its block."""
+    global _request
+    _request = (chart, checks, oracle)
+
+
+def _pool_task(pts: np.ndarray) -> SweepTable:
+    chart, checks, oracle = _request
+    return _block_table(chart, pts, checks, oracle)
 
 
 def sweep(chart: ImmersionChart, points: np.ndarray, checks, oracle: str = "jets",
           jobs: int = 1) -> SweepTable:
     """The SweepTable of ``points`` (P, n), in order.
 
-    Points are evaluated in ceil(P / BLOCK) near-equal blocks (see the
-    module docstring); ``jobs`` > 1 splits the points over a process pool.
+    The points are evaluated in ``blocks(points)`` (see the module
+    docstring); with ``jobs`` > 1 and more than one block, a process pool
+    evaluates them, one block a task.
     """
-    checks = tuple(checks)
     points = np.asarray(points, dtype=float)
-    if jobs <= 1 or len(points) < 2 * jobs:
-        return _rows(chart, points, checks, oracle)
+    checks = tuple(c for c in checks if chart.codim == 1 or c in LOWDIM_CHECKS)
+    parts = blocks(points)
+    if not parts:
+        return SweepTable.blank(points, chart.nparams)
+    if jobs <= 1 or len(parts) == 1:
+        return _concat([_block_table(chart, pts, checks, oracle) for pts in parts])
     # imported only where a pool starts: its modules would add to every run's import
     from concurrent.futures import ProcessPoolExecutor
 
-    chunks = np.array_split(points, jobs * 4)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return _concat(list(pool.map(_chunk_worker,
-                                     [(chart, c, checks, oracle) for c in chunks if len(c)])))
+    with ProcessPoolExecutor(min(jobs, len(parts)), initializer=_pool_start,
+                             initargs=(chart, checks, oracle)) as pool:
+        return _concat(list(pool.map(_pool_task, parts)))
 
 
 @dataclass

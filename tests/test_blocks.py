@@ -224,12 +224,101 @@ def test_three_uneven_blocks_with_failing_points_give_the_one_point_rows():
     assert_same_rows(rows, one_point_rows(chart, pts, checks))
 
 
-def test_worker_pool_gives_the_serial_rows():
+def test_worker_pool_gives_the_serial_rows(monkeypatch):
+    from biconserve import sweep as sweep_module
+
+    monkeypatch.setattr(sweep_module, "BLOCK", 16)  # 40 points: 3 blocks, so a pool starts
     chart = dict(CHARTS)["ex41 solved"]
     pts = random_points(chart.domain, 40, 2)
     rows1 = sweep(chart, pts, HYPERSURFACE_CHECKS, jobs=1)
     rows2 = sweep(chart, pts, HYPERSURFACE_CHECKS, jobs=2)
     assert_same_rows(rows2, rows1)
+
+
+class InProcessPool:
+    """A stand-in for ProcessPoolExecutor that records its tasks and runs them here."""
+    started = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.max_workers, self.initargs, self.tasks = max_workers, initargs, []
+        InProcessPool.started.append(self)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        self.tasks = list(zip(*iterables))
+        return [fn(*task) for task in self.tasks]
+
+
+@pytest.mark.parametrize("count, block, jobs, tasks", [
+    (40, 16, 2, [14, 13, 13]), (40, 16, 8, [14, 13, 13]), (40, BLOCK, 2, None),
+    (625, BLOCK, 4, None), (1, BLOCK, 2, None)])
+def test_the_pool_maps_the_serial_blocks_one_task_each(monkeypatch, count, block, jobs, tasks):
+    # the pool's tasks are the serial loop's blocks; a request of one block
+    # runs in-process at any worker count
+    import concurrent.futures
+
+    from biconserve import sweep as sweep_module
+
+    monkeypatch.setattr(sweep_module, "BLOCK", block)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    InProcessPool.started.clear()
+    chart = dict(CHARTS)["ex41 control"]
+    pts = random_points(chart.domain, count, 8)
+    serial = sweep(chart, pts, ("beltrami", "structure"))
+    assert not InProcessPool.started
+    pooled = sweep(chart, pts, ("beltrami", "structure"), jobs=jobs)
+    assert_same_rows(pooled, serial)
+    if tasks is None:
+        assert not InProcessPool.started
+        return
+    (pool,) = InProcessPool.started
+    assert pool.max_workers == min(jobs, len(tasks))
+    assert pool.initargs == (chart, ("beltrami", "structure"), "jets")
+    assert [len(block) for block, in pool.tasks] == tasks
+    assert all(np.array_equal(block, part)
+               for (block,), part in zip(pool.tasks, sweep_module.blocks(pts)))
+
+
+def test_an_unclassifiable_point_bisects_its_block(monkeypatch):
+    # one point of a 625-point block whose operator is not metric-self-adjoint:
+    # the block is bisected down to it, about two classifications a level,
+    # and it keeps its identity rows, H and CMC flag with its error
+    from biconserve import sweep as sweep_module
+
+    chart = dict(CHARTS)["ex41 solved"]
+    pts = grid_points(((0.6, 1.4),) + ((-0.5, 0.5),) * 3, 5)
+    bad = pts[317]
+    reference = sweep(chart, pts, HYPERSURFACE_CHECKS)
+    block_packet, classify = sweep_module.packet, sweep_module.eigen_structure
+    calls = []
+
+    def broken(chart, block):
+        pk = block_packet(chart, block)
+        pk.S[np.all(block == bad, axis=1), 0, 1] += 0.5
+        return pk
+
+    def counted(S, G):
+        calls.append(len(S))
+        return classify(S, G)
+
+    monkeypatch.setattr(sweep_module, "packet", broken)
+    monkeypatch.setattr(sweep_module, "eigen_structure", counted)
+    table = sweep(chart, pts, HYPERSURFACE_CHECKS)
+    assert len(calls) <= 2 * int(np.ceil(np.log2(625))) + 1 and calls[0] == 625
+    assert np.flatnonzero(table.error != "").tolist() == [317]
+    assert table.error[317] == "ContractViolation: operator is not metric-self-adjoint"
+    assert not table.classified[317] and table.label[317] == "" and not table.has_curv[317]
+    for name in ("values", "has", "H", "hyper", "cmc"):
+        assert np.array_equal(getattr(table, name), getattr(reference, name)), name
+    ok = np.arange(625) != 317
+    for name in ("curvatures", "has_curv", "label", "classified"):
+        assert np.array_equal(getattr(table, name)[ok], getattr(reference, name)[ok]), name
 
 
 FD_CHARTS = [(name, chart) for name, chart in CHARTS

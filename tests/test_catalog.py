@@ -382,10 +382,11 @@ def test_rem42_refuses_n_above_its_largest_before_building_an_expression(monkeyp
 
 
 def test_the_structure_verdict_reads_a_surface_in_blocks(monkeypatch):
-    # one submanifold packet per block of at most sweep.BLOCK points, and the
-    # verdict and notes of one packet over every point
+    # one submanifold packet per block of sweep.blocks, and the verdict and
+    # notes of one packet over every point
     import biconserve.catalog as catalog
-    from biconserve.sweep import BLOCK, LOWDIM_CHECKS, random_points
+    import biconserve.sweep as sweep_module
+    from biconserve.sweep import BLOCK, LOWDIM_CHECKS, blocks as split, random_points
 
     chart = build(_spec("intsurf.ii"))
     table = sweep(chart, random_points(chart.domain, 2 * BLOCK + 5, 3), LOWDIM_CHECKS)
@@ -400,7 +401,7 @@ def test_the_structure_verdict_reads_a_surface_in_blocks(monkeypatch):
     monkeypatch.setattr(catalog, "submanifold_packet", flat_below)
     own = entry_for(_spec("intsurf.ii"))
     # the sweep's near-equal split of the 2 BLOCK + 5 points, all error-free, in 3 blocks
-    blocks = [len(b) for b in np.array_split(table.points, -(-len(table) // BLOCK))]
+    blocks = [len(b) for b in split(table.points)]
     assert len(blocks) == 3 and max(blocks) <= BLOCK
     for entry in (own, dataclasses.replace(own, structure=("plane",))):
         sizes.clear()
@@ -408,7 +409,7 @@ def test_the_structure_verdict_reads_a_surface_in_blocks(monkeypatch):
         assert sizes == blocks
         assert not ok and 0 < len(notes) < len(table)
         with monkeypatch.context() as m:
-            m.setattr(catalog, "BLOCK", len(table))
+            m.setattr(sweep_module, "BLOCK", len(table))
             sizes.clear()
             assert structure_verdict(entry, table, chart) == (ok, spectral, notes)
             assert sizes == [len(table)]

@@ -770,6 +770,36 @@ def test_the_point_bound_admits_its_own_count(monkeypatch):
         assert ("more than the 16 points" in text) is refused
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "intsurf.ii", "--random-points", "0"],
+    ["sample", "intsurf.ii", "--random-points", "0"],
+    ["verify", "intsurf.ii", "--config", {"random_points": 0}],
+    ["verify", "intsurf.ii", "--random-points", "-3", "--config", {"random_points": 4}],
+])
+def test_a_random_point_count_below_one_is_a_usage_error(tmp_path, argv):
+    # a count of 0 is a count, not the absence of one: no grid is evaluated instead
+    argv = [_config(tmp_path, **a) if isinstance(a, dict) else a for a in argv]
+    code, text = run(argv)
+    assert code == 2
+    assert text.startswith("error") and text.count("\n") == 1
+    assert "random points must be a count >= 1, got " in text
+
+
+@pytest.mark.parametrize("argv", [["verify", "intcurve.A"], ["sample", "thm1.i"]])
+def test_an_unwritable_output_is_a_usage_error(tmp_path, argv, monkeypatch):
+    import biconserve.cli as cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "sweep", unreachable)
+    path = str(tmp_path / "missing" / "out.json")
+    code, text = run([*argv, "--output", path])
+    assert code == 2
+    assert text.startswith("error") and text.count("\n") == 1
+    assert f"--output {path}: No such file or directory" in text
+
+
 _AXES4 = [[0.6, 1.4], [-0.5, 0.5], [-0.5, 0.5], [-0.5, 0.5]]
 
 

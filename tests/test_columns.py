@@ -418,22 +418,23 @@ def test_eigenvalue_branch_marks_complex_roots():
 
 def test_classification_fallback_rows_are_the_per_point_reference(monkeypatch):
     block_packet = sweep_module.packet
+    pts = grid_points(((0.6, 1.4),) + ((-0.5, 0.5),) * 3, 2)
 
-    def broken(chart, pts):
-        pk = block_packet(chart, pts)
-        pk.S[[1, 5], 0, 1] += 0.5  # not metric-self-adjoint
-        return pk
+    def broken(chart, block):  # points 1 and 5, found by their coordinates in any (sub-)block
+        pk = block_packet(chart, block)
+        pk.S[(block[:, None] == pts[[1, 5]]).all(axis=2).any(axis=1), 0, 1] += 0.5
+        return pk  # not metric-self-adjoint there
 
     monkeypatch.setattr(sweep_module, "packet", broken)
     chart = build(FamilySpec("ex41"))
-    pts = grid_points(((0.6, 1.4),) + ((-0.5, 0.5),) * 3, 2)
     table = sweep(chart, pts, ("beltrami", "structure"))
     assert_rows_equal(table, ref_rows(monkeypatch, chart, pts, ("beltrami", "structure")))
     assert np.flatnonzero(table.error != "").tolist() == [1, 5]
     assert np.flatnonzero(~table.classified).tolist() == [1, 5]
 
 
-def test_pool_and_pickle_keep_the_columns():
+def test_pool_and_pickle_keep_the_columns(monkeypatch):
+    monkeypatch.setattr(sweep_module, "BLOCK", 16)  # 40 points: 3 blocks, so a pool starts
     chart = dict(HYPERSURFACES)["ex41 solved"]
     pts = random_points(chart.domain, 40, 2)
     table = sweep(chart, pts, HYPERSURFACE_CHECKS)

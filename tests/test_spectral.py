@@ -229,15 +229,16 @@ def test_a_non_self_adjoint_point_fails_only_its_row(monkeypatch):
         eigen_structure(bad, np.array([G, G, G]))
 
     block_packet = sweep_module.packet
+    pts = grid_points(((0.6, 1.4),) + ((-0.5, 0.5),) * 3, 2)
 
-    def broken(chart, pts):
-        pk = block_packet(chart, pts)
-        pk.S[5, 0, 1] += 0.5
+    def broken(chart, block):  # point 5, found by its coordinates in any (sub-)block
+        pk = block_packet(chart, block)
+        pk.S[np.all(block == pts[5], axis=1), 0, 1] += 0.5
         return pk
 
     monkeypatch.setattr(sweep_module, "packet", broken)
     chart = build(FamilySpec("ex41"))
-    rows = sweep(chart, grid_points(((0.6, 1.4),) + ((-0.5, 0.5),) * 3, 2), ("structure",))
+    rows = sweep(chart, pts, ("structure",))
     assert rows[5].error == "ContractViolation: operator is not metric-self-adjoint"
     assert rows[5].label == "" and rows[5].spectrum is None
     assert all(not r.error and r.label == "I" for k, r in enumerate(rows) if k != 5)
@@ -530,15 +531,16 @@ def test_an_operator_whose_quartic_overflows_is_refused():
 
 def test_an_overflowing_point_fails_only_its_row(monkeypatch):
     block_packet = sweep_module.packet
+    pts = grid_points(((0.6, 1.4),) + ((-0.5, 0.5),) * 3, 2)
 
-    def planted(chart, pts):
-        pk = block_packet(chart, pts)
-        pk.S[5] *= 1e80
+    def planted(chart, block):  # point 5, found by its coordinates in any (sub-)block
+        pk = block_packet(chart, block)
+        pk.S[np.all(block == pts[5], axis=1)] *= 1e80
         return pk
 
     monkeypatch.setattr(sweep_module, "packet", planted)
     chart = build(FamilySpec("ex41"))
-    rows = sweep(chart, grid_points(((0.6, 1.4),) + ((-0.5, 0.5),) * 3, 2), ("structure",))
+    rows = sweep(chart, pts, ("structure",))
     assert rows[5].error == "ContractViolation: the operator's characteristic quartic overflows"
     assert rows[5].label == "" and rows[5].spectrum is None
     assert all(not r.error and r.label == "I" for k, r in enumerate(rows) if k != 5)

@@ -29,6 +29,11 @@ as a JSON integer past the float range (the config files are those that
 ``write`` puts in OUT_DIR/configs), a grid of more points than a request may
 evaluate, a worker count past ``cli.MAX_JOBS`` (on 16 points, too few for a
 pool at any count) and rem42 with ``--n`` past ``catalog.REM42_MAX_N``,
+two ``--per-point`` cases that reach the sweep's failure rule: an inline
+chart whose metric degenerates on the slice s = 0 (its block is bisected
+down to the failing points) and an inline graph whose oracle alone fails
+at s = 0.9995 (those points keep their identity rows, with no tangency
+value and no label),
 ``sample`` on one pair family and on ``rem42 --n 5``, so that every row a
 sweep gives is compared, not only the summaries, and ``classify`` at the
 solved ex41's centre, at one thm3.viii point and at one thm1.v point, so
@@ -130,6 +135,12 @@ def cases(catalog):
     out.append(("ex41 grid s=1e20 nodes", ["ex41", "--grid", "s=0.6:1.4:100000000000000000000"]))
     out.append(("thm1.i jobs=65", ["thm1.i", "--grid", GRID16, "--jobs", "65"]))
     out.append(("rem42 n=11", ["rem42", "--n", "11", "--random-points", "2"]))
+    out.append(("inline s^3 per-point", ["s^3; t; u; v; 0", "--domain", "s=-0.5:0.5",
+                                         "--per-point"]))
+    out.append(("inline graph fd oracle-only error per-point",
+                ["s; t; u; v; 0.5*s^2", "--domain", "s=0.5:1.5", "--grid",
+                 "s=0.9:0.9995:2,t=0.2:0.3:2,u=0.3:0.3:2,v=0.4:0.4:2", "--oracle", "fd",
+                 "--per-point"]))
     out = [(name, ["verify", *argv, "--emit-report"]) for name, argv in out]
     out.append(("sample thm1.ii", ["sample", "thm1.ii"]))
     out.append(("sample rem42 n=5", ["sample", "rem42", "--n", "5", "--offsets", "1,2,3,4"]))
