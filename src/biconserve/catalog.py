@@ -17,12 +17,14 @@ form is used, since the stated congruence targets force it.
 A spec's inputs each have one reader: ``entry_for`` takes the parameters
 the entry declares, ``_profile_bank`` takes the profile keys at the point
 where the build reads them, and either refuses a key left over, naming it.
+
+``build`` gives a chart its family's expected structure for the sweep to
+judge, a quadric's <x, x> (sign r r) or a curve's <a, a> (sign R R) resolved.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from numbers import Real
 from typing import Callable
@@ -30,15 +32,12 @@ from typing import Callable
 import numpy as np
 
 from .ambient import Signature
-from .errors import ConstraintError, ContractViolation, DomainError, plain_point
+from .errors import ConstraintError, ContractViolation, DomainError
 from .expr import parse, var_names_for
-from .immersion import ImmersionChart, _any_packet, submanifold_packet
+from .immersion import ImmersionChart, _any_packet
 from .profiles import (DerivativeProfile, ExprProfile, PsiSolution, constraint_residual,
                        make_profile_pair)
-from .sweep import blocks
-from .thresholds import (ACCEL_MIN, ACCEL_TOL, CLUSTER_TOL, LINE_TOL, NULL_ACCEL_TOL, OFFSET_SLACK,
-                         PAIR_TOL, PARABOLIC_TOL, PLANE_TOL, QUADRIC_TOL, SPEED_TOL, STRICT_MARGIN,
-                         UMBILIC_TOL, ZERO_ROOT_TOL)
+from .thresholds import OFFSET_SLACK, PAIR_TOL, STRICT_MARGIN
 
 E5_2 = Signature(5, 2)
 
@@ -517,10 +516,15 @@ def build(spec: FamilySpec) -> ImmersionChart:
     orient = None
     if entry.orientation:
         orient = tuple(parse(c.format(**fmt), names) for c in entry.orientation)
+    structure = entry.structure
+    if structure[:1] in (("quadric",), ("accel",)):  # the expected <x, x> or <a, a>
+        r = entry.params["r" if structure[0] == "quadric" else "R"]
+        structure = (structure[0], structure[1] * r * r, *structure[2:])
     chart = ImmersionChart(
         components=comps, domain=tuple(tuple(map(float, d)) for d in domain),
         profile_bank=bank, signature=Signature(len(comps), 2),
         expected_index=entry.expected_index, name=spec.key, orientation_ref=orient,
+        structure=structure,
     )
     _any_packet(chart, chart.center(), None)  # refuses a chart its centre cannot carry
     return chart
@@ -531,139 +535,6 @@ def build_remark42(n: int, a, profiles: dict | None = None,
     """``build`` of the rem42 spec with these n, offsets a, profiles and domain."""
     return build(FamilySpec("rem42", parameters={"n": n, "a": a}, profiles=dict(profiles or {}),
                             domain=domain))
-
-
-# -- structural verification ----------------------------------------------
-
-
-def _tag_match(tag: str, spectra) -> tuple:
-    """Per point of a SpectrumBlock: whether its spectrum matches a family's
-    expected operator pattern, and its zero multiplicity (that of its
-    first real root within ZERO_ROOT_TOL (1 + max|k|) of zero, else 0)."""
-    live = spectra.algs > 0
-    absv = np.abs(np.where(live, spectra.values, 0.0))
-    zero = live & (absv <= ZERO_ROOT_TOL * (1.0 + absv.max(axis=1))[:, None])
-    z = np.where(zero.any(axis=1), spectra.algs[np.arange(len(zero)), zero.argmax(axis=1)], 0)
-    ones, twos = (live & (spectra.algs == 1)).sum(axis=1), (live & (spectra.algs == 2)).sum(axis=1)
-    if tag == "zero>=2":
-        return z >= 2, z
-    if tag == "simple-zero+double":
-        return (z == 1) & (live & ~zero & (spectra.algs == 2)).any(axis=1), z
-    if tag == "1+2+1-nonzero":
-        return (z == 0) & (ones == 2) & (twos == 1) & (live.sum(axis=1) == 3), z
-    if tag == "all-distinct":
-        return (z == 0) & (ones == live.sum(axis=1)) & (spectra.npairs == 0), z
-    return np.ones(len(z), dtype=bool), z
-
-
-def _at(point) -> tuple:
-    """A point for a note: plain floats rounded to 3 places."""
-    return tuple(round(x, 3) for x in plain_point(point))
-
-
-def structure_verdict(entry: CatalogEntry | None, table,
-                      chart: ImmersionChart | None = None) -> tuple:
-    """(ok, spectral, notes): the family-structure verdict on a sweep table.
-
-    ``spectral`` is the report block: point counts per case label and per
-    pattern, and the curvature range.  A point error fails the verdict; with
-    no expected pattern (inline charts) nothing else is checked.  Classified
-    points (4-parameter hypersurfaces) are matched to the tag in one pass
-    over the table's spectra.  Other points have no label or pattern to
-    count: on a ``chart`` of codimension > 1 (a surface or curve) the
-    family's predicate is evaluated on their submanifold packets, one per
-    block of ``sweep.blocks`` (so memory stays a block's), and
-    on a hypersurface ``all-distinct`` reads their curvatures, pairwise more
-    than CLUSTER_TOL (1 + max|k|) apart.  Notes are made for failing points
-    only, in order.
-    """
-    tag = entry.structure[0] if entry and entry.structure else ""
-    errors = np.flatnonzero(table.error != "")
-    notes = [f"{table.error[k]} (at {_at(table.points[k])})" for k in errors]
-    ok = not notes
-    spectra = table.spectra
-    # a table has classified points (then every point without an error is
-    # one) or plain ones, so the notes below come in point order
-    if tag and spectra is not None:
-        at = table.points[table.classified]
-        unresolved = spectra.labels == "unresolved"
-        match, z = _tag_match(tag, spectra)
-        extra = (z > 2) & (tag == "zero>=2")  # a match, with a note
-        ok = ok and bool(np.all(match & ~unresolved))
-        for i in np.flatnonzero(unresolved | ~match | extra):
-            notes.append(f"unresolved spectrum at {_at(at[i])}" if unresolved[i] else
-                         f"extra flat direction (zero multiplicity {z[i]})" if extra[i] else
-                         f"pattern {spectra.patterns[i]}, expected {tag} at {_at(at[i])}")
-    plain = (table.error == "") & ~table.classified
-    if tag and plain.any() and chart is not None and chart.codim > 1:
-        at = table.points[plain]
-        parts = [_family_ok(entry, chart, submanifold_packet(chart, pts), pts)
-                 for pts in blocks(at)]
-        holds, reasons = np.concatenate([h for h, _ in parts]), [r for _, rs in parts for r in rs]
-        ok = ok and bool(holds.all())
-        notes += [f"{reasons[i]} at {_at(at[i])}" for i in np.flatnonzero(~holds)]
-    elif tag and plain.any():
-        k = table.curvatures
-        distinct = table.has_curv & np.all(
-            np.diff(k, axis=1) > CLUSTER_TOL * (1.0 + np.abs(k).max(axis=1))[:, None], axis=1)
-        bad = np.flatnonzero(plain & ~(distinct & (tag == "all-distinct")))
-        ok = ok and not len(bad)
-        notes += [f"curvatures not {tag} at {_at(table.points[i])}" for i in bad]
-    curv = table.curvatures[table.has_curv].ravel().tolist()
-    spectral = {
-        "labels": Counter(spectra.labels.tolist() if spectra is not None else ()),
-        "patterns": Counter(spectra.patterns.tolist() if spectra is not None else ()),
-        "curvature_min": min(curv) if curv else None,
-        "curvature_max": max(curv) if curv else None,
-    }
-    return ok, spectral, notes
-
-
-def _family_ok(entry: CatalogEntry, chart: ImmersionChart, spk, points) -> tuple:
-    """(ok (P,), reasons): whether the surface or curve family's predicate,
-    and a curve's unit-speed claim, hold at each point of ``points`` (P, n),
-    whose submanifold packet is ``spk``; each reason names the first test
-    that fails there, "" where all hold."""
-    tag, P = entry.structure[0], len(points)
-    eps = chart.signature.weights
-    h = spk.h
-    hmax = np.abs(h).reshape(P, -1).max(axis=1)
-    acc = h[:, 0, 0]
-    acc2 = np.sum(eps * acc * acc, axis=-1)
-    tests = []  # (holds (P,), reason format, the value it reads (P,)), first named first
-    if chart.nparams == 1:  # unit-speed claims
-        speed, want = spk.G[:, 0, 0], -1.0 if entry.expected_index == 1 else 1.0
-        tests.append((~(np.abs(speed - want) > SPEED_TOL), f"speed {{:+.6f}} != {want:+g}", speed))
-    if tag in ("plane", "line"):
-        tests.append((hmax < (PLANE_TOL if tag == "plane" else LINE_TOL), f"{tag}: |h| = {{:.3e}}", hmax))
-    elif tag == "quadric":
-        r = entry.params.get("r", 1.0)
-        want, y = entry.structure[1] * r * r, chart.value(points)
-        q = np.sum(eps * y * y, axis=-1)
-        tests.append((np.abs(q - want) < QUADRIC_TOL * (1 + r * r),
-                      f"quadric: <x, x> = {{:+.6f}}, expected {want:+g}", q))
-        if entry.structure[2:] == ("umbilic",):
-            dev = np.abs(h - np.einsum("zij,za->zija", spk.G, spk.mean_curvature))
-            dev = dev.reshape(P, -1).max(axis=1)
-            tests.append((dev < UMBILIC_TOL, "umbilic: |h - G H| = {:.3e}", dev))
-    elif tag == "parabolic":
-        h12 = np.abs(h[:, 0, 1]).max(axis=1)
-        tests += [(acc2 < PARABOLIC_TOL, "parabolic: <a, a> = {:+.3e}", acc2),
-                  (h12 < PARABOLIC_TOL, "parabolic: |h_12| = {:.3e}", h12)]
-    elif tag == "accel":
-        R = entry.params["R"]
-        want = entry.structure[1] * R * R
-        tests.append((np.abs(acc2 - want) < ACCEL_TOL * (1 + R * R),
-                      f"accel: <a, a> = {{:+.6f}}, expected {want:+g}", acc2))
-    elif tag == "lightlike-accel":
-        norm = np.linalg.norm(acc, axis=-1)
-        tests += [(np.abs(acc2) < NULL_ACCEL_TOL, "lightlike-accel: <a, a> = {:+.3e}", acc2),
-                  (norm > ACCEL_MIN, "lightlike-accel: |a| = {:.3e}", norm)]
-    reasons = [""] * P
-    for holds, fmt, value in reversed(tests):
-        for i in np.flatnonzero(~holds):
-            reasons[i] = fmt.format(value[i])
-    return np.array([not why for why in reasons], dtype=bool), reasons
 
 
 def all_keys():

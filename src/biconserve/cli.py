@@ -41,7 +41,7 @@ import numpy as np
 
 from . import __version__
 from .catalog import (CatalogEntry, FamilySpec, build, entry_for, list_entries, refuse_unread,
-                      structure_verdict, var_names)
+                      var_names)
 from .errors import BiconserveError, ContractViolation
 from .expr import parse as parse_expr, var_names_for
 from .immersion import ImmersionChart, packet
@@ -49,7 +49,7 @@ from .profiles import ExprProfile
 from .ambient import Signature
 from .spectral import eigen_structure
 from .sweep import (COLUMNS, HYPERSURFACE_CHECKS, LOWDIM_CHECKS, CheckSummary, grid_points,
-                    interior_grid, random_points, summarize, sweep)
+                    interior_grid, random_points, structure_verdict, summarize, sweep)
 from .thresholds import CLUSTER_TOL, DEFAULT_TOLERANCES, GRID_SLACK, TAU_DEG
 
 SCHEMA = 1
@@ -78,10 +78,10 @@ JSON_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"), str: 
               bool: (bool, "true or false"), dict: (dict, "an object")}
 ORACLES = ("jets", "fd")
 # the most points one request may evaluate: the sweep table's array columns
-# take about 150 bytes per point (1.5 GB at 10^7) besides one spectrum per
-# classified point, and a sweep runs 1e4 to 3e4 points/s per core (rem42 at
-# n = 7 to the headline chart), so 10^7 points take 5 to 20 minutes; a larger
-# count is refused before any point is made
+# take about 150 bytes per point, 1 of them the structure stage's fits (1.5 GB
+# at 10^7), besides one spectrum per classified point, and a sweep runs 1e4 to
+# 3e4 points/s per core (rem42 at n = 7 to the headline chart), so 10^7 points
+# take 5 to 20 minutes; a larger count is refused before any point is made
 MAX_POINTS = 10**7
 # the most worker processes one request may start: each is an interpreter
 # with numpy and this package, about 33 MB resident before its first point
@@ -249,7 +249,7 @@ def run_verify(req: VerifyRequest):
 
     spectral = {}
     if "structure" in checks:
-        ok, spectral, _ = structure_verdict(entry, table, chart)
+        ok, spectral, _ = structure_verdict(table)
         status = ("pass" if "structure" in asserted else "not_asserted") if ok else "fail"
         summaries.append(CheckSummary("structure", 0.0 if ok else 1.0, 0.0,
                                       None, len(table), None, status))
@@ -521,6 +521,8 @@ def _request_from_args(args) -> VerifyRequest:
     req.output = getattr(args, "output", None)
     req.fmt = getattr(args, "format", "json")
     req.per_point = bool(getattr(args, "per_point", False))
+    if req.per_point and req.fmt == "csv":  # a CSV report has one row per check
+        raise ContractViolation("--per-point is read only with --format json")
     return req
 
 
@@ -532,8 +534,10 @@ def cmd_verify(args, out=None) -> int:
         with _output(req) as sink:
             report, code = run_verify(req)
             _print_summary(report, out)
-            if sink or args.emit_report:
-                _write_report(report, req, sink or out)
+            if sink:
+                _write_report(report, req, sink)
+            if args.emit_report:
+                _write_report(report, req, out)
     except BiconserveError as exc:
         target = f" [{req.target}]" if req else ""
         out.write(f"error{target}: {exc}\n")

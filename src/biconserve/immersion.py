@@ -74,6 +74,7 @@ class ImmersionChart:
     expected_index: int = 2
     name: str = ""
     orientation_ref: tuple | None = None  # expressions for a reference normal
+    structure: tuple = ()  # a catalog family's expected structure, judged by the sweep
     # the components, and the reference normal, as one Dag each
     dag: Dag = field(init=False, repr=False, compare=False)
     orientation_dag: Dag | None = field(init=False, repr=False, compare=False)

@@ -6,30 +6,35 @@ PointRow is made only for a point a caller asks for.
 
 One split: ``blocks`` cuts P points into ceil(P / BLOCK) contiguous blocks
 whose sizes differ by at most one, the default 625-point grid of a
-4-parameter chart into one.  The serial loop runs them, a process pool maps
-them one task each (one block runs in-process at any worker count), and
-``catalog.structure_verdict`` reads a surface or curve in them.  A block is
-one packet call (``packet``, or ``submanifold_packet`` for a chart of
-higher codimension), one pass of each residual and, on a hypersurface, one
-classification (``eigen_structure`` for 4 parameters, one stacked
-``np.linalg.eigvals`` otherwise), the points being an axis of the arrays.
-A chart of higher codimension answers only LOWDIM_CHECKS: the three
-flat-space identities, and ``structure``, the family predicate that
-``catalog.structure_verdict`` evaluates; its points carry no H, no
-curvatures and no label.  With the FD oracle, the tangency checks and the
-CMC flag read one ``packet_fd`` call per block instead of the jet packet.
+4-parameter chart into one.  The serial loop runs them, and a process pool
+maps them one task each (one block runs in-process at any worker count).
+A block is one packet call (``packet``, or ``submanifold_packet`` for a
+chart of higher codimension), one pass of each residual, on a hypersurface
+one classification (``eigen_structure`` for 4 parameters, one stacked
+``np.linalg.eigvals`` otherwise), and one structure stage, the points being
+an axis of the arrays.  A chart of higher codimension answers only
+LOWDIM_CHECKS, the three flat-space identities and ``structure``; its points
+carry no H, no curvatures and no label.  With the FD oracle, the tangency
+checks and the CMC flag read one ``packet_fd`` call per block.
+
+One structure stage: each block judges its points against the chart's
+expected structure (``ImmersionChart.structure``; an inline chart has none)
+from its own spectra, curvatures or submanifold packet (``_structure``),
+into the ``fits`` column and the notes of the noted points, which
+``structure_verdict`` reduces.
 
 One failure rule: a block's table is written in three stages (the packet,
 its identity rows, H and the jet CMC flag; the oracle's packet, its CMC
-flag and the tangency rows; the classification), and a BiconserveError or
-LinAlgError at any stage bisects the block.  A single point keeps what the
-earlier stages wrote, with its own error.  Each point gets the same
-arithmetic in any block, and normals are oriented per point, never by
+flag and the tangency rows; the classification and structure), and any
+BiconserveError or LinAlgError bisects the block.  A single point keeps
+what the earlier stages wrote, with its own error.  Each point gets the
+same arithmetic in any block, and normals are oriented per point, never by
 cross-point state, so output does not depend on blocks or worker count.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, is_dataclass
 
@@ -40,7 +45,9 @@ from .immersion import (ImmersionChart, beltrami_residual, biconservative_residu
                         gauss_codazzi_residual, packet, packet_fd, principal_direction_check,
                         submanifold_packet, unit_normal_residual)
 from .spectral import SpectrumBlock, eigen_structure
-from .thresholds import ROOTS_REAL_TOL
+from .thresholds import (ACCEL_MIN, ACCEL_TOL, CLUSTER_TOL, LINE_TOL, NULL_ACCEL_TOL,
+                         PARABOLIC_TOL, PLANE_TOL, QUADRIC_TOL, ROOTS_REAL_TOL, SPEED_TOL,
+                         UMBILIC_TOL, ZERO_ROOT_TOL)
 
 # Points per packet block at most: the default 5^4 = 625-point grid of a
 # 4-parameter chart is one block.  Each block pays a fixed cost of about a
@@ -114,6 +121,8 @@ class SweepTable(Sequence):
     whose packet was built), ``curvatures`` (P, n) where ``has_curv`` is;
     ``error`` and ``label`` (P,) are "" where there is none.  ``spectra`` is
     the SpectrumBlock of the points ``classified`` marks, in order, or None.
+    ``fits`` (P,) is False where a point misses the chart's expected
+    structure, and ``notes`` the structure notes of the noted points, in order.
     ``table[k]`` makes point k's PointRow, a slice a list of them.
     """
 
@@ -128,7 +137,9 @@ class SweepTable(Sequence):
     has_curv: np.ndarray
     label: np.ndarray
     classified: np.ndarray
+    fits: np.ndarray
     spectra: SpectrumBlock | None = None
+    notes: list = field(default_factory=list)
 
     @classmethod
     def blank(cls, pts: np.ndarray, ncurv: int) -> SweepTable:
@@ -138,7 +149,7 @@ class SweepTable(Sequence):
                    hyper=np.zeros(P, dtype=bool), cmc=np.zeros(P, dtype=bool),
                    error=np.full(P, "", dtype=object), curvatures=np.zeros((P, ncurv)),
                    has_curv=np.zeros(P, dtype=bool), label=np.full(P, "", dtype=object),
-                   classified=np.zeros(P, dtype=bool))
+                   classified=np.zeros(P, dtype=bool), fits=np.ones(P, dtype=bool))
 
     def __len__(self):
         return len(self.points)
@@ -179,6 +190,8 @@ def _concat(parts):
                                  for f in fields(parts[0])})
     if parts and isinstance(parts[0], np.ndarray):
         return np.concatenate(parts)
+    if parts and isinstance(parts[0], list):
+        return [x for p in parts for x in p]
     return parts[0] if parts else None
 
 
@@ -226,6 +239,8 @@ def _block_table(chart: ImmersionChart, pts: np.ndarray, checks, oracle: str) ->
             spectra, table.curvatures[:], table.has_curv[:] = _classify(chart, pk.S, pk.G)
             if spectra is not None:
                 table.spectra, table.classified[:], table.label[:] = spectra, True, spectra.labels
+        if "structure" in checks and chart.structure:  # and the structure
+            table.fits, table.notes = _structure(chart, table, pk)
     except (BiconserveError, np.linalg.LinAlgError) as exc:
         if len(pts) == 1:
             table.error[0] = _error(exc)
@@ -245,6 +260,98 @@ def _classify(chart: ImmersionChart, S: np.ndarray, G: np.ndarray) -> tuple:
     got = np.linalg.eigvals(S)
     real = np.abs(got.imag).max(axis=1) < ROOTS_REAL_TOL * (1 + np.abs(got).max(axis=1))
     return None, np.sort(got.real, axis=1, kind="stable"), real
+
+
+def _structure(chart: ImmersionChart, table: SweepTable, pk) -> tuple:
+    """(fits (P,), notes) of a block: whether each point has the chart's
+    expected structure, from the block's spectra, curvatures or submanifold
+    packet ``pk``, and a note at each point that misses it or (on
+    ``zero>=2``) has an extra flat direction, in point order."""
+    tag, at, spectra = chart.structure[0], table.points, table.spectra
+    if spectra is not None:  # a 4-parameter hypersurface
+        unresolved = spectra.labels == "unresolved"
+        match, z = _tag_match(tag, spectra)
+        extra = (z > 2) & (tag == "zero>=2")  # a match, with a note
+        return match & ~unresolved, [
+            f"unresolved spectrum at {_at(at[i])}" if unresolved[i] else
+            f"extra flat direction (zero multiplicity {z[i]})" if extra[i] else
+            f"pattern {spectra.patterns[i]}, expected {tag} at {_at(at[i])}"
+            for i in np.flatnonzero(unresolved | ~match | extra)]
+    if chart.codim == 1:
+        k = table.curvatures
+        fits = (tag == "all-distinct") & table.has_curv & np.all(
+            np.diff(k, axis=1) > CLUSTER_TOL * (1.0 + np.abs(k).max(axis=1))[:, None], axis=1)
+        return fits, [f"curvatures not {tag} at {_at(at[i])}" for i in np.flatnonzero(~fits)]
+    return _family_ok(chart, pk, at)
+
+
+def _tag_match(tag: str, spectra) -> tuple:
+    """Per point of a SpectrumBlock: whether its spectrum matches a family's
+    expected operator pattern, and its zero multiplicity (that of its
+    first real root within ZERO_ROOT_TOL (1 + max|k|) of zero, else 0)."""
+    live = spectra.algs > 0
+    absv = np.abs(np.where(live, spectra.values, 0.0))
+    zero = live & (absv <= ZERO_ROOT_TOL * (1.0 + absv.max(axis=1))[:, None])
+    z = np.where(zero.any(axis=1), spectra.algs[np.arange(len(zero)), zero.argmax(axis=1)], 0)
+    ones, twos = (live & (spectra.algs == 1)).sum(axis=1), (live & (spectra.algs == 2)).sum(axis=1)
+    if tag == "zero>=2":
+        return z >= 2, z
+    if tag == "simple-zero+double":
+        return (z == 1) & (live & ~zero & (spectra.algs == 2)).any(axis=1), z
+    if tag == "1+2+1-nonzero":
+        return (z == 0) & (ones == 2) & (twos == 1) & (live.sum(axis=1) == 3), z
+    if tag == "all-distinct":
+        return (z == 0) & (ones == live.sum(axis=1)) & (spectra.npairs == 0), z
+    return np.ones(len(z), dtype=bool), z
+
+
+def _family_ok(chart: ImmersionChart, spk, points) -> tuple:
+    """(fits (P,), notes): whether the surface or curve family's predicate,
+    and a curve's unit-speed claim, hold at each point of ``points`` (P, n),
+    whose submanifold packet is ``spk``; a note at each point where one
+    fails names the first test that fails there."""
+    tag, P = chart.structure[0], len(points)
+    eps, h = chart.signature.weights, spk.h
+    hmax = np.abs(h).reshape(P, -1).max(axis=1)
+    acc = h[:, 0, 0]
+    acc2 = np.sum(eps * acc * acc, axis=-1)
+    tests = []  # (holds (P,), reason format, the value it reads (P,)), first named first
+    if chart.nparams == 1:  # unit-speed claims
+        speed, want = spk.G[:, 0, 0], -1.0 if chart.expected_index == 1 else 1.0
+        tests.append((~(np.abs(speed - want) > SPEED_TOL), f"speed {{:+.6f}} != {want:+g}", speed))
+    if tag in ("plane", "line"):
+        tests.append((hmax < (PLANE_TOL if tag == "plane" else LINE_TOL), f"{tag}: |h| = {{:.3e}}", hmax))
+    elif tag == "quadric":  # |want| is r * r
+        want, y = chart.structure[1], chart.value(points)
+        q = np.sum(eps * y * y, axis=-1)
+        tests.append((np.abs(q - want) < QUADRIC_TOL * (1 + abs(want)),
+                      f"quadric: <x, x> = {{:+.6f}}, expected {want:+g}", q))
+        if chart.structure[2:] == ("umbilic",):
+            dev = np.abs(h - np.einsum("zij,za->zija", spk.G, spk.mean_curvature))
+            dev = dev.reshape(P, -1).max(axis=1)
+            tests.append((dev < UMBILIC_TOL, "umbilic: |h - G H| = {:.3e}", dev))
+    elif tag == "parabolic":
+        h12 = np.abs(h[:, 0, 1]).max(axis=1)
+        tests += [(acc2 < PARABOLIC_TOL, "parabolic: <a, a> = {:+.3e}", acc2),
+                  (h12 < PARABOLIC_TOL, "parabolic: |h_12| = {:.3e}", h12)]
+    elif tag == "accel":  # |want| is R * R
+        want = chart.structure[1]
+        tests.append((np.abs(acc2 - want) < ACCEL_TOL * (1 + abs(want)),
+                      f"accel: <a, a> = {{:+.6f}}, expected {want:+g}", acc2))
+    elif tag == "lightlike-accel":
+        norm = np.linalg.norm(acc, axis=-1)
+        tests += [(np.abs(acc2) < NULL_ACCEL_TOL, "lightlike-accel: <a, a> = {:+.3e}", acc2),
+                  (norm > ACCEL_MIN, "lightlike-accel: |a| = {:.3e}", norm)]
+    fits = np.ones(P, dtype=bool)
+    for holds, _, _ in tests:
+        fits &= holds
+    return fits, [next(fmt.format(value[i]) for holds, fmt, value in tests if not holds[i])
+                  + f" at {_at(points[i])}" for i in np.flatnonzero(~fits)]
+
+
+def _at(point) -> tuple:
+    """A point for a note: plain floats rounded to 3 places."""
+    return tuple(round(x, 3) for x in plain_point(point))
 
 
 def blocks(points: np.ndarray) -> list:
@@ -326,3 +433,20 @@ def summarize(table: SweepTable, checks, tolerances, asserted) -> list:
         out.append(CheckSummary("errors", float(len(errors)), 0.0,
                                 plain_point(table.points[errors[0]]), len(errors), None, "error"))
     return out
+
+
+def structure_verdict(table: SweepTable) -> tuple:
+    """(ok, spectral, notes): the family-structure verdict on a sweep table,
+    failed by a point error or a point the structure stage found not to fit;
+    the notes are the errors', then the stage's, each in point order.
+    ``spectral`` counts the points per case label and pattern, and gives the
+    curvature range."""
+    errors = np.flatnonzero(table.error != "")
+    notes = [f"{table.error[k]} (at {_at(table.points[k])})" for k in errors] + table.notes
+    spectra = table.spectra
+    curv = table.curvatures[table.has_curv].ravel().tolist()
+    spectral = {"labels": Counter(spectra.labels.tolist() if spectra is not None else ()),
+                "patterns": Counter(spectra.patterns.tolist() if spectra is not None else ()),
+                "curvature_min": min(curv) if curv else None,
+                "curvature_max": max(curv) if curv else None}
+    return not len(errors) and bool(table.fits.all()), spectral, notes

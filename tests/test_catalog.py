@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 from biconserve.catalog import (CATALOG, FamilySpec, all_keys, build, build_remark42, entry_for,
-                                list_entries, structure_verdict)
+                                list_entries)
 from biconserve.cli import VerifyRequest, run_verify
 from biconserve.errors import ConstraintError, ContractViolation, DomainError
 from biconserve.expr import parse
 from biconserve.immersion import ImmersionChart, packet, principal_direction_check
 from biconserve.spectral import eigen_structure
-from biconserve.sweep import grid_points, interior_grid, sweep
+from biconserve.sweep import grid_points, interior_grid, structure_verdict, sweep
 from biconserve.thresholds import CLUSTER_TOL
 
 GOLDEN = json.loads(
@@ -53,15 +53,15 @@ def _spec(key: str) -> FamilySpec:
 
 
 def _verdict(key, chart=None, nodes=2):
-    """(ok, index_ok, spectral, notes): ``structure_verdict`` of the key's
-    entry on a sweep of ``chart``, by default the key's build, over its
-    interior grid with ``nodes`` per axis; ``index_ok`` reads no
-    UnexpectedIndex error at any point."""
-    if chart is None:
-        chart = build(_spec(key))
+    """(ok, index_ok, spectral, notes): ``structure_verdict`` of a sweep of
+    ``chart``, by default the key's build, with the expected structure of
+    the key's build, over its interior grid with ``nodes`` per axis;
+    ``index_ok`` reads no UnexpectedIndex error at any point."""
+    own = build(_spec(key))
+    chart = own if chart is None else dataclasses.replace(chart, structure=own.structure)
     grid = interior_grid(chart.domain, nodes)
     table = sweep(chart, grid_points([(lo, hi) for lo, hi, _ in grid], nodes), STRUCTURE_CHECKS)
-    ok, spectral, notes = structure_verdict(entry_for(_spec(key)), table, chart)
+    ok, spectral, notes = structure_verdict(table)
     return ok, not any(e.startswith("UnexpectedIndex:") for e in table.error), spectral, notes
 
 
@@ -381,35 +381,69 @@ def test_rem42_refuses_n_above_its_largest_before_building_an_expression(monkeyp
     assert len(entry.components) == 11  # n + 1 coordinates
 
 
-def test_the_structure_verdict_reads_a_surface_in_blocks(monkeypatch):
-    # one submanifold packet per block of sweep.blocks, and the verdict and
-    # notes of one packet over every point
-    import biconserve.catalog as catalog
+@pytest.mark.parametrize("key", ["intsurf.ii", "intcurve.B"])
+def test_a_verify_in_blocks_forms_one_submanifold_packet_per_block(monkeypatch, key):
+    # the structure stage reads the packet its block formed: one per block,
+    # after the centre check of the build, in every module that binds it
+    import sys
+
+    from biconserve import immersion
+    from biconserve.sweep import BLOCK, blocks
+
+    original, shapes = immersion.submanifold_packet, []
+
+    def counted(chart, pts):
+        shapes.append(np.shape(pts))
+        return original(chart, pts)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("biconserve")]:
+        for attr, val in list(vars(module).items()):
+            if val is original:
+                monkeypatch.setattr(module, attr, counted)
+    report, code = run_verify(VerifyRequest(target=key, random_points=2 * BLOCK + 5, seed=3))
+    assert code == 0 and {c["status"] for c in report["checks"]} == {"pass"}
+    n = len(entry_for(_spec(key)).domain)
+    sizes = [len(b) for b in blocks(np.zeros((2 * BLOCK + 5, n)))]
+    assert len(sizes) == 3 and shapes == [(n,)] + [(size, n) for size in sizes]
+
+
+def test_the_structure_verdict_of_a_surface_does_not_depend_on_its_blocks(monkeypatch):
     import biconserve.sweep as sweep_module
-    from biconserve.sweep import BLOCK, LOWDIM_CHECKS, blocks as split, random_points
+    from biconserve.sweep import BLOCK, LOWDIM_CHECKS, random_points
 
     chart = build(_spec("intsurf.ii"))
-    table = sweep(chart, random_points(chart.domain, 2 * BLOCK + 5, 3), LOWDIM_CHECKS)
-    packet_of, sizes = catalog.submanifold_packet, []
+    pts = random_points(chart.domain, 2 * BLOCK + 5, 3)
+    packet_of = sweep_module.submanifold_packet
 
     def flat_below(chart, pts):  # h = 0 where t < 0.7: a plane there, not elsewhere
-        sizes.append(len(pts))
         spk = packet_of(chart, pts)
         spk.h[pts[:, 0] < 0.7] = 0.0
         return spk
 
-    monkeypatch.setattr(catalog, "submanifold_packet", flat_below)
-    own = entry_for(_spec("intsurf.ii"))
-    # the sweep's near-equal split of the 2 BLOCK + 5 points, all error-free, in 3 blocks
-    blocks = [len(b) for b in split(table.points)]
-    assert len(blocks) == 3 and max(blocks) <= BLOCK
-    for entry in (own, dataclasses.replace(own, structure=("plane",))):
-        sizes.clear()
-        ok, spectral, notes = structure_verdict(entry, table, chart)
-        assert sizes == blocks
-        assert not ok and 0 < len(notes) < len(table)
+    monkeypatch.setattr(sweep_module, "submanifold_packet", flat_below)
+    for structure in (chart.structure, ("plane",)):
+        own = dataclasses.replace(chart, structure=structure)
+        ok, spectral, notes = structure_verdict(sweep(own, pts, LOWDIM_CHECKS))
+        assert not ok and 0 < len(notes) < len(pts)
         with monkeypatch.context() as m:
-            m.setattr(sweep_module, "BLOCK", len(table))
-            sizes.clear()
-            assert structure_verdict(entry, table, chart) == (ok, spectral, notes)
-            assert sizes == [len(table)]
+            m.setattr(sweep_module, "BLOCK", len(pts))
+            assert structure_verdict(sweep(own, pts, LOWDIM_CHECKS)) == (ok, spectral, notes)
+
+
+def test_a_chart_with_no_expectation_runs_no_structure_predicate(monkeypatch):
+    import biconserve.sweep as sweep_module
+
+    def unreachable(*args):
+        raise AssertionError("a structure predicate ran")
+
+    for name in ("_structure", "_tag_match", "_family_ok"):
+        monkeypatch.setattr(sweep_module, name, unreachable)
+    for spec in (_spec("ex41"), FamilySpec("rem42", parameters={"n": 5}), _spec("intsurf.ii"),
+                 _spec("intcurve.B")):
+        chart = dataclasses.replace(build(spec), structure=())
+        table = sweep(chart, sweep_module.random_points(chart.domain, 20, 3), ("structure",))
+        assert structure_verdict(table)[::2] == (True, []), spec.key
+    report, code = run_verify(VerifyRequest(target="t; u; s; v; 0.5*s^2"))
+    assert code == 0
+    assert (report["checks"][-1]["name"], report["checks"][-1]["status"]) == (
+        "structure", "not_asserted")

@@ -232,6 +232,30 @@ def test_csv_report_format(tmp_path):
     assert text.splitlines()[0] == "check,max,mean,count,tolerance,status"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_emit_report_with_output_writes_the_report_to_both(tmp_path, fmt):
+    out_file = tmp_path / f"report.{fmt}"
+    code, text = run(["verify", "intcurve.A", "--format", fmt, "--output", str(out_file),
+                      "--emit-report"])
+    assert code == 0
+    summary = text.splitlines()[:5]
+    assert summary[0] == "target intcurve.A: PASS" and len(summary) == 5
+    assert text == "\n".join(summary) + "\n" + out_file.read_text()
+
+
+def test_per_point_with_a_csv_report_is_a_usage_error(monkeypatch):
+    import biconserve.cli as cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "sweep", unreachable)
+    code, text = run(["verify", "intcurve.A", "--per-point", "--format", "csv",
+                      "--emit-report"])
+    assert code == 2
+    assert text == "error: --per-point is read only with --format json\n"
+
+
 def test_verify_fd_oracle_mode():
     code, text = run(["verify", "ex41", "--solve-psi", "--oracle", "fd",
                       "--grid", SMALL])

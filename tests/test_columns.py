@@ -1,7 +1,7 @@
 """Columnar sweep results against the per-point code they replace.
 
 The array case classifier (``spectral._case_labels``) and the vectorised
-family-pattern match (``catalog._tag_match``, read by ``structure_verdict``)
+family-pattern match (``sweep._tag_match``, read by the structure stage)
 are checked against a copy of the per-point functions of the previous
 design, kept here as the reference.  A sweep table's rows are checked
 against rows built point by point from the same packets, as that design
@@ -13,7 +13,6 @@ sample-by-sample scan.
 import dataclasses
 import pickle
 from collections import Counter
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -183,21 +182,21 @@ def ref_rows(monkeypatch, chart, pts, checks, oracle="jets"):
 
 
 def ref_structure_verdict(tag, rows):
-    notes = [f"{r.error} (at {catalog._at(r.point)})" for r in rows if r.error]
+    notes = [f"{r.error} (at {sweep_module._at(r.point)})" for r in rows if r.error]
     ok = not notes
     good = [r for r in rows if not r.error]
     for r in good if tag else ():
         if r.label == "unresolved":
-            row_ok, note = False, f"unresolved spectrum at {catalog._at(r.point)}"
+            row_ok, note = False, f"unresolved spectrum at {sweep_module._at(r.point)}"
         elif r.spectrum is not None:
             row_ok, note = ref_pattern_matches(tag, r.spectrum)
             if not (row_ok or note):
-                note = f"pattern {r.pattern}, expected {tag} at {catalog._at(r.point)}"
+                note = f"pattern {r.pattern}, expected {tag} at {sweep_module._at(r.point)}"
         else:
             k = np.sort(r.curvatures or ())
             row_ok = tag == "all-distinct" and k.size > 0 and bool(
                 np.all(np.diff(k) > CLUSTER_TOL * (1.0 + np.max(np.abs(k)))))
-            note = "" if row_ok else f"curvatures not {tag} at {catalog._at(r.point)}"
+            note = "" if row_ok else f"curvatures not {tag} at {sweep_module._at(r.point)}"
         if note:
             notes.append(note)
         ok = ok and row_ok
@@ -270,11 +269,11 @@ def test_tag_match_is_the_per_point_reference(monkeypatch, tag):
     S, G = planted()
     block, ref = ref_spectra(monkeypatch, S, G)
     resolved = [k for k, s in enumerate(ref) if s.case_label != "unresolved"]
-    match, z = catalog._tag_match(tag, block)
+    match, z = sweep_module._tag_match(tag, block)
     assert set(match[resolved].tolist()) == ({True} if tag == "plane" else {True, False})
     for k in resolved:
         ok, note = ref_pattern_matches(tag, ref[k])
-        one, z1 = catalog._tag_match(tag, eigen_structure(S[k:k + 1], G[k:k + 1]))
+        one, z1 = sweep_module._tag_match(tag, eigen_structure(S[k:k + 1], G[k:k + 1]))
         assert bool(match[k]) == bool(one[0]) == ok, k
         extra = f"extra flat direction (zero multiplicity {z[k]})" if z1[0] > 2 else ""
         assert note == (extra if tag == "zero>=2" else ""), k
@@ -310,8 +309,8 @@ def test_table_rows_and_verdict_are_the_per_point_reference(monkeypatch, name, c
     assert_rows_equal(table, rows)
     entry = CATALOG["rem42" if name.startswith("rem42") else name.split()[0]]
     for tag in {entry.structure[0], *TAGS}:
-        got = catalog.structure_verdict(SimpleNamespace(structure=(tag,)), table)
-        assert got == ref_structure_verdict(tag, rows), tag
+        table = sweep(dataclasses.replace(chart, structure=(tag,)), pts, HYPERSURFACE_CHECKS)
+        assert sweep_module.structure_verdict(table) == ref_structure_verdict(tag, rows), tag
 
 
 def _straddling_chart():

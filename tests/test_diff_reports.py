@@ -45,7 +45,7 @@ def test_classify_cases_are_diffed(diff_reports):
     from biconserve import catalog
 
     argvs = [argv for _, argv in diff_reports.cases(catalog)]
-    assert len(argvs) == 109
+    assert len(argvs) == 112
     assert ["verify", diff_reports.INLINE, "--config", "CONFIGS/two-axis-domain.json",
             "--emit-report"] in argvs
     assert ["classify", "ex41", "--solve-psi"] in argvs

@@ -33,7 +33,10 @@ two ``--per-point`` cases that reach the sweep's failure rule: an inline
 chart whose metric degenerates on the slice s = 0 (its block is bisected
 down to the failing points) and an inline graph whose oracle alone fails
 at s = 0.9995 (those points keep their identity rows, with no tangency
-value and no label),
+value and no label), three cases whose structure stage runs over several
+blocks: intsurf.viii and intcurve.E on 1,500 random points (3 blocks each)
+and thm3.viii on a 1,125-point grid (2 blocks) whose s = 0.7 slice fails
+``structure``,
 ``sample`` on one pair family and on ``rem42 --n 5``, so that every row a
 sweep gives is compared, not only the summaries, and ``classify`` at the
 solved ex41's centre, at one thm3.viii point and at one thm1.v point, so
@@ -141,6 +144,10 @@ def cases(catalog):
                 ["s; t; u; v; 0.5*s^2", "--domain", "s=0.5:1.5", "--grid",
                  "s=0.9:0.9995:2,t=0.2:0.3:2,u=0.3:0.3:2,v=0.4:0.4:2", "--oracle", "fd",
                  "--per-point"]))
+    out.append(("intsurf.viii 1500 random", ["intsurf.viii", "--random-points", "1500",
+                                             "--seed", "3"]))
+    out.append(("intcurve.E 1500 random", ["intcurve.E", "--random-points", "1500", "--seed", "3"]))
+    out.append(("thm3.viii grid t=9", ["thm3.viii", "--grid", "t=-0.704:0.704:9"]))
     out = [(name, ["verify", *argv, "--emit-report"]) for name, argv in out]
     out.append(("sample thm1.ii", ["sample", "thm1.ii"]))
     out.append(("sample rem42 n=5", ["sample", "rem42", "--n", "5", "--offsets", "1,2,3,4"]))
