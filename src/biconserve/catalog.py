@@ -39,8 +39,6 @@ from .profiles import (DerivativeProfile, ExprProfile, PsiSolution, constraint_r
                        make_profile_pair)
 from .thresholds import OFFSET_SLACK, PAIR_TOL, STRICT_MARGIN
 
-E5_2 = Signature(5, 2)
-
 
 @dataclass(frozen=True)
 class FamilySpec:

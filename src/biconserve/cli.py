@@ -77,10 +77,10 @@ CONFIG_KEYS = {"target": str, "parameters": dict, "profiles": dict, "domain": [(
 JSON_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string"),
               bool: (bool, "true or false"), dict: (dict, "an object")}
 ORACLES = ("jets", "fd")
-# the most points one request may evaluate: the sweep table's array columns
-# take about 150 bytes per point, 1 of them the structure stage's fits (1.5 GB
-# at 10^7), besides one spectrum per classified point, and a sweep runs 1e4 to
-# 3e4 points/s per core (rem42 at n = 7 to the headline chart), so 10^7 points
+# the most points one request may evaluate: it holds one sweep table, with no
+# second copy (each block writes its rows into it) and no spectrum per point,
+# about 155 bytes per point at n = 4 (1.5 GB at 10^7); a sweep runs 1e4 to 3e4
+# points/s per core (rem42 at n = 7 to the headline chart), so 10^7 points
 # take 5 to 20 minutes; a larger count is refused before any point is made
 MAX_POINTS = 10**7
 # the most worker processes one request may start: each is an interpreter
@@ -550,7 +550,7 @@ def cmd_classify(args, out=None) -> int:
     try:
         if args.tol is not None:
             _tolerance("--tol", args.tol)
-        tol = args.tol if args.tol else CLUSTER_TOL
+        tol = CLUSTER_TOL if args.tol is None else args.tol
         if args.matrix is not None:
             given = [k for k, v in vars(args).items()
                      if v is not None and k not in ("command", "fn", "matrix", "metric", "tol")]

@@ -1,29 +1,32 @@
 """Grid sweeps: evaluate verification checks over a parameter grid.
 
-A sweep returns a SweepTable: its results as columns over the points, in
-lexicographic grid order (last axis fastest).  Readers reduce the columns; a
-PointRow is made only for a point a caller asks for.
+A sweep returns a SweepTable, made once: its results as columns over the
+points, in lexicographic grid order (last axis fastest), each block writing
+its own rows.  Readers reduce the columns; a PointRow is made only for a
+point a caller asks for.
 
 One split: ``blocks`` cuts P points into ceil(P / BLOCK) contiguous blocks
 whose sizes differ by at most one, the default 625-point grid of a
 4-parameter chart into one.  The serial loop runs them, and a process pool
-maps them one task each (one block runs in-process at any worker count).
-A block is one packet call (``packet``, or ``submanifold_packet`` for a
-chart of higher codimension), one pass of each residual, on a hypersurface
-one classification (``eigen_structure`` for 4 parameters, one stacked
-``np.linalg.eigvals`` otherwise), and one structure stage, the points being
-an axis of the arrays.  A chart of higher codimension answers only
-LOWDIM_CHECKS, the three flat-space identities and ``structure``; its points
-carry no H, no curvatures and no label.  With the FD oracle, the tangency
-checks and the CMC flag read one ``packet_fd`` call per block.
+maps them one task each, each part written back as it arrives (one block
+runs in-process at any worker count).  A block is one packet call
+(``packet``, or ``submanifold_packet`` for a chart of higher codimension),
+one pass of each residual, on a hypersurface one classification
+(``eigen_structure`` for 4 parameters, one stacked ``np.linalg.eigvals``
+otherwise), and one structure stage, the points being an axis of the
+arrays.  A chart of higher codimension answers only LOWDIM_CHECKS, the
+three flat-space identities and ``structure``; its points carry no H, no
+curvatures and no label.  With the FD oracle, the tangency checks and the
+CMC flag read one ``packet_fd`` call per block.
 
 One structure stage: each block judges its points against the chart's
 expected structure (``ImmersionChart.structure``; an inline chart has none)
 from its own spectra, curvatures or submanifold packet (``_structure``),
 into the ``fits`` column and the notes of the noted points, which
-``structure_verdict`` reduces.
+``structure_verdict`` reduces.  The table keeps the spectra's case labels,
+patterns and curvatures, not the spectra.
 
-One failure rule: a block's table is written in three stages (the packet,
+One failure rule: a block's rows are written in three stages (the packet,
 its identity rows, H and the jet CMC flag; the oracle's packet, its CMC
 flag and the tangency rows; the classification and structure), and any
 BiconserveError or LinAlgError bisects the block.  A single point keeps
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -44,7 +47,7 @@ from .errors import BiconserveError, plain_point
 from .immersion import (ImmersionChart, beltrami_residual, biconservative_residual,
                         gauss_codazzi_residual, packet, packet_fd, principal_direction_check,
                         submanifold_packet, unit_normal_residual)
-from .spectral import SpectrumBlock, eigen_structure
+from .spectral import eigen_structure
 from .thresholds import (ACCEL_MIN, ACCEL_TOL, CLUSTER_TOL, LINE_TOL, NULL_ACCEL_TOL,
                          PARABOLIC_TOL, PLANE_TOL, QUADRIC_TOL, ROOTS_REAL_TOL, SPEED_TOL,
                          UMBILIC_TOL, ZERO_ROOT_TOL)
@@ -104,7 +107,6 @@ class PointRow:
     pattern: str = ""
     cmc: bool = False
     error: str = ""
-    spectrum: object = None
 
 
 # the residual columns of a table, in this order
@@ -119,11 +121,11 @@ class SweepTable(Sequence):
     and ``has`` (P, 6) whether it has one (a residual may itself be NaN).
     ``H`` and ``cmc`` (P,) hold where ``hyper`` is set (a hypersurface point
     whose packet was built), ``curvatures`` (P, n) where ``has_curv`` is;
-    ``error`` and ``label`` (P,) are "" where there is none.  ``spectra`` is
-    the SpectrumBlock of the points ``classified`` marks, in order, or None.
+    ``error``, ``label`` and ``pattern`` (P,) are "" where there is none.
     ``fits`` (P,) is False where a point misses the chart's expected
     structure, and ``notes`` the structure notes of the noted points, in order.
-    ``table[k]`` makes point k's PointRow, a slice a list of them.
+    ``table[k]`` makes point k's PointRow, a slice a list of them;
+    ``table.rows(at)`` is the table of the points ``at``, written in place.
     """
 
     points: np.ndarray
@@ -136,9 +138,8 @@ class SweepTable(Sequence):
     curvatures: np.ndarray
     has_curv: np.ndarray
     label: np.ndarray
-    classified: np.ndarray
+    pattern: np.ndarray
     fits: np.ndarray
-    spectra: SpectrumBlock | None = None
     notes: list = field(default_factory=list)
 
     @classmethod
@@ -149,7 +150,12 @@ class SweepTable(Sequence):
                    hyper=np.zeros(P, dtype=bool), cmc=np.zeros(P, dtype=bool),
                    error=np.full(P, "", dtype=object), curvatures=np.zeros((P, ncurv)),
                    has_curv=np.zeros(P, dtype=bool), label=np.full(P, "", dtype=object),
-                   classified=np.zeros(P, dtype=bool), fits=np.ones(P, dtype=bool))
+                   pattern=np.full(P, "", dtype=object), fits=np.ones(P, dtype=bool))
+
+    def rows(self, at: slice) -> SweepTable:
+        """The points ``at`` as a table whose columns are views into this
+        table's and whose notes are this table's list."""
+        return SweepTable(*(getattr(self, f.name)[at] for f in fields(self)[:-1]), self.notes)
 
     def __len__(self):
         return len(self.points)
@@ -164,9 +170,7 @@ class SweepTable(Sequence):
             row.H, row.cmc = float(self.H[k]), bool(self.cmc[k])
         if self.has_curv[k]:
             row.curvatures = tuple(self.curvatures[k].tolist())
-        if self.classified[k]:
-            row.spectrum = self.spectra[int(np.count_nonzero(self.classified[:k]))]
-            row.label, row.pattern = row.spectrum.case_label, row.spectrum.pattern
+        row.label, row.pattern = str(self.label[k]), str(self.pattern[k])
         return row
 
     def column(self, name: str) -> tuple:
@@ -182,19 +186,6 @@ class SweepTable(Sequence):
                 for vals, has in zip(self.values[rows].tolist(), self.has[rows].tolist())]
 
 
-def _concat(parts):
-    """One table (or spectrum block) from consecutive ones, column by column."""
-    parts = [p for p in parts if p is not None]
-    if parts and is_dataclass(parts[0]):
-        return type(parts[0])(**{f.name: _concat([getattr(p, f.name) for p in parts])
-                                 for f in fields(parts[0])})
-    if parts and isinstance(parts[0], np.ndarray):
-        return np.concatenate(parts)
-    if parts and isinstance(parts[0], list):
-        return [x for p in parts for x in p]
-    return parts[0] if parts else None
-
-
 def _error(exc: BiconserveError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
@@ -205,12 +196,11 @@ def _put(table: SweepTable, checks, rows: dict):
         table.values[:, COLUMNS.index(name)], table.has[:, COLUMNS.index(name)] = rows[name], True
 
 
-def _block_table(chart: ImmersionChart, pts: np.ndarray, checks, oracle: str) -> SweepTable:
-    """The table of one block of points (P, n), written in three stages; a
-    stage that raises bisects the block, and a single point keeps what the
-    earlier stages wrote, with its error."""
-    hyper = chart.codim == 1
-    table = SweepTable.blank(pts, chart.nparams)
+def _block_table(chart: ImmersionChart, table: SweepTable, checks, oracle: str):
+    """Write the rows of one block, ``table``, in three stages; a stage that
+    raises bisects the block into ``table.rows`` halves, and a single point
+    keeps what the earlier stages wrote, with its error."""
+    hyper, pts, spectra = chart.codim == 1, table.points, None
     try:
         # 1: the packet, its identity rows, H and the jet CMC flag
         pk = packet(chart, pts) if hyper else submanifold_packet(chart, pts)
@@ -238,17 +228,20 @@ def _block_table(chart: ImmersionChart, pts: np.ndarray, checks, oracle: str) ->
         if hyper and ("structure" in checks or "curvatures" in checks):  # 3: the classification
             spectra, table.curvatures[:], table.has_curv[:] = _classify(chart, pk.S, pk.G)
             if spectra is not None:
-                table.spectra, table.classified[:], table.label[:] = spectra, True, spectra.labels
+                table.label[:], table.pattern[:] = spectra.labels, spectra.patterns
         if "structure" in checks and chart.structure:  # and the structure
-            table.fits, table.notes = _structure(chart, table, pk)
+            table.fits[:], notes = _structure(chart, table, pk, spectra)
+            table.notes += notes
     except (BiconserveError, np.linalg.LinAlgError) as exc:
         if len(pts) == 1:
             table.error[0] = _error(exc)
-            return table
+            return
+        # a stage raises for a block exactly when it raises at some point of it, so each
+        # half rewrites with the same bits what this block wrote before it raised, and
+        # a failing point keeps what its own earlier stages wrote: no row needs a reset
         half = len(pts) // 2
-        return _concat([_block_table(chart, pts[:half], checks, oracle),
-                        _block_table(chart, pts[half:], checks, oracle)])
-    return table
+        _block_table(chart, table.rows(slice(half)), checks, oracle)
+        _block_table(chart, table.rows(slice(half, None)), checks, oracle)
 
 
 def _classify(chart: ImmersionChart, S: np.ndarray, G: np.ndarray) -> tuple:
@@ -262,12 +255,12 @@ def _classify(chart: ImmersionChart, S: np.ndarray, G: np.ndarray) -> tuple:
     return None, np.sort(got.real, axis=1, kind="stable"), real
 
 
-def _structure(chart: ImmersionChart, table: SweepTable, pk) -> tuple:
+def _structure(chart: ImmersionChart, table: SweepTable, pk, spectra) -> tuple:
     """(fits (P,), notes) of a block: whether each point has the chart's
-    expected structure, from the block's spectra, curvatures or submanifold
-    packet ``pk``, and a note at each point that misses it or (on
-    ``zero>=2``) has an extra flat direction, in point order."""
-    tag, at, spectra = chart.structure[0], table.points, table.spectra
+    expected structure, from the block's ``spectra`` (a SpectrumBlock, or
+    None), curvatures or submanifold packet ``pk``, and a note at each point
+    that misses it or (on ``zero>=2``) has an extra flat direction, in order."""
+    tag, at = chart.structure[0], table.points
     if spectra is not None:  # a 4-parameter hypersurface
         unresolved = spectra.labels == "unresolved"
         match, z = _tag_match(tag, spectra)
@@ -371,7 +364,9 @@ def _pool_start(chart: ImmersionChart, checks, oracle: str):
 
 def _pool_task(pts: np.ndarray) -> SweepTable:
     chart, checks, oracle = _request
-    return _block_table(chart, pts, checks, oracle)
+    table = SweepTable.blank(pts, chart.nparams)
+    _block_table(chart, table, checks, oracle)
+    return table
 
 
 def sweep(chart: ImmersionChart, points: np.ndarray, checks, oracle: str = "jets",
@@ -379,22 +374,28 @@ def sweep(chart: ImmersionChart, points: np.ndarray, checks, oracle: str = "jets
     """The SweepTable of ``points`` (P, n), in order.
 
     The points are evaluated in ``blocks(points)`` (see the module
-    docstring); with ``jobs`` > 1 and more than one block, a process pool
-    evaluates them, one block a task.
+    docstring), each written into its rows of the table; with ``jobs`` > 1
+    and more than one block, a process pool evaluates them, one block a task.
     """
     points = np.asarray(points, dtype=float)
     checks = tuple(c for c in checks if chart.codim == 1 or c in LOWDIM_CHECKS)
-    parts = blocks(points)
-    if not parts:
-        return SweepTable.blank(points, chart.nparams)
-    if jobs <= 1 or len(parts) == 1:
-        return _concat([_block_table(chart, pts, checks, oracle) for pts in parts])
+    table, parts = SweepTable.blank(points, chart.nparams), blocks(points)
+    ends = np.cumsum([0] + [len(pts) for pts in parts]).tolist()
+    views = [table.rows(slice(a, b)) for a, b in zip(ends, ends[1:])]
+    if jobs <= 1 or len(parts) <= 1:
+        for view in views:
+            _block_table(chart, view, checks, oracle)
+        return table
     # imported only where a pool starts: its modules would add to every run's import
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(min(jobs, len(parts)), initializer=_pool_start,
                              initargs=(chart, checks, oracle)) as pool:
-        return _concat(list(pool.map(_pool_task, parts)))
+        for view, part in zip(views, pool.map(_pool_task, parts)):
+            for f in fields(part)[1:-1]:  # the points are the request's; the notes follow
+                getattr(view, f.name)[:] = getattr(part, f.name)
+            table.notes += part.notes
+    return table
 
 
 @dataclass
@@ -443,10 +444,10 @@ def structure_verdict(table: SweepTable) -> tuple:
     curvature range."""
     errors = np.flatnonzero(table.error != "")
     notes = [f"{table.error[k]} (at {_at(table.points[k])})" for k in errors] + table.notes
-    spectra = table.spectra
+    labels = Counter(table.label.tolist())
+    patterns = table.pattern[table.label != ""] if labels.pop("", 0) else table.pattern
     curv = table.curvatures[table.has_curv].ravel().tolist()
-    spectral = {"labels": Counter(spectra.labels.tolist() if spectra is not None else ()),
-                "patterns": Counter(spectra.patterns.tolist() if spectra is not None else ()),
+    spectral = {"labels": labels, "patterns": Counter(patterns.tolist()),
                 "curvature_min": min(curv) if curv else None,
                 "curvature_max": max(curv) if curv else None}
     return not len(errors) and bool(table.fits.all()), spectral, notes

@@ -200,9 +200,8 @@ def test_a_sweep_takes_the_fewest_near_equal_blocks(count, monkeypatch):
     pts = random_points(chart.domain, count, 12)
     sizes = []
 
-    def recording(chart, block, checks, oracle):
-        sizes.append(len(block))
-        return sweep_module.SweepTable.blank(block, chart.nparams)
+    def recording(chart, table, checks, oracle):
+        sizes.append(len(table))
 
     monkeypatch.setattr(sweep_module, "_block_table", recording)
     table = sweep(chart, pts, HYPERSURFACE_CHECKS)
@@ -313,11 +312,11 @@ def test_an_unclassifiable_point_bisects_its_block(monkeypatch):
     assert len(calls) <= 2 * int(np.ceil(np.log2(625))) + 1 and calls[0] == 625
     assert np.flatnonzero(table.error != "").tolist() == [317]
     assert table.error[317] == "ContractViolation: operator is not metric-self-adjoint"
-    assert not table.classified[317] and table.label[317] == "" and not table.has_curv[317]
+    assert (table.label[317], table.pattern[317], table.has_curv[317]) == ("", "", False)
     for name in ("values", "has", "H", "hyper", "cmc"):
         assert np.array_equal(getattr(table, name), getattr(reference, name)), name
     ok = np.arange(625) != 317
-    for name in ("curvatures", "has_curv", "label", "classified"):
+    for name in ("curvatures", "has_curv", "label", "pattern"):
         assert np.array_equal(getattr(table, name)[ok], getattr(reference, name)[ok]), name
 
 
@@ -384,6 +383,42 @@ def test_the_oracle_on_a_block_peaks_below_10_mib():
     assert peak < 10 * 2**20, peak / 2**20
 
 
+def _traced_sweep(key, count, checks):
+    """(peak, retained) heap bytes under tracemalloc of a sweep of
+    ``count`` random points of a catalog key, the points made before."""
+    import tracemalloc
+
+    chart = build(FamilySpec(*key.partition(".")[::2]))
+    pts = random_points(chart.domain, count, 3)
+    sweep(chart, pts[:2], checks)  # the chart's one-time tables
+    tracemalloc.start()
+    try:
+        table = sweep(chart, pts, checks)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == count
+    return peak, retained
+
+
+def test_a_sweep_peaks_at_its_table_and_a_block():
+    # 20,000 intcurve.B points are 32 blocks written into one table: the
+    # heap peaked at 1.94 times the table while each block made a table of
+    # its own and the parts were joined, 1.15 times with one table
+    from biconserve.sweep import LOWDIM_CHECKS
+
+    peak, retained = _traced_sweep("intcurve.B", 20_000, LOWDIM_CHECKS)
+    assert peak < 1.3 * retained, (peak / 2**20, retained / 2**20)
+
+
+def test_a_sweep_table_keeps_no_spectrum_per_point():
+    # 20,000 ex41 points: 6.3 MiB retained with each block's spectra kept,
+    # 2.3 MiB with their labels, patterns and curvatures alone (about 122
+    # bytes a point besides the points themselves)
+    _, retained = _traced_sweep("ex41", 20_000, HYPERSURFACE_CHECKS)
+    assert retained < 3 * 2**20, retained / 2**20
+
+
 def test_oracle_only_failures_inside_a_block():
     # just inside the end of the solved profile's range the jet route
     # evaluates, but the oracle's stencils leave the range
@@ -405,7 +440,7 @@ def test_oracle_only_failures_inside_a_block():
         assert r.values == {name: q.values[name]
                             for name in ("unit_normal", "beltrami", "gauss", "codazzi")}
         assert (r.H, r.cmc) == (q.H, q.cmc)
-        assert (r.label, r.pattern, r.curvatures, r.spectrum) == ("", "", None, None)
+        assert (r.label, r.pattern, r.curvatures) == ("", "", None)
     ok = [k for k in range(len(pts)) if k not in bad]
     assert_same_rows([rows[k] for k in ok], sweep(chart, pts[ok], checks, oracle="fd"))
     assert_same_rows(rows, one_point_rows(chart, pts, checks, oracle="fd"))

@@ -698,11 +698,21 @@ def test_a_negative_or_nan_tolerance_is_a_usage_error(tmp_path, argv, option):
 
 
 def test_a_zero_tolerance_keeps_its_meaning():
-    # classify's --tol 0 is the default cluster tolerance; a check's 0 is a bound
+    # classify's --tol 0 merges no roots (the solved ex41's centre has four
+    # well-separated ones, read as at the default); a check's 0 is a bound
     assert run(["classify", "ex41", "--tol", "0"]) == run(["classify", "ex41"])
     code, text = run(["verify", "ex41", "--grid", "s=0.6:1.4:2,t=-0.5:0.5:2,u=-0.5:0.5:2,"
                       "v=-0.5:0.5:2", "--checks", "gauss", "--tol-gauss", "0"])
     assert code in (0, 1) and not text.startswith("error")
+
+
+def test_classify_reads_a_zero_cluster_tolerance_as_given():
+    # two roots 1e-5 apart: in the default tolerance's guard band, distinct at --tol 0
+    matrix = "--matrix=1,0,0,0,0,1.00001,0,0,0,0,3,0,0,0,0,4"
+    assert run(["classify", matrix]) == (1, "Case unresolved\n")
+    code, text = run(["classify", matrix, "--tol", "0"])
+    assert code == 0 and text.startswith("Case I, 4 distinct\n")
+    assert run(["classify", matrix, "--tol", "1e-300"]) == (code, text)
 
 
 @pytest.mark.parametrize("minus", [1000, 3000])

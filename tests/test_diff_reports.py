@@ -45,13 +45,26 @@ def test_classify_cases_are_diffed(diff_reports):
     from biconserve import catalog
 
     argvs = [argv for _, argv in diff_reports.cases(catalog)]
-    assert len(argvs) == 112
+    assert len(argvs) == 115
     assert ["verify", diff_reports.INLINE, "--config", "CONFIGS/two-axis-domain.json",
             "--emit-report"] in argvs
     assert ["classify", "ex41", "--solve-psi"] in argvs
     assert ["classify", f"--matrix={diff_reports.OVERFLOWING}"] in argvs
     assert ["classify", "thm3.viii", "--at", "0.7,0,0,0"] in argvs
     assert ["classify", "thm1.v", "--at", "1,0,0,0"] in argvs
+    assert ["classify", f"--matrix={diff_reports.NEAR_DOUBLE}", "--tol", "0"] in argvs
+
+
+def test_the_pool_writes_back_a_4_parameter_chart_in_a_diffed_case(diff_reports):
+    # verify and sample on thm3.viii over several pool blocks, beside their serial cases
+    from biconserve import catalog
+
+    argvs = [argv for _, argv in diff_reports.cases(catalog)]
+    grid = ["thm3.viii", "--grid", "t=-0.704:0.704:9"]
+    assert ["verify", *grid, "--emit-report"] in argvs
+    assert ["verify", *grid, "--jobs", "2", "--emit-report"] in argvs
+    assert ["sample", "thm3.viii", "--random-points", "1500", "--seed", "3", "--jobs", "2"] \
+        in argvs
 
 
 def test_the_planted_defective_operators_are_diffed(diff_reports):

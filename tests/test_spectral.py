@@ -240,7 +240,7 @@ def test_a_non_self_adjoint_point_fails_only_its_row(monkeypatch):
     chart = build(FamilySpec("ex41"))
     rows = sweep(chart, pts, ("structure",))
     assert rows[5].error == "ContractViolation: operator is not metric-self-adjoint"
-    assert rows[5].label == "" and rows[5].spectrum is None
+    assert rows[5].label == rows[5].pattern == ""
     assert all(not r.error and r.label == "I" for k, r in enumerate(rows) if k != 5)
 
 
@@ -542,5 +542,5 @@ def test_an_overflowing_point_fails_only_its_row(monkeypatch):
     chart = build(FamilySpec("ex41"))
     rows = sweep(chart, pts, ("structure",))
     assert rows[5].error == "ContractViolation: the operator's characteristic quartic overflows"
-    assert rows[5].label == "" and rows[5].spectrum is None
+    assert rows[5].label == rows[5].pattern == ""
     assert all(not r.error and r.label == "I" for k, r in enumerate(rows) if k != 5)

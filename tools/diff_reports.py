@@ -36,9 +36,12 @@ at s = 0.9995 (those points keep their identity rows, with no tangency
 value and no label), three cases whose structure stage runs over several
 blocks: intsurf.viii and intcurve.E on 1,500 random points (3 blocks each)
 and thm3.viii on a 1,125-point grid (2 blocks) whose s = 0.7 slice fails
-``structure``,
-``sample`` on one pair family and on ``rem42 --n 5``, so that every row a
-sweep gives is compared, not only the summaries, and ``classify`` at the
+``structure``, the same grid with ``--jobs 2`` (the pool writes each
+block's rows and structure notes back into the request's table),
+``sample`` on one pair family, on ``rem42 --n 5`` and on thm3.viii at
+1,500 random points with ``--jobs 2`` (3 pool blocks of a 4-parameter
+chart), so that every row a sweep gives is compared, not only the
+summaries, and ``classify`` at the
 solved ex41's centre, at one thm3.viii point and at one thm1.v point, so
 that the one-point ``eigen_structure`` path is compared too, with a
 planted ``--matrix`` beside a target and ``--psi`` (a usage error), and on
@@ -47,10 +50,12 @@ the planted defective operators of cases II and IV (``--matrix`` and
 so that the rank test is compared on defective root items too, and three
 usage errors of ``classify``: a NaN ``--matrix``, a singular ``--metric``
 and a finite ``--matrix`` whose characteristic quartic overflows (entries
-near 1e80).  Each case's argv, exit code and printed output go to one
-JSON file in OUT_DIR, with what it writes to stderr when it writes there: a
-usage error of the argument parser (exit 2), or an exception the command
-line would print as a traceback (exit 1).
+near 1e80), and ``classify --tol 0`` on a planted operator with two roots
+1e-5 apart (a zero cluster tolerance is read as given).  Each case's argv,
+exit code and printed output go to one JSON file in OUT_DIR, with what it
+writes to stderr when it writes there: a usage error of the argument parser
+(exit 2), or an exception the command line would print as a traceback
+(exit 1).
 
 ``diff`` compares two such directories case by case: whether the printed
 output is byte-identical, whether the exit code moved, and every report
@@ -92,6 +97,9 @@ PLANTED_DEFECTIVE = {
 }
 # finite entries whose characteristic quartic passes the float range
 OVERFLOWING = "1e80,0,0,0,0,2e80,0,0,0,0,3e80,0,0,0,0,4e80"
+# a diagonal operator with two roots 1e-5 apart: unresolved at the default
+# cluster tolerance (the gap falls in its guard band), four distinct at --tol 0
+NEAR_DOUBLE = "1,0,0,0,0,1.00001,0,0,0,0,3,0,0,0,0,4"
 SMALL = 1e-12
 GRID16 = "s=0.2:0.8:2,t=-0.5:0.5:2,u=-0.5:0.5:2,v=-0.5:0.5:2"  # thm1.i, 2 nodes per axis
 # the --config files of the cases, by name: an argv names one as CONFIGS/<name>
@@ -148,9 +156,13 @@ def cases(catalog):
                                              "--seed", "3"]))
     out.append(("intcurve.E 1500 random", ["intcurve.E", "--random-points", "1500", "--seed", "3"]))
     out.append(("thm3.viii grid t=9", ["thm3.viii", "--grid", "t=-0.704:0.704:9"]))
+    out.append(("thm3.viii grid t=9 jobs=2", ["thm3.viii", "--grid", "t=-0.704:0.704:9",
+                                              "--jobs", "2"]))
     out = [(name, ["verify", *argv, "--emit-report"]) for name, argv in out]
     out.append(("sample thm1.ii", ["sample", "thm1.ii"]))
     out.append(("sample rem42 n=5", ["sample", "rem42", "--n", "5", "--offsets", "1,2,3,4"]))
+    out.append(("sample thm3.viii 1500 random jobs=2", ["sample", "thm3.viii", "--random-points",
+                                                        "1500", "--seed", "3", "--jobs", "2"]))
     out.append(("classify ex41 solved", ["classify", "ex41", "--solve-psi"]))
     out.append(("classify thm3.viii", ["classify", "thm3.viii", "--at", "0.7,0,0,0"]))
     out.append(("classify thm1.v", ["classify", "thm1.v", "--at", "1,0,0,0"]))
@@ -163,6 +175,7 @@ def cases(catalog):
     out.append(("classify singular metric", ["classify", f"--matrix={PLANTED}",
                                              "--metric=0,0,0,0,0,-1,0,0,0,0,1,0,0,0,0,1"]))
     out.append(("classify overflowing matrix", ["classify", f"--matrix={OVERFLOWING}"]))
+    out.append(("classify matrix tol=0", ["classify", f"--matrix={NEAR_DOUBLE}", "--tol", "0"]))
     return out
 
 
