@@ -48,9 +48,9 @@ from .immersion import ImmersionChart, packet
 from .profiles import ExprProfile
 from .ambient import Signature
 from .spectral import eigen_structure
-from .sweep import (COLUMNS, HYPERSURFACE_CHECKS, LOWDIM_CHECKS, CheckSummary, grid_points,
-                    interior_grid, random_points, structure_verdict, summarize, sweep)
-from .thresholds import CLUSTER_TOL, DEFAULT_TOLERANCES, GRID_SLACK, TAU_DEG
+from .sweep import (COLUMNS, HYPERSURFACE_CHECKS, LOWDIM_CHECKS, TANGENCY, CheckSummary,
+                    grid_points, interior_grid, random_points, structure_verdict, summarize, sweep)
+from .thresholds import CLUSTER_TOL, DEFAULT_TOLERANCES, FD_TANGENCY_TOL, GRID_SLACK, TAU_DEG
 
 SCHEMA = 1
 # the chart flags, each once: flag -> (request key, type, help); a parameter
@@ -90,8 +90,8 @@ MAX_POINTS = 10**7
 MAX_JOBS = 64
 # the profiles an inline chart's expressions may call, each given by its flag
 INLINE_PROFILES = ("phi", "psi", "phi1", "phi2")
-# the checks with a --tol-<name> option of their own (the oracle's has none)
-TOLERANCE_FLAGS = tuple(name for name in DEFAULT_TOLERANCES if name != "biconservative_fd")
+# the checks with a --tol-<name> option of their own
+TOLERANCE_FLAGS = tuple(DEFAULT_TOLERANCES)
 
 
 @dataclass
@@ -219,7 +219,7 @@ def _resolve_points(req: VerifyRequest, target: Target):
 def _assertion_set(entry, explicit_checks):
     asserted = {"beltrami", "gauss", "codazzi", "unit_normal"}
     if entry and entry.offsets:  # a solved torsion profile: the tangency certificate
-        asserted |= {"biconservative", "principal_direction"}
+        asserted |= set(TANGENCY)
     if entry:
         asserted.add("structure")
     asserted |= set(explicit_checks or [])
@@ -239,9 +239,9 @@ def run_verify(req: VerifyRequest):
     checks = list(req.checks or answered)
     tol = dict(DEFAULT_TOLERANCES)
     if req.oracle == "fd":
-        tol["biconservative"] = tol["biconservative_fd"]
-        tol["principal_direction"] = tol["biconservative_fd"]
+        tol["biconservative"] = FD_TANGENCY_TOL
     tol.update(req.tolerances)
+    tol["principal_direction"] = tol["biconservative"]  # one tangency row, one tolerance
     asserted = _assertion_set(entry, req.checks)
 
     table = sweep(chart, pts, checks, oracle=req.oracle, jobs=req.jobs)

@@ -455,14 +455,11 @@ def _result(one: bool, r):
     return float(r[0]) if one else r
 
 
-def biconservative_residual(chart: ImmersionChart, p, pk=None):
-    """Scale-free tangency defect of the shape operator on grad H.
-
-    Zero exactly when grad H vanishes (constant mean curvature, where the
-    condition is vacuous).  ``pk`` is a ``CurvaturePacket`` or an
-    ``FdPacket``: both oracles share this arithmetic, each with its own CMC
-    decision.
-    """
+def _tangency(chart: ImmersionChart, p, pk) -> tuple:
+    """(one, |S grad H + (n/2) H grad H|, |grad H|, cmc) per point, ambient
+    Euclidean norms: the one tangency row of both checks.  ``pk`` (the
+    packet of ``p`` if None) may be an ``FdPacket``: both oracles share this
+    arithmetic, each with its own CMC decision."""
     if pk is None:
         pk = packet(chart, p)
     one, (S, H, gradH, dx, g_amb, cmc) = _point_axis(
@@ -470,39 +467,32 @@ def biconservative_residual(chart: ImmersionChart, p, pk=None):
     # eigenvalue factor -(n/2) H; the displayed -2 H for four parameters
     n = S.shape[-1]
     v = _mv(S, gradH) + (n / 2.0) * H[:, None] * gradH
-    r = np.linalg.norm(_push(v, dx), axis=-1) / np.maximum(1.0, np.linalg.norm(g_amb, axis=-1))
-    return _result(one, np.where(cmc, 0.0, r))
+    return one, np.linalg.norm(_push(v, dx), axis=-1), np.linalg.norm(g_amb, axis=-1), cmc
 
 
-def _principal_direction(S, H, gradH, dx) -> np.ndarray:
-    """The principal-direction residual at each point of (P, ...) arrays.
+def biconservative_residual(chart: ImmersionChart, p, pk=None):
+    """Scale-free tangency defect of the shape operator on grad H: the
+    tangency vector's norm over max(1, |grad H|).
 
-    Meaningless where grad H vanishes; the caller masks its CMC points.
+    Zero exactly when grad H vanishes (constant mean curvature, where the
+    condition is vacuous).
     """
-    n = S.shape[-1]
-    g = _push(gradH, dx)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ng = np.linalg.norm(g, axis=-1)
-        sg = _push(_mv(S, gradH), dx)
-        res_eigen = np.linalg.norm(sg + (n / 2.0) * H[:, None] * g, axis=-1) / ng
-        k1_measured = np.sum(sg * g, axis=-1) / (ng * ng)
-    res_sum = np.abs((np.trace(S, axis1=-2, axis2=-1) - k1_measured) - (3.0 * n / 2.0) * H)
-    return np.maximum(res_eigen, res_sum)
+    one, t, g, cmc = _tangency(chart, p, pk)
+    return _result(one, np.where(cmc, 0.0, t / np.maximum(1.0, g)))
 
 
 def principal_direction_check(chart: ImmersionChart, p, pk=None):
-    """Residuals of the eigen-direction identities satisfied by grad H.
+    """The tangency defect relative to grad H: the tangency vector's norm
+    over |grad H|, so how far grad H is from an eigenvector of S with
+    eigenvalue -(n/2) H.
 
-    Checks both displayed consequences of the tangency condition: grad H is
-    an eigenvector with eigenvalue -(n/2) H, and the remaining eigenvalues
-    sum to (3n/2) H.  Returns None at a constant-mean-curvature point; a
-    block packet gives NaN at its CMC points.  ``pk`` may also be an
-    FdPacket: both oracles share this arithmetic.
+    Never below ``biconservative_residual``, which divides the same norm by
+    max(1, |grad H|).  Returns None at a constant-mean-curvature point; a
+    block packet gives NaN at its CMC points.
     """
-    if pk is None:
-        pk = packet(chart, p)
-    one, (S, H, gradH, dx, cmc) = _point_axis(pk, pk.S, pk.H, pk.gradH, pk.dx, pk.is_cmc_point)
-    r = np.where(cmc, np.nan, _principal_direction(S, H, gradH, dx))
+    one, t, g, cmc = _tangency(chart, p, pk)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(cmc, np.nan, t / g)
     if one:
         return None if cmc[0] else float(r[0])
     return r

@@ -69,6 +69,9 @@ BLOCK = 640
 HYPERSURFACE_CHECKS = ("biconservative", "beltrami", "gauss", "codazzi",
                        "unit_normal", "principal_direction", "structure")
 LOWDIM_CHECKS = ("beltrami", "gauss", "codazzi", "structure")
+# the checks of the one tangency row (``immersion._tangency``): read from the
+# oracle's packet, asserted together, vacuous together
+TANGENCY = ("biconservative", "principal_direction")
 
 
 def interior_grid(domain, nodes: int = 5) -> list:
@@ -215,16 +218,12 @@ def _block_table(chart: ImmersionChart, table: SweepTable, checks, oracle: str):
         if hyper:
             table.H[:], table.hyper[:], table.cmc[:] = pk.H, True, pk.is_cmc_point
             # 2: the tangency checks and the CMC flag read the oracle's packet
-            fd = oracle == "fd" and ("biconservative" in checks or "principal_direction" in checks)
-            tpk = packet_fd(chart, pts) if fd else pk
-            rows = {}
-            if "biconservative" in checks:
-                rows["biconservative"] = biconservative_residual(chart, pts, tpk)
-            if "principal_direction" in checks:
-                rows["principal_direction"] = principal_direction_check(chart, pts, tpk)
+            tpk = packet_fd(chart, pts) if oracle == "fd" and set(TANGENCY) & set(checks) else pk
+            rows = {name: check(chart, pts, tpk) for name, check in zip(
+                TANGENCY, (biconservative_residual, principal_direction_check)) if name in checks}
             table.cmc[:] = tpk.is_cmc_point
             _put(table, checks, rows)
-            table.has[:, -1] &= ~table.cmc  # no principal direction at a CMC point
+            table.has[:, COLUMNS.index("principal_direction")] &= ~table.cmc  # none at CMC
         if hyper and ("structure" in checks or "curvatures" in checks):  # 3: the classification
             spectra, table.curvatures[:], table.has_curv[:] = _classify(chart, pk.S, pk.G)
             if spectra is not None:
@@ -246,12 +245,14 @@ def _block_table(chart: ImmersionChart, table: SweepTable, checks, oracle: str):
 
 def _classify(chart: ImmersionChart, S: np.ndarray, G: np.ndarray) -> tuple:
     """(spectra, curvatures (P, n), has_curv (P,)) of a block (P, n, n): a 4-parameter
-    chart's SpectrumBlock and real roots, else the eigenvalues of S where all real."""
+    chart's SpectrumBlock and real roots, else the eigenvalues of S where all real and
+    finite (one of a finite S may overflow): curvatures are finite where present."""
     if chart.nparams == 4:
         spectra = eigen_structure(S, G)
         return (spectra, *spectra.curvatures())
     got = np.linalg.eigvals(S)
-    real = np.abs(got.imag).max(axis=1) < ROOTS_REAL_TOL * (1 + np.abs(got).max(axis=1))
+    top = np.abs(got).max(axis=1)
+    real = (np.abs(got.imag).max(axis=1) < ROOTS_REAL_TOL * (1 + top)) & np.isfinite(top)
     return None, np.sort(got.real, axis=1, kind="stable"), real
 
 
@@ -419,7 +420,7 @@ def summarize(table: SweepTable, checks, tolerances, asserted) -> list:
             continue
         arr, at = table.column(name)
         tol = tolerances.get(name)
-        tangency = name in ("biconservative", "principal_direction")
+        tangency = name in TANGENCY
         if not len(arr):
             status = "vacuous" if tangency and vacuous else "skipped"
             out.append(CheckSummary(name, 0.0, 0.0, None, 0, tol, status))
@@ -446,8 +447,8 @@ def structure_verdict(table: SweepTable) -> tuple:
     notes = [f"{table.error[k]} (at {_at(table.points[k])})" for k in errors] + table.notes
     labels = Counter(table.label.tolist())
     patterns = table.pattern[table.label != ""] if labels.pop("", 0) else table.pattern
-    curv = table.curvatures[table.has_curv].ravel().tolist()
+    k = table.curvatures[table.has_curv]  # finite roots only: see ``_classify``
     spectral = {"labels": labels, "patterns": Counter(patterns.tolist()),
-                "curvature_min": min(curv) if curv else None,
-                "curvature_max": max(curv) if curv else None}
+                "curvature_min": float(k.min()) if k.size else None,
+                "curvature_max": float(k.max()) if k.size else None}
     return not len(errors) and bool(table.fits.all()), spectral, notes

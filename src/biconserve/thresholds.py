@@ -146,23 +146,23 @@ DERIV_STEP = 1e-5
 
 # -- sweeps (sweep, cli) ------------------------------------------------------
 
+# no principal_direction entry: that row, the tangency defect over |grad H| and never below
+# biconservative, is held to biconservative's tolerance, so the pair fails where it fails.
 # guards each verify check's residual (its --tol-<check> default); scale per key; source chosen
 DEFAULT_TOLERANCES = {
     # guards |S grad H + (n/2) H grad H| in ambient space; scale max(1, |grad H|); source chosen
     "biconservative": 1e-6,
-    # guards both tangency rows on the fd oracle's route; scale as theirs; source chosen
-    "biconservative_fd": 1e-4,
     # guards |lap x - n H N|; scale absolute: the chart's partials are O(1); source chosen
     "beltrami": 1e-7,
     # guards the Gauss row's max defect; scale (1 + max|h|)^2; source chosen
     "gauss": 1e-6,
     # guards the Codazzi row's max defect; scale (1 + max|h|)^2; source chosen
     "codazzi": 1e-6,
-    # guards grad H's eigenvector defect, then the trace defect; scale |grad H|, O(1); source chosen
-    "principal_direction": 1e-6,
     # guards |<N, N> - 1|; scale the 1 it compares with; source chosen
     "unit_normal": 1e-9,
 }
+# guards the tangency row on the fd oracle's route; scale max(1, |grad H|), |grad H|; source chosen
+FD_TANGENCY_TOL = 1e-4
 # guards max|Im| of S's eigenvalues for "all real" (n != 4); scale 1 + max|root|; source chosen
 ROOTS_REAL_TOL = 1e-9
 # guards a grid axis's bounds past the chart's domain; scale absolute: O(1) domains; source chosen

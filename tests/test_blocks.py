@@ -14,7 +14,8 @@ from biconserve.immersion import (FD_BASES, ImmersionChart, beltrami_residual,
                                   packet_fd, principal_direction_check, submanifold_packet,
                                   unit_normal_residual)
 from biconserve.profiles import solve_psi
-from biconserve.sweep import BLOCK, HYPERSURFACE_CHECKS, grid_points, random_points, sweep
+from biconserve.sweep import (BLOCK, HYPERSURFACE_CHECKS, SweepTable, _classify, grid_points,
+                              random_points, structure_verdict, sweep)
 
 SOLVED = {"solve_psi": True, "c": 1.0}
 CONTROL = {"psi": "s^2"}
@@ -113,6 +114,24 @@ def test_block_packet_fd_is_the_one_point_packet_fd_at_each_point(name, chart):
         assert biconservative_residual(chart, p, one) == bicons[k]
         pd = principal_direction_check(chart, p, one)
         assert (pd is None and np.isnan(pd_block[k])) or pd == pd_block[k]
+
+
+@pytest.mark.parametrize("oracle", ["jets", "fd"])
+@pytest.mark.parametrize("name, chart", CHARTS, ids=[name for name, _ in CHARTS])
+def test_the_two_tangency_checks_are_one_row_in_two_normalizations(name, chart, oracle):
+    # the tangency vector's norm over |grad H| and over max(1, |grad H|): the
+    # first is never below the second, so an asserted pair fails exactly
+    # where principal_direction fails
+    pts = random_points(chart.domain, 16, 11)
+    pk = packet(chart, pts) if oracle == "jets" else packet_fd(chart, pts)
+    bc = biconservative_residual(chart, pts, pk)
+    pd = principal_direction_check(chart, pts, pk)
+    g = np.linalg.norm(pk.gradH_ambient.components, axis=1)
+    live = ~pk.is_cmc_point
+    assert np.isnan(pd[~live]).all() and not bc[~live].any()
+    np.testing.assert_allclose(pd[live] * g[live], bc[live] * np.maximum(1.0, g[live]),
+                               rtol=1e-15, atol=0)
+    assert (pd[live] >= bc[live]).all()
 
 
 @pytest.mark.parametrize("name, chart", LOWDIM, ids=[name for name, _ in LOWDIM])
@@ -417,6 +436,41 @@ def test_a_sweep_table_keeps_no_spectrum_per_point():
     # bytes a point besides the points themselves)
     _, retained = _traced_sweep("ex41", 20_000, HYPERSURFACE_CHECKS)
     assert retained < 3 * 2**20, retained / 2**20
+
+
+def test_the_structure_verdict_keeps_no_float_per_curvature():
+    # 20,000 ex41 points: the verdict peaked at 3.05 MiB while it listed one
+    # Python float per curvature, at 0.77 MiB with array reductions (most of
+    # it the has_curv rows' copy of the curvatures)
+    import tracemalloc
+
+    chart = build(FamilySpec("ex41"))
+    table = sweep(chart, random_points(chart.domain, 20_000, 3), ("structure",))
+    tracemalloc.start()
+    try:
+        spectral = structure_verdict(table)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak / 2**20
+    curv = table.curvatures[table.has_curv].ravel().tolist()
+    assert (spectral["curvature_min"], spectral["curvature_max"]) == (min(curv), max(curv))
+
+
+def test_a_point_with_curvatures_has_finite_ones():
+    # an eigenvalue of a finite operator may overflow: that point gets no
+    # curvatures, so the verdict's range reads finite roots only
+    class Chart:
+        nparams = 3
+
+    S = np.array([[[1e308, 1e308, 0.0], [1e308, 1e308, 0.0], [0.0, 0.0, 1.0]],
+                  np.diag([3.0, -2.0, 1.0])])
+    _, k, has = _classify(Chart, S, None)
+    assert not np.isfinite(k[0]).all() and has.tolist() == [False, True]
+    table = SweepTable.blank(np.zeros((2, 3)), 3)
+    table.curvatures[:], table.has_curv[:] = k, has
+    spectral = structure_verdict(table)[1]
+    assert (spectral["curvature_min"], spectral["curvature_max"]) == (-2.0, 3.0)
 
 
 def test_oracle_only_failures_inside_a_block():

@@ -471,6 +471,8 @@ def test_a_parameter_the_chart_does_not_read_is_a_usage_error(argv, name, reader
     ["classify", "ex41", "--output", "F"],
     ["classify", "ex41", "--format", "csv"],
     ["sample", "thm1.ii", "--format", "json"],
+    # principal_direction shares the tangency tolerance: it has no flag of its own
+    ["verify", "ex41", "--tol-principal-direction", "1e-3"],
 ])
 def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as stop:
@@ -484,7 +486,7 @@ def test_each_subcommand_parses_only_the_flags_it_reads():
     subcommands = next(a for a in make_parser()._actions if a.dest == "command").choices
     counts = {name: sum(len(a.option_strings) for a in p._actions if a.dest != "help")
               for name, p in subcommands.items()}
-    assert counts == {"list": 2, "verify": 33, "classify": 21, "sample": 24}
+    assert counts == {"list": 2, "verify": 32, "classify": 21, "sample": 24}
 
 
 @pytest.mark.parametrize("argv", [[], ["--n", "5", "--offsets", "1,2,3,4"]])
@@ -547,6 +549,14 @@ def test_a_config_key_the_request_does_not_read_is_a_usage_error(tmp_path, argv,
     code, text = run([*argv, "--config", _config(tmp_path, **cfg)])
     assert code == 2
     assert text.startswith(f"error: --config key {key!r} is not read") and text.count("\n") == 1
+
+
+def test_a_config_principal_direction_tolerance_is_a_usage_error(tmp_path):
+    cfg = {"target": "ex41", "tolerances": {"principal_direction": 1e-3}}
+    code, text = run(["verify", "--config", _config(tmp_path, **cfg)])
+    assert code == 2
+    assert text == ("error: --config key 'tolerances.principal_direction' is not read; the "
+                    "tolerances are biconservative, beltrami, gauss, codazzi, unit_normal\n")
 
 
 def test_domain_spec_over_a_short_config_domain_is_a_usage_error(tmp_path):
@@ -681,7 +691,7 @@ def test_a_negative_seed_is_a_usage_error(tmp_path, argv, option):
     (["classify", "ex41", "--tol", "nan"], "--tol takes"),
     (["classify", "--matrix=" + PLANTED, "--tol=-1e-9"], "--tol takes"),
     (["verify", "ex41", "--tol-gauss", "nan"], "--tol-gauss takes"),
-    (["verify", "ex41", "--tol-principal-direction=-1e-3"], "--tol-principal-direction takes"),
+    (["verify", "ex41", "--tol-codazzi=-1e-3"], "--tol-codazzi takes"),
     (["verify", "ex41", "--config", {"tolerances": {"gauss": -1}}],
      "--tol-gauss (in --config) takes"),
     (["verify", "ex41", "--config", {"tolerances": {"unit_normal": float("nan")}}],
@@ -704,6 +714,22 @@ def test_a_zero_tolerance_keeps_its_meaning():
     code, text = run(["verify", "ex41", "--grid", "s=0.6:1.4:2,t=-0.5:0.5:2,u=-0.5:0.5:2,"
                       "v=-0.5:0.5:2", "--checks", "gauss", "--tol-gauss", "0"])
     assert code in (0, 1) and not text.startswith("error")
+
+
+@pytest.mark.parametrize("argv, tol", [
+    ([], 1e-6),
+    (["--oracle", "fd"], 1e-4),
+    (["--oracle", "fd", "--tol-biconservative", "1e-3"], 1e-3),
+    (["--oracle", "fd", "--config", {"tolerances": {"biconservative": 1e-3}}], 1e-3),
+])
+def test_principal_direction_shares_the_tangency_tolerance(tmp_path, argv, tol):
+    # one tangency row, one tolerance: the oracle's principal_direction max
+    # (2.161e-4 on the default grid) fails against its default 1e-4 only
+    argv = [_config(tmp_path, **a) if isinstance(a, dict) else a for a in argv]
+    code, text = run(["verify", "ex41", *argv, "--emit-report"])
+    checks = {c["name"]: c for c in json.loads(text[text.index("{"):])["checks"]}
+    assert checks["principal_direction"]["tolerance"] == checks["biconservative"]["tolerance"] == tol
+    assert code == (1 if tol == 1e-4 else 0)
 
 
 def test_classify_reads_a_zero_cluster_tolerance_as_given():
