@@ -35,7 +35,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -48,8 +48,8 @@ from .immersion import ImmersionChart, packet
 from .profiles import ExprProfile
 from .ambient import Signature
 from .spectral import eigen_structure
-from .sweep import (COLUMNS, HYPERSURFACE_CHECKS, LOWDIM_CHECKS, TANGENCY, CheckSummary,
-                    grid_points, interior_grid, random_points, structure_verdict, summarize, sweep)
+from .sweep import (COLUMNS, HYPERSURFACE_CHECKS, LOWDIM_CHECKS, TANGENCY, grid_points,
+                    interior_grid, random_points, summarize, sweep)
 from .thresholds import CLUSTER_TOL, DEFAULT_TOLERANCES, FD_TANGENCY_TOL, GRID_SLACK, TAU_DEG
 
 SCHEMA = 1
@@ -218,7 +218,9 @@ def _resolve_points(req: VerifyRequest, target: Target):
 
 def _assertion_set(entry, explicit_checks):
     asserted = {"beltrami", "gauss", "codazzi", "unit_normal"}
-    if entry and entry.offsets:  # a solved torsion profile: the tangency certificate
+    # an entry with a torsion equation: tangency is asserted on its solved
+    # profile and on any --psi control, which must fail
+    if entry and entry.offsets:
         asserted |= set(TANGENCY)
     if entry:
         asserted.add("structure")
@@ -236,29 +238,17 @@ def run_verify(req: VerifyRequest):
     if unknown:
         raise ContractViolation(f"unknown check {unknown[0]!r}; this chart answers "
                                 f"{', '.join(answered)}")
+    twice = [c for k, c in enumerate(req.checks) if c in req.checks[:k]]
+    if twice:
+        raise ContractViolation(f"check {twice[0]!r} is given twice")
     checks = list(req.checks or answered)
     tol = dict(DEFAULT_TOLERANCES)
     if req.oracle == "fd":
         tol["biconservative"] = FD_TANGENCY_TOL
     tol.update(req.tolerances)
-    tol["principal_direction"] = tol["biconservative"]  # one tangency row, one tolerance
-    asserted = _assertion_set(entry, req.checks)
 
     table = sweep(chart, pts, checks, oracle=req.oracle, jobs=req.jobs)
-    summaries = summarize(table, checks, tol, asserted)
-
-    spectral = {}
-    if "structure" in checks:
-        ok, spectral, _ = structure_verdict(table)
-        status = ("pass" if "structure" in asserted else "not_asserted") if ok else "fail"
-        summaries.append(CheckSummary("structure", 0.0 if ok else 1.0, 0.0,
-                                      None, len(table), None, status))
-
-    errored = any(s.status == "error" for s in summaries)
-    failed = any(s.status == "fail" and s.name in asserted | {"structure"}
-                 for s in summaries)
-    code = 2 if errored else (1 if failed else 0)
-
+    summaries, spectral, code = summarize(table, checks, tol, _assertion_set(entry, req.checks))
     report = {
         "schema": SCHEMA,
         "tool": "biconserve",
@@ -268,18 +258,7 @@ def run_verify(req: VerifyRequest):
         "exit_code": code,
         "config": {**{key: getattr(req, key) for key in CONFIG_KEYS}, "domain": target.domain,
                    "grid": grid},
-        "checks": [
-            {
-                "name": s.name,
-                "max": s.max,
-                "mean": s.mean,
-                "argmax_point": list(s.argmax_point) if s.argmax_point else None,
-                "count": s.count,
-                "tolerance": s.tolerance,
-                "status": s.status,
-            }
-            for s in summaries
-        ],
+        "checks": [asdict(s) for s in summaries],
         "spectral": spectral,
     }
     if req.per_point:
@@ -346,13 +325,16 @@ def cmd_list(args, out=None) -> int:
 
 def _parse_axis_spec(text: str, names):
     """'s=0.6:1.4:5,t=-0.5:0.5:5,...' or positional 'lo:hi:n,...' as
-    {axis index: (lo, hi, n or None)}; ContractViolation names a bad axis."""
+    {axis index: (lo, hi, n or None)}; ContractViolation names a bad axis
+    or one given twice."""
     out = {}
     for i, part in enumerate(x.strip() for x in text.split(",") if x.strip()):
         name, _, spec = part.rpartition("=")
         name = name.strip() or (names[i] if i < len(names) else part)
         if name not in names:
             raise ContractViolation(f"unknown axis {name!r}; the axes are {', '.join(names)}")
+        if names.index(name) in out:
+            raise ContractViolation(f"axis {name!r} is given twice")
         bits = spec.split(":")
         try:
             if len(bits) not in (2, 3):

@@ -410,17 +410,25 @@ class CheckSummary:
     status: str  # pass | fail | vacuous | not_asserted | skipped | error
 
 
-def summarize(table: SweepTable, checks, tolerances, asserted) -> list:
-    out = []
+def summarize(table: SweepTable, checks, tolerances, asserted) -> tuple:
+    """(summaries, spectral, code): the verdicts of a request's table.
+
+    The rows are the residual checks in ``checks`` order, then ``errors``
+    where a point has one, then ``structure`` when ``checks`` asks for it,
+    whose verdict's block is ``spectral`` ({} without it; its notes are not
+    kept).  Both checks of the tangency row read the ``biconservative``
+    tolerance, and are vacuous when every point without an error is CMC.
+    Only an asserted check or the structure row fails; the code is 2 on an
+    ``error`` row, 1 on a ``fail`` row, else 0."""
+    out, spectral = [], {}
     errors = np.flatnonzero(table.error != "")
-    # the tangency checks are vacuous when every point without an error is CMC
     vacuous = len(table) > 0 and bool(table.cmc[table.error == ""].all())
     for name in checks:
         if name == "structure":
             continue
         arr, at = table.column(name)
-        tol = tolerances.get(name)
         tangency = name in TANGENCY
+        tol = tolerances.get("biconservative" if tangency else name)
         if not len(arr):
             status = "vacuous" if tangency and vacuous else "skipped"
             out.append(CheckSummary(name, 0.0, 0.0, None, 0, tol, status))
@@ -434,7 +442,13 @@ def summarize(table: SweepTable, checks, tolerances, asserted) -> list:
     if len(errors):
         out.append(CheckSummary("errors", float(len(errors)), 0.0,
                                 plain_point(table.points[errors[0]]), len(errors), None, "error"))
-    return out
+    if "structure" in checks:
+        ok, spectral, _ = structure_verdict(table)
+        status = ("pass" if "structure" in asserted else "not_asserted") if ok else "fail"
+        out.append(CheckSummary("structure", 0.0 if ok else 1.0, 0.0, None, len(table), None,
+                                status))
+    statuses = {s.status for s in out}
+    return out, spectral, 2 if "error" in statuses else 1 if "fail" in statuses else 0
 
 
 def structure_verdict(table: SweepTable) -> tuple:
@@ -447,8 +461,9 @@ def structure_verdict(table: SweepTable) -> tuple:
     notes = [f"{table.error[k]} (at {_at(table.points[k])})" for k in errors] + table.notes
     labels = Counter(table.label.tolist())
     patterns = table.pattern[table.label != ""] if labels.pop("", 0) else table.pattern
-    k = table.curvatures[table.has_curv]  # finite roots only: see ``_classify``
+    # read in place over the rows with curvatures, finite roots only: see ``_classify``
+    k, rows, some = table.curvatures, table.has_curv[:, None], table.has_curv.any()
     spectral = {"labels": labels, "patterns": Counter(patterns.tolist()),
-                "curvature_min": float(k.min()) if k.size else None,
-                "curvature_max": float(k.max()) if k.size else None}
+                "curvature_min": float(k.min(where=rows, initial=np.inf)) if some else None,
+                "curvature_max": float(k.max(where=rows, initial=-np.inf)) if some else None}
     return not len(errors) and bool(table.fits.all()), spectral, notes

@@ -577,6 +577,27 @@ def test_a_check_the_chart_does_not_answer_is_a_usage_error(target, check):
     assert repr(check) in text and ", ".join(answered) in text
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_check_given_twice_is_a_usage_error(tmp_path, source):
+    checks = ["gauss", "gauss", "structure", "structure"]
+    given = (["--checks", ",".join(checks)] if source == "flag"
+             else ["--config", _config(tmp_path, checks=checks)])
+    assert run(["verify", "ex41", "--solve-psi", *given]) == (
+        2, "error [ex41]: check 'gauss' is given twice\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "ex41", "--solve-psi", "--grid", "0.6:1.4:2,s=0.7:1.3:3"],
+    ["verify", "ex41", "--solve-psi", "--grid", "s=0.6:1.4:2,s=0.7:1.3:3"],
+    ["sample", "ex41", "--solve-psi", "--domain", "s=0.6:1.4,s=0.7:1.3"],
+    ["classify", "thm1.i", "--domain", "s=0.2:0.8,s=0.3:0.7"],
+])
+def test_an_axis_given_twice_is_a_usage_error(argv):
+    code, text = run(argv)
+    assert code == 2 and text.count("\n") == 1
+    assert text.startswith("error") and text.endswith(": axis 's' is given twice\n")
+
+
 PLANTED = "-1.4,0,0,0,0,1.3,-0.9,0,0,0.9,1.3,0,0,0,0,2.1"
 
 

@@ -358,7 +358,11 @@ def test_special_rows_are_the_per_point_reference(monkeypatch, case):
     assert kinds[case]()
 
 
-def ref_summarize(rows, checks, tolerances, asserted):
+def ref_summarize(rows, checks, tolerances, asserted, tag):
+    """(summaries, spectral, code) as the previous design formed them: the
+    residual and error rows in ``summarize``, then, in ``run_verify``, the
+    tangency row's one tolerance, the structure row and the exit code."""
+    tolerances = {**tolerances, "principal_direction": tolerances.get("biconservative")}
     out = []
     errors = [r for r in rows if r.error]
     vacuous = bool(rows) and all(r.cmc for r in rows if not r.error)
@@ -382,11 +386,20 @@ def ref_summarize(rows, checks, tolerances, asserted):
     if errors:
         out.append(sweep_module.CheckSummary("errors", float(len(errors)), 0.0,
                                              errors[0].point, len(errors), None, "error"))
-    return out
+    spectral = {}
+    if "structure" in checks:
+        ok, spectral, _ = ref_structure_verdict(tag, rows)
+        status = ("pass" if "structure" in asserted else "not_asserted") if ok else "fail"
+        out.append(sweep_module.CheckSummary("structure", 0.0 if ok else 1.0, 0.0, None,
+                                             len(rows), None, status))
+    errored = any(s.status == "error" for s in out)
+    failed = any(s.status == "fail" and s.name in asserted | {"structure"} for s in out)
+    return out, spectral, 2 if errored else (1 if failed else 0)
 
 
 @pytest.mark.parametrize("case", ["cmc with errors", "bisected", "control"])
-def test_summaries_are_the_per_point_reference(case):
+def test_summaries_are_the_per_point_reference(monkeypatch, case):
+    # one reduction gives every row and the exit code as the reference's separate steps do
     if case == "cmc with errors":  # a cylinder whose chart raises for t < -0.5
         chart = ImmersionChart(components=tuple(parse(e) for e in (
             "t", "u", "cos(v)", "sin(v)", "s + 0*sqrt(t + 0.5)")), domain=((-1, 1),) * 4)
@@ -397,13 +410,19 @@ def test_summaries_are_the_per_point_reference(case):
         chart = build(FamilySpec("ex41", profiles={"psi": "s^2"}))
         pts = random_points(chart.domain, 40, 8)
     table = sweep(chart, pts, HYPERSURFACE_CHECKS)
+    rows = ref_rows(monkeypatch, chart, pts, HYPERSURFACE_CHECKS)
+    assert_rows_equal(table, rows)
     assert (table.error != "").any() == (case != "control")
+    tag = chart.structure[0] if chart.structure else None
+    codes = set()
     for asserted in (set(HYPERSURFACE_CHECKS), {"beltrami"}):
         for tol in (DEFAULT_TOLERANCES, {"gauss": 0.0, "beltrami": 1.0}):
             got = sweep_module.summarize(table, HYPERSURFACE_CHECKS, tol, asserted)
-            assert got == ref_summarize(list(table), HYPERSURFACE_CHECKS, tol, asserted)
-    statuses = {s.name: s.status for s in got}
+            assert got == ref_summarize(rows, HYPERSURFACE_CHECKS, tol, asserted, tag)
+            codes.add(got[2])
+    statuses = {s.name: s.status for s in got[0]}
     assert (statuses["biconservative"] == "vacuous") == (case == "cmc with errors")
+    assert codes == ({0, 1} if case == "control" else {2})
 
 
 def test_eigenvalue_branch_marks_complex_roots():

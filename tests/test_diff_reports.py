@@ -45,7 +45,7 @@ def test_classify_cases_are_diffed(diff_reports):
     from biconserve import catalog
 
     argvs = [argv for _, argv in diff_reports.cases(catalog)]
-    assert len(argvs) == 115
+    assert len(argvs) == 118
     assert ["verify", diff_reports.INLINE, "--config", "CONFIGS/two-axis-domain.json",
             "--emit-report"] in argvs
     assert ["classify", "ex41", "--solve-psi"] in argvs
@@ -195,3 +195,13 @@ def test_spectral_extremes_are_values_and_labels_verdicts(diff_reports, tmp_path
     _case(tmp_path / "old", "a.json", argv, _verify(SPECTRAL))
     _case(tmp_path / "new", "a.json", argv, _verify({**SPECTRAL, field: moved}))
     assert diff_reports.diff(tmp_path / "old", tmp_path / "new") == code
+
+
+def test_the_usage_errors_of_a_repeat_are_diffed(diff_reports):
+    from biconserve import catalog
+
+    argvs = [argv for _, argv in diff_reports.cases(catalog)]
+    assert ["verify", "ex41", "--solve-psi", "--checks", "gauss,gauss", "--emit-report"] in argvs
+    assert ["verify", "ex41", "--solve-psi", "--grid", "0.6:1.4:2,s=0.7:1.3:3",
+            "--emit-report"] in argvs
+    assert ["classify", "thm1.i", "--domain", "s=0.2:0.8,s=0.3:0.7"] in argvs

@@ -37,7 +37,9 @@ value and no label), three cases whose structure stage runs over several
 blocks: intsurf.viii and intcurve.E on 1,500 random points (3 blocks each)
 and thm3.viii on a 1,125-point grid (2 blocks) whose s = 0.7 slice fails
 ``structure``, the same grid with ``--jobs 2`` (the pool writes each
-block's rows and structure notes back into the request's table),
+block's rows and structure notes back into the request's table), two
+usage errors: a check given twice in ``--checks`` and an axis given twice
+in ``--grid`` (once by position, once by name),
 ``sample`` on one pair family, on ``rem42 --n 5`` and on thm3.viii at
 1,500 random points with ``--jobs 2`` (3 pool blocks of a 4-parameter
 chart), so that every row a sweep gives is compared, not only the
@@ -51,7 +53,8 @@ so that the rank test is compared on defective root items too, and three
 usage errors of ``classify``: a NaN ``--matrix``, a singular ``--metric``
 and a finite ``--matrix`` whose characteristic quartic overflows (entries
 near 1e80), and ``classify --tol 0`` on a planted operator with two roots
-1e-5 apart (a zero cluster tolerance is read as given).  Each case's argv,
+1e-5 apart (a zero cluster tolerance is read as given), and ``classify``
+with an axis given twice in ``--domain`` (a usage error).  Each case's argv,
 exit code and printed output go to one JSON file in OUT_DIR, with what it
 writes to stderr when it writes there: a usage error of the argument parser
 (exit 2), or an exception the command line would print as a traceback
@@ -158,6 +161,8 @@ def cases(catalog):
     out.append(("thm3.viii grid t=9", ["thm3.viii", "--grid", "t=-0.704:0.704:9"]))
     out.append(("thm3.viii grid t=9 jobs=2", ["thm3.viii", "--grid", "t=-0.704:0.704:9",
                                               "--jobs", "2"]))
+    out.append(("ex41 checks gauss twice", ["ex41", "--solve-psi", "--checks", "gauss,gauss"]))
+    out.append(("ex41 grid s twice", ["ex41", "--solve-psi", "--grid", "0.6:1.4:2,s=0.7:1.3:3"]))
     out = [(name, ["verify", *argv, "--emit-report"]) for name, argv in out]
     out.append(("sample thm1.ii", ["sample", "thm1.ii"]))
     out.append(("sample rem42 n=5", ["sample", "rem42", "--n", "5", "--offsets", "1,2,3,4"]))
@@ -176,6 +181,8 @@ def cases(catalog):
                                              "--metric=0,0,0,0,0,-1,0,0,0,0,1,0,0,0,0,1"]))
     out.append(("classify overflowing matrix", ["classify", f"--matrix={OVERFLOWING}"]))
     out.append(("classify matrix tol=0", ["classify", f"--matrix={NEAR_DOUBLE}", "--tol", "0"]))
+    out.append(("classify thm1.i domain s twice", ["classify", "thm1.i", "--domain",
+                                                   "s=0.2:0.8,s=0.3:0.7"]))
     return out
 
 
