@@ -29,7 +29,8 @@ points.  A point whose polished roots are not finite or lie within its
 snap radius of each other, every multiple root among them, takes the
 companion matrix's eigenvalues (LAPACK) and their polish instead
 (``_quartic_roots``); only such a point with two roots within the snap
-radius goes through the per-point multiplicity test (``_settle``).  One
+radius goes through the multiplicity test, which settles every candidate
+root group of the block a round at a time (``_settle_groups``).  One
 operator that is not metric-self-adjoint, or whose characteristic quartic
 overflows (a finite operator of entries near 1e80), fails its whole block
 with ContractViolation; a caller that wants the other points classified
@@ -54,17 +55,22 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from math import perm
 
 import numpy as np
 
 from .errors import ContractViolation
-from .thresholds import (BAND_FACTOR, CLUSTER_TOL, ETA, NEWTON_STOP, RANK_FACTOR, RANK_FLOOR,
+from .thresholds import (BAND_FACTOR, CLUSTER_TOL, ETA, RANK_FACTOR, RANK_FLOOR,
                          ROUND, SELF_ADJOINT_TOL, SETTLE_SHIFT, SHARP_FACTOR, SNAP_FACTOR,
                          SNAP_FLOOR, TAU_UNDERFLOW)
 
 _PAIRS = np.triu_indices(4, 1)  # the six (i, j), i < j, of four roots
 _LABELS = np.array(["unresolved", "I", "II", "III", "IV"], dtype=object)
 _TURNS = 2.0 * np.pi * np.arange(3)  # the trigonometric form's three branches
+# c @ _DERIVS (P, 25) holds p^(j) of the quartics c (P, 5) in columns 5 j to 5 j + 4, padded
+# with j leading zeros: column 5 j + i is c[i - j] times np.polyder's product (4 - i + j)!/(4 - i)!
+_DERIVS = np.array([[perm(4 - b, j) * (i - j == b) for j in range(5) for i in range(5)]
+                    for b in range(5)], dtype=float)
 
 
 def _adjugate_tables() -> tuple:
@@ -172,11 +178,12 @@ def characteristic_quartic(S: np.ndarray) -> np.ndarray:
 
 
 def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``np.polyval`` with one coefficient row per point: c (P, m), x (P, k);
-    its first step, 0 * x + c_0, is c_0 for the finite x it gets."""
-    y = c[:, :1] * x + c[:, 1, None]
+    """``np.polyval`` with one coefficient row per point: c (P, m), x (P, k),
+    or rows c (P, r, m) at x (P, 1, 1); its first step, 0 * x + c_0, is c_0
+    for the finite x it gets."""
+    y = c[..., :1] * x + c[..., 1, None]
     for j in range(2, c.shape[-1]):
-        y = y * x + c[:, j, None]
+        y = y * x + c[..., j, None]
     return y
 
 
@@ -275,7 +282,7 @@ def _closed_form_roots(coeffs: np.ndarray) -> tuple:
 def _near(roots: np.ndarray, radius: np.ndarray) -> np.ndarray:
     """Whether two of each point's roots (P, 4) lie within its radius (P,).
     ``np.hypot`` is the scalar ``abs`` of a complex number, so the test
-    agrees with the grouping in ``_groups_within``."""
+    agrees with the grouping in ``_settle_groups``."""
     d = roots[:, _PAIRS[0]] - roots[:, _PAIRS[1]]
     return (np.hypot(d.real, d.imag) <= radius[:, None]).any(axis=1)
 
@@ -289,7 +296,7 @@ def _quartic_roots(coeffs: np.ndarray, snap: float) -> tuple:
     (1 + max|root|), of each other: there the companion matrix's
     eigenvalues (``_companion_roots``) do.  Next to a multiple root a root
     is only as accurate as the quartic's coefficients allow, and the two
-    routes differ in those digits; the multiplicity test (``_settle``) and
+    routes differ in those digits; the multiplicity test (``_settle_groups``) and
     the structure snapshot read the companion route's.  The route is the
     point's own, whatever its block holds.
     """
@@ -303,91 +310,53 @@ def _quartic_roots(coeffs: np.ndarray, snap: float) -> tuple:
     return roots, real
 
 
-def _poly_floor(coeffs: np.ndarray, z: complex) -> float:
-    az = max(1.0, abs(z))
-    deg = len(coeffs) - 1
-    return float(sum(abs(c) * az ** (deg - i) for i, c in enumerate(coeffs)))
+def _settle_groups(coeffs, roots, real, radius, thresh) -> tuple:
+    """Verified root items in slot form, (P, 4) each, of points (P,) whose
+    roots (P, 4) hold a candidate cluster: every root slot holds the center
+    of its item, and the item's first slot its multiplicity (the others 0).
 
-
-def _groups_within(roots, radius):
-    """Single-linkage grouping of the four roots in the complex plane."""
-    n = len(roots)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(roots[i] - roots[j]) <= radius:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(roots[i])
-    return list(groups.values())
-
-
-def _settle(coeffs, group, thresh):
-    """Resolve one candidate group into verified (center, multiplicity) items."""
-    m = len(group)
-    if m == 1:
-        return [(group[0], 1)]
-    center = sum(group) / m
-    dp = np.polyder(coeffs, m - 1)
-    ddp = np.polyder(dp)
-    refined = center
-    ok = True
-    for _ in range(60):
-        dv = np.polyval(ddp, refined)
-        if abs(dv) < TAU_UNDERFLOW:
-            ok = False
-            break
-        step = np.polyval(dp, refined) / dv
-        refined = refined - step
-        if abs(step) < NEWTON_STOP * (1.0 + abs(refined)):
-            break
-    spread = max(abs(g - center) for g in group)
-    if ok and abs(refined - center) <= 2.0 * spread + SETTLE_SHIFT * thresh:
-        derivs = [np.polyder(coeffs, j) if j else coeffs for j in range(m + 1)]
-        small = [
-            abs(np.polyval(d, refined)) <= ETA * _poly_floor(d, refined)
-            for d in derivs
-        ]
-        # all lower derivatives at the noise floor, the m-th sharply not:
-        # exactly an m-fold root, neither more nor less
-        if all(small[:m]) and (abs(np.polyval(derivs[m], refined))
-                               > SHARP_FACTOR * ETA * _poly_floor(derivs[m], refined)):
-            return [(refined, m)]
-    # hypothesis rejected: split the group at its largest internal gap
-    ordered = sorted(group, key=lambda z: (z.real, z.imag))
-    gaps = [abs(b - a) for a, b in zip(ordered[:-1], ordered[1:])]
-    cut = int(np.argmax(gaps)) + 1
-    return _settle(coeffs, ordered[:cut], thresh) + _settle(coeffs, ordered[cut:], thresh)
-
-
-def _root_items(coeffs, roots, real, snap_radius, thresh) -> tuple:
-    """Verified root items in slot form, (P, 4) each: every root slot holds
-    the center of its item, and the item's first slot its multiplicity
-    (the other slots 0).
-
-    A point whose roots are all farther apart than its snap radius has four
-    simple items, the roots themselves.  Only a point with a candidate
-    cluster is grouped and settled one point at a time.
+    The roots are grouped by single linkage within each point's radius, and
+    a round settles every group of the block at once.  A group of m >= 2
+    roots is polished from its center, the members' mean, as a simple root z
+    of p^(m-1) (``_polished`` twice, four guarded steps: after two, a double
+    root 2.8e-4 from another was still 4e-8 off, and failed the rank test).  It
+    is one m-fold root where z moved at most 2 spread + SETTLE_SHIFT thresh,
+    p ... p^(m-1) vanish at z to the noise floor, ETA sum_i |c_i| max(1,
+    |z|)^(deg - i) of their coefficients c, and p^(m) sharply does not:
+    neither more nor less than m-fold.  A rejected group splits at its
+    largest gap into the next round: a quartic takes three rounds at most.
     """
-    centers = roots.copy()
-    mults = np.ones(roots.shape, dtype=int)
-    for k in _near(roots, snap_radius).nonzero()[0]:
-        slot = 0
-        mults[k] = 0
-        group_roots = roots[k].real if real[k] else roots[k]
-        for group in _groups_within(list(group_roots), float(snap_radius[k])):
-            for z, m in _settle(coeffs[k], group, float(thresh[k])):
-                centers[k, slot:slot + m] = complex(z)
-                mults[k, slot] = m
-                slot += m
+    centers, mults = roots.copy(), np.zeros(roots.shape, int)
+    d = roots[:, :, None] - roots[:, None]
+    linked = np.hypot(d.real, d.imag) <= radius[:, None, None]
+    linked = linked @ linked @ linked  # a chain of four roots has three links
+    k, first = (~np.tril(linked, -1).any(axis=2)).nonzero()  # each group's first root
+    members = linked[k, first]
+    while len(k):
+        m, r, at = members.sum(axis=1), roots[k], np.arange(len(k))
+        center = np.where(members, r, 0.0).sum(axis=1) / m
+        spread = np.where(members, np.abs(r - center[:, None]), 0.0).max(axis=1)
+        rows = (coeffs[k] @ _DERIVS).reshape(-1, 5, 5)  # each group's p ... p^(4)
+        c = rows[at, m - 1]  # p^(m-1), of which an m-fold root is a simple root
+        z = np.where(m > 1, _polished(c, _polished(c, center[:, None], real[k]), real[k])[:, 0],
+                     center)
+        value = np.zeros((len(k), 5, 1), complex)
+        for rows_at, z_at in ((real[k], z.real), (~real[k], z)):
+            value[rows_at] = _horner(rows[rows_at], z_at[rows_at, None, None])
+        value = np.abs(value[..., 0])
+        floor = _horner(np.abs(rows), np.maximum(1.0, np.abs(z))[:, None, None])[..., 0]
+        ok = (m == 1) | ((np.abs(z - center) <= 2.0 * spread + SETTLE_SHIFT * thresh[k])
+                         & ((value <= ETA * floor) | (np.arange(5) >= m[:, None])).all(axis=1)
+                         & (value[at, m] > SHARP_FACTOR * ETA * floor[at, m]))
+        g, slot = (members & ok[:, None]).nonzero()
+        centers[k[g], slot] = z[g]
+        mults[k[ok], members[ok].argmax(axis=1)] = m[ok]
+        # a rejected group splits at its largest gap, its members ordered by (re, im)
+        order = np.lexsort((r.imag, np.where(members, r.real, np.inf)), axis=1)
+        gap = np.abs(np.diff(np.take_along_axis(r, order, axis=1), axis=1))
+        cut = np.where(np.arange(3) < m[:, None] - 1, gap, -1.0).argmax(axis=1) + 1
+        left, rest = members & (order.argsort(axis=1) < cut[:, None]), ~ok
+        k, members = np.tile(k[rest], 2), np.concatenate([left[rest], (members & ~left)[rest]])
     return centers, mults
 
 
@@ -485,7 +454,11 @@ def eigen_structure(S: np.ndarray, G: np.ndarray, tol: float = CLUSTER_TOL):
     scale = 1.0 + np.abs(roots).max(axis=1)
     thresh = tol * scale
     snap_radius = snap * scale
-    centers, mults = _root_items(coeffs, roots, real, snap_radius, thresh)
+    centers, mults = roots.copy(), np.ones(roots.shape, int)
+    near = _near(roots, snap_radius)  # any other point has four simple items, its roots
+    if near.any():
+        centers[near], mults[near] = _settle_groups(coeffs[near], roots[near], real[near],
+                                                    snap_radius[near], thresh[near])
 
     # refused: a root in the ambiguous rotation band, ...
     band = BAND_FACTOR * thresh[:, None]

@@ -75,18 +75,17 @@ CLUSTER_TOL = 1e-6
 BAND_FACTOR = 10.0
 # The snap radius is wide enough to catch a defective triple splitting by
 # (backward error)^(1/3); genuine structure swept in by the radius is
-# rejected by the derivative test in _settle and falls back to single roots.
+# rejected by the multiplicity test (spectral._settle_groups), whose groups
+# split at their largest gaps down to single roots.
 # guards which roots are tested as one multiple root; scale tol (1 + max|root|); source chosen
 SNAP_FACTOR = 100.0
 # guards the snap radius from below; scale 1 + max|root|; source chosen
 SNAP_FLOOR = 2e-3
-# guards _settle's Newton step (it stops below); scale 1 + |root|; source chosen, about 5 eps
-NEWTON_STOP = 1e-15
-# guards the polished root's shift from its group's mean; scale tol (1 + max|root|); source chosen
+# guards a group's polished center's shift from its mean; scale tol (1 + max|root|); source chosen
 SETTLE_SHIFT = 10.0
-# guards |p^(j)(root)|, zero at or below it; scale _poly_floor(p^(j), root); source chosen
+# guards |p^(j)(z)|, zero at or below; scale sum_i |c_i| max(1, |z|)^(deg - i); source chosen
 ETA = 3e3 * _EPS
-# guards p^(m) at an m-fold root, nonzero above it; scale ETA _poly_floor(p^(m)); source chosen
+# guards |p^(m)(z)| of an m-fold root z, nonzero above; scale ETA times that floor; source chosen
 SHARP_FACTOR = 100.0
 # guards max|G S - (G S)^T| in eigen_structure's contract; scale 1 + max|G S|; source chosen
 SELF_ADJOINT_TOL = 1e-8

@@ -13,7 +13,7 @@ from biconserve.errors import ContractViolation
 from biconserve.immersion import packet
 from biconserve.spectral import (ShapeSpectrum, SpectrumBlock, characteristic_quartic,
                                  eigen_structure)
-from biconserve.sweep import grid_points, random_points, sweep
+from biconserve.sweep import grid_points, interior_grid, random_points, sweep
 from biconserve.thresholds import CLUSTER_TOL, SNAP_FACTOR, SNAP_FLOOR
 from planted import canonical_pair, conjugated_pair
 
@@ -246,15 +246,15 @@ def test_a_non_self_adjoint_point_fails_only_its_row(monkeypatch):
 
 def test_headline_grid_settles_no_root_group(monkeypatch):
     # every point of the headline 5^4 grid has four well-separated roots,
-    # so none goes through the per-point multiplicity test
+    # so none goes through the multiplicity test
     calls = []
-    settle = spectral._settle
+    settle = spectral._settle_groups
 
     def counted(*args):
         calls.append(args)
         return settle(*args)
 
-    monkeypatch.setattr(spectral, "_settle", counted)
+    monkeypatch.setattr(spectral, "_settle_groups", counted)
     chart = build(FamilySpec("ex41", parameters={"a": 1.0, "b": 2.0},
                              profiles={"solve_psi": True, "c": 1.0}))
     rows = sweep(chart, grid_points(((0.6, 1.4),) + ((-0.5, 0.5),) * 3, 5), ("structure",))
@@ -263,6 +263,31 @@ def test_headline_grid_settles_no_root_group(monkeypatch):
     # the counter is live: a double root does go through it
     eigen_structure(np.diag([2.0, 1.0, 1.0, -1.0]), np.diag([-1.0, -1.0, 1.0, 1.0]))
     assert calls
+
+
+def test_theorem_block_settles_without_polyval(monkeypatch):
+    # every point of thm2.iii's default 5^4 grid has a double curvature, so
+    # every one goes through the multiplicity test, with array operations only
+    chart = build(FamilySpec("thm2", "iii"))
+    pk = packet(chart, grid_points([(lo, hi) for lo, hi, _ in interior_grid(chart.domain)], 5))
+    calls = []
+    for name in ("polyval", "polyder"):
+        fn = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *args, fn=fn: calls.append(fn) or fn(*args))
+    block = eigen_structure(pk.S, pk.G)
+    assert len(block) == 625 and set(block.pattern) == {"1+2+1"}
+    assert set(block.case_label) == {"I"} and calls == []
+
+
+def test_two_close_double_roots_settle_as_two_items():
+    # two double curvatures 2.8e-4 apart, one split by 1e-12: one snap group
+    # of four roots that splits in two; its polish must bring each double
+    # root to rounding, or the rank test fails it
+    S = np.diag([-0.588122246523014, -0.588122246523014,
+                 -0.5883989746940833, -0.5883989746930833])
+    spec = eigen_structure(S, np.diag([-1.0, -1.0, 1.0, 1.0]))
+    assert (spec.case_label, spec.pattern) == ("I", "2+2")
+    assert [(a, g) for _, a, g in spec.real_eigenvalues] == [(2, 2), (2, 2)]
 
 
 def svd_rule(A, cut):
